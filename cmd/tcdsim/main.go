@@ -16,7 +16,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,307 +25,39 @@ import (
 	"strings"
 	"time"
 
-	"github.com/tcdnet/tcd/internal/bench"
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/exp/sweep"
-	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/obs"
+	"github.com/tcdnet/tcd/internal/oracle"
 	"github.com/tcdnet/tcd/internal/routing"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-type options struct {
-	fabric    exp.FabricKind
-	seed      uint64
-	horizon   units.Time
-	full      bool
-	k         int
-	flows     int
-	workload  string
-	series    string
-	voq       bool
-	runs      int
-	routeCap  int
-	obs       obs.Config
-	faults    *fault.Spec
-	battery   string // -adversarial: battery spec path ("" = embedded default)
-	oracleOut string // -oracle-out: oracle report destination
-}
-
-// progressObs strips the trace/metrics sinks, keeping only progress
-// reporting. Comparison experiments run several simulations back to back;
-// funneling them into one ring or registry would interleave events from
-// different runs, so those experiments get progress only.
-func (o options) progressObs() obs.Config {
-	return obs.Config{ProgressEvery: o.obs.ProgressEvery, ProgressOut: o.obs.ProgressOut}
-}
-
-type runner struct {
-	name string
-	desc string
-	run  func(o options) []*exp.Result
-}
-
-func runners() []runner {
-	return []runner{
-		{"fig3", "single congestion point, baseline detectors (ECN/FECN)", func(o options) []*exp.Result {
-			cfg := exp.DefaultObserveConfig(o.fabric, exp.DetBaseline, false)
-			cfg.Seed = o.seed
-			cfg.Obs = o.obs
-			applyObserve(&cfg, o)
-			applyHorizon(&cfg.Horizon, o)
-			return []*exp.Result{exp.Observe(cfg)}
-		}},
-		{"fig4", "multiple congestion points, baseline detectors", func(o options) []*exp.Result {
-			cfg := exp.DefaultObserveConfig(o.fabric, exp.DetBaseline, true)
-			cfg.Seed = o.seed
-			cfg.Obs = o.obs
-			applyObserve(&cfg, o)
-			applyHorizon(&cfg.Horizon, o)
-			return []*exp.Result{exp.Observe(cfg)}
-		}},
-		{"fig8", "conceptual ON-OFF model surface Ton(eps, Rd)", func(o options) []*exp.Result {
-			return []*exp.Result{exp.Fig8(), exp.Section43Table()}
-		}},
-		{"fig11", "testbed marking staircase (UE/CE fractions over time)", func(o options) []*exp.Result {
-			cfg := exp.DefaultTestbedConfig(o.fabric)
-			cfg.Seed = o.seed
-			applyHorizon(&cfg.Horizon, o)
-			if o.full {
-				cfg.Horizon = 400 * units.Millisecond
-				cfg.Bin = 20 * units.Millisecond
-			}
-			return []*exp.Result{exp.Testbed(cfg)}
-		}},
-		{"fig12", "single congestion point with TCD (und -> non-congestion)", func(o options) []*exp.Result {
-			cfg := exp.DefaultObserveConfig(o.fabric, exp.DetTCD, false)
-			cfg.Seed = o.seed
-			cfg.Obs = o.obs
-			applyObserve(&cfg, o)
-			applyHorizon(&cfg.Horizon, o)
-			return []*exp.Result{exp.Observe(cfg)}
-		}},
-		{"fig13", "multiple congestion points with TCD (und -> congestion)", func(o options) []*exp.Result {
-			cfg := exp.DefaultObserveConfig(o.fabric, exp.DetTCD, true)
-			cfg.Seed = o.seed
-			cfg.Obs = o.obs
-			applyObserve(&cfg, o)
-			applyHorizon(&cfg.Horizon, o)
-			return []*exp.Result{exp.Observe(cfg)}
-		}},
-		{"table3", "victim flows marked CE under ECN/FECN/TCD", func(o options) []*exp.Result {
-			h := o.horizon
-			if o.full {
-				h = 120 * units.Millisecond
-			}
-			// Multi-seed repetition (-runs) is handled by the sweep engine,
-			// which folds min/mean/max/percentiles per scheme across seeds.
-			res, _ := exp.Table3(h, o.seed)
-			return []*exp.Result{res}
-		}},
-		{"fig14", "sensitivity of the TCD parameter eps", func(o options) []*exp.Result {
-			h := o.horizon
-			if o.full {
-				h = 60 * units.Millisecond
-			}
-			res, _ := exp.Fig14(o.fabric, h, o.seed)
-			return []*exp.Result{res}
-		}},
-		{"fig15", "DCQCN vs DCQCN+TCD: victim FCT and burst-size sweep", func(o options) []*exp.Result {
-			h := o.horizon
-			if o.full {
-				h = 100 * units.Millisecond
-			}
-			r1, _, _ := exp.VictimFCT(exp.CEE, exp.CCDCQCN, exp.CCDCQCNTCD, h, o.seed)
-			sizes := []units.ByteSize{32 * units.KB, 64 * units.KB, 128 * units.KB, 250 * units.KB, 500 * units.KB}
-			r2, _ := exp.VictimBurstSweep(exp.CEE, exp.CCDCQCN, exp.CCDCQCNTCD, sizes, h, o.seed)
-			return []*exp.Result{r1, r2}
-		}},
-		{"fig16", "fat-tree FCT slowdown: DCQCN vs DCQCN+TCD", func(o options) []*exp.Result {
-			base := exp.DefaultFatTreeConfig(exp.CEE, exp.DetBaseline, exp.CCDCQCN, o.workload)
-			base.Obs = o.progressObs()
-			tuneFatTree(&base, o, 10, 40000)
-			res, _, _ := exp.FatTreeComparison(base, exp.CCDCQCN, exp.CCDCQCNTCD)
-			return []*exp.Result{res}
-		}},
-		{"fig17", "IB CC vs IB CC+TCD: victim MCT and MPI/IO fat-tree", func(o options) []*exp.Result {
-			h := o.horizon
-			if o.full {
-				h = 100 * units.Millisecond
-			}
-			r1, _, _ := exp.VictimFCT(exp.IB, exp.CCIBCC, exp.CCIBCCTCD, h, o.seed)
-			base := exp.DefaultFatTreeConfig(exp.IB, exp.DetBaseline, exp.CCIBCC, "mpiio")
-			base.Obs = o.progressObs()
-			tuneFatTree(&base, o, 16, 80000)
-			r2, _, _ := exp.FatTreeComparison(base, exp.CCIBCC, exp.CCIBCCTCD)
-			return []*exp.Result{r1, r2}
-		}},
-		{"fig18", "TIMELY vs TIMELY+TCD: victim FCT and burst-size sweep", func(o options) []*exp.Result {
-			h := o.horizon
-			if o.full {
-				h = 100 * units.Millisecond
-			}
-			r1, _, _ := exp.VictimFCT(exp.CEE, exp.CCTIMELY, exp.CCTIMELYTCD, h, o.seed)
-			sizes := []units.ByteSize{32 * units.KB, 64 * units.KB, 128 * units.KB, 250 * units.KB, 500 * units.KB}
-			r2, _ := exp.VictimBurstSweep(exp.CEE, exp.CCTIMELY, exp.CCTIMELYTCD, sizes, h, o.seed)
-			return []*exp.Result{r1, r2}
-		}},
-		{"fig19", "fat-tree FCT slowdown: TIMELY vs TIMELY+TCD", func(o options) []*exp.Result {
-			base := exp.DefaultFatTreeConfig(exp.CEE, exp.DetBaseline, exp.CCTIMELY, o.workload)
-			base.Obs = o.progressObs()
-			tuneFatTree(&base, o, 10, 40000)
-			res, _, _ := exp.FatTreeComparison(base, exp.CCTIMELY, exp.CCTIMELYTCD)
-			return []*exp.Result{res}
-		}},
-		{"multiprio", "§4.5: strict-priority preemption does not disturb TCD", func(o options) []*exp.Result {
-			cfg := exp.DefaultMultiPrioConfig()
-			cfg.Seed = o.seed
-			applyHorizon(&cfg.Horizon, o)
-			return []*exp.Result{exp.MultiPrio(cfg)}
-		}},
-		{"ablation", "design-choice ablations: detectors, notification rules, trend slack", func(o options) []*exp.Result {
-			h := o.horizon
-			if h == 0 {
-				h = 20 * units.Millisecond
-			}
-			return []*exp.Result{
-				exp.AblationDetectors(o.fabric, h, o.seed),
-				exp.AblationNotification(h, o.seed),
-				exp.AblationTrendSlack(h, o.seed),
-				exp.AblationSwitchArch(8*units.Millisecond, o.seed),
-			}
-		}},
-		{"victim-under-flap", "victim flow during a flapping link: stock detector vs TCD", func(o options) []*exp.Result {
-			var out []*exp.Result
-			for _, det := range []exp.DetectorKind{exp.DetBaseline, exp.DetTCD} {
-				cfg := exp.DefaultVictimFlapConfig(o.fabric, det)
-				cfg.Seed = o.seed
-				cfg.Faults = o.faults
-				// Back-to-back comparison runs cannot share trace/metrics
-				// sinks, so this experiment reports progress only.
-				cfg.Obs = o.progressObs()
-				applyHorizon(&cfg.Horizon, o)
-				out = append(out, exp.VictimUnderFlap(cfg))
-			}
-			return out
-		}},
-		{"deadlock-unit", "3-switch ring PFC/CBFC deadlock with initial-trigger attribution", func(o options) []*exp.Result {
-			cfg := exp.DefaultDeadlockUnitConfig(o.fabric)
-			cfg.Seed = o.seed
-			cfg.Obs = o.obs
-			applyHorizon(&cfg.Horizon, o)
-			return []*exp.Result{exp.DeadlockUnit(cfg)}
-		}},
-		{"fig20", "fairness of the TCD rate-adjustment rules", func(o options) []*exp.Result {
-			var out []*exp.Result
-			for _, cc := range []exp.CCKind{exp.CCDCQCNTCD, exp.CCTIMELYTCD} {
-				cfg := exp.DefaultFairnessConfig(o.fabric, cc)
-				cfg.Seed = o.seed
-				cfg.Faults = o.faults
-				applyHorizon(&cfg.Horizon, o)
-				if o.full {
-					cfg.Horizon = 400 * units.Millisecond
-				}
-				out = append(out, exp.Fairness(cfg))
-			}
-			return out
-		}},
-		{"adversarial", "attack battery scored against the ground-truth oracle (both fabrics)", func(o options) []*exp.Result {
-			battery := exp.DefaultBattery()
-			if o.battery != "" {
-				b, err := exp.LoadBattery(o.battery)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "%v\n", err)
-					os.Exit(2)
-				}
-				battery = b
-			}
-			opt := exp.BatteryOptions{Seeds: []uint64{o.seed, o.seed + 1}}
-			if o.obs.ProgressOut != nil {
-				opt.OnDone = func(res *exp.Result) {
-					fmt.Fprintf(o.obs.ProgressOut, "adversarial: %s done\n", res.Name)
-				}
-			}
-			report, results := exp.RunAdversarialBattery(battery, opt)
-			dets := make([]string, 0, len(report.PerDetector))
-			for det := range report.PerDetector {
-				dets = append(dets, det)
-			}
-			sort.Strings(dets)
-			for _, det := range dets {
-				agg := report.PerDetector[det]
-				fmt.Printf("oracle %-10s runs=%d mean_accuracy=%.4f mean_misdetect=%.4f\n",
-					det, agg.Runs, agg.MeanAccuracy, agg.MeanMisdetect)
-			}
-			for _, c := range report.Contradictions {
-				fmt.Fprintf(os.Stderr, "oracle: CONTRADICTION: %s\n", c)
-			}
-			if o.oracleOut != "" {
-				if err := report.WriteJSON(o.oracleOut); err != nil {
-					fmt.Fprintf(os.Stderr, "%v\n", err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "oracle: report -> %s\n", o.oracleOut)
-			}
-			return results
-		}},
-	}
-}
-
-func applyHorizon(dst *units.Time, o options) {
-	if o.horizon > 0 {
-		*dst = o.horizon
-	}
-}
-
-// applyObserve threads the observation-run overrides (switch
-// architecture, injected fault schedule) into an ObserveConfig.
-func applyObserve(cfg *exp.ObserveConfig, o options) {
-	if o.voq {
-		cfg.Arch = fabric.InputQueuedVoQ
-	}
-	cfg.Faults = o.faults
-}
-
-func tuneFatTree(cfg *exp.FatTreeConfig, o options, fullK, fullFlows int) {
-	cfg.Seed = o.seed
-	cfg.K = 6
-	cfg.MaxFlows = 4000
-	cfg.Horizon = 40 * units.Millisecond
-	if o.full {
-		cfg.K = fullK
-		cfg.MaxFlows = fullFlows
-		cfg.Horizon = 100 * units.Millisecond
-	}
-	if o.k > 0 {
-		cfg.K = o.k
-	}
-	if o.flows > 0 {
-		cfg.MaxFlows = o.flows
-	}
-	cfg.RouteCap = o.routeCap
-	cfg.Faults = o.faults
-	applyHorizon(&cfg.Horizon, o)
+// die prints a diagnostic and exits: code 2 for bad usage, 1 for a
+// failed run or export.
+func die(code int, format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(code)
 }
 
 func main() {
 	var (
-		list     = flag.Bool("list", false, "list experiments")
+		list     = flag.Bool("list", false, "list experiments with the axes each accepts")
 		name     = flag.String("exp", "", "experiment to run (see -list)")
 		fabric   = flag.String("fabric", "cee", "fabric kind: cee or ib")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		horizon  = flag.Duration("horizon", 0, "simulation horizon override (e.g. 60ms)")
+		horizon  = flag.Duration("horizon", 0, "simulation horizon override (e.g. 60ms); wins over -full")
 		full     = flag.Bool("full", false, "paper-scale parameters (slow)")
 		k        = flag.Int("k", 0, "fat-tree arity override")
 		flows    = flag.Int("flows", 0, "flow-count override")
-		workload = flag.String("workload", "hadoop", "fat-tree workload: hadoop, websearch, mpiio")
+		workload = flag.String("workload", "", "fat-tree workload (menu and default per experiment: see -list)")
 		series   = flag.String("series", "", "also dump this time series (name as shown in output)")
 		csvdir   = flag.String("csvdir", "", "write every collected series as CSV files into this directory")
-		arch     = flag.String("arch", "oq", "switch architecture for observation runs: oq or voq")
+		arch     = flag.String("arch", "", "switch architecture for observation runs (menu and default: see -list)")
 		runs     = flag.Int("runs", 1, "repeat the experiment over this many consecutive seeds and fold statistics")
-		faults   = flag.String("faults", "", "JSON fault schedule (benign and adversarial kinds) injected into observation, victim-under-flap, fig20 and fat-tree experiments")
+		faults   = flag.String("faults", "", "JSON fault schedule (benign and adversarial kinds) injected into the experiments -list marks with faults")
 
 		adversarial = flag.String("adversarial", "", "battery spec for -exp adversarial (empty = the committed default battery)")
 		oracleOut   = flag.String("oracle-out", "", "write the adversarial oracle report (scores, aggregates, contradictions) as JSON to this file")
@@ -353,142 +84,124 @@ func main() {
 		progress     = flag.Bool("progress", false, "print sim-vs-wall progress lines to stderr during the run")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		jsonOut      = flag.String("json", "", `serialize results as JSON to this file ("-" for stdout)`)
-		benchJSON    = flag.String("bench-json", "", "run the benchmark-regression harness and write its JSON report to this file")
-		benchRev     = flag.String("bench-rev", "dev", "revision label embedded in the -bench-json report")
-		benchAgainst = flag.String("bench-against", "", "prior BENCH_*.json report to guard against; exit 1 on >15% fig3 ns/op or allocs/op regression")
 	)
 	flag.Parse()
 
-	if *benchJSON != "" {
-		runBench(*benchJSON, *benchRev, *benchAgainst)
-		return
-	}
 	if *topoStats {
 		os.Exit(runTopoStats(*topoKind, *k, *leaves, *spines, *hostsPer, *routes, *routeCap))
 	}
-
-	rs := runners()
 	if *list || *name == "" {
 		fmt.Println("experiments:")
-		for _, r := range rs {
-			fmt.Printf("  %-8s %s\n", r.name, r.desc)
+		for _, sc := range exp.Scenarios {
+			fmt.Printf("  %-8s %s\n", sc.Name, sc.Desc)
+			if axes := sc.Axes(); axes != "" {
+				fmt.Printf("  %-8s   [%s]\n", "", axes)
+			}
 		}
-		if *name == "" && !*list {
+		if !*list {
 			os.Exit(2)
 		}
 		return
 	}
 
-	o := options{
-		seed:      *seed,
-		full:      *full,
-		k:         *k,
-		flows:     *flows,
-		workload:  *workload,
-		series:    *series,
-		voq:       strings.EqualFold(*arch, "voq"),
-		runs:      *runs,
-		routeCap:  *routeCap,
-		battery:   *adversarial,
-		oracleOut: *oracleOut,
+	// Flags parse into the one parameter shape; the scenario's declared
+	// menus, not this file, decide what each flag may say.
+	sc := exp.Lookup(strings.ToLower(*name))
+	if sc == nil {
+		die(2, "unknown experiment %q; try -list", *name)
 	}
-	switch strings.ToLower(*fabric) {
-	case "cee":
-		o.fabric = exp.CEE
-	case "ib":
-		o.fabric = exp.IB
-	default:
-		fmt.Fprintf(os.Stderr, "unknown fabric %q\n", *fabric)
-		os.Exit(2)
+	p := exp.Params{
+		Seed:     *seed,
+		Full:     *full,
+		K:        *k,
+		Flows:    *flows,
+		Workload: strings.ToLower(*workload),
+		RouteCap: *routeCap,
+		Arch:     strings.ToLower(*arch),
 	}
 	if *horizon > 0 {
-		o.horizon = units.Time(horizon.Nanoseconds()) * units.Nanosecond
+		p.Horizon = units.Time(horizon.Nanoseconds()) * units.Nanosecond
+	}
+	var err error
+	if p.Fabric, err = exp.ParseFabric(strings.ToLower(*fabric)); err != nil {
+		die(2, "%v", err)
+	}
+	if err := sc.Check(p); err != nil {
+		die(2, "%v", err)
 	}
 	if *faults != "" {
-		spec, err := fault.LoadSpec(*faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
+		if p.Faults, err = fault.LoadSpec(*faults); err != nil {
+			die(2, "%v", err)
 		}
-		o.faults = spec
+	}
+	if *adversarial != "" {
+		if p.Battery, err = exp.LoadBattery(*adversarial); err != nil {
+			die(2, "%v", err)
+		}
+	}
+	shardIdx, shardTotal := 0, 1
+	if *shard != "" {
+		if n, err := fmt.Sscanf(*shard, "%d/%d", &shardIdx, &shardTotal); n != 2 || err != nil ||
+			shardTotal < 1 || shardIdx < 0 || shardIdx >= shardTotal {
+			die(2, "bad -shard %q: want i/n with 0 <= i < n", *shard)
+		}
 	}
 
 	var spill *obs.Spill
 	if *traceOut != "" {
-		sp, err := obs.NewSpill(*traceOut, obs.SpillOptions{
+		spill, err = obs.NewSpill(*traceOut, obs.SpillOptions{
 			ChunkBytes: int64(*traceChunkMB) << 20,
 			MaxBytes:   int64(*traceMaxMB) << 20,
 			Gzip:       *traceGzip,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+			die(1, "trace: %v", err)
 		}
-		spill = sp
-		o.obs.Rec = spill
+		p.Obs.Rec = spill
 	}
 	if *telemetry || *httpAddr != "" {
 		// The live endpoint serves telemetry-derived metrics, so -http
 		// implies -telemetry.
-		o.obs.Telemetry = obs.NewTelemetry(nil)
+		p.Obs.Telemetry = obs.NewTelemetry(nil)
 	}
 	var live *obs.Live
 	if *httpAddr != "" {
-		lv, err := obs.ServeLive(*httpAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "http: %v\n", err)
-			os.Exit(1)
+		if live, err = obs.ServeLive(*httpAddr); err != nil {
+			die(1, "http: %v", err)
 		}
-		live = lv
-		o.obs.Live = live
+		p.Obs.Live = live
 		fmt.Fprintf(os.Stderr, "live: http://%s (/metrics, /progress, /debug/pprof)\n", live.Addr())
 	}
 	if *metricsOut != "" {
-		o.obs.Metrics = obs.NewRegistry()
+		p.Obs.Metrics = obs.NewRegistry()
 	}
 	if *progress {
-		o.obs.ProgressEvery = units.Millisecond
-		o.obs.ProgressOut = os.Stderr
+		p.Obs.ProgressEvery = units.Millisecond
+		p.Obs.ProgressOut = os.Stderr
 	}
 	stopProfile := func() {}
 	if *cpuprofile != "" {
-		stop, err := obs.StartCPUProfile(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		stopProfile = stop
-	}
-
-	var chosen *runner
-	for i := range rs {
-		if rs[i].name == strings.ToLower(*name) {
-			chosen = &rs[i]
-			break
-		}
-	}
-	if chosen == nil {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *name)
-		os.Exit(2)
-	}
-
-	shardIdx, shardTotal := 0, 1
-	if *shard != "" {
-		if n, err := fmt.Sscanf(*shard, "%d/%d", &shardIdx, &shardTotal); n != 2 || err != nil ||
-			shardTotal < 1 || shardIdx < 0 || shardIdx >= shardTotal {
-			fmt.Fprintf(os.Stderr, "bad -shard %q: want i/n with 0 <= i < n\n", *shard)
-			os.Exit(2)
+		if stopProfile, err = obs.StartCPUProfile(*cpuprofile); err != nil {
+			die(1, "cpuprofile: %v", err)
 		}
 	}
 
 	start := time.Now()
-	if *doSweep || o.runs > 1 || *shard != "" {
-		code := runSweep(chosen, o, *parallel, *progress, *jsonOut, *csvdir, shardIdx, shardTotal)
+	if *doSweep || *runs > 1 || *shard != "" {
+		code := runSweep(sc, p, *runs, *parallel, *progress, *jsonOut, *csvdir, shardIdx, shardTotal)
 		stopProfile()
-		fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", chosen.name, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
 		os.Exit(code)
 	}
-	results := chosen.run(o)
+	var results []*exp.Result
+	if sc.Battery {
+		// The one scenario whose run also yields an oracle report.
+		report, rs := exp.AdversarialReport(p)
+		printOracle(report, *oracleOut)
+		results = rs
+	} else {
+		results = sc.Run(p)
+	}
 	stopProfile()
 	quiet := *jsonOut == "-" // keep stdout valid JSON
 	for _, res := range results {
@@ -497,12 +210,11 @@ func main() {
 		}
 		if *csvdir != "" {
 			if err := res.WriteSeries(*csvdir); err != nil {
-				fmt.Fprintf(os.Stderr, "csv export: %v\n", err)
-				os.Exit(1)
+				die(1, "csv export: %v", err)
 			}
 		}
-		if o.series != "" {
-			if s, ok := res.Series[o.series]; ok {
+		if *series != "" {
+			if s, ok := res.Series[*series]; ok {
 				fmt.Print(s.Render())
 			} else if len(res.Series) > 0 {
 				names := make([]string, 0, len(res.Series))
@@ -510,15 +222,14 @@ func main() {
 					names = append(names, n)
 				}
 				sort.Strings(names)
-				fmt.Fprintf(os.Stderr, "series %q not found; available: %s\n", o.series, strings.Join(names, ", "))
+				fmt.Fprintf(os.Stderr, "series %q not found; available: %s\n", *series, strings.Join(names, ", "))
 			}
 		}
 	}
 
 	if spill != nil {
 		if err := spill.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace export: %v\n", err)
-			os.Exit(1)
+			die(1, "trace export: %v", err)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events, %d bytes in %d chunk(s) -> %s\n",
 			spill.Written(), spill.Bytes(), spill.Chunks(), *traceOut)
@@ -526,16 +237,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace: disk cap reached, oldest %d events dropped (raise -trace-max-mb)\n", n)
 		}
 	}
-	if o.obs.Metrics != nil {
-		if err := exportFile(*metricsOut, o.obs.Metrics.WriteJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics export: %v\n", err)
-			os.Exit(1)
+	if p.Obs.Metrics != nil {
+		if err := exportFile(*metricsOut, p.Obs.Metrics.WriteJSON); err != nil {
+			die(1, "metrics export: %v", err)
 		}
 	}
 	if *jsonOut != "" {
-		if err := exportResults(*jsonOut, results); err != nil {
-			fmt.Fprintf(os.Stderr, "json export: %v\n", err)
-			os.Exit(1)
+		if err := exportFile(*jsonOut, func(w io.Writer) error { return exp.WriteResultsJSON(w, results) }); err != nil {
+			die(1, "json export: %v", err)
 		}
 	}
 
@@ -543,7 +252,7 @@ func main() {
 	if quiet {
 		out = os.Stderr
 	}
-	fmt.Fprintf(out, "(%s, wall %v)\n", chosen.name, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "(%s, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
 
 	if live != nil {
 		if *httpLinger > 0 {
@@ -556,23 +265,46 @@ func main() {
 	}
 }
 
-// runSweep repeats the chosen experiment over o.runs consecutive seeds
-// through the parallel sweep engine and renders the folded per-scalar
-// statistics. Each run owns a private scheduler/RNG/recorder, so the
-// per-run results are byte-identical to the serial path regardless of
-// worker count. Returns the process exit code.
-func runSweep(chosen *runner, o options, workers int, progress bool, jsonOut, csvdir string, shardIdx, shardTotal int) int {
-	if o.obs.Rec != nil || o.obs.Metrics != nil {
+// printOracle prints the per-detector oracle aggregates of an adversarial
+// run and, when path is set, writes the full report there.
+func printOracle(report *oracle.Report, path string) {
+	dets := make([]string, 0, len(report.PerDetector))
+	for det := range report.PerDetector {
+		dets = append(dets, det)
+	}
+	sort.Strings(dets)
+	for _, det := range dets {
+		agg := report.PerDetector[det]
+		fmt.Printf("oracle %-10s runs=%d mean_accuracy=%.4f mean_misdetect=%.4f\n",
+			det, agg.Runs, agg.MeanAccuracy, agg.MeanMisdetect)
+	}
+	for _, c := range report.Contradictions {
+		fmt.Fprintf(os.Stderr, "oracle: CONTRADICTION: %s\n", c)
+	}
+	if path != "" {
+		if err := report.WriteJSON(path); err != nil {
+			die(1, "%v", err)
+		}
+		fmt.Fprintf(os.Stderr, "oracle: report -> %s\n", path)
+	}
+}
+
+// runSweep repeats the scenario over n consecutive seeds through the
+// parallel sweep engine and renders the folded per-scalar statistics.
+// Each run owns a private scheduler/RNG/recorder, so the per-run results
+// are byte-identical to the serial path regardless of worker count.
+// Returns the process exit code.
+func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jsonOut, csvdir string, shardIdx, shardTotal int) int {
+	if p.Obs.Rec != nil || p.Obs.Metrics != nil {
 		fmt.Fprintln(os.Stderr, "sweep: -trace-out/-metrics-out are single-run sinks and are ignored in sweep mode")
 	}
-	n := o.runs
 	if n < 1 {
 		n = 1
 	}
 	specs := sweep.Grid{
-		Exps:    []string{chosen.name},
-		Fabrics: []exp.FabricKind{o.fabric},
-		Seeds:   sweep.Seq(o.seed, n),
+		Exps:    []string{sc.Name},
+		Fabrics: []exp.FabricKind{p.Fabric},
+		Seeds:   sweep.Seq(p.Seed, n),
 	}.Specs()
 	if shardTotal > 1 {
 		all := len(specs)
@@ -582,20 +314,10 @@ func runSweep(chosen *runner, o options, workers int, progress bool, jsonOut, cs
 			return 0
 		}
 	}
-	fn := func(sp sweep.Spec) []*exp.Result {
-		ro := o
-		ro.seed = sp.Seed
-		ro.runs = 1
-		// Shared trace/metrics sinks would interleave events from
-		// concurrently running simulations; sweeps run without them. A
-		// telemetry fold is per-run state, so each worker gets a private
-		// one and Aggregate merges the histograms across seeds.
-		ro.obs = obs.Config{}
-		if o.obs.Telemetry != nil {
-			ro.obs.Telemetry = obs.NewTelemetry(nil)
-		}
-		return chosen.run(ro)
-	}
+	// Shared trace/metrics sinks would interleave events from
+	// concurrently running simulations; sweeps run without them, and
+	// sweep.Scenario gives each run a private telemetry fold.
+	p.Obs = obs.Config{Telemetry: p.Obs.Telemetry}
 	opt := sweep.Options{Parallel: workers}
 	if progress {
 		done := 0
@@ -605,7 +327,7 @@ func runSweep(chosen *runner, o options, workers int, progress bool, jsonOut, cs
 				done, len(specs), r.Spec, r.Wall.Round(time.Millisecond))
 		}
 	}
-	rs := sweep.Run(context.Background(), specs, fn, opt)
+	rs := sweep.Run(context.Background(), specs, sweep.Scenario(sc, p), opt)
 
 	if jsonOut != "-" {
 		for _, agg := range sweep.Aggregate(rs) {
@@ -735,57 +457,11 @@ func exportSweepCSV(dir string, rs []*sweep.RunResult) error {
 	return nil
 }
 
-// runBench executes the benchmark-regression harness and writes
-// BENCH-style JSON to path ("-" for stdout). When against names a prior
-// report, the guarded fig3 cases are compared and a >15% regression on
-// ns/op or allocs/op fails the run.
-func runBench(path, rev, against string) {
-	rep := bench.Run(bench.Config{Rev: rev})
-	write := func(w io.Writer) error { return rep.WriteJSON(w) }
-	var err error
-	if path == "-" {
-		err = write(os.Stdout)
-	} else {
-		err = exportFile(path, write)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "bench: %d cases, sweep speedup %.2fx (%d workers) -> %s\n",
-		len(rep.Cases), rep.Sweep.Speedup, rep.Sweep.Parallel, path)
-	if against != "" {
-		guardBench(rep, against)
-	}
-}
-
-// guardBench compares rep against the prior report at path and exits
-// non-zero on regression. A missing or unreadable prior report skips
-// the guard (first run on a fresh branch must not fail).
-func guardBench(rep *bench.Report, path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bench: no prior report at %s, skipping regression guard (%v)\n", path, err)
-		return
-	}
-	var prev bench.Report
-	if err := json.Unmarshal(data, &prev); err != nil {
-		fmt.Fprintf(os.Stderr, "bench: prior report %s unreadable, skipping regression guard (%v)\n", path, err)
-		return
-	}
-	regs := bench.Compare(&prev, rep, 0.15)
-	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "bench: no regression vs %s (rev %s)\n", path, prev.Rev)
-		return
-	}
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "bench: REGRESSION: %s\n", r)
-	}
-	os.Exit(1)
-}
-
-// exportFile writes via fn into path, creating it.
+// exportFile writes via fn into path, creating it ("-" = stdout).
 func exportFile(path string, fn func(io.Writer) error) error {
+	if path == "-" {
+		return fn(os.Stdout)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -795,33 +471,4 @@ func exportFile(path string, fn func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// exportResults serializes results to path ("-" = stdout): a single
-// object for one result, a JSON array otherwise.
-func exportResults(path string, results []*exp.Result) error {
-	write := func(w io.Writer) error {
-		if len(results) == 1 {
-			return results[0].WriteJSON(w)
-		}
-		if _, err := io.WriteString(w, "[\n"); err != nil {
-			return err
-		}
-		for i, r := range results {
-			if i > 0 {
-				if _, err := io.WriteString(w, ",\n"); err != nil {
-					return err
-				}
-			}
-			if err := r.WriteJSON(w); err != nil {
-				return err
-			}
-		}
-		_, err := io.WriteString(w, "]\n")
-		return err
-	}
-	if path == "-" {
-		return write(os.Stdout)
-	}
-	return exportFile(path, write)
 }

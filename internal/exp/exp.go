@@ -150,6 +150,31 @@ func (r *Result) WriteJSON(w io.Writer) error {
 	return enc.Encode(&out)
 }
 
+// WriteResultsJSON is the one result export every front-end shares
+// (`tcdsim -json`, the daemon's response body): a single object for one
+// result, a JSON array otherwise. WriteJSON sorts every map, so equal
+// runs produce byte-identical output.
+func WriteResultsJSON(w io.Writer, results []*Result) error {
+	if len(results) == 1 {
+		return results[0].WriteJSON(w)
+	}
+	if _, err := io.WriteString(w, "[\n"); err != nil {
+		return err
+	}
+	for i, r := range results {
+		if i > 0 {
+			if _, err := io.WriteString(w, ",\n"); err != nil {
+				return err
+			}
+		}
+		if err := r.WriteJSON(w); err != nil {
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "]\n")
+	return err
+}
+
 // WriteSeries dumps every collected time series as a CSV file under dir
 // (one file per series, named <result>-<series>.csv with a time_us,value
 // header) so figures can be plotted without re-running the simulation.

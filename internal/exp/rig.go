@@ -36,6 +36,16 @@ func (f FabricKind) String() string {
 	return "ib"
 }
 
+// ParseFabric is the inverse of FabricKind.String.
+func ParseFabric(s string) (FabricKind, error) {
+	for _, f := range []FabricKind{CEE, IB} {
+		if f.String() == s {
+			return f, nil
+		}
+	}
+	return 0, fmt.Errorf("exp: unknown fabric %q (want cee or ib)", s)
+}
+
 // DetectorKind selects the congestion-detection mechanism on switches.
 type DetectorKind int
 
@@ -52,6 +62,7 @@ const (
 	// DetNPECN is PCN's Non-PAUSE ECN (related work §7): RED marking
 	// suppressed on pause-tainted packets.
 	DetNPECN
+	numDetectorKinds
 )
 
 func (d DetectorKind) String() string {
@@ -66,6 +77,16 @@ func (d DetectorKind) String() string {
 		return "np-ecn"
 	}
 	return "none"
+}
+
+// ParseDet is the inverse of DetectorKind.String.
+func ParseDet(s string) (DetectorKind, error) {
+	for d := DetNone; d < numDetectorKinds; d++ {
+		if d.String() == s {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("exp: unknown det %q", s)
 }
 
 // CCKind selects the end-to-end congestion control for workload flows.
@@ -83,6 +104,7 @@ const (
 	// CCIBCC and CCIBCCTCD are stock and ternary IB CC.
 	CCIBCC
 	CCIBCCTCD
+	numCCKinds
 )
 
 func (c CCKind) String() string {
@@ -101,6 +123,16 @@ func (c CCKind) String() string {
 		return "ibcc+tcd"
 	}
 	return "fixed"
+}
+
+// ParseCC is the inverse of CCKind.String.
+func ParseCC(s string) (CCKind, error) {
+	for c := CCFixed; c < numCCKinds; c++ {
+		if c.String() == s {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("exp: unknown cc %q", s)
 }
 
 // NeedsAcks reports whether the controller requires per-packet ACKs.

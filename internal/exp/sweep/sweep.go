@@ -33,7 +33,7 @@ import (
 // enum fields are meaningful ("fig3"-style defaults), so specs marshal
 // compactly and compare cheaply.
 type Spec struct {
-	// Exp names the experiment kind (a cmd/tcdsim runner name such as
+	// Exp names the experiment kind (an exp.Scenarios name such as
 	// "fig3", "table3", or a caller-defined label).
 	Exp string `json:"exp"`
 	// Fabric selects CEE or IB.
@@ -144,6 +144,27 @@ func Shard(specs []Spec, index, total int) []Spec {
 // worker goroutines and must not share mutable state across calls: build
 // a fresh rig (scheduler, RNG, recorder) per invocation.
 type RunFunc func(Spec) []*exp.Result
+
+// Scenario is the RunFunc of a registry scenario: each spec cell's
+// fabric, detector, congestion control, seed and (when set) horizon are
+// overlaid on base, the parameters every run of the sweep shares. Of
+// base.Obs only what concurrent runs can share survives: the progress
+// ticker is kept, and a telemetry fold — per-run state that Aggregate
+// merges across seeds — is replaced by a private one per run. The caller
+// leaves the single-run trace/metrics/live sinks out of base.
+func Scenario(sc *exp.Scenario, base exp.Params) RunFunc {
+	return func(sp Spec) []*exp.Result {
+		p := base
+		p.Fabric, p.Det, p.CC, p.Seed = sp.Fabric, sp.Det, sp.CC, sp.Seed
+		if sp.Horizon > 0 {
+			p.Horizon = sp.Horizon
+		}
+		if base.Obs.Telemetry != nil {
+			p.Obs.Telemetry = obs.NewTelemetry(nil)
+		}
+		return sc.Run(p)
+	}
+}
 
 // RunResult is the outcome of one spec.
 type RunResult struct {

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"testing"
+
+	"github.com/tcdnet/tcd/internal/exp"
 )
 
 // FuzzParseJobSpec hammers the HTTP spec parser with arbitrary bytes.
@@ -28,6 +30,7 @@ func FuzzParseJobSpec(f *testing.F) {
 		`null`,
 		`{"exp":"fig3","horizon_us":1e309}`,
 		`{"exp":"fig3","bogus":true}`,
+		`{"exp":"fig11","horizon_us":1e-7}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -44,11 +47,14 @@ func FuzzParseJobSpec(f *testing.F) {
 		if spec.HorizonUs < 0 || spec.HorizonUs > MaxHorizonUs {
 			t.Fatalf("accepted horizon %g outside [0,%g]", spec.HorizonUs, float64(MaxHorizonUs))
 		}
+		if spec.HorizonUs > 0 && spec.Horizon() == 0 {
+			t.Fatalf("accepted horizon %g, which truncates to the default horizon", spec.HorizonUs)
+		}
 		if spec.Seed == 0 {
 			t.Fatal("accepted spec kept seed 0 (default not applied)")
 		}
-		if _, ok := Catalog[spec.Exp]; !ok {
-			t.Fatalf("accepted unknown exp %q", spec.Exp)
+		if sc := exp.Lookup(spec.Exp); sc == nil || !sc.ServiceAddressable() {
+			t.Fatalf("accepted exp %q, which the daemon cannot address", spec.Exp)
 		}
 		if spec.Faults != nil && len(spec.Faults.Events) > MaxFaultEvents {
 			t.Fatalf("accepted %d fault events", len(spec.Faults.Events))

@@ -22,25 +22,25 @@ type ExecFunc func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]by
 // every run the same isolation a CLI sweep gets — a private scheduler,
 // RNG and recorder per run, panic capture, and context-checked starts —
 // then encodes the per-run results (plus the cross-seed aggregate for
-// multi-run jobs) exactly like cmd/tcdsim's -json export.
+// multi-run jobs) with the encoder `tcdsim -json` uses.
 func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
-	ent, ok := Catalog[spec.Exp]
-	if !ok {
+	sc := exp.Lookup(spec.Exp)
+	if sc == nil {
 		return nil, fmt.Errorf("serve: unknown exp %q", spec.Exp)
 	}
-	fab, err := parseFabric(spec.Fabric)
+	fab, err := exp.ParseFabric(spec.Fabric)
 	if err != nil {
 		return nil, err
 	}
 	var det exp.DetectorKind
 	if spec.Det != "" {
-		if det, err = parseDet(spec.Det); err != nil {
+		if det, err = exp.ParseDet(spec.Det); err != nil {
 			return nil, err
 		}
 	}
 	var cc exp.CCKind
 	if spec.CC != "" {
-		if cc, err = parseCC(spec.CC); err != nil {
+		if cc, err = exp.ParseCC(spec.CC); err != nil {
 			return nil, err
 		}
 	}
@@ -54,21 +54,11 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 		Horizon: spec.Horizon(),
 	}.Specs()
 
-	fn := func(sp sweep.Spec) []*exp.Result {
-		rc := RunCfg{
-			Fabric:  sp.Fabric,
-			Det:     sp.Det,
-			CC:      sp.CC,
-			Seed:    sp.Seed,
-			Horizon: sp.Horizon,
-			Faults:  spec.Faults,
-		}
-		if progress != nil {
-			// Stream the simulator's own progress ticker: one line per
-			// simulated millisecond, cheap at service horizons.
-			rc.Obs = obs.Config{ProgressEvery: units.Millisecond, ProgressOut: progress}
-		}
-		return ent.Run(rc)
+	base := exp.Params{Faults: spec.Faults}
+	if progress != nil {
+		// Stream the simulator's own progress ticker: one line per
+		// simulated millisecond, cheap at service horizons.
+		base.Obs = obs.Config{ProgressEvery: units.Millisecond, ProgressOut: progress}
 	}
 
 	// Parallel: 1 — jobs parallelize across the daemon's worker pool,
@@ -83,7 +73,7 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 			fmt.Fprintf(progress, "run %d/%d done %s (%v)\n", i+1, len(specs), r.Spec, r.Wall)
 		}
 	}
-	rs := sweep.Run(ctx, specs, fn, opt)
+	rs := sweep.Run(ctx, specs, sweep.Scenario(sc, base), opt)
 	for _, r := range rs {
 		if r.Err != nil {
 			return nil, fmt.Errorf("serve: run %s: %w", r.Spec, r.Err)
@@ -96,29 +86,9 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 	if spec.Runs > 1 {
 		results = append(results, sweep.Aggregate(rs)...)
 	}
-	return encodeResults(results)
-}
-
-// encodeResults mirrors cmd/tcdsim's -json export: a single object for
-// one result, a JSON array otherwise. exp.Result.WriteJSON sorts every
-// map, so equal specs produce byte-identical output.
-func encodeResults(results []*exp.Result) ([]byte, error) {
 	var buf bytes.Buffer
-	if len(results) == 1 {
-		if err := results[0].WriteJSON(&buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+	if err := exp.WriteResultsJSON(&buf, results); err != nil {
+		return nil, err
 	}
-	buf.WriteString("[\n")
-	for i, r := range results {
-		if i > 0 {
-			buf.WriteString(",\n")
-		}
-		if err := r.WriteJSON(&buf); err != nil {
-			return nil, err
-		}
-	}
-	buf.WriteString("]\n")
 	return buf.Bytes(), nil
 }

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/obs"
 )
 
@@ -576,20 +577,22 @@ func (s *Server) handleExps(w http.ResponseWriter, _ *http.Request) {
 		} `json:"default"`
 	}
 	var out []expJSON
-	for _, name := range CatalogNames() {
-		ent := Catalog[name]
-		ej := expJSON{Name: name, Desc: ent.Desc, Faults: ent.Faults}
-		for _, d := range ent.Dets {
+	for _, sc := range exp.Scenarios {
+		if !sc.ServiceAddressable() {
+			continue
+		}
+		ej := expJSON{Name: sc.Name, Desc: sc.Desc, Faults: sc.Faults}
+		for _, d := range sc.Dets {
 			ej.Dets = append(ej.Dets, d.String())
 		}
-		for _, c := range ent.CCs {
+		for _, c := range sc.CCs {
 			ej.CCs = append(ej.CCs, c.String())
 		}
-		if len(ent.Dets) > 0 {
-			ej.Default.Det = ent.DefaultDet.String()
+		if len(sc.Dets) > 0 {
+			ej.Default.Det = sc.DefaultDet.String()
 		}
-		if len(ent.CCs) > 0 {
-			ej.Default.CC = ent.DefaultCC.String()
+		if len(sc.CCs) > 0 {
+			ej.Default.CC = sc.DefaultCC.String()
 		}
 		out = append(out, ej)
 	}

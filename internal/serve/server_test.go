@@ -199,6 +199,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		`{"exp":"nope"}`,
 		`{"exp":"fig3","bogus":true}`,
 		`{"exp":"fig3","runs":1000000}`,
+		`{"exp":"fig11","horizon_us":1e-7}`,
+		`{"exp":"fig16"}`,
 	} {
 		code, _, _ := submitWait(t, ts.URL, body)
 		if code != http.StatusBadRequest {

@@ -23,6 +23,7 @@ import (
 	"math"
 	"strings"
 
+	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -49,8 +50,8 @@ const (
 // serialization order; Canonical re-marshals a normalized copy, so two
 // specs that mean the same run serialize to the same bytes.
 type JobSpec struct {
-	// Exp names a catalog experiment (see Catalog; e.g. "fig3",
-	// "table3", "deadlock-unit").
+	// Exp names a service-addressable scenario of exp.Scenarios (e.g.
+	// fig3, table3, deadlock-unit; GET /v1/exps lists them).
 	Exp string `json:"exp"`
 	// Fabric selects the lossless technology: "cee" (default) or "ib".
 	Fabric string `json:"fabric"`
@@ -100,56 +101,57 @@ func ParseJobSpec(data []byte) (*JobSpec, error) {
 }
 
 // normalize lowercases the enum strings, applies defaults, and validates
-// every field against the catalog entry for Exp. After normalize, two
-// semantically identical specs are field-for-field identical.
+// every field against the registry scenario Exp names. After normalize,
+// two semantically identical specs are field-for-field identical.
 func (s *JobSpec) normalize() error {
 	s.Exp = strings.ToLower(strings.TrimSpace(s.Exp))
-	ent, ok := Catalog[s.Exp]
-	if !ok {
+	sc := exp.Lookup(s.Exp)
+	if sc == nil {
 		return fmt.Errorf("serve: unknown exp %q (see /v1/exps)", s.Exp)
+	}
+	if !sc.ServiceAddressable() {
+		return fmt.Errorf("serve: exp %q is sized by axes a JobSpec does not carry; run it with the tcdsim CLI", s.Exp)
 	}
 	s.Fabric = strings.ToLower(strings.TrimSpace(s.Fabric))
 	if s.Fabric == "" {
-		s.Fabric = "cee"
+		s.Fabric = exp.CEE.String()
 	}
-	if _, err := parseFabric(s.Fabric); err != nil {
+	if _, err := exp.ParseFabric(s.Fabric); err != nil {
 		return err
 	}
 	s.Det = strings.ToLower(strings.TrimSpace(s.Det))
-	if len(ent.Dets) == 0 {
+	switch {
+	case len(sc.Dets) == 0:
 		if s.Det != "" {
 			return fmt.Errorf("serve: exp %q does not take a detector (got det=%q)", s.Exp, s.Det)
 		}
-	} else {
-		if s.Det == "" {
-			s.Det = ent.DefaultDet.String()
-		}
-		d, err := parseDet(s.Det)
+	case s.Det == "":
+		s.Det = sc.DefaultDet.String()
+	default:
+		d, err := exp.ParseDet(s.Det)
 		if err != nil {
 			return err
 		}
-		if !containsDet(ent.Dets, d) {
+		if !sc.HasDet(d) {
 			return fmt.Errorf("serve: exp %q does not support det %q", s.Exp, s.Det)
 		}
-		s.Det = d.String() // canonical spelling
 	}
 	s.CC = strings.ToLower(strings.TrimSpace(s.CC))
-	if len(ent.CCs) == 0 {
+	switch {
+	case len(sc.CCs) == 0:
 		if s.CC != "" {
 			return fmt.Errorf("serve: exp %q does not take a congestion control (got cc=%q)", s.Exp, s.CC)
 		}
-	} else {
-		if s.CC == "" {
-			s.CC = ent.DefaultCC.String()
-		}
-		c, err := parseCC(s.CC)
+	case s.CC == "":
+		s.CC = sc.DefaultCC.String()
+	default:
+		c, err := exp.ParseCC(s.CC)
 		if err != nil {
 			return err
 		}
-		if !containsCC(ent.CCs, c) {
+		if !sc.HasCC(c) {
 			return fmt.Errorf("serve: exp %q does not support cc %q", s.Exp, s.CC)
 		}
-		s.CC = c.String()
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -166,8 +168,13 @@ func (s *JobSpec) normalize() error {
 	if s.HorizonUs < 0 || s.HorizonUs > MaxHorizonUs {
 		return fmt.Errorf("serve: horizon_us must be in [0, %g] (got %g)", float64(MaxHorizonUs), s.HorizonUs)
 	}
+	if s.HorizonUs > 0 && s.Horizon() == 0 {
+		// Truncating to zero ticks would mean "experiment default": the
+		// full default horizon under a hash of its own.
+		return fmt.Errorf("serve: horizon_us %g is below one simulator tick (1e-6 us); 0 keeps the default", s.HorizonUs)
+	}
 	if s.Faults != nil {
-		if !ent.Faults {
+		if !sc.Faults {
 			return fmt.Errorf("serve: exp %q does not accept a fault schedule", s.Exp)
 		}
 		if s.Faults.Empty() {
