@@ -39,7 +39,16 @@ func main() {
 		CacheEntries: *cacheEntries,
 	})
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client that never finishes its headers, or parks an idle
+	// keep-alive connection, is cut off. There is no WriteTimeout: SSE
+	// streams and ?wait=1 submissions hold their responses open for as
+	// long as a job runs.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "tcdsimd: listening on %s (%d workers)\n", *addr, srv.Workers())

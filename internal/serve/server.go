@@ -390,27 +390,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[j.id] = j
 	atomic.AddUint64(&s.submitted, 1)
 	switch {
+	case created && len(s.queue) == cap(s.queue):
+		// Backpressure: undo the reservation and the job record, and
+		// tell the client when the queue should have drained.
+		delete(s.jobs, j.id)
+		s.cache.release(entry, errors.New("serve: queue full"))
+		atomic.AddUint64(&s.rejected, 1)
+		retry := s.retryAfterSeconds()
+		s.mu.Unlock()
+		w.Header().Set("Retry-After", strconv.Itoa(retry))
+		writeErr(w, http.StatusTooManyRequests,
+			fmt.Errorf("serve: job queue full (%d queued); retry after %ds", s.queueCap, retry))
+		return
 	case created:
-		select {
-		case s.queue <- j:
-			atomic.AddInt64(&s.pending, 1)
-			j.cache = "miss"
-			atomic.AddUint64(&s.misses, 1)
-			s.attached[entry] = append(s.attached[entry], j)
-			s.hub.publish(j.id, Event{"queued", fmt.Sprintf(`{"id":%q,"hash":%q,"cache":"miss","queue_depth":%d}`, j.id, j.hash, len(s.queue))})
-		default:
-			// Backpressure: undo the reservation and the job record, and
-			// tell the client when the queue should have drained.
-			delete(s.jobs, j.id)
-			s.cache.release(entry, errors.New("serve: queue full"))
-			atomic.AddUint64(&s.rejected, 1)
-			retry := s.retryAfterSeconds()
-			s.mu.Unlock()
-			w.Header().Set("Retry-After", strconv.Itoa(retry))
-			writeErr(w, http.StatusTooManyRequests,
-				fmt.Errorf("serve: job queue full (%d queued); retry after %ds", s.queueCap, retry))
-			return
-		}
+		// A worker owns j from the moment it is sent, so everything the
+		// worker reads (j.cache) or follows ("queued" before its
+		// "running") is settled first. s.mu serialises senders and
+		// workers only drain, so the room checked above is still there
+		// and the send cannot block.
+		j.cache = "miss"
+		atomic.AddInt64(&s.pending, 1)
+		atomic.AddUint64(&s.misses, 1)
+		s.attached[entry] = append(s.attached[entry], j)
+		s.hub.publish(j.id, Event{"queued", fmt.Sprintf(`{"id":%q,"hash":%q,"cache":"miss","queue_depth":%d}`, j.id, j.hash, len(s.queue)+1)})
+		s.queue <- j
 	case entry.completed():
 		if entry.err != nil {
 			// complete() only retains successful entries, so this racer

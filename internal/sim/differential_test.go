@@ -104,19 +104,23 @@ func (r *refSched) RunUntil(deadline units.Time) {
 // wheel+heap hybrid (New), the heap-only configuration (NewHeapOnly) and
 // the container/heap ghost-semantics reference — with one randomized
 // trace whose fire times straddle every band boundary: the current
-// level-0 bucket, the level-0 wheel, the level-1 wheel, and the
-// beyond-horizon heap overflow. Clock steps likewise range from
-// intra-bucket hops to leaps that cross whole level-1 blocks, so events
-// repeatedly migrate heap→wheel→heap as the horizon advances. On top of
-// the per-op schedule/cancel mix, a mass-churn op cancels or reschedules
-// a window of recent handles in one burst (reschedules deliberately jump
-// bands). All three must agree on firing order, clock and liveness after
-// every chunk, and both DUTs must pass DebugCheck — wheel residency is a
-// placement optimization, never a behavior change.
+// level-0 bucket, the level-0 wheel, the first level-1 rotation, and
+// one to eight rotations beyond it, where events park in level 1 and are
+// re-filed once per rotation. Clock steps likewise range from
+// intra-bucket hops to leaps that cross whole level-1 rotations, so
+// events repeatedly migrate level 1→level 0→heap as the clock advances.
+// On top of the per-op schedule/cancel mix, a mass-churn op cancels or
+// reschedules a window of recent handles in one burst (reschedules
+// deliberately jump bands), and a parked-event op cancels a multi-rotation
+// resident and moves one far→near and one near→far. All three must agree
+// on firing order, clock and liveness after every chunk, and both DUTs
+// must pass DebugCheck (which rejects any hybrid heap entry outside the
+// current band) — wheel residency is a placement optimization, never a
+// behavior change.
 func TestDifferentialHorizonCrossing(t *testing.T) {
 	const (
 		l0Span = 1 << l1GranBits // level-0 wheel horizon, in time units
-		l1Span = int64(1) << 35  // level-1 wheel horizon
+		l1Span = int64(1) << 35  // one level-1 rotation
 		ops    = 40
 		chunks = 60
 	)
@@ -141,8 +145,8 @@ func TestDifferentialHorizonCrossing(t *testing.T) {
 					return units.Time(1 + r.Intn(l0Span))
 				case 2: // level-1 wheel band
 					return units.Time(int64(l0Span) + int64(r.Intn(int(l1Span-l0Span))))
-				default: // beyond the wheel horizon: heap overflow
-					return units.Time(l1Span + int64(r.Intn(int(l1Span))))
+				default: // one to eight rotations out: parked in level 1
+					return units.Time(l1Span + int64(r.Intn(int(7*l1Span))))
 				}
 			}
 			schedule := func(at units.Time) {
@@ -152,39 +156,39 @@ func TestDifferentialHorizonCrossing(t *testing.T) {
 				hoIDs = append(hoIDs, ho.At(at, func() { hoLog = append(hoLog, tok) }))
 				refIDs = append(refIDs, ref.At(at, func() { refLog = append(refLog, tok) }))
 			}
+			cancel := func(i int) {
+				ok1, ok2, ok3 := dut.Cancel(dutIDs[i]), ho.Cancel(hoIDs[i]), ref.Cancel(refIDs[i])
+				if ok1 != ok3 || ok2 != ok3 {
+					t.Fatalf("Cancel liveness diverged: dut=%v heapOnly=%v ref=%v", ok1, ok2, ok3)
+				}
+			}
+			reschedule := func(i int, at units.Time) {
+				ok1, ok2 := dut.Reschedule(dutIDs[i], at), ho.Reschedule(hoIDs[i], at)
+				nid, ok3 := ref.Reschedule(refIDs[i], at)
+				if ok1 != ok3 || ok2 != ok3 {
+					t.Fatalf("Reschedule liveness diverged: dut=%v heapOnly=%v ref=%v", ok1, ok2, ok3)
+				}
+				if ok3 {
+					refIDs[i] = nid
+				}
+			}
 
 			base := units.Time(0)
 			for chunk := 0; chunk < chunks; chunk++ {
 				for op := 0; op < ops; op++ {
-					switch r.Intn(6) {
+					switch r.Intn(7) {
 					case 0, 1: // schedule across a random band
 						schedule(base + offset())
 					case 2: // cancel a random handle (live or stale)
 						if len(dutIDs) == 0 {
 							continue
 						}
-						i := r.Intn(len(dutIDs))
-						ok1 := dut.Cancel(dutIDs[i])
-						ok2 := ho.Cancel(hoIDs[i])
-						ok3 := ref.Cancel(refIDs[i])
-						if ok1 != ok3 || ok2 != ok3 {
-							t.Fatalf("chunk %d: Cancel liveness diverged: dut=%v heapOnly=%v ref=%v", chunk, ok1, ok2, ok3)
-						}
+						cancel(r.Intn(len(dutIDs)))
 					case 3: // reschedule into a (usually different) band
 						if len(dutIDs) == 0 {
 							continue
 						}
-						i := r.Intn(len(dutIDs))
-						at := base + offset()
-						ok1 := dut.Reschedule(dutIDs[i], at)
-						ok2 := ho.Reschedule(hoIDs[i], at)
-						nid, ok3 := ref.Reschedule(refIDs[i], at)
-						if ok1 != ok3 || ok2 != ok3 {
-							t.Fatalf("chunk %d: Reschedule liveness diverged: dut=%v heapOnly=%v ref=%v", chunk, ok1, ok2, ok3)
-						}
-						if ok3 {
-							refIDs[i] = nid
-						}
+						reschedule(r.Intn(len(dutIDs)), base+offset())
 					case 4: // same-instant burst at a band boundary: FIFO ties
 						at := base + units.Time(1+r.Intn(3)*l0Span/2)
 						for k := 0; k < 3; k++ {
@@ -201,18 +205,21 @@ func TestDifferentialHorizonCrossing(t *testing.T) {
 						}
 						for i := lo; i < n; i++ {
 							if (i-lo)%2 == 0 {
-								dut.Cancel(dutIDs[i])
-								ho.Cancel(hoIDs[i])
-								ref.Cancel(refIDs[i])
+								cancel(i)
 							} else {
-								at := base + offset()
-								dut.Reschedule(dutIDs[i], at)
-								ho.Reschedule(hoIDs[i], at)
-								if nid, ok := ref.Reschedule(refIDs[i], at); ok {
-									refIDs[i] = nid
-								}
+								reschedule(i, base+offset())
 							}
 						}
+					case 6: // parked events: cancel one, move one far→near, one near→far
+						far := base + units.Time(l1Span*int64(2+r.Intn(7)))
+						near := base + units.Time(1+r.Intn(l0Span))
+						schedule(far)
+						schedule(far + 1)
+						schedule(near)
+						n := len(dutIDs)
+						cancel(n - 3)
+						reschedule(n-2, near+1)
+						reschedule(n-1, far+2)
 					}
 				}
 				// Step the clock: intra-bucket, cross-bucket, cross-block, or

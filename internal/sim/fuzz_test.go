@@ -13,8 +13,8 @@ import (
 // integrity, occupancy bitmaps, counts) and the clock must never move
 // backwards. Offsets and clock steps are derived as powers of two from
 // the operand, so ops routinely land on and leap across the level-0 /
-// level-1 / overflow band boundaries, which is exactly where placement,
-// cascade and migration bugs would live.
+// level-1 / multi-rotation boundaries, which is exactly where placement,
+// cascade and re-file bugs would live.
 func FuzzSchedulerHybrid(f *testing.F) {
 	// Seeds: band-crossing schedules with big clock leaps, cancel and
 	// reschedule churn over live and dead handles, and same-instant
@@ -23,6 +23,10 @@ func FuzzSchedulerHybrid(f *testing.F) {
 	f.Add([]byte("\x00\x10\x00\x01\x60\x00\x02\x00\x00\x03\x88\x01\x02\x00\x01\x04\x70\x00"))
 	f.Add([]byte("\x05\x00\x40\x05\x00\x40\x04\x40\x00\x05\x01\x00\x04\x88\x00\x04\x98\x00"))
 	f.Add([]byte("\x00\x27\x00\x03\x27\x00\x04\x8c\x00\x03\x05\x01\x02\x01\x00\x04\xa3\x00"))
+	// Far-parked: events 2, 4 and 8 level-1 rotations out; a two-rotation
+	// leap; the farthest rescheduled near, a near one rescheduled 16
+	// rotations out, a parked one cancelled; two more leaps.
+	f.Add([]byte("\x00\x00\x26\x00\x00\x25\x01\x00\x24\x00\x00\x0a\x04\x00\x24\x03\x00\x14\x00\x00\x0c\x03\x00\x27\x02\x00\x01\x04\x00\x24\x04\x00\x24"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
 		var ids []EventID
@@ -44,8 +48,8 @@ func FuzzSchedulerHybrid(f *testing.F) {
 			op := data[i]
 			arg := uint64(data[i+1])<<8 | uint64(data[i+2])
 			// Exponential offset: 2^(arg%40) spans from sub-bucket to
-			// far past the level-1 horizon; the operand low bits
-			// de-align it from exact powers of two.
+			// 16 level-1 rotations out; the operand low bits de-align
+			// it from exact powers of two.
 			d := units.Time(1)<<(arg%40) + units.Time(arg&0xff)
 			switch op % 6 {
 			case 0:

@@ -6,18 +6,20 @@
 // reproducible regardless of map iteration order or GC timing.
 //
 // The queue is a hybrid of a two-level hierarchical timing wheel and an
-// indexed four-ary min-heap. Events aimed inside the wheel horizon
-// (~34 ms of simulated time) are filed into power-of-two time slots with
-// O(1) insert and O(1) cancel — no sift, no comparison — and linked
-// intrusively through the slot table, so the wheel itself allocates
-// nothing per event. The heap holds only the "current band" (events in
-// the time bucket the clock is in, which is where ordering actually
-// matters) plus the rare timers beyond the wheel horizon; because the
-// wheel absorbs the bulk of pending events, the heap stays a few entries
-// deep and its O(log n) operations run at small n. As the clock advances
-// bucket by bucket, wheel cohorts flush into the heap, which re-sorts
-// them by (time, sequence) — making batched delivery bit-identical to the
-// fully sorted order a single global heap would produce.
+// indexed four-ary min-heap. Every event past the current time bucket is
+// filed into a power-of-two time slot with O(1) insert and O(1) cancel —
+// no sift, no comparison — and linked intrusively through the slot
+// table, so the wheel itself allocates nothing per event. The heap holds
+// exactly the "current band" (events in the time bucket the clock is in,
+// which is where ordering actually matters), so it stays a few entries
+// deep however many events are pending. An event more than one level-1
+// rotation (~34 ms of simulated time) out parks in the level-1 bucket its
+// time maps to and is re-filed there, one O(1) splice, each time the
+// clock passes that bucket; when nothing nearer is queued the clock
+// walks to it one rotation per step. As the clock advances bucket by
+// bucket, wheel cohorts flush into the heap, which re-sorts them by
+// (time, sequence) — making batched delivery bit-identical to the fully
+// sorted order a single global heap would produce.
 //
 // Every scheduled event gets an EventID, and Cancel/Reschedule remove or
 // move the event in place wherever it lives (heap index or wheel slot
@@ -52,11 +54,12 @@ const NoEvent EventID = 0
 // Both levels have 2^wheelBits slots:
 //
 //	level 0: 2048 x 8.192 ns  -> horizon ~16.8 us
-//	level 1: 2048 x 16.8 us   -> horizon ~34.4 ms
+//	level 1: 2048 x 16.8 us   -> one rotation ~34.4 ms
 //
-// Events beyond level 1 overflow into the heap. The per-level slot
-// arrays are plain uint32 list heads (8 KB per level); event linkage
-// lives in the slot table, so wheel residency costs no allocation.
+// Level 1 is not a horizon: an event k rotations out waits in its bucket
+// through k cascades (see place). The per-level slot arrays are plain
+// uint32 list heads (8 KB per level); event linkage lives in the slot
+// table, so wheel residency costs no allocation.
 // The granularity was picked empirically: 2^12..2^16 are within a few
 // percent of each other on fig3, coarser buckets lose the singleton
 // fast path, finer ones pay more empty-bucket advances.
@@ -147,14 +150,15 @@ type slotFn struct {
 type Scheduler struct {
 	now units.Time
 	seq uint64
-	// bandEnd is the exclusive end of the current time band: heap events
-	// with at < bandEnd are runnable without consulting the wheel. It is
-	// the end of level-0 bucket curB (units.Forever in heap-only mode).
+	// bandEnd is the exclusive end of the current time band, the end of
+	// level-0 bucket curB (units.Forever in heap-only mode). Every heap
+	// event has at < bandEnd, so the heap top is always runnable without
+	// consulting the wheel.
 	bandEnd units.Time
 	// heap is a four-ary min-heap of pointer-free keys holding the
-	// current band plus events beyond the wheel horizon: no per-event
-	// allocation, no interface boxing, no write barriers on sift, and
-	// four children share a cache line instead of two per level.
+	// current band and nothing else: no per-event allocation, no
+	// interface boxing, no write barriers on sift, and four children
+	// share a cache line instead of two per level.
 	heap []key
 	// locs and fns map EventID slots to locations and payloads (parallel
 	// tables, see slotLoc); freeSlots recycles released slot indices so
@@ -177,7 +181,7 @@ type Scheduler struct {
 	wheelCount int
 	// count1 is the number of events resident in level 1 alone, letting
 	// advance skip the level-1 occupancy scan (32 words) entirely while
-	// no far timers are parked there.
+	// nothing is parked there.
 	count1 int
 	// noWheel forces every event into the heap — the pre-wheel behavior,
 	// kept for differential tests and crossover benchmarks.
@@ -290,20 +294,19 @@ func (s *Scheduler) schedule(t units.Time, fn func(), afn func(any), arg any) Ev
 }
 
 // place files a live slot's event into the structure its fire time calls
-// for: the heap for the current band and beyond-horizon timers, a wheel
-// bucket otherwise. The slotRef's at/sq must already be set.
+// for: the heap for the current band, a level-0 bucket inside the level-0
+// horizon, a level-1 bucket for everything past it, however many
+// rotations away (d0 > wheelSize puts t at least one level-1 bucket
+// ahead of curB1). The slotLoc's at/sq must already be set.
 func (s *Scheduler) place(slot uint32, t units.Time, sq uint32) {
 	if !s.noWheel {
-		d0 := int64(t)>>l0GranBits - s.curB
-		if d0 >= 1 {
+		if d0 := int64(t)>>l0GranBits - s.curB; d0 >= 1 {
 			if d0 <= wheelSize {
 				s.wheelPush(s.head0, s.occ0, int(int64(t)>>l0GranBits)&wheelMask, slot, false)
-				return
-			}
-			if d1 := int64(t)>>l1GranBits - s.curB1; d1 <= wheelSize {
+			} else {
 				s.wheelPush(s.head1, s.occ1, int(int64(t)>>l1GranBits)&wheelMask, slot, true)
-				return
 			}
+			return
 		}
 	}
 	ref := &s.locs[slot]
@@ -379,9 +382,10 @@ func (s *Scheduler) flushBucket(head []uint32, occ []uint64, b int) {
 	}
 }
 
-// cascade re-files one level-1 bucket when the clock enters its span:
-// every event lands in a level-0 bucket (or the heap, if its bucket is
-// the current one).
+// cascade re-files one level-1 bucket when the clock enters its span: an
+// event due in this span lands in a level-0 bucket (or the heap, if its
+// bucket is the current one), one parked for a later rotation goes
+// straight back into bucket b.
 func (s *Scheduler) cascade(b int) {
 	cur := s.head1[b]
 	s.head1[b] = noIdx
@@ -478,7 +482,7 @@ func (s *Scheduler) Reschedule(id EventID, t units.Time) bool {
 	sq := uint32(s.seq)
 	ref := &s.locs[slot]
 	ref.at, ref.sq = t, sq
-	if i := ref.idx; i >= 0 && (s.noWheel || t < s.bandEnd || int64(t)>>l0GranBits-s.curB > wheelSize && int64(t)>>l1GranBits-s.curB1 > wheelSize) {
+	if i := ref.idx; i >= 0 && t < s.bandEnd {
 		// Heap-to-heap move: one in-place key update plus a sift.
 		s.heap[i].at = t
 		s.heap[i].ss = uint64(sq)<<32 | uint64(slot)
@@ -687,19 +691,16 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 	s.stopped = false
 	for !s.stopped {
 		if len(s.heap) > pad {
+			// The heap holds only the current band, so its top is due.
 			at := s.heap[pad].at
-			if at < s.bandEnd {
-				if at > deadline {
-					if s.now < deadline {
-						s.now = deadline
-					}
-					return
+			if at > deadline {
+				if s.now < deadline {
+					s.now = deadline
 				}
-				s.runBatch(at)
-				continue
+				return
 			}
-		}
-		if !s.advance(deadline) {
+			s.runBatch(at)
+		} else if !s.advance(deadline) {
 			break
 		}
 	}
@@ -734,31 +735,26 @@ func (s *Scheduler) runBatch(at units.Time) {
 }
 
 // advance moves the clock's band forward to the next bucket holding
-// work, cascading and flushing wheel cohorts into the heap. It reports
-// whether the caller should re-check the heap; false means nothing is
-// pending at or before the deadline (the clock is already settled).
+// work, cascading and flushing wheel cohorts into the heap. The caller
+// has drained the heap, so the wheel alone decides the target. It
+// reports whether the caller should re-check the heap; false means
+// nothing is pending at or before the deadline (the clock is settled).
 func (s *Scheduler) advance(deadline units.Time) bool {
 	for {
-		if len(s.heap) <= pad && s.wheelCount == 0 {
+		if s.wheelCount == 0 {
 			return false // nothing pending anywhere
 		}
 		target := int64(units.Forever) >> l0GranBits
-		if len(s.heap) > pad {
-			target = int64(s.heap[pad].at) >> l0GranBits
+		if d := nextOcc(s.occ0, int(s.curB)&wheelMask); d > 0 {
+			target = s.curB + int64(d)
 		}
-		if s.wheelCount > 0 {
-			if d := nextOcc(s.occ0, int(s.curB)&wheelMask); d > 0 {
-				if b := s.curB + int64(d); b < target {
+		if s.count1 > 0 {
+			if d := nextOcc(s.occ1, int(s.curB1)&wheelMask); d > 0 {
+				// The earliest possible event in a level-1 bucket is its
+				// first level-0 bucket; if the residents are all parked
+				// for later rotations the stop is an empty one.
+				if b := (s.curB1 + int64(d)) << wheelBits; b < target {
 					target = b
-				}
-			}
-			if s.count1 > 0 {
-				if d := nextOcc(s.occ1, int(s.curB1)&wheelMask); d > 0 {
-					// The earliest possible event in a level-1 bucket is
-					// its first level-0 bucket.
-					if b := (s.curB1 + int64(d)) << wheelBits; b < target {
-						target = b
-					}
 				}
 			}
 		}
@@ -778,14 +774,15 @@ func (s *Scheduler) advance(deadline units.Time) bool {
 		if s.occ0[b>>6]&(1<<(uint(b)&63)) != 0 {
 			if slot := s.head0[b]; len(s.heap) == pad && s.locs[slot].next == noIdx && s.locs[slot].at <= deadline {
 				// Singleton fast path: one event in the bucket and an
-				// empty heap means the event is the global minimum with
-				// no same-instant rival, so dispatch it straight off the
-				// wheel — no heap round-trip — and advance again: runs
-				// of singleton buckets (the common case at this bucket
-				// granularity) stay inside this loop. Events the
-				// callback schedules for the running instant land in the
-				// (empty) heap, which bounces back to the caller's
-				// same-timestamp batch loop.
+				// empty heap (the cascade above may have filed a rival
+				// for this bucket there) means the event is the global
+				// minimum with no same-instant rival, so dispatch it
+				// straight off the wheel — no heap round-trip — and
+				// advance again: runs of singleton buckets (the common
+				// case at this bucket granularity) stay inside this
+				// loop. Events the callback schedules for the running
+				// instant land in the (empty) heap, which bounces back
+				// to the caller's same-timestamp batch loop.
 				s.head0[b] = noIdx
 				s.occ0[b>>6] &^= 1 << (uint(b) & 63)
 				s.wheelCount--
@@ -811,16 +808,21 @@ func (s *Scheduler) advance(deadline units.Time) bool {
 }
 
 // DebugCheck verifies the internal consistency of the hybrid queue: the
-// heap property over every parent/child pair, location backpointers
-// matching heap positions and wheel lists, wheel occupancy bitmaps and
-// the wheelCount matching the lists, every wheel resident being filed in
-// the bucket its fire time maps to, and free slots being truly dead. It
-// is O(n + wheelSize) and meant for tests (the scheduler fuzzers call it
-// after every operation); it returns the first violation found, or nil.
+// heap property over every parent/child pair and every heap event lying
+// inside the current band, location backpointers matching heap positions
+// and wheel lists, wheel occupancy bitmaps and the wheelCount matching
+// the lists, every wheel resident being filed in the bucket its fire
+// time maps to (level 0 within one rotation, level 1 any number out), and
+// free slots being truly dead. It is O(n + wheelSize) and meant for tests
+// (the scheduler fuzzers call it after every operation); it returns the
+// first violation found, or nil.
 func (s *Scheduler) DebugCheck() error {
 	live := 0
 	for i := pad; i < len(s.heap); i++ {
 		k := &s.heap[i]
+		if k.at >= s.bandEnd {
+			return fmt.Errorf("sim: heap index %d holds event at %v beyond the band end %v", i, k.at, s.bandEnd)
+		}
 		if i > pad {
 			p := (i + 8) >> 2
 			if less(k, &s.heap[p]) {
@@ -840,7 +842,7 @@ func (s *Scheduler) DebugCheck() error {
 		}
 		live++
 	}
-	inWheel := 0
+	inWheel, inL1 := 0, 0
 	for lvl, w := range [2]struct {
 		head []uint32
 		occ  []uint64
@@ -865,7 +867,7 @@ func (s *Scheduler) DebugCheck() error {
 				if got := int(int64(ref.at)>>w.gran) & wheelMask; got != b {
 					return fmt.Errorf("sim: wheel L%d bucket %d holds event for bucket %d (at=%v)", lvl, b, got, ref.at)
 				}
-				if d := int64(ref.at)>>w.gran - w.cur; d < 1 || d > wheelSize {
+				if d := int64(ref.at)>>w.gran - w.cur; d < 1 || lvl == 0 && d > wheelSize {
 					return fmt.Errorf("sim: wheel L%d bucket %d event at %v outside window (distance %d)", lvl, b, ref.at, d)
 				}
 				if pf := &s.fns[cur]; pf.fn == nil && pf.afn == nil {
@@ -873,17 +875,12 @@ func (s *Scheduler) DebugCheck() error {
 				}
 				prev = cur
 				inWheel++
+				inL1 += lvl
 			}
 		}
 	}
 	if inWheel != s.wheelCount {
 		return fmt.Errorf("sim: wheel lists hold %d events, wheelCount %d", inWheel, s.wheelCount)
-	}
-	inL1 := 0
-	for b := 0; b < len(s.head1); b++ {
-		for cur := s.head1[b]; cur != noIdx; cur = s.locs[cur].next {
-			inL1++
-		}
 	}
 	if inL1 != s.count1 {
 		return fmt.Errorf("sim: level-1 lists hold %d events, count1 %d", inL1, s.count1)

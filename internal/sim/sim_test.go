@@ -480,3 +480,101 @@ func TestDebugCheckOnChurn(t *testing.T) {
 		t.Fatalf("after run: %v", err)
 	}
 }
+
+// Events more than one level-1 rotation (~34.4 ms) out park in the wheel,
+// not in the heap the near events sift through: 1000 events at +40 ms
+// stay out of the band while 1 ms of near-term churn runs over them, and
+// still fire in (time, sequence) order when their rotation comes up.
+func TestParkedEventsStayOutOfTheHeap(t *testing.T) {
+	s := New()
+	const far = 40 * units.Millisecond
+	var got []int
+	for i := 0; i < 1000; i++ {
+		i := i
+		s.At(far+units.Time(i%10), func() { got = append(got, i) })
+	}
+	ticks, rearms := 0, 0
+	var tick func()
+	tick = func() {
+		ticks++
+		s.After(100*units.Nanosecond, tick)
+	}
+	s.After(0, tick)
+	tm := NewTimer(s, func() { t.Error("watchdog fired despite re-arms") })
+	var rearm func()
+	rearm = func() {
+		rearms++
+		tm.Arm(50 * units.Microsecond) // a level-1 resident moved in place
+		s.After(7*units.Microsecond, rearm)
+	}
+	s.After(0, rearm)
+	for step := units.Time(0); step < units.Millisecond; step += 10 * units.Microsecond {
+		s.RunUntil(step)
+		if err := s.DebugCheck(); err != nil {
+			t.Fatalf("at %v: %v", step, err)
+		}
+		if depth := len(s.heap) - pad; depth > 4 {
+			t.Fatalf("at %v: heap depth %d with only the churn events near", step, depth)
+		}
+	}
+	if ticks < 9000 || rearms < 100 || len(got) != 0 {
+		t.Fatalf("after 1 ms: ticks=%d rearms=%d parked fired=%d", ticks, rearms, len(got))
+	}
+	tm.Cancel()
+	s.RunUntil(far + 10)
+	if len(got) != 1000 {
+		t.Fatalf("parked events fired %d, want 1000", len(got))
+	}
+	for j, i := range got {
+		if want := (j%100)*10 + j/100; i != want {
+			t.Fatalf("parked order[%d] = %d, want %d", j, i, want)
+		}
+	}
+	if err := s.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A lone event one simulated hour out fires at exactly its time under
+// Run(). Nothing else is queued, so the clock walks there one level-1
+// rotation at a time: ~105 000 advance steps (3600 s / 34.4 ms), each a
+// bitmap scan plus one re-file of the parked event — O(rotations), a few
+// milliseconds of wall time, paid only when the queue is otherwise empty.
+func TestLoneFarEventFiresOnTime(t *testing.T) {
+	const hour = 3600 * units.Second
+	s := New()
+	fired := units.Never
+	s.At(hour+12345, func() { fired = s.Now() })
+	if err := s.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if fired != hour+12345 || s.Now() != hour+12345 || s.Pending() != 0 {
+		t.Fatalf("fired at %v, now %v, pending %d; want %v", fired, s.Now(), s.Pending(), hour+12345)
+	}
+	if err := s.DebugCheck(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// An event cascading out of level 1 into the clock's new bucket lands in
+// the heap; a later-scheduled singleton in the same level-0 bucket must
+// not jump it through the wheel's singleton fast path.
+func TestCascadeRivalBeatsSingleton(t *testing.T) {
+	const span = units.Time(1) << l1GranBits
+	s := New()
+	var order []string
+	s.At(3*span+100, func() { order = append(order, "parked") }) // level 1 from time 0
+	s.At(2*span+5000, func() {
+		// Exactly one level-0 rotation out: level-0 bucket 0, the bucket
+		// the parked event cascades into.
+		s.At(3*span+200, func() { order = append(order, "late") })
+		if err := s.DebugCheck(); err != nil {
+			t.Error(err)
+		}
+	})
+	s.Run()
+	if len(order) != 2 || order[0] != "parked" || order[1] != "late" {
+		t.Fatalf("order = %v, want [parked late]", order)
+	}
+}
