@@ -70,8 +70,7 @@ func main() {
 		leaves    = flag.Int("leaves", 4, "leaf-spine leaf switch count (-topo-stats)")
 		spines    = flag.Int("spines", 4, "leaf-spine spine switch count (-topo-stats)")
 		hostsPer  = flag.Int("hostsper", 8, "leaf-spine hosts per leaf (-topo-stats)")
-		routes    = flag.String("routes", "lazy", "-topo-stats route table mode: lazy or eager")
-		routeCap  = flag.Int("route-cap", 0, "max resident lazily-materialized route columns (0 = default 512); applies to fat-tree experiments and -topo-stats")
+		routes    = flag.String("routes", "structural", "-topo-stats route table: structural (alias: lazy) or eager")
 
 		traceOut     = flag.String("trace-out", "", "stream the structured event trace as JSONL to this file (spill-to-disk; observation experiments)")
 		traceGzip    = flag.Bool("trace-gzip", false, "gzip-compress the -trace-out stream")
@@ -88,7 +87,7 @@ func main() {
 	flag.Parse()
 
 	if *topoStats {
-		os.Exit(runTopoStats(*topoKind, *k, *leaves, *spines, *hostsPer, *routes, *routeCap))
+		os.Exit(runTopoStats(*topoKind, *k, *leaves, *spines, *hostsPer, *routes))
 	}
 	if *list || *name == "" {
 		fmt.Println("experiments:")
@@ -116,7 +115,6 @@ func main() {
 		K:        *k,
 		Flows:    *flows,
 		Workload: strings.ToLower(*workload),
-		RouteCap: *routeCap,
 		Arch:     strings.ToLower(*arch),
 	}
 	if *horizon > 0 {
@@ -357,15 +355,14 @@ func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jso
 // runTopoStats is the hyperscale dry run: build the topology and the
 // route table — nothing else, no fabric.Network (whose per-port event
 // state would dominate memory at 100k hosts), no workload — and print
-// the numbers that decide whether a full run fits in memory. In lazy
-// mode a small sample of columns is materialized to measure the
-// per-column footprint; the eager estimate extrapolates what
-// BuildShortestPath would allocate for every destination at once.
-func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string, cap int) int {
+// the numbers that decide whether a full run fits in memory. The eager
+// estimate extrapolates what BuildShortestPath would allocate for every
+// destination at once.
+func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string) int {
 	rate, delay := 40*units.Gbps, 4*units.Microsecond
 	var (
 		t     *topo.Topology
-		src   routing.ColumnSource
+		rows  func() routing.RowSource
 		label string
 	)
 	switch strings.ToLower(kind) {
@@ -374,57 +371,40 @@ func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string, cap
 			k = 4
 		}
 		ft := topo.NewFatTree(k, rate, delay)
-		t, src = ft.Topology, routing.FatTreeColumns(ft)
+		t, rows = ft.Topology, func() routing.RowSource { return routing.FatTreeColumns(ft) }
 		label = fmt.Sprintf("fattree k=%d", k)
 	case "leafspine":
 		ls := topo.NewLeafSpine(leaves, spines, hostsPer, rate, delay)
-		t, src = ls.Topology, routing.LeafSpineColumns(ls)
+		t, rows = ls.Topology, func() routing.RowSource { return routing.LeafSpineColumns(ls) }
 		label = fmt.Sprintf("leafspine %dx%d, %d hosts/leaf", leaves, spines, hostsPer)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -topo %q: want fattree or leafspine\n", kind)
 		return 2
 	}
-	hosts := t.Hosts()
 	fmt.Printf("topology   %s\n", label)
 	fmt.Printf("nodes      %d\n", len(t.Nodes))
 	fmt.Printf("links      %d\n", len(t.Links))
-	fmt.Printf("hosts      %d\n", len(hosts))
+	fmt.Printf("hosts      %d\n", len(t.Hosts()))
 
 	start := time.Now()
 	var tbl *routing.Table
-	switch strings.ToLower(mode) {
+	switch mode = strings.ToLower(mode); mode {
 	case "eager":
 		tbl = routing.BuildShortestPath(t)
-	case "lazy":
-		tbl = routing.NewLazy(t, src, cap)
-		// Touch a spread of destinations to measure the real per-column
-		// cost (structural fill, no BFS) without paying for a full
-		// working set.
-		sample := 32
-		if c := tbl.ColumnCap(); c < sample {
-			sample = c
-		}
-		if len(hosts) < sample {
-			sample = len(hosts)
-		}
-		from := t.Nodes[len(t.Nodes)-1].ID // a host NIC: longest rows
-		for i := 0; i < sample; i++ {
-			tbl.Choices(from, hosts[i*len(hosts)/sample])
-		}
+	case "structural", "lazy":
+		mode = "structural"
+		tbl = routing.NewStructural(t, rows())
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -routes %q: want lazy or eager\n", mode)
+		fmt.Fprintf(os.Stderr, "unknown -routes %q: want structural or eager\n", mode)
 		return 2
 	}
 	build := time.Since(start)
 
-	st := tbl.Stats()
 	liveB, eagerB := tbl.LiveBytes(), tbl.EagerBytesEstimate()
-	fmt.Printf("routes     %s (cap %d columns)\n", strings.ToLower(mode), tbl.ColumnCap())
+	fmt.Printf("routes     %s\n", mode)
 	fmt.Printf("build      %v\n", build.Round(time.Microsecond))
-	fmt.Printf("cols_live  %d (materialized %d, evicted %d, bfs_runs %d)\n",
-		tbl.LiveColumns(), st.Materialized, st.Evicted, st.BFSRuns)
 	fmt.Printf("table_mb   %.2f\n", float64(liveB)/(1<<20))
-	fmt.Printf("eager_mb   %.2f (estimated full materialization)\n", float64(eagerB)/(1<<20))
+	fmt.Printf("eager_mb   %.2f (estimated BFS columns for every destination)\n", float64(eagerB)/(1<<20))
 	if liveB > 0 {
 		fmt.Printf("ratio      %.1fx\n", float64(eagerB)/float64(liveB))
 	}

@@ -40,12 +40,10 @@ type FatTreeConfig struct {
 	// flows can complete.
 	Horizon units.Time
 	Seed    uint64
-	// RouteCap bounds resident lazily-materialized route columns
-	// (0 = routing.DefaultColumnCap). Fat-tree rigs always route from a
-	// lazily materialized table fed by the structural column source —
-	// route decisions are byte-identical to the eager table, only the
-	// memory ceiling moves.
-	RouteCap int
+	// eagerRoutes routes from BuildShortestPath's BFS columns instead of
+	// the fat-tree's structural rows: the reference side of the
+	// differential test. Route decisions are identical either way.
+	eagerRoutes bool
 	// Obs wires event tracing, metrics and progress reporting into the
 	// rig (all off by default).
 	Obs obs.Config
@@ -106,17 +104,19 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 	}
 	hostCfg := host.DefaultConfig()
 	hostCfg.AckEveryPacket = cfg.CC.NeedsAcks()
-	rig := NewRig(RigConfig{
-		Topo:      ft.Topology,
-		Kind:      cfg.Kind,
-		Det:       cfg.Det,
-		Seed:      cfg.Seed,
-		HostCfg:   hostCfg,
-		Selector:  sel,
-		Obs:       cfg.Obs,
-		RouteCols: routing.FatTreeColumns(ft),
-		RouteCap:  cfg.RouteCap,
-	})
+	rc := RigConfig{
+		Topo:     ft.Topology,
+		Kind:     cfg.Kind,
+		Det:      cfg.Det,
+		Seed:     cfg.Seed,
+		HostCfg:  hostCfg,
+		Selector: sel,
+		Obs:      cfg.Obs,
+	}
+	if !cfg.eagerRoutes {
+		rc.RouteRows = routing.FatTreeColumns(ft)
+	}
+	rig := NewRig(rc)
 	res := NewResult(fmt.Sprintf("fattree-k%d-%s-%s-%s-%s", cfg.K, cfg.Kind, cfg.Det, cfg.CC, cfg.Workload))
 	inj := rig.mustInjectFaults(cfg.Faults)
 
@@ -186,12 +186,9 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 	res.Scalars["slowdown_p95"] = out.Overall.P(0.95)
 	res.Scalars["slowdown_p99"] = out.Overall.P(0.99)
 	res.Scalars["mean_mct_us"] = out.MeanMCTus
-	// Route-table memory: what the lazy table actually held versus what
-	// eager materialization would have cost (cmd/tcdsim -topo-stats
-	// surfaces the same numbers without running a workload).
-	res.Scalars["route_cols_live"] = float64(rig.Routes.LiveColumns())
-	res.Scalars["route_cols_materialized"] = float64(rig.Routes.Stats().Materialized)
-	res.Scalars["route_cols_evicted"] = float64(rig.Routes.Stats().Evicted)
+	// Route-table memory: what the structural table holds versus what
+	// eager BFS columns would have cost (cmd/tcdsim -topo-stats surfaces
+	// the same numbers without running a workload).
 	res.Scalars["route_table_bytes"] = float64(rig.Routes.LiveBytes())
 	res.Scalars["route_table_eager_est_bytes"] = float64(rig.Routes.EagerBytesEstimate())
 	if inj.Armed > 0 {
@@ -275,10 +272,10 @@ func FatTreeComparison(base FatTreeConfig, stockCC, tcdCC CCKind) (*Result, *Fat
 	if t.MeanMCTus > 0 {
 		res.Scalars["mct_improvement"] = s.MeanMCTus / t.MeanMCTus
 	}
-	// Surface the lazy route-table footprint on the comparison result too:
+	// Surface the route-table footprint on the comparison result too:
 	// cmd/tcdsim discards the per-side results, and at hyperscale (k=32+)
 	// the table memory is part of what the run demonstrates.
-	for _, key := range []string{"route_cols_live", "route_table_bytes", "route_table_eager_est_bytes"} {
+	for _, key := range []string{"route_table_bytes", "route_table_eager_est_bytes"} {
 		res.Scalars[key] = t.Res.Scalars[key]
 	}
 	// Same for fault telemetry (present only when a schedule was armed):

@@ -232,17 +232,12 @@ type RigConfig struct {
 	CtrlJitter func() units.Time
 	// RecordTransitions turns on TCD transition logging (small rigs).
 	RecordTransitions bool
-	// RouteCols, when non-nil, switches the rig to a lazily materialized
-	// route table fed by this structural column source (fat-tree and
-	// leaf–spine builders provide one), bounded by RouteCap columns.
-	// Route decisions are byte-identical to the eager table (property-
-	// tested), so traces do not depend on this knob — only memory does.
-	RouteCols routing.ColumnSource
-	// LazyRoutes selects lazy materialization with the BFS fallback even
-	// without a structural source.
-	LazyRoutes bool
-	// RouteCap bounds resident route columns in lazy mode (0 = default).
-	RouteCap int
+	// RouteRows, when non-nil, routes the rig from this structural row
+	// source (fat-tree and leaf–spine builders provide one) instead of
+	// eager BFS columns. Route decisions are identical either way
+	// (property-tested), so traces do not depend on it — only memory
+	// and set-up time do.
+	RouteRows routing.RowSource
 	// Obs threads the observability hooks (event recorder, metrics
 	// registry, progress ticker) through every layer of the rig.
 	Obs obs.Config
@@ -275,8 +270,8 @@ func NewRig(cfg RigConfig) *Rig {
 	fc.Arch = cfg.Arch
 	fc.Rec = cfg.Obs.Rec
 	r.Net = fabric.New(r.Sched, cfg.Topo, fc)
-	if cfg.RouteCols != nil || cfg.LazyRoutes {
-		r.Routes = routing.NewLazy(cfg.Topo, cfg.RouteCols, cfg.RouteCap)
+	if cfg.RouteRows != nil {
+		r.Routes = routing.NewStructural(cfg.Topo, cfg.RouteRows)
 	} else {
 		r.Routes = routing.BuildShortestPath(cfg.Topo)
 	}
@@ -393,6 +388,15 @@ func (r *Rig) attachDetectors(record bool) {
 	}
 }
 
+// traceTCD points a TCD's state-change events at the rig's recorder. With
+// no recorder the label is never read, so it is not formatted either (a
+// Sprintf per port, 6144 ports at k=16).
+func (r *Rig) traceTCD(d *core.TCD, p *fabric.Port) {
+	if r.Obs.Rec != nil {
+		d.Rec, d.Label = r.Obs.Rec, p.Label()
+	}
+}
+
 func (r *Rig) newDetector(p *fabric.Port, prio uint8, record bool) fabric.Detector {
 	switch r.Det {
 	case DetBaseline:
@@ -407,11 +411,11 @@ func (r *Rig) newDetector(p *fabric.Port, prio uint8, record bool) fabric.Detect
 	case DetTCD:
 		d := core.NewTCD(r.TCDConfigFor(p))
 		d.RecordTransitions = record
-		d.Rec, d.Label = r.Obs.Rec, p.Label()
+		r.traceTCD(d, p)
 		return d
 	case DetTCDAdaptive:
 		a := core.NewAdaptiveTCD(core.DefaultAdaptiveConfig(r.TCDConfigFor(p)))
-		a.Inner().Rec, a.Inner().Label = r.Obs.Rec, p.Label()
+		r.traceTCD(a.Inner(), p)
 		return a
 	case DetNPECN:
 		red := core.NewRED(r.Par.RED, r.Rnd.Split())

@@ -40,7 +40,6 @@ type Params struct {
 	K        int    // fat-tree arity override
 	Flows    int    // fat-tree flow-count override
 	Workload string // fat-tree flow-size CDF, from Scenario.Workloads
-	RouteCap int    // resident lazy route columns (0 = routing default)
 	Arch     string // switch architecture, from Scenario.Archs
 	// Battery is the loaded attack battery (nil = the committed default).
 	Battery *Battery
@@ -68,8 +67,8 @@ type Scenario struct {
 	// Params.Workload; the first entry is the default. Nil: not consumed.
 	Archs     []string
 	Workloads []string
-	// FatTree: the scenario consumes the fat-tree scale axes K, Flows
-	// and RouteCap. Battery: it consumes Params.Battery.
+	// FatTree: the scenario consumes the fat-tree scale axes K and
+	// Flows. Battery: it consumes Params.Battery.
 	FatTree bool
 	Battery bool
 	// FullHorizon is the horizon Params.Full selects (0: none).
@@ -145,7 +144,7 @@ func (sc *Scenario) Axes() string {
 		parts = append(parts, "workload: "+strings.Join(sc.Workloads, ", "))
 	}
 	if sc.FatTree {
-		parts = append(parts, "k, flows, route-cap")
+		parts = append(parts, "k, flows")
 	}
 	if sc.Battery {
 		parts = append(parts, "battery")
@@ -395,7 +394,6 @@ func fatTreeCompare(p Params, kind FabricKind, stock, tcd CCKind, wl string, ful
 	if p.Flows > 0 {
 		cfg.MaxFlows = p.Flows
 	}
-	cfg.RouteCap = p.RouteCap
 	cfg.Faults = p.Faults
 	setHorizon(&cfg.Horizon, p)
 	res, _, _ := FatTreeComparison(cfg, stock, tcd)

@@ -853,10 +853,16 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 	n.busyEnd = make([]units.Time, np)
 	n.wakeAt = make([]units.Time, np)
 	n.portAt = make([][2]*Port, len(t.Links))
+	// One backing array per per-priority field, subsliced per port (pb is
+	// the port's offset), as qbytes and blocked already are.
+	queues := make([]fifo, np*cfg.Priorities)
+	rr := make([]int, np*cfg.Priorities)
+	dets := make([]Detector, np*cfg.Priorities)
 	for li, l := range t.Links {
 		mk := func(owner packet.NodeID) *Port {
 			nd := n.nodes[owner]
 			idx := int32(len(n.ports))
+			pb := int(idx) * cfg.Priorities
 			p := &Port{
 				net:    n,
 				node:   nd,
@@ -865,10 +871,10 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 				Rate:   l.Rate,
 				Delay:  l.Delay,
 				idx:    idx,
-				pb:     idx * int32(cfg.Priorities),
-				queues: make([]fifo, cfg.Priorities),
-				rr:     make([]int, cfg.Priorities),
-				dets:   make([]Detector, cfg.Priorities),
+				pb:     int32(pb),
+				queues: queues[pb : pb+cfg.Priorities],
+				rr:     rr[pb : pb+cfg.Priorities],
+				dets:   dets[pb : pb+cfg.Priorities],
 			}
 			p.txDoneFn = p.txDone
 			p.wakeFn = p.wake

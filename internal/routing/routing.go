@@ -2,17 +2,15 @@
 // them to the fabric: static shortest-path, per-flow ECMP hashing, and the
 // deterministic D-mod-k scheme the paper uses for InfiniBand fat-trees.
 //
-// Tables are stored column-major in a compressed sparse row (CSR)
-// encoding: one column per destination host, holding a choices pool
-// ([]int32 link indices) plus an offset array indexed by node. Columns are
-// either materialized eagerly at build time (BuildShortestPath — the
-// golden-trace reference) or lazily on first use with an LRU bound
-// (NewLazy — the hyperscale path). Lazy columns come from a structural
-// ColumnSource when the topology's builder can derive next-hops without
-// search (fat-tree, leaf–spine), or from an on-demand reverse BFS
-// otherwise. Either way the column contents are byte-identical to the
-// eager reference, so route decisions — and therefore event traces — do
-// not depend on which mode built the table.
+// A table answers "which equal-cost links lead from node toward dst" in
+// one of two ways. An unstructured topology gets the eager table
+// (BuildShortestPath): one compressed-sparse-row column per destination
+// host, filled by a reverse BFS at build time. A fat-tree or leaf–spine
+// gets a structural table (NewStructural): the next hop is a function of
+// (role, pod, index), so a row is a subslice of the per-node link tables
+// the RowSource holds and no per-destination state exists at all. The two
+// agree row for row (property-tested), so route decisions — and therefore
+// event traces — do not depend on which kind of table a rig uses.
 package routing
 
 import (
@@ -24,81 +22,47 @@ import (
 	"github.com/tcdnet/tcd/internal/topo"
 )
 
-// DefaultColumnCap bounds the number of simultaneously materialized
-// columns in a lazy table. 512 columns keep the working set of a few
-// hundred concurrently active destinations resident while holding a
-// k=32 fat-tree (8192 hosts) at ~1/16th of the eager table footprint.
-const DefaultColumnCap = 512
-
-// ColumnSource derives a destination's full next-hop column structurally,
-// without graph search. AppendColumn fills start (length #nodes+1, with
-// start[0] already 0) so that column row n is choices[start[n]:start[n+1]],
-// appending each node's equal-cost link indices in ascending order, and
-// returns the grown choices slice. The output must be identical to what a
-// reverse BFS from dst would compute — the lazy/eager equivalence property
-// tests enforce this.
-type ColumnSource interface {
-	AppendColumn(dst packet.NodeID, start []int32, choices []int32) []int32
+// RowSource derives next-hop rows from a topology's regular wiring,
+// without graph search or per-destination state. Row returns node's
+// equal-cost link indices toward host dst in ascending order — exactly
+// the row a reverse BFS from dst computes — as a subslice of storage the
+// source owns: callers must not modify it. Bytes is the source's heap
+// footprint.
+type RowSource interface {
+	Row(node, dst packet.NodeID) []int32
+	Bytes() int64
 }
 
 // column is one destination's CSR next-hop table: row n of the table is
 // choices[start[n]:start[n+1]], ascending link indices. ports caches the
 // resolved egress port for single-choice rows once the table is attached
-// to a fabric (nil until first routed through). Columns of a lazy table
-// are chained into an LRU list for eviction.
+// to a fabric (nil until first routed through).
 type column struct {
-	hi         int32
-	start      []int32
-	choices    []int32
-	ports      []*fabric.Port
-	prev, next *column
-}
-
-func (c *column) bytes() int64 {
-	b := int64(4 * (len(c.start) + cap(c.choices)))
-	b += int64(8 * len(c.ports))
-	return b
-}
-
-// TableStats counts column materialization activity.
-type TableStats struct {
-	// Materialized counts columns built, including rebuilds after
-	// eviction.
-	Materialized uint64
-	// Evicted counts columns dropped by the LRU bound.
-	Evicted uint64
-	// BFSRuns counts columns built by reverse BFS (as opposed to a
-	// structural ColumnSource).
-	BFSRuns uint64
+	start   []int32
+	choices []int32
+	ports   []*fabric.Port
 }
 
 // Table holds, for every (node, destination host) pair, the sorted set of
-// equal-cost next-hop links, one CSR column per destination host.
+// equal-cost next-hop links: eager CSR columns, or rows derived on demand
+// from a RowSource.
 type Table struct {
 	topo *topo.Topology
 	// hostOf maps NodeID -> dense host index (-1 for non-hosts) so the
-	// per-hop column lookup stays off any map.
+	// per-hop lookup stays off any map.
 	hostOf []int32
 	hosts  []packet.NodeID
 
-	// cols[hi] is nil until the column is materialized.
-	cols []*column
-	src  ColumnSource
-	lazy bool
-	cap  int
-
-	// LRU list of materialized columns, most recent at head (lazy only).
-	head, tail *column
-	live       int
+	// Eager tables: cols[hi] is host hi's column. Nil on a structural
+	// table.
+	cols []column
+	// Structural tables: rows answers every lookup. Once attached,
+	// linkPorts[2*l] and [2*l+1] are the ports on link l owned by its A
+	// and B endpoints.
+	rows      RowSource
+	linkPorts []*fabric.Port
 
 	net *fabric.Network
-	sel Selector
-
-	// Reverse-BFS scratch, reused across materializations.
-	dist  []int32
-	queue []packet.NodeID
-
-	stats TableStats
 }
 
 func newTable(t *topo.Topology) *Table {
@@ -111,224 +75,127 @@ func newTable(t *topo.Topology) *Table {
 	for hi, h := range tb.hosts {
 		tb.hostOf[h] = int32(hi)
 	}
-	tb.cols = make([]*column, len(tb.hosts))
 	return tb
 }
 
 // BuildShortestPath computes equal-cost shortest-path sets with a reverse
-// BFS from every host, materializing every column eagerly. This is the
-// reference table: lazy tables must reproduce its columns exactly.
+// BFS from every host. This is the table of every unstructured rig and
+// the reference structural rows must reproduce exactly.
 func BuildShortestPath(t *topo.Topology) *Table {
 	tb := newTable(t)
-	for hi := range tb.hosts {
-		tb.cols[hi] = tb.build(int32(hi))
+	tb.cols = make([]column, len(tb.hosts))
+	nNodes := len(t.Nodes)
+	dist := make([]int32, nNodes)
+	queue := make([]packet.NodeID, 0, nNodes)
+	for hi, h := range tb.hosts {
+		for i := range dist {
+			dist[i] = -1
+		}
+		dist[h] = 0
+		queue = append(queue[:0], h)
+		for qi := 0; qi < len(queue); qi++ {
+			cur := queue[qi]
+			for _, ad := range t.Adj(cur) {
+				if dist[ad.Peer] == -1 {
+					dist[ad.Peer] = dist[cur] + 1
+					queue = append(queue, ad.Peer)
+				}
+			}
+		}
+		c := &tb.cols[hi]
+		c.start = make([]int32, nNodes+1)
+		for ni := 0; ni < nNodes; ni++ {
+			id := packet.NodeID(ni)
+			if id != h && dist[ni] != -1 {
+				row := len(c.choices)
+				for _, ad := range t.Adj(id) {
+					if dist[ad.Peer] == dist[ni]-1 {
+						c.choices = append(c.choices, int32(ad.Link))
+					}
+				}
+				slices.Sort(c.choices[row:])
+			}
+			c.start[ni+1] = int32(len(c.choices))
+		}
 	}
 	return tb
 }
 
-// NewLazy returns a table that materializes per-destination columns on
-// first use, keeping at most capCols columns resident (0 means
-// DefaultColumnCap). Columns come from src when non-nil (structural
-// derivation, O(nodes) per column) and from an on-demand reverse BFS
-// otherwise. Access order — and therefore eviction — is deterministic in
-// a single-threaded run, so lazy tables preserve trace byte-identity.
-func NewLazy(t *topo.Topology, src ColumnSource, capCols int) *Table {
+// NewStructural returns a table that answers every lookup from src: no
+// column is ever built, so its footprint is O(nodes + links) whatever the
+// number of destinations touched.
+func NewStructural(t *topo.Topology, src RowSource) *Table {
 	tb := newTable(t)
-	tb.src = src
-	tb.lazy = true
-	if capCols <= 0 {
-		capCols = DefaultColumnCap
-	}
-	tb.cap = capCols
+	tb.rows = src
 	return tb
 }
 
-// Lazy reports whether the table materializes columns on demand.
-func (tb *Table) Lazy() bool { return tb.lazy }
+// NewLazy is NewStructural under its former name. The column cap is
+// ignored: there are no columns to bound.
+//
+// Deprecated: kept only because benchmark/probes.go, which a PR that
+// claims a gain may not edit, still calls it.
+func NewLazy(t *topo.Topology, src RowSource, _ int) *Table {
+	return NewStructural(t, src)
+}
 
-// Stats returns materialization counters.
-func (tb *Table) Stats() TableStats { return tb.stats }
-
-// NumHosts returns the number of destination columns the table spans.
+// NumHosts returns the number of destinations the table spans.
 func (tb *Table) NumHosts() int { return len(tb.hosts) }
 
-// ColumnCap returns the resident-column ceiling: every host for an eager
-// table, the LRU cap for a lazy one.
-func (tb *Table) ColumnCap() int {
-	if !tb.lazy {
-		return len(tb.hosts)
-	}
-	return tb.cap
-}
-
-// LiveColumns returns the number of currently materialized columns.
-func (tb *Table) LiveColumns() int {
-	if !tb.lazy {
-		return len(tb.hosts)
-	}
-	return tb.live
-}
-
-// LiveBytes returns the heap footprint of the materialized columns plus
-// the table's fixed per-node overhead.
+// LiveBytes returns the table's heap footprint: the fixed per-node
+// overhead plus the eager columns or the structural source, and the port
+// caches once attached.
 func (tb *Table) LiveBytes() int64 {
-	b := int64(4*len(tb.hostOf) + 8*len(tb.hosts) + 8*len(tb.cols))
-	b += int64(4*len(tb.dist) + 8*cap(tb.queue))
-	for _, c := range tb.cols {
-		if c != nil {
-			b += c.bytes()
-		}
+	b := int64(4*len(tb.hostOf) + 8*len(tb.hosts))
+	b += int64(8 * len(tb.linkPorts))
+	if tb.rows != nil {
+		b += tb.rows.Bytes()
+	}
+	for i := range tb.cols {
+		c := &tb.cols[i]
+		b += int64(4*(len(c.start)+cap(c.choices)) + 8*len(c.ports))
 	}
 	return b
 }
 
-// EagerBytesEstimate estimates the footprint of fully materializing every
-// column (the eager table), by building a small sample of columns into
-// scratch storage — no table state is touched. The estimate includes the
-// per-column port cache only when the table is attached to a fabric, so
-// it is comparable with LiveBytes.
+// EagerBytesEstimate estimates what BuildShortestPath's columns would
+// occupy on this topology, by sizing a small sample of destinations. The
+// estimate includes the per-column port cache only when the table is
+// attached to a fabric, so it is comparable with LiveBytes.
 func (tb *Table) EagerBytesEstimate() int64 {
 	nHosts := len(tb.hosts)
 	if nHosts == 0 {
 		return 0
 	}
-	const sample = 8
-	n := sample
-	if n > nHosts {
-		n = nHosts
-	}
+	n := min(8, nHosts)
+	nNodes := len(tb.hostOf)
 	var total int64
 	for i := 0; i < n; i++ {
-		hi := int32(i * (nHosts - 1) / max(n-1, 1))
-		c := tb.fill(&column{hi: hi, start: make([]int32, len(tb.topo.Nodes)+1)})
-		b := int64(4 * (len(c.start) + len(c.choices)))
+		dst := tb.hosts[i*(nHosts-1)/max(n-1, 1)]
+		cells := nNodes + 1
+		for ni := 0; ni < nNodes; ni++ {
+			cells += len(tb.Choices(packet.NodeID(ni), dst))
+		}
+		b := int64(4 * cells)
 		if tb.net != nil {
-			b += int64(8 * len(tb.hostOf))
+			b += int64(8 * nNodes)
 		}
 		total += b
 	}
 	return total / int64(n) * int64(nHosts)
 }
 
-// col returns the materialized column for host index hi, building (and,
-// in lazy mode, LRU-touching) it as needed.
-func (tb *Table) col(hi int32) *column {
-	c := tb.cols[hi]
-	if c == nil {
-		c = tb.build(hi)
-		tb.cols[hi] = c
-		return c
-	}
-	if tb.lazy && tb.head != c {
-		tb.unlink(c)
-		tb.pushFront(c)
-	}
-	return c
-}
-
-func (tb *Table) unlink(c *column) {
-	if c.prev != nil {
-		c.prev.next = c.next
-	} else if tb.head == c {
-		tb.head = c.next
-	}
-	if c.next != nil {
-		c.next.prev = c.prev
-	} else if tb.tail == c {
-		tb.tail = c.prev
-	}
-	c.prev, c.next = nil, nil
-}
-
-func (tb *Table) pushFront(c *column) {
-	c.next = tb.head
-	if tb.head != nil {
-		tb.head.prev = c
-	}
-	tb.head = c
-	if tb.tail == nil {
-		tb.tail = c
-	}
-}
-
-// build materializes one column, evicting the least recently used column
-// first when the lazy bound is reached.
-func (tb *Table) build(hi int32) *column {
-	if tb.lazy {
-		for tb.live >= tb.cap && tb.tail != nil {
-			victim := tb.tail
-			tb.unlink(victim)
-			tb.cols[victim.hi] = nil
-			tb.live--
-			tb.stats.Evicted++
-		}
-	}
-	c := tb.fill(&column{hi: hi, start: make([]int32, len(tb.topo.Nodes)+1)})
-	tb.stats.Materialized++
-	if tb.lazy {
-		tb.pushFront(c)
-		tb.live++
-	}
-	return c
-}
-
-// fill computes a column's rows, structurally when a source is present
-// and by reverse BFS otherwise.
-func (tb *Table) fill(c *column) *column {
-	if tb.src != nil {
-		c.choices = tb.src.AppendColumn(tb.hosts[c.hi], c.start, c.choices[:0])
-		return c
-	}
-	tb.stats.BFSRuns++
-	t := tb.topo
-	nNodes := len(t.Nodes)
-	if tb.dist == nil {
-		tb.dist = make([]int32, nNodes)
-		tb.queue = make([]packet.NodeID, 0, nNodes)
-	}
-	dist := tb.dist
-	for i := range dist {
-		dist[i] = -1
-	}
-	h := tb.hosts[c.hi]
-	dist[h] = 0
-	queue := tb.queue[:0]
-	queue = append(queue, h)
-	for qi := 0; qi < len(queue); qi++ {
-		cur := queue[qi]
-		for _, ad := range t.Adj(cur) {
-			if dist[ad.Peer] == -1 {
-				dist[ad.Peer] = dist[cur] + 1
-				queue = append(queue, ad.Peer)
-			}
-		}
-	}
-	tb.queue = queue
-	choices := c.choices[:0]
-	for ni := 0; ni < nNodes; ni++ {
-		id := packet.NodeID(ni)
-		if id != h && dist[ni] != -1 {
-			row := len(choices)
-			for _, ad := range t.Adj(id) {
-				if dist[ad.Peer] == dist[ni]-1 {
-					choices = append(choices, int32(ad.Link))
-				}
-			}
-			slices.Sort(choices[row:])
-		}
-		c.start[ni+1] = int32(len(choices))
-	}
-	c.choices = choices
-	return c
-}
-
 // Choices returns the equal-cost next-hop links from node toward dst.
+// The slice aliases table storage and must not be modified.
 func (tb *Table) Choices(node, dst packet.NodeID) []int32 {
 	hi := tb.hostOf[dst]
 	if hi < 0 {
 		panic(fmt.Sprintf("routing: destination %s is not a host", tb.topo.Name(dst)))
 	}
-	c := tb.col(hi)
+	if tb.rows != nil {
+		return tb.rows.Row(node, dst)
+	}
+	c := &tb.cols[hi]
 	return c.choices[c.start[node]:c.start[node+1]]
 }
 
@@ -389,12 +256,10 @@ func DModK() Selector {
 	}
 }
 
-// resolvePorts caches the egress port for every single-choice row of a
-// column. Multi-choice rows stay nil and go through the selector. Built
-// per column on first routed use — O(nodes), amortized across every
-// packet that ever routes to this destination — instead of the old
-// eager (nodes × hosts) pre-resolution, which is exactly the quadratic
-// table the lazy mode exists to avoid.
+// resolvePorts caches the egress port for every single-choice row of an
+// eager column. Multi-choice rows stay nil and go through the selector.
+// Built per column on first routed use — O(nodes), amortized across every
+// packet that ever routes to this destination.
 func (tb *Table) resolvePorts(c *column) {
 	ports := make([]*fabric.Port, len(tb.hostOf))
 	for ni := range ports {
@@ -407,18 +272,24 @@ func (tb *Table) resolvePorts(c *column) {
 }
 
 // Attach installs the table on a fabric network with the given selector.
-// Single-choice next hops (the overwhelmingly common case outside ECMP
-// fan-out stages) are resolved to port pointers once per materialized
-// column, so the steady-state per-hop route lookup is two dense loads.
+// Each kind of table installs its own Route closure, so neither lookup
+// branches on the other's existence. An eager table resolves single-choice
+// next hops (the overwhelmingly common case outside ECMP fan-out stages)
+// to port pointers once per column; a structural table resolves both ends
+// of every link once, O(links), and maps a row's link to its port with two
+// dense loads.
 func (tb *Table) Attach(n *fabric.Network, sel Selector) {
 	tb.net = n
-	tb.sel = sel
+	if tb.rows != nil {
+		tb.attachRows(n, sel)
+		return
+	}
 	n.Route = func(sw packet.NodeID, pkt *packet.Packet) *fabric.Port {
 		hi := tb.hostOf[pkt.Dst]
 		if hi < 0 {
 			panic(fmt.Sprintf("routing: destination %s is not a host", tb.topo.Name(pkt.Dst)))
 		}
-		c := tb.col(hi)
+		c := &tb.cols[hi]
 		if c.ports == nil {
 			tb.resolvePorts(c)
 		}
@@ -429,6 +300,34 @@ func (tb *Table) Attach(n *fabric.Network, sel Selector) {
 		if len(choices) == 0 {
 			return nil
 		}
-		return n.PortOn(sw, int(tb.sel(pkt, choices)))
+		return n.PortOn(sw, int(sel(pkt, choices)))
+	}
+}
+
+func (tb *Table) attachRows(n *fabric.Network, sel Selector) {
+	links := tb.topo.Links
+	tb.linkPorts = make([]*fabric.Port, 2*len(links))
+	for li, l := range links {
+		tb.linkPorts[2*li] = n.PortOn(l.A, li)
+		tb.linkPorts[2*li+1] = n.PortOn(l.B, li)
+	}
+	rows, hostOf, linkPorts := tb.rows, tb.hostOf, tb.linkPorts
+	n.Route = func(sw packet.NodeID, pkt *packet.Packet) *fabric.Port {
+		if hostOf[pkt.Dst] < 0 {
+			panic(fmt.Sprintf("routing: destination %s is not a host", tb.topo.Name(pkt.Dst)))
+		}
+		row := rows.Row(sw, pkt.Dst)
+		if len(row) == 0 {
+			return nil
+		}
+		l := row[0]
+		if len(row) > 1 {
+			l = sel(pkt, row)
+		}
+		i := 2 * l
+		if links[l].A != sw {
+			i++
+		}
+		return linkPorts[i]
 	}
 }

@@ -241,8 +241,7 @@ func (s *Server) Close() {
 		select {
 		case j := <-s.queue:
 			atomic.AddInt64(&s.pending, -1)
-			s.cache.complete(j.entry, nil, errShutdown, 0)
-			s.finishEntryJobs(j.entry, errShutdown, true)
+			s.finishEntry(j.entry, nil, errShutdown, 0, true)
 		default:
 			s.hub.close()
 			return
@@ -281,17 +280,22 @@ func (s *Server) runJob(j *job) {
 		s.histMu.Unlock()
 	}
 	canceled := err != nil && (errors.Is(err, context.Canceled) || s.ctx.Err() != nil)
-	s.cache.complete(j.entry, b, err, wall)
-	s.finishEntryJobs(j.entry, err, canceled)
+	s.finishEntry(j.entry, b, err, wall, canceled)
 }
 
-// finishEntryJobs resolves every job attached to entry (owner included),
-// updating states, counters and SSE streams.
-func (s *Server) finishEntryJobs(entry *cacheEntry, err error, canceled bool) {
+// finishEntry resolves entry and every job attached to it (owner
+// included): result bytes into the cache, then states, counters, SSE
+// streams and the finished-job ring. All of it is one s.mu section.
+// Completing the entry wakes its ?wait=1 clients, and whatever such a
+// client does next (submit again, fetch its job) goes through s.mu, so
+// it cannot see a job that has finished but is not yet recorded — the
+// window that let the record ring read one past its cap.
+func (s *Server) finishEntry(entry *cacheEntry, b []byte, err error, wall time.Duration, canceled bool) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	jobs := s.attached[entry]
 	delete(s.attached, entry)
-	s.mu.Unlock()
+	s.cache.complete(entry, b, err, wall)
 	state := "done"
 	errMsg := ""
 	switch {
@@ -316,9 +320,7 @@ func (s *Server) finishEntryJobs(entry *cacheEntry, err error, canceled bool) {
 		data := fmt.Sprintf(`{"id":%q,"hash":%q,"state":%q,"wall_ms":%.3f,"bytes":%d,"error":%s}`,
 			j.id, j.hash, state, float64(entry.wall.Microseconds())/1000, len(entry.bytes), mustJSON(errMsg))
 		s.hub.publish(j.id, Event{state, data})
-		s.mu.Lock()
 		s.recordFinishedLocked(j.id)
-		s.mu.Unlock()
 	}
 }
 
