@@ -130,7 +130,7 @@ type Meter struct {
 	abr      []int64
 	occ      []units.ByteSize
 	reported []int64
-	timer    *sim.Timer
+	timer    sim.Timer // by value; Install builds the Meter in place and never copies it
 
 	// MaxOcc is the maximum occupancy observed on any VL.
 	MaxOcc units.ByteSize
@@ -216,22 +216,26 @@ func Install(n *fabric.Network, cfg Config) {
 		fccl[i] = int64(cfg.Buffer)
 		since[i] = units.Forever
 	}
+	// Gates and meters come from one slice each for the same reason.
+	gates, meters := make([]Gate, len(ports)), make([]Meter, len(ports))
 	for i, p := range ports {
 		lo, hi := i*nPrio, (i+1)*nPrio
-		g := &Gate{
+		g := &gates[i]
+		*g = Gate{
 			port:  p,
 			fctbs: fctbs[lo:hi], fccl: fccl[lo:hi],
 			starved: starved[lo:hi], starvedSince: since[lo:hi],
 		}
 		p.AttachGate(g)
-		m := &Meter{
+		m := &meters[i]
+		*m = Meter{
 			port:     p,
 			cfg:      cfg,
 			abr:      abr[lo:hi],
 			occ:      occ[lo:hi],
 			reported: reported[lo:hi],
 		}
-		m.timer = sim.NewTimer(n.Sched, m.sendUpdate)
+		m.timer.Init(n.Sched, m.sendUpdate)
 		p.AttachMeter(m)
 		phase := units.Time(0)
 		if cfg.Stagger != nil {

@@ -9,7 +9,6 @@ import (
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/routing"
-	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -67,7 +66,7 @@ func MultiPrio(cfg MultiPrioConfig) *Result {
 		bursters = append(bursters, b)
 	}
 
-	s := sim.New()
+	s := newScheduler()
 	fc := fabric.DefaultConfig()
 	fc.Priorities = 2
 	n := fabric.New(s, g, fc)

@@ -243,6 +243,11 @@ type RigConfig struct {
 	Obs obs.Config
 }
 
+// newScheduler builds the scheduler of every simulation in this package.
+// It is a variable only so that the two-scheduler identity test can run
+// the whole registry on sim.NewHeapOnly; nothing else assigns it.
+var newScheduler = sim.New
+
 // NewRig wires everything together.
 func NewRig(cfg RigConfig) *Rig {
 	if cfg.Selector == nil {
@@ -255,7 +260,7 @@ func NewRig(cfg RigConfig) *Rig {
 		cfg.Obs.Rec = cfg.Obs.Telemetry.Chain(cfg.Obs.Rec)
 	}
 	r := &Rig{
-		Sched: sim.New(),
+		Sched: newScheduler(),
 		Topo:  cfg.Topo,
 		Rnd:   rng.New(cfg.Seed + 1),
 		Kind:  cfg.Kind,
@@ -506,6 +511,13 @@ func (r *Rig) SnapshotMetrics(reg *obs.Registry) {
 	reg.Counter("sched_events").Add(int64(r.Sched.Processed()))
 	reg.Gauge("sched_sim_time_us").Set(r.Sched.Now().Micros())
 	reg.Gauge("sched_pending_events").Set(float64(r.Sched.Pending()))
+	// How events reached the band: flushed bucket cohorts and direct
+	// inserts; the rest of sched_events were singletons off the wheel.
+	bs := r.Sched.BandStats()
+	reg.Counter("sched_cohorts").Add(int64(bs.Cohorts))
+	reg.Counter("sched_cohort_events").Add(int64(bs.CohortEvents))
+	reg.Gauge("sched_cohort_max").Set(float64(bs.CohortMax))
+	reg.Counter("sched_band_inserts").Add(int64(bs.Inserts))
 	for _, p := range r.Net.Ports() {
 		lbl := p.Label()
 		reg.Counter("port_tx_bytes", "port", lbl).Add(int64(p.TxBytes))

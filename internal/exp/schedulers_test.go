@@ -1,0 +1,66 @@
+package exp
+
+import (
+	"bytes"
+	"testing"
+
+	"github.com/tcdnet/tcd/internal/obs"
+	"github.com/tcdnet/tcd/internal/sim"
+	"github.com/tcdnet/tcd/internal/units"
+)
+
+// TestScenariosIdenticalOnBothSchedulers runs every registered scenario
+// at a reduced horizon once on the hybrid scheduler (timing wheel + sorted
+// band run) and once on the heap-only reference, and requires the same
+// Result JSON and — for the scenarios that record — the same JSONL event
+// trace, byte for byte. The three goldens pin three scenarios to committed
+// bytes; this pins all of them to the reference scheduler, so a
+// same-timestamp reordering on any path a scenario takes (CBFC, fat-tree
+// rigs, the fault injector, the attack battery) fails here.
+func TestScenariosIdenticalOnBothSchedulers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole registry twice")
+	}
+	battery := *DefaultBattery()
+	battery.Scenarios = battery.Scenarios[:1]
+	defer func() { newScheduler = sim.New }()
+	traced := 0
+
+	for i, sc := range Scenarios {
+		// Alternate fabrics down the table so PFC and CBFC rigs both run.
+		fab := []FabricKind{CEE, IB}[i%2]
+		t.Run(sc.Name+"/"+fab.String(), func(t *testing.T) {
+			run := func(mk func() *sim.Scheduler) (result, trace []byte) {
+				newScheduler = mk
+				ring := obs.NewRing(0)
+				res := sc.Run(Params{
+					Fabric: fab, Seed: 3, Horizon: units.Millisecond,
+					K: 4, Flows: 200, Battery: &battery,
+					Obs: obs.Config{Rec: ring},
+				})
+				var rb, tb bytes.Buffer
+				if err := WriteResultsJSON(&rb, res); err != nil {
+					t.Fatal(err)
+				}
+				if err := ring.WriteJSONL(&tb); err != nil {
+					t.Fatal(err)
+				}
+				return rb.Bytes(), tb.Bytes()
+			}
+			hybridRes, hybridTrace := run(sim.New)
+			heapRes, heapTrace := run(sim.NewHeapOnly)
+			if !bytes.Equal(hybridRes, heapRes) {
+				t.Errorf("results differ between schedulers: %s", firstDiff(hybridRes, heapRes))
+			}
+			if !bytes.Equal(hybridTrace, heapTrace) {
+				t.Errorf("traces differ between schedulers: %s", firstDiff(hybridTrace, heapTrace))
+			}
+			if len(hybridTrace) > 0 {
+				traced++
+			}
+		})
+	}
+	if traced == 0 {
+		t.Error("no scenario recorded a trace; the trace comparison checked nothing")
+	}
+}

@@ -858,12 +858,25 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 	queues := make([]fifo, np*cfg.Priorities)
 	rr := make([]int, np*cfg.Priorities)
 	dets := make([]Detector, np*cfg.Priorities)
+	// The ports themselves come from slabs too, not one allocation per
+	// port (a k=16 fat-tree has 6144), in chunks that stay under the
+	// allocator's 32 KB large-object limit: as one 2.4 MB object per rig
+	// the slab raised ft16-ib-mpiio's peak resident set by 0.7 MB at the
+	// median and 2 MB in a third of the runs; as 24 KB chunks it does not.
+	const portChunk = 64
+	var slab []Port
+	n.ports = make([]*Port, 0, np)
 	for li, l := range t.Links {
 		mk := func(owner packet.NodeID) *Port {
 			nd := n.nodes[owner]
 			idx := int32(len(n.ports))
 			pb := int(idx) * cfg.Priorities
-			p := &Port{
+			if len(slab) == 0 {
+				slab = make([]Port, min(portChunk, np-int(idx)))
+			}
+			p := &slab[0]
+			slab = slab[1:]
+			*p = Port{
 				net:    n,
 				node:   nd,
 				Index:  len(nd.ports),

@@ -173,12 +173,16 @@ func Install(n *fabric.Network, cfg Config) {
 	}
 	occ := make([]units.ByteSize, nSw*nPrio)
 	sent := make([]bool, nSw*nPrio)
+	// Gates and meters come from one slice each for the same reason.
+	gates, meters := make([]Gate, len(ports)), make([]Meter, nSw)
 	mi := 0
 	for i, p := range ports {
-		g := &Gate{port: p, paused: paused[i*nPrio : (i+1)*nPrio], pausedSince: since[i*nPrio : (i+1)*nPrio]}
+		g := &gates[i]
+		*g = Gate{port: p, paused: paused[i*nPrio : (i+1)*nPrio], pausedSince: since[i*nPrio : (i+1)*nPrio]}
 		p.AttachGate(g)
 		if n.Topo.Nodes[p.Node()].Kind == topo.Switch {
-			m := &Meter{
+			m := &meters[mi]
+			*m = Meter{
 				port: p,
 				cfg:  cfg,
 				occ:  occ[mi*nPrio : (mi+1)*nPrio],

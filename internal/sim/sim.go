@@ -5,35 +5,46 @@
 // a monotonically increasing sequence number), which makes every run
 // reproducible regardless of map iteration order or GC timing.
 //
-// The queue is a hybrid of a two-level hierarchical timing wheel and an
-// indexed four-ary min-heap. Every event past the current time bucket is
-// filed into a power-of-two time slot with O(1) insert and O(1) cancel —
-// no sift, no comparison — and linked intrusively through the slot
-// table, so the wheel itself allocates nothing per event. The heap holds
-// exactly the "current band" (events in the time bucket the clock is in,
-// which is where ordering actually matters), so it stays a few entries
-// deep however many events are pending. An event more than one level-1
-// rotation (~34 ms of simulated time) out parks in the level-1 bucket its
-// time maps to and is re-filed there, one O(1) splice, each time the
-// clock passes that bucket; when nothing nearer is queued the clock
-// walks to it one rotation per step. As the clock advances bucket by
-// bucket, wheel cohorts flush into the heap, which re-sorts them by
-// (time, sequence) — making batched delivery bit-identical to the fully
-// sorted order a single global heap would produce.
+// The queue is a hybrid of a two-level hierarchical timing wheel and one
+// sorted run. Every event past the current time bucket is filed into a
+// power-of-two time slot with O(1) insert and O(1) cancel — no
+// comparison — and linked intrusively through the slot table, so the
+// wheel itself allocates nothing per event. Only the "current band"
+// (events in the time bucket the clock is in, which is where ordering
+// actually matters) is ordered: when the clock enters a bucket its cohort
+// is copied into the run and sorted by (time, sequence) once — a handful
+// of keys, already nearly in order — and dispatch is a cursor walking the
+// run. That makes batched delivery bit-identical to the fully sorted
+// order a single global heap would produce, without a heap: almost
+// nothing is ever inserted into a band after its flush (16 events in 2.7
+// million on the k=8 fat-tree workload, 561 in 5.1 million on the k=16
+// one), so a structure built for interleaved inserts and pops would be
+// paying per event for an order one small sort gives. An event more than
+// one level-1 rotation (~34 ms of simulated time) out parks in the
+// level-1 bucket its time maps to and is re-filed there, one O(1) splice,
+// each time the clock passes that bucket; when nothing nearer is queued
+// the clock walks to it one rotation per step.
 //
 // Every scheduled event gets an EventID, and Cancel/Reschedule remove or
-// move the event in place wherever it lives (heap index or wheel slot
-// list) instead of leaving dead "ghost" entries queued until their fire
-// time. The heap holds only pointer-free keys (time, sequence, slot) —
-// sift moves are plain memmoves with no write barriers — while callbacks
-// live in the slot table and never move. Hot emitters schedule a
-// preallocated func(arg) + arg pair (AtArg/AfterArg) instead of minting a
-// fresh closure per event.
+// move the event in place wherever it lives (wheel slot list or run)
+// instead of leaving live "ghost" entries queued until their fire time: a
+// wheel resident is unlinked, a band resident is found by binary search on
+// its key and tombstoned, so no back-pointer is maintained as keys move.
+// The run holds only pointer-free keys (time, sequence, slot) — sorting
+// moves are plain memmoves with no write barriers — while callbacks live
+// in the slot table and never move. Hot emitters schedule a preallocated
+// func(arg) + arg pair (AtArg/AfterArg) instead of minting a fresh
+// closure per event.
+//
+// NewHeapOnly (heaponly.go) is the scheduler this package had before the
+// wheel, one indexed four-ary heap for everything. It is the reference
+// the differential tests hold the hybrid to, not a mode simulations use.
 package sim
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -74,24 +85,31 @@ const (
 // noIdx terminates the intrusive per-bucket lists.
 const noIdx = ^uint32(0)
 
-// key is one heap entry: the sort key plus the slot holding the payload.
-// It is deliberately pointer-free (sift moves are barrier-free copies)
-// and packed to 16 bytes — seq in the high word of ss, slot in the low —
-// so one four-child group occupies exactly one 64-byte cache line.
+// key is one entry of the band's run (or of heap-only mode's heap): the
+// sort key plus the slot holding the payload. It is deliberately
+// pointer-free (moves are barrier-free copies) and packed to 16 bytes —
+// seq in the high word of ss, slot in the low.
 type key struct {
 	at units.Time
 	ss uint64 // seq<<32 | slot
 }
 
+func makeKey(at units.Time, sq, slot uint32) key {
+	return key{at: at, ss: uint64(sq)<<32 | uint64(slot)}
+}
+
 func (k *key) slotIdx() uint32 { return uint32(k.ss) }
 
-// pad is the heap root's index. Rooting the four-ary heap at 3 instead
-// of 0 (indices 0-2 are unused dummies) makes every child group
-// [4i-8, 4i-5] start at a multiple-of-64-byte offset: with 16-byte keys
-// the four children a sift compares live in one cache line instead of
-// always straddling two, and the parent/child index math loses its
-// root special case (parent(i) = (i+8)>>2 uniformly).
-const pad = 3
+// deadSlot in a run key's slot field marks a tombstone: the event was
+// cancelled or moved while in the band. The key keeps its time and
+// sequence, so the run stays sorted around it, and the cursor steps over
+// it. No live slot has this index (it is also the list terminator).
+const deadSlot = noIdx
+
+// inBand is the location index of every band resident in hybrid mode.
+// Where in the run the event sits is not recorded: Cancel and Reschedule
+// find it by its unique key.
+const inBand = 0
 
 // less orders events by (time, sequence). The sequence is the low 32 bits
 // of a monotone counter compared with wraparound arithmetic: the order of
@@ -109,22 +127,23 @@ func less(a, b *key) bool {
 // slotLoc is one handle's location record. idx encodes where the event
 // currently lives:
 //
-//	idx >= 0            heap, at heap index idx (kept in sync by every sift)
+//	idx >= 0            current band: inBand in hybrid mode; in heap-only
+//	                    mode the heap index, kept in sync by every sift
 //	idx == -1           dead (fired, cancelled, or never scheduled)
 //	idx <= -2           wheel: level 0 slot -(idx+2), or level 1 slot
 //	                    -(idx+2)-wheelSize
 //
 // Wheel-resident events keep their fire time and sequence here (at, sq)
 // and are doubly linked through next/prev, so insert and cancel are O(1)
-// pointer splices and flushing a bucket rebuilds heap keys without
-// touching any per-bucket storage. gen is the generation outstanding
-// EventIDs must match.
+// pointer splices and flushing a bucket rebuilds run keys without
+// touching any per-bucket storage; at and sq stay valid in the band, where
+// they are the key a Cancel searches the run for. gen is the generation
+// outstanding EventIDs must match.
 //
-// Locations are deliberately split from payloads (slotFn): every sift
-// writes a location backpointer and every wheel splice touches two or
-// three location records at effectively random slot indices, so halving
-// the record doubles how many of those scattered touches the caches
-// absorb. The payload is only read once, at dispatch.
+// Locations are deliberately split from payloads (slotFn): every wheel
+// splice touches two or three location records at effectively random
+// slot indices, so halving the record doubles how many of those scattered
+// touches the caches absorb. The payload is only read once, at dispatch.
 type slotLoc struct {
 	idx  int32
 	gen  uint32
@@ -151,14 +170,19 @@ type Scheduler struct {
 	now units.Time
 	seq uint64
 	// bandEnd is the exclusive end of the current time band, the end of
-	// level-0 bucket curB (units.Forever in heap-only mode). Every heap
-	// event has at < bandEnd, so the heap top is always runnable without
-	// consulting the wheel.
+	// level-0 bucket curB (units.Forever in heap-only mode). Every band
+	// event has at < bandEnd, so the run's next key is always runnable
+	// without consulting the wheel.
 	bandEnd units.Time
-	// heap is a four-ary min-heap of pointer-free keys holding the
-	// current band and nothing else: no per-event allocation, no
-	// interface boxing, no write barriers on sift, and four children
-	// share a cache line instead of two per level.
+	// band is the current band and nothing else: band[pos:] is a run of
+	// pointer-free keys sorted by (time, sequence), pos the dispatch
+	// cursor. Keys below pos have fired; the space is reused when the run
+	// drains. dead counts the tombstones in band[pos:] (see deadSlot), so
+	// Pending stays exact.
+	band []key
+	pos  int
+	dead int
+	// heap is heap-only mode's queue (heaponly.go); nil in hybrid mode.
 	heap []key
 	// locs and fns map EventID slots to locations and payloads (parallel
 	// tables, see slotLoc); freeSlots recycles released slot indices so
@@ -190,12 +214,33 @@ type Scheduler struct {
 	// processed counts executed events, for instrumentation.
 	processed uint64
 	stopped   bool
+	// stats counts band residency (see BandStats); moved counts the keys
+	// in-band inserts shifted, which tests bound.
+	stats BandStats
+	moved uint64
 }
+
+// BandStats says how events reached the current band, counted per bucket
+// flush and per in-band insert — never per event. Everything else the
+// scheduler processed (Processed − CohortEvents − Inserts) was a singleton
+// dispatched straight off the wheel.
+type BandStats struct {
+	// Cohorts is the number of level-0 buckets flushed into the band and
+	// CohortEvents the events in them; CohortMax is the largest one.
+	Cohorts, CohortEvents, CohortMax uint64
+	// Inserts counts events filed into the band directly: scheduled,
+	// rescheduled or cascaded into the bucket the clock is already in.
+	Inserts uint64
+}
+
+// BandStats reports the band residency counters (all zero in heap-only
+// mode).
+func (s *Scheduler) BandStats() BandStats { return s.stats }
 
 // New returns an empty hybrid scheduler at time zero.
 func New() *Scheduler {
 	s := &Scheduler{
-		heap:    make([]key, pad, pad+61),
+		band:    make([]key, 0, 64),
 		bandEnd: 1 << l0GranBits,
 		head0:   make([]uint32, wheelSize),
 		head1:   make([]uint32, wheelSize),
@@ -207,19 +252,6 @@ func New() *Scheduler {
 		s.head1[i] = noIdx
 	}
 	return s
-}
-
-// NewHeapOnly returns a scheduler with the timing wheel disabled: every
-// event goes straight into the indexed heap, reproducing the pre-wheel
-// scheduler exactly. It exists as the semantic reference for the
-// differential tests and as the baseline arm of the wheel-vs-heap
-// crossover benchmarks; simulations should use New.
-func NewHeapOnly() *Scheduler {
-	return &Scheduler{
-		heap:    make([]key, pad, pad+61),
-		bandEnd: units.Forever,
-		noWheel: true,
-	}
 }
 
 // Now reports the current simulated time.
@@ -294,31 +326,123 @@ func (s *Scheduler) schedule(t units.Time, fn func(), afn func(any), arg any) Ev
 }
 
 // place files a live slot's event into the structure its fire time calls
-// for: the heap for the current band, a level-0 bucket inside the level-0
+// for: the run for the current band, a level-0 bucket inside the level-0
 // horizon, a level-1 bucket for everything past it, however many
 // rotations away (d0 > wheelSize puts t at least one level-1 bucket
 // ahead of curB1). The slotLoc's at/sq must already be set.
 func (s *Scheduler) place(slot uint32, t units.Time, sq uint32) {
-	if !s.noWheel {
-		if d0 := int64(t)>>l0GranBits - s.curB; d0 >= 1 {
-			if d0 <= wheelSize {
-				s.wheelPush(s.head0, s.occ0, int(int64(t)>>l0GranBits)&wheelMask, slot, false)
-			} else {
-				s.wheelPush(s.head1, s.occ1, int(int64(t)>>l1GranBits)&wheelMask, slot, true)
-			}
-			return
-		}
+	if s.noWheel {
+		s.heapPush(slot, t, sq)
+		return
 	}
+	if d0 := int64(t)>>l0GranBits - s.curB; d0 >= 1 {
+		if d0 <= wheelSize {
+			s.wheelPush(s.head0, s.occ0, int(int64(t)>>l0GranBits)&wheelMask, slot, false)
+		} else {
+			s.wheelPush(s.head1, s.occ1, int(int64(t)>>l1GranBits)&wheelMask, slot, true)
+		}
+		return
+	}
+	s.locs[slot].idx = inBand
+	s.bandInsert(makeKey(t, sq, slot))
+}
+
+// bandInsert files a key into the live run at its sorted position — the
+// rare path: an event aimed at the bucket the clock is already in. A
+// callback schedules relative to now, so the key usually belongs at one
+// end: after everything (append) or just past the cursor, where the
+// fired keys below pos leave room to slide the few earlier ones down
+// instead of the whole tail up. The cost is the distance to the nearer
+// end.
+func (s *Scheduler) bandInsert(k key) {
+	s.stats.Inserts++
+	run, lo := s.band, s.pos
+	n := len(run)
+	if lo == n {
+		// Drained: restart at the front, so a chain of in-band inserts
+		// (After(0) from a callback) reuses the same few entries.
+		s.band = append(run[:0], k)
+		s.pos = 0
+		return
+	}
+	if !less(&k, &run[n-1]) {
+		s.band = append(run, k)
+		return
+	}
+	// Keys are unique, so the search lands on where k belongs.
+	i, _ := slices.BinarySearchFunc(run[lo:], k, cmpKey)
+	i += lo
+	if lo > 0 && i-lo < n-i {
+		copy(run[lo-1:], run[lo:i])
+		run[i-1] = k
+		s.pos = lo - 1
+		s.moved += uint64(i - lo)
+		return
+	}
+	run = append(run, key{})
+	copy(run[i+1:], run[i:n])
+	run[i] = k
+	s.band = run
+	s.moved += uint64(n - i)
+}
+
+// bandKill tombstones a band resident's key, found by binary search on
+// the (time, sequence) its location record still holds. The caller
+// releases or re-files the slot.
+func (s *Scheduler) bandKill(slot uint32) {
 	ref := &s.locs[slot]
-	i := len(s.heap)
-	ref.idx = int32(i)
-	s.heap = append(s.heap, key{at: t, ss: uint64(sq)<<32 | uint64(slot)})
-	s.siftUp(i)
+	i, found := slices.BinarySearchFunc(s.band[s.pos:], makeKey(ref.at, ref.sq, slot), cmpKey)
+	if !found {
+		panic(fmt.Sprintf("sim: band resident slot %d (at %v) is not in the run", slot, ref.at))
+	}
+	i += s.pos
+	if i == len(s.band)-1 {
+		// The last key just goes: a timer pushed back again and again
+		// inside one band leaves no trail.
+		s.band = s.band[:i]
+		return
+	}
+	s.band[i].ss |= uint64(deadSlot)
+	s.dead++
+}
+
+// insertionMax is the run length up to which sortRun insertion-sorts: a
+// cohort is a handful of keys in nearly ascending order, where that is a
+// compare per key and no call.
+const insertionMax = 24
+
+// cmpKey is less as a three-way comparison, for package slices.
+func cmpKey(a, b key) int {
+	switch {
+	case less(&a, &b):
+		return -1
+	case less(&b, &a):
+		return 1
+	}
+	return 0
+}
+
+// sortRun orders a run by (time, sequence). Keys are unique, so the order
+// is total and the result does not depend on the algorithm.
+func sortRun(run []key) {
+	if len(run) > insertionMax {
+		slices.SortFunc(run, cmpKey)
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		e := run[i]
+		j := i
+		for j > 0 && less(&e, &run[j-1]) {
+			run[j] = run[j-1]
+			j--
+		}
+		run[j] = e
+	}
 }
 
 // wheelPush front-inserts a slot into one bucket's intrusive list. Order
-// within a bucket is irrelevant: the flush into the heap re-sorts the
-// cohort by (time, sequence).
+// within a bucket is irrelevant: the flush into the band sorts the cohort
+// by (time, sequence).
 func (s *Scheduler) wheelPush(head []uint32, occ []uint64, b int, slot uint32, l1 bool) {
 	ref := &s.locs[slot]
 	if l1 {
@@ -364,26 +488,36 @@ func (s *Scheduler) wheelRemove(slot uint32) {
 	s.wheelCount--
 }
 
-// flushBucket migrates one bucket's cohort into the heap, which orders
-// it by (time, sequence) against everything else in the band.
-func (s *Scheduler) flushBucket(head []uint32, occ []uint64, b int) {
-	cur := head[b]
-	head[b] = noIdx
-	occ[b>>6] &^= 1 << (uint(b) & 63)
+// flushBucket migrates one level-0 bucket's cohort into the band and
+// sorts the run. Bucket lists are LIFO and later-scheduled events mostly
+// fire later, so reversing the cohort into ascending-sequence order first
+// hands the sort nearly sorted input. The caller has drained the run; at
+// most a few keys the cascade just filed are ahead of the cohort.
+func (s *Scheduler) flushBucket(b int) {
+	cur := s.head0[b]
+	s.head0[b] = noIdx
+	s.occ0[b>>6] &^= 1 << (uint(b) & 63)
+	start := len(s.band)
 	for cur != noIdx {
 		ref := &s.locs[cur]
-		next := ref.next
-		i := len(s.heap)
-		ref.idx = int32(i)
-		s.heap = append(s.heap, key{at: ref.at, ss: uint64(ref.sq)<<32 | uint64(cur)})
-		s.siftUp(i)
-		s.wheelCount--
-		cur = next
+		ref.idx = inBand
+		s.band = append(s.band, makeKey(ref.at, ref.sq, cur))
+		cur = ref.next
 	}
+	cohort := s.band[start:]
+	n := uint64(len(cohort))
+	s.wheelCount -= len(cohort)
+	s.stats.Cohorts++
+	s.stats.CohortEvents += n
+	if n > s.stats.CohortMax {
+		s.stats.CohortMax = n
+	}
+	slices.Reverse(cohort)
+	sortRun(s.band[s.pos:])
 }
 
 // cascade re-files one level-1 bucket when the clock enters its span: an
-// event due in this span lands in a level-0 bucket (or the heap, if its
+// event due in this span lands in a level-0 bucket (or the band, if its
 // bucket is the current one), one parked for a later rotation goes
 // straight back into bucket b.
 func (s *Scheduler) cascade(b int) {
@@ -448,8 +582,9 @@ func (s *Scheduler) Scheduled(id EventID) bool {
 }
 
 // Cancel removes a pending event from the queue in place — an O(1) list
-// splice for wheel-resident events, one sift for heap-resident ones —
-// dropping its callback and argument references immediately. It reports
+// splice for wheel-resident events, a binary search and a tombstone for
+// band residents — dropping its callback and argument references
+// immediately. It reports
 // whether the handle was live; cancelling an already-fired or
 // already-cancelled event is a no-op.
 func (s *Scheduler) Cancel(id EventID) bool {
@@ -457,12 +592,16 @@ func (s *Scheduler) Cancel(id EventID) bool {
 	if !ok {
 		return false
 	}
-	if i := s.locs[slot].idx; i >= 0 {
-		s.removeAt(int(i))
-	} else {
+	switch i := s.locs[slot].idx; {
+	case i < 0:
 		s.wheelRemove(slot)
-		s.releaseSlot(slot)
+	case s.noWheel:
+		s.removeAt(int(i))
+		return true
+	default:
+		s.bandKill(slot)
 	}
+	s.releaseSlot(slot)
 	return true
 }
 
@@ -481,18 +620,17 @@ func (s *Scheduler) Reschedule(id EventID, t units.Time) bool {
 	s.seq++
 	sq := uint32(s.seq)
 	ref := &s.locs[slot]
-	ref.at, ref.sq = t, sq
-	if i := ref.idx; i >= 0 && t < s.bandEnd {
-		// Heap-to-heap move: one in-place key update plus a sift.
-		s.heap[i].at = t
-		s.heap[i].ss = uint64(sq)<<32 | uint64(slot)
-		s.fix(int(i))
-		return true
-	} else if i >= 0 {
-		s.unhookHeap(int(i))
-	} else {
+	switch i := ref.idx; {
+	case i < 0:
 		s.wheelRemove(slot)
+	case s.noWheel:
+		ref.at, ref.sq = t, sq
+		s.heapMove(int(i), t, sq)
+		return true
+	default:
+		s.bandKill(slot) // reads the old at/sq
 	}
+	ref.at, ref.sq = t, sq
 	s.place(slot, t, sq)
 	return true
 }
@@ -516,134 +654,24 @@ func (s *Scheduler) releaseSlot(slot uint32) {
 	s.freeSlots = append(s.freeSlots, slot)
 }
 
-// unhookHeap deletes the event at heap index i without releasing its
-// slot (Reschedule keeps the slot alive across the move).
-func (s *Scheduler) unhookHeap(i int) {
-	n := len(s.heap) - 1
-	if i != n {
-		s.heap[i] = s.heap[n]
-		s.locs[s.heap[i].slotIdx()].idx = int32(i)
-	}
-	s.heap = s.heap[:n]
-	if i < n {
-		s.fix(i)
-	}
-}
-
-// removeAt deletes the event at heap index i and releases its slot.
-func (s *Scheduler) removeAt(i int) {
-	s.releaseSlot(s.heap[i].slotIdx())
-	s.unhookHeap(i)
-}
-
-// fix restores the heap property around index i after its key changed.
-func (s *Scheduler) fix(i int) {
-	if i > pad && less(&s.heap[i], &s.heap[(i+8)>>2]) {
-		s.siftUp(i)
-	} else {
-		s.siftDown(i)
-	}
-}
-
-// popTop removes the minimum event (the root). Instead of moving the
-// last element to the root and sifting it down (comparing it at every
-// level), the root hole bubbles down along min-children to a leaf and
-// the displaced last element sifts up from there: that element came
-// from the bottom, so it almost always belongs near the bottom, and
-// skipping the per-level "would it fit here" compare saves a quarter of
-// the comparisons on the scheduler's single hottest path.
-func (s *Scheduler) popTop() {
-	n := len(s.heap) - 1
-	s.releaseSlot(s.heap[pad].slotIdx())
-	e := s.heap[n]
-	s.heap = s.heap[:n]
-	if n == pad {
-		return
-	}
-	h := s.heap
-	i := pad
-	for {
-		c := i<<2 - 8
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if less(&h[j], &h[m]) {
-				m = j
-			}
-		}
-		h[i] = h[m]
-		s.locs[h[i].slotIdx()].idx = int32(i)
-		i = m
-	}
-	h[i] = e
-	s.locs[e.slotIdx()].idx = int32(i)
-	s.siftUp(i)
-}
-
-func (s *Scheduler) siftUp(i int) {
-	h := s.heap
-	e := h[i]
-	for i > pad {
-		p := (i + 8) >> 2
-		if !less(&e, &h[p]) {
-			break
-		}
-		h[i] = h[p]
-		s.locs[h[i].slotIdx()].idx = int32(i)
-		i = p
-	}
-	h[i] = e
-	s.locs[e.slotIdx()].idx = int32(i)
-}
-
-func (s *Scheduler) siftDown(i int) {
-	h := s.heap
-	n := len(h)
-	e := h[i]
-	for {
-		c := i<<2 - 8
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if less(&h[j], &h[m]) {
-				m = j
-			}
-		}
-		if !less(&h[m], &e) {
-			break
-		}
-		h[i] = h[m]
-		s.locs[h[i].slotIdx()].idx = int32(i)
-		i = m
-	}
-	h[i] = e
-	s.locs[e.slotIdx()].idx = int32(i)
-}
-
 // Stop makes Run/RunUntil return after the current event completes and
 // drains the queue: every pending event (and its closure) is discarded
-// from both the heap and the wheel, so a stopped scheduler retains
+// from both the band and the wheel, so a stopped scheduler retains
 // nothing. Long sweeps run thousands of schedulers back to back; without
 // the drain each stopped run would pin its undelivered closures (and
 // everything they capture) until the whole sweep finished.
 func (s *Scheduler) Stop() {
 	s.stopped = true
-	for i := pad; i < len(s.heap); i++ {
-		s.releaseSlot(s.heap[i].slotIdx())
+	if s.noWheel {
+		s.drainHeap()
+		return
 	}
-	s.heap = s.heap[:pad]
+	for _, k := range s.band[s.pos:] {
+		if slot := k.slotIdx(); slot != deadSlot {
+			s.releaseSlot(slot)
+		}
+	}
+	s.band, s.pos, s.dead = s.band[:0], 0, 0
 	if s.wheelCount > 0 {
 		for _, lvl := range [2]struct {
 			head []uint32
@@ -671,9 +699,14 @@ func (s *Scheduler) Stop() {
 // events.
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
-// Pending reports the number of queued events across the heap and both
+// Pending reports the number of queued events across the band and both
 // wheel levels.
-func (s *Scheduler) Pending() int { return len(s.heap) - pad + s.wheelCount }
+func (s *Scheduler) Pending() int {
+	if s.noWheel {
+		return len(s.heap) - pad
+	}
+	return len(s.band) - s.pos - s.dead + s.wheelCount
+}
 
 // Len reports the number of queued events (alias of Pending, matching
 // the container-style accessor sweeps and tests expect).
@@ -689,19 +722,17 @@ func (s *Scheduler) Run() {
 // the deadline (or at the last event if the queue drained first).
 func (s *Scheduler) RunUntil(deadline units.Time) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) > pad {
-			// The heap holds only the current band, so its top is due.
-			at := s.heap[pad].at
-			if at > deadline {
-				if s.now < deadline {
-					s.now = deadline
-				}
-				return
+	if s.noWheel {
+		s.runHeapOnly(deadline)
+	} else {
+		// Dispatch the band's run, then move the band on; either reports
+		// false once nothing more is due by the deadline.
+		for more := true; more && !s.stopped; {
+			if s.pos < len(s.band) {
+				more = s.runBand(deadline)
+			} else {
+				more = s.advance(deadline)
 			}
-			s.runBatch(at)
-		} else if !s.advance(deadline) {
-			break
 		}
 	}
 	if deadline != units.Forever && s.now < deadline {
@@ -709,37 +740,48 @@ func (s *Scheduler) RunUntil(deadline units.Time) {
 	}
 }
 
-// runBatch executes every queued event with fire time exactly at — the
-// batched same-timestamp dispatch loop. The heap pops equal-time events
-// in sequence order, and events a callback schedules for the running
-// instant land in the heap with a later sequence, so they join the same
-// batch in FIFO position; the delivered order is bit-identical to the
-// unbatched loop's.
-func (s *Scheduler) runBatch(at units.Time) {
-	s.now = at
-	for {
-		top := s.heap[pad]
-		pf := &s.fns[top.slotIdx()]
+// runBand dispatches the run from the cursor on, in order, until it
+// drains, Stop is called, or the next key is past the deadline (the only
+// case it reports false for). The run is sorted by (time, sequence) and
+// an event a callback schedules for the running instant is inserted with
+// a later sequence behind its equal-time peers, so same-timestamp events
+// fire in FIFO order exactly as a global sorted queue would deliver them.
+func (s *Scheduler) runBand(deadline units.Time) bool {
+	for s.pos < len(s.band) {
+		k := s.band[s.pos]
+		if k.at > deadline {
+			return false
+		}
+		s.pos++
+		slot := k.slotIdx()
+		if slot == deadSlot {
+			s.dead--
+			continue
+		}
+		s.now = k.at
+		pf := &s.fns[slot]
 		fn, afn, arg := pf.fn, pf.afn, pf.arg
-		s.popTop()
+		s.releaseSlot(slot)
 		s.processed++
 		if fn != nil {
 			fn()
 		} else {
 			afn(arg)
 		}
-		if s.stopped || len(s.heap) <= pad || s.heap[pad].at != at {
-			return
+		if s.stopped {
+			break
 		}
 	}
+	return true
 }
 
 // advance moves the clock's band forward to the next bucket holding
-// work, cascading and flushing wheel cohorts into the heap. The caller
-// has drained the heap, so the wheel alone decides the target. It
-// reports whether the caller should re-check the heap; false means
+// work, cascading and flushing wheel cohorts into the band. The caller
+// has drained the run, so the wheel alone decides the target. It
+// reports whether the caller should re-check the run; false means
 // nothing is pending at or before the deadline (the clock is settled).
 func (s *Scheduler) advance(deadline units.Time) bool {
+	s.band, s.pos = s.band[:0], 0
 	for {
 		if s.wheelCount == 0 {
 			return false // nothing pending anywhere
@@ -772,17 +814,17 @@ func (s *Scheduler) advance(deadline units.Time) bool {
 		}
 		b := int(target) & wheelMask
 		if s.occ0[b>>6]&(1<<(uint(b)&63)) != 0 {
-			if slot := s.head0[b]; len(s.heap) == pad && s.locs[slot].next == noIdx && s.locs[slot].at <= deadline {
+			if slot := s.head0[b]; len(s.band) == 0 && s.locs[slot].next == noIdx && s.locs[slot].at <= deadline {
 				// Singleton fast path: one event in the bucket and an
-				// empty heap (the cascade above may have filed a rival
+				// empty run (the cascade above may have filed a rival
 				// for this bucket there) means the event is the global
 				// minimum with no same-instant rival, so dispatch it
-				// straight off the wheel — no heap round-trip — and
+				// straight off the wheel — no copy into the run — and
 				// advance again: runs of singleton buckets (the common
 				// case at this bucket granularity) stay inside this
 				// loop. Events the callback schedules for the running
-				// instant land in the (empty) heap, which bounces back
-				// to the caller's same-timestamp batch loop.
+				// instant land in the (empty) run, which bounces back
+				// to the caller's dispatch loop.
 				s.head0[b] = noIdx
 				s.occ0[b>>6] &^= 1 << (uint(b) & 63)
 				s.wheelCount--
@@ -796,51 +838,36 @@ func (s *Scheduler) advance(deadline units.Time) bool {
 				} else {
 					afn(arg)
 				}
-				if s.stopped || len(s.heap) > pad {
+				if s.stopped || len(s.band) > 0 {
 					return true
 				}
 				continue
 			}
-			s.flushBucket(s.head0, s.occ0, b)
+			s.flushBucket(b)
 		}
 		return true
 	}
 }
 
-// DebugCheck verifies the internal consistency of the hybrid queue: the
-// heap property over every parent/child pair and every heap event lying
-// inside the current band, location backpointers matching heap positions
-// and wheel lists, wheel occupancy bitmaps and the wheelCount matching
+// DebugCheck verifies the internal consistency of the queue. In hybrid
+// mode: the live run strictly sorted by (time, sequence), every key in it
+// inside the current band and not before the clock, every live key's
+// location record saying "in band" with the same time and sequence, the
+// tombstone count; wheel occupancy bitmaps and the wheelCount matching
 // the lists, every wheel resident being filed in the bucket its fire
 // time maps to (level 0 within one rotation, level 1 any number out), and
-// free slots being truly dead. It is O(n + wheelSize) and meant for tests
-// (the scheduler fuzzers call it after every operation); it returns the
-// first violation found, or nil.
+// free slots being truly dead. In heap-only mode the heap property and
+// backpointers stand in for the run checks. It is O(n + wheelSize) and
+// meant for tests (the scheduler fuzzers call it after every operation);
+// it returns the first violation found, or nil.
 func (s *Scheduler) DebugCheck() error {
-	live := 0
-	for i := pad; i < len(s.heap); i++ {
-		k := &s.heap[i]
-		if k.at >= s.bandEnd {
-			return fmt.Errorf("sim: heap index %d holds event at %v beyond the band end %v", i, k.at, s.bandEnd)
-		}
-		if i > pad {
-			p := (i + 8) >> 2
-			if less(k, &s.heap[p]) {
-				return fmt.Errorf("sim: heap property violated at index %d (parent %d)", i, p)
-			}
-		}
-		slot := k.slotIdx()
-		if int(slot) >= len(s.locs) {
-			return fmt.Errorf("sim: heap index %d references slot %d beyond table (%d)", i, slot, len(s.locs))
-		}
-		ref := &s.locs[slot]
-		if int(ref.idx) != i {
-			return fmt.Errorf("sim: slot %d backpointer %d, heap position %d", slot, ref.idx, i)
-		}
-		if pf := &s.fns[slot]; pf.fn == nil && pf.afn == nil {
-			return fmt.Errorf("sim: queued slot %d has no callback", slot)
-		}
-		live++
+	check := s.checkBand
+	if s.noWheel {
+		check = s.checkHeap
+	}
+	live, err := check()
+	if err != nil {
+		return err
 	}
 	inWheel, inL1 := 0, 0
 	for lvl, w := range [2]struct {
@@ -901,6 +928,46 @@ func (s *Scheduler) DebugCheck() error {
 	return nil
 }
 
+// checkBand is DebugCheck's run part; it returns the number of live
+// events in the band.
+func (s *Scheduler) checkBand() (int, error) {
+	if s.heap != nil {
+		return 0, fmt.Errorf("sim: hybrid scheduler has a heap (%d keys)", len(s.heap))
+	}
+	if s.pos > len(s.band) {
+		return 0, fmt.Errorf("sim: run cursor %d past the run's end %d", s.pos, len(s.band))
+	}
+	live, dead := 0, 0
+	for i := s.pos; i < len(s.band); i++ {
+		k := &s.band[i]
+		if k.at >= s.bandEnd || k.at < s.now {
+			return 0, fmt.Errorf("sim: run index %d holds event at %v outside [now %v, band end %v)", i, k.at, s.now, s.bandEnd)
+		}
+		if i > s.pos && !less(&s.band[i-1], k) {
+			return 0, fmt.Errorf("sim: run not sorted at index %d", i)
+		}
+		slot := k.slotIdx()
+		if slot == deadSlot {
+			dead++
+			continue
+		}
+		if int(slot) >= len(s.locs) {
+			return 0, fmt.Errorf("sim: run index %d references slot %d beyond table (%d)", i, slot, len(s.locs))
+		}
+		if ref := &s.locs[slot]; ref.idx != inBand || ref.at != k.at || ref.sq != uint32(k.ss>>32) {
+			return 0, fmt.Errorf("sim: run index %d key (%v, %d) but slot %d records idx %d (%v, %d)", i, k.at, uint32(k.ss>>32), slot, ref.idx, ref.at, ref.sq)
+		}
+		if pf := &s.fns[slot]; pf.fn == nil && pf.afn == nil {
+			return 0, fmt.Errorf("sim: queued slot %d has no callback", slot)
+		}
+		live++
+	}
+	if dead != s.dead {
+		return 0, fmt.Errorf("sim: run holds %d tombstones, dead count %d", dead, s.dead)
+	}
+	return live, nil
+}
+
 // Timer is a cancellable, re-armable timer built on the scheduler. It is
 // used for periodic credit updates, CNP generation windows, rate-increase
 // timers and similar protocol machinery.
@@ -918,9 +985,17 @@ type Timer struct {
 
 // NewTimer returns an unarmed timer that runs fn when it fires.
 func NewTimer(s *Scheduler, fn func()) *Timer {
-	t := &Timer{s: s, fn: fn, armedAt: units.Never}
-	t.fireFn = t.fire
+	t := new(Timer)
+	t.Init(s, fn)
 	return t
+}
+
+// Init makes t an unarmed timer that runs fn when it fires, for a Timer
+// that lives by value in its owner. The owner must not be copied
+// afterwards: the scheduler is handed a callback bound to t.
+func (t *Timer) Init(s *Scheduler, fn func()) {
+	*t = Timer{s: s, fn: fn, armedAt: units.Never}
+	t.fireFn = t.fire
 }
 
 // Arm (re)schedules the timer to fire d from now, replacing any pending

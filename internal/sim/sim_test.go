@@ -482,7 +482,7 @@ func TestDebugCheckOnChurn(t *testing.T) {
 }
 
 // Events more than one level-1 rotation (~34.4 ms) out park in the wheel,
-// not in the heap the near events sift through: 1000 events at +40 ms
+// not in the band the near events are ordered in: 1000 events at +40 ms
 // stay out of the band while 1 ms of near-term churn runs over them, and
 // still fire in (time, sequence) order when their rotation comes up.
 func TestParkedEventsStayOutOfTheHeap(t *testing.T) {
@@ -513,8 +513,8 @@ func TestParkedEventsStayOutOfTheHeap(t *testing.T) {
 		if err := s.DebugCheck(); err != nil {
 			t.Fatalf("at %v: %v", step, err)
 		}
-		if depth := len(s.heap) - pad; depth > 4 {
-			t.Fatalf("at %v: heap depth %d with only the churn events near", step, depth)
+		if depth := len(s.band) - s.pos; depth > 4 {
+			t.Fatalf("at %v: band depth %d with only the churn events near", step, depth)
 		}
 	}
 	if ticks < 9000 || rearms < 100 || len(got) != 0 {
