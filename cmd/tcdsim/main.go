@@ -75,7 +75,7 @@ func main() {
 		traceOut     = flag.String("trace-out", "", "stream the structured event trace as JSONL to this file (spill-to-disk; observation experiments)")
 		traceGzip    = flag.Bool("trace-gzip", false, "gzip-compress the -trace-out stream")
 		traceChunkMB = flag.Int("trace-chunk-mb", 64, "rotate -trace-out into numbered chunks of this many MB")
-		traceMaxMB   = flag.Int("trace-max-mb", 0, "cap total -trace-out disk usage in MB, dropping the oldest chunks (0 = unlimited)")
+		traceMaxMB   = flag.Int("trace-max-mb", 0, "cap total -trace-out disk usage in MB: recording stops at the cap, keeping the oldest events (0 = unlimited)")
 		telemetry    = flag.Bool("telemetry", false, "fold the event stream into bounded-memory histograms (FCT, queue depth, pause/stall durations, mark gaps)")
 		httpAddr     = flag.String("http", "", "serve live /metrics (Prometheus text), /progress (JSON) and /debug/pprof on this address during the run")
 		httpLinger   = flag.Duration("http-linger", 0, "keep the -http endpoint up this long after the run finishes")
@@ -232,7 +232,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace: %d events, %d bytes in %d chunk(s) -> %s\n",
 			spill.Written(), spill.Bytes(), spill.Chunks(), *traceOut)
 		if n := spill.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "trace: disk cap reached, oldest %d events dropped (raise -trace-max-mb)\n", n)
+			fmt.Fprintf(os.Stderr, "trace: disk cap reached, the newest %d events were not recorded (raise -trace-max-mb)\n", n)
 		}
 	}
 	if p.Obs.Metrics != nil {

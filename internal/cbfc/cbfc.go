@@ -51,13 +51,11 @@ type Gate struct {
 	port  *fabric.Port
 	fctbs []int64
 	fccl  []int64
-	// starved tracks, per VL, whether the last refusal was reported, so
-	// exhaustion/grant events record the edges and not every CanSend.
-	starved []bool
-	// starvedSince records when the current starvation began
-	// (units.Forever while credits last) — the credit-stall analogue of
-	// PFC's pausedSince, used for initial-trigger attribution.
-	starvedSince []units.Time
+	// since records, per VL, when the current starvation began — the
+	// first refused CanSend after credits last sufficed — and holds
+	// units.Forever while they do, so exhaustion/grant events record the
+	// edges and not every CanSend.
+	since []units.Time
 	// Updates counts FCCL messages received.
 	Updates uint64
 }
@@ -67,9 +65,8 @@ func (g *Gate) CanSend(vl uint8, size units.ByteSize) bool {
 	if g.fctbs[vl]+int64(size) <= g.fccl[vl] {
 		return true
 	}
-	if !g.starved[vl] {
-		g.starved[vl] = true
-		g.starvedSince[vl] = g.port.Now()
+	if g.since[vl] == units.Forever {
+		g.since[vl] = g.port.Now()
 		if rec := g.port.Recorder(); rec != nil {
 			rec.Record(obs.Event{
 				At: g.port.Now(), Kind: obs.KindCreditExhausted,
@@ -92,9 +89,8 @@ func (g *Gate) HandleCtrl(now units.Time, f fabric.CtrlFrame) {
 	}
 	if f.FCCL > g.fccl[f.Prio] {
 		g.fccl[f.Prio] = f.FCCL
-		if g.starved[f.Prio] {
-			g.starved[f.Prio] = false
-			g.starvedSince[f.Prio] = units.Forever
+		if g.since[f.Prio] != units.Forever {
+			g.since[f.Prio] = units.Forever
 			if rec := g.port.Recorder(); rec != nil {
 				rec.Record(obs.Event{
 					At: now, Kind: obs.KindCreditGrant,
@@ -110,13 +106,9 @@ func (g *Gate) HandleCtrl(now units.Time, f fabric.CtrlFrame) {
 // Credits reports the currently available credit in bytes for one VL.
 func (g *Gate) Credits(vl uint8) int64 { return g.fccl[vl] - g.fctbs[vl] }
 
-// Starved reports whether the VL is currently out of credit (as of the
-// last refused CanSend).
-func (g *Gate) Starved(vl uint8) bool { return g.starved[vl] }
-
-// StarvedSince reports when the current starvation of one VL began, or
-// units.Forever if the VL has credit.
-func (g *Gate) StarvedSince(vl uint8) units.Time { return g.starvedSince[vl] }
+// BlockedSince implements fabric.TxGate: when the current starvation of
+// one VL began (as of the last refused CanSend).
+func (g *Gate) BlockedSince(vl uint8) units.Time { return g.since[vl] }
 
 // Meter is the downstream ingress side: ABR, occupancy, and the periodic
 // FCCL timer. The timer quiesces while the link is idle (no occupancy and
@@ -125,57 +117,38 @@ func (g *Gate) StarvedSince(vl uint8) units.Time { return g.starvedSince[vl] }
 // re-arms the period. This keeps event queues finite on idle networks
 // without changing behaviour under load.
 type Meter struct {
+	fabric.Ingress
 	port     *fabric.Port
 	cfg      Config
 	abr      []int64
-	occ      []units.ByteSize
 	reported []int64
 	timer    sim.Timer // by value; Install builds the Meter in place and never copies it
 
-	// MaxOcc is the maximum occupancy observed on any VL.
-	MaxOcc units.ByteSize
 	// UpdatesSent counts FCCL messages originated.
 	UpdatesSent uint64
-	// Violations counts arrivals that overflow the buffer (must stay zero:
-	// CBFC is supposed to make overflow impossible).
-	Violations uint64
 }
 
-// OnArrive implements fabric.RxMeter.
+// OnArrive implements fabric.RxMeter. A violation is an arrival that
+// overflows the buffer, which CBFC is supposed to make impossible.
 func (m *Meter) OnArrive(_ units.Time, pkt *packet.Packet) {
-	vl := pkt.Priority
-	m.abr[vl] += int64(pkt.Size)
-	m.occ[vl] += pkt.Size
-	if m.occ[vl] > m.MaxOcc {
-		m.MaxOcc = m.occ[vl]
-	}
-	if m.occ[vl] > m.cfg.Buffer {
-		m.Violations++
-	}
+	m.abr[pkt.Priority] += int64(pkt.Size)
+	m.Arrive(pkt.Priority, pkt.Size, m.cfg.Buffer)
 	if !m.timer.Armed() {
 		m.timer.Arm(m.cfg.Tc)
 	}
 }
 
 // OnFree implements fabric.RxMeter.
-func (m *Meter) OnFree(_ units.Time, pkt *packet.Packet) {
-	vl := pkt.Priority
-	m.occ[vl] -= pkt.Size
-	if m.occ[vl] < 0 {
-		panic("cbfc: negative ingress occupancy")
-	}
-}
-
-// Occupancy reports the buffered bytes for one VL.
-func (m *Meter) Occupancy(vl uint8) units.ByteSize { return m.occ[vl] }
+func (m *Meter) OnFree(_ units.Time, pkt *packet.Packet) { m.Free(pkt.Priority, pkt.Size) }
 
 func (m *Meter) sendUpdate() {
 	active := false
 	for vl := range m.abr {
-		if m.occ[vl] > 0 || m.abr[vl] != m.reported[vl] {
+		occ := m.Occupancy(uint8(vl))
+		if occ > 0 || m.abr[vl] != m.reported[vl] {
 			active = true
 		}
-		free := m.cfg.Buffer - m.occ[vl]
+		free := m.cfg.Buffer - occ
 		if free < 0 {
 			free = 0
 		}
@@ -204,12 +177,12 @@ func Install(n *fabric.Network, cfg Config) {
 	nPrio := n.Config().Priorities
 	ports := n.Ports()
 	// One backing array per field, subsliced per gate/meter, so the whole
-	// fabric's credit state is contiguous — the credit-stall detector's
+	// fabric's credit state is contiguous — the wait detector's
 	// attribution pass and invariant sweeps walk arrays, not a heap
 	// object per port.
 	np := len(ports) * nPrio
 	fctbs, fccl := make([]int64, np), make([]int64, np)
-	starved, since := make([]bool, np), make([]units.Time, np)
+	since := make([]units.Time, np)
 	abr, reported := make([]int64, np), make([]int64, np)
 	occ := make([]units.ByteSize, np)
 	for i := range fccl {
@@ -221,18 +194,14 @@ func Install(n *fabric.Network, cfg Config) {
 	for i, p := range ports {
 		lo, hi := i*nPrio, (i+1)*nPrio
 		g := &gates[i]
-		*g = Gate{
-			port:  p,
-			fctbs: fctbs[lo:hi], fccl: fccl[lo:hi],
-			starved: starved[lo:hi], starvedSince: since[lo:hi],
-		}
+		*g = Gate{port: p, fctbs: fctbs[lo:hi], fccl: fccl[lo:hi], since: since[lo:hi]}
 		p.AttachGate(g)
 		m := &meters[i]
 		*m = Meter{
+			Ingress:  fabric.NewIngress(occ[lo:hi]),
 			port:     p,
 			cfg:      cfg,
 			abr:      abr[lo:hi],
-			occ:      occ[lo:hi],
 			reported: reported[lo:hi],
 		}
 		m.timer.Init(n.Sched, m.sendUpdate)
@@ -243,15 +212,4 @@ func Install(n *fabric.Network, cfg Config) {
 		}
 		m.timer.Arm(cfg.Tc + phase)
 	}
-}
-
-// Meters returns all installed CBFC meters.
-func Meters(n *fabric.Network) []*Meter {
-	var out []*Meter
-	for _, p := range n.Ports() {
-		if m, ok := p.Meter().(*Meter); ok {
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -46,9 +46,9 @@ func TestUncongestedFlowRunsAtLineRateUnderCBFC(t *testing.T) {
 	if f.FCT > wire+wire/10 {
 		t.Errorf("CBFC throttled an idle path: FCT %v, wire %v", f.FCT, wire)
 	}
-	for _, mt := range cbfc.Meters(n) {
-		if mt.Violations != 0 {
-			t.Errorf("buffer violations: %d", mt.Violations)
+	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
+		if mt.Violations() != 0 {
+			t.Errorf("buffer violations: %d", mt.Violations())
 		}
 	}
 }
@@ -68,9 +68,9 @@ func TestIncastIsLosslessUnderCBFC(t *testing.T) {
 			t.Fatalf("flow %d incomplete: done=%v bytes=%v", f.ID, f.Done, f.BytesRxed())
 		}
 	}
-	for _, mt := range cbfc.Meters(n) {
-		if mt.Violations != 0 {
-			t.Errorf("CBFC let the buffer overflow %d times (max occ %v)", mt.Violations, mt.MaxOcc)
+	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
+		if mt.Violations() != 0 {
+			t.Errorf("CBFC let the buffer overflow %d times (max occ %v)", mt.Violations(), mt.MaxOccupancy())
 		}
 	}
 }
@@ -92,7 +92,7 @@ func TestCreditStarvationCausesOnOff(t *testing.T) {
 	if n.HostPort(g.ID("h0")).PauseTime == 0 {
 		t.Error("credit starvation did not spread to the host NIC")
 	}
-	for _, mt := range cbfc.Meters(n) {
+	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
 		if mt.Occupancy(0) != 0 {
 			t.Errorf("residual occupancy %v after drain", mt.Occupancy(0))
 		}
@@ -152,7 +152,7 @@ func TestIdleMetersQuiesce(t *testing.T) {
 	// With no traffic at all, the initial per-meter update fires once and
 	// the event queue drains — Run terminates.
 	s.Run()
-	for _, mt := range cbfc.Meters(n) {
+	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
 		if mt.UpdatesSent != 1 {
 			t.Errorf("idle meter sent %d updates, want exactly 1", mt.UpdatesSent)
 		}
@@ -176,13 +176,13 @@ func TestStaggerOffsetsFirstUpdate(t *testing.T) {
 	}
 	cbfc.Install(n, cfg)
 	s.RunUntil(99 * units.Microsecond)
-	for _, mt := range cbfc.Meters(n) {
+	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
 		if mt.UpdatesSent != 0 {
 			t.Error("update fired before Tc despite stagger")
 		}
 	}
 	s.RunUntil(120 * units.Microsecond)
-	for _, mt := range cbfc.Meters(n) {
+	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
 		if mt.UpdatesSent != 1 {
 			t.Errorf("updates = %d after first period, want 1", mt.UpdatesSent)
 		}

@@ -3,12 +3,11 @@ package exp
 import (
 	"fmt"
 
-	"github.com/tcdnet/tcd/internal/cbfc"
+	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
-	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/rng"
 	"github.com/tcdnet/tcd/internal/routing"
 	"github.com/tcdnet/tcd/internal/stats"
@@ -170,11 +169,8 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 		ue += p.MarkedUE
 	}
 	var violations uint64
-	for _, m := range pfc.Meters(rig.Net) {
-		violations += m.Violations
-	}
-	for _, m := range cbfc.Meters(rig.Net) {
-		violations += m.Violations
+	for _, m := range fabric.Meters[fabric.RxMeter](rig.Net) {
+		violations += m.Violations()
 	}
 	res.Scalars["total_pause_ms"] = pauseTime.Millis()
 	res.Scalars["marked_ce"] = float64(ce)

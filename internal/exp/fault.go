@@ -9,9 +9,9 @@
 //     pause-dominated ON/OFF pattern, stays undetermined, and marks UE.
 //   - deadlock-unit: a 3-switch ring with deliberately cyclic routing
 //     and tiny flow-control buffers. The pause (or credit) waits close
-//     into a loop that can never drain; the pfc.DeadlockDetector /
-//     cbfc.StallDetector must find the cycle and attribute the initial
-//     trigger within bounded sim time.
+//     into a loop that can never drain; fabric.WaitDetector must find
+//     the cycle and attribute the initial trigger within bounded sim
+//     time.
 
 package exp
 
@@ -205,7 +205,7 @@ type DeadlockUnitConfig struct {
 	// Horizon ends the run (the cycle forms within the first hundred
 	// microseconds; the horizon only bounds detection).
 	Horizon units.Time
-	// ScanEvery overrides the detector period (0 = detector default).
+	// ScanEvery is the detector period (0 = the stock period for Kind).
 	ScanEvery units.Time
 	// Seed feeds the rig's random streams.
 	Seed uint64
@@ -214,9 +214,17 @@ type DeadlockUnitConfig struct {
 }
 
 // DefaultDeadlockUnitConfig returns the stock parameters: a 5 ms run on
-// the 3-switch ring.
+// the 3-switch ring, scanned every 100 us on CEE and every 200 us on IB.
+// A wait cycle is permanent once formed, so the period only bounds
+// detection latency and 100 us keeps the event overhead negligible next
+// to the dataplane; on IB it must also comfortably exceed Tc, because a
+// healthy port can legitimately sit starved for up to one FCCL period.
 func DefaultDeadlockUnitConfig(kind FabricKind) DeadlockUnitConfig {
-	return DeadlockUnitConfig{Kind: kind, Horizon: 5 * units.Millisecond}
+	cfg := DeadlockUnitConfig{Kind: kind, Horizon: 5 * units.Millisecond, ScanEvery: 100 * units.Microsecond}
+	if kind == IB {
+		cfg.ScanEvery = 200 * units.Microsecond
+	}
+	return cfg
 }
 
 // DeadlockUnit drives the ring into a provable wait cycle and reports
@@ -224,8 +232,12 @@ func DefaultDeadlockUnitConfig(kind FabricKind) DeadlockUnitConfig {
 // time, the cycle size, and how long the initial trigger had been
 // blocked when the scan caught it.
 func DeadlockUnit(cfg DeadlockUnitConfig) *Result {
+	def := DefaultDeadlockUnitConfig(cfg.Kind)
 	if cfg.Horizon == 0 {
-		cfg.Horizon = 5 * units.Millisecond
+		cfg.Horizon = def.Horizon
+	}
+	if cfg.ScanEvery == 0 {
+		cfg.ScanEvery = def.ScanEvery
 	}
 	rate := 40 * units.Gbps
 	ring := topo.NewRing(3, rate, units.Microsecond)
@@ -253,15 +265,11 @@ func DeadlockUnit(cfg DeadlockUnitConfig) *Result {
 		return rig.Net.PortToward(at, ring.Sw[(i+1)%3])
 	}
 
-	var (
-		pfcDet  *pfc.DeadlockDetector
-		cbfcDet *cbfc.StallDetector
-	)
-	if cfg.Kind == CEE {
-		pfcDet = pfc.AttachDeadlockDetector(rig.Net, cfg.ScanEvery)
-	} else {
-		cbfcDet = cbfc.AttachStallDetector(rig.Net, cfg.ScanEvery)
+	found := obs.KindDeadlock
+	if cfg.Kind == IB {
+		found = obs.KindCreditStall
 	}
+	det := rig.Net.AttachWaitDetector(cfg.ScanEvery, found)
 
 	// Each host sends 2 MB to the host two hops clockwise: far more than
 	// the ring's total buffering, at line rate.
@@ -284,22 +292,15 @@ func DeadlockUnit(cfg DeadlockUnitConfig) *Result {
 	res.Scalars["stranded_kb"] = float64(stranded.Bytes) / 1000
 	res.Scalars["stranded_ports"] = float64(len(stranded.Ports))
 
-	report := func(at units.Time, ports []string, trigger string, since units.Time, scans uint64) {
-		res.Scalars["deadlocked"] = 1
-		res.Scalars["detected_at_us"] = at.Micros()
-		res.Scalars["cycle_ports"] = float64(len(ports))
-		res.Scalars["trigger_blocked_us"] = since.Micros()
-		res.Scalars["scans"] = float64(scans)
-		res.AddNote("cycle %v, initial trigger %s (blocked %v before the scan)", ports, trigger, since)
-	}
 	res.Scalars["deadlocked"] = 0
-	if pfcDet != nil && pfcDet.Deadlocked() {
-		r0 := pfcDet.Reports[0]
-		report(r0.At, r0.Ports, r0.Trigger, r0.Since, pfcDet.Scans)
-	}
-	if cbfcDet != nil && cbfcDet.Stalled() {
-		r0 := cbfcDet.Reports[0]
-		report(r0.At, r0.Ports, r0.Trigger, r0.Since, cbfcDet.Scans)
+	if len(det.Reports) > 0 {
+		r0 := det.Reports[0]
+		res.Scalars["deadlocked"] = 1
+		res.Scalars["detected_at_us"] = r0.At.Micros()
+		res.Scalars["cycle_ports"] = float64(len(r0.Ports))
+		res.Scalars["trigger_blocked_us"] = r0.Since.Micros()
+		res.Scalars["scans"] = float64(det.Scans)
+		res.AddNote("cycle %v, initial trigger %s (blocked %v before the scan)", r0.Ports, r0.Trigger, r0.Since)
 	}
 	return res
 }

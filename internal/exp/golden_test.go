@@ -12,13 +12,13 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// The golden-trace gate: reduced-scale fig3, fig12 and table3 runs whose
-// Result JSON and (for the observation scenarios) JSONL event traces are
-// committed under testdata/golden and compared byte-for-byte on every
-// test run. Scheduler or hot-path rewrites that reorder same-timestamp
-// events, perturb the clock, or change any emitted value fail here with
-// the first differing byte — the trace diff catches reorderings long
-// before they surface in a scalar.
+// The golden-trace gate: reduced-scale fig3, fig12, table3 and
+// deadlock-unit (both fabrics) runs whose Result JSON and (table3 apart)
+// JSONL event traces are committed under testdata/golden and compared
+// byte-for-byte on every test run. Scheduler or hot-path rewrites that
+// reorder same-timestamp events, perturb the clock, or change any emitted
+// value fail here with the first differing byte — the trace diff catches
+// reorderings long before they surface in a scalar.
 //
 // Regenerate intentionally with:
 //
@@ -34,7 +34,12 @@ func goldenObserve(t *testing.T, det DetectorKind) (result, trace []byte) {
 	cfg.Horizon = 2 * units.Millisecond
 	ring := obs.NewRing(0)
 	cfg.Obs = obs.Config{Rec: ring}
-	res := Observe(cfg)
+	return goldenBytes(t, Observe(cfg), ring)
+}
+
+// goldenBytes encodes a run's Result JSON and its recorded JSONL trace.
+func goldenBytes(t *testing.T, res *Result, ring *obs.Ring) (result, trace []byte) {
+	t.Helper()
 	var rb, tb bytes.Buffer
 	if err := res.WriteJSON(&rb); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -43,6 +48,19 @@ func goldenObserve(t *testing.T, det DetectorKind) (result, trace []byte) {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
 	return rb.Bytes(), tb.Bytes()
+}
+
+// goldenDeadlockUnit runs deadlock-unit for 1 ms on one fabric: the only
+// cross-commit pin on the wait-cycle detector's report (detection time,
+// trigger attribution, scan count, the pfc.deadlock / cbfc.stall event).
+func goldenDeadlockUnit(t *testing.T, kind FabricKind) (result, trace []byte) {
+	t.Helper()
+	cfg := DefaultDeadlockUnitConfig(kind)
+	cfg.Seed = 1
+	cfg.Horizon = units.Millisecond
+	ring := obs.NewRing(0)
+	cfg.Obs = obs.Config{Rec: ring}
+	return goldenBytes(t, DeadlockUnit(cfg), ring)
 }
 
 // TestGoldenTraces regenerates the golden scenarios and diffs every
@@ -67,6 +85,12 @@ func TestGoldenTraces(t *testing.T) {
 		t.Fatalf("table3 WriteJSON: %v", err)
 	}
 	artifacts["table3.json"] = t3b.Bytes()
+
+	for _, kind := range []FabricKind{CEE, IB} {
+		res, trace := goldenDeadlockUnit(t, kind)
+		artifacts["deadlock-unit-"+kind.String()+".json"] = res
+		artifacts["deadlock-unit-"+kind.String()+".trace.jsonl"] = trace
+	}
 
 	dir := filepath.Join("testdata", "golden")
 	if *updateGolden {

@@ -64,12 +64,15 @@ func CheckInvariants(r *Rig) error {
 				}
 			}
 		}
-		switch m := p.Meter().(type) {
-		case *pfc.Meter:
-			if healthy && m.Violations > 0 {
-				fail("buffer bound: port %s ingress exceeded Xoff+Headroom %d times (max occupancy %d B)",
-					p.Label(), m.Violations, m.MaxOcc)
-			}
+		m := p.Meter()
+		if m == nil {
+			continue
+		}
+		if healthy && m.Violations() > 0 {
+			fail("buffer bound: port %s ingress exceeded its flow-control bound %d times (max occupancy %d B)",
+				p.Label(), m.Violations(), m.MaxOccupancy())
+		}
+		if m, ok := m.(*pfc.Meter); ok {
 			for prio := 0; prio < nPrio; prio++ {
 				occ := m.Occupancy(uint8(prio))
 				if m.PauseOutstanding(uint8(prio)) && occ <= r.PFCCfg.Xon {
@@ -80,11 +83,6 @@ func CheckInvariants(r *Rig) error {
 					fail("missing pause: port %s prio %d at occupancy %d B > Xoff %d B without PAUSE",
 						p.Label(), prio, occ, r.PFCCfg.Xoff)
 				}
-			}
-		case *cbfc.Meter:
-			if healthy && m.Violations > 0 {
-				fail("buffer bound: port %s ingress exceeded the %d B CBFC buffer %d times (max occupancy %d B)",
-					p.Label(), r.CBFCCfg.Buffer, m.Violations, m.MaxOcc)
 			}
 		}
 	}

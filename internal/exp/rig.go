@@ -518,6 +518,10 @@ func (r *Rig) SnapshotMetrics(reg *obs.Registry) {
 	reg.Counter("sched_cohort_events").Add(int64(bs.CohortEvents))
 	reg.Gauge("sched_cohort_max").Set(float64(bs.CohortMax))
 	reg.Counter("sched_band_inserts").Add(int64(bs.Inserts))
+	violations, maxOcc := "pfc_violations", "pfc_max_occupancy_bytes"
+	if r.Kind == IB {
+		violations, maxOcc = "cbfc_violations", "cbfc_max_occupancy_bytes"
+	}
 	for _, p := range r.Net.Ports() {
 		lbl := p.Label()
 		reg.Counter("port_tx_bytes", "port", lbl).Add(int64(p.TxBytes))
@@ -528,16 +532,16 @@ func (r *Rig) SnapshotMetrics(reg *obs.Registry) {
 		reg.Counter("port_ctrl_sent", "port", lbl).Add(int64(p.CtrlSent))
 		reg.Gauge("port_pause_time_us", "port", lbl).Set(p.PauseTime.Micros())
 		reg.Gauge("port_queue_bytes", "port", lbl).Set(float64(p.TotalQueueBytes()))
-		switch m := p.Meter().(type) {
-		case *pfc.Meter:
-			reg.Counter("pfc_pauses_sent", "port", lbl).Add(int64(m.PausesSent))
-			reg.Counter("pfc_resumes_sent", "port", lbl).Add(int64(m.ResumesSent))
-			reg.Counter("pfc_violations", "port", lbl).Add(int64(m.Violations))
-			reg.Gauge("pfc_max_occupancy_bytes", "port", lbl).Set(float64(m.MaxOcc))
-		case *cbfc.Meter:
-			reg.Counter("cbfc_updates_sent", "port", lbl).Add(int64(m.UpdatesSent))
-			reg.Counter("cbfc_violations", "port", lbl).Add(int64(m.Violations))
-			reg.Gauge("cbfc_max_occupancy_bytes", "port", lbl).Set(float64(m.MaxOcc))
+		if m := p.Meter(); m != nil {
+			reg.Counter(violations, "port", lbl).Add(int64(m.Violations()))
+			reg.Gauge(maxOcc, "port", lbl).Set(float64(m.MaxOccupancy()))
+			switch m := m.(type) {
+			case *pfc.Meter:
+				reg.Counter("pfc_pauses_sent", "port", lbl).Add(int64(m.PausesSent))
+				reg.Counter("pfc_resumes_sent", "port", lbl).Add(int64(m.ResumesSent))
+			case *cbfc.Meter:
+				reg.Counter("cbfc_updates_sent", "port", lbl).Add(int64(m.UpdatesSent))
+			}
 		}
 		var tcd *core.TCD
 		switch d := p.DetectorAt(0).(type) {

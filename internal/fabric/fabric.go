@@ -77,6 +77,11 @@ type TxGate interface {
 	OnSend(prio uint8, size units.ByteSize)
 	// HandleCtrl processes a control frame from the downstream peer.
 	HandleCtrl(now units.Time, f CtrlFrame)
+	// BlockedSince reports when the gate began refusing the priority, or
+	// units.Forever while it admits traffic. In a wait cycle the member
+	// blocked earliest is where the storm entered the loop (DCFIT's
+	// initial trigger); WaitDetector attributes by it.
+	BlockedSince(prio uint8) units.Time
 }
 
 // RxMeter is the ingress side of a hop-by-hop flow control: it accounts
@@ -87,6 +92,73 @@ type RxMeter interface {
 	OnArrive(now units.Time, pkt *packet.Packet)
 	// OnFree accounts for that packet finally leaving the node.
 	OnFree(now units.Time, pkt *packet.Packet)
+	// Occupancy, MaxOccupancy and Violations read the ingress ledger;
+	// embedding Ingress supplies all three.
+	Occupancy(prio uint8) units.ByteSize
+	MaxOccupancy() units.ByteSize
+	Violations() uint64
+}
+
+// Ingress is the buffer ledger every RxMeter embeds: the occupancy
+// attributable to one input port per priority, its high-water mark, and
+// the arrivals that found it beyond the control law's bound. The law
+// decides what to signal upstream from the occupancy Arrive and Free
+// return.
+type Ingress struct {
+	occ        []units.ByteSize
+	maxOcc     units.ByteSize
+	violations uint64
+}
+
+// NewIngress returns a ledger that keeps its occupancy in occ, one slot
+// per priority (Install passes a subslice of one fabric-wide array).
+func NewIngress(occ []units.ByteSize) Ingress { return Ingress{occ: occ} }
+
+// Arrive adds size to the priority's occupancy and returns the result;
+// a result beyond bound is a violation (a would-be drop in a real
+// switch — must stay zero for losslessness).
+func (a *Ingress) Arrive(prio uint8, size, bound units.ByteSize) units.ByteSize {
+	occ := a.occ[prio] + size
+	a.occ[prio] = occ
+	if occ > a.maxOcc {
+		a.maxOcc = occ
+	}
+	if occ > bound {
+		a.violations++
+	}
+	return occ
+}
+
+// Free subtracts size from the priority's occupancy and returns the
+// result.
+func (a *Ingress) Free(prio uint8, size units.ByteSize) units.ByteSize {
+	occ := a.occ[prio] - size
+	if occ < 0 {
+		panic("fabric: negative ingress occupancy")
+	}
+	a.occ[prio] = occ
+	return occ
+}
+
+// Occupancy reports the bytes currently buffered on one priority.
+func (a *Ingress) Occupancy(prio uint8) units.ByteSize { return a.occ[prio] }
+
+// MaxOccupancy reports the highest occupancy seen on any priority.
+func (a *Ingress) MaxOccupancy() units.ByteSize { return a.maxOcc }
+
+// Violations counts arrivals beyond the bound passed to Arrive.
+func (a *Ingress) Violations() uint64 { return a.violations }
+
+// Meters returns the installed ingress meters of type M in port order:
+// Meters[RxMeter] for every meter, Meters[*pfc.Meter] for one law's.
+func Meters[M RxMeter](n *Network) []M {
+	var out []M
+	for _, p := range n.ports {
+		if m, ok := p.meter.(M); ok {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // Detector observes an egress port and marks packets (ECN/FECN/TCD).

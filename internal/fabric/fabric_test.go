@@ -232,6 +232,7 @@ type testGate struct {
 func (g *testGate) CanSend(prio uint8, size units.ByteSize) bool { return g.open }
 func (g *testGate) OnSend(prio uint8, size units.ByteSize)       {}
 func (g *testGate) HandleCtrl(now units.Time, f CtrlFrame)       {}
+func (g *testGate) BlockedSince(uint8) units.Time                { return units.Forever }
 
 type recordDetector struct {
 	offStarts, offEnds []units.Time
@@ -334,6 +335,7 @@ type ctrlRecordGate struct {
 
 func (g *ctrlRecordGate) CanSend(uint8, units.ByteSize) bool { return true }
 func (g *ctrlRecordGate) OnSend(uint8, units.ByteSize)       {}
+func (g *ctrlRecordGate) BlockedSince(uint8) units.Time      { return units.Forever }
 func (g *ctrlRecordGate) HandleCtrl(now units.Time, f CtrlFrame) {
 	*g.at = now
 }

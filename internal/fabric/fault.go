@@ -1,7 +1,7 @@
 // Fault surface of the dataplane: link and port failure primitives, the
 // payload-conservation ledger the invariant tests audit, and the
-// pause-wait graph that the PFC deadlock and CBFC credit-stall detectors
-// scan for cycles.
+// pause-wait graph with the detector that scans it for flow-control
+// deadlocks (PFC pause-wait and CBFC credit-wait cycles alike).
 //
 // All fault state is plain flags tested inline on the hot paths, so a run
 // that never touches this file schedules exactly the same events as one
@@ -11,8 +11,11 @@
 package fabric
 
 import (
+	"strings"
+
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
+	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -253,8 +256,8 @@ func (p *Port) waitsBlocked() bool {
 // every member waits on buffer that only its own progress could free —
 // the circular buffer dependency that turns lossless backpressure into
 // deadlock. Cycles are returned as strongly connected components in a
-// deterministic order; attribution (which link paused first) is left to
-// the flow-control-specific detectors.
+// deterministic order; attribution (which gate blocked first) is
+// WaitDetector's.
 func (n *Network) WaitCycles() [][]*Port {
 	if n.Route == nil {
 		return nil
@@ -364,4 +367,99 @@ func tarjanCycles(ports []*Port, adj [][]int) [][]*Port {
 		}
 	}
 	return cycles
+}
+
+// WaitReport describes one flow-control deadlock: a wait cycle held shut
+// by its members' gates.
+type WaitReport struct {
+	// At is when the scan found the cycle.
+	At units.Time
+	// Ports are the cycle members' labels, in deterministic scan order.
+	Ports []string
+	// Trigger is the member whose gate blocked earliest — the DCFIT
+	// initial-trigger link, where the storm entered the loop.
+	Trigger string
+	// Since is how long Trigger had been blocked when the scan ran.
+	Since units.Time
+}
+
+// WaitDetector scans the wait graph on a timer. A PFC deadlock is a cycle
+// of egress ports each paused because the buffer its traffic needs
+// downstream is held by the next member's paused traffic; a CBFC credit
+// stall is the same loop with starved credit in place of PAUSE (an
+// occupied buffer never raises FCCL). Both are permanent once formed, so
+// the period only bounds detection latency.
+type WaitDetector struct {
+	net   *Network
+	timer sim.Timer
+	every units.Time
+	kind  obs.Kind
+	seen  map[string]bool
+
+	// Reports lists each distinct cycle once, in detection order.
+	Reports []WaitReport
+	// Scans counts completed scan ticks.
+	Scans uint64
+}
+
+// AttachWaitDetector starts a scan every period and records each new
+// cycle as an event of the given kind on the trigger port. The detector
+// re-arms itself each tick (one pending event at a time), so a
+// horizon-bounded run simply leaves the last tick unexecuted.
+func (n *Network) AttachWaitDetector(every units.Time, kind obs.Kind) *WaitDetector {
+	if every <= 0 {
+		panic("fabric: wait detector needs a positive scan period")
+	}
+	d := &WaitDetector{net: n, every: every, kind: kind, seen: make(map[string]bool)}
+	d.timer.Init(n.Sched, d.scan)
+	d.timer.Arm(every)
+	return d
+}
+
+// Stop cancels the scan timer.
+func (d *WaitDetector) Stop() { d.timer.Cancel() }
+
+func (d *WaitDetector) scan() {
+	d.Scans++
+	for _, cyc := range d.net.WaitCycles() {
+		d.report(cyc)
+	}
+	d.timer.Arm(d.every)
+}
+
+// report attributes one wait cycle to the member blocked earliest and
+// records it if unseen.
+func (d *WaitDetector) report(cyc []*Port) {
+	now := d.net.Sched.Now()
+	var trigger *Port
+	since := units.Forever
+	labels := make([]string, 0, len(cyc))
+	for _, p := range cyc {
+		labels = append(labels, p.Label())
+		if p.gate == nil {
+			continue
+		}
+		for prio := 0; prio < d.net.nPrio; prio++ {
+			if t := p.gate.BlockedSince(uint8(prio)); t < since {
+				since, trigger = t, p
+			}
+		}
+	}
+	if trigger == nil {
+		// No gate reports a block (e.g. every member is frozen): a wait
+		// cycle, but not one flow control closed.
+		return
+	}
+	sig := strings.Join(labels, "|")
+	if d.seen[sig] {
+		return
+	}
+	d.seen[sig] = true
+	d.Reports = append(d.Reports, WaitReport{At: now, Ports: labels, Trigger: trigger.Label(), Since: now - since})
+	if rec := d.net.cfg.Rec; rec != nil {
+		rec.Record(obs.Event{
+			At: now, Kind: d.kind, Port: trigger.Label(),
+			Flow: -1, Val: int64(len(labels)), Aux: int64(now - since),
+		})
+	}
 }

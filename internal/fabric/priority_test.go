@@ -74,6 +74,7 @@ type prioGate struct {
 
 func (g *prioGate) CanSend(prio uint8, _ units.ByteSize) bool { return !g.blocked[prio] }
 func (g *prioGate) OnSend(uint8, units.ByteSize)              {}
+func (g *prioGate) BlockedSince(uint8) units.Time             { return units.Forever }
 func (g *prioGate) HandleCtrl(_ units.Time, f CtrlFrame) {
 	switch f.Kind {
 	case CtrlPause:

@@ -8,6 +8,7 @@ import (
 	"github.com/tcdnet/tcd/internal/cbfc"
 	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/host"
+	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/sim"
@@ -26,7 +27,10 @@ type line struct {
 	flow  *host.Flow
 }
 
-func newLine(t *testing.T) *line {
+func newLine(t *testing.T) *line { return newLineRec(t, nil) }
+
+// newLineRec is newLine with the fabric's events recorded to rec.
+func newLineRec(t *testing.T, rec obs.Recorder) *line {
 	t.Helper()
 	g := topo.New()
 	l := &line{sched: sim.New()}
@@ -35,7 +39,9 @@ func newLine(t *testing.T) *line {
 	l.h1 = g.AddHost("h1")
 	g.Connect(l.h0, l.s0, 40*units.Gbps, units.Microsecond)
 	g.Connect(l.h1, l.s0, 40*units.Gbps, units.Microsecond)
-	l.net = fabric.New(l.sched, g, fabric.DefaultConfig())
+	cfg := fabric.DefaultConfig()
+	cfg.Rec = rec
+	l.net = fabric.New(l.sched, g, cfg)
 	l.net.Route = func(at packet.NodeID, pkt *packet.Packet) *fabric.Port {
 		return l.net.PortToward(at, pkt.Dst)
 	}
@@ -336,6 +342,48 @@ func TestFaultStopMidStorm(t *testing.T) {
 	}
 	if !l.net.Faulted() {
 		t.Fatal("network no longer faulted though a forged pause already fired")
+	}
+}
+
+// TestFaultSustainedStormIsOnePause: a sustained pause-storm (down_us 0)
+// repeats PAUSE every period against a gate that is already down, with one
+// RESUME at until_us. The gate enters the paused state once, so the trace
+// holds one pfc.paused / pfc.resumed pair and the pause-duration histogram
+// one sample of the whole 190 us — not a pfc.paused per frame and a 10 us
+// pause measured from the last of them. Pauses still counts frames.
+func TestFaultSustainedStormIsOnePause(t *testing.T) {
+	ring := obs.NewRing(0)
+	tel := obs.NewTelemetry(ring)
+	l := newLineRec(t, tel)
+	pfc.Install(l.net, pfc.DefaultConfig())
+	if _, err := Inject(l.net, &Spec{Events: []Event{{
+		Kind: "pause-storm", Port: "s0->h1", AtUs: 10, PeriodUs: 10, UntilUs: 200,
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	l.sched.RunUntil(400 * units.Microsecond)
+	var paused, resumed int
+	for _, e := range ring.Events() {
+		switch e.Kind {
+		case obs.KindPauseOn:
+			paused++
+		case obs.KindPauseOff:
+			resumed++
+		}
+	}
+	if paused != 1 || resumed != 1 {
+		t.Errorf("trace holds %d pfc.paused and %d pfc.resumed, want one pair", paused, resumed)
+	}
+	const held, period = 190 * units.Microsecond, 10 * units.Microsecond
+	if n, d := tel.PauseDur.Count(), units.Time(tel.PauseDur.Max()); n != 1 || d < held-period || d > held+period {
+		t.Errorf("PauseDur holds %d samples, longest %v; want one of about %v", n, d, held)
+	}
+	gate := l.net.PortToward(l.s0, l.h1).Gate().(*pfc.Gate)
+	if gate.Pauses != 19 {
+		t.Errorf("gate counted %d PAUSE frames, want 19", gate.Pauses)
+	}
+	if !l.flow.Done {
+		t.Error("flow did not complete after the storm's final resume")
 	}
 }
 

@@ -40,41 +40,37 @@ func DefaultConfig() Config {
 	}
 }
 
-// Gate is the upstream egress side: a per-priority pause flag.
+// Gate is the upstream egress side: per priority, when the current pause
+// began.
 type Gate struct {
-	port   *fabric.Port
-	paused []bool
-	// pausedSince records when the current pause began (units.Forever
-	// while unpaused) — the raw material for DCFIT-style initial-trigger
-	// attribution: in a pause-wait cycle, the gate with the earliest
-	// pausedSince is where the storm started.
-	pausedSince []units.Time
+	port *fabric.Port
+	// since holds units.Forever while the priority is not paused.
+	since []units.Time
 	// Pauses counts PAUSE frames received.
 	Pauses uint64
 }
 
 // CanSend implements fabric.TxGate.
-func (g *Gate) CanSend(prio uint8, _ units.ByteSize) bool { return !g.paused[prio] }
+func (g *Gate) CanSend(prio uint8, _ units.ByteSize) bool { return g.since[prio] == units.Forever }
 
 // OnSend implements fabric.TxGate.
 func (g *Gate) OnSend(uint8, units.ByteSize) {}
 
-// HandleCtrl implements fabric.TxGate.
+// HandleCtrl implements fabric.TxGate. Events record the edges of the
+// paused state, not every frame: a repeated PAUSE only counts.
 func (g *Gate) HandleCtrl(now units.Time, f fabric.CtrlFrame) {
 	switch f.Kind {
 	case fabric.CtrlPause:
-		if !g.paused[f.Prio] {
-			g.pausedSince[f.Prio] = now
-		}
-		g.paused[f.Prio] = true
 		g.Pauses++
-		if rec := g.port.Recorder(); rec != nil {
-			rec.Record(obs.Event{At: now, Kind: obs.KindPauseOn, Port: g.port.Label(), Prio: f.Prio, Flow: -1})
+		if g.since[f.Prio] == units.Forever {
+			g.since[f.Prio] = now
+			if rec := g.port.Recorder(); rec != nil {
+				rec.Record(obs.Event{At: now, Kind: obs.KindPauseOn, Port: g.port.Label(), Prio: f.Prio, Flow: -1})
+			}
 		}
 	case fabric.CtrlResume:
-		if g.paused[f.Prio] {
-			g.paused[f.Prio] = false
-			g.pausedSince[f.Prio] = units.Forever
+		if g.since[f.Prio] != units.Forever {
+			g.since[f.Prio] = units.Forever
 			if rec := g.port.Recorder(); rec != nil {
 				rec.Record(obs.Event{At: now, Kind: obs.KindPauseOff, Port: g.port.Label(), Prio: f.Prio, Flow: -1})
 			}
@@ -83,41 +79,28 @@ func (g *Gate) HandleCtrl(now units.Time, f fabric.CtrlFrame) {
 	}
 }
 
-// Paused reports the pause state of one priority.
-func (g *Gate) Paused(prio uint8) bool { return g.paused[prio] }
+// BlockedSince implements fabric.TxGate: when the current pause of one
+// priority began.
+func (g *Gate) BlockedSince(prio uint8) units.Time { return g.since[prio] }
 
-// PausedSince reports when the current pause of one priority began, or
-// units.Forever if the priority is not paused.
-func (g *Gate) PausedSince(prio uint8) units.Time { return g.pausedSince[prio] }
-
-// Meter is the downstream ingress side: occupancy accounting and
-// PAUSE/RESUME origination.
+// Meter is the downstream ingress side: PAUSE/RESUME origination over
+// the fabric.Ingress ledger. A violation is an arrival beyond
+// Xoff+Headroom.
 type Meter struct {
+	fabric.Ingress
 	port *fabric.Port
 	cfg  Config
-	occ  []units.ByteSize
 	sent []bool // PAUSE outstanding per priority
 
-	// MaxOcc is the maximum occupancy observed (any priority).
-	MaxOcc units.ByteSize
 	// PausesSent and ResumesSent count originated control frames.
 	PausesSent, ResumesSent uint64
-	// Violations counts arrivals beyond Xoff+Headroom (would-be drops in
-	// a real switch; must stay zero for losslessness).
-	Violations uint64
 }
 
 // OnArrive implements fabric.RxMeter.
 func (m *Meter) OnArrive(now units.Time, pkt *packet.Packet) {
 	prio := pkt.Priority
-	m.occ[prio] += pkt.Size
-	if m.occ[prio] > m.MaxOcc {
-		m.MaxOcc = m.occ[prio]
-	}
-	if m.occ[prio] > m.cfg.Xoff+m.cfg.Headroom {
-		m.Violations++
-	}
-	if m.occ[prio] > m.cfg.Xoff && !m.sent[prio] {
+	occ := m.Arrive(prio, pkt.Size, m.cfg.Xoff+m.cfg.Headroom)
+	if occ > m.cfg.Xoff && !m.sent[prio] {
 		m.sent[prio] = true
 		m.PausesSent++
 		m.port.SendCtrl(fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: prio})
@@ -127,19 +110,13 @@ func (m *Meter) OnArrive(now units.Time, pkt *packet.Packet) {
 // OnFree implements fabric.RxMeter.
 func (m *Meter) OnFree(now units.Time, pkt *packet.Packet) {
 	prio := pkt.Priority
-	m.occ[prio] -= pkt.Size
-	if m.occ[prio] < 0 {
-		panic("pfc: negative ingress occupancy")
-	}
-	if m.sent[prio] && m.occ[prio] <= m.cfg.Xon {
+	occ := m.Free(prio, pkt.Size)
+	if m.sent[prio] && occ <= m.cfg.Xon {
 		m.sent[prio] = false
 		m.ResumesSent++
 		m.port.SendCtrl(fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: prio})
 	}
 }
-
-// Occupancy reports current ingress occupancy for one priority.
-func (m *Meter) Occupancy(prio uint8) units.ByteSize { return m.occ[prio] }
 
 // PauseOutstanding reports whether this meter holds an un-resumed PAUSE
 // for one priority. The meter keeps PAUSE outstanding exactly while
@@ -158,9 +135,8 @@ func Install(n *fabric.Network, cfg Config) {
 	ports := n.Ports()
 	// One backing array per field, subsliced per gate/meter: the pause
 	// and occupancy state of the whole fabric stays contiguous, so the
-	// deadlock detector's attribution pass and the invariant sweeps walk
+	// wait detector's attribution pass and the invariant sweeps walk
 	// cache lines instead of one small heap object per port.
-	paused := make([]bool, len(ports)*nPrio)
 	since := make([]units.Time, len(ports)*nPrio)
 	for i := range since {
 		since[i] = units.Forever
@@ -178,29 +154,18 @@ func Install(n *fabric.Network, cfg Config) {
 	mi := 0
 	for i, p := range ports {
 		g := &gates[i]
-		*g = Gate{port: p, paused: paused[i*nPrio : (i+1)*nPrio], pausedSince: since[i*nPrio : (i+1)*nPrio]}
+		*g = Gate{port: p, since: since[i*nPrio : (i+1)*nPrio]}
 		p.AttachGate(g)
 		if n.Topo.Nodes[p.Node()].Kind == topo.Switch {
 			m := &meters[mi]
 			*m = Meter{
-				port: p,
-				cfg:  cfg,
-				occ:  occ[mi*nPrio : (mi+1)*nPrio],
-				sent: sent[mi*nPrio : (mi+1)*nPrio],
+				Ingress: fabric.NewIngress(occ[mi*nPrio : (mi+1)*nPrio]),
+				port:    p,
+				cfg:     cfg,
+				sent:    sent[mi*nPrio : (mi+1)*nPrio],
 			}
 			mi++
 			p.AttachMeter(m)
 		}
 	}
-}
-
-// Meters returns all installed PFC meters (for assertions and stats).
-func Meters(n *fabric.Network) []*Meter {
-	var out []*Meter
-	for _, p := range n.Ports() {
-		if m, ok := p.Meter().(*Meter); ok {
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -53,14 +53,14 @@ func TestIncastIsLosslessUnderPFC(t *testing.T) {
 			t.Errorf("flow %d lost bytes: %v", f.ID, f.BytesRxed())
 		}
 	}
-	for _, mt := range pfc.Meters(n) {
-		if mt.Violations != 0 {
-			t.Errorf("buffer violations: %d (headroom too small or PAUSE broken)", mt.Violations)
+	for _, mt := range fabric.Meters[*pfc.Meter](n) {
+		if mt.Violations() != 0 {
+			t.Errorf("buffer violations: %d (headroom too small or PAUSE broken)", mt.Violations())
 		}
 	}
 	// With 5:1 oversubscription PAUSE must actually have fired.
 	var pauses uint64
-	for _, mt := range pfc.Meters(n) {
+	for _, mt := range fabric.Meters[*pfc.Meter](n) {
 		pauses += mt.PausesSent
 	}
 	if pauses == 0 {
@@ -88,7 +88,7 @@ func TestPauseResumeCycleAndSpreading(t *testing.T) {
 		t.Error("congestion did not spread to the host NIC")
 	}
 	// Pauses were matched by resumes (traffic ended, queues drained).
-	for _, mt := range pfc.Meters(n) {
+	for _, mt := range fabric.Meters[*pfc.Meter](n) {
 		if mt.PausesSent != mt.ResumesSent {
 			t.Errorf("pauses %d != resumes %d after drain", mt.PausesSent, mt.ResumesSent)
 		}
@@ -106,7 +106,7 @@ func TestNoPauseWithoutCongestion(t *testing.T) {
 	if !f.Done {
 		t.Fatal("flow did not complete")
 	}
-	for _, mt := range pfc.Meters(n) {
+	for _, mt := range fabric.Meters[*pfc.Meter](n) {
 		if mt.PausesSent != 0 {
 			t.Error("PAUSE sent on an uncongested path")
 		}
@@ -132,9 +132,9 @@ func TestOccupancyBoundedByHeadroomMath(t *testing.T) {
 	// flight at 40G, plus one MTU of slop.
 	tau := 2*units.TxTime(1048, 40*units.Gbps) + 2*units.Microsecond
 	bound := xoff + units.BytesIn(tau, 40*units.Gbps) + 2*1048
-	for _, mt := range pfc.Meters(n) {
-		if mt.MaxOcc > bound {
-			t.Errorf("max occupancy %v exceeds Xoff+headroom bound %v", mt.MaxOcc, bound)
+	for _, mt := range fabric.Meters[*pfc.Meter](n) {
+		if mt.MaxOccupancy() > bound {
+			t.Errorf("max occupancy %v exceeds Xoff+headroom bound %v", mt.MaxOccupancy(), bound)
 		}
 	}
 }
@@ -148,18 +148,20 @@ func TestGatePausedAccessor(t *testing.T) {
 	n := fabric.New(s, g, fabric.DefaultConfig())
 	pfc.Install(n, pfc.DefaultConfig())
 	gate := n.HostPort(a).Gate().(*pfc.Gate)
-	if gate.Paused(0) {
+	if gate.BlockedSince(0) != units.Forever || !gate.CanSend(0, 1000) {
 		t.Error("fresh gate is paused")
 	}
-	gate.HandleCtrl(0, fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: 0})
-	if !gate.Paused(0) {
-		t.Error("gate not paused after PAUSE")
+	gate.HandleCtrl(5*units.Microsecond, fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: 0})
+	// A repeated PAUSE counts but does not restart the pause.
+	gate.HandleCtrl(9*units.Microsecond, fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: 0})
+	if gate.BlockedSince(0) != 5*units.Microsecond || gate.CanSend(0, 1000) {
+		t.Errorf("after PAUSE at 5us: BlockedSince = %v, CanSend = %v", gate.BlockedSince(0), gate.CanSend(0, 1000))
 	}
-	gate.HandleCtrl(0, fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: 0})
-	if gate.Paused(0) {
+	gate.HandleCtrl(12*units.Microsecond, fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: 0})
+	if gate.BlockedSince(0) != units.Forever || !gate.CanSend(0, 1000) {
 		t.Error("gate paused after RESUME")
 	}
-	if gate.Pauses != 1 {
-		t.Errorf("Pauses = %d, want 1", gate.Pauses)
+	if gate.Pauses != 2 {
+		t.Errorf("Pauses = %d, want 2", gate.Pauses)
 	}
 }
