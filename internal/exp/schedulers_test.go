@@ -2,6 +2,11 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/obs"
@@ -17,6 +22,10 @@ import (
 // bytes; this pins all of them to the reference scheduler, so a
 // same-timestamp reordering on any path a scenario takes (CBFC, fat-tree
 // rigs, the fault injector, the attack battery) fails here.
+//
+// The hybrid side's Result JSON is also held, by SHA-256, to the committed
+// testdata/golden/scenarios.sha256: the cross-commit pin on the scenarios
+// no golden fixture covers (-update-golden rewrites it).
 func TestScenariosIdenticalOnBothSchedulers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole registry twice")
@@ -25,6 +34,7 @@ func TestScenariosIdenticalOnBothSchedulers(t *testing.T) {
 	battery.Scenarios = battery.Scenarios[:1]
 	defer func() { newScheduler = sim.New }()
 	traced := 0
+	var sums strings.Builder
 
 	for i, sc := range Scenarios {
 		// Alternate fabrics down the table so PFC and CBFC rigs both run.
@@ -48,6 +58,7 @@ func TestScenariosIdenticalOnBothSchedulers(t *testing.T) {
 				return rb.Bytes(), tb.Bytes()
 			}
 			hybridRes, hybridTrace := run(sim.New)
+			fmt.Fprintf(&sums, "%x  %s/%s\n", sha256.Sum256(hybridRes), sc.Name, fab)
 			heapRes, heapTrace := run(sim.NewHeapOnly)
 			if !bytes.Equal(hybridRes, heapRes) {
 				t.Errorf("results differ between schedulers: %s", firstDiff(hybridRes, heapRes))
@@ -62,5 +73,19 @@ func TestScenariosIdenticalOnBothSchedulers(t *testing.T) {
 	}
 	if traced == 0 {
 		t.Error("no scenario recorded a trace; the trace comparison checked nothing")
+	}
+	pin := filepath.Join("testdata", "golden", "scenarios.sha256")
+	if *updateGolden {
+		if err := os.WriteFile(pin, []byte(sums.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(pin)
+	if err != nil {
+		t.Fatalf("missing %s (run with -update-golden to create): %v", pin, err)
+	}
+	if sums.String() != string(want) {
+		t.Errorf("scenario results moved since %s was committed:\n got:\n%swant:\n%s", pin, sums.String(), want)
 	}
 }
