@@ -12,23 +12,23 @@ import (
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/exp"
-	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
 const benchSeed = 42
 
-func benchObserve(b *testing.B, kind exp.FabricKind, det exp.DetectorKind, multi bool) *exp.Result {
-	return benchObserveFor(b, kind, det, multi, 5*units.Millisecond, 10)
+// benchRun is the run header of the benchmarks that take one.
+func benchRun(kind exp.FabricKind, horizon units.Time) exp.Run {
+	return exp.Run{Kind: kind, Seed: benchSeed, Horizon: horizon}
 }
 
-func benchObserveFor(b *testing.B, kind exp.FabricKind, det exp.DetectorKind, multi bool, horizon units.Time, rounds int) *exp.Result {
+func benchObserve(b *testing.B, kind exp.FabricKind, det exp.DetectorKind, multi bool) *exp.Result {
 	var res *exp.Result
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := exp.DefaultObserveConfig(kind, det, multi)
-		cfg.Horizon = horizon
-		cfg.BurstRounds = rounds
+		cfg.Horizon = 5 * units.Millisecond
+		cfg.BurstRounds = 10
 		cfg.Seed = benchSeed
 		res = exp.Observe(cfg)
 	}
@@ -46,18 +46,6 @@ func BenchmarkFig3SingleCongestionPoint(b *testing.B) {
 			b.ReportMetric(res.Scalars["p2_max_queue_kb"], "P2-maxQ-KB")
 		})
 	}
-}
-
-// Fig 3 at an evaluation-scale horizon: CEE for 50 ms with the burst
-// rounds stretched to last the whole run (the benchmark's incast-cee
-// shape), so host.Manager.Install files ~1000 flow starts more than one
-// level-1 wheel rotation (34.4 ms) ahead. The 5-8 ms benchmarks above
-// never park an event past level 1; this one is the scheduler's
-// far-future path under `-bench=. -benchtime=1x`.
-func BenchmarkFig3LongHorizon(b *testing.B) {
-	res := benchObserveFor(b, exp.CEE, exp.DetBaseline, false, 50*units.Millisecond, 250)
-	b.ReportMetric(res.Scalars["bursts_done"], "bursts-done")
-	b.ReportMetric(res.Scalars["p2_max_queue_kb"], "P2-maxQ-KB")
 }
 
 // Fig 4: multiple congestion points under the baseline detectors.
@@ -150,7 +138,7 @@ func BenchmarkFig14EpsilonSensitivity(b *testing.B) {
 	var pts []exp.Fig14Point
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, pts = exp.Fig14(exp.CEE, 8*units.Millisecond, benchSeed)
+		_, pts = exp.Fig14(benchRun(exp.CEE, 8*units.Millisecond))
 	}
 	for _, p := range pts {
 		if p.Eps == 0.05 || p.Eps == 0.4 {
@@ -171,7 +159,7 @@ func BenchmarkFig15DCQCNVictims(b *testing.B) {
 	var res *exp.Result
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, _, _ = exp.VictimFCT(exp.CEE, exp.CCDCQCN, exp.CCDCQCNTCD, 15*units.Millisecond, benchSeed)
+		res, _, _ = exp.VictimFCT(benchRun(exp.CEE, 15*units.Millisecond), exp.CCDCQCN, exp.CCDCQCNTCD)
 	}
 	b.ReportMetric(res.Scalars["speedup"], "victim-FCT-speedup")
 	b.ReportMetric(res.Scalars["stock_victim_ce_frac"], "stock-CE-frac")
@@ -204,7 +192,7 @@ func BenchmarkFig17IBCC(b *testing.B) {
 		var res *exp.Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, _, _ = exp.VictimFCT(exp.IB, exp.CCIBCC, exp.CCIBCCTCD, 15*units.Millisecond, benchSeed)
+			res, _, _ = exp.VictimFCT(benchRun(exp.IB, 15*units.Millisecond), exp.CCIBCC, exp.CCIBCCTCD)
 		}
 		b.ReportMetric(res.Scalars["speedup"], "victim-MCT-speedup")
 	})
@@ -228,7 +216,7 @@ func BenchmarkFig18TIMELYVictims(b *testing.B) {
 	var res *exp.Result
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, _, _ = exp.VictimFCT(exp.CEE, exp.CCTIMELY, exp.CCTIMELYTCD, 15*units.Millisecond, benchSeed)
+		res, _, _ = exp.VictimFCT(benchRun(exp.CEE, 15*units.Millisecond), exp.CCTIMELY, exp.CCTIMELYTCD)
 	}
 	b.ReportMetric(res.Scalars["speedup"], "victim-FCT-speedup")
 }
@@ -276,7 +264,7 @@ func BenchmarkAblationDetectors(b *testing.B) {
 	var res *exp.Result
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res = exp.AblationDetectors(exp.IB, 12*units.Millisecond, benchSeed)
+		res = exp.AblationDetectors(benchRun(exp.IB, 12*units.Millisecond))
 	}
 	b.ReportMetric(res.Scalars["baseline_victim_ce_frac"], "fecn-frac")
 	b.ReportMetric(res.Scalars["np-ecn_victim_ce_frac"], "npecn-frac")
@@ -288,7 +276,7 @@ func BenchmarkAblationNotificationRules(b *testing.B) {
 	var res *exp.Result
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res = exp.AblationNotification(12*units.Millisecond, benchSeed)
+		res = exp.AblationNotification(benchRun(exp.CEE, 12*units.Millisecond))
 	}
 	b.ReportMetric(res.Scalars["detector-only_mean_fct_us"], "detector-only-us")
 	b.ReportMetric(res.Scalars["full-tcd-rules_mean_fct_us"], "full-rules-us")
@@ -298,7 +286,7 @@ func BenchmarkAblationTrendSlack(b *testing.B) {
 	var res *exp.Result
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res = exp.AblationTrendSlack(12*units.Millisecond, benchSeed)
+		res = exp.AblationTrendSlack(benchRun(exp.IB, 12*units.Millisecond))
 	}
 	b.ReportMetric(res.Scalars["slack=1B victim_ce_flows"], "falseCE-slack1B")
 	b.ReportMetric(res.Scalars["slack=4KB victim_ce_flows"], "falseCE-slack4KB")
@@ -315,28 +303,4 @@ func BenchmarkMultiPriority(b *testing.B) {
 	}
 	b.ReportMetric(res.Scalars["victim_ce"], "victim-CE")
 	b.ReportMetric(res.Scalars["victim_ue"], "victim-UE")
-}
-
-// Observability overhead: the same fig3-scale run with tracing disabled
-// (nil Recorder — the default for every experiment) versus recording into
-// a ring. The disabled path must stay negligible: emission sites are
-// nil-guarded interface fields and obs.Event is a flat value struct.
-func BenchmarkObsOverhead(b *testing.B) {
-	run := func(b *testing.B, oc obs.Config) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			cfg := exp.DefaultObserveConfig(exp.CEE, exp.DetTCD, false)
-			cfg.Horizon = 5 * units.Millisecond
-			cfg.BurstRounds = 10
-			cfg.Seed = benchSeed
-			cfg.Obs = oc
-			exp.Observe(cfg)
-		}
-	}
-	b.Run("disabled", func(b *testing.B) { run(b, obs.Config{}) })
-	b.Run("ring", func(b *testing.B) {
-		ring := obs.NewRing(0)
-		run(b, obs.Config{Rec: ring})
-		b.ReportMetric(float64(ring.Len()), "events-buffered")
-	})
 }

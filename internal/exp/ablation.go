@@ -14,19 +14,10 @@ import (
 // static-threshold TCD, and the §6 adaptive-threshold alternative.
 // The metric is Table 3's: victim flows mistakenly marked CE, plus the
 // censored mean victim FCT.
-func AblationDetectors(kind FabricKind, horizon units.Time, seed uint64) *Result {
-	res := NewResult(fmt.Sprintf("ablation-detectors-%s", kind))
-	ccKind := CCDCQCN
-	if kind == IB {
-		ccKind = CCIBCC
-	}
+func AblationDetectors(h Run) *Result {
+	res := NewResult(fmt.Sprintf("ablation-detectors-%s", h.Kind))
 	for _, det := range []DetectorKind{DetBaseline, DetNPECN, DetTCD, DetTCDAdaptive} {
-		cfg := DefaultVictimConfig(kind, det, ccKind)
-		cfg.Seed = seed
-		if horizon > 0 {
-			cfg.Horizon = horizon
-		}
-		v := Victim(cfg)
+		v := Victim(victimConfig(h, det, h.Kind.StockCC()))
 		res.Scalars[det.String()+"_victim_ce_frac"] = v.CEFlowFrac
 		res.Scalars[det.String()+"_mean_fct_us"] = v.MeanFCTus
 		res.AddNote("%-14s victims=%d markedCE=%d ueFrac=%.3f",
@@ -38,9 +29,11 @@ func AblationDetectors(kind FabricKind, horizon units.Time, seed uint64) *Result
 // AblationNotification decomposes the paper's DCQCN+TCD rate rules into
 // their two ingredients — aggressive CE cuts (alpha 1.2) and UE holds —
 // and measures each in isolation on the victim scenario. This is the
-// design-choice ablation DESIGN.md calls out for §5.2.
-func AblationNotification(horizon units.Time, seed uint64) *Result {
+// design-choice ablation DESIGN.md calls out for §5.2. It runs on CEE
+// whatever h.Kind says.
+func AblationNotification(h Run) *Result {
 	res := NewResult("ablation-notification-rules")
+	h.Kind = CEE
 	variants := []struct {
 		name      string
 		alphaCeil float64
@@ -53,11 +46,7 @@ func AblationNotification(horizon units.Time, seed uint64) *Result {
 	}
 	for _, v := range variants {
 		v := v
-		cfg := DefaultVictimConfig(CEE, DetTCD, CCDCQCN)
-		cfg.Seed = seed
-		if horizon > 0 {
-			cfg.Horizon = horizon
-		}
+		cfg := victimConfig(h, DetTCD, CCDCQCN)
 		cfg.CustomCC = func(r *Rig, line units.Rate) host.RateController {
 			c := cc.DefaultDCQCNConfig(line)
 			c.AlphaCeil = v.alphaCeil
@@ -75,21 +64,18 @@ func AblationNotification(horizon units.Time, seed uint64) *Result {
 // growth tolerance: with a 1-byte slack, a port whose input rate exactly
 // matches line rate (two 20 Gbps edges behind one 40 Gbps link) jitters
 // into false congestion detections; with the default 4 KB slack it does
-// not.
-func AblationTrendSlack(horizon units.Time, seed uint64) *Result {
+// not. It runs on IB whatever h.Kind says.
+func AblationTrendSlack(h Run) *Result {
 	res := NewResult("ablation-trend-slack")
+	h.Kind = IB
 	for _, slack := range []units.ByteSize{1, 4 * units.KB} {
-		cfg := DefaultVictimConfig(IB, DetTCD, CCIBCC)
-		cfg.Seed = seed
+		cfg := victimConfig(h, DetTCD, CCIBCC)
 		cfg.Par.TrendSlack = slack
 		// Pin the knife-edge regime: both 20 Gbps edges near saturation so
 		// their sum matches the 40 Gbps fabric link exactly, and a dense
 		// burst cadence to keep pausing it.
 		cfg.S0Load, cfg.S1Load = 0.85, 0.85
 		cfg.BurstMeanGap = units.Millisecond
-		if horizon > 0 {
-			cfg.Horizon = horizon
-		}
 		v := Victim(cfg)
 		res.Scalars[fmt.Sprintf("slack=%v victim_ce_flows", slack)] = float64(v.MarkedCE)
 	}
@@ -101,19 +87,18 @@ func AblationTrendSlack(horizon units.Time, seed uint64) *Result {
 // the input-buffered VoQ architecture the paper's InfiniBand simulator
 // uses — to show the detection behaviour is architecture-insensitive
 // (queue placement moves, ternary classification does not).
-func AblationSwitchArch(horizon units.Time, seed uint64) *Result {
+func AblationSwitchArch(h Run) *Result {
 	res := NewResult("ablation-switch-arch")
+	h.Kind = IB
 	for _, arch := range []fabric.Arch{fabric.OutputQueued, fabric.InputQueuedVoQ} {
 		label := "output-queued"
 		if arch == fabric.InputQueuedVoQ {
 			label = "voq"
 		}
 		cfg := DefaultObserveConfig(IB, DetTCD, false)
-		cfg.Seed = seed
-		if horizon > 0 {
-			cfg.Horizon = horizon
-		}
-		r := observeWithArch(cfg, arch)
+		cfg.Run = h.over(cfg.Run)
+		cfg.Arch = arch
+		r := Observe(cfg)
 		res.Scalars[label+"_p2_ce_during_bursts"] = r.Scalars["p2_ce_during_bursts"]
 		res.Scalars[label+"_f0_ue"] = r.Scalars["f0_ue"]
 		res.Scalars[label+"_p2_und_us"] = r.Scalars["p2_time_undetermined_us"]

@@ -39,12 +39,10 @@ import (
 	"math"
 	"os"
 
-	"github.com/tcdnet/tcd/internal/cbfc"
 	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/oracle"
-	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -143,13 +141,13 @@ func DefaultBattery() *Battery {
 	return b
 }
 
-// AdversarialConfig parameterizes one scored battery cell.
+// AdversarialConfig parameterizes one scored battery cell. Of the header
+// the caller sets Kind, Seed and Obs; the horizon and the fault schedule
+// are the scenario's.
 type AdversarialConfig struct {
+	Run
 	Scenario AttackScenario
-	Kind     FabricKind
 	Det      DetectorKind
-	Seed     uint64
-	Obs      obs.Config
 }
 
 // Adversarial runs one attack scenario under one fabric and detector and
@@ -157,7 +155,7 @@ type AdversarialConfig struct {
 // carries the score as scalars (so sweeps fold it through Aggregate);
 // the oracle.Run feeds BuildReport.
 func Adversarial(cfg AdversarialConfig) (*Result, oracle.Run) {
-	horizon := cfg.Scenario.Horizon()
+	cfg.Horizon, cfg.Faults = cfg.Scenario.Horizon(), &cfg.Scenario.Faults
 	var (
 		rig  *Rig
 		f2   *Fig2Rig
@@ -165,45 +163,29 @@ func Adversarial(cfg AdversarialConfig) (*Result, oracle.Run) {
 	)
 	switch cfg.Scenario.Topo {
 	case "fig2":
-		f2 = NewFig2Rig(Fig2Opts{Kind: cfg.Kind, Det: cfg.Det, Seed: cfg.Seed, Obs: cfg.Obs})
+		f2 = NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: cfg.Run, Det: cfg.Det})
 		rig = f2.Rig
 	case "ring3":
-		ring = topo.NewRing(3, 40*units.Gbps, units.Microsecond)
-		rig = NewRig(RigConfig{
-			Topo: ring.Topology,
-			Kind: cfg.Kind,
-			Det:  cfg.Det,
-			Seed: cfg.Seed,
-			// Tiny flow-control buffers, as in deadlock-unit: the
-			// route-loop attack should close its cycle within the run.
-			PFC:  pfc.Config{Xoff: 20 * units.KB, Xon: 18 * units.KB, Headroom: 20 * units.KB},
-			CBFC: cbfc.Config{Buffer: 20 * units.KB, Tc: 10 * units.Microsecond},
-			Obs:  cfg.Obs,
-		})
+		rig, ring = newRing3Rig(cfg.Run, cfg.Det)
 	default:
 		panic("exp: unknown adversarial topo " + cfg.Scenario.Topo)
 	}
 	res := NewResult(fmt.Sprintf("adversarial-%s-%s-%s", cfg.Scenario.Name, cfg.Kind, cfg.Det))
 
-	inj := rig.mustInjectFaults(&cfg.Scenario.Faults)
 	smp := oracle.Attach(rig.Net, oracle.Config{
 		// RootThresh sits well below both fabrics' marking thresholds
 		// (200 KB CEE / 50 KB IB) so camouflaged roots stay truth-roots.
 		RootThresh:    40 * units.KB,
 		IdleThresh:    10 * units.KB,
 		VictimOffFrac: 0.25,
-		Duty:          inj.CamouflageDuty,
+		Duty:          rig.Inj.CamouflageDuty,
 	})
 
 	line := 40 * units.Gbps
 	var f1 *host.Flow
 	switch cfg.Scenario.Traffic {
 	case "light", "bursts":
-		ccKind := CCDCQCN
-		if cfg.Kind == IB {
-			ccKind = CCIBCC
-		}
-		f1 = rig.Mgr.AddFlow(f2.F2.S1, f2.F2.R1, 10*1000*units.MB, 0, rig.NewCC(ccKind, line))
+		f1 = f2.AddF1()
 		if cfg.Scenario.Traffic == "bursts" {
 			f2.LaunchBursts(200*units.Microsecond, 64*units.KB, 6, units.TxTime(15*64*units.KB, line))
 		}
@@ -213,8 +195,8 @@ func Adversarial(cfg AdversarialConfig) (*Result, oracle.Run) {
 		}
 	}
 
-	rig.Run(horizon)
-	score := smp.Finish(horizon)
+	rig.Run(cfg.Horizon)
+	score := smp.Finish(cfg.Horizon)
 
 	res.Scalars["oracle_windows"] = float64(score.Windows)
 	res.Scalars["oracle_accuracy"] = score.Accuracy
@@ -228,17 +210,15 @@ func Adversarial(cfg AdversarialConfig) (*Result, oracle.Run) {
 		res.Scalars["oracle_prec_"+tn] = score.Precision[t]
 		res.Scalars["oracle_rec_"+tn] = score.Recall[t]
 	}
-	res.Scalars["fault_actions_armed"] = float64(inj.Armed)
+	// Every cell carries the same keys (sweeps fold them across cells), so
+	// the attack counters are emitted even when zero.
+	res.Scalars["fault_actions_armed"] = float64(rig.Inj.Armed)
 	res.Scalars["fault_drops"] = float64(rig.Net.FaultDrops)
-	var spoofed, forged uint64
-	for _, p := range rig.Net.Ports() {
-		spoofed += p.SpoofedCE
-		forged += p.ForgedCtrl
-	}
+	spoofed, forged := rig.attackTotals()
 	res.Scalars["spoofed_ce"] = float64(spoofed)
 	res.Scalars["forged_ctrl"] = float64(forged)
 	if f1 != nil {
-		res.Scalars["f1_goodput_gbps"] = float64(units.RateOf(f1.BytesRxed(), horizon)) / 1e9
+		res.Scalars["f1_goodput_gbps"] = float64(units.RateOf(f1.BytesRxed(), cfg.Horizon)) / 1e9
 	}
 	res.AttachTelemetry(cfg.Obs.Telemetry)
 
@@ -285,7 +265,7 @@ func RunAdversarialBattery(b *Battery, opt BatteryOptions) (*oracle.Report, []*R
 			for _, d := range opt.Dets {
 				for _, s := range opt.Seeds {
 					res, run := Adversarial(AdversarialConfig{
-						Scenario: sc, Kind: k, Det: d, Seed: s, Obs: opt.Obs,
+						Run: Run{Kind: k, Seed: s, Obs: opt.Obs}, Scenario: sc, Det: d,
 					})
 					results = append(results, res)
 					runs = append(runs, run)

@@ -99,7 +99,7 @@ func batterySweep(t *testing.T, parallel int) []*sweep.RunResult {
 	}
 	fn := func(s sweep.Spec) []*exp.Result {
 		res, _ := exp.Adversarial(exp.AdversarialConfig{
-			Scenario: byName[s.Exp], Kind: s.Fabric, Det: s.Det, Seed: s.Seed,
+			Run: exp.Run{Kind: s.Fabric, Seed: s.Seed}, Scenario: byName[s.Exp], Det: s.Det,
 		})
 		return []*exp.Result{res}
 	}

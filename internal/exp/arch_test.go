@@ -7,7 +7,7 @@ import (
 )
 
 func TestAblationSwitchArchShape(t *testing.T) {
-	res := AblationSwitchArch(6*units.Millisecond, 1)
+	res := AblationSwitchArch(Run{Horizon: 6 * units.Millisecond, Seed: 1})
 	t.Log(res.Render())
 	for _, label := range []string{"output-queued", "voq"} {
 		if res.Scalars[label+"_p2_ce_during_bursts"] != 0 {

@@ -105,7 +105,7 @@ func TestTable3Shape(t *testing.T) {
 // Fig 14: no victim packets mismarked for eps <= 0.1; mismarking does not
 // decrease as eps grows.
 func TestFig14Shape(t *testing.T) {
-	_, pts := Fig14(CEE, 15*units.Millisecond, 2)
+	_, pts := Fig14(Run{Kind: CEE, Horizon: 15 * units.Millisecond, Seed: 2})
 	byEps := map[float64]int{}
 	for _, p := range pts {
 		byEps[p.Eps] = p.VictimCEPackets
@@ -195,7 +195,7 @@ func indexedScalar(prefix string, i int, suffix string) string {
 // Fig 15 (a): TCD eliminates false CE on victims and does not worsen the
 // censored mean FCT.
 func TestVictimFCTShape(t *testing.T) {
-	_, sv, tv := VictimFCT(CEE, CCDCQCN, CCDCQCNTCD, 20*units.Millisecond, 3)
+	_, sv, tv := VictimFCT(Run{Kind: CEE, Horizon: 20 * units.Millisecond, Seed: 3}, CCDCQCN, CCDCQCNTCD)
 	if sv.CEFlowFrac == 0 {
 		t.Error("stock run produced no false marks; scenario too mild")
 	}
@@ -214,7 +214,7 @@ func TestVictimFCTShape(t *testing.T) {
 // grows with burst size).
 func TestVictimBurstSweepShape(t *testing.T) {
 	sizes := []units.ByteSize{32 * units.KB, 128 * units.KB, 512 * units.KB}
-	_, pts := VictimBurstSweep(CEE, CCDCQCN, CCDCQCNTCD, sizes, 15*units.Millisecond, 4)
+	_, pts := VictimBurstSweep(Run{Kind: CEE, Horizon: 15 * units.Millisecond, Seed: 4}, CCDCQCN, CCDCQCNTCD, sizes)
 	if len(pts) != 3 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -338,14 +338,14 @@ func TestMultiPrioShape(t *testing.T) {
 // Ablation shapes: NP-ECN nearly eliminates mismarking, TCD exactly;
 // the trend slack prevents knife-edge false congestion.
 func TestAblationShapes(t *testing.T) {
-	det := AblationDetectors(IB, 15*units.Millisecond, 1)
+	det := AblationDetectors(Run{Kind: IB, Horizon: 15 * units.Millisecond, Seed: 1})
 	if det.Scalars["baseline_victim_ce_frac"] <= det.Scalars["np-ecn_victim_ce_frac"] {
 		t.Error("NP-ECN did not improve on the FECN baseline")
 	}
 	if det.Scalars["tcd_victim_ce_frac"] != 0 || det.Scalars["tcd-adaptive_victim_ce_frac"] != 0 {
 		t.Error("TCD variants mismarked victims")
 	}
-	slack := AblationTrendSlack(15*units.Millisecond, 1)
+	slack := AblationTrendSlack(Run{Horizon: 15 * units.Millisecond, Seed: 1})
 	if slack.Scalars["slack=1B victim_ce_flows"] <= slack.Scalars["slack=4KB victim_ce_flows"] {
 		t.Error("trend-slack ablation did not expose the knife-edge")
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/stats"
 	"github.com/tcdnet/tcd/internal/topo"
@@ -16,52 +15,35 @@ import (
 // bursts stop — becomes a genuine congestion point shared by five flows
 // (B0..B3 plus F1), whose fair share is 8 Gbps.
 type FairnessConfig struct {
-	Kind FabricKind
+	Run
 	// CC is the TCD-aware controller under test (CCDCQCNTCD or
 	// CCTIMELYTCD in the paper).
-	CC      CCKind
-	Horizon units.Time
-	Sample  units.Time
-	Seed    uint64
-	// Faults, if non-empty, is a fault schedule (including the
-	// adversarial kinds) armed against the rig — the -faults flag of
-	// cmd/tcdsim. Empty means a fault-free run, byte-identical to one
-	// without the injector.
-	Faults *fault.Spec
+	CC     CCKind
+	Sample units.Time
 }
 
 // DefaultFairnessConfig returns the paper's Fig 20 setup.
 func DefaultFairnessConfig(kind FabricKind, cc CCKind) FairnessConfig {
 	return FairnessConfig{
-		Kind:    kind,
-		CC:      cc,
-		Horizon: 60 * units.Millisecond,
-		Sample:  50 * units.Microsecond,
+		Run:    Run{Kind: kind, Horizon: 60 * units.Millisecond},
+		CC:     cc,
+		Sample: 50 * units.Microsecond,
 	}
 }
 
 // Fairness runs the Fig 20 experiment.
 func Fairness(cfg FairnessConfig) *Result {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 10 * units.Millisecond
-	}
-	if cfg.Sample == 0 {
-		cfg.Sample = 50 * units.Microsecond
-	}
 	tcfg := topo.DefaultFig2Config()
 	tcfg.WithB = true
 	hostCfg := host.DefaultConfig()
 	hostCfg.AckEveryPacket = cfg.CC.NeedsAcks()
-	rig := NewFig2Rig(Fig2Opts{
-		Kind:    cfg.Kind,
-		Det:     DetTCD,
-		Seed:    cfg.Seed,
-		Topo:    tcfg,
-		HostCfg: hostCfg,
-		Record:  true,
+	rig := NewFig2Rig(tcfg, RigConfig{
+		Run:               cfg.Run,
+		Det:               DetTCD,
+		HostCfg:           hostCfg,
+		RecordTransitions: true,
 	})
 	res := NewResult(fmt.Sprintf("fig20-fairness-%s", cfg.CC))
-	inj := rig.mustInjectFaults(cfg.Faults)
 
 	line := 40 * units.Gbps
 	big := 100 * 1000 * units.MB
@@ -123,10 +105,8 @@ func Fairness(cfg FairnessConfig) *Result {
 		ue += f.UEPackets()
 	}
 	res.Scalars["b_ue_packets"] = float64(ue)
-	if inj.Armed > 0 {
-		res.Scalars["fault_actions_armed"] = float64(inj.Armed)
-		res.Scalars["fault_drops"] = float64(rig.Net.FaultDrops)
-		attackScalars(res, rig.Net)
+	if rig.Inj.Armed > 0 {
+		rig.faultScalars(res)
 	}
 	return res
 }

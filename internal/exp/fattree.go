@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"github.com/tcdnet/tcd/internal/fabric"
-	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
-	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/rng"
 	"github.com/tcdnet/tcd/internal/routing"
@@ -20,9 +18,11 @@ import (
 // Fig 16 (DCQCN±TCD, Hadoop/WebSearch), Fig 17(b) (IB CC±TCD, MPI/IO)
 // and Fig 19 (TIMELY±TCD).
 type FatTreeConfig struct {
-	Kind FabricKind
-	Det  DetectorKind
-	CC   CCKind
+	// Run is the header; generation uses the first half of its horizon so
+	// most flows can complete.
+	Run
+	Det DetectorKind
+	CC  CCKind
 	// K is the fat-tree arity (paper: 10 for CEE runs, 16 for IB).
 	K int
 	// Workload selects the flow-size CDF ("hadoop", "websearch",
@@ -35,36 +35,23 @@ type FatTreeConfig struct {
 	// Trace, if non-empty, replays these flows instead of generating a
 	// workload (see workload.ReadTrace).
 	Trace []workload.Flow
-	// Horizon bounds the run; generation uses the first half so most
-	// flows can complete.
-	Horizon units.Time
-	Seed    uint64
 	// eagerRoutes routes from BuildShortestPath's BFS columns instead of
 	// the fat-tree's structural rows: the reference side of the
 	// differential test. Route decisions are identical either way.
 	eagerRoutes bool
-	// Obs wires event tracing, metrics and progress reporting into the
-	// rig (all off by default).
-	Obs obs.Config
-	// Faults, if non-empty, is a fault schedule (including the
-	// adversarial kinds) armed against the rig — the -faults flag of
-	// cmd/tcdsim. Empty means a fault-free run, byte-identical to one
-	// without the injector.
-	Faults *fault.Spec
 }
 
-// DefaultFatTreeConfig returns a laptop-scale run; cmd/tcdsim raises K,
-// MaxFlows and Horizon to paper scale.
+// DefaultFatTreeConfig returns a laptop-scale run (k=6, 4000 flows, 40 ms);
+// cmd/tcdsim -full raises K, MaxFlows and Horizon to paper scale.
 func DefaultFatTreeConfig(kind FabricKind, det DetectorKind, cc CCKind, wl string) FatTreeConfig {
 	return FatTreeConfig{
-		Kind:     kind,
+		Run:      Run{Kind: kind, Horizon: 40 * units.Millisecond},
 		Det:      det,
 		CC:       cc,
-		K:        4,
+		K:        6,
 		Workload: wl,
 		Load:     0.6,
-		MaxFlows: 800,
-		Horizon:  40 * units.Millisecond,
+		MaxFlows: 4000,
 	}
 }
 
@@ -83,15 +70,6 @@ type FatTreeOutcome struct {
 
 // FatTree runs one realistic-workload simulation.
 func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
-	if cfg.K == 0 {
-		cfg.K = 4
-	}
-	if cfg.Load == 0 {
-		cfg.Load = 0.6
-	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 40 * units.Millisecond
-	}
 	rate := 40 * units.Gbps
 	delay := 4 * units.Microsecond
 	ft := topo.NewFatTree(cfg.K, rate, delay)
@@ -104,20 +82,17 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 	hostCfg := host.DefaultConfig()
 	hostCfg.AckEveryPacket = cfg.CC.NeedsAcks()
 	rc := RigConfig{
+		Run:      cfg.Run,
 		Topo:     ft.Topology,
-		Kind:     cfg.Kind,
 		Det:      cfg.Det,
-		Seed:     cfg.Seed,
 		HostCfg:  hostCfg,
 		Selector: sel,
-		Obs:      cfg.Obs,
 	}
 	if !cfg.eagerRoutes {
 		rc.RouteRows = routing.FatTreeColumns(ft)
 	}
 	rig := NewRig(rc)
 	res := NewResult(fmt.Sprintf("fattree-k%d-%s-%s-%s-%s", cfg.K, cfg.Kind, cfg.Det, cfg.CC, cfg.Workload))
-	inj := rig.mustInjectFaults(cfg.Faults)
 
 	r := rng.New(cfg.Seed + 31)
 	var flows []workload.Flow
@@ -187,11 +162,8 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 	// the same numbers without running a workload).
 	res.Scalars["route_table_bytes"] = float64(rig.Routes.LiveBytes())
 	res.Scalars["route_table_eager_est_bytes"] = float64(rig.Routes.EagerBytesEstimate())
-	if inj.Armed > 0 {
-		res.Scalars["fault_actions_armed"] = float64(inj.Armed)
-		res.Scalars["fault_drops"] = float64(rig.Net.FaultDrops)
-		res.Scalars["fault_dropped_kb"] = float64(rig.Net.FaultDropPayload()) / 1000
-		attackScalars(res, rig.Net)
+	if rig.Inj.Armed > 0 {
+		rig.faultScalars(res)
 	}
 	res.Tables = append(res.Tables, out.Slowdowns.Table("FCT slowdown by size"))
 	res.AttachTelemetry(cfg.Obs.Telemetry)

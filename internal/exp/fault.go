@@ -31,32 +31,16 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// InjectFaults arms a fault schedule against the rig's network. An empty
-// (or nil) spec arms nothing: the run stays byte-identical to one built
-// without the injector.
-func (r *Rig) InjectFaults(spec *fault.Spec) (*fault.Injector, error) {
-	return fault.Inject(r.Net, spec)
-}
-
-// mustInjectFaults is InjectFaults for experiment wiring, where a bad
-// spec is a configuration error and should be loud.
-func (r *Rig) mustInjectFaults(spec *fault.Spec) *fault.Injector {
-	inj, err := r.InjectFaults(spec)
-	if err != nil {
-		panic("exp: " + err.Error())
-	}
-	return inj
-}
-
-// attackScalars surfaces the adversarial counters on a faulted run's
-// result. Only nonzero totals are emitted, so benign schedules (and the
-// fault-free goldens) add nothing.
-func attackScalars(res *Result, net *fabric.Network) {
-	var spoofed, forged uint64
-	for _, p := range net.Ports() {
-		spoofed += p.SpoofedCE
-		forged += p.ForgedCtrl
-	}
+// faultScalars surfaces what the rig's injector armed and destroyed on a
+// faulted run's result, plus the adversarial counters. Of those only
+// nonzero totals are emitted, so benign schedules add nothing. Callers
+// whose fault-free result is pinned (the golden fig3/fig12 JSON) call it
+// only when something was armed.
+func (r *Rig) faultScalars(res *Result) {
+	res.Scalars["fault_actions_armed"] = float64(r.Inj.Armed)
+	res.Scalars["fault_drops"] = float64(r.Net.FaultDrops)
+	res.Scalars["fault_dropped_kb"] = float64(r.Net.FaultDropPayload()) / 1000
+	spoofed, forged := r.attackTotals()
 	if spoofed > 0 {
 		res.Scalars["spoofed_ce"] = float64(spoofed)
 	}
@@ -65,14 +49,38 @@ func attackScalars(res *Result, net *fabric.Network) {
 	}
 }
 
+// attackTotals sums the forged CE marks and control frames over the ports.
+func (r *Rig) attackTotals() (spoofed, forged uint64) {
+	for _, p := range r.Net.Ports() {
+		spoofed += p.SpoofedCE
+		forged += p.ForgedCtrl
+	}
+	return spoofed, forged
+}
+
+// newRing3Rig builds the 3-switch ring of deadlock-unit and the route-loop
+// attack: 40 Gbps links and flow-control buffers tiny enough that a cyclic
+// buffer dependency closes within the first hundred microseconds.
+func newRing3Rig(h Run, det DetectorKind) (*Rig, *topo.Ring) {
+	ring := topo.NewRing(3, 40*units.Gbps, units.Microsecond)
+	return NewRig(RigConfig{
+		Run:  h,
+		Topo: ring.Topology,
+		Det:  det,
+		PFC:  pfc.Config{Xoff: 20 * units.KB, Xon: 18 * units.KB, Headroom: 20 * units.KB},
+		CBFC: cbfc.Config{Buffer: 20 * units.KB, Tc: 10 * units.Microsecond},
+	}), ring
+}
+
 // VictimFlapConfig parameterizes the victim-under-flap experiment.
 type VictimFlapConfig struct {
-	// Kind selects CEE (PFC + ECN/TCD) or IB (CBFC + FECN/TCD).
-	Kind FabricKind
+	// Run is the header. Its Faults, if non-empty, is an extra schedule
+	// (including the adversarial kinds) armed alongside the built-in flap
+	// — the -faults flag of cmd/tcdsim. Events merge into one injector so
+	// route rewrites and camouflage duty accounting stay coherent.
+	Run
 	// Det selects the marking scheme under test.
 	Det DetectorKind
-	// Horizon ends the run.
-	Horizon units.Time
 	// FlapFrom/FlapUntil bound the flap window; FlapPeriod and FlapDown
 	// shape each cycle of the R0-T2 link failure.
 	FlapFrom, FlapUntil  units.Time
@@ -81,15 +89,6 @@ type VictimFlapConfig struct {
 	CrossRate units.Rate
 	// Sample is the trace interval.
 	Sample units.Time
-	// Seed feeds the rig's random streams.
-	Seed uint64
-	// Obs wires tracing/metrics/progress into the rig.
-	Obs obs.Config
-	// Faults, if non-empty, is an extra fault schedule (including the
-	// adversarial kinds) armed alongside the built-in flap — the -faults
-	// flag of cmd/tcdsim. Events merge into one injector so route
-	// rewrites and camouflage duty accounting stay coherent.
-	Faults *fault.Spec
 }
 
 // DefaultVictimFlapConfig returns the experiment's stock parameters: a
@@ -97,9 +96,8 @@ type VictimFlapConfig struct {
 // between 0.5 ms and 8 ms.
 func DefaultVictimFlapConfig(kind FabricKind, det DetectorKind) VictimFlapConfig {
 	return VictimFlapConfig{
-		Kind:       kind,
+		Run:        Run{Kind: kind, Horizon: 10 * units.Millisecond},
 		Det:        det,
-		Horizon:    10 * units.Millisecond,
 		FlapFrom:   500 * units.Microsecond,
 		FlapUntil:  8 * units.Millisecond,
 		FlapPeriod: units.Millisecond,
@@ -113,24 +111,6 @@ func DefaultVictimFlapConfig(kind FabricKind, det DetectorKind) VictimFlapConfig
 // scheme; cmd/tcdsim pairs a DetBaseline and a DetTCD run to show the
 // classification difference.
 func VictimUnderFlap(cfg VictimFlapConfig) *Result {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 10 * units.Millisecond
-	}
-	if cfg.Sample == 0 {
-		cfg.Sample = 10 * units.Microsecond
-	}
-	if cfg.CrossRate == 0 {
-		cfg.CrossRate = 10 * units.Gbps
-	}
-	rig := NewFig2Rig(Fig2Opts{
-		Kind:   cfg.Kind,
-		Det:    cfg.Det,
-		Seed:   cfg.Seed,
-		Record: true,
-		Obs:    cfg.Obs,
-	})
-	res := NewResult(fmt.Sprintf("victim-under-flap-%s-%s", cfg.Kind, cfg.Det))
-
 	spec := &fault.Spec{Events: []fault.Event{{
 		Kind:     "flap",
 		Link:     "R0-T2",
@@ -142,16 +122,13 @@ func VictimUnderFlap(cfg VictimFlapConfig) *Result {
 	if !cfg.Faults.Empty() {
 		spec.Events = append(spec.Events, cfg.Faults.Events...)
 	}
-	inj := rig.mustInjectFaults(spec)
+	cfg.Faults = spec
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: cfg.Run, Det: cfg.Det, RecordTransitions: true})
+	res := NewResult(fmt.Sprintf("victim-under-flap-%s-%s", cfg.Kind, cfg.Det))
 
-	line := 40 * units.Gbps
-	ccKind := CCDCQCN
-	if cfg.Kind == IB {
-		ccKind = CCIBCC
-	}
-	// F1: the victim. Long-lived, congestion-controlled, S1 -> R1; its
-	// own bottleneck (T2 -> R1) stays idle the whole run.
-	f1 := rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, 10*1000*units.MB, 0, rig.NewCC(ccKind, line))
+	// F1 is the victim: its own bottleneck (T2 -> R1) stays idle the
+	// whole run.
+	f1 := rig.AddF1()
 	// F0/F2: constant-rate R0-bound cross traffic — the flows the flap
 	// actually strands.
 	f0 := rig.Mgr.AddFlow(rig.F2.S0, rig.F2.R0, 10*1000*units.MB, 100*units.Microsecond, host.FixedRate(cfg.CrossRate))
@@ -178,10 +155,7 @@ func VictimUnderFlap(cfg VictimFlapConfig) *Result {
 		res.Scalars[label+"_ue_frac"] = MarkedFraction(f, false)
 	}
 	res.Scalars["f1_goodput_gbps"] = float64(units.RateOf(f1.BytesRxed(), cfg.Horizon)) / 1e9
-	res.Scalars["fault_actions_armed"] = float64(inj.Armed)
-	res.Scalars["fault_drops"] = float64(rig.Net.FaultDrops)
-	res.Scalars["fault_dropped_kb"] = float64(rig.Net.FaultDropPayload()) / 1000
-	attackScalars(res, rig.Net)
+	rig.faultScalars(res)
 	res.Scalars["p1_pause_us"] = rig.P1.PauseTime.Micros()
 	res.Scalars["p2_pause_us"] = rig.P2.PauseTime.Micros()
 	res.Scalars["p2_max_queue_kb"] = res.Series["P2_queue"].Max() / 1000
@@ -199,18 +173,13 @@ func VictimUnderFlap(cfg VictimFlapConfig) *Result {
 
 // DeadlockUnitConfig parameterizes the deadlock-unit experiment.
 type DeadlockUnitConfig struct {
-	// Kind selects the flow control whose wait cycle forms: CEE closes a
-	// PFC pause-wait loop, IB a CBFC credit-wait loop.
-	Kind FabricKind
-	// Horizon ends the run (the cycle forms within the first hundred
-	// microseconds; the horizon only bounds detection).
-	Horizon units.Time
-	// ScanEvery is the detector period (0 = the stock period for Kind).
+	// Run is the header. Kind selects the flow control whose wait cycle
+	// forms: CEE closes a PFC pause-wait loop, IB a CBFC credit-wait loop.
+	// The cycle forms within the first hundred microseconds; the horizon
+	// only bounds detection.
+	Run
+	// ScanEvery is the detector period.
 	ScanEvery units.Time
-	// Seed feeds the rig's random streams.
-	Seed uint64
-	// Obs wires tracing/metrics/progress into the rig.
-	Obs obs.Config
 }
 
 // DefaultDeadlockUnitConfig returns the stock parameters: a 5 ms run on
@@ -220,7 +189,7 @@ type DeadlockUnitConfig struct {
 // to the dataplane; on IB it must also comfortably exceed Tc, because a
 // healthy port can legitimately sit starved for up to one FCCL period.
 func DefaultDeadlockUnitConfig(kind FabricKind) DeadlockUnitConfig {
-	cfg := DeadlockUnitConfig{Kind: kind, Horizon: 5 * units.Millisecond, ScanEvery: 100 * units.Microsecond}
+	cfg := DeadlockUnitConfig{Run: Run{Kind: kind, Horizon: 5 * units.Millisecond}, ScanEvery: 100 * units.Microsecond}
 	if kind == IB {
 		cfg.ScanEvery = 200 * units.Microsecond
 	}
@@ -232,25 +201,7 @@ func DefaultDeadlockUnitConfig(kind FabricKind) DeadlockUnitConfig {
 // time, the cycle size, and how long the initial trigger had been
 // blocked when the scan caught it.
 func DeadlockUnit(cfg DeadlockUnitConfig) *Result {
-	def := DefaultDeadlockUnitConfig(cfg.Kind)
-	if cfg.Horizon == 0 {
-		cfg.Horizon = def.Horizon
-	}
-	if cfg.ScanEvery == 0 {
-		cfg.ScanEvery = def.ScanEvery
-	}
-	rate := 40 * units.Gbps
-	ring := topo.NewRing(3, rate, units.Microsecond)
-	rig := NewRig(RigConfig{
-		Topo: ring.Topology,
-		Kind: cfg.Kind,
-		Det:  DetTCD,
-		Seed: cfg.Seed,
-		// Tiny flow-control buffers close the cycle quickly.
-		PFC:  pfc.Config{Xoff: 20 * units.KB, Xon: 18 * units.KB, Headroom: 20 * units.KB},
-		CBFC: cbfc.Config{Buffer: 20 * units.KB, Tc: 10 * units.Microsecond},
-		Obs:  cfg.Obs,
-	})
+	rig, ring := newRing3Rig(cfg.Run, DetTCD)
 	// Deliberately cyclic routing: everything not local is forwarded
 	// clockwise, so each inter-switch link carries two flows' transit
 	// traffic and the buffer dependencies form a loop.
@@ -275,7 +226,7 @@ func DeadlockUnit(cfg DeadlockUnitConfig) *Result {
 	// the ring's total buffering, at line rate.
 	var flows []*host.Flow
 	for i := 0; i < 3; i++ {
-		flows = append(flows, rig.Mgr.AddFlow(ring.Hosts[i], ring.Hosts[(i+2)%3], 2*units.MB, 0, host.FixedRate(rate)))
+		flows = append(flows, rig.Mgr.AddFlow(ring.Hosts[i], ring.Hosts[(i+2)%3], 2*units.MB, 0, host.FixedRate(40*units.Gbps)))
 	}
 
 	rig.Run(cfg.Horizon)

@@ -7,6 +7,7 @@ import (
 	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/obs"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -74,20 +75,19 @@ func specFromBytes(raw []byte) *fault.Spec {
 const fuzzHorizon = 1500 * units.Microsecond
 
 // fuzzRun drives a small Figure-2 workload with the given schedule and
-// returns the trace, the rig, and the injector.
-func fuzzRun(spec *fault.Spec) ([]obs.Event, *Fig2Rig, *fault.Injector, error) {
+// returns the trace and the rig (NewRig panics on a schedule that does
+// not inject cleanly, which fails the fuzz target like any other panic).
+func fuzzRun(spec *fault.Spec) ([]obs.Event, *Fig2Rig) {
 	ring := obs.NewRing(1 << 17)
-	rig := NewFig2Rig(Fig2Opts{Kind: CEE, Det: DetTCD, Seed: 9, Obs: obs.Config{Rec: ring}})
-	inj, err := rig.InjectFaults(spec)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{
+		Run: Run{Kind: CEE, Seed: 9, Obs: obs.Config{Rec: ring}, Faults: spec}, Det: DetTCD,
+	})
 	line := 40 * units.Gbps
 	rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, 10*units.MB, 0, rig.NewCC(CCDCQCN, line))
 	rig.LaunchBursts(100*units.Microsecond, 32*units.KB, 2, 50*units.Microsecond)
 	rig.Mgr.AddFlow(rig.F2.S0, rig.F2.R0, 10*units.MB, 200*units.Microsecond, host.FixedRate(10*units.Gbps))
 	rig.Sched.RunUntil(fuzzHorizon)
-	return ring.Events(), rig, inj, nil
+	return ring.Events(), rig
 }
 
 var (
@@ -99,11 +99,7 @@ var (
 // process (fuzz workers each pay it once).
 func golden(t *testing.T) []obs.Event {
 	goldenOnce.Do(func() {
-		evs, _, _, err := fuzzRun(nil)
-		if err != nil {
-			t.Fatalf("golden run failed: %v", err)
-		}
-		goldenEvents = evs
+		goldenEvents, _ = fuzzRun(nil)
 	})
 	return goldenEvents
 }
@@ -125,10 +121,7 @@ func FuzzFaultSchedule(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		spec := specFromBytes(raw)
-		events, rig, inj, err := fuzzRun(spec)
-		if err != nil {
-			t.Fatalf("constructed spec must always inject cleanly: %v\nspec: %+v", err, spec)
-		}
+		events, rig := fuzzRun(spec)
 		if err := rig.Sched.DebugCheck(); err != nil {
 			t.Fatalf("scheduler heap corrupted: %v", err)
 		}
@@ -136,7 +129,7 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatalf("%v\nspec: %+v", err, spec)
 		}
 		g := golden(t)
-		first := inj.FirstInjection()
+		first := rig.Inj.FirstInjection()
 		for i := 0; i < len(g) && i < len(events); i++ {
 			if g[i].At >= first || events[i].At >= first {
 				break

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/host"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -29,13 +30,8 @@ func TestInvariantsAcrossScenarios(t *testing.T) {
 				cfg.Horizon = 2 * units.Millisecond
 				cfg.BurstRounds = 4
 				cfg.Seed = 7
-				rig := NewFig2Rig(Fig2Opts{Kind: cfg.Kind, Det: cfg.Det, Seed: cfg.Seed})
-				line := 40 * units.Gbps
-				ccKind := CCDCQCN
-				if kind == IB {
-					ccKind = CCIBCC
-				}
-				rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, 10*units.MB, 0, rig.NewCC(ccKind, line))
+				rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: cfg.Run, Det: cfg.Det})
+				rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, 10*units.MB, 0, rig.NewCC(kind.StockCC(), 40*units.Gbps))
 				rig.LaunchBursts(200*units.Microsecond, cfg.BurstBytes, cfg.BurstRounds, cfg.BurstGap)
 				rig.Mgr.AddFlow(rig.F2.S0, rig.F2.R0, units.MB, 400*units.Microsecond, host.FixedRate(5*units.Gbps))
 				rig.Sched.RunUntil(cfg.Horizon)
@@ -51,7 +47,7 @@ func TestInvariantsAcrossScenarios(t *testing.T) {
 // expects the conservation check to fire — a checker that cannot fail
 // proves nothing.
 func TestInvariantCheckerCatchesLeaks(t *testing.T) {
-	rig := NewFig2Rig(Fig2Opts{Kind: CEE, Det: DetBaseline, Seed: 1})
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: Run{Kind: CEE, Seed: 1}, Det: DetBaseline})
 	f := rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, units.MB, 0, host.FixedRate(40*units.Gbps))
 	rig.Sched.RunUntil(units.Millisecond)
 	if err := CheckInvariants(rig.Rig); err != nil {

@@ -22,13 +22,14 @@ type MultiPrioConfig struct {
 	// HighLoad is the high-priority interference load (fraction of the
 	// 40 Gbps line) crossing the observed port.
 	HighLoad float64
-	Horizon  units.Time
-	Seed     uint64
+	// Run is the header. The scenario builds its two-priority PFC fabric
+	// by hand and draws no random numbers: only Horizon is read.
+	Run
 }
 
 // DefaultMultiPrioConfig returns a 30% high-priority interference load.
 func DefaultMultiPrioConfig() MultiPrioConfig {
-	return MultiPrioConfig{HighLoad: 0.3, Horizon: 8 * units.Millisecond}
+	return MultiPrioConfig{HighLoad: 0.3, Run: Run{Horizon: 8 * units.Millisecond}}
 }
 
 // MultiPrio builds a two-priority chain: low-priority victim traffic
@@ -38,9 +39,6 @@ func DefaultMultiPrioConfig() MultiPrioConfig {
 // burst era and recover to non-congestion — never congestion — despite
 // preemption jitter.
 func MultiPrio(cfg MultiPrioConfig) *Result {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 8 * units.Millisecond
-	}
 	res := NewResult("multiprio-sec4.5")
 	rate := 40 * units.Gbps
 	delay := units.Microsecond

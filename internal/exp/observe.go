@@ -5,10 +5,9 @@ import (
 
 	"github.com/tcdnet/tcd/internal/core"
 	"github.com/tcdnet/tcd/internal/fabric"
-	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
-	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/stats"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -17,8 +16,7 @@ import (
 // the burst-congested port P3, and constant-rate flows F0/F2 sharing the
 // P1/P2 chain.
 type ObserveConfig struct {
-	// Kind selects CEE (PFC + ECN) or IB (CBFC + FECN).
-	Kind FabricKind
+	Run
 	// Det selects the detector: DetBaseline reproduces Fig 3/4,
 	// DetTCD reproduces Fig 12/13.
 	Det DetectorKind
@@ -33,31 +31,20 @@ type ObserveConfig struct {
 	BurstRounds int
 	// BurstGap spaces the rounds (defaults to the round drain time).
 	BurstGap units.Time
-	// Horizon ends the run.
-	Horizon units.Time
 	// Sample is the trace interval.
 	Sample units.Time
 	// Arch selects the switch architecture (output-queued by default).
 	Arch fabric.Arch
-	// Seed feeds the rig's random streams.
-	Seed uint64
-	// Obs wires event tracing, metrics and progress reporting into the
-	// rig (all off by default).
-	Obs obs.Config
-	// Faults arms a fault schedule against the run (nil/empty = none; an
-	// empty schedule leaves the run byte-identical to a fault-free one).
-	Faults *fault.Spec
 }
 
 // DefaultObserveConfig returns the paper-scale §3.1 parameters.
 func DefaultObserveConfig(kind FabricKind, det DetectorKind, multi bool) ObserveConfig {
 	return ObserveConfig{
-		Kind:        kind,
+		Run:         Run{Kind: kind, Horizon: 8 * units.Millisecond},
 		Det:         det,
 		MultiCP:     multi,
 		BurstBytes:  64 * units.KB,
 		BurstRounds: 16,
-		Horizon:     8 * units.Millisecond,
 		Sample:      10 * units.Microsecond,
 	}
 }
@@ -66,22 +53,6 @@ func DefaultObserveConfig(kind FabricKind, det DetectorKind, multi bool) Observe
 // sending-rate and marking series of ports P0..P3 plus per-flow marking
 // observations.
 func Observe(cfg ObserveConfig) *Result {
-	return observeWithArch(cfg, cfg.Arch)
-}
-
-func observeWithArch(cfg ObserveConfig, arch fabric.Arch) *Result {
-	if cfg.BurstBytes == 0 {
-		cfg.BurstBytes = 64 * units.KB
-	}
-	if cfg.BurstRounds == 0 {
-		cfg.BurstRounds = 16
-	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 8 * units.Millisecond
-	}
-	if cfg.Sample == 0 {
-		cfg.Sample = 10 * units.Microsecond
-	}
 	if cfg.BurstGap == 0 {
 		// One round drains in senders*size / 40G; back-to-back rounds.
 		cfg.BurstGap = units.TxTime(15*cfg.BurstBytes, 40*units.Gbps)
@@ -92,29 +63,20 @@ func observeWithArch(cfg ObserveConfig, arch fabric.Arch) *Result {
 	} else {
 		name += "-singlecp"
 	}
-	rig := NewFig2Rig(Fig2Opts{
-		Kind:   cfg.Kind,
-		Det:    cfg.Det,
-		Seed:   cfg.Seed,
-		Arch:   arch,
-		Record: true,
-		Obs:    cfg.Obs,
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{
+		Run:               cfg.Run,
+		Det:               cfg.Det,
+		Arch:              cfg.Arch,
+		RecordTransitions: true,
 	})
 	res := NewResult(name)
-	inj := rig.mustInjectFaults(cfg.Faults)
 
-	line := 40 * units.Gbps
 	crossRate := 5 * units.Gbps
 	if cfg.MultiCP {
 		crossRate = 25 * units.Gbps
 	}
 
-	// F1: long-lived, congestion-controlled, S1 -> R1 at line rate.
-	ccKind := CCDCQCN
-	if cfg.Kind == IB {
-		ccKind = CCIBCC
-	}
-	f1 := rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, 10*1000*units.MB, 0, rig.NewCC(ccKind, line))
+	f1 := rig.AddF1()
 
 	// Bursts from A0..A14 to R1 at t=200us.
 	burstStart := 200 * units.Microsecond
@@ -185,11 +147,8 @@ func observeWithArch(cfg ObserveConfig, arch fabric.Arch) *Result {
 	res.Scalars["p2_pause_time_us"] = ports[2].PauseTime.Micros()
 	// Fault scalars only when something was armed: a fault-free run's
 	// result (the golden fig3/fig12 JSON) must stay byte-identical.
-	if inj.Armed > 0 {
-		res.Scalars["fault_actions_armed"] = float64(inj.Armed)
-		res.Scalars["fault_drops"] = float64(rig.Net.FaultDrops)
-		res.Scalars["fault_dropped_kb"] = float64(rig.Net.FaultDropPayload()) / 1000
-		attackScalars(res, rig.Net)
+	if rig.Inj.Armed > 0 {
+		rig.faultScalars(res)
 	}
 
 	if cfg.Det == DetTCD {

@@ -9,6 +9,7 @@ import (
 	"github.com/tcdnet/tcd/internal/cc"
 	"github.com/tcdnet/tcd/internal/core"
 	"github.com/tcdnet/tcd/internal/fabric"
+	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/pfc"
@@ -138,6 +139,15 @@ func ParseCC(s string) (CCKind, error) {
 // NeedsAcks reports whether the controller requires per-packet ACKs.
 func (c CCKind) NeedsAcks() bool { return c == CCTIMELY || c == CCTIMELYTCD }
 
+// StockCC is the fabric's stock congestion control: DCQCN on CEE, IB CC
+// on InfiniBand.
+func (f FabricKind) StockCC() CCKind {
+	if f == CEE {
+		return CCDCQCN
+	}
+	return CCIBCC
+}
+
 // DetectorParams carries the marking/detection thresholds of one rig.
 type DetectorParams struct {
 	// Eps is the TCD congestion-degree parameter (§4.2; default 0.05).
@@ -208,6 +218,9 @@ type Rig struct {
 	PFCCfg pfc.Config
 	// Obs holds the observability hooks this rig was wired with.
 	Obs obs.Config
+	// Inj is the injector that armed the header's fault schedule (never
+	// nil; Armed is 0 on a fault-free run).
+	Inj *fault.Injector
 	// liveWallStart anchors the wall-clock field of live progress
 	// snapshots (set when the live publisher attaches).
 	liveWallStart time.Time
@@ -215,11 +228,14 @@ type Rig struct {
 
 // RigConfig assembles a rig over an arbitrary topology.
 type RigConfig struct {
+	// Run is the header of the simulation the rig is built for. NewRig
+	// reads Kind, Seed, Obs (threaded through every layer of the rig) and
+	// Faults (armed once the rig is built, before any flow is added); the
+	// horizon is the caller's to pass to Rig.Run.
+	Run
 	Topo     *topo.Topology
-	Kind     FabricKind
 	Det      DetectorKind
 	Par      DetectorParams
-	Seed     uint64
 	HostCfg  host.Config
 	Selector routing.Selector
 	// Arch selects the switch architecture (output-queued by default;
@@ -238,9 +254,6 @@ type RigConfig struct {
 	// (property-tested), so traces do not depend on it — only memory
 	// and set-up time do.
 	RouteRows routing.RowSource
-	// Obs threads the observability hooks (event recorder, metrics
-	// registry, progress ticker) through every layer of the rig.
-	Obs obs.Config
 }
 
 // newScheduler builds the scheduler of every simulation in this package.
@@ -311,6 +324,11 @@ func NewRig(cfg RigConfig) *Rig {
 	if cfg.Obs.Live != nil {
 		r.attachLive()
 	}
+	// A bad schedule is a configuration error and should be loud.
+	var err error
+	if r.Inj, err = fault.Inject(r.Net, cfg.Faults); err != nil {
+		panic("exp: " + err.Error())
+	}
 	return r
 }
 
@@ -333,23 +351,19 @@ func (r *Rig) attachQueueSampler(tel *obs.Telemetry) {
 	r.Sched.After(every, tick)
 }
 
-// attachLive starts the live-introspection publisher: at every LiveEvery
+// attachLive starts the live-introspection publisher: at every millisecond
 // of simulated time it snapshots the metrics registry (plus telemetry
 // quantiles) into Prometheus text and a JSON progress line, and hands
 // the pre-serialized bytes to the HTTP endpoint. The simulator thread
 // never blocks on HTTP; handlers serve the latest published snapshot.
 func (r *Rig) attachLive() {
-	every := r.Obs.LiveEvery
-	if every <= 0 {
-		every = units.Millisecond
-	}
 	r.liveWallStart = time.Now()
 	var tick func()
 	tick = func() {
 		r.PublishLive(r.liveWallStart)
-		r.Sched.After(every, tick)
+		r.Sched.After(units.Millisecond, tick)
 	}
-	r.Sched.After(every, tick)
+	r.Sched.After(units.Millisecond, tick)
 }
 
 // PublishLive pushes one metrics + progress snapshot to the live
@@ -575,36 +589,15 @@ type Fig2Rig struct {
 	P0, P1, P2, P3 *fabric.Port
 }
 
-// Fig2Opts parameterizes the Figure-2 rig.
-type Fig2Opts struct {
-	Kind    FabricKind
-	Det     DetectorKind
-	Par     DetectorParams
-	Seed    uint64
-	Topo    topo.Fig2Config
-	HostCfg host.Config
-	Arch    fabric.Arch
-	Record  bool
-	Obs     obs.Config
-}
-
-// NewFig2Rig builds the §3.1 scenario network.
-func NewFig2Rig(o Fig2Opts) *Fig2Rig {
-	if o.Topo == (topo.Fig2Config{}) {
-		o.Topo = topo.DefaultFig2Config()
+// NewFig2Rig builds the §3.1 scenario network (the zero tcfg is
+// topo.DefaultFig2Config) and a rig on it; rc.Topo is the builder's to set.
+func NewFig2Rig(tcfg topo.Fig2Config, rc RigConfig) *Fig2Rig {
+	if tcfg == (topo.Fig2Config{}) {
+		tcfg = topo.DefaultFig2Config()
 	}
-	f2 := topo.NewFig2(o.Topo)
-	r := NewRig(RigConfig{
-		Topo:              f2.Topology,
-		Kind:              o.Kind,
-		Det:               o.Det,
-		Par:               o.Par,
-		Seed:              o.Seed,
-		HostCfg:           o.HostCfg,
-		Arch:              o.Arch,
-		RecordTransitions: o.Record,
-		Obs:               o.Obs,
-	})
+	f2 := topo.NewFig2(tcfg)
+	rc.Topo = f2.Topology
+	r := NewRig(rc)
 	return &Fig2Rig{
 		Rig: r,
 		F2:  f2,
@@ -613,6 +606,12 @@ func NewFig2Rig(o Fig2Opts) *Fig2Rig {
 		P2:  r.Net.PortOn(f2.L0, f2.LinkL0T2),
 		P3:  r.Net.PortOn(f2.T2, f2.LinkT2R1),
 	}
+}
+
+// AddF1 starts F1 of §3.1: long-lived, S1 -> R1 at line rate, on the
+// fabric's stock congestion control.
+func (fr *Fig2Rig) AddF1() *host.Flow {
+	return fr.Mgr.AddFlow(fr.F2.S1, fr.F2.R1, 10*1000*units.MB, 0, fr.NewCC(fr.Kind.StockCC(), 40*units.Gbps))
 }
 
 // LaunchBursts starts the §3.1 concurrent bursts: every A host sends a

@@ -12,11 +12,12 @@ import (
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/stats"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
 func TestFig2RigPortsAndDefaults(t *testing.T) {
-	rig := NewFig2Rig(Fig2Opts{Kind: CEE, Det: DetTCD})
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: Run{Kind: CEE}, Det: DetTCD})
 	// Observed ports are wired to the documented chain.
 	if rig.P0 != rig.Net.HostPort(rig.F2.S1) {
 		t.Error("P0 is not S1's NIC")
@@ -38,7 +39,7 @@ func TestFig2RigPortsAndDefaults(t *testing.T) {
 }
 
 func TestRigIBDefaults(t *testing.T) {
-	rig := NewFig2Rig(Fig2Opts{Kind: IB, Det: DetTCD})
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: Run{Kind: IB}, Det: DetTCD})
 	if rig.CBFCCfg.Buffer != cbfc.DefaultConfig().Buffer {
 		t.Errorf("CBFC buffer = %v", rig.CBFCCfg.Buffer)
 	}
@@ -53,7 +54,7 @@ func TestRigIBDefaults(t *testing.T) {
 }
 
 func TestRigCEETCDConfigUsesModel(t *testing.T) {
-	rig := NewFig2Rig(Fig2Opts{Kind: CEE, Det: DetTCD})
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: Run{Kind: CEE}, Det: DetTCD})
 	cfg := rig.TCDConfigFor(rig.P2)
 	// 40G link, 4us delay: tau = 0.4us + 8us = 8.4us;
 	// maxTon = (2*16000 + 8.4e-6*40e9) / (2*0.05*40e9) + 8.4us = 100.4us.
@@ -71,7 +72,7 @@ func TestRigCEETCDConfigUsesModel(t *testing.T) {
 }
 
 func TestNewCCKinds(t *testing.T) {
-	rig := NewFig2Rig(Fig2Opts{Kind: CEE, Det: DetNone})
+	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: Run{Kind: CEE}, Det: DetNone})
 	line := 40 * units.Gbps
 	cases := []struct {
 		kind CCKind

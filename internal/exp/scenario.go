@@ -30,9 +30,8 @@ type Params struct {
 	Horizon units.Time
 	// Faults is armed against each run of a scenario that accepts one.
 	Faults *fault.Spec
-	// Obs wires tracing, metrics and progress into single-simulation
-	// scenarios; scenarios that run several simulations back to back keep
-	// only the progress ticker (shared sinks would interleave the runs).
+	// Obs wires tracing, metrics and progress into the scenarios that
+	// take it (Scenario.Obs).
 	Obs obs.Config
 
 	// The CLI scale axes; JobSpec has no field for any of them.
@@ -44,6 +43,50 @@ type Params struct {
 	// Battery is the loaded attack battery (nil = the committed default).
 	Battery *Battery
 }
+
+// Run is the header every simulation shares: the fabric it runs on, the
+// seed of its private random streams, where it ends, and what is wired
+// into and armed against its rig. Scenario.Run resolves Params into one;
+// every scenario config and RigConfig embed it, so whatever has to reach
+// every rig is declared here once.
+type Run struct {
+	// Kind selects CEE (PFC + ECN/TCD) or IB (CBFC + FECN/TCD).
+	Kind FabricKind
+	// Seed feeds the run's random streams.
+	Seed uint64
+	// Horizon ends the run. Zero, in a header a front-end resolved, means
+	// the scenario's default (see over).
+	Horizon units.Time
+	// Obs wires event tracing, metrics, telemetry and progress reporting
+	// into the rig (all off by default).
+	Obs obs.Config
+	// Faults is the fault schedule (benign and adversarial kinds) armed
+	// against the rig. Nil or empty arms nothing: the run stays
+	// byte-identical to one built without the injector.
+	Faults *fault.Spec
+}
+
+// over lays h, the header a front-end resolved, over a scenario's default
+// header: an unset horizon keeps the scenario's, everything else is h's.
+func (h Run) over(def Run) Run {
+	if h.Horizon == 0 {
+		h.Horizon = def.Horizon
+	}
+	return h
+}
+
+// obsUse says how much of Params.Obs reaches a scenario's rigs.
+type obsUse int
+
+const (
+	// obsNone: the scenario runs unobserved.
+	obsNone obsUse = iota
+	// obsProgress: several simulations run back to back, so only the
+	// progress ticker is kept (shared sinks would interleave the runs).
+	obsProgress
+	// obsAll: one simulation, wired with everything.
+	obsAll
+)
 
 // Scenario is one row of the evaluation's cross product: its name, the
 // axes it consumes with their menus and defaults, and how to run it.
@@ -63,6 +106,8 @@ type Scenario struct {
 	Compare bool
 	// Faults reports whether the scenario arms Params.Faults.
 	Faults bool
+	// Obs is how much of Params.Obs the scenario's rigs are wired with.
+	Obs obsUse
 	// Archs and Workloads are the menus of Params.Arch and
 	// Params.Workload; the first entry is the default. Nil: not consumed.
 	Archs     []string
@@ -74,7 +119,9 @@ type Scenario struct {
 	// FullHorizon is the horizon Params.Full selects (0: none).
 	FullHorizon units.Time
 
-	run func(Params) []*Result
+	// run executes one cell: the resolved header, and p for the axes
+	// beyond it (det, cc, arch, scale).
+	run func(h Run, p Params) []*Result
 }
 
 // ServiceAddressable reports whether a JobSpec can say everything that
@@ -165,16 +212,15 @@ func (sc *Scenario) unset(def string) string {
 }
 
 // Run executes the scenario. It is the one place the axis rules live:
-// an explicit Horizon wins over the Full preset, which wins over the
-// scenario default; an unset Workload selects the menu's first entry;
-// an unset Det/CC selects the default, or every menu entry of a
-// comparison scenario. Front-ends validate with Check first, so a
-// parameter outside its menu here is a front-end bug and panics.
+// the header is resolved once (see header); an unset Workload selects the
+// menu's first entry; an unset Det/CC selects the default, or every menu
+// entry of a comparison scenario. Front-ends validate with Check first,
+// so a parameter outside its menu here is a front-end bug and panics.
 func (sc *Scenario) Run(p Params) []*Result {
 	if err := sc.Check(p); err != nil {
 		panic(err)
 	}
-	p.Horizon = sc.horizon(p)
+	h := sc.header(p)
 	if p.Workload == "" && len(sc.Workloads) > 0 {
 		p.Workload = sc.Workloads[0]
 	}
@@ -183,19 +229,31 @@ func (sc *Scenario) Run(p Params) []*Result {
 	var out []*Result
 	for _, p.Det = range dets {
 		for _, p.CC = range ccs {
-			out = append(out, sc.run(p)...)
+			out = append(out, sc.run(h, p)...)
 		}
 	}
 	return out
 }
 
-// horizon resolves the override in one place: an explicit horizon, else
-// the Full preset, else 0 — the scenario's own default.
-func (sc *Scenario) horizon(p Params) units.Time {
-	if p.Horizon == 0 && p.Full {
-		return sc.FullHorizon
+// header resolves what every simulation of the run shares. The horizon
+// is an explicit one, else the Full preset, else 0 — the scenario's own
+// default, which Run.over keeps. Obs and Faults carry only what the
+// scenario declares it takes.
+func (sc *Scenario) header(p Params) Run {
+	h := Run{Kind: p.Fabric, Seed: p.Seed, Horizon: p.Horizon}
+	if h.Horizon == 0 && p.Full {
+		h.Horizon = sc.FullHorizon
 	}
-	return p.Horizon
+	switch sc.Obs {
+	case obsAll:
+		h.Obs = p.Obs
+	case obsProgress:
+		h.Obs = obs.Config{ProgressEvery: p.Obs.ProgressEvery, ProgressOut: p.Obs.ProgressOut}
+	}
+	if sc.Faults {
+		h.Faults = p.Faults
+	}
+	return h
 }
 
 // pick resolves one menu axis: the set value, else the whole menu of a
@@ -231,160 +289,140 @@ var (
 // package init and immutable afterwards; front-ends read it concurrently.
 var Scenarios = []*Scenario{
 	{Name: "fig3", Desc: "single congestion point, baseline detectors (ECN/FECN)",
-		Dets: observeDets, DefaultDet: DetBaseline, Faults: true, Archs: archMenu, run: observeRun(false)},
+		Dets: observeDets, DefaultDet: DetBaseline, Faults: true, Obs: obsAll, Archs: archMenu, run: observeRun(false)},
 	{Name: "fig4", Desc: "multiple congestion points, baseline detectors",
-		Dets: observeDets, DefaultDet: DetBaseline, Faults: true, Archs: archMenu, run: observeRun(true)},
+		Dets: observeDets, DefaultDet: DetBaseline, Faults: true, Obs: obsAll, Archs: archMenu, run: observeRun(true)},
 	{Name: "fig8", Desc: "conceptual ON-OFF model surface Ton(eps, Rd)",
-		run: func(Params) []*Result { return []*Result{Fig8(), Section43Table()} }},
+		run: func(Run, Params) []*Result { return []*Result{Fig8(), Section43Table()} }},
 	{Name: "fig11", Desc: "testbed marking staircase (UE/CE fractions over time)",
 		FullHorizon: 400 * units.Millisecond,
-		run: func(p Params) []*Result {
-			cfg := DefaultTestbedConfig(p.Fabric)
-			cfg.Seed = p.Seed
-			setHorizon(&cfg.Horizon, p)
+		run: func(h Run, p Params) []*Result {
+			cfg := DefaultTestbedConfig(h.Kind)
+			cfg.Run = h.over(cfg.Run)
 			if p.Full {
 				cfg.Bin = 20 * units.Millisecond
 			}
 			return []*Result{Testbed(cfg)}
 		}},
 	{Name: "fig12", Desc: "single congestion point with TCD (und -> non-congestion)",
-		Dets: observeDets, DefaultDet: DetTCD, Faults: true, Archs: archMenu, run: observeRun(false)},
+		Dets: observeDets, DefaultDet: DetTCD, Faults: true, Obs: obsAll, Archs: archMenu, run: observeRun(false)},
 	{Name: "fig13", Desc: "multiple congestion points with TCD (und -> congestion)",
-		Dets: observeDets, DefaultDet: DetTCD, Faults: true, Archs: archMenu, run: observeRun(true)},
+		Dets: observeDets, DefaultDet: DetTCD, Faults: true, Obs: obsAll, Archs: archMenu, run: observeRun(true)},
 	{Name: "table3", Desc: "victim flows marked CE under ECN/FECN/TCD",
 		FullHorizon: 120 * units.Millisecond,
-		run: func(p Params) []*Result {
-			res, _ := Table3(p.Horizon, p.Seed)
+		run: func(h Run, _ Params) []*Result {
+			res, _ := Table3(h.Horizon, h.Seed)
 			return []*Result{res}
 		}},
 	{Name: "fig14", Desc: "sensitivity of the TCD parameter eps",
 		FullHorizon: 60 * units.Millisecond,
-		run: func(p Params) []*Result {
-			res, _ := Fig14(p.Fabric, p.Horizon, p.Seed)
+		run: func(h Run, _ Params) []*Result {
+			res, _ := Fig14(h)
 			return []*Result{res}
 		}},
 	{Name: "fig15", Desc: "DCQCN vs DCQCN+TCD: victim FCT and burst-size sweep",
 		FullHorizon: 100 * units.Millisecond, run: victimPairRun(CCDCQCN, CCDCQCNTCD)},
 	{Name: "fig16", Desc: "fat-tree FCT slowdown: DCQCN vs DCQCN+TCD",
-		Faults: true, Workloads: workloads, FatTree: true, FullHorizon: 100 * units.Millisecond,
-		run: func(p Params) []*Result {
-			return []*Result{fatTreeCompare(p, CEE, CCDCQCN, CCDCQCNTCD, p.Workload, 10, 40000)}
+		Faults: true, Obs: obsProgress, Workloads: workloads, FatTree: true, FullHorizon: 100 * units.Millisecond,
+		run: func(h Run, p Params) []*Result {
+			return []*Result{fatTreeCompare(h, p, CEE, CCDCQCN, CCDCQCNTCD, p.Workload, 10, 40000)}
 		}},
 	{Name: "fig17", Desc: "IB CC vs IB CC+TCD: victim MCT and MPI/IO fat-tree",
-		Faults: true, FatTree: true, FullHorizon: 100 * units.Millisecond,
-		run: func(p Params) []*Result {
-			r1, _, _ := VictimFCT(IB, CCIBCC, CCIBCCTCD, p.Horizon, p.Seed)
-			return []*Result{r1, fatTreeCompare(p, IB, CCIBCC, CCIBCCTCD, "mpiio", 16, 80000)}
+		Faults: true, Obs: obsProgress, FatTree: true, FullHorizon: 100 * units.Millisecond,
+		run: func(h Run, p Params) []*Result {
+			// The victim leg takes the seed and the horizon only: the fault
+			// schedule names fat-tree ports.
+			r1, _, _ := VictimFCT(Run{Kind: IB, Seed: h.Seed, Horizon: h.Horizon}, CCIBCC, CCIBCCTCD)
+			return []*Result{r1, fatTreeCompare(h, p, IB, CCIBCC, CCIBCCTCD, "mpiio", 16, 80000)}
 		}},
 	{Name: "fig18", Desc: "TIMELY vs TIMELY+TCD: victim FCT and burst-size sweep",
 		FullHorizon: 100 * units.Millisecond, run: victimPairRun(CCTIMELY, CCTIMELYTCD)},
 	{Name: "fig19", Desc: "fat-tree FCT slowdown: TIMELY vs TIMELY+TCD",
-		Faults: true, Workloads: workloads, FatTree: true, FullHorizon: 100 * units.Millisecond,
-		run: func(p Params) []*Result {
-			return []*Result{fatTreeCompare(p, CEE, CCTIMELY, CCTIMELYTCD, p.Workload, 10, 40000)}
+		Faults: true, Obs: obsProgress, Workloads: workloads, FatTree: true, FullHorizon: 100 * units.Millisecond,
+		run: func(h Run, p Params) []*Result {
+			return []*Result{fatTreeCompare(h, p, CEE, CCTIMELY, CCTIMELYTCD, p.Workload, 10, 40000)}
 		}},
 	{Name: "multiprio", Desc: "§4.5: strict-priority preemption does not disturb TCD",
-		run: func(p Params) []*Result {
+		run: func(h Run, _ Params) []*Result {
 			cfg := DefaultMultiPrioConfig()
-			cfg.Seed = p.Seed
-			setHorizon(&cfg.Horizon, p)
+			cfg.Run = h.over(cfg.Run)
 			return []*Result{MultiPrio(cfg)}
 		}},
 	{Name: "ablation", Desc: "design-choice ablations: detectors, notification rules, trend slack",
-		run: func(p Params) []*Result {
-			h := 20 * units.Millisecond
-			setHorizon(&h, p)
+		run: func(h Run, _ Params) []*Result {
+			victim := h.over(Run{Horizon: 20 * units.Millisecond})
+			// The switch-architecture leg runs its fixed 8 ms whatever the
+			// override says.
+			arch := h
+			arch.Horizon = 8 * units.Millisecond
 			return []*Result{
-				AblationDetectors(p.Fabric, h, p.Seed),
-				AblationNotification(h, p.Seed),
-				AblationTrendSlack(h, p.Seed),
-				AblationSwitchArch(8*units.Millisecond, p.Seed),
+				AblationDetectors(victim),
+				AblationNotification(victim),
+				AblationTrendSlack(victim),
+				AblationSwitchArch(arch),
 			}
 		}},
 	{Name: "victim-under-flap", Desc: "victim flow during a flapping link: stock detector vs TCD",
-		Dets: []DetectorKind{DetBaseline, DetTCD}, DefaultDet: DetBaseline, Compare: true, Faults: true,
-		run: func(p Params) []*Result {
-			cfg := DefaultVictimFlapConfig(p.Fabric, p.Det)
-			cfg.Seed = p.Seed
-			cfg.Faults = p.Faults
-			cfg.Obs = progressOnly(p.Obs)
-			setHorizon(&cfg.Horizon, p)
+		Dets: []DetectorKind{DetBaseline, DetTCD}, DefaultDet: DetBaseline, Compare: true, Faults: true, Obs: obsProgress,
+		run: func(h Run, p Params) []*Result {
+			cfg := DefaultVictimFlapConfig(h.Kind, p.Det)
+			cfg.Run = h.over(cfg.Run)
 			return []*Result{VictimUnderFlap(cfg)}
 		}},
 	{Name: "deadlock-unit", Desc: "3-switch ring PFC/CBFC deadlock with initial-trigger attribution",
-		run: func(p Params) []*Result {
-			cfg := DefaultDeadlockUnitConfig(p.Fabric)
-			cfg.Seed = p.Seed
-			cfg.Obs = p.Obs
-			setHorizon(&cfg.Horizon, p)
+		Obs: obsAll,
+		run: func(h Run, _ Params) []*Result {
+			cfg := DefaultDeadlockUnitConfig(h.Kind)
+			cfg.Run = h.over(cfg.Run)
 			return []*Result{DeadlockUnit(cfg)}
 		}},
 	{Name: "fig20", Desc: "fairness of the TCD rate-adjustment rules",
 		CCs: []CCKind{CCDCQCNTCD, CCTIMELYTCD}, DefaultCC: CCDCQCNTCD, Compare: true, Faults: true,
 		FullHorizon: 400 * units.Millisecond,
-		run: func(p Params) []*Result {
-			cfg := DefaultFairnessConfig(p.Fabric, p.CC)
-			cfg.Seed = p.Seed
-			cfg.Faults = p.Faults
-			setHorizon(&cfg.Horizon, p)
+		run: func(h Run, p Params) []*Result {
+			cfg := DefaultFairnessConfig(h.Kind, p.CC)
+			cfg.Run = h.over(cfg.Run)
 			return []*Result{Fairness(cfg)}
 		}},
 	{Name: "adversarial", Desc: "attack battery scored against the ground-truth oracle (both fabrics)",
 		Battery: true,
-		run: func(p Params) []*Result {
+		run: func(_ Run, p Params) []*Result {
 			_, results := AdversarialReport(p)
 			return results
 		}},
 }
 
-// setHorizon applies the resolved override, keeping the config's own
-// default when there is none.
-func setHorizon(dst *units.Time, p Params) {
-	if p.Horizon > 0 {
-		*dst = p.Horizon
-	}
-}
-
-// progressOnly strips the trace/metrics sinks, keeping the progress
-// ticker, for scenarios that run several simulations back to back.
-func progressOnly(o obs.Config) obs.Config {
-	return obs.Config{ProgressEvery: o.ProgressEvery, ProgressOut: o.ProgressOut}
-}
-
 // observeRun wires the §3.1 observation scenarios (fig3/4/12/13).
-func observeRun(multi bool) func(Params) []*Result {
-	return func(p Params) []*Result {
-		cfg := DefaultObserveConfig(p.Fabric, p.Det, multi)
-		cfg.Seed = p.Seed
-		cfg.Obs = p.Obs
-		cfg.Faults = p.Faults
+func observeRun(multi bool) func(Run, Params) []*Result {
+	return func(h Run, p Params) []*Result {
+		cfg := DefaultObserveConfig(h.Kind, p.Det, multi)
+		cfg.Run = h.over(cfg.Run)
 		if p.Arch == "voq" {
 			cfg.Arch = fabric.InputQueuedVoQ
 		}
-		setHorizon(&cfg.Horizon, p)
 		return []*Result{Observe(cfg)}
 	}
 }
 
 // victimPairRun wires fig15/fig18: victim FCT under a stock controller
-// versus its TCD variant, then the burst-size sweep.
-func victimPairRun(stock, tcd CCKind) func(Params) []*Result {
-	return func(p Params) []*Result {
-		r1, _, _ := VictimFCT(CEE, stock, tcd, p.Horizon, p.Seed)
+// versus its TCD variant, then the burst-size sweep, both on CEE.
+func victimPairRun(stock, tcd CCKind) func(Run, Params) []*Result {
+	return func(h Run, _ Params) []*Result {
+		h.Kind = CEE
+		r1, _, _ := VictimFCT(h, stock, tcd)
 		sizes := []units.ByteSize{32 * units.KB, 64 * units.KB, 128 * units.KB, 250 * units.KB, 500 * units.KB}
-		r2, _ := VictimBurstSweep(CEE, stock, tcd, sizes, p.Horizon, p.Seed)
+		r2, _ := VictimBurstSweep(h, stock, tcd, sizes)
 		return []*Result{r1, r2}
 	}
 }
 
-// fatTreeCompare wires the stock-vs-TCD fat-tree runs of fig16/17/19 at
-// laptop scale (k=6, 4000 flows), at the paper's k and flow count under
-// Full, with the explicit K/Flows overrides on top.
-func fatTreeCompare(p Params, kind FabricKind, stock, tcd CCKind, wl string, fullK, fullFlows int) *Result {
+// fatTreeCompare wires the stock-vs-TCD fat-tree runs of fig16/17/19 on
+// fabric kind: DefaultFatTreeConfig's laptop scale, the paper's k and flow
+// count under Full, with the explicit K/Flows overrides on top.
+func fatTreeCompare(h Run, p Params, kind FabricKind, stock, tcd CCKind, wl string, fullK, fullFlows int) *Result {
+	h.Kind = kind
 	cfg := DefaultFatTreeConfig(kind, DetBaseline, stock, wl)
-	cfg.Seed = p.Seed
-	cfg.Obs = progressOnly(p.Obs)
-	cfg.K, cfg.MaxFlows = 6, 4000
+	cfg.Run = h.over(cfg.Run)
 	if p.Full {
 		cfg.K, cfg.MaxFlows = fullK, fullFlows
 	}
@@ -394,8 +432,6 @@ func fatTreeCompare(p Params, kind FabricKind, stock, tcd CCKind, wl string, ful
 	if p.Flows > 0 {
 		cfg.MaxFlows = p.Flows
 	}
-	cfg.Faults = p.Faults
-	setHorizon(&cfg.Horizon, p)
 	res, _, _ := FatTreeComparison(cfg, stock, tcd)
 	return res
 }

@@ -2,9 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/tcdnet/tcd/internal/fault"
+	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -109,10 +112,69 @@ func TestCheckRejectsOffMenu(t *testing.T) {
 	}
 }
 
+// TestHeaderStaysTheOnlyCopy: every scenario config, and RigConfig,
+// embeds the Run header and declares no field of its own with one of the
+// header's names — the copies that PR 19 folded must not grow back when
+// the header gains a field.
+func TestHeaderStaysTheOnlyCopy(t *testing.T) {
+	header := reflect.TypeOf(Run{})
+	for _, cfg := range []any{
+		ObserveConfig{}, FairnessConfig{}, VictimConfig{}, FatTreeConfig{}, TestbedConfig{},
+		VictimFlapConfig{}, DeadlockUnitConfig{}, MultiPrioConfig{}, AdversarialConfig{}, RigConfig{},
+	} {
+		typ := reflect.TypeOf(cfg)
+		if f, ok := typ.FieldByName("Run"); !ok || !f.Anonymous || f.Type != header {
+			t.Errorf("%s does not embed Run", typ.Name())
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			if _, dup := header.FieldByName(typ.Field(i).Name); dup {
+				t.Errorf("%s declares its own %s beside the header's", typ.Name(), typ.Field(i).Name)
+			}
+		}
+	}
+}
+
+// TestHeaderResolution is the precedence table of the one place a run's
+// horizon is decided: unset keeps the scenario's default, Full selects
+// the preset where there is one, an explicit horizon wins over both. It
+// also holds the header to what the scenario declares it takes.
+func TestHeaderResolution(t *testing.T) {
+	const short = units.Millisecond
+	fig11, flap := DefaultTestbedConfig(CEE).Run, DefaultVictimFlapConfig(CEE, DetTCD).Run
+	for _, tc := range []struct {
+		exp  string
+		def  Run
+		p    Params
+		want units.Time
+	}{
+		{"fig11", fig11, Params{}, 80 * units.Millisecond},
+		{"fig11", fig11, Params{Full: true}, 400 * units.Millisecond},
+		{"fig11", fig11, Params{Horizon: short}, short},
+		{"fig11", fig11, Params{Full: true, Horizon: short}, short},
+		{"victim-under-flap", flap, Params{}, 10 * units.Millisecond},
+		{"victim-under-flap", flap, Params{Full: true}, 10 * units.Millisecond},
+		{"victim-under-flap", flap, Params{Full: true, Horizon: short}, short},
+	} {
+		if got := Lookup(tc.exp).header(tc.p).over(tc.def).Horizon; got != tc.want {
+			t.Errorf("%s %+v: horizon %v, want %v", tc.exp, tc.p, got, tc.want)
+		}
+	}
+	p := Params{Fabric: IB, Seed: 9, Faults: &fault.Spec{}, Obs: obs.Config{Rec: obs.NewRing(0), ProgressEvery: short}}
+	if h := Lookup("fig3").header(p); h.Kind != IB || h.Seed != 9 || h.Faults != p.Faults || h.Obs.Rec == nil {
+		t.Errorf("fig3 takes the whole header, got %+v", h)
+	}
+	if h := Lookup("fig16").header(p); h.Obs.Rec != nil || h.Obs.ProgressEvery != short || h.Faults != p.Faults {
+		t.Errorf("fig16 keeps the progress ticker and the schedule only, got %+v", h)
+	}
+	if h := Lookup("table3").header(p); h.Faults != nil || h.Obs != (obs.Config{}) {
+		t.Errorf("table3 declares neither faults nor obs, got %+v", h)
+	}
+}
+
 // TestHorizonWinsOverFull ranges over every scenario with a -full
-// horizon: an explicit horizon must win over the preset (at the parent
-// commit -full silently overrode -horizon in seven of nine), the preset
-// over the scenario default.
+// horizon: with the other scale axes pinned, Full must not change what an
+// explicit 1 ms run computes (at the parent of PR 14 -full silently
+// overrode -horizon in seven of nine).
 func TestHorizonWinsOverFull(t *testing.T) {
 	const short = units.Millisecond
 	for _, sc := range Scenarios {
@@ -121,18 +183,11 @@ func TestHorizonWinsOverFull(t *testing.T) {
 		}
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			if got := sc.horizon(Params{Full: true, Horizon: short}); got != short {
-				t.Errorf("Full + explicit horizon resolves to %v, want %v", got, short)
-			}
-			if got := sc.horizon(Params{Full: true}); got != sc.FullHorizon {
+			if got := sc.header(Params{Full: true}).Horizon; got != sc.FullHorizon {
 				t.Errorf("Full resolves to %v, want the preset %v", got, sc.FullHorizon)
 			}
-			if got := sc.horizon(Params{}); got != 0 {
-				t.Errorf("no override resolves to %v, want 0 (scenario default)", got)
-			}
-			// End to end: with the other scale axes pinned, Full must not
-			// change what a 1 ms run computes. (fig11's Full also widens
-			// the marking bin, so its bytes legitimately differ.)
+			// fig11's Full also widens the marking bin, so its bytes
+			// legitimately differ.
 			if sc.Name == "fig11" {
 				return
 			}

@@ -26,6 +26,7 @@ import (
 
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/obs"
+	"github.com/tcdnet/tcd/internal/stats"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -285,18 +286,9 @@ func Fold(vals []float64) Stats {
 	}
 	s.Min, s.Max = sorted[0], sorted[len(sorted)-1]
 	s.Mean = sum / float64(len(sorted))
-	s.P50 = percentile(sorted, 0.5)
-	s.P95 = percentile(sorted, 0.95)
+	s.P50 = stats.Percentile(sorted, 0.5)
+	s.P95 = stats.Percentile(sorted, 0.95)
 	return s
-}
-
-// percentile reads the p-quantile from an ascending slice (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)-1))
-	return sorted[i]
 }
 
 // Aggregate folds the outputs of successful runs across seeds: results

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -201,6 +202,27 @@ func TestFoldStats(t *testing.T) {
 	st := Fold([]float64{5, 1, 3, 2, 4})
 	if st.N != 5 || st.Min != 1 || st.Max != 5 || st.Mean != 3 || st.P50 != 3 {
 		t.Errorf("Fold = %+v", st)
+	}
+}
+
+// TestFoldNearestRank: the p95 of two or three runs is the largest of
+// them (an index of int(p*(n-1)) made it the minimum and the median), and
+// the quantiles are ordered on any input.
+func TestFoldNearestRank(t *testing.T) {
+	for _, vals := range [][]float64{{0.5, 0}, {0.5, 0, 0.7059}} {
+		if st := Fold(vals); st.P95 != st.Max {
+			t.Errorf("Fold(%v).P95 = %v, want the maximum %v", vals, st.P95, st.Max)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		vals := make([]float64, 1+r.Intn(40))
+		for j := range vals {
+			vals[j] = r.NormFloat64()
+		}
+		if st := Fold(vals); !(st.Min <= st.P50 && st.P50 <= st.P95 && st.P95 <= st.Max) {
+			t.Fatalf("Fold(%v) = %+v: quantiles out of order", vals, st)
+		}
 	}
 }
 

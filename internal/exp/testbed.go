@@ -18,16 +18,14 @@ import (
 // P0, F1 (S1→R1, 8 Gbps) crossing P0 and the congestion port, and A0
 // bursting at line rate into R1.
 type TestbedConfig struct {
-	Kind FabricKind
-	// Horizon ends the run; A0 is active over the middle half.
-	Horizon units.Time
+	// Run is the header; A0 is active over the middle half of its horizon.
+	Run
 	// Bin is the marking-fraction aggregation window (100 ms in the
 	// paper's seconds-long run; scaled runs use smaller bins).
 	Bin units.Time
 	// Jitter is the maximum extra control-frame delay from software
 	// forwarding (uniform in [0, Jitter]).
 	Jitter units.Time
-	Seed   uint64
 }
 
 // DefaultTestbedConfig returns a scaled testbed run: 80 ms total with
@@ -35,22 +33,15 @@ type TestbedConfig struct {
 // staircase is invariant to this scaling).
 func DefaultTestbedConfig(kind FabricKind) TestbedConfig {
 	return TestbedConfig{
-		Kind:    kind,
-		Horizon: 80 * units.Millisecond,
-		Bin:     4 * units.Millisecond,
-		Jitter:  10 * units.Microsecond,
+		Run:    Run{Kind: kind, Horizon: 80 * units.Millisecond},
+		Bin:    4 * units.Millisecond,
+		Jitter: 10 * units.Microsecond,
 	}
 }
 
 // Testbed runs the Fig 11 experiment and reports F0's UE marking
 // fraction per bin plus F1's CE fraction while the burst is active.
 func Testbed(cfg TestbedConfig) *Result {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 80 * units.Millisecond
-	}
-	if cfg.Bin == 0 {
-		cfg.Bin = cfg.Horizon / 20
-	}
 	rate := 10 * units.Gbps
 	tb := topo.NewTestbed(rate, units.Microsecond)
 	jrnd := rng.New(cfg.Seed + 5)
@@ -59,10 +50,9 @@ func Testbed(cfg TestbedConfig) *Result {
 		jitter = func() units.Time { return units.Time(jrnd.Int63n(int64(cfg.Jitter))) }
 	}
 	rc := RigConfig{
+		Run:        cfg.Run,
 		Topo:       tb.Topology,
-		Kind:       cfg.Kind,
 		Det:        DetTCD,
-		Seed:       cfg.Seed,
 		CtrlJitter: jitter,
 	}
 	if cfg.Kind == CEE {

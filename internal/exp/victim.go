@@ -18,14 +18,12 @@ import (
 // A0..A14 into R1. Every S0 flow is a potential victim: its path crosses
 // only ports that can be paused by spreading, never the congestion root.
 type VictimConfig struct {
-	Kind FabricKind
-	Det  DetectorKind
+	// Run is the header; flows are generated over the first 2/3 of its
+	// horizon.
+	Run
+	Det DetectorKind
 	// CC is the congestion control for S0/S1 flows.
 	CC CCKind
-	// Eps overrides the TCD congestion degree (Fig 14 sweeps it).
-	Eps float64
-	// Horizon ends the run; flows are generated over the first 2/3.
-	Horizon units.Time
 	// BurstSize fixes the per-host burst size; zero samples the workload
 	// CDF per burst (heavy-tailed bursts, as §5.1.3 describes).
 	BurstSize units.ByteSize
@@ -39,19 +37,16 @@ type VictimConfig struct {
 	// CustomCC, if set, builds the per-flow controller instead of CC
 	// (ablations of the rate-adjustment rules).
 	CustomCC func(r *Rig, line units.Rate) host.RateController
-	// Seed drives all randomness.
-	Seed uint64
 }
 
 // DefaultVictimConfig returns the victim scenario at experiment scale.
 func DefaultVictimConfig(kind FabricKind, det DetectorKind, cc CCKind) VictimConfig {
 	cfg := VictimConfig{
-		Kind:    kind,
-		Det:     det,
-		CC:      cc,
-		Horizon: 30 * units.Millisecond,
-		S0Load:  0.5,
-		S1Load:  0.5,
+		Run:    Run{Kind: kind, Horizon: 30 * units.Millisecond},
+		Det:    det,
+		CC:     cc,
+		S0Load: 0.5,
+		S1Load: 0.5,
 	}
 	// One synchronized round carries ~2.8 MB (15 hosts, heavy-tailed
 	// sizes). The gap sets how much of the time the root port is
@@ -63,6 +58,13 @@ func DefaultVictimConfig(kind FabricKind, det DetectorKind, cc CCKind) VictimCon
 	} else {
 		cfg.BurstMeanGap = 4 * units.Millisecond
 	}
+	return cfg
+}
+
+// victimConfig is DefaultVictimConfig on h.Kind under the run header h.
+func victimConfig(h Run, det DetectorKind, cc CCKind) VictimConfig {
+	cfg := DefaultVictimConfig(h.Kind, det, cc)
+	cfg.Run = h.over(cfg.Run)
 	return cfg
 }
 
@@ -92,33 +94,15 @@ type VictimOutcome struct {
 
 // Victim runs the scenario.
 func Victim(cfg VictimConfig) *VictimOutcome {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 30 * units.Millisecond
-	}
-	if cfg.BurstMeanGap == 0 {
-		cfg.BurstMeanGap = 300 * units.Microsecond
-	}
-	if cfg.S0Load == 0 {
-		cfg.S0Load = 0.5
-	}
-	if cfg.S1Load == 0 {
-		cfg.S1Load = 0.5
-	}
 	name := fmt.Sprintf("victim-%s-%s-%s", cfg.Kind, cfg.Det, cfg.CC)
 	tcfg := topo.DefaultFig2Config()
 	tcfg.EdgeRate = 20 * units.Gbps
 	hostCfg := host.DefaultConfig()
 	hostCfg.AckEveryPacket = cfg.CC.NeedsAcks()
-	par := cfg.Par
-	if cfg.Eps != 0 {
-		par.Eps = cfg.Eps
-	}
-	rig := NewFig2Rig(Fig2Opts{
-		Kind:    cfg.Kind,
+	rig := NewFig2Rig(tcfg, RigConfig{
+		Run:     cfg.Run,
 		Det:     cfg.Det,
-		Par:     par,
-		Seed:    cfg.Seed,
-		Topo:    tcfg,
+		Par:     cfg.Par,
 		HostCfg: hostCfg,
 	})
 	res := NewResult(name)
@@ -245,6 +229,7 @@ type Table3Row struct {
 // Table3 reproduces the victim-flow table: the fraction of victim flows
 // mistakenly marked CE under each detection scheme.
 func Table3(horizon units.Time, seed uint64) (*Result, []Table3Row) {
+	h := Run{Seed: seed, Horizon: horizon}
 	res := NewResult("table3-victim-flows")
 	rows := []struct {
 		label string
@@ -259,12 +244,8 @@ func Table3(horizon units.Time, seed uint64) (*Result, []Table3Row) {
 	}
 	var out []Table3Row
 	for _, row := range rows {
-		cfg := DefaultVictimConfig(row.kind, row.det, row.cc)
-		if horizon > 0 {
-			cfg.Horizon = horizon
-		}
-		cfg.Seed = seed
-		v := Victim(cfg)
+		h.Kind = row.kind
+		v := Victim(victimConfig(h, row.det, row.cc))
 		out = append(out, Table3Row{Scheme: row.label, Fraction: v.CEFlowFrac})
 		res.Scalars[row.label] = v.CEFlowFrac
 		res.AddNote("%-10s victims=%d markedCE=%d fraction=%.3f",
@@ -288,11 +269,9 @@ type Fig14Point struct {
 // recommended ε): actual ON periods then have the long tail that small
 // bounds misclassify. The paper reports no mistaken marks below ε = 0.1
 // and growing mistakes beyond.
-func Fig14(kind FabricKind, horizon units.Time, seed uint64) (*Result, []Fig14Point) {
-	res := NewResult(fmt.Sprintf("fig14-eps-sensitivity-%s", kind))
-	if horizon == 0 {
-		horizon = 20 * units.Millisecond
-	}
+func Fig14(h Run) (*Result, []Fig14Point) {
+	res := NewResult(fmt.Sprintf("fig14-eps-sensitivity-%s", h.Kind))
+	h = h.over(Run{Horizon: 20 * units.Millisecond})
 	var pts []Fig14Point
 	// Two interference intensities give the ON-period distribution a
 	// mild tail (~55us, F1 excess ~1.3G) and a sharper mode (~25us, F1
@@ -301,12 +280,7 @@ func Fig14(kind FabricKind, horizon units.Time, seed uint64) (*Result, []Fig14Po
 	for _, eps := range []float64{0.01, 0.02, 0.05, 0.1, 0.2, 0.4} {
 		ce := 0
 		for _, aRate := range aRates {
-			rig := NewFig2Rig(Fig2Opts{
-				Kind: kind,
-				Det:  DetTCD,
-				Par:  DetectorParams{Eps: eps},
-				Seed: seed,
-			})
+			rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: h, Det: DetTCD, Par: DetectorParams{Eps: eps}})
 			big := 1000 * units.MB
 			// Mild oversubscription of P3 with F1 above its fair share:
 			// F1's excess backs up through P2 in long, gentle ON-OFF
@@ -318,7 +292,7 @@ func Fig14(kind FabricKind, horizon units.Time, seed uint64) (*Result, []Fig14Po
 			// Victims to R0 across the P1/P2 chain.
 			f0 := rig.Mgr.AddFlow(rig.F2.S0, rig.F2.R0, big, 100*units.Microsecond, host.FixedRate(7*units.Gbps))
 			f2 := rig.Mgr.AddFlow(rig.F2.S2, rig.F2.R0, big, 100*units.Microsecond, host.FixedRate(7*units.Gbps))
-			rig.Run(horizon)
+			rig.Run(h.Horizon)
 			ce += f0.CEPackets() + f2.CEPackets()
 		}
 		pts = append(pts, Fig14Point{Eps: eps, VictimCEPackets: ce})
@@ -337,17 +311,10 @@ type Fig15Burst struct {
 
 // VictimFCT runs the Fig 15(a)/18(a) comparison: victim FCT under a
 // stock controller versus its TCD variant.
-func VictimFCT(kind FabricKind, stock, tcd CCKind, horizon units.Time, seed uint64) (*Result, *VictimOutcome, *VictimOutcome) {
+func VictimFCT(h Run, stock, tcd CCKind) (*Result, *VictimOutcome, *VictimOutcome) {
 	res := NewResult(fmt.Sprintf("victim-fct-%s-vs-%s", stock, tcd))
-	sCfg := DefaultVictimConfig(kind, DetBaseline, stock)
-	sCfg.Seed = seed
-	tCfg := DefaultVictimConfig(kind, DetTCD, tcd)
-	tCfg.Seed = seed
-	if horizon > 0 {
-		sCfg.Horizon, tCfg.Horizon = horizon, horizon
-	}
-	sv := Victim(sCfg)
-	tv := Victim(tCfg)
+	sv := Victim(victimConfig(h, DetBaseline, stock))
+	tv := Victim(victimConfig(h, DetTCD, tcd))
 	res.Scalars["stock_mean_fct_us"] = sv.MeanFCTus
 	res.Scalars["tcd_mean_fct_us"] = tv.MeanFCTus
 	if tv.MeanFCTus > 0 {
@@ -363,19 +330,14 @@ func VictimFCT(kind FabricKind, stock, tcd CCKind, horizon units.Time, seed uint
 
 // VictimBurstSweep runs Fig 15(b)/18(b): victim FCT and UE marking as a
 // function of burst size.
-func VictimBurstSweep(kind FabricKind, stock, tcd CCKind, sizes []units.ByteSize, horizon units.Time, seed uint64) (*Result, []Fig15Burst) {
+func VictimBurstSweep(h Run, stock, tcd CCKind, sizes []units.ByteSize) (*Result, []Fig15Burst) {
 	res := NewResult(fmt.Sprintf("victim-burst-sweep-%s", tcd))
 	var pts []Fig15Burst
 	for _, bs := range sizes {
-		sCfg := DefaultVictimConfig(kind, DetBaseline, stock)
+		sCfg := victimConfig(h, DetBaseline, stock)
 		sCfg.BurstSize = bs
-		sCfg.Seed = seed
-		tCfg := DefaultVictimConfig(kind, DetTCD, tcd)
+		tCfg := victimConfig(h, DetTCD, tcd)
 		tCfg.BurstSize = bs
-		tCfg.Seed = seed
-		if horizon > 0 {
-			sCfg.Horizon, tCfg.Horizon = horizon, horizon
-		}
 		sv := Victim(sCfg)
 		tv := Victim(tCfg)
 		pt := Fig15Burst{

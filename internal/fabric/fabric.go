@@ -219,24 +219,23 @@ type Config struct {
 	Priorities int
 	// Arch is the switch queueing architecture (default OutputQueued).
 	Arch Arch
-	// SwitchDelay is the fixed ingress-to-egress forwarding latency.
-	SwitchDelay units.Time
 	// CtrlJitter, if non-nil, returns extra delay added to each control
 	// frame (used to reproduce the testbed's software jitter).
 	CtrlJitter func() units.Time
-	// MaxHops aborts the run if a packet exceeds this hop count
-	// (a routing-loop guard). Zero means 64.
-	MaxHops int
 	// Rec, if non-nil, receives structured events from every port and
 	// from the flow-control components attached to them (OFF edges,
 	// CE/UE marks, control frames). Nil disables recording at zero cost.
 	Rec obs.Recorder
 }
 
-// DefaultConfig returns a single-priority fabric with no switch latency.
+// DefaultConfig returns a single-priority fabric.
 func DefaultConfig() Config {
 	return Config{Priorities: 1}
 }
+
+// maxHops is the routing-loop guard: a packet that exceeds this hop count
+// aborts the run (or, under an active fault, is TTL-dropped).
+const maxHops = 64
 
 // fifo is an allocation-friendly packet queue.
 type fifo struct {
@@ -303,15 +302,14 @@ type Port struct {
 	// serialized (a port serializes one packet at a time), txDoneFn the
 	// serialization-complete callback, wakeFn the source-wake callback
 	// (validated against wakeAt, so stale wakes are no-ops). receiveFn
-	// and enqueueFn are the typed-arg event callbacks for the per-packet
-	// link-propagation and switch-forwarding delays: several packets can
-	// be in flight at once, so the packet travels as the event argument
-	// rather than in port scratch — and scheduling mints no closure.
+	// is the typed-arg event callback for the per-packet link-propagation
+	// delay: several packets can be in flight at once, so the packet
+	// travels as the event argument rather than in port scratch — and
+	// scheduling mints no closure.
 	txPkt     *packet.Packet
 	txDoneFn  func()
 	wakeFn    func()
 	receiveFn func(any)
-	enqueueFn func(any)
 
 	// Ingress.
 	meter RxMeter
@@ -808,7 +806,7 @@ func (p *Port) receive(pkt *packet.Packet) {
 	}
 	pkt.InPort = int32(p.Index)
 	pkt.Hops++
-	if int(pkt.Hops) > p.net.cfg.MaxHops {
+	if pkt.Hops > maxHops {
 		if p.net.faulted {
 			// A hostile route rewrite can manufacture a true forwarding
 			// loop; under an active fault the packet is TTL-dropped (the
@@ -822,7 +820,7 @@ func (p *Port) receive(pkt *packet.Packet) {
 			return
 		}
 		panic(fmt.Sprintf("fabric: routing loop: %s exceeded %d hops at %s",
-			pkt, p.net.cfg.MaxHops, p.net.Topo.Name(n.id)))
+			pkt, maxHops, p.net.Topo.Name(n.id)))
 	}
 	out := p.net.Route(n.id, pkt)
 	if out == nil {
@@ -832,14 +830,8 @@ func (p *Port) receive(pkt *packet.Packet) {
 	if out.node != n {
 		panic("fabric: Route returned a port of another node")
 	}
-	if p.net.cfg.SwitchDelay > 0 {
-		// The packet stays on the in-flight ledger through the forwarding
-		// pipeline; enqueueFn moves it to queue accounting on arrival.
-		p.net.Sched.AfterArg(p.net.cfg.SwitchDelay, out.enqueueFn, pkt)
-	} else {
-		p.net.inFlightPayload -= pkt.Payload
-		out.Enqueue(pkt)
-	}
+	p.net.inFlightPayload -= pkt.Payload
+	out.Enqueue(pkt)
 }
 
 type node struct {
@@ -908,9 +900,6 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 	if cfg.Priorities <= 0 {
 		cfg.Priorities = 1
 	}
-	if cfg.MaxHops == 0 {
-		cfg.MaxHops = 64
-	}
 	n := &Network{Sched: s, Topo: t, cfg: cfg}
 	n.ctrlDeliverFn = func(arg any) { n.deliverCtrl(arg.(*ctrlInflight)) }
 	n.nodes = make([]*node, len(t.Nodes))
@@ -964,11 +953,6 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 			p.txDoneFn = p.txDone
 			p.wakeFn = p.wake
 			p.receiveFn = func(arg any) { p.receive(arg.(*packet.Packet)) }
-			p.enqueueFn = func(arg any) {
-				pkt := arg.(*packet.Packet)
-				n.inFlightPayload -= pkt.Payload
-				p.Enqueue(pkt)
-			}
 			nd.ports = append(nd.ports, p)
 			n.ports = append(n.ports, p)
 			return p

@@ -79,11 +79,8 @@ type Config struct {
 	// Rec and attaches the queue-depth sampler.
 	Telemetry *Telemetry
 	// Live, if non-nil, is the introspection endpoint the rig publishes
-	// metric and progress snapshots to at LiveEvery intervals.
+	// metric and progress snapshots to, once per simulated millisecond.
 	Live *Live
-	// LiveEvery is the simulated-time interval between live snapshot
-	// publishes (default 1 ms when Live is set).
-	LiveEvery units.Time
 	// ProgressEvery enables the progress ticker at this sim interval.
 	ProgressEvery units.Time
 	// ProgressOut receives progress lines (stderr if nil).

@@ -32,7 +32,7 @@ type Telemetry struct {
 	// QueueWin is the windowed time series of sampled queue depth.
 	QueueWin *WindowSeries
 	// QueueSampleEvery is the queue-depth sampling interval the rig's
-	// sampler uses (default 10 us).
+	// sampler uses.
 	QueueSampleEvery units.Time
 
 	pauseStart map[gateKey]units.Time
@@ -50,32 +50,9 @@ type gateKey struct {
 	prio uint8
 }
 
-// TelemetryOptions tunes the collector; the zero value is the default.
-type TelemetryOptions struct {
-	// QueueWindow is the queue-depth window width (default 100 us).
-	QueueWindow units.Time
-	// QueueWindows is the retained window count (default 256).
-	QueueWindows int
-	// QueueSampleEvery is the sampling interval (default 10 us).
-	QueueSampleEvery units.Time
-}
-
-// NewTelemetry builds a collector forwarding to next (nil for none).
+// NewTelemetry builds a collector forwarding to next (nil for none):
+// queue depth is sampled every 10 us into 100 us windows.
 func NewTelemetry(next Recorder) *Telemetry {
-	return NewTelemetryOpts(next, TelemetryOptions{})
-}
-
-// NewTelemetryOpts builds a collector with explicit window parameters.
-func NewTelemetryOpts(next Recorder, opt TelemetryOptions) *Telemetry {
-	if opt.QueueWindow <= 0 {
-		opt.QueueWindow = 100 * units.Microsecond
-	}
-	if opt.QueueWindows <= 0 {
-		opt.QueueWindows = DefaultWindowCount
-	}
-	if opt.QueueSampleEvery <= 0 {
-		opt.QueueSampleEvery = 10 * units.Microsecond
-	}
 	return &Telemetry{
 		FCT:              NewHist(),
 		QueueDepth:       NewHist(),
@@ -83,8 +60,8 @@ func NewTelemetryOpts(next Recorder, opt TelemetryOptions) *Telemetry {
 		StallDur:         NewHist(),
 		CNPGap:           NewHist(),
 		MarkGap:          NewHist(),
-		QueueWin:         NewWindowSeries(opt.QueueWindow, opt.QueueWindows),
-		QueueSampleEvery: opt.QueueSampleEvery,
+		QueueWin:         NewWindowSeries(100*units.Microsecond, DefaultWindowCount),
+		QueueSampleEvery: 10 * units.Microsecond,
 		pauseStart:       make(map[gateKey]units.Time),
 		stallStart:       make(map[gateKey]units.Time),
 		next:             next,

@@ -694,11 +694,6 @@ func (s *Scheduler) Stop() {
 	}
 }
 
-// Stopped reports whether the scheduler is stopped (Stop was called and
-// no RunUntil has restarted it). A stopped scheduler silently rejects new
-// events.
-func (s *Scheduler) Stopped() bool { return s.stopped }
-
 // Pending reports the number of queued events across the band and both
 // wheel levels.
 func (s *Scheduler) Pending() int {
