@@ -3,6 +3,8 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -310,5 +312,35 @@ func TestOnStartHook(t *testing.T) {
 	})
 	if calls != 0 {
 		t.Errorf("OnStart fired %d times under a canceled context", calls)
+	}
+}
+
+// pinnedSweep is the sweep TestWriteJSONPinned hashes: two seeds each of
+// fig12 (series) and table3 (several results per run) at 1 ms, plus a
+// cancelled run (an "error" and no "results"), with wall_ms zeroed.
+func pinnedSweep() []*RunResult {
+	var rs []*RunResult
+	for _, name := range []string{"fig12", "table3"} {
+		specs := Grid{Exps: []string{name}, Fabrics: []exp.FabricKind{exp.CEE}, Seeds: Seq(1, 2)}.Specs()
+		fn := Scenario(exp.Lookup(name), exp.Params{Horizon: units.Millisecond})
+		rs = append(rs, Run(context.Background(), specs, fn, Options{Parallel: 1})...)
+	}
+	rs = append(rs, &RunResult{Spec: Spec{Exp: "skipped", Seed: 3}, Err: context.Canceled})
+	for _, r := range rs {
+		r.Wall = 0
+	}
+	return rs
+}
+
+// TestWriteJSONPinned holds the sweep document to the bytes it had when
+// every result was re-indented by encoding/json (commit e9d01ce).
+func TestWriteJSONPinned(t *testing.T) {
+	const want = "aae5a03a5715105fdad00030acbc72377517b31ac874432ecba0ba86c5e5e756"
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, pinnedSweep()); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Errorf("sweep JSON sha256 = %s (%d bytes), want %s", got, buf.Len(), want)
 	}
 }
