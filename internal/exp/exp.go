@@ -5,9 +5,7 @@
 package exp
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,11 +16,15 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// TracerCap bounds the samples each fig-runner tracer retains per
-// series (see stats.Tracer.SetCap). It exceeds every default-horizon
-// sample count (fairness: 1200, testbed: 20, observe: 800) so default
-// runs — and the golden JSONs — are byte-identical to uncapped runs,
-// while arbitrarily long -full horizons stay within a fixed footprint.
+// TracerCap bounds the samples per series of the two tracers that set it
+// (fairness and testbed; see stats.Tracer.SetCap). It exceeds their
+// default-horizon sample counts (fairness: 1200, testbed: 20), so default
+// runs — and the golden JSONs — are byte-identical to uncapped runs, while
+// an arbitrarily long -full horizon stays within a fixed footprint. The
+// observe and victim-under-flap tracers are uncapped and grow with the
+// horizon. Observe's cannot simply be capped: decimation drops every
+// other sample, and its DeltaProbe series (marks per sample) would stop
+// summing to the port's marks.
 const TracerCap = 1 << 13
 
 // Result is the structured output of one experiment run.
@@ -117,62 +119,6 @@ func (r *Result) AttachTelemetry(tel *obs.Telemetry) {
 		}
 		r.Series["telemetry_queue_win"] = s
 	}
-}
-
-// jsonSeries is the export shape of one time series.
-type jsonSeries struct {
-	TimeUs []float64 `json:"time_us"`
-	Values []float64 `json:"values"`
-}
-
-// WriteJSON serializes the full result — scalars, tables, notes and every
-// series — as indented JSON. encoding/json sorts map keys, so same-seed
-// runs produce byte-identical output.
-func (r *Result) WriteJSON(w io.Writer) error {
-	series := make(map[string]jsonSeries, len(r.Series))
-	for name, s := range r.Series {
-		js := jsonSeries{TimeUs: make([]float64, len(s.T)), Values: s.V}
-		for i, t := range s.T {
-			js.TimeUs[i] = t.Micros()
-		}
-		series[name] = js
-	}
-	out := struct {
-		Name    string                `json:"name"`
-		Scalars map[string]float64    `json:"scalars"`
-		Tables  []string              `json:"tables,omitempty"`
-		Notes   []string              `json:"notes,omitempty"`
-		Hists   map[string]*obs.Hist  `json:"hists,omitempty"`
-		Series  map[string]jsonSeries `json:"series"`
-	}{r.Name, r.Scalars, r.Tables, r.Notes, r.Hists, series}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&out)
-}
-
-// WriteResultsJSON is the one result export every front-end shares
-// (`tcdsim -json`, the daemon's response body): a single object for one
-// result, a JSON array otherwise. WriteJSON sorts every map, so equal
-// runs produce byte-identical output.
-func WriteResultsJSON(w io.Writer, results []*Result) error {
-	if len(results) == 1 {
-		return results[0].WriteJSON(w)
-	}
-	if _, err := io.WriteString(w, "[\n"); err != nil {
-		return err
-	}
-	for i, r := range results {
-		if i > 0 {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		if err := r.WriteJSON(w); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, "]\n")
-	return err
 }
 
 // WriteSeries dumps every collected time series as a CSV file under dir

@@ -188,6 +188,29 @@ func TestFairnessShape(t *testing.T) {
 	}
 }
 
+// A fairness run long enough for its capped tracer to decimate (here
+// twice: 30 001 ticks at 1 us against TracerCap) still reports goodput the
+// 40G port can carry. With rates computed over the tracer's initial
+// interval, every sample after a decimation doubled — fig20 at 900 ms
+// reported 75.7 Gbps of steady goodput.
+func TestFairnessRatesSurviveDecimation(t *testing.T) {
+	cfg := DefaultFairnessConfig(CEE, CCTIMELYTCD)
+	cfg.Horizon, cfg.Sample = 30*units.Millisecond, units.Microsecond
+	res := Fairness(cfg)
+	s := res.Series["b0_gbps"]
+	if n := len(s.T); n >= TracerCap || s.T[n-1]-s.T[n-2] != 4*cfg.Sample {
+		t.Fatalf("%d samples ending %v apart: the run did not decimate twice", n, s.T[n-1]-s.T[n-2])
+	}
+	if got := res.Scalars["sum_steady_gbps"]; got > 40 || got < 20 {
+		t.Errorf("steady B rates sum to %v Gbps, want most of the 40G port and no more", got)
+	}
+	// One 1000-byte packet in a 1 us sample already reads 8 Gbps, so
+	// single samples are lumpy; none can exceed the host's 40G link.
+	if got := s.Max(); got > 40 {
+		t.Errorf("B0 goodput peaks at %v Gbps on a 40G link", got)
+	}
+}
+
 func indexedScalar(prefix string, i int, suffix string) string {
 	return prefix + string(rune('0'+i)) + suffix
 }

@@ -59,11 +59,14 @@ func Fairness(cfg FairnessConfig) *Result {
 	}
 
 	tr := stats.NewTracer(rig.Sched, cfg.Sample, cfg.Horizon)
-	// Long -full runs (400 ms) must not grow memory with run length; the
-	// fairness scalars are window means, which decimation preserves.
+	// Long -full runs (400 ms) must not grow memory with run length. The
+	// fairness scalars are means of rate samples over a window, and each
+	// sample is bytes over the tracer's interval at the time it was taken,
+	// so a decimated series (every other sample dropped, later ones
+	// spanning the doubled interval) still averages to the window's rate.
 	tr.SetCap(TracerCap)
 	for i, f := range bFlows {
-		probe := FlowRateProbe(f, cfg.Sample)
+		probe := stats.RateProbe(f.BytesRxed, tr.Interval)
 		res.Series[fmt.Sprintf("b%d_gbps", i)] = tr.Add(
 			fmt.Sprintf("B%d goodput Gbps", i),
 			func() float64 { return probe() / 1e9 })

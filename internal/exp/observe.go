@@ -96,7 +96,7 @@ func Observe(cfg ObserveConfig) *Result {
 		res.Series[PortLabel(i)+"_queue"] = tr.Add(PortLabel(i)+" queue bytes", func() float64 {
 			return float64(p.TotalQueueBytes())
 		})
-		rp := stats.RateProbe(func() units.ByteSize { return p.TxBytes }, cfg.Sample)
+		rp := stats.RateProbe(func() units.ByteSize { return p.TxBytes }, tr.Interval)
 		res.Series[PortLabel(i)+"_rate"] = tr.Add(PortLabel(i)+" tx Gbps", func() float64 { return rp() / 1e9 })
 		res.Series[PortLabel(i)+"_ce"] = tr.Add(PortLabel(i)+" CE marks", stats.DeltaProbe(func() uint64 { return p.MarkedCE }))
 		res.Series[PortLabel(i)+"_ue"] = tr.Add(PortLabel(i)+" UE marks", stats.DeltaProbe(func() uint64 { return p.MarkedUE }))

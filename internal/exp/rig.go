@@ -630,17 +630,6 @@ func (fr *Fig2Rig) LaunchBursts(start units.Time, size units.ByteSize, rounds in
 	return flows
 }
 
-// FlowRateProbe returns a probe of a flow's receive goodput.
-func FlowRateProbe(f *host.Flow, interval units.Time) func() float64 {
-	var last units.ByteSize
-	return func() float64 {
-		cur := f.BytesRxed()
-		delta := cur - last
-		last = cur
-		return float64(units.RateOf(delta, interval))
-	}
-}
-
 // PortIDs used in traces.
 var portLabels = []string{"P0", "P1", "P2", "P3"}
 

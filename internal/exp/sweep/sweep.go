@@ -15,6 +15,7 @@
 package sweep
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -391,41 +392,56 @@ func Errors(rs []*RunResult) []*RunResult {
 }
 
 // WriteJSON serializes the sweep — per-run spec, wall time, error and
-// full results — as one JSON document. Per-run result payloads reuse
-// exp.Result's deterministic encoding, so two sweeps over the same specs
-// differ only in the wall-clock fields.
+// full results — as one indented JSON document: an array of runs, each
+// closing with the array of its results. Per-run result payloads are
+// exp.Result's deterministic encoding, written once at their nesting
+// depth, so two sweeps over the same specs differ only in the wall-clock
+// fields.
 func WriteJSON(w io.Writer, rs []*RunResult) error {
 	type runJSON struct {
-		Spec    Spec              `json:"spec"`
-		WallMs  float64           `json:"wall_ms"`
-		Error   string            `json:"error,omitempty"`
-		Results []json.RawMessage `json:"results,omitempty"`
+		Spec   Spec    `json:"spec"`
+		WallMs float64 `json:"wall_ms"`
+		Error  string  `json:"error,omitempty"`
 	}
-	out := make([]runJSON, 0, len(rs))
-	for _, r := range rs {
+	// Runs sit one level deep ("  "), their results three ("      ").
+	bw := bufio.NewWriter(w) // its first error sticks; Flush reports it
+	bw.WriteString("[")
+	for i, r := range rs {
 		rj := runJSON{Spec: r.Spec, WallMs: float64(r.Wall.Microseconds()) / 1000}
 		if r.Err != nil {
 			rj.Error = r.Err.Error()
 		}
-		for _, res := range r.Results {
-			var sb jsonBuf
-			if err := res.WriteJSON(&sb); err != nil {
+		run, err := json.MarshalIndent(rj, "  ", "  ")
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			bw.WriteString(",")
+		}
+		bw.WriteString("\n  ")
+		if len(r.Results) == 0 {
+			bw.Write(run)
+			continue
+		}
+		// The run's object closes with "\n  }"; "results" goes in before.
+		bw.Write(run[:len(run)-len("\n  }")])
+		bw.WriteString(",\n    \"results\": [")
+		for j, res := range r.Results {
+			if j > 0 {
+				bw.WriteString(",")
+			}
+			bw.WriteString("\n      ")
+			if err := res.WriteJSONIndent(bw, "      "); err != nil {
 				return err
 			}
-			rj.Results = append(rj.Results, json.RawMessage(sb))
 		}
-		out = append(out, rj)
+		bw.WriteString("\n    ]\n  }")
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-type jsonBuf []byte
-
-func (b *jsonBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
+	if len(rs) > 0 {
+		bw.WriteString("\n")
+	}
+	bw.WriteString("]\n")
+	return bw.Flush()
 }
 
 // WriteCSV exports every scalar of every successful run as long-format

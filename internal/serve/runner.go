@@ -90,5 +90,8 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 	if err := exp.WriteResultsJSON(&buf, results); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	// The export arrives in chunks, so buf grew by doubling and may hold
+	// as much slack as content. The result cache keeps these bytes for as
+	// long as the entry lives: hand it an exact-size copy.
+	return bytes.Clone(buf.Bytes()), nil
 }

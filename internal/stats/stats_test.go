@@ -163,7 +163,8 @@ func TestTracerStartIdempotent(t *testing.T) {
 
 func TestRateProbe(t *testing.T) {
 	var sent units.ByteSize
-	probe := RateProbe(func() units.ByteSize { return sent }, units.Microsecond)
+	interval := units.Microsecond
+	probe := RateProbe(func() units.ByteSize { return sent }, func() units.Time { return interval })
 	sent = 5000 // 5000B in 1us = 40Gbps
 	if got := probe(); math.Abs(got-40e9) > 1e6 {
 		t.Errorf("rate probe = %v, want 40e9", got)
@@ -171,6 +172,11 @@ func TestRateProbe(t *testing.T) {
 	// No traffic in the next interval.
 	if got := probe(); got != 0 {
 		t.Errorf("idle rate probe = %v, want 0", got)
+	}
+	// The interval is read at every sample, not once.
+	sent, interval = sent+10000, 2*units.Microsecond
+	if got := probe(); math.Abs(got-40e9) > 1e6 {
+		t.Errorf("rate over a doubled interval = %v, want 40e9", got)
 	}
 }
 
@@ -204,7 +210,7 @@ func TestRateProbeFirstSampleBaseline(t *testing.T) {
 	// The counter already holds history when the probe is built; the
 	// first sample must measure from construction, not from zero.
 	sent := 1000 * units.KB
-	probe := RateProbe(func() units.ByteSize { return sent }, units.Microsecond)
+	probe := RateProbe(func() units.ByteSize { return sent }, func() units.Time { return units.Microsecond })
 	sent += 5000
 	if got := probe(); math.Abs(got-40e9) > 1e6 {
 		t.Errorf("first sample = %v, want 40e9 (pre-existing counter value leaked in)", got)

@@ -49,6 +49,11 @@ func (t *Tracer) SetCap(n int) { t.capN = n }
 // Decimations reports how many times the tracer halved its series.
 func (t *Tracer) Decimations() int { return t.decims }
 
+// Interval reports the current sampling interval. Read from a probe it is
+// the time since the previous sample (the nominal interval on the first
+// tick): decimation doubles it only after a tick's probes have run.
+func (t *Tracer) Interval() units.Time { return t.interval }
+
 // decimate halves every series in place (keeping even-index samples)
 // and doubles the interval.
 func (t *Tracer) decimate() {
@@ -71,6 +76,21 @@ func (t *Tracer) Start() {
 		return
 	}
 	t.started = true
+	// Size every column once. Ticks run from now to the horizon, so an
+	// uncapped tracer reserves exactly the samples the run will reach; a
+	// capped one never holds more than the cap (the tick that fills it
+	// decimates).
+	n := 1
+	if now := t.sched.Now(); t.horizon > now {
+		n += int((t.horizon - now) / t.interval)
+	}
+	if t.capN > 0 && n > t.capN {
+		n = t.capN
+	}
+	for _, s := range t.series {
+		s.T = make([]units.Time, 0, n)
+		s.V = make([]float64, 0, n)
+	}
 	var tick func()
 	tick = func() {
 		now := t.sched.Now()
@@ -91,15 +111,18 @@ func (t *Tracer) Start() {
 // Series returns all collected series in registration order.
 func (t *Tracer) Series() []*Series { return t.series }
 
-// RateProbe converts a cumulative byte counter into a rate (bits/s)
-// sampled per interval — used for the "sending rate of port P2" panels.
-func RateProbe(counter func() units.ByteSize, interval units.Time) func() float64 {
+// RateProbe converts a cumulative byte counter into a rate (bits/s) over
+// the sampling interval — used for the "sending rate of port P2" panels.
+// interval is read at every sample (pass the sampling tracer's Interval):
+// a capped tracer doubles its interval when it decimates, and a rate over
+// the interval the probe was built with would double with it.
+func RateProbe(counter func() units.ByteSize, interval func() units.Time) func() float64 {
 	last := counter()
 	return func() float64 {
 		cur := counter()
 		delta := cur - last
 		last = cur
-		return float64(units.RateOf(delta, interval))
+		return float64(units.RateOf(delta, interval()))
 	}
 }
 

@@ -89,3 +89,57 @@ func TestTracerCapAboveRunLengthIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestRateProbeThroughDecimation: a counter growing at a constant rate
+// reads that rate at every sample, also after the tracer has doubled its
+// interval (twice here) — the probe divides by the tracer's current
+// interval, not the one it started with.
+func TestRateProbeThroughDecimation(t *testing.T) {
+	sch := sim.New()
+	tr := NewTracer(sch, units.Microsecond, 200*units.Microsecond)
+	tr.SetCap(64)
+	// 5000 B/us = 40 Gbps.
+	sent := func() units.ByteSize { return units.ByteSize(sch.Now() / units.Microsecond * 5000) }
+	s := tr.Add("rate", RateProbe(sent, tr.Interval))
+	tr.Start()
+	sch.Run()
+
+	if tr.Decimations() != 2 {
+		t.Fatalf("decimations = %d, want 2", tr.Decimations())
+	}
+	if tr.Interval() != 4*units.Microsecond {
+		t.Fatalf("interval = %v after two decimations, want 4us", tr.Interval())
+	}
+	// The first sample covers no traffic yet.
+	for i, v := range s.V[1:] {
+		if v != 40e9 {
+			t.Fatalf("sample %d at %v = %v bits/s, want 40e9", i+1, s.T[i+1], v)
+		}
+	}
+}
+
+// TestTracerAllocs: Start sizes every column once, so a run's allocations
+// do not depend on how many ticks it samples.
+func TestTracerAllocs(t *testing.T) {
+	allocs := func(ticks int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			sch := sim.New()
+			tr := NewTracer(sch, units.Microsecond, units.Time(ticks-1)*units.Microsecond)
+			var series []*Series
+			for i := 0; i < 4; i++ {
+				series = append(series, tr.Add("x", func() float64 { return 1 }))
+			}
+			tr.Start()
+			sch.Run()
+			for _, s := range series {
+				if len(s.T) != ticks || cap(s.T) != ticks || cap(s.V) != ticks {
+					t.Fatalf("series holds %d samples in columns of %d and %d, want %d in all", len(s.T), cap(s.T), cap(s.V), ticks)
+				}
+			}
+		})
+	}
+	small, large := allocs(500), allocs(5000)
+	if small != large {
+		t.Errorf("a tracer run allocates %v objects over 500 ticks and %v over 5000", small, large)
+	}
+}
