@@ -70,7 +70,7 @@ func main() {
 		leaves    = flag.Int("leaves", 4, "leaf-spine leaf switch count (-topo-stats)")
 		spines    = flag.Int("spines", 4, "leaf-spine spine switch count (-topo-stats)")
 		hostsPer  = flag.Int("hostsper", 8, "leaf-spine hosts per leaf (-topo-stats)")
-		routes    = flag.String("routes", "structural", "-topo-stats route table: structural (alias: lazy) or eager")
+		routes    = flag.String("routes", "structural", "-topo-stats route table: structural or eager")
 
 		traceOut     = flag.String("trace-out", "", "stream the structured event trace as JSONL to this file (spill-to-disk; observation experiments)")
 		traceGzip    = flag.Bool("trace-gzip", false, "gzip-compress the -trace-out stream")
@@ -191,17 +191,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
 		os.Exit(code)
 	}
+	// Under -json - stdout carries the document alone; what a person reads
+	// goes to stderr.
+	quiet := *jsonOut == "-"
+	out := os.Stdout
+	if quiet {
+		out = os.Stderr
+	}
 	var results []*exp.Result
 	if sc.Battery {
 		// The one scenario whose run also yields an oracle report.
 		report, rs := exp.AdversarialReport(p)
-		printOracle(report, *oracleOut)
+		printOracle(out, report, *oracleOut)
 		results = rs
 	} else {
 		results = sc.Run(p)
 	}
 	stopProfile()
-	quiet := *jsonOut == "-" // keep stdout valid JSON
 	for _, res := range results {
 		if !quiet {
 			fmt.Print(res.Render())
@@ -213,7 +219,7 @@ func main() {
 		}
 		if *series != "" {
 			if s, ok := res.Series[*series]; ok {
-				fmt.Print(s.Render())
+				fmt.Fprint(out, s.Render())
 			} else if len(res.Series) > 0 {
 				names := make([]string, 0, len(res.Series))
 				for n := range res.Series {
@@ -246,10 +252,6 @@ func main() {
 		}
 	}
 
-	out := os.Stdout
-	if quiet {
-		out = os.Stderr
-	}
 	fmt.Fprintf(out, "(%s, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
 
 	if live != nil {
@@ -264,8 +266,8 @@ func main() {
 }
 
 // printOracle prints the per-detector oracle aggregates of an adversarial
-// run and, when path is set, writes the full report there.
-func printOracle(report *oracle.Report, path string) {
+// run to out and, when path is set, writes the full report there.
+func printOracle(out io.Writer, report *oracle.Report, path string) {
 	dets := make([]string, 0, len(report.PerDetector))
 	for det := range report.PerDetector {
 		dets = append(dets, det)
@@ -273,7 +275,7 @@ func printOracle(report *oracle.Report, path string) {
 	sort.Strings(dets)
 	for _, det := range dets {
 		agg := report.PerDetector[det]
-		fmt.Printf("oracle %-10s runs=%d mean_accuracy=%.4f mean_misdetect=%.4f\n",
+		fmt.Fprintf(out, "oracle %-10s runs=%d mean_accuracy=%.4f mean_misdetect=%.4f\n",
 			det, agg.Runs, agg.MeanAccuracy, agg.MeanMisdetect)
 	}
 	for _, c := range report.Contradictions {
@@ -391,8 +393,7 @@ func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string) int
 	switch mode = strings.ToLower(mode); mode {
 	case "eager":
 		tbl = routing.BuildShortestPath(t)
-	case "structural", "lazy":
-		mode = "structural"
+	case "structural":
 		tbl = routing.NewStructural(t, rows())
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -routes %q: want structural or eager\n", mode)

@@ -16,17 +16,6 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// TracerCap bounds the samples per series of the two tracers that set it
-// (fairness and testbed; see stats.Tracer.SetCap). It exceeds their
-// default-horizon sample counts (fairness: 1200, testbed: 20), so default
-// runs — and the golden JSONs — are byte-identical to uncapped runs, while
-// an arbitrarily long -full horizon stays within a fixed footprint. The
-// observe and victim-under-flap tracers are uncapped and grow with the
-// horizon. Observe's cannot simply be capped: decimation drops every
-// other sample, and its DeltaProbe series (marks per sample) would stop
-// summing to the port's marks.
-const TracerCap = 1 << 13
-
 // Result is the structured output of one experiment run.
 type Result struct {
 	// Name identifies the experiment (e.g. "fig3-cee").

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/core"
+	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/rng"
+	"github.com/tcdnet/tcd/internal/stats"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 	"github.com/tcdnet/tcd/internal/workload"
@@ -188,18 +190,18 @@ func TestFairnessShape(t *testing.T) {
 	}
 }
 
-// A fairness run long enough for its capped tracer to decimate (here
-// twice: 30 001 ticks at 1 us against TracerCap) still reports goodput the
-// 40G port can carry. With rates computed over the tracer's initial
-// interval, every sample after a decimation doubled — fig20 at 900 ms
-// reported 75.7 Gbps of steady goodput.
+// A fairness run long enough for its tracer to fold (here twice: 30 001
+// ticks at 1 us against stats.SeriesCap) still reports goodput the 40G
+// port can carry. With rates computed over the tracer's initial interval,
+// every sample after a fold doubled — fig20 at 900 ms reported 75.7 Gbps
+// of steady goodput.
 func TestFairnessRatesSurviveDecimation(t *testing.T) {
 	cfg := DefaultFairnessConfig(CEE, CCTIMELYTCD)
 	cfg.Horizon, cfg.Sample = 30*units.Millisecond, units.Microsecond
 	res := Fairness(cfg)
 	s := res.Series["b0_gbps"]
-	if n := len(s.T); n >= TracerCap || s.T[n-1]-s.T[n-2] != 4*cfg.Sample {
-		t.Fatalf("%d samples ending %v apart: the run did not decimate twice", n, s.T[n-1]-s.T[n-2])
+	if n := len(s.T); n > stats.SeriesCap || s.T[n-1]-s.T[n-2] != 4*cfg.Sample {
+		t.Fatalf("%d samples ending %v apart: the run did not fold twice", n, s.T[n-1]-s.T[n-2])
 	}
 	if got := res.Scalars["sum_steady_gbps"]; got > 40 || got < 20 {
 		t.Errorf("steady B rates sum to %v Gbps, want most of the 40G port and no more", got)
@@ -208,6 +210,66 @@ func TestFairnessRatesSurviveDecimation(t *testing.T) {
 	// single samples are lumpy; none can exceed the host's 40G link.
 	if got := s.Max(); got > 40 {
 		t.Errorf("B0 goodput peaks at %v Gbps on a 40G link", got)
+	}
+}
+
+// An observation run long enough to fold once (10 001 ticks against
+// stats.SeriesCap) is bounded, still ends on the horizon, and its
+// marks-per-sample columns still sum to the port's counters.
+func TestObserveFoldKeepsMarkSums(t *testing.T) {
+	cfg := DefaultObserveConfig(CEE, DetTCD, true)
+	cfg.Horizon = 100 * units.Millisecond
+	cfg.Obs.Metrics = obs.NewRegistry()
+	res := Observe(cfg)
+	for name, s := range res.Series {
+		if n := len(s.T); n != 5001 || s.T[n-1] != cfg.Horizon {
+			t.Errorf("%s: %d samples ending at %v, want 5001 (one fold) ending at %v", name, n, s.T[n-1], cfg.Horizon)
+		}
+	}
+	marks := 0.0
+	for port, label := range map[string]string{"P2": "L0[2]->T2", "P3": "T2[2]->R1"} {
+		for _, mk := range []string{"ce", "ue"} {
+			sum := 0.0
+			for _, v := range res.Series[port+"_"+mk].V {
+				sum += v
+			}
+			if want := cfg.Obs.Metrics.Counter("port_marked_"+mk, "port", label).Value(); sum != float64(want) {
+				t.Errorf("%s_%s sums to %v, port_marked_%s{port=%s} reads %d", port, mk, sum, mk, label, want)
+			}
+			marks += sum
+		}
+	}
+	if marks == 0 {
+		t.Error("neither port marked a packet: the sums compare nothing")
+	}
+}
+
+// No registry scenario reaches stats.SeriesCap at its default horizon or
+// at its -full one, so none of them folds and the bytes of those runs do
+// not depend on how a fold works. (fig11 -full also widens its bin to
+// 20 ms; with the default bin it is 101 samples.)
+func TestNoScenarioFolds(t *testing.T) {
+	observe := DefaultObserveConfig(CEE, DetTCD, false)
+	flap := DefaultVictimFlapConfig(CEE, DetTCD)
+	fair := DefaultFairnessConfig(CEE, CCDCQCNTCD)
+	testbed := DefaultTestbedConfig(CEE)
+	for _, c := range []struct {
+		name            string
+		horizon, sample units.Time
+	}{
+		{"fig3", observe.Horizon, observe.Sample},
+		{"fig4", observe.Horizon, observe.Sample},
+		{"fig12", observe.Horizon, observe.Sample},
+		{"fig13", observe.Horizon, observe.Sample},
+		{"victim-under-flap", flap.Horizon, flap.Sample},
+		{"fig20", fair.Horizon, fair.Sample},
+		{"fig11", testbed.Horizon, testbed.Bin},
+	} {
+		for _, h := range []units.Time{c.horizon, Lookup(c.name).FullHorizon} {
+			if n := int(h/c.sample) + 1; n > stats.SeriesCap {
+				t.Errorf("%s at %v samples %d times, over stats.SeriesCap (%d)", c.name, h, n, stats.SeriesCap)
+			}
+		}
 	}
 }
 

@@ -59,17 +59,10 @@ func Fairness(cfg FairnessConfig) *Result {
 	}
 
 	tr := stats.NewTracer(rig.Sched, cfg.Sample, cfg.Horizon)
-	// Long -full runs (400 ms) must not grow memory with run length. The
-	// fairness scalars are means of rate samples over a window, and each
-	// sample is bytes over the tracer's interval at the time it was taken,
-	// so a decimated series (every other sample dropped, later ones
-	// spanning the doubled interval) still averages to the window's rate.
-	tr.SetCap(TracerCap)
+	// The fairness scalars are window means of these rate samples, which a
+	// fold (pairs averaged) preserves on the longest horizons.
 	for i, f := range bFlows {
-		probe := stats.RateProbe(f.BytesRxed, tr.Interval)
-		res.Series[fmt.Sprintf("b%d_gbps", i)] = tr.Add(
-			fmt.Sprintf("B%d goodput Gbps", i),
-			func() float64 { return probe() / 1e9 })
+		res.Series[fmt.Sprintf("b%d_gbps", i)] = tr.AddRate(fmt.Sprintf("B%d goodput Gbps", i), f.BytesRxed, units.Gbps)
 	}
 	tr.Start()
 	rig.Run(cfg.Horizon)

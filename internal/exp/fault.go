@@ -141,8 +141,7 @@ func VictimUnderFlap(cfg VictimFlapConfig) *Result {
 			return float64(p.TotalQueueBytes())
 		})
 	}
-	f1Rate := stats.RateProbe(f1.BytesRxed, tr.Interval)
-	res.Series["f1_rate"] = tr.Add("F1 goodput Gbps", func() float64 { return f1Rate() / 1e9 })
+	res.Series["f1_rate"] = tr.AddRate("F1 goodput Gbps", f1.BytesRxed, units.Gbps)
 	tr.Start()
 
 	rig.Run(cfg.Horizon)

@@ -96,10 +96,9 @@ func Observe(cfg ObserveConfig) *Result {
 		res.Series[PortLabel(i)+"_queue"] = tr.Add(PortLabel(i)+" queue bytes", func() float64 {
 			return float64(p.TotalQueueBytes())
 		})
-		rp := stats.RateProbe(func() units.ByteSize { return p.TxBytes }, tr.Interval)
-		res.Series[PortLabel(i)+"_rate"] = tr.Add(PortLabel(i)+" tx Gbps", func() float64 { return rp() / 1e9 })
-		res.Series[PortLabel(i)+"_ce"] = tr.Add(PortLabel(i)+" CE marks", stats.DeltaProbe(func() uint64 { return p.MarkedCE }))
-		res.Series[PortLabel(i)+"_ue"] = tr.Add(PortLabel(i)+" UE marks", stats.DeltaProbe(func() uint64 { return p.MarkedUE }))
+		res.Series[PortLabel(i)+"_rate"] = tr.AddRate(PortLabel(i)+" tx Gbps", func() units.ByteSize { return p.TxBytes }, units.Gbps)
+		res.Series[PortLabel(i)+"_ce"] = tr.AddDelta(PortLabel(i)+" CE marks", func() uint64 { return p.MarkedCE })
+		res.Series[PortLabel(i)+"_ue"] = tr.AddDelta(PortLabel(i)+" UE marks", func() uint64 { return p.MarkedUE })
 	}
 	tr.Start()
 

@@ -123,11 +123,7 @@ func (g Grid) Specs() []Spec {
 // across shards instead of one shard getting every seed of one
 // scenario). Sharding is deterministic: the union of all shards of the
 // same spec list is exactly the list, with no overlap, so a sharded
-// sweep reproduces the single-process sweep run-for-run. Each shard
-// process builds its own rigs — and with lazy route tables each shard
-// materializes only the route columns its own runs touch, which is what
-// keeps hyperscale grids (fat-tree k=32 and beyond) within per-worker
-// memory budgets.
+// sweep reproduces the single-process sweep run-for-run.
 func Shard(specs []Spec, index, total int) []Spec {
 	if total <= 1 {
 		return specs

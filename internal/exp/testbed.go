@@ -83,9 +83,6 @@ func Testbed(cfg TestbedConfig) *Result {
 
 	// Per-bin marking fractions at the destination.
 	tr := stats.NewTracer(rig.Sched, cfg.Bin, cfg.Horizon)
-	// Scalars below are bin means, so decimation on very long horizons is
-	// safe; at the default 20 bins the cap never triggers.
-	tr.SetCap(TracerCap)
 	f0ue := binFraction(f0, false)
 	f0ce := binFraction(f0, true)
 	f1ce := binFraction(f1, true)

@@ -57,9 +57,6 @@ type Config struct {
 	// pause; the NIC never bursts more than this beyond the paced
 	// schedule. Two MTUs models a hardware rate limiter's bucket.
 	PaceBurst units.ByteSize
-	// Capable is the TCD code point new data packets carry. Set to
-	// packet.Capable (default) for TCD-aware transports.
-	NotCapable bool
 }
 
 // DefaultConfig returns the paper's endpoint parameters.
@@ -308,10 +305,6 @@ func (ep *Endpoint) buildData(sf *senderFlow) *packet.Packet {
 	if sf.remaining < payload {
 		payload = sf.remaining
 	}
-	code := packet.Capable
-	if ep.mgr.cfg.NotCapable {
-		code = packet.NotCapable
-	}
 	pkt := ep.mgr.net.NewPacket()
 	pkt.Flow = sf.flow.ID
 	pkt.Src = ep.id
@@ -322,7 +315,7 @@ func (ep *Endpoint) buildData(sf *senderFlow) *packet.Packet {
 	pkt.Seq = sf.seq
 	pkt.Last = payload == sf.remaining
 	pkt.Priority = sf.flow.Priority
-	pkt.Code = code
+	pkt.Code = packet.Capable
 	pkt.InPort = -1
 	return pkt
 }

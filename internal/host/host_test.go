@@ -219,19 +219,6 @@ func TestUECNPsAreSeparate(t *testing.T) {
 	}
 }
 
-func TestNotCapableTransportNeverMarked(t *testing.T) {
-	cfg := host.DefaultConfig()
-	cfg.NotCapable = true
-	r := newRig(t, cfg, 2, 40*units.Gbps, units.Microsecond)
-	r.net.PortToward(r.sw, r.id("b")).AttachDetector(0, markAllCE{})
-	rec := &recordCtrl{rate: 40 * units.Gbps}
-	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 10*units.KB, 0, rec)
-	r.sched.Run()
-	if f.CEPackets() != 0 || len(rec.notifies) != 0 {
-		t.Errorf("non-capable transport was marked: ce=%d cnp=%d", f.CEPackets(), len(rec.notifies))
-	}
-}
-
 func TestLastPartialPacket(t *testing.T) {
 	r := newRig(t, host.DefaultConfig(), 2, 40*units.Gbps, units.Microsecond)
 	// 2500 B = two full MTUs plus a 500 B tail.

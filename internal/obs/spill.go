@@ -9,7 +9,7 @@ import (
 )
 
 // SpillOptions tunes a Spill sink. The zero value spills uncompressed
-// with a 64 MB chunk size, no total cap and a 4096-event buffer.
+// with a 64 MB chunk size and no total cap.
 type SpillOptions struct {
 	// ChunkBytes rotates to a new chunk file once the current one exceeds
 	// this many encoded bytes (default 64 MB; encoded size is measured
@@ -22,18 +22,15 @@ type SpillOptions struct {
 	MaxBytes int64
 	// Gzip compresses each chunk (name the output *.jsonl.gz).
 	Gzip bool
-	// BufEvents is the in-memory buffer flushed as one batch (default
-	// 4096 events, ~300 KB); it bounds trace memory regardless of run
-	// length.
-	BufEvents int
 }
+
+// spillBufEvents is the in-memory buffer flushed as one batch (~300 KB);
+// it bounds trace memory regardless of run length.
+const spillBufEvents = 4096
 
 func (o *SpillOptions) fill() {
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = 64 << 20
-	}
-	if o.BufEvents <= 0 {
-		o.BufEvents = 4096
 	}
 }
 
@@ -69,7 +66,7 @@ type Spill struct {
 // NewSpill opens a spill sink writing its first chunk to path.
 func NewSpill(path string, opt SpillOptions) (*Spill, error) {
 	opt.fill()
-	s := &Spill{path: path, opt: opt, buf: make([]Event, 0, opt.BufEvents)}
+	s := &Spill{path: path, opt: opt, buf: make([]Event, 0, spillBufEvents)}
 	if err := s.openChunk(); err != nil {
 		return nil, err
 	}
@@ -126,15 +123,15 @@ func (s *Spill) closeChunk() error {
 }
 
 // Record implements Recorder. Steady state it appends into the
-// preallocated buffer; every BufEvents records it encodes and writes the
-// batch.
+// preallocated buffer; every spillBufEvents records it encodes and writes
+// the batch.
 func (s *Spill) Record(e Event) {
 	if s.err != nil || s.closed || s.capped() {
 		s.dropped++
 		return
 	}
 	s.buf = append(s.buf, e)
-	if len(s.buf) >= s.opt.BufEvents {
+	if len(s.buf) >= spillBufEvents {
 		s.flush()
 	}
 }

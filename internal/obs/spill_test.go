@@ -30,9 +30,9 @@ func spillEvents(n int) []Event {
 func TestSpillMatchesWriteJSONL(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.jsonl")
-	evs := spillEvents(1000)
+	evs := spillEvents(2*spillBufEvents + 1000) // two mid-run flushes and Close's
 
-	s, err := NewSpill(path, SpillOptions{BufEvents: 64})
+	s, err := NewSpill(path, SpillOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestSpillMatchesWriteJSONL(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Written() != 1000 || s.Dropped() != 0 || s.Chunks() != 1 {
+	if s.Written() != uint64(len(evs)) || s.Dropped() != 0 || s.Chunks() != 1 {
 		t.Fatalf("written=%d dropped=%d chunks=%d", s.Written(), s.Dropped(), s.Chunks())
 	}
 
@@ -67,9 +67,9 @@ func TestSpillMatchesWriteJSONL(t *testing.T) {
 func TestSpillChunkRotation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.jsonl")
-	evs := spillEvents(500)
+	evs := spillEvents(spillBufEvents + 500)
 
-	s, err := NewSpill(path, SpillOptions{ChunkBytes: 4096, BufEvents: 32})
+	s, err := NewSpill(path, SpillOptions{ChunkBytes: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +109,9 @@ func TestSpillChunkRotation(t *testing.T) {
 func TestSpillMaxBytesKeepsOldest(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "trace.jsonl")
-	evs := spillEvents(2000)
+	evs := spillEvents(2 * spillBufEvents) // the second buffer is refused at Record
 
-	s, err := NewSpill(path, SpillOptions{MaxBytes: 8192, BufEvents: 16})
+	s, err := NewSpill(path, SpillOptions{MaxBytes: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +124,8 @@ func TestSpillMaxBytesKeepsOldest(t *testing.T) {
 	if s.Dropped() == 0 {
 		t.Fatal("cap did not drop anything")
 	}
-	if s.Written()+s.Dropped() != 2000 {
-		t.Fatalf("written %d + dropped %d != 2000", s.Written(), s.Dropped())
+	if s.Written()+s.Dropped() != uint64(len(evs)) {
+		t.Fatalf("written %d + dropped %d != %d", s.Written(), s.Dropped(), len(evs))
 	}
 	var want bytes.Buffer
 	if err := WriteJSONL(&want, evs[:s.Written()]); err != nil {

@@ -231,13 +231,13 @@ func TestJobRecordEviction(t *testing.T) {
 	exec := func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
 		return []byte(`{"ok":true}`), nil
 	}
-	s := New(Config{Workers: 1, JobRecords: 4, Exec: exec})
+	s := New(Config{Workers: 1, CacheEntries: jobRecords + 8, Exec: exec})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()
 
 	var firstID, firstHash string
-	for i := 0; i < 12; i++ {
+	for i := 0; i < jobRecords+8; i++ {
 		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(distinctSpec(i)))
 		if err != nil {
 			t.Fatal(err)
@@ -251,8 +251,8 @@ func TestJobRecordEviction(t *testing.T) {
 	s.mu.Lock()
 	records := len(s.jobs)
 	s.mu.Unlock()
-	if records > 4 {
-		t.Errorf("job records not bounded: %d > 4", records)
+	if records > jobRecords {
+		t.Errorf("job records not bounded: %d > %d", records, jobRecords)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + firstID)
 	if err != nil {

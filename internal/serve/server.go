@@ -26,11 +26,13 @@ type Config struct {
 	QueueCap int
 	// CacheEntries bounds the completed-result cache (<= 0 = 1024).
 	CacheEntries int
-	// JobRecords bounds retained finished-job metadata (<= 0 = 4096).
-	JobRecords int
 	// Exec runs one job (nil = CatalogExec). Tests inject stubs here.
 	Exec ExecFunc
 }
+
+// jobRecords bounds the finished-job metadata (and SSE replay buffers) a
+// Server retains; results outlive their job record in the cache.
+const jobRecords = 4096
 
 // errShutdown resolves jobs orphaned by a daemon shutdown.
 var errShutdown = errors.New("serve: daemon shutting down")
@@ -96,7 +98,6 @@ func (j *job) view() map[string]interface{} {
 type Server struct {
 	exec        ExecFunc
 	queueCap    int
-	jobRecords  int
 	workerCount int
 
 	ctx    context.Context
@@ -151,10 +152,6 @@ func New(cfg Config) *Server {
 	if cacheCap <= 0 {
 		cacheCap = 1024
 	}
-	jobRecords := cfg.JobRecords
-	if jobRecords <= 0 {
-		jobRecords = 4096
-	}
 	exec := cfg.Exec
 	if exec == nil {
 		exec = CatalogExec
@@ -163,7 +160,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		exec:        exec,
 		queueCap:    queueCap,
-		jobRecords:  jobRecords,
 		workerCount: workers,
 		ctx:         ctx,
 		cancel:      cancel,
@@ -329,7 +325,7 @@ func (s *Server) finishEntry(entry *cacheEntry, b []byte, err error, wall time.D
 // cap.
 func (s *Server) recordFinishedLocked(id string) {
 	s.doneOrder = append(s.doneOrder, id)
-	for len(s.doneOrder) > 0 && len(s.jobs) > s.jobRecords {
+	for len(s.doneOrder) > 0 && len(s.jobs) > jobRecords {
 		old := s.doneOrder[0]
 		s.doneOrder = s.doneOrder[1:]
 		delete(s.jobs, old)
@@ -607,7 +603,7 @@ func (s *Server) handleExps(w http.ResponseWriter, _ *http.Request) {
 	enc.Encode(out) //nolint:errcheck
 }
 
-// Stats is the /v1/stats snapshot (also the loadgen's hit-rate source).
+// Stats is the /v1/stats snapshot.
 type Stats struct {
 	Submitted     uint64  `json:"submitted"`
 	Completed     uint64  `json:"completed"`

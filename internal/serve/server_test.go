@@ -277,3 +277,54 @@ func TestFailedJobNotCached(t *testing.T) {
 		t.Errorf("retry should recompute, got X-Cache %q", hdr.Get("X-Cache"))
 	}
 }
+
+// TestMixedWave sends one concurrent wave of warm submissions (a pool of
+// four specs, each sent many times) beside never-seen cold ones to a
+// four-worker daemon: hits, coalesced twins and misses interleave on the
+// cache, the queue and the hub at once. Every body must be the stub's
+// output for the spec that was sent.
+func TestMixedWave(t *testing.T) {
+	echo := func(spec *JobSpec) []byte {
+		return append([]byte(`{"echo":`), append(spec.Canonical(), '}')...)
+	}
+	s, ts := newTestDaemon(t, Config{Workers: 4, QueueCap: 256, Exec: func(_ context.Context, spec *JobSpec, _ io.Writer) ([]byte, error) {
+		return echo(spec), nil
+	}})
+
+	const n = 96
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		raw := distinctSpec(i % 4) // warm pool
+		if i%3 == 0 {
+			raw = distinctSpec(4 + i) // cold
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			spec, err := ParseJobSpec([]byte(raw))
+			if err != nil {
+				t.Errorf("spec %s: %v", raw, err)
+				return
+			}
+			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(raw))
+			if err != nil {
+				t.Errorf("spec %s: %v", raw, err)
+				return
+			}
+			defer resp.Body.Close()
+			got, err := io.ReadAll(resp.Body)
+			if want := echo(spec); err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+				t.Errorf("spec %s: status %d, read error %v, body %q, want %q", raw, resp.StatusCode, err, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+
+	st := s.snapshot()
+	if st.WarmHits+st.Coalesced == 0 {
+		t.Error("no warm submission met the cache")
+	}
+	if st.Failed != 0 || st.Misses != n/3+4 {
+		t.Errorf("%d failed, %d misses; want 0 and %d (one per distinct spec)", st.Failed, st.Misses, n/3+4)
+	}
+}

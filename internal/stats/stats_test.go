@@ -161,34 +161,48 @@ func TestTracerStartIdempotent(t *testing.T) {
 	}
 }
 
+// sampleOnce runs a tracer for one tick at time 0 and returns that sample.
+// grow runs between registration and the tick.
+func sampleOnce(add func(tr *Tracer) *Series, grow func()) float64 {
+	sch := sim.New()
+	tr := NewTracer(sch, units.Microsecond, 0)
+	s := add(tr)
+	grow()
+	tr.Start()
+	sch.Run()
+	return s.V[0]
+}
+
 func TestRateProbe(t *testing.T) {
+	sch := sim.New()
+	tr := NewTracer(sch, units.Microsecond, 2*units.Microsecond)
 	var sent units.ByteSize
-	interval := units.Microsecond
-	probe := RateProbe(func() units.ByteSize { return sent }, func() units.Time { return interval })
-	sent = 5000 // 5000B in 1us = 40Gbps
-	if got := probe(); math.Abs(got-40e9) > 1e6 {
-		t.Errorf("rate probe = %v, want 40e9", got)
+	s := tr.AddRate("rate", func() units.ByteSize { return sent }, 1)
+	// 5000B in the first 1us = 40Gbps; no traffic in the second.
+	sch.At(units.Microsecond, func() { sent = 5000 })
+	tr.Start()
+	sch.Run()
+	if got := s.V[1]; math.Abs(got-40e9) > 1e6 {
+		t.Errorf("rate sample = %v, want 40e9", got)
 	}
-	// No traffic in the next interval.
-	if got := probe(); got != 0 {
-		t.Errorf("idle rate probe = %v, want 0", got)
-	}
-	// The interval is read at every sample, not once.
-	sent, interval = sent+10000, 2*units.Microsecond
-	if got := probe(); math.Abs(got-40e9) > 1e6 {
-		t.Errorf("rate over a doubled interval = %v, want 40e9", got)
+	if got := s.V[2]; got != 0 {
+		t.Errorf("idle rate sample = %v, want 0", got)
 	}
 }
 
 func TestDeltaProbe(t *testing.T) {
+	sch := sim.New()
+	tr := NewTracer(sch, units.Microsecond, 2*units.Microsecond)
 	var count uint64
-	probe := DeltaProbe(func() uint64 { return count })
-	count = 7
-	if probe() != 7 {
-		t.Error("delta probe wrong")
+	s := tr.AddDelta("marks", func() uint64 { return count })
+	sch.At(units.Microsecond, func() { count = 7 })
+	sch.At(2*units.Microsecond, func() { count = 9 })
+	tr.Start()
+	sch.Run()
+	if s.V[1] != 7 {
+		t.Error("delta sample wrong")
 	}
-	count = 9
-	if probe() != 2 {
+	if s.V[2] != 2 {
 		t.Error("second delta wrong")
 	}
 }
@@ -207,12 +221,13 @@ func TestNewTracerRejectsZeroInterval(t *testing.T) {
 }
 
 func TestRateProbeFirstSampleBaseline(t *testing.T) {
-	// The counter already holds history when the probe is built; the
-	// first sample must measure from construction, not from zero.
+	// The counter already holds history when the column is registered;
+	// the first sample must measure from registration, not from zero.
 	sent := 1000 * units.KB
-	probe := RateProbe(func() units.ByteSize { return sent }, func() units.Time { return units.Microsecond })
-	sent += 5000
-	if got := probe(); math.Abs(got-40e9) > 1e6 {
+	got := sampleOnce(func(tr *Tracer) *Series {
+		return tr.AddRate("rate", func() units.ByteSize { return sent }, 1)
+	}, func() { sent += 5000 })
+	if math.Abs(got-40e9) > 1e6 {
 		t.Errorf("first sample = %v, want 40e9 (pre-existing counter value leaked in)", got)
 	}
 }
@@ -221,9 +236,10 @@ func TestDeltaProbeWraparound(t *testing.T) {
 	// uint64 modular arithmetic keeps the increment correct across a
 	// counter wrap.
 	count := uint64(math.MaxUint64 - 2)
-	probe := DeltaProbe(func() uint64 { return count })
-	count += 5 // wraps to 2
-	if got := probe(); got != 5 {
+	got := sampleOnce(func(tr *Tracer) *Series {
+		return tr.AddDelta("marks", func() uint64 { return count })
+	}, func() { count += 5 }) // wraps to 2
+	if got != 5 {
 		t.Errorf("delta across wraparound = %v, want 5", got)
 	}
 }

@@ -5,6 +5,24 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
+// SeriesCap bounds the samples a Tracer retains per series. The tick that
+// takes a series past it folds adjacent samples pairwise and doubles the
+// sampling interval, so a run of any length covers its whole duration in
+// at most SeriesCap samples. Every scenario's default and -full horizon
+// stays below it (8001 samples for fig20 -full is the largest), so those
+// runs are sampled at the interval they asked for.
+const SeriesCap = 1 << 13
+
+// kind is what a column's samples mean, which decides how two adjacent
+// samples fold into one.
+type kind uint8
+
+const (
+	level kind = iota // a reading at the sample time: the later one stands
+	delta             // an increment since the previous sample: the pair sums
+	rate              // a mean over the time since the previous sample: the pair averages
+)
+
 // Tracer samples registered probes at a fixed interval until a horizon,
 // building one Series per probe. Figures 3, 4, 12, 13 and 20 are made of
 // these series (queue length, sending rate, marking counters).
@@ -13,10 +31,9 @@ type Tracer struct {
 	interval units.Time
 	horizon  units.Time
 	probes   []func() float64
+	kinds    []kind
 	series   []*Series
 	started  bool
-	capN     int
-	decims   int
 }
 
 // NewTracer builds a tracer sampling every interval until horizon. It
@@ -30,44 +47,69 @@ func NewTracer(s *sim.Scheduler, interval, horizon units.Time) *Tracer {
 	return &Tracer{sched: s, interval: interval, horizon: horizon}
 }
 
-// Add registers a probe and returns its series.
+// Add registers a level probe — a quantity read at the sample time, such
+// as a queue length — and returns its series.
 func (t *Tracer) Add(name string, probe func() float64) *Series {
+	return t.add(name, level, probe)
+}
+
+// AddDelta registers a cumulative count and returns the series of its
+// increments per sample ("marked packets per sample"). The increments of
+// a series sum to the counter's growth since AddDelta, folded or not.
+func (t *Tracer) AddDelta(name string, counter func() uint64) *Series {
+	last := counter()
+	return t.add(name, delta, func() float64 {
+		cur := counter()
+		d := cur - last
+		last = cur
+		return float64(d)
+	})
+}
+
+// AddRate registers a cumulative byte counter and returns the series of
+// its rate, in multiples of unit, over the time since the previous sample
+// ("sending rate of port P2"). The first sample divides what the counter
+// gained since AddRate by the nominal interval.
+func (t *Tracer) AddRate(name string, counter func() units.ByteSize, unit units.Rate) *Series {
+	last := counter()
+	return t.add(name, rate, func() float64 {
+		cur := counter()
+		d := cur - last
+		last = cur
+		return float64(units.RateOf(d, t.interval)) / float64(unit)
+	})
+}
+
+func (t *Tracer) add(name string, k kind, probe func() float64) *Series {
 	s := &Series{Name: name}
 	t.probes = append(t.probes, probe)
+	t.kinds = append(t.kinds, k)
 	t.series = append(t.series, s)
 	return s
 }
 
-// SetCap bounds retained samples per series (0 = unlimited, the
-// default). When a tick fills a series to the cap, every series is
-// decimated in place — every other sample dropped — and the sampling
-// interval doubles, so an arbitrarily long run retains at most cap
-// samples per series while still covering its whole duration. Call
-// before Start.
-func (t *Tracer) SetCap(n int) { t.capN = n }
-
-// Decimations reports how many times the tracer halved its series.
-func (t *Tracer) Decimations() int { return t.decims }
-
-// Interval reports the current sampling interval. Read from a probe it is
-// the time since the previous sample (the nominal interval on the first
-// tick): decimation doubles it only after a tick's probes have run.
-func (t *Tracer) Interval() units.Time { return t.interval }
-
-// decimate halves every series in place (keeping even-index samples)
-// and doubles the interval.
-func (t *Tracer) decimate() {
-	for _, s := range t.series {
-		keep := (len(s.T) + 1) / 2
-		for i := 0; i < keep; i++ {
-			s.T[i] = s.T[2*i]
-			s.V[i] = s.V[2*i]
+// fold halves every series in place and doubles the interval. Sample 0
+// stays; after it each adjacent pair becomes one sample at the later
+// time, so the grid stays on multiples of the new interval and still ends
+// on the latest tick. It runs on SeriesCap+1 samples, an odd count, so the
+// pairs come out even.
+func (t *Tracer) fold() {
+	for i, s := range t.series {
+		n := 1
+		for j := 2; j < len(s.T); j += 2 {
+			v := s.V[j]
+			switch t.kinds[i] {
+			case delta:
+				v += s.V[j-1]
+			case rate:
+				v = (v + s.V[j-1]) / 2
+			}
+			s.T[n], s.V[n] = s.T[j], v
+			n++
 		}
-		s.T = s.T[:keep]
-		s.V = s.V[:keep]
+		s.T, s.V = s.T[:n], s.V[:n]
 	}
 	t.interval *= 2
-	t.decims++
 }
 
 // Start schedules the sampling loop (call after registering probes).
@@ -76,16 +118,14 @@ func (t *Tracer) Start() {
 		return
 	}
 	t.started = true
-	// Size every column once. Ticks run from now to the horizon, so an
-	// uncapped tracer reserves exactly the samples the run will reach; a
-	// capped one never holds more than the cap (the tick that fills it
-	// decimates).
+	// Size every column once: the samples the run will reach, or the one
+	// past SeriesCap that triggers a fold.
 	n := 1
 	if now := t.sched.Now(); t.horizon > now {
 		n += int((t.horizon - now) / t.interval)
 	}
-	if t.capN > 0 && n > t.capN {
-		n = t.capN
+	if n > SeriesCap+1 {
+		n = SeriesCap + 1
 	}
 	for _, s := range t.series {
 		s.T = make([]units.Time, 0, n)
@@ -98,8 +138,8 @@ func (t *Tracer) Start() {
 			t.series[i].T = append(t.series[i].T, now)
 			t.series[i].V = append(t.series[i].V, p())
 		}
-		if t.capN > 0 && len(t.series) > 0 && len(t.series[0].T) >= t.capN {
-			t.decimate()
+		if len(t.series) > 0 && len(t.series[0].T) > SeriesCap {
+			t.fold()
 		}
 		if now+t.interval <= t.horizon {
 			t.sched.After(t.interval, tick)
@@ -110,30 +150,3 @@ func (t *Tracer) Start() {
 
 // Series returns all collected series in registration order.
 func (t *Tracer) Series() []*Series { return t.series }
-
-// RateProbe converts a cumulative byte counter into a rate (bits/s) over
-// the sampling interval — used for the "sending rate of port P2" panels.
-// interval is read at every sample (pass the sampling tracer's Interval):
-// a capped tracer doubles its interval when it decimates, and a rate over
-// the interval the probe was built with would double with it.
-func RateProbe(counter func() units.ByteSize, interval func() units.Time) func() float64 {
-	last := counter()
-	return func() float64 {
-		cur := counter()
-		delta := cur - last
-		last = cur
-		return float64(units.RateOf(delta, interval()))
-	}
-}
-
-// DeltaProbe converts a cumulative count into a per-interval increment —
-// used for "marked packets per sample" panels.
-func DeltaProbe(counter func() uint64) func() float64 {
-	last := counter()
-	return func() float64 {
-		cur := counter()
-		delta := cur - last
-		last = cur
-		return float64(delta)
-	}
-}
