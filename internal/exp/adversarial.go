@@ -220,7 +220,7 @@ func Adversarial(cfg AdversarialConfig) (*Result, oracle.Run) {
 	if f1 != nil {
 		res.Scalars["f1_goodput_gbps"] = float64(units.RateOf(f1.BytesRxed(), cfg.Horizon)) / 1e9
 	}
-	res.AttachTelemetry(cfg.Obs.Telemetry)
+	rig.AttachTelemetry(res)
 
 	return res, oracle.Run{
 		Scenario: cfg.Scenario.Name,

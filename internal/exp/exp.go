@@ -13,7 +13,6 @@ import (
 
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/stats"
-	"github.com/tcdnet/tcd/internal/units"
 )
 
 // Result is the structured output of one experiment run.
@@ -89,25 +88,6 @@ func (r *Result) Render() string {
 		fmt.Fprintf(&sb, "  series %-32s samples=%d max=%.4g\n", k, len(s.T), s.Max())
 	}
 	return sb.String()
-}
-
-// AttachTelemetry folds a run's streaming histograms into the result
-// (no-op when telemetry is off, keeping default outputs byte-identical).
-// The queue-depth window ring additionally exports as a regular series
-// of per-window means so it rides the existing series plumbing.
-func (r *Result) AttachTelemetry(tel *obs.Telemetry) {
-	if tel == nil {
-		return
-	}
-	r.Hists = tel.Hists()
-	if wins := tel.QueueWin.Windows(); len(wins) > 0 {
-		s := &stats.Series{Name: "telemetry queue window mean (bytes)"}
-		for _, w := range wins {
-			s.T = append(s.T, units.Time(w.Index)*tel.QueueWin.Width())
-			s.V = append(s.V, w.Mean())
-		}
-		r.Series["telemetry_queue_win"] = s
-	}
 }
 
 // WriteSeries dumps every collected time series as a CSV file under dir

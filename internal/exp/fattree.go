@@ -166,7 +166,7 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 		rig.faultScalars(res)
 	}
 	res.Tables = append(res.Tables, out.Slowdowns.Table("FCT slowdown by size"))
-	res.AttachTelemetry(cfg.Obs.Telemetry)
+	rig.AttachTelemetry(res)
 	return out
 }
 

@@ -161,6 +161,6 @@ func Observe(cfg ObserveConfig) *Result {
 		d1 := rig.TCDAt(rig.P1)
 		res.Scalars["p1_final_state"] = float64(d1.State())
 	}
-	res.AttachTelemetry(cfg.Obs.Telemetry)
+	rig.AttachTelemetry(res)
 	return res
 }

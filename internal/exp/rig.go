@@ -16,6 +16,7 @@ import (
 	"github.com/tcdnet/tcd/internal/rng"
 	"github.com/tcdnet/tcd/internal/routing"
 	"github.com/tcdnet/tcd/internal/sim"
+	"github.com/tcdnet/tcd/internal/stats"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -221,6 +222,8 @@ type Rig struct {
 	// Inj is the injector that armed the header's fault schedule (never
 	// nil; Armed is 0 on a fault-free run).
 	Inj *fault.Injector
+	// queueWin is the telemetry_queue_win series (nil without telemetry).
+	queueWin *stats.Series
 	// liveWallStart anchors the wall-clock field of live progress
 	// snapshots (set when the live publisher attaches).
 	liveWallStart time.Time
@@ -229,9 +232,10 @@ type Rig struct {
 // RigConfig assembles a rig over an arbitrary topology.
 type RigConfig struct {
 	// Run is the header of the simulation the rig is built for. NewRig
-	// reads Kind, Seed, Obs (threaded through every layer of the rig) and
-	// Faults (armed once the rig is built, before any flow is added); the
-	// horizon is the caller's to pass to Rig.Run.
+	// reads Kind, Seed, Obs (threaded through every layer of the rig),
+	// Faults (armed once the rig is built, before any flow is added) and,
+	// for the telemetry queue series alone, Horizon; the horizon the
+	// simulation runs to is the caller's to pass to Rig.Run.
 	Run
 	Topo     *topo.Topology
 	Det      DetectorKind
@@ -319,7 +323,7 @@ func NewRig(cfg RigConfig) *Rig {
 	r.Mgr = host.Install(r.Net, hc)
 	r.Mgr.Rec = cfg.Obs.Rec
 	if cfg.Obs.Telemetry != nil {
-		r.attachQueueSampler(cfg.Obs.Telemetry)
+		r.attachQueueSampler(cfg.Obs.Telemetry, cfg.Horizon)
 	}
 	if cfg.Obs.Live != nil {
 		r.attachLive()
@@ -332,23 +336,47 @@ func NewRig(cfg RigConfig) *Rig {
 	return r
 }
 
-// attachQueueSampler starts the telemetry queue-depth sampler: a
+// queueWinEvery is the grid telemetry_queue_win starts on.
+const queueWinEvery = 100 * units.Microsecond
+
+// attachQueueSampler starts the telemetry queue-depth observers: a
 // self-rescheduling tick that folds every port's queue occupancy into
-// the bounded histogram and window ring. The tick only reads simulator
+// the bounded histogram at a fixed interval, and a tracer column of the
+// fabric-wide mean over the whole run (telemetry_queue_win), bounded by
+// stats.SeriesCap like every other series. Both only read simulator
 // state, so enabling telemetry cannot perturb the simulation — golden
 // outputs stay byte-identical with it on or off.
-func (r *Rig) attachQueueSampler(tel *obs.Telemetry) {
+func (r *Rig) attachQueueSampler(tel *obs.Telemetry, horizon units.Time) {
 	ports := r.Net.Ports()
-	every := tel.QueueSampleEvery
 	var tick func()
 	tick = func() {
-		now := r.Sched.Now()
 		for _, p := range ports {
-			tel.ObserveQueue(now, int64(p.TotalQueueBytes()))
+			tel.QueueDepth.Observe(int64(p.TotalQueueBytes()))
 		}
-		r.Sched.After(every, tick)
+		r.Sched.After(obs.QueueSampleEvery, tick)
 	}
-	r.Sched.After(every, tick)
+	r.Sched.After(obs.QueueSampleEvery, tick)
+
+	tr := stats.NewTracer(r.Sched, queueWinEvery, horizon)
+	r.queueWin = tr.Add("telemetry fabric-wide mean queue (bytes)", func() float64 {
+		var sum units.ByteSize
+		for _, p := range ports {
+			sum += p.TotalQueueBytes()
+		}
+		return float64(sum) / float64(len(ports))
+	})
+	tr.Start()
+}
+
+// AttachTelemetry hands the run's streaming histograms and queue series
+// to the result (no-op when telemetry is off, keeping default outputs
+// byte-identical).
+func (r *Rig) AttachTelemetry(res *Result) {
+	if r.Obs.Telemetry == nil {
+		return
+	}
+	res.Hists = r.Obs.Telemetry.Hists()
+	res.Series["telemetry_queue_win"] = r.queueWin
 }
 
 // attachLive starts the live-introspection publisher: at every millisecond

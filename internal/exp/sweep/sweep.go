@@ -28,7 +28,6 @@ import (
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/stats"
-	"github.com/tcdnet/tcd/internal/units"
 )
 
 // Spec identifies one simulator run of a sweep. The zero values of the
@@ -46,8 +45,6 @@ type Spec struct {
 	CC exp.CCKind `json:"cc"`
 	// Seed feeds the run's private random streams.
 	Seed uint64 `json:"seed"`
-	// Horizon overrides the experiment's default horizon when non-zero.
-	Horizon units.Time `json:"horizon_ns,omitempty"`
 }
 
 // String renders a compact label for progress lines and errors.
@@ -63,7 +60,6 @@ type Grid struct {
 	Dets    []exp.DetectorKind
 	CCs     []exp.CCKind
 	Seeds   []uint64
-	Horizon units.Time
 }
 
 // Seq returns n consecutive seeds starting at base — the common
@@ -105,10 +101,7 @@ func (g Grid) Specs() []Spec {
 			for _, d := range dets {
 				for _, c := range ccs {
 					for _, s := range seeds {
-						specs = append(specs, Spec{
-							Exp: e, Fabric: f, Det: d, CC: c,
-							Seed: s, Horizon: g.Horizon,
-						})
+						specs = append(specs, Spec{Exp: e, Fabric: f, Det: d, CC: c, Seed: s})
 					}
 				}
 			}
@@ -144,8 +137,8 @@ func Shard(specs []Spec, index, total int) []Spec {
 type RunFunc func(Spec) []*exp.Result
 
 // Scenario is the RunFunc of a registry scenario: each spec cell's
-// fabric, detector, congestion control, seed and (when set) horizon are
-// overlaid on base, the parameters every run of the sweep shares. Of
+// fabric, detector, congestion control and seed are overlaid on base, the
+// parameters every run of the sweep shares (the horizon among them). Of
 // base.Obs only what concurrent runs can share survives: the progress
 // ticker is kept, and a telemetry fold — per-run state that Aggregate
 // merges across seeds — is replaced by a private one per run. The caller
@@ -154,9 +147,6 @@ func Scenario(sc *exp.Scenario, base exp.Params) RunFunc {
 	return func(sp Spec) []*exp.Result {
 		p := base
 		p.Fabric, p.Det, p.CC, p.Seed = sp.Fabric, sp.Det, sp.CC, sp.Seed
-		if sp.Horizon > 0 {
-			p.Horizon = sp.Horizon
-		}
 		if base.Obs.Telemetry != nil {
 			p.Obs.Telemetry = obs.NewTelemetry(nil)
 		}

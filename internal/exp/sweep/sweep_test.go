@@ -20,9 +20,6 @@ func observeRun(s Spec) []*exp.Result {
 	cfg.Seed = s.Seed
 	cfg.Horizon = 2 * units.Millisecond
 	cfg.BurstRounds = 4
-	if s.Horizon > 0 {
-		cfg.Horizon = s.Horizon
-	}
 	return []*exp.Result{exp.Observe(cfg)}
 }
 

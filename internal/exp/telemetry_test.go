@@ -5,18 +5,24 @@ import (
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/obs"
+	"github.com/tcdnet/tcd/internal/stats"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// telemetryObserve runs a short fig3-style scenario, optionally with the
+// telemetryConfig is a short fig3-style scenario, optionally with the
 // streaming telemetry collector attached.
-func telemetryObserve(seed uint64, tel *obs.Telemetry) *Result {
+func telemetryConfig(seed uint64, tel *obs.Telemetry) ObserveConfig {
 	cfg := DefaultObserveConfig(CEE, DetBaseline, false)
 	cfg.Seed = seed
 	cfg.Horizon = 2 * units.Millisecond
 	cfg.BurstRounds = 4
 	cfg.Obs = obs.Config{Telemetry: tel}
-	return Observe(cfg)
+	return cfg
+}
+
+func telemetryObserve(seed uint64, tel *obs.Telemetry) *Result {
+	return Observe(telemetryConfig(seed, tel))
 }
 
 // TestTelemetryDoesNotPerturbResults is the golden-preservation property:
@@ -50,10 +56,13 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 
 // TestTelemetryCollectsDistributions: the fig3 scenario must populate the
 // headline histograms (flows complete, queues fill, PFC pauses, marks
-// fire) and the windowed queue series.
+// fire), sample queue depth at its fixed tick, and return a queue series
+// that covers the whole run — burst included — under the tracer's bound.
 func TestTelemetryCollectsDistributions(t *testing.T) {
-	tel := obs.NewTelemetry(nil)
-	res := telemetryObserve(1, tel)
+	// 30 ms: the burst is long over by the horizon.
+	cfg := telemetryConfig(1, obs.NewTelemetry(nil))
+	cfg.Horizon = 30 * units.Millisecond
+	res := Observe(cfg)
 
 	for _, name := range []string{"fct_ps", "queue_bytes", "pause_dur_ps", "mark_gap_ps"} {
 		h, ok := res.Hists[name]
@@ -67,16 +76,31 @@ func TestTelemetryCollectsDistributions(t *testing.T) {
 	if res.Hists["fct_ps"].Min() <= 0 {
 		t.Errorf("fct min = %d, want > 0", res.Hists["fct_ps"].Min())
 	}
+	// One sample per port per tick, whatever the series' grid is.
+	ports := 2 * len(topo.NewFig2(topo.DefaultFig2Config()).Links)
+	if got, want := res.Hists["queue_bytes"].Count(), int64(cfg.Horizon/obs.QueueSampleEvery)*int64(ports); got != want {
+		t.Errorf("queue_bytes count = %d, want %d (%d ports at a %v tick)", got, want, ports, obs.QueueSampleEvery)
+	}
 	s, ok := res.Series["telemetry_queue_win"]
 	if !ok || len(s.T) == 0 {
-		t.Fatal("windowed queue series missing")
+		t.Fatal("telemetry queue series missing")
 	}
-	// Bounded memory: the ring never exceeds its configured cap.
-	if len(s.T) > tel.QueueWin.Cap() {
-		t.Fatalf("queue windows %d exceed ring cap %d", len(s.T), tel.QueueWin.Cap())
+	if n := len(s.T); n > stats.SeriesCap+1 {
+		t.Errorf("queue series holds %d samples, over the cap of %d", n, stats.SeriesCap+1)
 	}
-	if f := tel.QueueWin.Fold(); f.Count == 0 || f.Max <= 0 {
-		t.Fatalf("queue fold = %+v", f)
+	if first, last := s.T[0], s.T[len(s.T)-1]; first != 0 || last != cfg.Horizon {
+		t.Errorf("queue series covers %v..%v, want 0..%v", first, last, cfg.Horizon)
+	}
+	peak := 0
+	for i, v := range s.V {
+		if v > s.V[peak] {
+			peak = i
+		}
+	}
+	burstStart := 200 * units.Microsecond
+	burstEnd := units.Time(res.Scalars["burst_end_ms"] * float64(units.Millisecond))
+	if at := s.T[peak]; s.V[peak] <= 0 || at < burstStart || at > burstEnd {
+		t.Errorf("queue series peaks at %v (%.0f B), outside the burst window %v..%v", at, s.V[peak], burstStart, burstEnd)
 	}
 }
 

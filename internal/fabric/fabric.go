@@ -276,16 +276,18 @@ type Port struct {
 	Rate  units.Rate
 	Delay units.Time
 
-	// idx is this port's index in Network.ports; pb = idx*Priorities is
-	// its base into the per-(port,priority) struct-of-arrays state the
-	// Network owns (qbytes, blocked). The per-event scalar state the
-	// transmit/forward/scan paths touch — queue bytes, busy/busyEnd,
-	// blocked, wakeAt — lives in those flat arrays, not here, so fabric-
-	// wide scans (Stranded, WaitCycles, invariants) are linear sweeps
-	// over contiguous memory instead of pointer chases through every
-	// Port.
-	idx int32
-	pb  int32
+	// pb is this port's base into the per-(port,priority) flat arrays the
+	// Network owns (qbytes, blocked), which fabric-wide scans (Stranded,
+	// WaitCycles, invariants) sweep linearly. State only this port's own
+	// methods touch is a field here.
+	pb int32
+	// busy says the port is serializing a packet, until busyEnd; wakeAt
+	// is the armed source wake (0 = none). down and frozen are the fault
+	// state described at ctrlFault; they share busy's word, which keeps a
+	// 64-port slab chunk on a 24 KB size class.
+	busy, down, frozen bool
+	busyEnd            units.Time
+	wakeAt             units.Time
 
 	// Egress. In OutputQueued mode queues[prio] is the FIFO; in
 	// InputQueuedVoQ mode voqs[prio][inputPort] are the virtual output
@@ -320,8 +322,6 @@ type Port struct {
 	// pipeline). ctrlFault, if non-nil, intercepts outgoing control
 	// frames. Every hot-path test of these is a plain flag check, so a
 	// run with no faults executes exactly as it did before they existed.
-	down      bool
-	frozen    bool
 	ctrlFault func(f CtrlFrame) (drop bool, delay units.Time)
 	// spoof, if non-nil, decides per outgoing data packet whether a
 	// compromised sender forges a CE mark on it (see SetSpoof). Attack is
@@ -393,9 +393,6 @@ func (p *Port) TotalQueueBytes() units.ByteSize {
 // Blocked reports whether the priority is currently OFF (gate-refused).
 func (p *Port) Blocked(prio uint8) bool { return p.net.blocked[int(p.pb)+int(prio)] }
 
-// Busy reports whether the port is currently serializing a packet.
-func (p *Port) Busy() bool { return p.net.busy[p.idx] }
-
 // AttachGate installs the egress flow-control gate.
 func (p *Port) AttachGate(g TxGate) { p.gate = g }
 
@@ -441,8 +438,8 @@ func (p *Port) SendCtrl(f CtrlFrame) {
 		faultDelay = delay
 	}
 	wait := units.Time(0)
-	if p.net.busy[p.idx] && p.net.busyEnd[p.idx] > now {
-		wait = p.net.busyEnd[p.idx] - now
+	if p.busy && p.busyEnd > now {
+		wait = p.busyEnd - now
 	}
 	d := wait + units.TxTime(ctrlFrameBytes, p.Rate) + p.Delay + faultDelay
 	if p.net.cfg.CtrlJitter != nil {
@@ -502,14 +499,14 @@ func (n *Network) deliverCtrl(ci *ctrlInflight) {
 // more permissive (RESUME received, credits arrived). It re-evaluates
 // blocked bookkeeping and restarts transmission if possible.
 func (p *Port) GateChanged() {
-	if !p.net.busy[p.idx] {
+	if !p.busy {
 		p.tryTransmit()
 	}
 }
 
 // Kick wakes the port to re-poll its source (new flow became active).
 func (p *Port) Kick() {
-	if !p.net.busy[p.idx] {
+	if !p.busy {
 		p.tryTransmit()
 	}
 }
@@ -538,7 +535,7 @@ func (p *Port) Enqueue(pkt *packet.Packet) {
 		p.queues[prio].push(pkt)
 	}
 	*qb += pkt.Size
-	if !p.net.busy[p.idx] {
+	if !p.busy {
 		p.tryTransmit()
 	}
 }
@@ -623,7 +620,7 @@ func (p *Port) setBlocked(prio uint8, b bool) {
 // tryTransmit starts the next transmission if the port is idle. Strict
 // priority across queues (lowest index first), then the pull source.
 func (p *Port) tryTransmit() {
-	if p.net.busy[p.idx] || p.down || p.frozen {
+	if p.busy || p.down || p.frozen {
 		return
 	}
 	now := p.net.Sched.Now()
@@ -673,10 +670,10 @@ func (p *Port) tryTransmit() {
 }
 
 func (p *Port) scheduleWake(at units.Time) {
-	if p.net.wakeAt[p.idx] == at {
+	if p.wakeAt == at {
 		return
 	}
-	p.net.wakeAt[p.idx] = at
+	p.wakeAt = at
 	p.net.Sched.At(at, p.wakeFn)
 }
 
@@ -684,11 +681,11 @@ func (p *Port) scheduleWake(at units.Time) {
 // later scheduleWake or already consumed — unless it fires exactly at the
 // currently armed time.
 func (p *Port) wake() {
-	if p.net.wakeAt[p.idx] != p.net.Sched.Now() {
+	if p.wakeAt != p.net.Sched.Now() {
 		return
 	}
-	p.net.wakeAt[p.idx] = 0
-	if !p.net.busy[p.idx] {
+	p.wakeAt = 0
+	if !p.busy {
 		p.tryTransmit()
 	}
 }
@@ -736,8 +733,8 @@ func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
 	}
 	tx := units.TxTime(pkt.Size, p.Rate)
 	end := now + tx
-	p.net.busy[p.idx] = true
-	p.net.busyEnd[p.idx] = end
+	p.busy = true
+	p.busyEnd = end
 	p.TxBytes += pkt.Size
 	p.TxPackets++
 	if pkt.Kind == packet.Data {
@@ -752,7 +749,7 @@ func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
 func (p *Port) txDone() {
 	pkt := p.txPkt
 	p.txPkt = nil
-	p.net.busy[p.idx] = false
+	p.busy = false
 	// The packet has fully left this node: release ingress accounting.
 	if p.node.kind == topo.Switch && pkt.InPort >= 0 {
 		ing := p.node.ports[pkt.InPort]
@@ -850,18 +847,13 @@ type Network struct {
 	// portAt[linkIdx] = [2]*Port: side A, side B.
 	portAt [][2]*Port
 
-	// Struct-of-arrays hot-path port state, indexed by Port.idx (scalar
-	// per port) or Port.pb+prio (per port × priority). Keeping these in
-	// flat arrays owned by the Network — rather than as fields on Port —
-	// turns the fabric-wide scans (Stranded, the WaitCycles node pass,
-	// the invariant sweeps) into linear walks over contiguous memory and
-	// drops a pointer chase from every per-event access.
+	// Struct-of-arrays port state, indexed by Port.pb+prio. Keeping these
+	// in flat arrays owned by the Network — rather than as fields on Port
+	// — turns the fabric-wide scans (Stranded, the WaitCycles node pass,
+	// the invariant sweeps) into linear walks over contiguous memory.
 	nPrio   int
 	qbytes  []units.ByteSize // [pb+prio] egress queue bytes
 	blocked []bool           // [pb+prio] gate currently refuses (OFF)
-	busy    []bool           // [idx] serializing a packet
-	busyEnd []units.Time     // [idx] current serialization end
-	wakeAt  []units.Time     // [idx] armed source wake (0 = none)
 	// arena slab-allocates and recycles packets within this
 	// single-threaded run: packets die at host sinks, where receive
 	// returns their slots for reuse by NewPacket.
@@ -910,9 +902,6 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 	n.nPrio = cfg.Priorities
 	n.qbytes = make([]units.ByteSize, np*cfg.Priorities)
 	n.blocked = make([]bool, np*cfg.Priorities)
-	n.busy = make([]bool, np)
-	n.busyEnd = make([]units.Time, np)
-	n.wakeAt = make([]units.Time, np)
 	n.portAt = make([][2]*Port, len(t.Links))
 	// One backing array per per-priority field, subsliced per port (pb is
 	// the port's offset), as qbytes and blocked already are.
@@ -930,10 +919,9 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 	for li, l := range t.Links {
 		mk := func(owner packet.NodeID) *Port {
 			nd := n.nodes[owner]
-			idx := int32(len(n.ports))
-			pb := int(idx) * cfg.Priorities
+			pb := len(n.ports) * cfg.Priorities
 			if len(slab) == 0 {
-				slab = make([]Port, min(portChunk, np-int(idx)))
+				slab = make([]Port, min(portChunk, np-len(n.ports)))
 			}
 			p := &slab[0]
 			slab = slab[1:]
@@ -944,7 +932,6 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 				Link:   li,
 				Rate:   l.Rate,
 				Delay:  l.Delay,
-				idx:    idx,
 				pb:     int32(pb),
 				queues: queues[pb : pb+cfg.Priorities],
 				rr:     rr[pb : pb+cfg.Priorities],
@@ -976,9 +963,6 @@ func (n *Network) NewPacket() *packet.Packet { return n.arena.Get() }
 // cached NIC head that was discarded before transmission). The caller
 // must drop every reference.
 func (n *Network) FreePacket(pkt *packet.Packet) { n.arena.Put(pkt) }
-
-// PacketsRecycled reports how many dead packets the run reused.
-func (n *Network) PacketsRecycled() uint64 { return n.arena.Recycled }
 
 // Ports returns all ports (both sides of every link).
 func (n *Network) Ports() []*Port { return n.ports }

@@ -38,13 +38,10 @@ func (p *Port) SetDown(down bool) {
 		}
 		rec.Record(obs.Event{At: p.net.Sched.Now(), Kind: kind, Port: p.Label(), Flow: -1})
 	}
-	if !down && !p.net.busy[p.idx] {
+	if !down && !p.busy {
 		p.tryTransmit()
 	}
 }
-
-// Down reports whether this side of the link is down.
-func (p *Port) Down() bool { return p.down }
 
 // SetFrozen freezes or thaws the port's egress pipeline: a frozen port
 // stops serving its queues (and its pull source) but keeps receiving,
@@ -65,13 +62,10 @@ func (p *Port) SetFrozen(frozen bool) {
 		}
 		rec.Record(obs.Event{At: p.net.Sched.Now(), Kind: kind, Port: p.Label(), Flow: -1})
 	}
-	if !frozen && !p.net.busy[p.idx] {
+	if !frozen && !p.busy {
 		p.tryTransmit()
 	}
 }
-
-// Frozen reports whether the port's egress pipeline is frozen.
-func (p *Port) Frozen() bool { return p.frozen }
 
 // SetCtrlFault installs (or, with nil, removes) an interceptor for
 // control frames originated by this port: drop loses the frame, a
@@ -88,12 +82,6 @@ func (p *Port) SetCtrlFault(f func(CtrlFrame) (drop bool, delay units.Time)) {
 // (a latch, not current state: it stays set after links recover). While
 // clear, the fabric's lossless guarantees are in force.
 func (n *Network) Faulted() bool { return n.faulted }
-
-// MarkFaulted sets the fault latch without touching any port — used by
-// fault primitives (route rewrites, forged frames) that perturb behavior
-// through public seams rather than port flags, so the lossless-guarantee
-// invariants know to stand down.
-func (n *Network) MarkFaulted() { n.faulted = true }
 
 // Attack provenance bits the adversarial injector stamps on the ports it
 // targets. The oracle reads them to tell a manufactured symptom (a port
@@ -183,13 +171,6 @@ func (p *Port) dropFaulted(pkt *packet.Packet) {
 		})
 	}
 	p.net.arena.Put(pkt)
-}
-
-// SetLinkDown takes both sides of a topology link down (or up), which is
-// how real link faults present: loss of light is bidirectional.
-func (n *Network) SetLinkDown(link int, down bool) {
-	n.portAt[link][0].SetDown(down)
-	n.portAt[link][1].SetDown(down)
 }
 
 // FaultDropPayload reports the flow-payload volume destroyed by faults.

@@ -362,9 +362,6 @@ func (ep *Endpoint) removeActive(sf *senderFlow) {
 	}
 }
 
-// ActiveFlows reports the number of flows with unsent data.
-func (ep *Endpoint) ActiveFlows() int { return len(ep.active) }
-
 // pushCtrl queues a control packet and wakes the NIC.
 func (ep *Endpoint) pushCtrl(p *packet.Packet) {
 	ep.ctrlQ = append(ep.ctrlQ, p)

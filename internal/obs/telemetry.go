@@ -9,16 +9,17 @@ import (
 // Telemetry derives the paper's headline distributions from the event
 // stream with constant memory: log-bucketed histograms for flow
 // completion times, PFC pause and CBFC stall durations and CNP/mark
-// inter-arrival gaps, plus a windowed aggregate of sampled queue depth.
-// It implements Recorder and forwards every event to an optional inner
-// recorder (ring or spill sink), so it composes with event tracing.
+// inter-arrival gaps, plus one of sampled queue depth. It implements
+// Recorder and forwards every event to an optional inner recorder (ring
+// or spill sink), so it composes with event tracing.
 //
 // State is O(ports): the only per-key storage is the open pause/stall
 // start time per (port, priority). Everything else is fixed-size.
 type Telemetry struct {
 	// FCT holds flow completion times in picoseconds.
 	FCT *Hist
-	// QueueDepth holds sampled per-port queue occupancy in bytes.
+	// QueueDepth holds per-port queue occupancy in bytes, sampled by the
+	// rig every QueueSampleEvery.
 	QueueDepth *Hist
 	// PauseDur / StallDur hold PFC pause and CBFC credit-stall durations
 	// in picoseconds (closed intervals only; a pause still open at the
@@ -29,11 +30,6 @@ type Telemetry struct {
 	// congestion notifications and CE/UE marks anywhere in the fabric.
 	CNPGap  *Hist
 	MarkGap *Hist
-	// QueueWin is the windowed time series of sampled queue depth.
-	QueueWin *WindowSeries
-	// QueueSampleEvery is the queue-depth sampling interval the rig's
-	// sampler uses.
-	QueueSampleEvery units.Time
 
 	pauseStart map[gateKey]units.Time
 	stallStart map[gateKey]units.Time
@@ -45,26 +41,27 @@ type Telemetry struct {
 	next Recorder
 }
 
+// QueueSampleEvery is the interval at which a rig samples every port's
+// queue depth into Telemetry.QueueDepth.
+const QueueSampleEvery = 10 * units.Microsecond
+
 type gateKey struct {
 	port string
 	prio uint8
 }
 
-// NewTelemetry builds a collector forwarding to next (nil for none):
-// queue depth is sampled every 10 us into 100 us windows.
+// NewTelemetry builds a collector forwarding to next (nil for none).
 func NewTelemetry(next Recorder) *Telemetry {
 	return &Telemetry{
-		FCT:              NewHist(),
-		QueueDepth:       NewHist(),
-		PauseDur:         NewHist(),
-		StallDur:         NewHist(),
-		CNPGap:           NewHist(),
-		MarkGap:          NewHist(),
-		QueueWin:         NewWindowSeries(100*units.Microsecond, DefaultWindowCount),
-		QueueSampleEvery: 10 * units.Microsecond,
-		pauseStart:       make(map[gateKey]units.Time),
-		stallStart:       make(map[gateKey]units.Time),
-		next:             next,
+		FCT:        NewHist(),
+		QueueDepth: NewHist(),
+		PauseDur:   NewHist(),
+		StallDur:   NewHist(),
+		CNPGap:     NewHist(),
+		MarkGap:    NewHist(),
+		pauseStart: make(map[gateKey]units.Time),
+		stallStart: make(map[gateKey]units.Time),
+		next:       next,
 	}
 }
 
@@ -111,13 +108,6 @@ func (t *Telemetry) Record(e Event) {
 	if t.next != nil {
 		t.next.Record(e)
 	}
-}
-
-// ObserveQueue folds one queue-depth sample (bytes) at simulated time
-// at; the rig's sampler calls it for every port at QueueSampleEvery.
-func (t *Telemetry) ObserveQueue(at units.Time, bytes int64) {
-	t.QueueDepth.Observe(bytes)
-	t.QueueWin.Observe(at, float64(bytes))
 }
 
 // Hists returns the collector's histograms under their canonical export

@@ -59,19 +59,6 @@ func TestTelemetryForwardsToInnerRecorder(t *testing.T) {
 	}
 }
 
-func TestTelemetryObserveQueue(t *testing.T) {
-	tel := NewTelemetry(nil)
-	for i := 0; i < 100; i++ {
-		tel.ObserveQueue(units.Time(i)*tel.QueueSampleEvery, int64(i*1000))
-	}
-	if tel.QueueDepth.Count() != 100 {
-		t.Fatalf("QueueDepth n = %d", tel.QueueDepth.Count())
-	}
-	if tel.QueueWin.Fold().Count != 100 {
-		t.Fatalf("QueueWin fold count = %d", tel.QueueWin.Fold().Count)
-	}
-}
-
 // TestTelemetryRecordSteadyStateZeroAlloc: once every gate has been seen,
 // folding the stream allocates nothing.
 func TestTelemetryRecordSteadyStateZeroAlloc(t *testing.T) {
@@ -91,7 +78,7 @@ func TestTelemetryRecordSteadyStateZeroAlloc(t *testing.T) {
 		tel.Record(off)
 		tel.Record(done)
 		tel.Record(mark)
-		tel.ObserveQueue(at, int64(at))
+		tel.QueueDepth.Observe(int64(at))
 	}); n != 0 {
 		t.Fatalf("steady-state Record allocates %.1f per cycle, want 0", n)
 	}

@@ -17,55 +17,35 @@ import (
 // SSE (it may be nil). Implementations must honor ctx between runs.
 type ExecFunc func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error)
 
-// CatalogExec is the default executor: it expands the job into per-seed
-// sweep specs and funnels them through the sweep engine, which gives
-// every run the same isolation a CLI sweep gets — a private scheduler,
-// RNG and recorder per run, panic capture, and context-checked starts —
-// then encodes the per-run results (plus the cross-seed aggregate for
-// multi-run jobs) with the encoder `tcdsim -json` uses.
+// CatalogExec is the default executor: it expands the job (a spec that
+// ParseJobSpec returned) into per-seed sweep specs and funnels them
+// through the sweep engine, which gives every run the same isolation a
+// CLI sweep gets — a private scheduler, RNG and recorder per run, panic
+// capture, and context-checked starts — then encodes the per-run results
+// (plus the cross-seed aggregate for multi-run jobs) with the encoder
+// `tcdsim -json` uses.
 func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
 	sc := exp.Lookup(spec.Exp)
 	if sc == nil {
 		return nil, fmt.Errorf("serve: unknown exp %q", spec.Exp)
 	}
-	fab, err := exp.ParseFabric(spec.Fabric)
-	if err != nil {
-		return nil, err
-	}
-	var det exp.DetectorKind
-	if spec.Det != "" {
-		if det, err = exp.ParseDet(spec.Det); err != nil {
-			return nil, err
-		}
-	}
-	var cc exp.CCKind
-	if spec.CC != "" {
-		if cc, err = exp.ParseCC(spec.CC); err != nil {
-			return nil, err
-		}
-	}
-
+	base := spec.params
 	specs := sweep.Grid{
 		Exps:    []string{spec.Exp},
-		Fabrics: []exp.FabricKind{fab},
-		Dets:    []exp.DetectorKind{det},
-		CCs:     []exp.CCKind{cc},
+		Fabrics: []exp.FabricKind{base.Fabric},
+		Dets:    []exp.DetectorKind{base.Det},
+		CCs:     []exp.CCKind{base.CC},
 		Seeds:   sweep.Seq(spec.Seed, spec.Runs),
-		Horizon: spec.Horizon(),
 	}.Specs()
-
-	base := exp.Params{Faults: spec.Faults}
-	if progress != nil {
-		// Stream the simulator's own progress ticker: one line per
-		// simulated millisecond, cheap at service horizons.
-		base.Obs = obs.Config{ProgressEvery: units.Millisecond, ProgressOut: progress}
-	}
 
 	// Parallel: 1 — jobs parallelize across the daemon's worker pool,
 	// not inside one job, so a single submission cannot monopolize the
 	// pool's cores.
 	opt := sweep.Options{Parallel: 1}
 	if progress != nil {
+		// Stream the simulator's own progress ticker: one line per
+		// simulated millisecond, cheap at service horizons.
+		base.Obs = obs.Config{ProgressEvery: units.Millisecond, ProgressOut: progress}
 		opt.OnStart = func(i int, sp sweep.Spec) {
 			fmt.Fprintf(progress, "run %d/%d start %s\n", i+1, len(specs), sp)
 		}

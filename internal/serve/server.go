@@ -413,14 +413,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.hub.publish(j.id, Event{"queued", fmt.Sprintf(`{"id":%q,"hash":%q,"cache":"miss","queue_depth":%d}`, j.id, j.hash, len(s.queue)+1)})
 		s.queue <- j
 	case entry.completed():
-		if entry.err != nil {
-			// complete() only retains successful entries, so this racer
-			// window (resolved-but-failed, pre-delete) is tiny; treat it
-			// like a coalesced failure.
-			j.cache = "coalesced"
-		} else {
-			j.cache = "hit"
-		}
+		// A failed entry leaves the map in the critical section that
+		// resolves it, so a completed entry reserve returns succeeded.
+		j.cache = "hit"
 		atomic.AddUint64(&s.warmHits, 1)
 		j.state = "done"
 		j.finished = time.Now()

@@ -3,14 +3,18 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tcdnet/tcd/internal/exp"
 )
 
 // newTestDaemon builds a Server on an httptest listener and tears both
@@ -206,6 +210,35 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		if code != http.StatusBadRequest {
 			t.Errorf("spec %q: got %d, want 400", body, code)
 		}
+	}
+}
+
+// TestExpsListsWhatTheParserAdmits: /v1/exps and ParseJobSpec read the
+// same registry, so the catalog names exactly the scenarios of
+// exp.Scenarios (what `tcdsim -list` prints) whose minimal spec is
+// admitted, in registry order.
+func TestExpsListsWhatTheParserAdmits(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Workers: 1})
+	resp, err := http.Get(ts.URL + "/v1/exps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var served []struct{ Name string }
+	if err := json.NewDecoder(resp.Body).Decode(&served); err != nil {
+		t.Fatalf("decoding /v1/exps: %v", err)
+	}
+	var got, want []string
+	for _, e := range served {
+		got = append(got, e.Name)
+	}
+	for _, sc := range exp.Scenarios {
+		if _, err := ParseJobSpec([]byte(fmt.Sprintf(`{"exp":%q}`, sc.Name))); err == nil {
+			want = append(want, sc.Name)
+		}
+	}
+	if len(got) == 0 || !slices.Equal(got, want) {
+		t.Errorf("/v1/exps serves %v, the parser admits %v", got, want)
 	}
 }
 

@@ -76,6 +76,10 @@ type JobSpec struct {
 	// Faults is an optional fault schedule (benign and adversarial
 	// kinds) armed against each run, for experiments that accept one.
 	Faults *fault.Spec `json:"faults,omitempty"`
+
+	// params is what the spec says in the registry's terms: normalize
+	// fills and menu-checks it, CatalogExec runs from it.
+	params exp.Params
 }
 
 // ParseJobSpec decodes, normalizes and validates a JSON submission. The
@@ -112,46 +116,44 @@ func (s *JobSpec) normalize() error {
 	if !sc.ServiceAddressable() {
 		return fmt.Errorf("serve: exp %q is sized by axes a JobSpec does not carry; run it with the tcdsim CLI", s.Exp)
 	}
+	var err error
 	s.Fabric = strings.ToLower(strings.TrimSpace(s.Fabric))
 	if s.Fabric == "" {
 		s.Fabric = exp.CEE.String()
 	}
-	if _, err := exp.ParseFabric(s.Fabric); err != nil {
+	if s.params.Fabric, err = exp.ParseFabric(s.Fabric); err != nil {
 		return err
 	}
+	// An unset det/cc names the scenario's default (where the CLI would
+	// run a comparison scenario's whole menu); a scenario without the
+	// menu keeps it empty. DetNone and CCFixed mean "unset" to Check, so a
+	// spec that spells them out asks for something no menu holds.
 	s.Det = strings.ToLower(strings.TrimSpace(s.Det))
-	switch {
-	case len(sc.Dets) == 0:
-		if s.Det != "" {
-			return fmt.Errorf("serve: exp %q does not take a detector (got det=%q)", s.Exp, s.Det)
-		}
-	case s.Det == "":
+	if s.Det == "" && len(sc.Dets) > 0 {
 		s.Det = sc.DefaultDet.String()
-	default:
-		d, err := exp.ParseDet(s.Det)
-		if err != nil {
+	}
+	if s.Det != "" {
+		if s.params.Det, err = exp.ParseDet(s.Det); err != nil {
 			return err
 		}
-		if !sc.HasDet(d) {
+		if s.params.Det == exp.DetNone {
 			return fmt.Errorf("serve: exp %q does not support det %q", s.Exp, s.Det)
 		}
 	}
 	s.CC = strings.ToLower(strings.TrimSpace(s.CC))
-	switch {
-	case len(sc.CCs) == 0:
-		if s.CC != "" {
-			return fmt.Errorf("serve: exp %q does not take a congestion control (got cc=%q)", s.Exp, s.CC)
-		}
-	case s.CC == "":
+	if s.CC == "" && len(sc.CCs) > 0 {
 		s.CC = sc.DefaultCC.String()
-	default:
-		c, err := exp.ParseCC(s.CC)
-		if err != nil {
+	}
+	if s.CC != "" {
+		if s.params.CC, err = exp.ParseCC(s.CC); err != nil {
 			return err
 		}
-		if !sc.HasCC(c) {
+		if s.params.CC == exp.CCFixed {
 			return fmt.Errorf("serve: exp %q does not support cc %q", s.Exp, s.CC)
 		}
+	}
+	if err := sc.Check(s.params); err != nil {
+		return err
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -190,6 +192,7 @@ func (s *JobSpec) normalize() error {
 			}
 		}
 	}
+	s.params.Horizon, s.params.Faults = s.Horizon(), s.Faults
 	return nil
 }
 

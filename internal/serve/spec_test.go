@@ -122,9 +122,10 @@ func TestParseRejects(t *testing.T) {
 		{"unknown exp", `{"exp":"fig99"}`, "unknown exp"},
 		{"unknown fabric", `{"exp":"fig3","fabric":"roce"}`, "unknown fabric"},
 		{"unknown det", `{"exp":"fig3","det":"psychic"}`, "unknown det"},
-		{"det on fixed exp", `{"exp":"table3","det":"tcd"}`, "does not take a detector"},
-		{"cc on fixed exp", `{"exp":"fig3","cc":"dcqcn"}`, "does not take a congestion control"},
+		{"det on fixed exp", `{"exp":"table3","det":"tcd"}`, "does not support det"},
+		{"cc on fixed exp", `{"exp":"fig3","cc":"dcqcn"}`, "does not support cc"},
 		{"unsupported cc", `{"exp":"fig20","cc":"fixed"}`, "does not support cc"},
+		{"unsupported det", `{"exp":"fig3","det":"none"}`, "does not support det"},
 		{"runs too large", `{"exp":"fig3","runs":65}`, "runs must be in"},
 		{"negative runs", `{"exp":"fig3","runs":-1}`, "runs must be in"},
 		{"negative horizon", `{"exp":"fig3","horizon_us":-1}`, "horizon_us must be in"},
