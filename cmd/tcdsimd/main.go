@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	tcdsimd [-addr :9322] [-workers N] [-queue N] [-cache-entries N]
+//	tcdsimd [-addr :9322] [-workers N] [-queue N] [-cache-mb N]
 //
 // The daemon drains in-flight jobs on SIGINT/SIGTERM before exiting.
 package main
@@ -16,6 +16,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -29,14 +30,14 @@ func main() {
 	addr := flag.String("addr", ":9322", "listen address")
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "job queue capacity (0 = default 64)")
-	cacheEntries := flag.Int("cache-entries", 0, "completed results kept in the cache (0 = default 1024)")
+	cacheMB := flag.Int("cache-mb", 0, "byte budget of the completed-result cache, MiB (0 = default 32)")
 	drain := flag.Duration("drain", 30*time.Second, "max time to drain in-flight jobs on shutdown")
 	flag.Parse()
 
 	srv := serve.New(serve.Config{
-		Workers:      *workers,
-		QueueCap:     *queue,
-		CacheEntries: *cacheEntries,
+		Workers:    *workers,
+		QueueCap:   *queue,
+		CacheBytes: int64(*cacheMB) << 20,
 	})
 
 	// A client that never finishes its headers, or parks an idle
@@ -44,14 +45,20 @@ func main() {
 	// streams and ?wait=1 submissions hold their responses open for as
 	// long as a job runs.
 	httpSrv := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
 	}
+	// Listen before announcing: the banner carries the bound address (the
+	// port -addr 127.0.0.1:0 was given) and a bind error comes instead of it.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tcdsimd:", err)
+		os.Exit(1)
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "tcdsimd: listening on %s (%d workers)\n", *addr, srv.Workers())
+	go func() { errCh <- httpSrv.Serve(ln) }()
+	fmt.Fprintf(os.Stderr, "tcdsimd: listening on %s (%d workers)\n", ln.Addr(), srv.Workers())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

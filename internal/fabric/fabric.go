@@ -301,16 +301,14 @@ type Port struct {
 
 	// Per-port scratch, preallocated at creation so the transmit hot path
 	// schedules no fresh closures: txPkt is the packet currently being
-	// serialized (a port serializes one packet at a time), txDoneFn the
-	// serialization-complete callback, wakeFn the source-wake callback
-	// (validated against wakeAt, so stale wakes are no-ops). receiveFn
-	// is the typed-arg event callback for the per-packet link-propagation
-	// delay: several packets can be in flight at once, so the packet
-	// travels as the event argument rather than in port scratch — and
-	// scheduling mints no closure.
+	// serialized (a port serializes one packet at a time); its completion
+	// and the source wake (validated against wakeAt, so stale wakes are
+	// no-ops) are scheduled as the static txDoneArg/wakeArg with the port
+	// as the event argument. receiveFn is the typed-arg event callback
+	// for the per-packet link-propagation delay: several packets can be
+	// in flight at once, so the packet travels as the event argument
+	// rather than in port scratch — and scheduling mints no closure.
 	txPkt     *packet.Packet
-	txDoneFn  func()
-	wakeFn    func()
 	receiveFn func(any)
 
 	// Ingress.
@@ -674,7 +672,7 @@ func (p *Port) scheduleWake(at units.Time) {
 		return
 	}
 	p.wakeAt = at
-	p.net.Sched.At(at, p.wakeFn)
+	p.net.Sched.AtArg(at, wakeArg, p)
 }
 
 // wake runs a scheduled source wake. A wake is stale — superseded by a
@@ -741,8 +739,14 @@ func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
 		p.TxDataBytes += pkt.Size
 	}
 	p.txPkt = pkt
-	p.net.Sched.At(end, p.txDoneFn)
+	p.net.Sched.AtArg(end, txDoneArg, p)
 }
+
+// txDoneArg and wakeArg are the event callbacks every port shares: the
+// port rides the event as its argument, so a port carries no callback of
+// its own for either.
+func txDoneArg(arg any) { arg.(*Port).txDone() }
+func wakeArg(arg any)   { arg.(*Port).wake() }
 
 // txDone completes a serialization: release ingress accounting, put the
 // packet on the wire, start the next transmission.
@@ -937,8 +941,6 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 				rr:     rr[pb : pb+cfg.Priorities],
 				dets:   dets[pb : pb+cfg.Priorities],
 			}
-			p.txDoneFn = p.txDone
-			p.wakeFn = p.wake
 			p.receiveFn = func(arg any) { p.receive(arg.(*packet.Packet)) }
 			nd.ports = append(nd.ports, p)
 			n.ports = append(n.ports, p)

@@ -6,11 +6,12 @@ import (
 	"time"
 )
 
-// cacheEntry is the unit of result sharing: every job with the same spec
-// hash points at one entry. The entry is created in-flight when the
-// first submission reserves the hash; concurrent identical submissions
-// coalesce onto it instead of enqueueing duplicate work, and later
-// submissions after completion are warm hits served straight from bytes.
+// cacheEntry is the unit of result sharing: every submission of one
+// spec hash is answered from one entry. The entry is created in-flight
+// when the first submission reserves the hash; concurrent identical
+// submissions coalesce onto it instead of enqueueing duplicate work, and
+// later submissions after completion are warm hits served straight from
+// bytes.
 type cacheEntry struct {
 	hash string
 	// done closes when the run completes (successfully or not); bytes
@@ -37,24 +38,34 @@ func (e *cacheEntry) completed() bool {
 	}
 }
 
-// resultCache maps canonical-spec hashes to entries with an LRU bound on
-// completed entries. In-flight entries are pinned: evicting one would
-// orphan its waiters.
+// entryOverhead is what a completed entry is charged beyond its body:
+// the entry, its hash, its done channel, its list element and its map
+// slot, rounded up. It makes a flood of tiny bodies a bounded one.
+const entryOverhead = 512
+
+// cost is what a completed entry weighs against the budget.
+func (e *cacheEntry) cost() int64 { return int64(len(e.bytes)) + entryOverhead }
+
+// resultCache maps canonical-spec hashes to entries and keeps the
+// completed ones inside a byte budget, least recently used out first.
+// In-flight entries are pinned and weigh nothing: evicting one would
+// orphan its waiters, and it has no body yet. The cache is the only
+// long-lived holder of a body — job records keep the hash — so an
+// eviction frees the bytes once the last in-progress response has
+// written them.
 type resultCache struct {
 	mu      sync.Mutex
-	cap     int
+	budget  int64
+	used    int64 // sum of cost() over order
 	entries map[string]*cacheEntry
 	// order tracks completed entries, most recently used at the front.
 	order   *list.List
 	evicted uint64
 }
 
-func newResultCache(cap int) *resultCache {
-	if cap < 1 {
-		cap = 1
-	}
+func newResultCache(budget int64) *resultCache {
 	return &resultCache{
-		cap:     cap,
+		budget:  budget,
 		entries: make(map[string]*cacheEntry),
 		order:   list.New(),
 	}
@@ -88,25 +99,33 @@ func (c *resultCache) reserve(hash string) (e *cacheEntry, created bool) {
 	return e, true
 }
 
-// complete resolves an in-flight entry and inserts it into the LRU,
-// evicting the least recently used completed entries past the cap.
-// Failed runs resolve their waiters but are not retained: the next
-// submission of the same spec retries instead of replaying the error.
+// complete resolves an in-flight entry and charges it to the budget,
+// evicting the least recently used completed entries until the total
+// fits again. Failed runs resolve their waiters but are not retained:
+// the next submission of the same spec retries instead of replaying the
+// error. Neither is a body that alone exceeds the budget: its waiters
+// are served and it counts as evicted, without flushing the rest.
 func (c *resultCache) complete(e *cacheEntry, bytes []byte, err error, wall time.Duration) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e.bytes, e.err, e.wall = bytes, err, wall
 	close(e.done)
-	if err != nil {
+	switch {
+	case err != nil:
 		delete(c.entries, e.hash)
-	} else {
+	case e.cost() > c.budget:
+		delete(c.entries, e.hash)
+		c.evicted++
+	default:
 		e.lru = c.order.PushFront(e)
-		for c.order.Len() > c.cap {
+		c.used += e.cost()
+		for c.used > c.budget {
 			old := c.order.Remove(c.order.Back()).(*cacheEntry)
 			delete(c.entries, old.hash)
+			c.used -= old.cost()
 			c.evicted++
 		}
 	}
-	c.mu.Unlock()
 }
 
 // release abandons an in-flight reservation that never started (queue
@@ -121,9 +140,10 @@ func (c *resultCache) release(e *cacheEntry, err error) {
 }
 
 // stats reports the live entry count (in-flight + completed), the
-// completed count, and the eviction total.
-func (c *resultCache) stats() (live, completed int, evicted uint64) {
+// completed count, the bytes charged to the budget and the eviction
+// total.
+func (c *resultCache) stats() (live, completed int, used int64, evicted uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.order.Len(), c.evicted
+	return len(c.entries), c.order.Len(), c.used, c.evicted
 }

@@ -228,10 +228,13 @@ func TestGracefulShutdownDrains(t *testing.T) {
 // (and their SSE replay buffers) fall off while the result cache still
 // serves by spec hash.
 func TestJobRecordEviction(t *testing.T) {
+	body := []byte(`{"ok":true}`)
 	exec := func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
-		return []byte(`{"ok":true}`), nil
+		return body, nil
 	}
-	s := New(Config{Workers: 1, CacheEntries: jobRecords + 8, Exec: exec})
+	// A budget that holds every body of the flood: the record ring is the
+	// only bound in play.
+	s := New(Config{Workers: 1, CacheBytes: (jobRecords + 8) * int64(len(body)+entryOverhead), Exec: exec})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer s.Close()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/exp/sweep"
@@ -66,12 +67,19 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 	if spec.Runs > 1 {
 		results = append(results, sweep.Aggregate(rs)...)
 	}
-	var buf bytes.Buffer
-	if err := exp.WriteResultsJSON(&buf, results); err != nil {
+	// The export arrives in chunks, so a fresh buffer would grow by
+	// doubling and leave a second, slack-laden copy of every body behind.
+	// Encode into pooled scratch that has already grown, and hand the
+	// result cache — which keeps these bytes for as long as the entry
+	// lives — an exact-size copy.
+	buf := encodeScratch.Get().(*bytes.Buffer)
+	defer encodeScratch.Put(buf)
+	buf.Reset()
+	if err := exp.WriteResultsJSON(buf, results); err != nil {
 		return nil, err
 	}
-	// The export arrives in chunks, so buf grew by doubling and may hold
-	// as much slack as content. The result cache keeps these bytes for as
-	// long as the entry lives: hand it an exact-size copy.
 	return bytes.Clone(buf.Bytes()), nil
 }
+
+// encodeScratch holds CatalogExec's encode buffers between jobs.
+var encodeScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}

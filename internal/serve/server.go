@@ -24,21 +24,25 @@ type Config struct {
 	// QueueCap bounds the jobs waiting for a worker; submissions past
 	// the cap are rejected with 429 + Retry-After (<= 0 = 64).
 	QueueCap int
-	// CacheEntries bounds the completed-result cache (<= 0 = 1024).
-	CacheEntries int
+	// CacheBytes is the completed-result cache's byte budget: bodies
+	// plus a fixed per-entry overhead (<= 0 = 32 MiB, eight of the
+	// largest bodies a tracer can produce).
+	CacheBytes int64
 	// Exec runs one job (nil = CatalogExec). Tests inject stubs here.
 	Exec ExecFunc
 }
 
 // jobRecords bounds the finished-job metadata (and SSE replay buffers) a
-// Server retains; results outlive their job record in the cache.
+// Server retains. A record names its result by spec hash and holds no
+// bytes: the cache's budget alone decides how long a body lives, so a
+// record may outlive its result (410 Gone) or the result its record.
 const jobRecords = 4096
 
 // errShutdown resolves jobs orphaned by a daemon shutdown.
 var errShutdown = errors.New("serve: daemon shutting down")
 
 // job is one submission's lifecycle record. The result itself lives in
-// the shared cacheEntry; the job carries identity and state.
+// the cache under hash; the job carries identity and state.
 type job struct {
 	id   string
 	spec *JobSpec
@@ -47,7 +51,6 @@ type job struct {
 	// run produced the entry), "coalesced" (attached to an in-flight
 	// twin), or "hit" (served from a completed entry).
 	cache string
-	entry *cacheEntry
 
 	mu        sync.Mutex
 	state     string // queued | running | done | failed | canceled
@@ -103,7 +106,7 @@ type Server struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
-	queue  chan *job
+	queue  chan queued
 
 	hub   *hub
 	cache *resultCache
@@ -138,6 +141,13 @@ type Server struct {
 	pending int64
 }
 
+// queued is an owning ("miss") job on its way to a worker, with the
+// in-flight entry its run resolves.
+type queued struct {
+	j     *job
+	entry *cacheEntry
+}
+
 // New builds and starts a Server (workers begin immediately).
 func New(cfg Config) *Server {
 	workers := cfg.Workers
@@ -148,9 +158,9 @@ func New(cfg Config) *Server {
 	if queueCap <= 0 {
 		queueCap = 64
 	}
-	cacheCap := cfg.CacheEntries
-	if cacheCap <= 0 {
-		cacheCap = 1024
+	cacheBytes := cfg.CacheBytes
+	if cacheBytes <= 0 {
+		cacheBytes = 32 << 20
 	}
 	exec := cfg.Exec
 	if exec == nil {
@@ -163,9 +173,9 @@ func New(cfg Config) *Server {
 		workerCount: workers,
 		ctx:         ctx,
 		cancel:      cancel,
-		queue:       make(chan *job, queueCap),
+		queue:       make(chan queued, queueCap),
 		hub:         newHub(),
-		cache:       newResultCache(cacheCap),
+		cache:       newResultCache(cacheBytes),
 		jobs:        make(map[string]*job),
 		attached:    make(map[*cacheEntry][]*job),
 		latency:     obs.NewHist(),
@@ -235,9 +245,9 @@ func (s *Server) Close() {
 	// Workers are gone; anything left in the queue never started.
 	for {
 		select {
-		case j := <-s.queue:
+		case q := <-s.queue:
 			atomic.AddInt64(&s.pending, -1)
-			s.finishEntry(j.entry, nil, errShutdown, 0, true)
+			s.finishEntry(q.entry, nil, errShutdown, 0, true)
 		default:
 			s.hub.close()
 			return
@@ -251,15 +261,15 @@ func (s *Server) worker() {
 		select {
 		case <-s.ctx.Done():
 			return
-		case j := <-s.queue:
-			s.runJob(j)
+		case q := <-s.queue:
+			s.runJob(q.j, q.entry)
 		}
 	}
 }
 
 // runJob executes one owning ("miss") job and resolves everyone
 // attached to its cache entry.
-func (s *Server) runJob(j *job) {
+func (s *Server) runJob(j *job, entry *cacheEntry) {
 	atomic.AddInt64(&s.inflight, 1)
 	defer atomic.AddInt64(&s.inflight, -1)
 	defer atomic.AddInt64(&s.pending, -1)
@@ -276,7 +286,7 @@ func (s *Server) runJob(j *job) {
 		s.histMu.Unlock()
 	}
 	canceled := err != nil && (errors.Is(err, context.Canceled) || s.ctx.Err() != nil)
-	s.finishEntry(j.entry, b, err, wall, canceled)
+	s.finishEntry(entry, b, err, wall, canceled)
 }
 
 // finishEntry resolves entry and every job attached to it (owner
@@ -383,7 +393,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.nextID++
 	j := &job{
 		id: fmt.Sprintf("j%08d", s.nextID), spec: spec, hash: hash,
-		entry: entry, submitted: time.Now(), state: "queued",
+		submitted: time.Now(), state: "queued",
 	}
 	s.jobs[j.id] = j
 	atomic.AddUint64(&s.submitted, 1)
@@ -411,7 +421,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		atomic.AddUint64(&s.misses, 1)
 		s.attached[entry] = append(s.attached[entry], j)
 		s.hub.publish(j.id, Event{"queued", fmt.Sprintf(`{"id":%q,"hash":%q,"cache":"miss","queue_depth":%d}`, j.id, j.hash, len(s.queue)+1)})
-		s.queue <- j
+		s.queue <- queued{j, entry}
 	case entry.completed():
 		// A failed entry leaves the map in the critical section that
 		// resolves it, so a completed entry reserve returns succeeded.
@@ -432,7 +442,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	if r.URL.Query().Get("wait") != "" {
-		s.waitAndServeResult(w, r, j)
+		s.waitAndServeResult(w, r, j, entry)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -444,15 +454,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // waitAndServeResult blocks until the job's entry resolves, then serves
-// the result bytes (or the error).
-func (s *Server) waitAndServeResult(w http.ResponseWriter, r *http.Request, j *job) {
+// the result bytes (or the error). The request holds the entry only
+// until it has written it, so an eviction meanwhile costs it nothing.
+func (s *Server) waitAndServeResult(w http.ResponseWriter, r *http.Request, j *job, entry *cacheEntry) {
 	select {
-	case <-j.entry.done:
+	case <-entry.done:
 	case <-r.Context().Done():
 		writeErr(w, http.StatusRequestTimeout, r.Context().Err())
 		return
 	}
-	s.serveEntry(w, j.entry, j)
+	s.serveEntry(w, entry, j)
 }
 
 // serveEntry writes a resolved entry's bytes or error. j, when non-nil,
@@ -492,20 +503,35 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(j.view()) //nolint:errcheck
 }
 
+// handleResult serves a finished job's body from the cache by its spec
+// hash. The record holds no bytes, so a done job whose body the budget
+// has dropped answers 410 Gone: the hash is in the header and a
+// resubmission recomputes the same bytes.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j := s.lookupJob(r.PathValue("id"))
 	if j == nil {
 		writeErr(w, http.StatusNotFound, errors.New("serve: unknown job"))
 		return
 	}
-	if !j.entry.completed() {
-		j.mu.Lock()
-		state := j.state
-		j.mu.Unlock()
+	j.mu.Lock()
+	state, errMsg := j.state, j.errMsg
+	j.mu.Unlock()
+	w.Header().Set("X-Spec-Hash", j.hash)
+	switch state {
+	case "done":
+		entry := s.cache.lookup(j.hash)
+		if entry == nil || !entry.completed() {
+			writeErr(w, http.StatusGone, fmt.Errorf("serve: result of job %s left the cache; resubmit the spec", j.id))
+			return
+		}
+		s.serveEntry(w, entry, j)
+	case "failed":
+		writeErr(w, http.StatusInternalServerError, errors.New(errMsg))
+	case "canceled":
+		writeErr(w, http.StatusServiceUnavailable, errors.New(errMsg))
+	default:
 		writeErr(w, http.StatusConflict, fmt.Errorf("serve: job %s not finished (state %s)", j.id, state))
-		return
 	}
-	s.serveEntry(w, j.entry, j)
 }
 
 func (s *Server) handleSpecResult(w http.ResponseWriter, r *http.Request) {
@@ -611,6 +637,8 @@ type Stats struct {
 	CacheLive     int     `json:"cache_entries_live"`
 	CacheDone     int     `json:"cache_entries_done"`
 	CacheEvicted  uint64  `json:"cache_evicted"`
+	CacheBytes    int64   `json:"cache_bytes"`
+	CacheBudget   int64   `json:"cache_budget_bytes"`
 	QueueDepth    int     `json:"queue_depth"`
 	QueueCap      int     `json:"queue_cap"`
 	InFlight      int64   `json:"in_flight"`
@@ -623,7 +651,7 @@ type Stats struct {
 }
 
 func (s *Server) snapshot() Stats {
-	live, done, evicted := s.cache.stats()
+	live, done, used, evicted := s.cache.stats()
 	st := Stats{
 		Submitted:    atomic.LoadUint64(&s.submitted),
 		Completed:    atomic.LoadUint64(&s.completed),
@@ -636,6 +664,8 @@ func (s *Server) snapshot() Stats {
 		CacheLive:    live,
 		CacheDone:    done,
 		CacheEvicted: evicted,
+		CacheBytes:   used,
+		CacheBudget:  s.cache.budget,
 		QueueDepth:   len(s.queue),
 		QueueCap:     s.queueCap,
 		InFlight:     atomic.LoadInt64(&s.inflight),
@@ -680,6 +710,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	reg.Gauge("tcdsimd_queue_cap").Set(float64(st.QueueCap))
 	reg.Gauge("tcdsimd_in_flight").Set(float64(st.InFlight))
 	reg.Gauge("tcdsimd_cache_entries").Set(float64(st.CacheLive))
+	reg.Gauge("tcdsimd_cache_bytes").Set(float64(st.CacheBytes))
+	reg.Gauge("tcdsimd_cache_budget_bytes").Set(float64(st.CacheBudget))
 	reg.Gauge("tcdsimd_job_latency_us", "q", "p50").Set(float64(st.LatencyP50Us))
 	reg.Gauge("tcdsimd_job_latency_us", "q", "p95").Set(float64(st.LatencyP95Us))
 	reg.Gauge("tcdsimd_job_latency_us", "q", "p99").Set(float64(st.LatencyP99Us))

@@ -50,6 +50,15 @@ func submitWait(t *testing.T, base, spec string) (int, http.Header, []byte) {
 // 3-switch deadlock ring at a 50 µs horizon.
 const shortSpec = `{"exp":"deadlock-unit","seed":3,"horizon_us":50}`
 
+// shortFlood submits n more such runs, one per seed from 100 up: enough
+// distinct bodies to push shortSpec's out of a few-KB budget.
+func shortFlood(t *testing.T, base string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		submitWait(t, base, fmt.Sprintf(`{"exp":"deadlock-unit","seed":%d,"horizon_us":50}`, 100+i))
+	}
+}
+
 // TestEndToEndDeterminism races N concurrent submissions of one spec
 // through a live daemon and requires every response — cache-miss,
 // coalesced and warm-hit alike — to be byte-identical. A second daemon
@@ -243,9 +252,12 @@ func TestExpsListsWhatTheParserAdmits(t *testing.T) {
 }
 
 // TestMetricsEndpoint scrapes /metrics after traffic and checks the
-// Prometheus families exist with sane values.
+// Prometheus families exist with sane values, then floods a budget that
+// holds a handful of bodies and requires both endpoints to report the
+// cache inside it.
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestDaemon(t, Config{Workers: 2})
+	const budget = 16 << 10
+	_, ts := newTestDaemon(t, Config{Workers: 2, CacheBytes: budget})
 	submitWait(t, ts.URL, shortSpec)
 	submitWait(t, ts.URL, shortSpec) // warm hit
 
@@ -263,6 +275,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`tcdsimd_cache_requests_total{kind="miss"} 1`,
 		"# TYPE tcdsimd_jobs_total counter",
 		"tcdsimd_queue_cap 64",
+		"tcdsimd_cache_budget_bytes 16384",
+		"\ntcdsimd_cache_bytes ",
 	} {
 		if !strings.Contains(text, w) {
 			t.Errorf("/metrics missing %q in:\n%s", w, text)
@@ -277,6 +291,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	st.Body.Close()
 	if !strings.Contains(string(sb), `"cache_warm_hits": 1`) {
 		t.Errorf("/v1/stats missing warm hit count:\n%s", sb)
+	}
+
+	shortFlood(t, ts.URL, 32)
+	st, err = http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats Stats
+	err = json.NewDecoder(st.Body).Decode(&stats)
+	st.Body.Close()
+	if err != nil || stats.CacheBudget != budget || stats.CacheBytes <= 0 || stats.CacheBytes > stats.CacheBudget || stats.CacheEvicted == 0 {
+		t.Errorf("/v1/stats after a flood (decode error %v): %d of %d cache bytes, %d evicted", err, stats.CacheBytes, stats.CacheBudget, stats.CacheEvicted)
+	}
+	resp, err = http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := fmt.Sprintf("\ntcdsimd_cache_bytes %d\n", stats.CacheBytes); !strings.Contains(string(b), want) {
+		t.Errorf("/metrics after a flood missing %q in:\n%s", want, b)
 	}
 }
 
@@ -311,20 +346,12 @@ func TestFailedJobNotCached(t *testing.T) {
 	}
 }
 
-// TestMixedWave sends one concurrent wave of warm submissions (a pool of
-// four specs, each sent many times) beside never-seen cold ones to a
-// four-worker daemon: hits, coalesced twins and misses interleave on the
-// cache, the queue and the hub at once. Every body must be the stub's
-// output for the spec that was sent.
-func TestMixedWave(t *testing.T) {
-	echo := func(spec *JobSpec) []byte {
-		return append([]byte(`{"echo":`), append(spec.Canonical(), '}')...)
-	}
-	s, ts := newTestDaemon(t, Config{Workers: 4, QueueCap: 256, Exec: func(_ context.Context, spec *JobSpec, _ io.Writer) ([]byte, error) {
-		return echo(spec), nil
-	}})
-
-	const n = 96
+// mixedWave sends one concurrent wave of n ?wait=1 submissions — warm
+// ones from a pool of four specs, each sent many times, beside a
+// never-seen cold one every third (n/3 + 4 distinct specs) — and requires
+// every body to be want's for the spec that was sent.
+func mixedWave(t *testing.T, base string, n int, want func(*JobSpec) []byte) {
+	t.Helper()
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		raw := distinctSpec(i % 4) // warm pool
@@ -339,19 +366,35 @@ func TestMixedWave(t *testing.T) {
 				t.Errorf("spec %s: %v", raw, err)
 				return
 			}
-			resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(raw))
+			resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", strings.NewReader(raw))
 			if err != nil {
 				t.Errorf("spec %s: %v", raw, err)
 				return
 			}
 			defer resp.Body.Close()
 			got, err := io.ReadAll(resp.Body)
-			if want := echo(spec); err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
-				t.Errorf("spec %s: status %d, read error %v, body %q, want %q", raw, resp.StatusCode, err, got, want)
+			if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, want(spec)) {
+				t.Errorf("spec %s: status %d, read error %v, wrong body (%d bytes): %.80q", raw, resp.StatusCode, err, len(got), got)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMixedWave sends one concurrent wave of warm submissions beside
+// never-seen cold ones to a four-worker daemon: hits, coalesced twins
+// and misses interleave on the cache, the queue and the hub at once.
+// Every body must be the stub's output for the spec that was sent.
+func TestMixedWave(t *testing.T) {
+	echo := func(spec *JobSpec) []byte {
+		return append([]byte(`{"echo":`), append(spec.Canonical(), '}')...)
+	}
+	s, ts := newTestDaemon(t, Config{Workers: 4, QueueCap: 256, Exec: func(_ context.Context, spec *JobSpec, _ io.Writer) ([]byte, error) {
+		return echo(spec), nil
+	}})
+
+	const n = 96
+	mixedWave(t, ts.URL, n, echo)
 
 	st := s.snapshot()
 	if st.WarmHits+st.Coalesced == 0 {

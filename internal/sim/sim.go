@@ -968,12 +968,11 @@ func (s *Scheduler) checkBand() (int, error) {
 // timers and similar protocol machinery.
 //
 // Arm of an already-armed timer is one in-place Reschedule — the queue
-// never grows, and no closure is created: the fire callback is
-// preallocated once at NewTimer.
+// never grows, and no closure is created: the scheduler is handed the
+// static timerFire with the timer as its argument.
 type Timer struct {
 	s       *Scheduler
 	fn      func()
-	fireFn  func() // preallocated adapter handed to the scheduler
 	id      EventID
 	armedAt units.Time // fire time of the live arm; Never when idle
 }
@@ -987,10 +986,9 @@ func NewTimer(s *Scheduler, fn func()) *Timer {
 
 // Init makes t an unarmed timer that runs fn when it fires, for a Timer
 // that lives by value in its owner. The owner must not be copied
-// afterwards: the scheduler is handed a callback bound to t.
+// afterwards: the scheduler is handed t as its event argument.
 func (t *Timer) Init(s *Scheduler, fn func()) {
 	*t = Timer{s: s, fn: fn, armedAt: units.Never}
-	t.fireFn = t.fire
 }
 
 // Arm (re)schedules the timer to fire d from now, replacing any pending
@@ -1006,13 +1004,15 @@ func (t *Timer) Arm(d units.Time) {
 		t.armedAt = at
 		return
 	}
-	t.id = t.s.At(at, t.fireFn)
+	t.id = t.s.AtArg(at, timerFire, t)
 	if t.id == NoEvent {
 		t.armedAt = units.Never
 		return
 	}
 	t.armedAt = at
 }
+
+func timerFire(arg any) { arg.(*Timer).fire() }
 
 func (t *Timer) fire() {
 	t.id = NoEvent
