@@ -59,7 +59,7 @@ func main() {
 	// Tiny PFC thresholds make the cycle close quickly.
 	pfc.Install(n, pfc.Config{Xoff: 20 * units.KB, Xon: 18 * units.KB, Headroom: 20 * units.KB})
 
-	mgr := host.Install(n, host.DefaultConfig())
+	mgr := host.Install(n, host.Config{})
 	var flows []*host.Flow
 	for i := 0; i < 3; i++ {
 		f := mgr.AddFlow(h[i], h[(i+2)%3], 2*units.MB, 0, host.FixedRate(rate))

@@ -51,7 +51,7 @@ func main() {
 	fmt.Printf("max(Ton) from the ON-OFF model: %v\n\n", det.Config().MaxTon)
 
 	// 4. Endpoints and traffic: a 2:1 incast of 400 KB each.
-	mgr := host.Install(net, host.DefaultConfig())
+	mgr := host.Install(net, host.Config{})
 	fa := mgr.AddFlow(a, r, 400*units.KB, 0, host.FixedRate(rate))
 	fb := mgr.AddFlow(b, r, 400*units.KB, 0, host.FixedRate(rate))
 

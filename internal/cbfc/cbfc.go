@@ -29,9 +29,6 @@ type Config struct {
 	// Tc is the FCCL update period. The spec bounds it by 65536 symbol
 	// times; the paper's testbed uses 60 us.
 	Tc units.Time
-	// Stagger, if non-nil, offsets the first FCCL of meter i to avoid a
-	// synchronized full-network credit pulse at t=0.
-	Stagger func(i int) units.Time
 }
 
 // DefaultConfig returns the paper's InfiniBand parameters: 280 KB ingress
@@ -206,10 +203,6 @@ func Install(n *fabric.Network, cfg Config) {
 		}
 		m.timer.Init(n.Sched, m.sendUpdate)
 		p.AttachMeter(m)
-		phase := units.Time(0)
-		if cfg.Stagger != nil {
-			phase = cfg.Stagger(i)
-		}
-		m.timer.Arm(cfg.Tc + phase)
+		m.timer.Arm(cfg.Tc)
 	}
 }

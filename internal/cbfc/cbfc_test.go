@@ -28,7 +28,7 @@ func chain(extraSenders int, rate units.Rate, delay units.Time) (*sim.Scheduler,
 	s := sim.New()
 	n := fabric.New(s, g, fabric.DefaultConfig())
 	routing.BuildShortestPath(g).Attach(n, routing.FirstPath())
-	m := host.Install(n, host.DefaultConfig())
+	m := host.Install(n, host.Config{})
 	return s, n, m, g
 }
 
@@ -159,33 +159,6 @@ func TestIdleMetersQuiesce(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Errorf("events still pending after idle drain: %d", s.Pending())
-	}
-}
-
-func TestStaggerOffsetsFirstUpdate(t *testing.T) {
-	g := topo.New()
-	a := g.AddHost("a")
-	sw := g.AddSwitch("sw")
-	g.Connect(a, sw, units.Gbps, 0)
-	s := sim.New()
-	n := fabric.New(s, g, fabric.DefaultConfig())
-	cfg := cbfc.Config{
-		Buffer:  10 * units.KB,
-		Tc:      100 * units.Microsecond,
-		Stagger: func(i int) units.Time { return units.Time(i) * units.Microsecond },
-	}
-	cbfc.Install(n, cfg)
-	s.RunUntil(99 * units.Microsecond)
-	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
-		if mt.UpdatesSent != 0 {
-			t.Error("update fired before Tc despite stagger")
-		}
-	}
-	s.RunUntil(120 * units.Microsecond)
-	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
-		if mt.UpdatesSent != 1 {
-			t.Errorf("updates = %d after first period, want 1", mt.UpdatesSent)
-		}
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 // implementation exists to let that argument be tested (see the ablation
 // experiment and benchmarks).
 type AdaptiveConfig struct {
-	// Seed is the initial max(Ton) estimate, typically the static bound.
-	Seed units.Time
+	// TCDConfig configures the wrapped state machine; its MaxTon is the
+	// initial estimate, typically the static bound.
+	TCDConfig
 	// Gain is the EWMA gain applied to observed ON periods (0 < Gain <= 1).
 	Gain float64
 	// Margin multiplies the EWMA to form the threshold (e.g. 2.0: an ON
@@ -27,26 +28,17 @@ type AdaptiveConfig struct {
 	// against deferring detection for too long (§6 names both corner
 	// cases).
 	Floor, Ceil units.Time
-	// Period, CongThresh, LowThresh, TrendSlack follow TCDConfig.
-	Period     units.Time
-	CongThresh units.ByteSize
-	LowThresh  units.ByteSize
-	TrendSlack units.ByteSize
 }
 
 // DefaultAdaptiveConfig derives an adaptive configuration from a static
 // one: seeded at the model bound, clamped to [bound/8, 4*bound].
 func DefaultAdaptiveConfig(static TCDConfig) AdaptiveConfig {
 	return AdaptiveConfig{
-		Seed:       static.MaxTon,
-		Gain:       0.25,
-		Margin:     2.0,
-		Floor:      static.MaxTon / 8,
-		Ceil:       4 * static.MaxTon,
-		Period:     static.Period,
-		CongThresh: static.CongThresh,
-		LowThresh:  static.LowThresh,
-		TrendSlack: static.TrendSlack,
+		TCDConfig: static,
+		Gain:      0.25,
+		Margin:    2.0,
+		Floor:     static.MaxTon / 8,
+		Ceil:      4 * static.MaxTon,
 	}
 }
 
@@ -74,14 +66,7 @@ func NewAdaptiveTCD(cfg AdaptiveConfig) *AdaptiveTCD {
 	if cfg.Margin < 1 {
 		panic("core: adaptive margin must be >= 1")
 	}
-	inner := NewTCD(TCDConfig{
-		MaxTon:     cfg.Seed,
-		Period:     cfg.Period,
-		CongThresh: cfg.CongThresh,
-		LowThresh:  cfg.LowThresh,
-		TrendSlack: cfg.TrendSlack,
-	})
-	return &AdaptiveTCD{inner: inner, cfg: cfg, ewma: float64(cfg.Seed) / cfg.Margin}
+	return &AdaptiveTCD{inner: NewTCD(cfg.TCDConfig), cfg: cfg, ewma: float64(cfg.MaxTon) / cfg.Margin}
 }
 
 // State reports the current ternary state.

@@ -77,8 +77,8 @@ func TestAdaptiveDetectsLikeStatic(t *testing.T) {
 
 func TestAdaptiveValidation(t *testing.T) {
 	for _, bad := range []AdaptiveConfig{
-		{Seed: units.Microsecond, Gain: 0, Margin: 2, CongThresh: 1},
-		{Seed: units.Microsecond, Gain: 0.5, Margin: 0.5, CongThresh: 1},
+		{TCDConfig: TCDConfig{MaxTon: units.Microsecond, CongThresh: 1}, Gain: 0, Margin: 2},
+		{TCDConfig: TCDConfig{MaxTon: units.Microsecond, CongThresh: 1}, Gain: 0.5, Margin: 0.5},
 	} {
 		func() {
 			defer func() {

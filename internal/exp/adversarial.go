@@ -41,7 +41,6 @@ import (
 
 	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
-	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/oracle"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
@@ -172,14 +171,7 @@ func Adversarial(cfg AdversarialConfig) (*Result, oracle.Run) {
 	}
 	res := NewResult(fmt.Sprintf("adversarial-%s-%s-%s", cfg.Scenario.Name, cfg.Kind, cfg.Det))
 
-	smp := oracle.Attach(rig.Net, oracle.Config{
-		// RootThresh sits well below both fabrics' marking thresholds
-		// (200 KB CEE / 50 KB IB) so camouflaged roots stay truth-roots.
-		RootThresh:    40 * units.KB,
-		IdleThresh:    10 * units.KB,
-		VictimOffFrac: 0.25,
-		Duty:          rig.Inj.CamouflageDuty,
-	})
+	smp := oracle.Attach(rig.Net, rig.Inj.CamouflageDuty)
 
 	line := 40 * units.Gbps
 	var f1 *host.Flow
@@ -231,14 +223,11 @@ func Adversarial(cfg AdversarialConfig) (*Result, oracle.Run) {
 	}
 }
 
-// BatteryOptions shapes a full battery sweep. Zero-value axes default to
-// both fabrics, the three scored detectors (baseline, TCD, NP-ECN), and
-// seeds 1–2 — the committed golden configuration.
+// BatteryOptions shapes a full battery sweep: every scenario runs on both
+// fabrics under the three scored detectors (baseline, TCD, NP-ECN) for
+// each seed. Nil Seeds means 1–2, the committed golden configuration.
 type BatteryOptions struct {
-	Fabrics []FabricKind
-	Dets    []DetectorKind
-	Seeds   []uint64
-	Obs     obs.Config
+	Seeds []uint64
 	// OnDone, if non-nil, is called after each cell (progress lines).
 	OnDone func(res *Result)
 }
@@ -247,12 +236,6 @@ type BatteryOptions struct {
 // cell of the battery in deterministic order and returns the oracle
 // report plus the per-cell Results (for sweep-style aggregation).
 func RunAdversarialBattery(b *Battery, opt BatteryOptions) (*oracle.Report, []*Result) {
-	if len(opt.Fabrics) == 0 {
-		opt.Fabrics = []FabricKind{CEE, IB}
-	}
-	if len(opt.Dets) == 0 {
-		opt.Dets = []DetectorKind{DetBaseline, DetTCD, DetNPECN}
-	}
 	if len(opt.Seeds) == 0 {
 		opt.Seeds = []uint64{1, 2}
 	}
@@ -261,11 +244,11 @@ func RunAdversarialBattery(b *Battery, opt BatteryOptions) (*oracle.Report, []*R
 		results []*Result
 	)
 	for _, sc := range b.Scenarios {
-		for _, k := range opt.Fabrics {
-			for _, d := range opt.Dets {
+		for _, k := range []FabricKind{CEE, IB} {
+			for _, d := range []DetectorKind{DetBaseline, DetTCD, DetNPECN} {
 				for _, s := range opt.Seeds {
 					res, run := Adversarial(AdversarialConfig{
-						Run: Run{Kind: k, Seed: s, Obs: opt.Obs}, Scenario: sc, Det: d,
+						Run: Run{Kind: k, Seed: s}, Scenario: sc, Det: d,
 					})
 					results = append(results, res)
 					runs = append(runs, run)

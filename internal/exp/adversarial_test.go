@@ -26,6 +26,8 @@ import (
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/exp/sweep"
 	"github.com/tcdnet/tcd/internal/oracle"
+	"github.com/tcdnet/tcd/internal/topo"
+	"github.com/tcdnet/tcd/internal/units"
 )
 
 var updateAdversarial = flag.Bool("update-adversarial", false,
@@ -226,6 +228,68 @@ func TestAdversarialTCDAdvantage(t *testing.T) {
 		if v <= 0 {
 			t.Errorf("battery-wide %s = %g, want > 0", k, v)
 		}
+	}
+}
+
+// switchPorts counts a topology's switch egress ports, the ports the
+// oracle scores: one per switch end of every link.
+func switchPorts(g *topo.Topology) int {
+	n := 0
+	for _, l := range g.Links {
+		for _, end := range []int{int(l.A), int(l.B)} {
+			if g.Nodes[end].Kind == topo.Switch {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestOracleConservation: in every scenario × fabric cell of the default
+// battery each (port, window) observation lands in exactly one confusion
+// cell, so ΣConfusion = Windows = ⌊horizon / 50 µs⌋ × switch egress ports;
+// accuracy is the diagonal share of Windows, and every precision and
+// recall is a fraction.
+func TestOracleConservation(t *testing.T) {
+	rep, _ := batteryOnce()
+	ports := map[string]int{
+		"fig2":  switchPorts(topo.NewFig2(topo.Fig2Config{}).Topology),
+		"ring3": switchPorts(topo.NewRing(3, 40*units.Gbps, units.Microsecond).Topology),
+	}
+	scenarios := map[string]exp.AttackScenario{}
+	for _, sc := range exp.DefaultBattery().Scenarios {
+		scenarios[sc.Name] = sc
+	}
+	cells := map[string]bool{}
+	for _, run := range rep.Runs {
+		sc := scenarios[run.Scenario]
+		cell := fmt.Sprintf("%s/%s/%s/seed=%d", run.Scenario, run.Fabric, run.Detector, run.Seed)
+		cells[run.Scenario+"/"+run.Fabric] = true
+		s := run.Score
+		sum, diag := 0, 0
+		for truth, row := range s.Confusion {
+			for verdict, n := range row {
+				sum += n
+				if truth == verdict {
+					diag += n
+				}
+			}
+		}
+		want := int(sc.Horizon()/(50*units.Microsecond)) * ports[sc.Topo]
+		if sum != s.Windows || s.Windows != want {
+			t.Errorf("%s: confusion sums to %d, windows %d, want %d", cell, sum, s.Windows, want)
+		}
+		if s.Accuracy != float64(diag)/float64(s.Windows) {
+			t.Errorf("%s: accuracy %v, diagonal %d of %d", cell, s.Accuracy, diag, s.Windows)
+		}
+		for c := range s.Precision {
+			if s.Precision[c] < 0 || s.Precision[c] > 1 || s.Recall[c] < 0 || s.Recall[c] > 1 {
+				t.Errorf("%s: class %d precision %v recall %v outside [0, 1]", cell, c, s.Precision[c], s.Recall[c])
+			}
+		}
+	}
+	if len(cells) != 2*len(scenarios) {
+		t.Errorf("report covers %d scenario × fabric cells, want %d", len(cells), 2*len(scenarios))
 	}
 }
 

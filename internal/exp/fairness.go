@@ -33,14 +33,10 @@ func DefaultFairnessConfig(kind FabricKind, cc CCKind) FairnessConfig {
 
 // Fairness runs the Fig 20 experiment.
 func Fairness(cfg FairnessConfig) *Result {
-	tcfg := topo.DefaultFig2Config()
-	tcfg.WithB = true
-	hostCfg := host.DefaultConfig()
-	hostCfg.AckEveryPacket = cfg.CC.NeedsAcks()
-	rig := NewFig2Rig(tcfg, RigConfig{
+	rig := NewFig2Rig(topo.Fig2Config{WithB: true}, RigConfig{
 		Run:               cfg.Run,
 		Det:               DetTCD,
-		HostCfg:           hostCfg,
+		HostCfg:           host.Config{AckEveryPacket: cfg.CC.NeedsAcks()},
 		RecordTransitions: true,
 	})
 	res := NewResult(fmt.Sprintf("fig20-fairness-%s", cfg.CC))

@@ -79,13 +79,11 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 	if cfg.Kind == IB {
 		sel = routing.DModK()
 	}
-	hostCfg := host.DefaultConfig()
-	hostCfg.AckEveryPacket = cfg.CC.NeedsAcks()
 	rc := RigConfig{
 		Run:      cfg.Run,
 		Topo:     ft.Topology,
 		Det:      cfg.Det,
-		HostCfg:  hostCfg,
+		HostCfg:  host.Config{AckEveryPacket: cfg.CC.NeedsAcks()},
 		Selector: sel,
 	}
 	if !cfg.eagerRoutes {
@@ -106,12 +104,11 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 		flow     *host.Flow
 		baseline units.Time
 	}
-	mtu := rig.Mgr.Config().MTU
 	metas := make([]meta, 0, len(flows))
 	for _, wf := range flows {
 		hops := rig.Routes.PathLen(wf.Src, wf.Dst)
 		f := rig.Mgr.AddFlow(wf.Src, wf.Dst, wf.Size, wf.Start, rig.NewCC(cfg.CC, rate))
-		metas = append(metas, meta{flow: f, baseline: host.IdealFCT(wf.Size, mtu, rate, hops, delay)})
+		metas = append(metas, meta{flow: f, baseline: host.IdealFCT(wf.Size, rate, hops, delay)})
 	}
 
 	rig.Run(cfg.Horizon)

@@ -82,7 +82,7 @@ func MultiPrio(cfg MultiPrioConfig) *Result {
 	det.RecordTransitions = true
 	sharedPort.AttachDetector(1, det)
 
-	mgr := host.Install(n, host.DefaultConfig())
+	mgr := host.Install(n, host.Config{})
 	big := 1000 * units.MB
 
 	lowVictim := mgr.AddFlow(h0, r2, big, 0, host.FixedRate(10*units.Gbps))

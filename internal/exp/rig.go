@@ -12,6 +12,7 @@ import (
 	"github.com/tcdnet/tcd/internal/fault"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/obs"
+	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/rng"
 	"github.com/tcdnet/tcd/internal/routing"
@@ -149,19 +150,14 @@ func (f FabricKind) StockCC() CCKind {
 	return CCIBCC
 }
 
-// DetectorParams carries the marking/detection thresholds of one rig.
+// DetectorParams carries the per-scenario overrides of the TCD model.
+// Everything else a detector is built from is fixed: the baselines use
+// core.DefaultREDConfig / core.DefaultFECNConfig, the TCD state thresholds
+// are tcdThresholds, and max(Ton) is sized by packet.MTU.
 type DetectorParams struct {
-	// Eps is the TCD congestion-degree parameter (§4.2; default 0.05).
+	// Eps is the TCD congestion-degree parameter (§4.2; zero means
+	// core.RecommendedEps).
 	Eps float64
-	// MTU sizes the response-time term of max(Ton).
-	MTU units.ByteSize
-	// CongThresh/LowThresh are the TCD state thresholds. Zero defaults
-	// to 200 KB / 10 KB on CEE and 50 KB / 10 KB on IB.
-	CongThresh, LowThresh units.ByteSize
-	// RED is the CEE baseline marker config (zero = DCQCN defaults).
-	RED core.REDConfig
-	// FECNThresh is the IB baseline threshold (zero = 50 KB).
-	FECNThresh units.ByteSize
 	// XoffGap overrides the B1-B0 term of the CEE max(Ton) model (zero =
 	// 2 MTU); the DPDK testbed ran Xoff-Xon = 30 KB.
 	XoffGap units.ByteSize
@@ -174,29 +170,14 @@ type DetectorParams struct {
 	TrendSlack units.ByteSize
 }
 
-func (p *DetectorParams) fill(kind FabricKind) {
-	if p.Eps == 0 {
-		p.Eps = core.RecommendedEps
+// tcdThresholds are TCD's state thresholds on a fabric: congestion above
+// the fabric's own marking threshold (RED's Kmax on CEE, the FECN
+// threshold on IB), back to non-congestion at or below 10 KB.
+func tcdThresholds(kind FabricKind) (cong, low units.ByteSize) {
+	if kind == CEE {
+		return core.DefaultREDConfig().Kmax, 10 * units.KB
 	}
-	if p.MTU == 0 {
-		p.MTU = 1000
-	}
-	if p.CongThresh == 0 {
-		if kind == CEE {
-			p.CongThresh = 200 * units.KB
-		} else {
-			p.CongThresh = 50 * units.KB
-		}
-	}
-	if p.LowThresh == 0 {
-		p.LowThresh = 10 * units.KB
-	}
-	if p.RED == (core.REDConfig{}) {
-		p.RED = core.DefaultREDConfig()
-	}
-	if p.FECNThresh == 0 {
-		p.FECNThresh = 50 * units.KB
-	}
+	return core.DefaultFECNConfig().Thresh, 10 * units.KB
 }
 
 // Rig is a ready-to-run simulated network: topology, fabric, flow
@@ -285,7 +266,6 @@ func NewRig(cfg RigConfig) *Rig {
 		Par:   cfg.Par,
 		Obs:   cfg.Obs,
 	}
-	r.Par.fill(cfg.Kind)
 	cfg.Obs.Attach(r.Sched)
 	fc := fabric.DefaultConfig()
 	fc.CtrlJitter = cfg.CtrlJitter
@@ -308,7 +288,7 @@ func NewRig(cfg RigConfig) *Rig {
 		pfc.Install(r.Net, r.PFCCfg)
 	case IB:
 		r.CBFCCfg = cfg.CBFC
-		if r.CBFCCfg.Buffer == 0 && r.CBFCCfg.Tc == 0 {
+		if r.CBFCCfg == (cbfc.Config{}) {
 			r.CBFCCfg = cbfc.DefaultConfig()
 		}
 		cbfc.Install(r.Net, r.CBFCCfg)
@@ -316,11 +296,7 @@ func NewRig(cfg RigConfig) *Rig {
 
 	r.attachDetectors(cfg.RecordTransitions)
 
-	hc := cfg.HostCfg
-	if hc == (host.Config{}) {
-		hc = host.DefaultConfig()
-	}
-	r.Mgr = host.Install(r.Net, hc)
+	r.Mgr = host.Install(r.Net, cfg.HostCfg)
 	r.Mgr.Rec = cfg.Obs.Rec
 	if cfg.Obs.Telemetry != nil {
 		r.attachQueueSampler(cfg.Obs.Telemetry, cfg.Horizon)
@@ -448,13 +424,13 @@ func (r *Rig) newDetector(p *fabric.Port, prio uint8, record bool) fabric.Detect
 	switch r.Det {
 	case DetBaseline:
 		if r.Kind == CEE {
-			return core.NewRED(r.Par.RED, r.Rnd.Split())
+			return core.NewRED(core.DefaultREDConfig(), r.Rnd.Split())
 		}
 		var probe func() int64
 		if gate, ok := p.Gate().(*cbfc.Gate); ok {
 			probe = func() int64 { return gate.Credits(prio) }
 		}
-		return core.NewFECN(core.FECNConfig{Thresh: r.Par.FECNThresh}, probe)
+		return core.NewFECN(core.DefaultFECNConfig(), probe)
 	case DetTCD:
 		d := core.NewTCD(r.TCDConfigFor(p))
 		d.RecordTransitions = record
@@ -465,34 +441,35 @@ func (r *Rig) newDetector(p *fabric.Port, prio uint8, record bool) fabric.Detect
 		r.traceTCD(a.Inner(), p)
 		return a
 	case DetNPECN:
-		red := core.NewRED(r.Par.RED, r.Rnd.Split())
-		return core.NewNPECN(core.NPECNConfig{RED: r.Par.RED}, red)
+		red := core.DefaultREDConfig()
+		return core.NewNPECN(core.NPECNConfig{RED: red}, core.NewRED(red, r.Rnd.Split()))
 	}
 	return nil
 }
 
 // TCDConfigFor derives the TCD parameters for one port from the analytic
-// model: Eqn (3) max(Ton) on CEE, the credit period bound on IB.
+// model: Eqn (3) max(Ton) on CEE, sized by the MTU the hosts frame by,
+// and the credit period bound on IB.
 func (r *Rig) TCDConfigFor(p *fabric.Port) core.TCDConfig {
 	var maxTon units.Time
 	if r.Kind == CEE {
-		params := core.CEEParams(r.Par.MTU, p.Rate, p.Delay)
+		params := core.CEEParams(packet.MTU, p.Rate, p.Delay)
 		if r.Par.XoffGap != 0 {
 			params.B1MinusB0 = r.Par.XoffGap
 		}
 		if r.Par.Tau != 0 {
 			params.Tau = r.Par.Tau
 		}
-		maxTon = core.MaxTonCEE(params, r.Par.Eps)
+		eps := r.Par.Eps
+		if eps == 0 {
+			eps = core.RecommendedEps
+		}
+		maxTon = core.MaxTonCEE(params, eps)
 	} else {
 		maxTon = core.MaxTonIB(r.CBFCCfg.Tc)
 	}
-	return core.TCDConfig{
-		MaxTon:     maxTon,
-		CongThresh: r.Par.CongThresh,
-		LowThresh:  r.Par.LowThresh,
-		TrendSlack: r.Par.TrendSlack,
-	}
+	cong, low := tcdThresholds(r.Kind)
+	return core.TCDConfig{MaxTon: maxTon, CongThresh: cong, LowThresh: low, TrendSlack: r.Par.TrendSlack}
 }
 
 // NewCC builds a per-flow rate controller.
@@ -617,12 +594,9 @@ type Fig2Rig struct {
 	P0, P1, P2, P3 *fabric.Port
 }
 
-// NewFig2Rig builds the §3.1 scenario network (the zero tcfg is
-// topo.DefaultFig2Config) and a rig on it; rc.Topo is the builder's to set.
+// NewFig2Rig builds the §3.1 scenario network and a rig on it; rc.Topo is
+// the builder's to set.
 func NewFig2Rig(tcfg topo.Fig2Config, rc RigConfig) *Fig2Rig {
-	if tcfg == (topo.Fig2Config{}) {
-		tcfg = topo.DefaultFig2Config()
-	}
 	f2 := topo.NewFig2(tcfg)
 	rc.Topo = f2.Topology
 	r := NewRig(rc)

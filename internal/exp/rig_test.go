@@ -32,9 +32,9 @@ func TestFig2RigPortsAndDefaults(t *testing.T) {
 	if rig.PFCCfg != pfc.DefaultConfig() {
 		t.Errorf("PFC config = %+v", rig.PFCCfg)
 	}
-	// Detector parameters filled with CEE defaults.
-	if rig.Par.CongThresh != 200*units.KB || rig.Par.Eps != core.RecommendedEps {
-		t.Errorf("CEE detector params = %+v", rig.Par)
+	// TCD thresholds are the CEE marking threshold and 10 KB.
+	if cfg := rig.TCDConfigFor(rig.P2); cfg.CongThresh != 200*units.KB || cfg.LowThresh != 10*units.KB {
+		t.Errorf("CEE TCD config = %+v", cfg)
 	}
 }
 
@@ -43,11 +43,11 @@ func TestRigIBDefaults(t *testing.T) {
 	if rig.CBFCCfg.Buffer != cbfc.DefaultConfig().Buffer {
 		t.Errorf("CBFC buffer = %v", rig.CBFCCfg.Buffer)
 	}
-	if rig.Par.CongThresh != 50*units.KB {
-		t.Errorf("IB congestion threshold = %v, want 50KB", rig.Par.CongThresh)
+	cfg := rig.TCDConfigFor(rig.P2)
+	if cfg.CongThresh != 50*units.KB {
+		t.Errorf("IB congestion threshold = %v, want 50KB", cfg.CongThresh)
 	}
 	// IB max(Ton) is the credit period, regardless of eps.
-	cfg := rig.TCDConfigFor(rig.P2)
 	if cfg.MaxTon != rig.CBFCCfg.Tc {
 		t.Errorf("IB MaxTon = %v, want Tc %v", cfg.MaxTon, rig.CBFCCfg.Tc)
 	}
@@ -61,6 +61,11 @@ func TestRigCEETCDConfigUsesModel(t *testing.T) {
 	want := 100.4
 	if math.Abs(cfg.MaxTon.Micros()-want) > 0.01 {
 		t.Errorf("CEE MaxTon = %v, want ~%vus", cfg.MaxTon, want)
+	}
+	// An unset eps is the recommended one.
+	rig.Par.Eps = core.RecommendedEps
+	if got := rig.TCDConfigFor(rig.P2); got != cfg {
+		t.Errorf("explicit eps %v gives %+v, unset gives %+v", core.RecommendedEps, got, cfg)
 	}
 	// The testbed overrides change the model inputs.
 	rig.Par.XoffGap = 30 * units.KB

@@ -12,11 +12,12 @@ import (
 )
 
 // TestFatTreeStructuralMatchesEager is the routing axis of the
-// determinism contract: the same k=4 rig replaying the same trace emits
-// the same events, byte for byte, and the same Result whether packets are
-// routed from structural rows (what every fat-tree run uses) or from
-// BuildShortestPath's BFS columns (what every golden uses). Only the
-// route_* scalars, which report the table's own size, may differ.
+// determinism contract: the same k=6 rig (DefaultFatTreeConfig's arity)
+// replaying the same trace emits the same events, byte for byte, and the
+// same Result whether packets are routed from structural rows (what every
+// fat-tree run uses) or from BuildShortestPath's BFS columns (what every
+// golden uses). Only the route_* scalars, which report the table's own
+// size, may differ.
 func TestFatTreeStructuralMatchesEager(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -126,8 +126,8 @@ type Scenario struct {
 
 // ServiceAddressable reports whether a JobSpec can say everything that
 // sizes a run of sc. It is derived from the declared axes, never listed:
-// the fat-tree scale axes (k, flows, route cap, workload) and the battery
-// file have no JobSpec field, so the daemon's admission limits (MaxRuns,
+// the fat-tree scale axes (k, flows, workload) and the battery file have
+// no JobSpec field, so the daemon's admission limits (MaxRuns,
 // MaxHorizonUs) could not bound a run they size. Archs does not block: it
 // toggles a variant of a fixed-size run, and the daemon serves the
 // default architecture.

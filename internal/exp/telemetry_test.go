@@ -77,7 +77,7 @@ func TestTelemetryCollectsDistributions(t *testing.T) {
 		t.Errorf("fct min = %d, want > 0", res.Hists["fct_ps"].Min())
 	}
 	// One sample per port per tick, whatever the series' grid is.
-	ports := 2 * len(topo.NewFig2(topo.DefaultFig2Config()).Links)
+	ports := 2 * len(topo.NewFig2(topo.Fig2Config{}).Links)
 	if got, want := res.Hists["queue_bytes"].Count(), int64(cfg.Horizon/obs.QueueSampleEvery)*int64(ports); got != want {
 		t.Errorf("queue_bytes count = %d, want %d (%d ports at a %v tick)", got, want, ports, obs.QueueSampleEvery)
 	}

@@ -95,15 +95,11 @@ type VictimOutcome struct {
 // Victim runs the scenario.
 func Victim(cfg VictimConfig) *VictimOutcome {
 	name := fmt.Sprintf("victim-%s-%s-%s", cfg.Kind, cfg.Det, cfg.CC)
-	tcfg := topo.DefaultFig2Config()
-	tcfg.EdgeRate = 20 * units.Gbps
-	hostCfg := host.DefaultConfig()
-	hostCfg.AckEveryPacket = cfg.CC.NeedsAcks()
-	rig := NewFig2Rig(tcfg, RigConfig{
+	rig := NewFig2Rig(topo.Fig2Config{EdgeRate: 20 * units.Gbps}, RigConfig{
 		Run:     cfg.Run,
 		Det:     cfg.Det,
 		Par:     cfg.Par,
-		HostCfg: hostCfg,
+		HostCfg: host.Config{AckEveryPacket: cfg.CC.NeedsAcks()},
 	})
 	res := NewResult(name)
 	r := rng.New(cfg.Seed + 77)

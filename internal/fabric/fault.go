@@ -215,21 +215,6 @@ func (n *Network) QueuedPayload() units.ByteSize {
 	return total
 }
 
-// waitsBlocked reports whether the port holds queued traffic on a
-// priority its gate currently refuses — the node condition for the
-// pause-wait graph. A port that is merely paused with nothing queued can
-// not sustain a cycle (it has nothing to contribute to downstream
-// occupancy), and a port with traffic but an open gate will drain.
-func (p *Port) waitsBlocked() bool {
-	base := int(p.pb)
-	for k := 0; k < p.net.nPrio; k++ {
-		if p.net.blocked[base+k] && p.net.qbytes[base+k] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // WaitCycles finds the cycles of the pause-wait graph: nodes are ports
 // blocked with queued traffic, and there is an edge p→q when a packet
 // queued at p will, after crossing p's link, occupy egress port q of the
@@ -244,7 +229,9 @@ func (n *Network) WaitCycles() [][]*Port {
 		return nil
 	}
 	// Node pass: a linear sweep over the flat blocked/qbytes arrays; the
-	// per-Port graph work below only runs for ports that qualify.
+	// per-Port graph work below only runs for ports that qualify. A port
+	// paused with nothing queued cannot sustain a cycle, and one with
+	// traffic behind an open gate will drain.
 	idx := make(map[*Port]int, len(n.ports))
 	var blocked []*Port
 	for base := 0; base < len(n.blocked); base += n.nPrio {

@@ -80,7 +80,7 @@ func newDeadlockRing(l law, starts [3]units.Time) *deadlockRing {
 		return r.net.PortToward(at, r.ring.Sw[(i+1)%3])
 	}
 	l.install(r.net)
-	mgr := host.Install(r.net, host.DefaultConfig())
+	mgr := host.Install(r.net, host.Config{})
 	for i := 0; i < 3; i++ {
 		r.flows = append(r.flows, mgr.AddFlow(r.ring.Hosts[i], r.ring.Hosts[(i+2)%3], 2*units.MB, starts[i], host.FixedRate(rate)))
 	}
@@ -251,7 +251,7 @@ func TestDeadlockSkeletonAdmitsNewLaw(t *testing.T) {
 	for _, m := range meters {
 		held += m.Occupancy(0)
 		// One packet per gate in flight means no ingress ever holds two.
-		if m.Violations() != 0 || m.MaxOccupancy() > host.DefaultConfig().MTU+packet.HeaderBytes {
+		if m.Violations() != 0 || m.MaxOccupancy() > packet.MTU+packet.HeaderBytes {
 			t.Errorf("ingress held %v (max) with %d violations under stop-and-wait", m.MaxOccupancy(), m.Violations())
 		}
 	}

@@ -45,7 +45,7 @@ func newLineRec(t *testing.T, rec obs.Recorder) *line {
 	l.net.Route = func(at packet.NodeID, pkt *packet.Packet) *fabric.Port {
 		return l.net.PortToward(at, pkt.Dst)
 	}
-	l.mgr = host.Install(l.net, host.DefaultConfig())
+	l.mgr = host.Install(l.net, host.Config{})
 	l.flow = l.mgr.AddFlow(l.h0, l.h1, 200*units.KB, 0, host.FixedRate(40*units.Gbps))
 	return l
 }

@@ -41,32 +41,25 @@ type RateController interface {
 	OnAck(now units.Time, rtt units.Time, ce, ue bool)
 }
 
-// Config parameterizes all endpoints of a network.
+// Config parameterizes all endpoints of a network. Messages are framed
+// into packet.MTU payloads.
 type Config struct {
-	// MTU is the data payload bytes per packet (1000 B in the paper).
-	MTU units.ByteSize
 	// AckEveryPacket makes receivers acknowledge every data packet
 	// (needed by TIMELY for RTT samples). ACKs echo the data packet's
 	// code point.
 	AckEveryPacket bool
-	// CNPWindow rate-limits congestion notification packets: at most one
-	// CE-echo CNP (and one UE-echo CNP) per flow per window. DCQCN uses
-	// 50 us.
-	CNPWindow units.Time
-	// PaceBurst bounds how much pacing debt a flow may carry through a
-	// pause; the NIC never bursts more than this beyond the paced
-	// schedule. Two MTUs models a hardware rate limiter's bucket.
-	PaceBurst units.ByteSize
 }
 
-// DefaultConfig returns the paper's endpoint parameters.
-func DefaultConfig() Config {
-	return Config{
-		MTU:       1000,
-		CNPWindow: 50 * units.Microsecond,
-		PaceBurst: 2 * 1000,
-	}
-}
+const (
+	// cnpWindow rate-limits congestion notification packets: at most one
+	// CE-echo CNP (and one UE-echo CNP) per flow per window, as DCQCN's
+	// notification point does.
+	cnpWindow = 50 * units.Microsecond
+	// paceBurst bounds how much pacing debt a flow may carry through a
+	// pause; the NIC never bursts more than this beyond the paced
+	// schedule. Two MTUs models a hardware rate limiter's bucket.
+	paceBurst = 2 * packet.MTU
+)
 
 // Flow is one message in flight between two hosts, with its measured
 // completion statistics.
@@ -104,10 +97,6 @@ func (f *Flow) CEPackets() int { return int(f.mgr.cePkts[f.ID]) }
 
 // UEPackets reports the data packets received carrying UE.
 func (f *Flow) UEPackets() int { return int(f.mgr.uePkts[f.ID]) }
-
-// FirstByteAt reports when the receiver saw the flow's first packet
-// (zero if nothing arrived yet) — the time-to-first-byte metric.
-func (f *Flow) FirstByteAt() units.Time { return f.mgr.firstRx[f.ID] }
 
 // BytesSent reports the payload volume the sender's NIC has serialized
 // onto the wire so far (0 before the flow activates). Every byte it
@@ -149,11 +138,6 @@ type Endpoint struct {
 	// cached head packet so repeated Head calls return one identity.
 	headPkt  *packet.Packet
 	headFlow *senderFlow
-
-	// activateFn is the preallocated flow-activation event callback:
-	// AddFlow schedules it with the flow as the event argument, so
-	// registering many flows (fat-tree workloads) mints no closures.
-	activateFn func(any)
 }
 
 // Manager owns all endpoints and flows of one simulation.
@@ -174,7 +158,6 @@ type Manager struct {
 	rxPkts    []int32
 	cePkts    []int32
 	uePkts    []int32
-	firstRx   []units.Time
 	lastCNPce []units.Time
 	lastCNPue []units.Time
 
@@ -188,25 +171,18 @@ type Manager struct {
 
 // Install creates an endpoint on every host and wires the network sink.
 func Install(n *fabric.Network, cfg Config) *Manager {
-	if cfg.MTU <= 0 {
-		cfg.MTU = 1000
-	}
 	m := &Manager{net: n, cfg: cfg, endpoints: make([]*Endpoint, len(n.Topo.Nodes))}
 	for _, nd := range n.Topo.Nodes {
 		if nd.Kind != topo.Host {
 			continue
 		}
 		ep := &Endpoint{mgr: m, id: nd.ID, port: n.HostPort(nd.ID)}
-		ep.activateFn = func(arg any) { ep.activate(arg.(*Flow)) }
 		ep.port.AttachSource(ep)
 		m.endpoints[nd.ID] = ep
 	}
 	n.Sink = m.sink
 	return m
 }
-
-// Config returns the endpoint configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // Flows returns all flows registered so far.
 func (m *Manager) Flows() []*Flow { return m.flows }
@@ -244,14 +220,21 @@ func (m *Manager) AddFlow(src, dst packet.NodeID, size units.ByteSize, start uni
 	m.rxPkts = append(m.rxPkts, 0)
 	m.cePkts = append(m.cePkts, 0)
 	m.uePkts = append(m.uePkts, 0)
-	m.firstRx = append(m.firstRx, 0)
 	m.lastCNPce = append(m.lastCNPce, 0)
 	m.lastCNPue = append(m.lastCNPue, 0)
 	if ft, ok := ctrl.(obs.FlowTracer); ok && m.Rec != nil {
 		ft.SetTrace(m.Rec, int64(f.ID))
 	}
-	m.net.Sched.AtArg(start, ep.activateFn, f)
+	m.net.Sched.AtArg(start, activateArg, f)
 	return f
+}
+
+// activateArg is the flow-activation event callback every flow shares:
+// the flow rides the event as its argument, so registering many flows
+// (fat-tree workloads) mints no closures.
+func activateArg(arg any) {
+	f := arg.(*Flow)
+	f.mgr.endpoints[f.Src].activate(f)
 }
 
 func (ep *Endpoint) activate(f *Flow) {
@@ -301,7 +284,7 @@ func (ep *Endpoint) dropHead() {
 }
 
 func (ep *Endpoint) buildData(sf *senderFlow) *packet.Packet {
-	payload := ep.mgr.cfg.MTU
+	payload := packet.MTU
 	if sf.remaining < payload {
 		payload = sf.remaining
 	}
@@ -342,7 +325,7 @@ func (ep *Endpoint) Advance() {
 	}
 	// Token-bucket pacing with bounded debt carry-over.
 	rate := sf.flow.Ctrl.CurrentRate()
-	burst := units.TxTime(ep.mgr.cfg.PaceBurst, ep.port.Rate)
+	burst := units.TxTime(paceBurst, ep.port.Rate)
 	floor := now - burst
 	if sf.nextAt < floor {
 		sf.nextAt = floor
@@ -387,9 +370,6 @@ func (m *Manager) sink(h packet.NodeID, pkt *packet.Packet) {
 
 func (m *Manager) onData(ep *Endpoint, f *Flow, pkt *packet.Packet, now units.Time) {
 	id := f.ID
-	if m.rxPkts[id] == 0 {
-		m.firstRx[id] = now
-	}
 	m.rxBytes[id] += pkt.Payload
 	m.rxPkts[id]++
 	ce := pkt.Code == packet.CE
@@ -427,12 +407,12 @@ func (m *Manager) onData(ep *Endpoint, f *Flow, pkt *packet.Packet, now units.Ti
 	}
 	// Congestion notification point: echo CE (and UE, for TCD-aware
 	// transports) back to the reaction point, rate-limited per flow.
-	if ce && (m.lastCNPce[id] == 0 || now-m.lastCNPce[id] >= m.cfg.CNPWindow) {
+	if ce && (m.lastCNPce[id] == 0 || now-m.lastCNPce[id] >= cnpWindow) {
 		m.lastCNPce[id] = now
 		ep.pushCtrl(m.cnp(ep.id, f, true, false))
 		m.recordCNP(now, f, 1)
 	}
-	if ue && (m.lastCNPue[id] == 0 || now-m.lastCNPue[id] >= m.cfg.CNPWindow) {
+	if ue && (m.lastCNPue[id] == 0 || now-m.lastCNPue[id] >= cnpWindow) {
 		m.lastCNPue[id] = now
 		ep.pushCtrl(m.cnp(ep.id, f, false, true))
 		m.recordCNP(now, f, 2)
@@ -464,7 +444,6 @@ func StandaloneFlow(pkts, ce, ue int) *Flow {
 		rxPkts:  []int32{int32(pkts)},
 		cePkts:  []int32{int32(ce)},
 		uePkts:  []int32{int32(ue)},
-		firstRx: []units.Time{0},
 	}
 	return &Flow{mgr: m}
 }
@@ -493,14 +472,15 @@ func (m *Manager) cnp(from packet.NodeID, f *Flow, ce, ue bool) *packet.Packet {
 
 // IdealFCT reports the store-and-forward baseline completion time for a
 // flow of size bytes over a path of hops links at the given rate and
-// per-link propagation delay: full-size serialization at each hop for the
-// pipeline head plus the message serialization at the bottleneck.
-func IdealFCT(size units.ByteSize, mtu units.ByteSize, rate units.Rate, hops int, delay units.Time) units.Time {
+// per-link propagation delay, framed into packet.MTU payloads as the hosts
+// frame it: full-size serialization at each hop for the pipeline head plus
+// the message serialization at the bottleneck.
+func IdealFCT(size units.ByteSize, rate units.Rate, hops int, delay units.Time) units.Time {
 	if hops < 1 {
 		hops = 1
 	}
-	npkt := (size + mtu - 1) / mtu
-	lastPkt := size - (npkt-1)*mtu
+	npkt := (size + packet.MTU - 1) / packet.MTU
+	lastPkt := size - (npkt-1)*packet.MTU
 	wire := size + units.ByteSize(npkt)*packet.HeaderBytes
 	t := units.TxTime(wire, rate) // message serialization at the first hop
 	// Remaining hops add pipeline latency of the last packet plus

@@ -40,7 +40,7 @@ func newRig(t *testing.T, cfg host.Config, hosts int, rate units.Rate, delay uni
 func (r *rig) id(name string) packet.NodeID { return r.g.ID(name) }
 
 func TestSingleFlowCompletesAtLineRate(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)
 	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 100*units.KB, 0, host.FixedRate(40*units.Gbps))
 	r.sched.Run()
 	if !f.Done {
@@ -54,7 +54,7 @@ func TestSingleFlowCompletesAtLineRate(t *testing.T) {
 	}
 	// Wire time: 100 packets of 1048B at 40G = 100*209.6ns = 20.96us, plus
 	// pipeline (one hop store-and-forward + 2 links).
-	ideal := host.IdealFCT(100*units.KB, 1000, 40*units.Gbps, 2, units.Microsecond)
+	ideal := host.IdealFCT(100*units.KB, 40*units.Gbps, 2, units.Microsecond)
 	if f.FCT < ideal {
 		t.Errorf("FCT %v faster than ideal %v", f.FCT, ideal)
 	}
@@ -64,7 +64,7 @@ func TestSingleFlowCompletesAtLineRate(t *testing.T) {
 }
 
 func TestPacedFlowRate(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)
 	// 1 MB at 10 Gbps should take ~(1M+hdrs)*8/10G = ~838us.
 	f := r.mgr.AddFlow(r.id("a"), r.id("b"), units.MB, 0, host.FixedRate(10*units.Gbps))
 	r.sched.Run()
@@ -79,7 +79,7 @@ func TestPacedFlowRate(t *testing.T) {
 }
 
 func TestTwoFlowsShareNIC(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 3, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 3, 40*units.Gbps, units.Microsecond)
 	// Two 20 Gbps flows from one host fit the 40 Gbps NIC exactly.
 	f1 := r.mgr.AddFlow(r.id("a"), r.id("b"), 500*units.KB, 0, host.FixedRate(20*units.Gbps))
 	f2 := r.mgr.AddFlow(r.id("a"), r.id("c"), 500*units.KB, 0, host.FixedRate(20*units.Gbps))
@@ -97,7 +97,7 @@ func TestTwoFlowsShareNIC(t *testing.T) {
 }
 
 func TestFlowStartTimeRespected(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)
 	start := 500 * units.Microsecond
 	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 10*units.KB, start, host.FixedRate(40*units.Gbps))
 	var doneAt units.Time
@@ -116,9 +116,7 @@ func TestFlowStartTimeRespected(t *testing.T) {
 }
 
 func TestAckEveryPacketProvidesRTT(t *testing.T) {
-	cfg := host.DefaultConfig()
-	cfg.AckEveryPacket = true
-	r := newRig(t, cfg, 2, 40*units.Gbps, 4*units.Microsecond)
+	r := newRig(t, host.Config{AckEveryPacket: true}, 2, 40*units.Gbps, 4*units.Microsecond)
 	rec := &recordCtrl{rate: 40 * units.Gbps}
 	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 10*units.KB, 0, rec)
 	r.sched.Run()
@@ -166,8 +164,7 @@ func (markAllCE) OnOffStart(units.Time) {}
 func (markAllCE) OnOffEnd(units.Time)   {}
 
 func TestCNPGenerationAndRateLimit(t *testing.T) {
-	cfg := host.DefaultConfig()
-	r := newRig(t, cfg, 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)
 	// Mark all data CE at the switch egress toward b.
 	r.net.PortToward(r.sw, r.id("b")).AttachDetector(0, markAllCE{})
 	rec := &recordCtrl{rate: 40 * units.Gbps}
@@ -200,8 +197,7 @@ func (markAllUE) OnOffStart(units.Time) {}
 func (markAllUE) OnOffEnd(units.Time)   {}
 
 func TestUECNPsAreSeparate(t *testing.T) {
-	cfg := host.DefaultConfig()
-	r := newRig(t, cfg, 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)
 	r.net.PortToward(r.sw, r.id("b")).AttachDetector(0, markAllUE{})
 	rec := &recordCtrl{rate: 40 * units.Gbps}
 	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 500*units.KB, 0, rec)
@@ -220,7 +216,7 @@ func TestUECNPsAreSeparate(t *testing.T) {
 }
 
 func TestLastPartialPacket(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)
 	// 2500 B = two full MTUs plus a 500 B tail.
 	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 2500, 0, host.FixedRate(40*units.Gbps))
 	r.sched.Run()
@@ -232,14 +228,14 @@ func TestLastPartialPacket(t *testing.T) {
 func TestIdealFCT(t *testing.T) {
 	// One 1000B packet over 2 hops at 40G with 1us links:
 	// 209.6ns + 209.6ns + 2us = 2.4192us.
-	got := host.IdealFCT(1000, 1000, 40*units.Gbps, 2, units.Microsecond)
+	got := host.IdealFCT(1000, 40*units.Gbps, 2, units.Microsecond)
 	want := 2*units.TxTime(1048, 40*units.Gbps) + 2*units.Microsecond
 	if got != want {
 		t.Errorf("IdealFCT = %v, want %v", got, want)
 	}
 	// Baseline is monotone in size.
-	if host.IdealFCT(10*units.KB, 1000, 40*units.Gbps, 3, units.Microsecond) <=
-		host.IdealFCT(1*units.KB, 1000, 40*units.Gbps, 3, units.Microsecond) {
+	if host.IdealFCT(10*units.KB, 40*units.Gbps, 3, units.Microsecond) <=
+		host.IdealFCT(1*units.KB, 40*units.Gbps, 3, units.Microsecond) {
 		t.Error("IdealFCT not monotone in size")
 	}
 }
@@ -255,7 +251,7 @@ func TestSlowdown(t *testing.T) {
 }
 
 func TestAddFlowValidation(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 2, units.Gbps, 0)
+	r := newRig(t, host.Config{}, 2, units.Gbps, 0)
 	for _, fn := range []func(){
 		func() { r.mgr.AddFlow(r.sw, r.id("b"), 1, 0, host.FixedRate(1)) },
 		func() { r.mgr.AddFlow(r.id("a"), r.sw, 1, 0, host.FixedRate(1)) },
@@ -275,9 +271,7 @@ func TestAddFlowValidation(t *testing.T) {
 // In ACK mode the receiver echoes the data packet's code point on the
 // ACK so delay-based controllers can tell UE from CE (TIMELY+TCD).
 func TestAckEchoesUEAndCE(t *testing.T) {
-	cfg := host.DefaultConfig()
-	cfg.AckEveryPacket = true
-	r := newRig(t, cfg, 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{AckEveryPacket: true}, 2, 40*units.Gbps, units.Microsecond)
 	r.net.PortToward(r.sw, r.id("b")).AttachDetector(0, markAllUE{})
 	rec := &recordCtrl{rate: 40 * units.Gbps}
 	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 5*units.KB, 0, rec)
@@ -304,26 +298,12 @@ type countingCtrl struct {
 func (c *countingCtrl) OnSent(_ units.Time, wire units.ByteSize) { c.bytes += wire }
 
 func TestSentObserverSeesWireBytes(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 2, 40*units.Gbps, units.Microsecond)
+	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)
 	ctrl := &countingCtrl{FixedRate: host.FixedRate(40 * units.Gbps)}
 	r.mgr.AddFlow(r.id("a"), r.id("b"), 10*units.KB, 0, ctrl)
 	r.sched.Run()
 	// 10 packets of 1048B wire size.
 	if ctrl.bytes != 10480 {
 		t.Errorf("observed %v wire bytes, want 10480", ctrl.bytes)
-	}
-}
-
-func TestFirstByteAt(t *testing.T) {
-	r := newRig(t, host.DefaultConfig(), 2, 40*units.Gbps, units.Microsecond)
-	start := 100 * units.Microsecond
-	f := r.mgr.AddFlow(r.id("a"), r.id("b"), 5*units.KB, start, host.FixedRate(40*units.Gbps))
-	r.sched.Run()
-	ttfb := f.FirstByteAt()
-	if ttfb <= start {
-		t.Errorf("first byte at %v, before flow start %v", ttfb, start)
-	}
-	if ttfb >= start+f.FCT {
-		t.Errorf("first byte at %v, not before completion %v", ttfb, start+f.FCT)
 	}
 }

@@ -11,12 +11,12 @@
 //  1. Victim if the port is on a pause-wait cycle (the WaitCycles Tarjan
 //     scan) with traffic queued: every cycle member waits on buffer only
 //     its own progress could free, the defining victim condition.
-//  2. Victim if the port spent at least VictimOffFrac of the window
-//     blocked by flow control while holding more than IdleThresh queued —
+//  2. Victim if the port spent at least victimOffFrac of the window
+//     blocked by flow control while holding more than idleThresh queued —
 //     after subtracting any camouflage duty cycle the injector armed
 //     against it (manufactured pause time must not manufacture truth).
-//  3. Root if more than RootThresh is queued: congestion originating
-//     here, not inherited from downstream. RootThresh sits well below
+//  3. Root if more than rootThresh is queued: congestion originating
+//     here, not inherited from downstream. rootThresh sits well below
 //     detector marking thresholds on purpose, so a camouflaged root —
 //     held just under its marking point by the attack — is still truth-
 //     root while the detector under test is being fooled.
@@ -72,49 +72,33 @@ func (c Class) String() string {
 	return "unknown"
 }
 
-// Config tunes the ground-truth derivation.
-type Config struct {
-	// Window is the scoring granularity (default 50 us).
-	Window units.Time
-	// RootThresh: queue occupancy above this is truth-root (unless a
-	// victim rule fired first). Keep it well below detector marking
-	// thresholds so camouflaged roots stay visible to truth.
-	RootThresh units.ByteSize
-	// IdleThresh: occupancy at or below this never leaves idle.
-	IdleThresh units.ByteSize
-	// VictimOffFrac: fraction of the window spent blocked by flow
-	// control above which a non-empty port is truth-victim.
-	VictimOffFrac float64
-	// Duty, if non-nil, reports the camouflage pause duty cycle the
-	// injector armed against a port (fault.Injector.CamouflageDuty); it
-	// is subtracted from the port's observed OFF fraction.
-	Duty func(*fabric.Port) float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window <= 0 {
-		c.Window = 50 * units.Microsecond
-	}
-	if c.RootThresh == 0 {
-		c.RootThresh = 40 * units.KB
-	}
-	if c.IdleThresh == 0 {
-		c.IdleThresh = 10 * units.KB
-	}
-	if c.VictimOffFrac == 0 {
-		c.VictimOffFrac = 0.25
-	}
-	return c
-}
+// The truth rules' constants (see the package comment).
+const (
+	// window is the scoring granularity.
+	window = 50 * units.Microsecond
+	// rootThresh: queue occupancy above this is truth-root (unless a
+	// victim rule fired first). It sits well below both fabrics' marking
+	// thresholds (200 KB CEE / 50 KB IB), so camouflaged roots stay
+	// visible to truth.
+	rootThresh = 40 * units.KB
+	// idleThresh: occupancy at or below this never leaves idle.
+	idleThresh = 10 * units.KB
+	// victimOffFrac: fraction of the window spent blocked by flow control
+	// above which a non-empty port is truth-victim.
+	victimOffFrac = 0.25
+)
 
 // Sampler scores one run: attached before the run starts, it wakes every
-// Window, derives truth for every switch egress port, reads the verdict
+// window, derives truth for every switch egress port, reads the verdict
 // deltas, and accumulates the confusion matrix. It only reads simulator
 // state, so attaching it cannot perturb the run.
 type Sampler struct {
-	cfg   Config
 	net   *fabric.Network
 	ports []*fabric.Port
+	// duty, if non-nil, reports the camouflage pause duty cycle the
+	// injector armed against a port (fault.Injector.CamouflageDuty); it
+	// is subtracted from the port's observed OFF fraction.
+	duty func(*fabric.Port) float64
 
 	prevCE, prevUE []uint64
 	prevOff        []units.Time
@@ -122,14 +106,14 @@ type Sampler struct {
 	// root, and when the detector first agreed (units.Forever = never).
 	onset, claimAt []units.Time
 
-	conf    [numClasses][numClasses]int // [truth][verdict]
-	windows int
+	conf [numClasses][numClasses]int // [truth][verdict]
 }
 
 // Attach builds a sampler over net's switch-owned egress ports and
-// schedules its first tick one window from now.
-func Attach(net *fabric.Network, cfg Config) *Sampler {
-	s := &Sampler{cfg: cfg.withDefaults(), net: net}
+// schedules its first tick one window from now. duty, if non-nil, is the
+// injector's camouflage duty cycle per port.
+func Attach(net *fabric.Network, duty func(*fabric.Port) float64) *Sampler {
+	s := &Sampler{net: net, duty: duty}
 	for _, p := range net.Ports() {
 		if net.Topo.Nodes[p.Node()].Kind != topo.Switch {
 			continue
@@ -149,9 +133,9 @@ func Attach(net *fabric.Network, cfg Config) *Sampler {
 	var tick func()
 	tick = func() {
 		s.tick()
-		net.Sched.After(s.cfg.Window, tick)
+		net.Sched.After(window, tick)
 	}
-	net.Sched.After(s.cfg.Window, tick)
+	net.Sched.After(window, tick)
 	return s
 }
 
@@ -166,22 +150,21 @@ func (s *Sampler) tick() {
 			}
 		}
 	}
-	window := float64(s.cfg.Window)
 	for i, p := range s.ports {
 		q := p.TotalQueueBytes()
 		off := p.OffTime(now)
-		offFrac := float64(off-s.prevOff[i]) / window
+		offFrac := float64(off-s.prevOff[i]) / float64(window)
 		s.prevOff[i] = off
-		if s.cfg.Duty != nil {
-			offFrac -= s.cfg.Duty(p)
+		if s.duty != nil {
+			offFrac -= s.duty(p)
 		}
 		truth := ClassIdle
 		switch {
 		case inCycle[p] && q > 0:
 			truth = ClassVictim
-		case offFrac >= s.cfg.VictimOffFrac && q > s.cfg.IdleThresh:
+		case offFrac >= victimOffFrac && q > idleThresh:
 			truth = ClassVictim
-		case q > s.cfg.RootThresh:
+		case q > rootThresh:
 			truth = ClassRoot
 		}
 		dCE := p.MarkedCE - s.prevCE[i]
@@ -204,7 +187,6 @@ func (s *Sampler) tick() {
 			}
 		}
 	}
-	s.windows++
 }
 
 // Score is the outcome of scoring one detector over one run. All fields

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/tcdnet/tcd/internal/fabric"
+	"github.com/tcdnet/tcd/internal/sim"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -58,6 +61,33 @@ func TestScoreEmpty(t *testing.T) {
 	}
 	if sc.TTDUs != -1 {
 		t.Errorf("ttd_us = %v, want -1 when no port was truth-root", sc.TTDUs)
+	}
+}
+
+// TestIdleFabricScoresIdle grades a fabric whose truth is known by
+// construction: with no traffic nothing is ever queued or paused, so every
+// window of every switch egress port is truth-idle, and with no marks
+// every verdict is idle too.
+func TestIdleFabricScoresIdle(t *testing.T) {
+	g := topo.New()
+	a, b := g.AddHost("a"), g.AddHost("b")
+	s0, s1 := g.AddSwitch("s0"), g.AddSwitch("s1")
+	g.Connect(a, s0, 40*units.Gbps, units.Microsecond)
+	g.Connect(s0, s1, 40*units.Gbps, units.Microsecond)
+	g.Connect(s1, b, 40*units.Gbps, units.Microsecond)
+	sched := sim.New()
+	smp := Attach(fabric.New(sched, g, fabric.DefaultConfig()), nil)
+	const horizon = units.Millisecond
+	sched.RunUntil(horizon)
+	sc := smp.Finish(horizon)
+
+	// s0 and s1 own two egress ports each.
+	want := int(horizon/window) * 4
+	if sc.Windows != want || sc.Confusion[ClassIdle][ClassIdle] != want {
+		t.Errorf("windows %d, idle/idle %d; want both %d", sc.Windows, sc.Confusion[ClassIdle][ClassIdle], want)
+	}
+	if sc.Accuracy != 1 || sc.MisdetectLikelihood != 0 || sc.TTDUs != -1 {
+		t.Errorf("accuracy %v, misdetect %v, ttd %v; want 1, 0, -1", sc.Accuracy, sc.MisdetectLikelihood, sc.TTDUs)
 	}
 }
 

@@ -146,6 +146,11 @@ func (p *Packet) String() string {
 // needs).
 const HeaderBytes units.ByteSize = 48
 
+// MTU is the data payload per packet (1000 B in the paper). Hosts frame
+// messages by it, and TCD's max(Ton) model (Eqn 3's τ = 2·MTU/C + 2·t_p)
+// is sized by it, so the two cannot disagree.
+const MTU units.ByteSize = 1000
+
 // AckBytes is the wire size of an acknowledgement.
 const AckBytes units.ByteSize = 64
 

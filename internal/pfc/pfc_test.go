@@ -30,7 +30,7 @@ func chain(extraSenders int, rate units.Rate, delay units.Time) (*sim.Scheduler,
 	s := sim.New()
 	n := fabric.New(s, g, fabric.DefaultConfig())
 	routing.BuildShortestPath(g).Attach(n, routing.FirstPath())
-	m := host.Install(n, host.DefaultConfig())
+	m := host.Install(n, host.Config{})
 	return s, n, m, g
 }
 

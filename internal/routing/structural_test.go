@@ -24,7 +24,7 @@ type tableCase struct {
 
 func tableCases() []tableCase {
 	rate, delay := 40*units.Gbps, 4*units.Microsecond
-	fig2 := topo.NewFig2(topo.Fig2Config{Rate: rate, Delay: delay, NumBursters: 15, WithB: true})
+	fig2 := topo.NewFig2(topo.Fig2Config{WithB: true})
 	ring := topo.NewRing(5, rate, delay)
 	ft4 := topo.NewFatTree(4, rate, delay)
 	ft8 := topo.NewFatTree(8, rate, delay)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -244,6 +245,45 @@ func TestEvictionReleasesBytes(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, probeBody) {
 		t.Errorf("old record after the resubmission: status %d, same bytes %v", resp.StatusCode, bytes.Equal(got, probeBody))
+	}
+}
+
+// TestFinishedJobsHoldNoSpec submits one large spec (a fig3 run with a
+// thousand-event fault schedule, ~49 KB of JSON) many times. Every
+// submission parses its own JobSpec; a finished record that kept it would
+// hold one parsed schedule per record, outside every budget (~170 KB
+// each, ~88 MB here). The record keeps the experiment name and the hash.
+func TestFinishedJobsHoldNoSpec(t *testing.T) {
+	const n = 512
+	var spec strings.Builder
+	spec.WriteString(`{"exp":"fig3","faults":{"events":[`)
+	for i := 0; i < 1000; i++ {
+		if i > 0 {
+			spec.WriteByte(',')
+		}
+		fmt.Fprintf(&spec, `{"kind":"link-down","link":"R0-T2","at_us":%d}`, 1000+i)
+	}
+	spec.WriteString(`]}}`)
+	s, ts := newTestDaemon(t, Config{Workers: 1, Exec: func(context.Context, *JobSpec, io.Writer) ([]byte, error) {
+		return []byte(`{}`), nil
+	}})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if code, _, _ := submitWait(t, ts.URL, spec.String()); code != http.StatusOK {
+			t.Fatalf("submission %d: status %d", i, code)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if st := s.snapshot(); st.Misses != 1 || st.Completed != n {
+		t.Fatalf("%d misses, %d completed; want 1 and %d", st.Misses, st.Completed, n)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 8<<20 {
+		t.Errorf("heap grew by %d MB over %d finished records of one spec", grown>>20, n)
 	}
 }
 

@@ -42,10 +42,12 @@ const jobRecords = 4096
 var errShutdown = errors.New("serve: daemon shutting down")
 
 // job is one submission's lifecycle record. The result itself lives in
-// the cache under hash; the job carries identity and state.
+// the cache under hash, and the parsed spec travels to the worker on the
+// queued item, so a finished record holds neither: it carries identity
+// and state.
 type job struct {
 	id   string
-	spec *JobSpec
+	exp  string
 	hash string
 	// cache is how this submission met the cache: "miss" (this job's
 	// run produced the entry), "coalesced" (attached to an in-flight
@@ -78,7 +80,7 @@ func (j *job) view() map[string]interface{} {
 	v := map[string]interface{}{
 		"id":    j.id,
 		"hash":  j.hash,
-		"exp":   j.spec.Exp,
+		"exp":   j.exp,
 		"state": j.state,
 		"cache": j.cache,
 	}
@@ -141,10 +143,11 @@ type Server struct {
 	pending int64
 }
 
-// queued is an owning ("miss") job on its way to a worker, with the
-// in-flight entry its run resolves.
+// queued is an owning ("miss") job on its way to a worker, with the spec
+// it runs and the in-flight entry its run resolves.
 type queued struct {
 	j     *job
+	spec  *JobSpec
 	entry *cacheEntry
 }
 
@@ -262,14 +265,15 @@ func (s *Server) worker() {
 		case <-s.ctx.Done():
 			return
 		case q := <-s.queue:
-			s.runJob(q.j, q.entry)
+			s.runJob(q)
 		}
 	}
 }
 
 // runJob executes one owning ("miss") job and resolves everyone
 // attached to its cache entry.
-func (s *Server) runJob(j *job, entry *cacheEntry) {
+func (s *Server) runJob(q queued) {
+	j := q.j
 	atomic.AddInt64(&s.inflight, 1)
 	defer atomic.AddInt64(&s.inflight, -1)
 	defer atomic.AddInt64(&s.pending, -1)
@@ -277,7 +281,7 @@ func (s *Server) runJob(j *job, entry *cacheEntry) {
 	s.hub.publish(j.id, Event{"running", fmt.Sprintf(`{"id":%q,"hash":%q}`, j.id, j.hash)})
 	start := time.Now()
 	pw := &progressWriter{hub: s.hub, id: j.id}
-	b, err := s.exec(s.ctx, j.spec, pw)
+	b, err := s.exec(s.ctx, q.spec, pw)
 	pw.flush()
 	wall := time.Since(start)
 	if err == nil {
@@ -286,7 +290,7 @@ func (s *Server) runJob(j *job, entry *cacheEntry) {
 		s.histMu.Unlock()
 	}
 	canceled := err != nil && (errors.Is(err, context.Canceled) || s.ctx.Err() != nil)
-	s.finishEntry(entry, b, err, wall, canceled)
+	s.finishEntry(q.entry, b, err, wall, canceled)
 }
 
 // finishEntry resolves entry and every job attached to it (owner
@@ -392,7 +396,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	entry, created := s.cache.reserve(hash)
 	s.nextID++
 	j := &job{
-		id: fmt.Sprintf("j%08d", s.nextID), spec: spec, hash: hash,
+		id: fmt.Sprintf("j%08d", s.nextID), exp: spec.Exp, hash: hash,
 		submitted: time.Now(), state: "queued",
 	}
 	s.jobs[j.id] = j
@@ -421,7 +425,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		atomic.AddUint64(&s.misses, 1)
 		s.attached[entry] = append(s.attached[entry], j)
 		s.hub.publish(j.id, Event{"queued", fmt.Sprintf(`{"id":%q,"hash":%q,"cache":"miss","queue_depth":%d}`, j.id, j.hash, len(s.queue)+1)})
-		s.queue <- queued{j, entry}
+		s.queue <- queued{j, spec, entry}
 	case entry.completed():
 		// A failed entry leaves the map in the critical section that
 		// resolves it, so a completed entry reserve returns succeeded.

@@ -14,8 +14,8 @@ import (
 // Reschedule and Stop of band residents from inside it.
 
 // cohortSize is the large cohort: every CBFC meter of a k=16 fat-tree arms
-// its first FCCL for the same instant when Stagger is nil, thousands of
-// events in one level-0 bucket.
+// its first FCCL for the same instant, thousands of events in one level-0
+// bucket.
 const cohortSize = 10000
 
 // bucket5 is a level-0 bucket a few ahead of time zero.

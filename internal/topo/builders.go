@@ -26,40 +26,29 @@ type Fig2 struct {
 	LinkS1T0, LinkT0L0, LinkL0T2, LinkT2R1 int
 }
 
-// Fig2Config parameterizes the Figure-2 builder.
+// The paper's §3.1 Figure-2 network: 40 Gbps links with 4 us of
+// propagation delay, and fifteen burst senders A0..A14.
+const (
+	fig2Rate     = 40 * units.Gbps
+	fig2Delay    = 4 * units.Microsecond
+	fig2Bursters = 15
+)
+
+// Fig2Config selects the variants of the Figure-2 builder; the zero value
+// is the §3.1 network.
 type Fig2Config struct {
-	// Rate is the fabric link speed (40 Gbps in the paper).
-	Rate units.Rate
-	// EdgeRate overrides the S0–T0 and S1–T0 link speed; zero means Rate.
-	// The victim-flow scenario (§5.1.3) sets it to 20 Gbps.
+	// EdgeRate overrides the S0–T0 and S1–T0 link speed; zero means the
+	// fabric rate. The victim-flow scenario (§5.1.3) sets it to 20 Gbps.
 	EdgeRate units.Rate
-	// Delay is the per-link propagation delay (4 us in the paper).
-	Delay units.Time
-	// NumBursters is the number of A hosts (15 in the paper).
-	NumBursters int
 	// WithB adds fairness hosts B0..B3 on L0 (§5.2.4).
 	WithB bool
 }
 
-// DefaultFig2Config returns the paper's §3.1 parameters.
-func DefaultFig2Config() Fig2Config {
-	return Fig2Config{
-		Rate:        40 * units.Gbps,
-		Delay:       4 * units.Microsecond,
-		NumBursters: 15,
-	}
-}
-
 // NewFig2 builds the Figure-2 topology.
 func NewFig2(cfg Fig2Config) *Fig2 {
-	if cfg.Rate == 0 {
-		cfg.Rate = 40 * units.Gbps
-	}
-	if cfg.EdgeRate == 0 {
-		cfg.EdgeRate = cfg.Rate
-	}
-	if cfg.NumBursters == 0 {
-		cfg.NumBursters = 15
+	edge := cfg.EdgeRate
+	if edge == 0 {
+		edge = fig2Rate
 	}
 	t := New()
 	f := &Fig2{Topology: t}
@@ -71,22 +60,22 @@ func NewFig2(cfg Fig2Config) *Fig2 {
 	f.S2 = t.AddHost("S2")
 	f.R0 = t.AddHost("R0")
 	f.R1 = t.AddHost("R1")
-	t.Connect(f.S0, f.T0, cfg.EdgeRate, cfg.Delay)
-	f.LinkS1T0 = t.Connect(f.S1, f.T0, cfg.EdgeRate, cfg.Delay)
-	t.Connect(f.S2, f.L0, cfg.Rate, cfg.Delay)
-	f.LinkT0L0 = t.Connect(f.T0, f.L0, cfg.Rate, cfg.Delay)
-	f.LinkL0T2 = t.Connect(f.L0, f.T2, cfg.Rate, cfg.Delay)
-	t.Connect(f.R0, f.T2, cfg.Rate, cfg.Delay)
-	f.LinkT2R1 = t.Connect(f.R1, f.T2, cfg.Rate, cfg.Delay)
-	for i := 0; i < cfg.NumBursters; i++ {
+	t.Connect(f.S0, f.T0, edge, fig2Delay)
+	f.LinkS1T0 = t.Connect(f.S1, f.T0, edge, fig2Delay)
+	t.Connect(f.S2, f.L0, fig2Rate, fig2Delay)
+	f.LinkT0L0 = t.Connect(f.T0, f.L0, fig2Rate, fig2Delay)
+	f.LinkL0T2 = t.Connect(f.L0, f.T2, fig2Rate, fig2Delay)
+	t.Connect(f.R0, f.T2, fig2Rate, fig2Delay)
+	f.LinkT2R1 = t.Connect(f.R1, f.T2, fig2Rate, fig2Delay)
+	for i := 0; i < fig2Bursters; i++ {
 		a := t.AddHost(fmt.Sprintf("A%d", i))
-		t.Connect(a, f.T2, cfg.Rate, cfg.Delay)
+		t.Connect(a, f.T2, fig2Rate, fig2Delay)
 		f.A = append(f.A, a)
 	}
 	if cfg.WithB {
 		for i := 0; i < 4; i++ {
 			b := t.AddHost(fmt.Sprintf("B%d", i))
-			t.Connect(b, f.L0, cfg.Rate, cfg.Delay)
+			t.Connect(b, f.L0, fig2Rate, fig2Delay)
 			f.B = append(f.B, b)
 		}
 	}

@@ -81,7 +81,7 @@ func TestSelfLinkPanics(t *testing.T) {
 }
 
 func TestFig2Structure(t *testing.T) {
-	f := NewFig2(DefaultFig2Config())
+	f := NewFig2(Fig2Config{})
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +106,7 @@ func TestFig2Structure(t *testing.T) {
 }
 
 func TestFig2VictimConfig(t *testing.T) {
-	cfg := DefaultFig2Config()
-	cfg.EdgeRate = 20 * units.Gbps
-	cfg.WithB = true
-	f := NewFig2(cfg)
+	f := NewFig2(Fig2Config{EdgeRate: 20 * units.Gbps, WithB: true})
 	if len(f.B) != 4 {
 		t.Errorf("B hosts = %d, want 4", len(f.B))
 	}

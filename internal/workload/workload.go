@@ -1,7 +1,8 @@
 // Package workload generates the paper's traffic: heavy-tailed flow-size
 // distributions (the Facebook Hadoop and DCTCP WebSearch CDFs used in
-// §5.2), HPC MPI/IO message mixes (§5.2.2), Poisson flow arrivals at a
-// target load, and synchronized incast bursts (§3.1, §5.1).
+// §5.2), HPC MPI/IO message mixes (§5.2.2) and Poisson flow arrivals at a
+// target load. The synchronized incast bursts of §3.1 are placed by the
+// scenarios that run them (exp.Fig2Rig.LaunchBursts, exp.Victim).
 package workload
 
 import (
@@ -186,40 +187,6 @@ func Poisson(r *rng.Source, cfg PoissonConfig) []Flow {
 			break
 		}
 		t += units.FromSeconds(r.Exp(meanGapSec))
-	}
-	return out
-}
-
-// BurstConfig drives synchronized incast rounds (§3.1: A0..A14 send
-// concurrent bursts to one receiver).
-type BurstConfig struct {
-	// Senders burst simultaneously in every round.
-	Senders []packet.NodeID
-	// Receiver is the common destination.
-	Receiver packet.NodeID
-	// Size is the burst size per sender per round (64 KB in §3.1).
-	Size units.ByteSize
-	// Rounds is the number of synchronized rounds.
-	Rounds int
-	// Gap is the spacing between rounds: fixed when MeanGap is zero.
-	Gap units.Time
-	// MeanGap, if nonzero, draws exponential inter-round gaps (§5.2.1).
-	MeanGap units.Time
-}
-
-// Bursts expands the rounds into flows.
-func Bursts(r *rng.Source, cfg BurstConfig) []Flow {
-	var out []Flow
-	t := units.Time(0)
-	for round := 0; round < cfg.Rounds; round++ {
-		for _, s := range cfg.Senders {
-			out = append(out, Flow{Src: s, Dst: cfg.Receiver, Size: cfg.Size, Start: t})
-		}
-		if cfg.MeanGap > 0 {
-			t += units.FromSeconds(r.Exp(cfg.MeanGap.Seconds()))
-		} else {
-			t += cfg.Gap
-		}
 	}
 	return out
 }

@@ -175,49 +175,6 @@ func TestPoissonMaxFlows(t *testing.T) {
 	}
 }
 
-func TestBurstsFixedGap(t *testing.T) {
-	r := rng.New(3)
-	cfg := BurstConfig{
-		Senders:  hostIDs(15),
-		Receiver: packet.NodeID(99),
-		Size:     64 * units.KB,
-		Rounds:   16,
-		Gap:      200 * units.Microsecond,
-	}
-	flows := Bursts(r, cfg)
-	if len(flows) != 15*16 {
-		t.Fatalf("flows = %d, want 240", len(flows))
-	}
-	// All flows in a round share a start time; rounds are Gap apart.
-	for i, f := range flows {
-		round := i / 15
-		want := units.Time(round) * 200 * units.Microsecond
-		if f.Start != want {
-			t.Fatalf("flow %d start %v, want %v", i, f.Start, want)
-		}
-		if f.Dst != cfg.Receiver || f.Size != 64*units.KB {
-			t.Fatal("burst flow fields wrong")
-		}
-	}
-}
-
-func TestBurstsExponentialGap(t *testing.T) {
-	r := rng.New(5)
-	cfg := BurstConfig{
-		Senders:  hostIDs(4),
-		Receiver: packet.NodeID(99),
-		Size:     64 * units.KB,
-		Rounds:   100,
-		MeanGap:  100 * units.Microsecond,
-	}
-	flows := Bursts(r, cfg)
-	last := flows[len(flows)-1].Start
-	mean := last.Seconds() / 99
-	if mean < 50e-6 || mean > 200e-6 {
-		t.Errorf("mean round gap = %vs, want ~100us", mean)
-	}
-}
-
 func TestMPIIOMix(t *testing.T) {
 	r := rng.New(13)
 	hosts := hostIDs(64)
