@@ -61,16 +61,14 @@ func main() {
 
 		adversarial = flag.String("adversarial", "", "battery spec for -exp adversarial (empty = the committed default battery)")
 		oracleOut   = flag.String("oracle-out", "", "write the adversarial oracle report (scores, aggregates, contradictions) as JSON to this file")
-		doSweep     = flag.Bool("sweep", false, "run the multi-seed sweep engine even for -runs 1")
 		parallel    = flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS); runs stay deterministic per seed")
-		shard       = flag.String("shard", "", `run only shard i of an n-way sweep split, format "i/n" (0-based; pair with -sweep across processes)`)
+		shard       = flag.String("shard", "", `run only shard i of an n-way sweep split, format "i/n" (0-based; one process per shard)`)
 
 		topoStats = flag.Bool("topo-stats", false, "build only the topology and route table (no fabric, no workload), print size and memory figures, then exit")
 		topoKind  = flag.String("topo", "fattree", "-topo-stats topology: fattree (-k) or leafspine (-leaves/-spines/-hostsper)")
 		leaves    = flag.Int("leaves", 4, "leaf-spine leaf switch count (-topo-stats)")
 		spines    = flag.Int("spines", 4, "leaf-spine spine switch count (-topo-stats)")
 		hostsPer  = flag.Int("hostsper", 8, "leaf-spine hosts per leaf (-topo-stats)")
-		routes    = flag.String("routes", "structural", "-topo-stats route table: structural or eager")
 
 		traceOut     = flag.String("trace-out", "", "stream the structured event trace as JSONL to this file (spill-to-disk; observation experiments)")
 		traceGzip    = flag.Bool("trace-gzip", false, "gzip-compress the -trace-out stream")
@@ -87,7 +85,8 @@ func main() {
 	flag.Parse()
 
 	if *topoStats {
-		os.Exit(runTopoStats(*topoKind, *k, *leaves, *spines, *hostsPer, *routes))
+		runTopoStats(*topoKind, *k, *leaves, *spines, *hostsPer)
+		return
 	}
 	if *list || *name == "" {
 		fmt.Println("experiments:")
@@ -185,7 +184,7 @@ func main() {
 	}
 
 	start := time.Now()
-	if *doSweep || *runs > 1 || *shard != "" {
+	if *runs > 1 || *shard != "" {
 		code := runSweep(sc, p, *runs, *parallel, *progress, *jsonOut, *csvdir, shardIdx, shardTotal)
 		stopProfile()
 		fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
@@ -289,53 +288,56 @@ func printOracle(out io.Writer, report *oracle.Report, path string) {
 	}
 }
 
-// runSweep repeats the scenario over n consecutive seeds through the
-// parallel sweep engine and renders the folded per-scalar statistics.
-// Each run owns a private scheduler/RNG/recorder, so the per-run results
-// are byte-identical to the serial path regardless of worker count.
-// Returns the process exit code.
+// runSweep repeats the scenario over n consecutive seeds through
+// sweep.Job, the path a daemon job takes, and renders the folded
+// per-scalar statistics. Each run owns a private scheduler/RNG/recorder,
+// so the job document is byte-identical whatever the worker count, and
+// equals the daemon's body for the same spec. Returns the process exit
+// code.
 func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jsonOut, csvdir string, shardIdx, shardTotal int) int {
 	if p.Obs.Rec != nil || p.Obs.Metrics != nil {
 		fmt.Fprintln(os.Stderr, "sweep: -trace-out/-metrics-out are single-run sinks and are ignored in sweep mode")
 	}
-	if n < 1 {
-		n = 1
-	}
-	specs := sweep.Grid{
-		Exps:    []string{sc.Name},
-		Fabrics: []exp.FabricKind{p.Fabric},
-		Seeds:   sweep.Seq(p.Seed, n),
-	}.Specs()
+	specs := sweep.Seeds(sc, p, max(n, 1))
 	if shardTotal > 1 {
 		all := len(specs)
 		specs = sweep.Shard(specs, shardIdx, shardTotal)
 		fmt.Fprintf(os.Stderr, "sweep: shard %d/%d runs %d of %d specs\n", shardIdx, shardTotal, len(specs), all)
-		if len(specs) == 0 {
-			return 0
-		}
 	}
 	// Shared trace/metrics sinks would interleave events from
 	// concurrently running simulations; sweeps run without them, and
 	// sweep.Scenario gives each run a private telemetry fold.
 	p.Obs = obs.Config{Telemetry: p.Obs.Telemetry}
-	opt := sweep.Options{Parallel: workers}
-	if progress {
-		done := 0
-		opt.OnDone = func(i int, r *sweep.RunResult) {
-			done++
+	rs := make([]*sweep.RunResult, len(specs))
+	done := 0
+	opt := sweep.Options{Parallel: workers, OnDone: func(i int, r *sweep.RunResult) {
+		rs[i] = r
+		done++
+		if progress {
 			fmt.Fprintf(os.Stderr, "sweep: %d/%d %s (%v)\n",
 				done, len(specs), r.Spec, r.Wall.Round(time.Millisecond))
 		}
+	}}
+	doc, err := sweep.Job(context.Background(), sc, p, specs, opt)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		return 1
 	}
-	rs := sweep.Run(context.Background(), specs, sweep.Scenario(sc, p), opt)
 
 	if jsonOut != "-" {
-		for _, agg := range sweep.Aggregate(rs) {
-			fmt.Print(agg.Render())
+		// A one-run job prints as a direct run, a longer one its aggregates.
+		shown := doc
+		if len(rs) > 1 {
+			for _, r := range rs {
+				shown = shown[len(r.Results):]
+			}
+		}
+		for _, res := range shown {
+			fmt.Print(res.Render())
 		}
 	}
 	if jsonOut != "" {
-		if err := exportFile(jsonOut, func(w io.Writer) error { return sweep.WriteJSON(w, rs) }); err != nil {
+		if err := exportFile(jsonOut, func(w io.Writer) error { return exp.WriteResultsJSON(w, doc) }); err != nil {
 			fmt.Fprintf(os.Stderr, "sweep json export: %v\n", err)
 			return 1
 		}
@@ -346,12 +348,7 @@ func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jso
 			return 1
 		}
 	}
-	code := 0
-	for _, r := range sweep.Errors(rs) {
-		fmt.Fprintf(os.Stderr, "sweep: run %s failed: %v\n", r.Spec, r.Err)
-		code = 1
-	}
-	return code
+	return 0
 }
 
 // runTopoStats is the hyperscale dry run: build the topology and the
@@ -360,11 +357,11 @@ func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jso
 // the numbers that decide whether a full run fits in memory. The eager
 // estimate extrapolates what BuildShortestPath would allocate for every
 // destination at once.
-func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string) int {
+func runTopoStats(kind string, k, leaves, spines, hostsPer int) {
 	rate, delay := 40*units.Gbps, 4*units.Microsecond
 	var (
 		t     *topo.Topology
-		rows  func() routing.RowSource
+		rows  routing.RowSource
 		label string
 	)
 	switch strings.ToLower(kind) {
@@ -373,15 +370,14 @@ func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string) int
 			k = 4
 		}
 		ft := topo.NewFatTree(k, rate, delay)
-		t, rows = ft.Topology, func() routing.RowSource { return routing.FatTreeColumns(ft) }
+		t, rows = ft.Topology, routing.FatTreeColumns(ft)
 		label = fmt.Sprintf("fattree k=%d", k)
 	case "leafspine":
 		ls := topo.NewLeafSpine(leaves, spines, hostsPer, rate, delay)
-		t, rows = ls.Topology, func() routing.RowSource { return routing.LeafSpineColumns(ls) }
+		t, rows = ls.Topology, routing.LeafSpineColumns(ls)
 		label = fmt.Sprintf("leafspine %dx%d, %d hosts/leaf", leaves, spines, hostsPer)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -topo %q: want fattree or leafspine\n", kind)
-		return 2
+		die(2, "unknown -topo %q: want fattree or leafspine", kind)
 	}
 	fmt.Printf("topology   %s\n", label)
 	fmt.Printf("nodes      %d\n", len(t.Nodes))
@@ -389,20 +385,11 @@ func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string) int
 	fmt.Printf("hosts      %d\n", len(t.Hosts()))
 
 	start := time.Now()
-	var tbl *routing.Table
-	switch mode = strings.ToLower(mode); mode {
-	case "eager":
-		tbl = routing.BuildShortestPath(t)
-	case "structural":
-		tbl = routing.NewStructural(t, rows())
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -routes %q: want structural or eager\n", mode)
-		return 2
-	}
+	tbl := routing.NewStructural(t, rows)
 	build := time.Since(start)
 
 	liveB, eagerB := tbl.LiveBytes(), tbl.EagerBytesEstimate()
-	fmt.Printf("routes     %s\n", mode)
+	fmt.Println("routes     structural")
 	fmt.Printf("build      %v\n", build.Round(time.Microsecond))
 	fmt.Printf("table_mb   %.2f\n", float64(liveB)/(1<<20))
 	fmt.Printf("eager_mb   %.2f (estimated BFS columns for every destination)\n", float64(eagerB)/(1<<20))
@@ -410,7 +397,6 @@ func runTopoStats(kind string, k, leaves, spines, hostsPer int, mode string) int
 		fmt.Printf("ratio      %.1fx\n", float64(eagerB)/float64(liveB))
 	}
 	fmt.Printf("peak_rss_mb %.1f\n", peakRSSMB())
-	return 0
 }
 
 // exportSweepCSV writes the long-format scalar table to dir/sweep.csv and

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"github.com/tcdnet/tcd/internal/exp"
+	"github.com/tcdnet/tcd/internal/serve"
 )
 
 // tcdsim is the binary under test, built once from this directory.
@@ -103,13 +105,109 @@ func TestJSONStdoutIsOnlyJSON(t *testing.T) {
 }
 
 func TestUsageErrorsExit2(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
 	for _, args := range [][]string{
 		{"-exp", "fig99"},
 		{"-exp", "fig3", "-shard", "2/2"},
 		{"-exp", "fig3", "-shard", "x"},
+		{"-exp", "fig3", "-fabric", "ethernet"},
+		{"-exp", "fig3", "-arch", "bogus"},
+		{"-exp", "fig16", "-workload", "websaerch"},
+		{"-exp", "fig3", "-faults", missing},
+		{"-exp", "adversarial", "-adversarial", missing},
+		{"-topo-stats", "-topo", "ring"},
 	} {
 		if out, code := run(t, args...); code != 2 || len(out) != 0 {
 			t.Errorf("tcdsim %v: exit %d with %d bytes on stdout, want 2 and none", args, code, len(out))
+		}
+	}
+}
+
+// results splits a -json document into its results, and each result's
+// name.
+func results(t *testing.T, doc []byte) (raw []json.RawMessage, names []string) {
+	t.Helper()
+	if err := json.Unmarshal(doc, &raw); err != nil {
+		raw = []json.RawMessage{doc} // one result is written bare
+	}
+	for _, r := range raw {
+		var head struct{ Name string }
+		if err := json.Unmarshal(r, &head); err != nil {
+			t.Fatalf("result is not JSON: %v\n%.200s", err, r)
+		}
+		names = append(names, head.Name)
+	}
+	return raw, names
+}
+
+// perRun drops a job document's cross-seed aggregates.
+func perRun(t *testing.T, doc []byte) []json.RawMessage {
+	t.Helper()
+	raw, names := results(t, doc)
+	var out []json.RawMessage
+	for i, n := range names {
+		if !strings.Contains(n, "-agg-") {
+			out = append(out, raw[i])
+		}
+	}
+	return out
+}
+
+// A multi-run -json is the job document the daemon serves: the same bytes
+// on every run and worker count, equal to CatalogExec of the equivalent
+// JobSpec, and per run equal to the union of its shards.
+func TestMultiRunDocument(t *testing.T) {
+	for _, c := range []struct{ exp, fabric string }{{"fig3", "cee"}, {"fig12", "ib"}} {
+		args := []string{"-exp", c.exp, "-fabric", c.fabric, "-seed", "4", "-horizon", "1ms", "-runs", "3", "-json", "-"}
+		var docs [][]byte
+		for _, workers := range []string{"1", "1", "2"} {
+			out, code := run(t, append(args, "-parallel", workers)...)
+			if code != 0 {
+				t.Fatalf("tcdsim %v -parallel %s exited %d", args, workers, code)
+			}
+			docs = append(docs, out)
+		}
+		if !bytes.Equal(docs[0], docs[1]) {
+			t.Errorf("%s/%s: two -runs 3 documents differ", c.exp, c.fabric)
+		}
+		if !bytes.Equal(docs[0], docs[2]) {
+			t.Errorf("%s/%s: -parallel 1 and -parallel 2 differ", c.exp, c.fabric)
+		}
+		spec, err := serve.ParseJobSpec([]byte(fmt.Sprintf(
+			`{"exp":%q,"fabric":%q,"seed":4,"runs":3,"horizon_us":1000}`, c.exp, c.fabric)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := serve.CatalogExec(context.Background(), spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(docs[0], body) {
+			t.Errorf("%s/%s: the CLI document differs from CatalogExec's body", c.exp, c.fabric)
+		}
+	}
+
+	args := []string{"-exp", "table3", "-horizon", "1ms", "-runs", "6", "-json", "-"}
+	out, code := run(t, args...)
+	if code != 0 {
+		t.Fatalf("tcdsim %v exited %d", args, code)
+	}
+	want := perRun(t, out)
+	per := len(want) / 6 // results per run
+	got := make([]json.RawMessage, len(want))
+	for s := 0; s < 3; s++ {
+		out, code := run(t, append(args, "-shard", fmt.Sprintf("%d/3", s))...)
+		if code != 0 {
+			t.Fatalf("shard %d/3 exited %d", s, code)
+		}
+		for j, r := range perRun(t, out) {
+			run := s + 3*(j/per)
+			got[run*per+j%per] = r
+		}
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("result %d of the shard union differs from the unsharded document", i)
 		}
 	}
 }

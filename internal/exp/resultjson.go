@@ -27,18 +27,9 @@ import (
 // runs produce byte-identical output. On error w may hold a prefix of the
 // document.
 func (r *Result) WriteJSON(w io.Writer) error {
-	e := newResultEncoder(w, "")
+	e := newResultEncoder(w)
 	e.result(r)
 	e.str("\n")
-	return e.flush()
-}
-
-// WriteJSONIndent is WriteJSON for a result nested in a larger document,
-// with json.Indent's convention: every line after the first begins with
-// prefix, and there is no trailing newline.
-func (r *Result) WriteJSONIndent(w io.Writer, prefix string) error {
-	e := newResultEncoder(w, prefix)
-	e.result(r)
 	return e.flush()
 }
 
@@ -46,7 +37,7 @@ func (r *Result) WriteJSONIndent(w io.Writer, prefix string) error {
 // (`tcdsim -json`, the daemon's response body): a single object for one
 // result, a JSON array otherwise.
 func WriteResultsJSON(w io.Writer, results []*Result) error {
-	e := newResultEncoder(w, "")
+	e := newResultEncoder(w)
 	if len(results) == 1 {
 		e.result(results[0])
 	} else {
@@ -76,10 +67,6 @@ type resultEncoder struct {
 	buf []byte
 	err error
 
-	// prefix starts every line after the first; entry, field and elem
-	// are the line starts at the three depths a series spans.
-	prefix, entry, field, elem string
-
 	// lastT is the time column most recently rendered and col its bytes,
 	// brackets included. The series of one tracer share their sample
 	// times, so a column equal to lastT is copied, not formatted again.
@@ -89,12 +76,16 @@ type resultEncoder struct {
 	col   []byte
 }
 
-func newResultEncoder(w io.Writer, prefix string) *resultEncoder {
-	e := &resultEncoder{w: w, buf: make([]byte, 0, scratchBytes), prefix: prefix}
-	e.entry = "\n" + prefix + "    "
-	e.field = e.entry + "  "
-	e.elem = e.field + "  "
-	return e
+// entryLine, fieldLine and elemLine start the lines at the three depths a
+// series spans.
+const (
+	entryLine = "\n    "
+	fieldLine = entryLine + "  "
+	elemLine  = fieldLine + "  "
+)
+
+func newResultEncoder(w io.Writer) *resultEncoder {
+	return &resultEncoder{w: w, buf: make([]byte, 0, scratchBytes)}
 }
 
 // fail records err unless an earlier error already stuck.
@@ -145,14 +136,14 @@ func (e *resultEncoder) result(r *Result) {
 		Tables  []string             `json:"tables,omitempty"`
 		Notes   []string             `json:"notes,omitempty"`
 		Hists   map[string]*obs.Hist `json:"hists,omitempty"`
-	}{r.Name, r.Scalars, r.Tables, r.Notes, r.Hists}, e.prefix, "  ")
+	}{r.Name, r.Scalars, r.Tables, r.Notes, r.Hists}, "", "  ")
 	if err != nil {
 		e.fail(err)
 		return
 	}
-	// The head closes with "\n<prefix>}"; "series" goes in before that.
-	e.write(head[:len(head)-len(e.prefix)-2])
-	e.str(",\n" + e.prefix + `  "series": {`)
+	// The head closes with "\n}"; "series" goes in before that.
+	e.write(head[:len(head)-2])
+	e.str(",\n  \"series\": {")
 
 	names := make([]string, 0, len(r.Series))
 	for name := range r.Series {
@@ -167,28 +158,28 @@ func (e *resultEncoder) result(r *Result) {
 		if i > 0 {
 			e.str(",")
 		}
-		e.str(e.entry)
+		e.str(entryLine)
 		e.room(6*len(name) + 2)
 		e.buf = appendJSONString(e.buf, name)
 		e.str(": {")
-		e.str(e.field)
+		e.str(fieldLine)
 		e.str(`"time_us": `)
 		e.times(s.T)
 		e.str(",")
-		e.str(e.field)
+		e.str(fieldLine)
 		e.str(`"values": `)
 		if s.V == nil {
 			e.str("null")
 		} else {
 			e.values(s.V)
 		}
-		e.str(e.entry)
+		e.str(entryLine)
 		e.str("}")
 	}
 	if len(names) > 0 {
-		e.str("\n" + e.prefix + "  ")
+		e.str("\n  ")
 	}
-	e.str("}\n" + e.prefix + "}")
+	e.str("}\n}")
 }
 
 // floatBytes is more than any float64 takes in the 'f' or 'e' form the
@@ -200,15 +191,15 @@ const floatBytes = 32
 func (e *resultEncoder) values(v []float64) {
 	e.str("[")
 	for i, f := range v {
-		e.room(1 + len(e.elem) + floatBytes)
+		e.room(1 + len(elemLine) + floatBytes)
 		if i > 0 {
 			e.buf = append(e.buf, ',')
 		}
-		e.buf = append(e.buf, e.elem...)
+		e.buf = append(e.buf, elemLine...)
 		e.buf = e.float(e.buf, f)
 	}
 	if len(v) > 0 {
-		e.str(e.field)
+		e.str(fieldLine)
 	}
 	e.str("]")
 }
@@ -220,17 +211,17 @@ func (e *resultEncoder) times(t []units.Time) {
 		e.lastT = t
 		// Sized for the common column (sample times a whole number of
 		// microseconds below 100 s), so rendering does not regrow it.
-		e.col = slices.Grow(e.col[:0], len(t)*(1+len(e.elem)+8)+len(e.field)+2)
+		e.col = slices.Grow(e.col[:0], len(t)*(1+len(elemLine)+8)+len(fieldLine)+2)
 		e.col = append(e.col, '[')
 		for i, at := range t {
 			if i > 0 {
 				e.col = append(e.col, ',')
 			}
-			e.col = append(e.col, e.elem...)
+			e.col = append(e.col, elemLine...)
 			e.col = e.float(e.col, at.Micros())
 		}
 		if len(t) > 0 {
-			e.col = append(e.col, e.field...)
+			e.col = append(e.col, fieldLine...)
 		}
 		e.col = append(e.col, ']')
 	}

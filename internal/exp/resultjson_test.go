@@ -166,13 +166,6 @@ func FuzzResultJSON(f *testing.F) {
 			t.Fatalf("not valid JSON:\n%s", got.Bytes())
 		}
 
-		// Nested: what json.Indent makes of the document under a prefix.
-		prefix := "\t  "[:shape%4]
-		var nested, indented bytes.Buffer
-		gotErr = r.WriteJSONIndent(&nested, prefix)
-		wantErr = json.Indent(&indented, bytes.TrimSuffix(want.Bytes(), []byte("\n")), prefix, "  ")
-		same("under a prefix", gotErr, wantErr, nested.Bytes(), indented.Bytes())
-
 		// In an array: one encoder carries its rendered time column from
 		// one result to the next.
 		pair := []*Result{r, fuzzResult(key, name, v0, v1, scalar, t0, t1, shape^shapeUnequalT)}
@@ -185,8 +178,12 @@ func FuzzResultJSON(f *testing.F) {
 
 // TestWriteJSONAllocs: an encode allocates a fixed number of objects —
 // the head, the key list, the scratch buffer, one rendered time column —
-// however long the series are.
+// however long the series are. Under -race the pooled scratch is not
+// reliably reused, so the count is only held in a plain build.
 func TestWriteJSONAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items")
+	}
 	allocs := func(samples int) float64 {
 		r := NewResult("allocs")
 		r.Scalars["x"] = 1

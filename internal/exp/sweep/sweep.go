@@ -15,9 +15,7 @@
 package sweep
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -31,20 +29,20 @@ import (
 )
 
 // Spec identifies one simulator run of a sweep. The zero values of the
-// enum fields are meaningful ("fig3"-style defaults), so specs marshal
-// compactly and compare cheaply.
+// enum fields are meaningful ("fig3"-style defaults), so specs compare
+// cheaply.
 type Spec struct {
 	// Exp names the experiment kind (an exp.Scenarios name such as
 	// "fig3", "table3", or a caller-defined label).
-	Exp string `json:"exp"`
+	Exp string
 	// Fabric selects CEE or IB.
-	Fabric exp.FabricKind `json:"fabric"`
+	Fabric exp.FabricKind
 	// Det selects the detector under test.
-	Det exp.DetectorKind `json:"det"`
+	Det exp.DetectorKind
 	// CC selects the congestion control.
-	CC exp.CCKind `json:"cc"`
+	CC exp.CCKind
 	// Seed feeds the run's private random streams.
-	Seed uint64 `json:"seed"`
+	Seed uint64
 }
 
 // String renders a compact label for progress lines and errors.
@@ -131,6 +129,18 @@ func Shard(specs []Spec, index, total int) []Spec {
 	return out
 }
 
+// Seeds is the spec list of a job: runs consecutive seeds from base.Seed
+// of scenario sc, on base's fabric, detector and congestion control.
+func Seeds(sc *exp.Scenario, base exp.Params, runs int) []Spec {
+	return Grid{
+		Exps:    []string{sc.Name},
+		Fabrics: []exp.FabricKind{base.Fabric},
+		Dets:    []exp.DetectorKind{base.Det},
+		CCs:     []exp.CCKind{base.CC},
+		Seeds:   Seq(base.Seed, runs),
+	}.Specs()
+}
+
 // RunFunc executes one spec and returns its results. It is called from
 // worker goroutines and must not share mutable state across calls: build
 // a fresh rig (scheduler, RNG, recorder) per invocation.
@@ -156,13 +166,13 @@ func Scenario(sc *exp.Scenario, base exp.Params) RunFunc {
 
 // RunResult is the outcome of one spec.
 type RunResult struct {
-	Spec    Spec          `json:"spec"`
-	Results []*exp.Result `json:"-"`
+	Spec    Spec
+	Results []*exp.Result
 	// Err carries a captured panic ("panic: <msg>" plus stack) or the
 	// context error for runs skipped by cancellation.
-	Err error `json:"-"`
+	Err error
 	// Wall is the run's wall-clock duration (zero when skipped).
-	Wall time.Duration `json:"-"`
+	Wall time.Duration
 }
 
 // Options tunes the engine.
@@ -366,68 +376,23 @@ func Aggregate(rs []*RunResult) []*exp.Result {
 	return out
 }
 
-// Errors returns the failed runs (panics, cancellations).
-func Errors(rs []*RunResult) []*RunResult {
-	var out []*RunResult
+// Job runs specs of scenario sc over base (see Scenario) and returns the
+// job document every front-end encodes with exp.WriteResultsJSON: each
+// run's results in spec order, then their Aggregate when there is more
+// than one run. The first failed run, in spec order, fails the job.
+func Job(ctx context.Context, sc *exp.Scenario, base exp.Params, specs []Spec, opt Options) ([]*exp.Result, error) {
+	rs := Run(ctx, specs, Scenario(sc, base), opt)
+	var doc []*exp.Result
 	for _, r := range rs {
-		if r != nil && r.Err != nil {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// WriteJSON serializes the sweep — per-run spec, wall time, error and
-// full results — as one indented JSON document: an array of runs, each
-// closing with the array of its results. Per-run result payloads are
-// exp.Result's deterministic encoding, written once at their nesting
-// depth, so two sweeps over the same specs differ only in the wall-clock
-// fields.
-func WriteJSON(w io.Writer, rs []*RunResult) error {
-	type runJSON struct {
-		Spec   Spec    `json:"spec"`
-		WallMs float64 `json:"wall_ms"`
-		Error  string  `json:"error,omitempty"`
-	}
-	// Runs sit one level deep ("  "), their results three ("      ").
-	bw := bufio.NewWriter(w) // its first error sticks; Flush reports it
-	bw.WriteString("[")
-	for i, r := range rs {
-		rj := runJSON{Spec: r.Spec, WallMs: float64(r.Wall.Microseconds()) / 1000}
 		if r.Err != nil {
-			rj.Error = r.Err.Error()
+			return nil, fmt.Errorf("run %s: %w", r.Spec, r.Err)
 		}
-		run, err := json.MarshalIndent(rj, "  ", "  ")
-		if err != nil {
-			return err
-		}
-		if i > 0 {
-			bw.WriteString(",")
-		}
-		bw.WriteString("\n  ")
-		if len(r.Results) == 0 {
-			bw.Write(run)
-			continue
-		}
-		// The run's object closes with "\n  }"; "results" goes in before.
-		bw.Write(run[:len(run)-len("\n  }")])
-		bw.WriteString(",\n    \"results\": [")
-		for j, res := range r.Results {
-			if j > 0 {
-				bw.WriteString(",")
-			}
-			bw.WriteString("\n      ")
-			if err := res.WriteJSONIndent(bw, "      "); err != nil {
-				return err
-			}
-		}
-		bw.WriteString("\n    ]\n  }")
+		doc = append(doc, r.Results...)
 	}
-	if len(rs) > 0 {
-		bw.WriteString("\n")
+	if len(rs) > 1 {
+		doc = append(doc, Aggregate(rs)...)
 	}
-	bw.WriteString("]\n")
-	return bw.Flush()
+	return doc, nil
 }
 
 // WriteCSV exports every scalar of every successful run as long-format

@@ -3,8 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"fmt"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -133,9 +132,9 @@ func TestPanicCapture(t *testing.T) {
 		return []*exp.Result{r}
 	}
 	rs := Run(context.Background(), specs, fn, Options{Parallel: 4})
-	errs := Errors(rs)
+	errs := failed(rs)
 	if len(errs) != 1 {
-		t.Fatalf("Errors() = %d failed runs, want 1", len(errs))
+		t.Fatalf("%d failed runs, want 1", len(errs))
 	}
 	if errs[0].Spec.Seed != 2 {
 		t.Errorf("failed seed = %d, want 2", errs[0].Spec.Seed)
@@ -163,7 +162,7 @@ func TestCancellationSkipsPendingRuns(t *testing.T) {
 	if ran == len(specs) {
 		t.Fatal("cancellation did not skip any runs")
 	}
-	skipped := Errors(rs)
+	skipped := failed(rs)
 	if len(skipped) != len(specs)-ran {
 		t.Errorf("skipped %d runs, want %d", len(skipped), len(specs)-ran)
 	}
@@ -242,25 +241,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-func TestWriteJSONIncludesErrors(t *testing.T) {
-	ok := exp.NewResult("obs")
-	ok.Scalars["m"] = 1
-	rs := []*RunResult{
-		{Spec: Spec{Exp: "a"}, Results: []*exp.Result{ok}},
-		{Spec: Spec{Exp: "b"}, Err: context.Canceled},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, rs); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{`"exp": "a"`, `"name": "obs"`, `"error": "context canceled"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("sweep JSON missing %q:\n%s", want, s)
-		}
-	}
-}
-
 // TestOnStartHook: OnStart fires once per executed run, serialized, with
 // the matching index/spec pair, and canceled runs never see it.
 func TestOnStartHook(t *testing.T) {
@@ -312,32 +292,48 @@ func TestOnStartHook(t *testing.T) {
 	}
 }
 
-// pinnedSweep is the sweep TestWriteJSONPinned hashes: two seeds each of
-// fig12 (series) and table3 (several results per run) at 1 ms, plus a
-// cancelled run (an "error" and no "results"), with wall_ms zeroed.
-func pinnedSweep() []*RunResult {
-	var rs []*RunResult
-	for _, name := range []string{"fig12", "table3"} {
-		specs := Grid{Exps: []string{name}, Fabrics: []exp.FabricKind{exp.CEE}, Seeds: Seq(1, 2)}.Specs()
-		fn := Scenario(exp.Lookup(name), exp.Params{Horizon: units.Millisecond})
-		rs = append(rs, Run(context.Background(), specs, fn, Options{Parallel: 1})...)
+// TestJobDocument: a job's document is each run's results in spec order,
+// then the cross-seed aggregate when there is more than one run, and a
+// failed run fails the job.
+func TestJobDocument(t *testing.T) {
+	sc := exp.Lookup("fig12")
+	base := exp.Params{Horizon: units.Millisecond, Seed: 5}
+	specs := Seeds(sc, base, 3)
+	for i, sp := range specs {
+		if sp.Exp != "fig12" || sp.Seed != uint64(5+i) {
+			t.Fatalf("Seeds[%d] = %s", i, sp)
+		}
 	}
-	rs = append(rs, &RunResult{Spec: Spec{Exp: "skipped", Seed: 3}, Err: context.Canceled})
-	for _, r := range rs {
-		r.Wall = 0
-	}
-	return rs
-}
-
-// TestWriteJSONPinned holds the sweep document to the bytes it had when
-// every result was re-indented by encoding/json (commit e9d01ce).
-func TestWriteJSONPinned(t *testing.T) {
-	const want = "aae5a03a5715105fdad00030acbc72377517b31ac874432ecba0ba86c5e5e756"
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, pinnedSweep()); err != nil {
+	doc, err := Job(context.Background(), sc, base, specs, Options{Parallel: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-		t.Errorf("sweep JSON sha256 = %s (%d bytes), want %s", got, buf.Len(), want)
+	var names []string
+	for _, r := range doc {
+		names = append(names, r.Name)
 	}
+	run := sc.Run(base)[0].Name
+	if want := []string{run, run, run, run + "-agg-3runs"}; strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("document holds %v, want %v", names, want)
+	}
+	if one, _ := Job(context.Background(), sc, base, specs[:1], Options{}); len(one) != 1 {
+		t.Errorf("a one-run document holds %d results, want the run's 1", len(one))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Job(ctx, sc, base, specs, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("a cancelled job returned %v, want context.Canceled", err)
+	}
+}
+
+// failed returns the runs that panicked or were skipped.
+func failed(rs []*RunResult) []*RunResult {
+	var out []*RunResult
+	for _, r := range rs {
+		if r.Err != nil {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -18,12 +18,11 @@ import (
 // SSE (it may be nil). Implementations must honor ctx between runs.
 type ExecFunc func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error)
 
-// CatalogExec is the default executor: it expands the job (a spec that
-// ParseJobSpec returned) into per-seed sweep specs and funnels them
-// through the sweep engine, which gives every run the same isolation a
-// CLI sweep gets — a private scheduler, RNG and recorder per run, panic
-// capture, and context-checked starts — then encodes the per-run results
-// (plus the cross-seed aggregate for multi-run jobs) with the encoder
+// CatalogExec is the default executor: it runs the job (a spec that
+// ParseJobSpec returned) through sweep.Job, the multi-run path `tcdsim
+// -runs N` takes, which gives every run the isolation a CLI sweep gets —
+// a private scheduler, RNG and recorder per run, panic capture, and
+// context-checked starts — and encodes the job document with the encoder
 // `tcdsim -json` uses.
 func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
 	sc := exp.Lookup(spec.Exp)
@@ -31,13 +30,7 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 		return nil, fmt.Errorf("serve: unknown exp %q", spec.Exp)
 	}
 	base := spec.params
-	specs := sweep.Grid{
-		Exps:    []string{spec.Exp},
-		Fabrics: []exp.FabricKind{base.Fabric},
-		Dets:    []exp.DetectorKind{base.Det},
-		CCs:     []exp.CCKind{base.CC},
-		Seeds:   sweep.Seq(spec.Seed, spec.Runs),
-	}.Specs()
+	specs := sweep.Seeds(sc, base, spec.Runs)
 
 	// Parallel: 1 — jobs parallelize across the daemon's worker pool,
 	// not inside one job, so a single submission cannot monopolize the
@@ -54,18 +47,9 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 			fmt.Fprintf(progress, "run %d/%d done %s (%v)\n", i+1, len(specs), r.Spec, r.Wall)
 		}
 	}
-	rs := sweep.Run(ctx, specs, sweep.Scenario(sc, base), opt)
-	for _, r := range rs {
-		if r.Err != nil {
-			return nil, fmt.Errorf("serve: run %s: %w", r.Spec, r.Err)
-		}
-	}
-	var results []*exp.Result
-	for _, r := range rs {
-		results = append(results, r.Results...)
-	}
-	if spec.Runs > 1 {
-		results = append(results, sweep.Aggregate(rs)...)
+	results, err := sweep.Job(ctx, sc, base, specs, opt)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	// The export arrives in chunks, so a fresh buffer would grow by
 	// doubling and leave a second, slack-laden copy of every body behind.

@@ -192,7 +192,7 @@ func (s *JobSpec) normalize() error {
 			}
 		}
 	}
-	s.params.Horizon, s.params.Faults = s.Horizon(), s.Faults
+	s.params.Seed, s.params.Horizon, s.params.Faults = s.Seed, s.Horizon(), s.Faults
 	return nil
 }
 
