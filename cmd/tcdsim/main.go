@@ -144,6 +144,16 @@ func main() {
 			die(2, "bad -shard %q: want i/n with 0 <= i < n", *shard)
 		}
 	}
+	sweeping := *runs > 1 || *shard != ""
+	if sweeping {
+		// Checked before any file or listener is opened.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "trace-out", "metrics-out", "http", "series", "oracle-out":
+				die(2, "-%s is a single-run sink and cannot be combined with -runs or -shard", f.Name)
+			}
+		})
+	}
 
 	var spill *obs.Spill
 	if *traceOut != "" {
@@ -185,7 +195,7 @@ func main() {
 	}
 
 	start := time.Now()
-	if *runs > 1 || *shard != "" {
+	if sweeping {
 		code := runSweep(sc, p, *runs, *parallel, *progress, *jsonOut, *csvdir, shardIdx, shardTotal)
 		stopProfile()
 		fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
@@ -296,17 +306,14 @@ func printOracle(out io.Writer, report *oracle.Report, path string) {
 // equals the daemon's body for the same spec. Returns the process exit
 // code.
 func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jsonOut, csvdir string, shardIdx, shardTotal int) int {
-	if p.Obs.Rec != nil || p.Obs.Metrics != nil {
-		fmt.Fprintln(os.Stderr, "sweep: -trace-out/-metrics-out are single-run sinks and are ignored in sweep mode")
-	}
 	specs := sweep.Seeds(sc, p, max(n, 1))
 	if shardTotal > 1 {
 		all := len(specs)
 		specs = sweep.Shard(specs, shardIdx, shardTotal)
 		fmt.Fprintf(os.Stderr, "sweep: shard %d/%d runs %d of %d specs\n", shardIdx, shardTotal, len(specs), all)
 	}
-	// Shared trace/metrics sinks would interleave events from
-	// concurrently running simulations; sweeps run without them, and
+	// A shared progress writer would interleave lines from concurrently
+	// running simulations; sweeps report per run instead, and
 	// sweep.Scenario gives each run a private telemetry fold.
 	p.Obs = obs.Config{Telemetry: p.Obs.Telemetry}
 	rs := make([]*sweep.RunResult, len(specs))
@@ -371,13 +378,19 @@ func runTopoStats(kind string, k, leaves, spines, hostsPer int) {
 	)
 	switch strings.ToLower(kind) {
 	case "fattree":
-		if k <= 0 {
+		if k != 0 && (k < 2 || k%2 != 0) {
+			die(2, "-topo-stats has no k %d (want an even k >= 2; 0 = default)", k)
+		}
+		if k == 0 {
 			k = 4
 		}
 		ft := topo.NewFatTree(k, rate, delay)
 		t, rows = ft.Topology, routing.FatTreeColumns(ft)
 		label = fmt.Sprintf("fattree k=%d", k)
 	case "leafspine":
+		if leaves < 1 || spines < 1 || hostsPer < 1 {
+			die(2, "-topo-stats leafspine needs -leaves, -spines and -hostsper >= 1, got %d, %d, %d", leaves, spines, hostsPer)
+		}
 		ls := topo.NewLeafSpine(leaves, spines, hostsPer, rate, delay)
 		t, rows = ls.Topology, routing.LeafSpineColumns(ls)
 		label = fmt.Sprintf("leafspine %dx%d, %d hosts/leaf", leaves, spines, hostsPer)

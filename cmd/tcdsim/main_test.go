@@ -105,7 +105,9 @@ func TestJSONStdoutIsOnlyJSON(t *testing.T) {
 }
 
 func TestUsageErrorsExit2(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.json")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.json")
+	sink := filepath.Join(dir, "sink")
 	for _, args := range [][]string{
 		{"-exp", "fig99"},
 		{"-exp", "fig3", "-shard", "2/2"},
@@ -116,10 +118,28 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-exp", "fig3", "-faults", missing},
 		{"-exp", "adversarial", "-adversarial", missing},
 		{"-topo-stats", "-topo", "ring"},
+		{"-exp", "fig16", "-k", "3", "-flows", "10", "-horizon", "1ms"},
+		{"-exp", "fig16", "-k", "-4"},
+		{"-exp", "fig16", "-flows", "-5"},
+		{"-topo-stats", "-k", "3"},
+		{"-topo-stats", "-topo", "leafspine", "-leaves", "0"},
+		{"-exp", "adversarial", "-runs", "2", "-oracle-out", sink},
+		{"-exp", "fig12", "-runs", "2", "-trace-out", sink},
+		{"-exp", "fig12", "-runs", "2", "-metrics-out", sink},
+		{"-exp", "fig12", "-runs", "2", "-series", "P2_queue"},
+		{"-exp", "fig12", "-shard", "0/2", "-http", "127.0.0.1:0"},
 	} {
-		if out, code := run(t, args...); code != 2 || len(out) != 0 {
-			t.Errorf("tcdsim %v: exit %d with %d bytes on stdout, want 2 and none", args, code, len(out))
+		// A Go panic exits 2 as well; its goroutine dump tells it apart.
+		cmd := exec.Command(tcdsim, args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		cmd.Run() //nolint:errcheck // the exit code is checked
+		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || strings.Contains(stderr.String(), "goroutine ") {
+			t.Errorf("tcdsim %v: exit %d with %d bytes on stdout, want 2 and none; stderr:\n%s", args, code, stdout.Len(), stderr.String())
 		}
+	}
+	if _, err := os.Stat(sink); err == nil {
+		t.Error("a rejected single-run sink was still created")
 	}
 }
 

@@ -1,7 +1,8 @@
 // Command tcdsimd serves the TCD simulator as a long-running daemon:
-// clients POST experiment specs to /v1/jobs, poll job status, stream
-// live progress over SSE, and fetch deterministic result JSON — with a
-// spec-hash result cache making repeat submissions byte-identical
+// clients POST experiment specs to /v1/jobs, then poll a spec's status,
+// stream its live progress over SSE and fetch its deterministic result
+// JSON under /v1/specs/{hash}, the spec hash the submission answers with
+// — a spec-hash result cache making repeat submissions byte-identical
 // cache hits. See DESIGN.md "Simulation as a service".
 //
 // Usage:

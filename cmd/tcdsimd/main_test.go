@@ -96,12 +96,12 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Error("warm hit not byte-identical to its miss")
 	}
 
+	// The stream ends on the terminal event, the only one left once the
+	// run has finished.
 	r3, _ := do("POST", "/v1/jobs", `{"exp":"deadlock-unit","seed":9,"horizon_us":50}`)
-	_, sse := do("GET", "/v1/jobs/"+r3.Header.Get("X-Job-Id")+"/events", "")
-	for _, ev := range []string{"event: queued", "event: done"} {
-		if !bytes.Contains(sse, []byte(ev)) {
-			t.Errorf("SSE stream has no %q:\n%s", ev, sse)
-		}
+	_, sse := do("GET", "/v1/specs/"+r3.Header.Get("X-Spec-Hash")+"/events", "")
+	if last := bytes.LastIndex(sse, []byte("event: ")); last < 0 || !bytes.HasPrefix(sse[last:], []byte("event: done\n")) {
+		t.Errorf("SSE stream does not end on done:\n%s", sse)
 	}
 	if _, exps := do("GET", "/v1/exps", ""); !bytes.Contains(exps, []byte(`"deadlock-unit"`)) {
 		t.Errorf("/v1/exps does not list deadlock-unit:\n%s", exps)

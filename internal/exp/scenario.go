@@ -159,6 +159,12 @@ func (sc *Scenario) Check(p Params) error {
 			return fmt.Errorf("exp: %s has no %s %q (menu: %s)", sc.Name, a.axis, a.v, strings.Join(a.menu, ", "))
 		}
 	}
+	if sc.FatTree && p.K != 0 && (p.K < 2 || p.K%2 != 0) {
+		return fmt.Errorf("exp: %s has no k %d (want an even k >= 2; 0 = default)", sc.Name, p.K)
+	}
+	if sc.FatTree && p.Flows < 0 {
+		return fmt.Errorf("exp: %s has no flows %d (want a count >= 0; 0 = default)", sc.Name, p.Flows)
+	}
 	return nil
 }
 

@@ -100,6 +100,11 @@ func TestCheckRejectsOffMenu(t *testing.T) {
 		{"table3", Params{Det: DetTCD}, "does not support det"},
 		{"fig20", Params{CC: CCDCQCN}, "dcqcn+tcd, timely+tcd"},
 		{"table3", Params{Workload: "websaerch", Arch: "bogus"}, ""},
+		{"fig16", Params{K: 6, Flows: 10}, ""},
+		{"fig16", Params{K: 3}, "even k >= 2"},
+		{"fig17", Params{K: -4}, "even k >= 2"},
+		{"fig19", Params{Flows: -5}, "has no flows -5"},
+		{"fig3", Params{K: 3, Flows: -5}, ""},
 	}
 	for _, tc := range cases {
 		err := Lookup(tc.exp).Check(tc.p)

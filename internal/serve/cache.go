@@ -6,14 +6,20 @@ import (
 	"time"
 )
 
-// cacheEntry is the unit of result sharing: every submission of one
-// spec hash is answered from one entry. The entry is created in-flight
-// when the first submission reserves the hash; concurrent identical
-// submissions coalesce onto it instead of enqueueing duplicate work, and
-// later submissions after completion are warm hits served straight from
-// bytes.
+// cacheEntry is the daemon's one record of a spec: every submission of
+// one spec hash is answered from one entry. The entry is created
+// in-flight when the first submission reserves the hash; concurrent
+// identical submissions coalesce onto it instead of enqueueing duplicate
+// work, and later submissions after completion are warm hits served
+// straight from bytes.
 type cacheEntry struct {
 	hash string
+	exp  string
+	// state (queued | running | done | failed | canceled) and subs, the
+	// number of submissions the entry has answered, are guarded by
+	// Server.mu; state is final once done closes.
+	state string
+	subs  uint64
 	// done closes when the run completes (successfully or not); bytes
 	// and err are immutable afterwards. Waiters select on done, so a
 	// coalesced or waiting client never polls.
@@ -21,7 +27,8 @@ type cacheEntry struct {
 	// bytes is the full deterministic result JSON.
 	bytes []byte
 	err   error
-	// wall is the producing run's duration (zero for failed runs).
+	// wall is the producing run's duration (zero for a run canceled
+	// before it started).
 	wall time.Duration
 	// lru is the entry's position in the cache's eviction list (nil
 	// while in-flight; in-flight entries are never evicted).
@@ -50,9 +57,8 @@ func (e *cacheEntry) cost() int64 { return int64(len(e.bytes)) + entryOverhead }
 // completed ones inside a byte budget, least recently used out first.
 // In-flight entries are pinned and weigh nothing: evicting one would
 // orphan its waiters, and it has no body yet. The cache is the only
-// long-lived holder of a body — job records keep the hash — so an
-// eviction frees the bytes once the last in-progress response has
-// written them.
+// long-lived holder of a body, so an eviction frees the bytes once the
+// last in-progress response has written them.
 type resultCache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -84,15 +90,19 @@ func (c *resultCache) lookup(hash string) *cacheEntry {
 
 // reserve returns the existing entry for hash, or creates and registers
 // a fresh in-flight entry (created=true) that the caller must resolve
-// via complete or abandon via release.
+// via complete or abandon via release. A failed entry is replaced, so
+// the completed entry reserve returns has succeeded.
 func (c *resultCache) reserve(hash string) (e *cacheEntry, created bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries[hash]; e != nil {
+	if e := c.entries[hash]; e != nil && e.err == nil {
 		if e.lru != nil {
 			c.order.MoveToFront(e.lru)
 		}
 		return e, false
+	} else if e != nil {
+		c.order.Remove(e.lru)
+		c.used -= e.cost()
 	}
 	e = &cacheEntry{hash: hash, done: make(chan struct{})}
 	c.entries[hash] = e
@@ -101,40 +111,35 @@ func (c *resultCache) reserve(hash string) (e *cacheEntry, created bool) {
 
 // complete resolves an in-flight entry and charges it to the budget,
 // evicting the least recently used completed entries until the total
-// fits again. Failed runs resolve their waiters but are not retained:
-// the next submission of the same spec retries instead of replaying the
-// error. Neither is a body that alone exceeds the budget: its waiters
-// are served and it counts as evicted, without flushing the rest.
+// fits again. A failed run is kept at the overhead alone, so its status
+// reads failed until reserve replaces it. A body that alone exceeds the
+// budget is not kept: its waiters are served and it counts as evicted,
+// without flushing the rest.
 func (c *resultCache) complete(e *cacheEntry, bytes []byte, err error, wall time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e.bytes, e.err, e.wall = bytes, err, wall
 	close(e.done)
-	switch {
-	case err != nil:
-		delete(c.entries, e.hash)
-	case e.cost() > c.budget:
+	if e.cost() > c.budget {
 		delete(c.entries, e.hash)
 		c.evicted++
-	default:
-		e.lru = c.order.PushFront(e)
-		c.used += e.cost()
-		for c.used > c.budget {
-			old := c.order.Remove(c.order.Back()).(*cacheEntry)
-			delete(c.entries, old.hash)
-			c.used -= old.cost()
-			c.evicted++
-		}
+		return
+	}
+	e.lru = c.order.PushFront(e)
+	c.used += e.cost()
+	for c.used > c.budget {
+		old := c.order.Remove(c.order.Back()).(*cacheEntry)
+		delete(c.entries, old.hash)
+		c.used -= old.cost()
+		c.evicted++
 	}
 }
 
 // release abandons an in-flight reservation that never started (queue
-// full): the entry is unregistered so a later submission can retry, and
-// any racer that coalesced onto it in the meantime is resolved with err.
-func (c *resultCache) release(e *cacheEntry, err error) {
+// full), in the Server.mu section that made it, so nobody waits on it;
+// a later submission can retry.
+func (c *resultCache) release(e *cacheEntry) {
 	c.mu.Lock()
-	e.err = err
-	close(e.done)
 	delete(c.entries, e.hash)
 	c.mu.Unlock()
 }

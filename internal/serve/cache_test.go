@@ -95,9 +95,10 @@ func TestResultCacheBudget(t *testing.T) {
 			evicted: 8,
 		},
 		{
-			name:   "failed runs are not retained",
+			name:   "failed runs are kept until reserved again",
 			budget: fits(2, 100),
-			ops:    []cacheOp{{"fail", "a", 0}, {"fail", "b", 0}},
+			ops:    []cacheOp{{"fail", "a", 0}, {"fail", "b", 0}, {"fail", "a", 0}},
+			want:   []string{"a", "b"},
 		},
 		{
 			name:    "an over-budget body is not kept and flushes nothing",
@@ -173,16 +174,16 @@ func seedBody(spec *JobSpec, size int) []byte {
 }
 
 // TestEvictionReleasesBytes floods a daemon whose budget holds a few
-// dozen bodies with more distinct jobs than the record ring holds. The
-// cache must stay inside its budget, the heap must not keep the evicted
-// bodies (a finished record that pinned its body would keep them all),
-// and a record whose body is gone answers 410 and names the spec hash; a
-// resubmission recomputes the same bytes.
+// dozen bodies with thousands of distinct jobs. The cache must stay
+// inside its budget, the heap must not keep the evicted bodies (anything
+// per submission that pinned its body would keep them all), and a spec
+// whose entry is gone answers 404 by hash; a resubmission recomputes the
+// same bytes.
 func TestEvictionReleasesBytes(t *testing.T) {
 	const (
 		bodySize = 32 << 10
 		budget   = 1 << 20
-		n        = jobRecords + 8
+		n        = 4104
 	)
 	s, ts := newTestDaemon(t, Config{Workers: 1, CacheBytes: budget, Exec: func(_ context.Context, spec *JobSpec, _ io.Writer) ([]byte, error) {
 		return seedBody(spec, bodySize), nil
@@ -191,8 +192,8 @@ func TestEvictionReleasesBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	const probe = 100 // recorded to the end, evicted from the cache long before
-	var probeID, probeHash string
+	const probe = 100 // evicted from the cache long before the end
+	var probeHash string
 	var probeBody []byte
 	for i := 0; i < n; i++ {
 		code, hdr, body := submitWait(t, ts.URL, distinctSpec(i))
@@ -200,7 +201,7 @@ func TestEvictionReleasesBytes(t *testing.T) {
 			t.Fatalf("job %d: status %d, %d bytes", i, code, len(body))
 		}
 		if i == probe {
-			probeID, probeHash, probeBody = hdr.Get("X-Job-Id"), hdr.Get("X-Spec-Hash"), body
+			probeHash, probeBody = hdr.Get("X-Spec-Hash"), body
 		}
 	}
 	runtime.GC()
@@ -219,40 +220,40 @@ func TestEvictionReleasesBytes(t *testing.T) {
 	if held > budget {
 		t.Errorf("cache entries hold %d body bytes, budget %d", held, budget)
 	}
-	// Pinned bodies would be n x 32 KB = 131 MB; allow the budget, the
-	// records and their replay buffers.
+	// Pinned bodies would be n x 32 KB = 131 MB; allow the budget and GC
+	// slack.
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 16*budget {
 		t.Errorf("heap grew by %d MB over %d jobs under a %d MB budget", grown>>20, n, budget>>20)
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + probeID + "/result")
+	resp, err := http.Get(ts.URL + "/v1/specs/" + probeHash + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone || resp.Header.Get("X-Spec-Hash") != probeHash {
-		t.Errorf("result of an evicted body: status %d, X-Spec-Hash %q; want 410 and %q", resp.StatusCode, resp.Header.Get("X-Spec-Hash"), probeHash)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("result of an evicted spec: status %d, want 404", resp.StatusCode)
 	}
 	code, hdr, body := submitWait(t, ts.URL, distinctSpec(probe))
 	if code != http.StatusOK || hdr.Get("X-Cache") != "miss" || !bytes.Equal(body, probeBody) {
 		t.Errorf("resubmitting an evicted spec: status %d, X-Cache %q, same bytes %v", code, hdr.Get("X-Cache"), bytes.Equal(body, probeBody))
 	}
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + probeID + "/result")
+	resp, err = http.Get(ts.URL + "/v1/specs/" + probeHash + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
 	got, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, probeBody) {
-		t.Errorf("old record after the resubmission: status %d, same bytes %v", resp.StatusCode, bytes.Equal(got, probeBody))
+		t.Errorf("result by hash after the resubmission: status %d, same bytes %v", resp.StatusCode, bytes.Equal(got, probeBody))
 	}
 }
 
 // TestFinishedJobsHoldNoSpec submits one large spec (a fig3 run with a
 // thousand-event fault schedule, ~49 KB of JSON) many times. Every
-// submission parses its own JobSpec; a finished record that kept it would
-// hold one parsed schedule per record, outside every budget (~170 KB
-// each, ~88 MB here). The record keeps the experiment name and the hash.
+// submission parses its own JobSpec; anything per submission that kept it
+// would hold one parsed schedule each, outside every budget (~170 KB
+// each, ~88 MB here). The entry keeps the experiment name and the hash.
 func TestFinishedJobsHoldNoSpec(t *testing.T) {
 	const n = 512
 	var spec strings.Builder
@@ -283,7 +284,7 @@ func TestFinishedJobsHoldNoSpec(t *testing.T) {
 		t.Fatalf("%d misses, %d completed; want 1 and %d", st.Misses, st.Completed, n)
 	}
 	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 8<<20 {
-		t.Errorf("heap grew by %d MB over %d finished records of one spec", grown>>20, n)
+		t.Errorf("heap grew by %d MB over %d submissions of one spec", grown>>20, n)
 	}
 }
 
@@ -311,6 +312,7 @@ func TestMixedWaveUnderBudget(t *testing.T) {
 	if st.CacheEvicted < distinct-6 || st.CacheBytes > st.CacheBudget {
 		t.Errorf("%d evicted, %d of %d bytes held; want at least %d evictions inside the budget", st.CacheEvicted, st.CacheBytes, st.CacheBudget, distinct-6)
 	}
+	assertOnlyTheCacheHolds(t, s, distinct)
 }
 
 // TestEvictedSpecRecomputesSameBytes: through the real executor, a

@@ -6,9 +6,9 @@ import (
 	"sync"
 )
 
-// Event is one SSE frame: a typed, JSON-bodied message on a job's
-// stream. Types: "queued", "coalesced", "cached", "running", "progress",
-// "run-start", "run-done", "done", "failed", "canceled".
+// Event is one SSE frame: a typed, JSON-bodied message on a run's
+// stream. Types: "queued", "running", "progress", "done", "failed",
+// "canceled".
 type Event struct {
 	Type string
 	Data string // a single-line JSON object (or a quoted string)
@@ -45,47 +45,41 @@ type topic struct {
 	buf     []Event
 	dropped uint64
 	subs    map[*subscriber]struct{}
-	// closed marks a terminal event published; late subscribers get the
-	// full replay and an immediately-closed channel.
-	closed bool
 }
 
-// hub routes per-job event streams: publishers append to a bounded
-// replay buffer and fan out to live subscribers; subscribers get the
-// replay first, then the live channel. All operations share one mutex —
-// event rates here are job-lifecycle scale (a handful per job plus
-// progress ticks), not packet scale.
+// hub routes the event stream of every run in flight, keyed by spec
+// hash: a topic opens when its run is queued and goes with its terminal
+// event, so the hub holds nothing for a resolved spec. Publishers append
+// to a bounded replay buffer and fan out to live subscribers;
+// subscribers get the replay first, then the live channel. All
+// operations share one mutex — event rates here are run-lifecycle scale
+// (a handful per run plus progress ticks), not packet scale.
 type hub struct {
 	mu      sync.Mutex
 	topics  map[string]*topic
 	dropped uint64
-	closed  bool
 }
 
 func newHub() *hub {
 	return &hub{topics: make(map[string]*topic)}
 }
 
-func (h *hub) topicLocked(id string) *topic {
-	t := h.topics[id]
-	if t == nil {
-		t = &topic{subs: make(map[*subscriber]struct{})}
-		h.topics[id] = t
-	}
-	return t
+// open starts the topic of a run that has just been queued.
+func (h *hub) open(key string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.topics[key] = &topic{subs: make(map[*subscriber]struct{})}
 }
 
 // publish appends ev to the topic's replay buffer and offers it to every
-// live subscriber. A terminal event closes the topic: subscriber
-// channels are closed after delivery and later publishes are ignored.
-func (h *hub) publish(id string, ev Event) {
+// live subscriber. A terminal event closes the subscriber channels after
+// delivery and removes the topic. A publish to no open topic, such as a
+// progress line an executor writes after its run returned, is dropped.
+func (h *hub) publish(key string, ev Event) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	t := h.topicLocked(id)
-	if t.closed {
+	t := h.topics[key]
+	if t == nil {
 		return
 	}
 	if len(t.buf) >= replayCap {
@@ -102,67 +96,32 @@ func (h *hub) publish(id string, ev Event) {
 		}
 	}
 	if ev.terminal() {
-		t.closed = true
 		for s := range t.subs {
 			close(s.ch)
 		}
-		t.subs = make(map[*subscriber]struct{})
+		delete(h.topics, key)
 	}
 }
 
-// subscribe returns the replay so far and a live subscription. On a
-// closed topic (terminal event already published, or hub shut down) the
-// returned channel is already closed, so the caller's receive loop ends
-// after the replay.
-func (h *hub) subscribe(id string) (replay []Event, s *subscriber) {
+// subscribe returns the replay so far and a live subscription to key's
+// topic, which must be open.
+func (h *hub) subscribe(key string) (replay []Event, s *subscriber) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	t := h.topicLocked(id)
-	replay = append([]Event(nil), t.buf...)
+	t := h.topics[key]
 	s = &subscriber{ch: make(chan Event, 64)}
-	if t.closed || h.closed {
-		close(s.ch)
-		return replay, s
-	}
 	t.subs[s] = struct{}{}
-	return replay, s
+	return append([]Event(nil), t.buf...), s
 }
 
 // unsubscribe detaches s (no-op if the topic already closed it).
-func (h *hub) unsubscribe(id string, s *subscriber) {
+func (h *hub) unsubscribe(key string, s *subscriber) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if t := h.topics[id]; t != nil {
+	if t := h.topics[key]; t != nil {
 		if _, ok := t.subs[s]; ok {
 			delete(t.subs, s)
 			close(s.ch)
-		}
-	}
-}
-
-// drop forgets a topic's replay buffer (called when its job is evicted).
-func (h *hub) drop(id string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	delete(h.topics, id)
-}
-
-// close shuts every stream down: all subscriber channels close, further
-// publishes and subscriptions find a closed hub.
-func (h *hub) close() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.closed = true
-	for _, t := range h.topics {
-		if !t.closed {
-			t.closed = true
-			for s := range t.subs {
-				close(s.ch)
-			}
-			t.subs = make(map[*subscriber]struct{})
 		}
 	}
 }

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -28,6 +31,28 @@ func blockingExec(started chan<- string, release <-chan struct{}) ExecFunc {
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// openTopics counts the hub's topics: one per run in flight.
+func openTopics(s *Server) int {
+	s.hub.mu.Lock()
+	defer s.hub.mu.Unlock()
+	return len(s.hub.topics)
+}
+
+// getJSON GETs url and decodes its JSON body into v, returning the
+// status code.
+func getJSON(t *testing.T, url string, v any) int {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	return resp.StatusCode
 }
 
 // distinctSpec makes the i-th semantically distinct submission.
@@ -145,6 +170,9 @@ func TestShutdownCancelsInFlight(t *testing.T) {
 			t.Errorf("waiter %d: got %d, want 503", i, code)
 		}
 	}
+	if n := openTopics(s); n != 0 {
+		t.Errorf("%d event topics open after Close, want 0", n)
+	}
 
 	// All workers and handlers drained: goroutine count returns to
 	// baseline (slack for the test server's own pool).
@@ -224,53 +252,110 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 }
 
-// TestJobRecordEviction: finished-job metadata is bounded; old records
-// (and their SSE replay buffers) fall off while the result cache still
-// serves by spec hash.
-func TestJobRecordEviction(t *testing.T) {
-	body := []byte(`{"ok":true}`)
-	exec := func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
-		return body, nil
-	}
-	// A budget that holds every body of the flood: the record ring is the
-	// only bound in play.
-	s := New(Config{Workers: 1, CacheBytes: (jobRecords + 8) * int64(len(body)+entryOverhead), Exec: exec})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	defer s.Close()
+// specStatus is the body of GET /v1/specs/{hash}.
+type specStatus struct {
+	State       string
+	Submissions uint64
+	Error       string
+	ResultURL   string `json:"result_url"`
+}
 
-	var firstID, firstHash string
-	for i := 0; i < jobRecords+8; i++ {
-		resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(distinctSpec(i)))
+// TestSpecStatusFollowsTheEntry: the status at /v1/specs/{hash} is the
+// cache entry's — queued, running, then done for a run and its coalesced
+// twin together, and failed with the error until a resubmission replaces
+// the entry.
+func TestSpecStatusFollowsTheEntry(t *testing.T) {
+	started := make(chan string, 1)
+	unblock, release := make(chan struct{}), make(chan struct{})
+	blocker, block := blockingExec(started, unblock), blockingExec(started, release)
+	var calls atomic.Int32
+	exec := func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
+		switch {
+		case spec.Seed == 10:
+			return blocker(ctx, spec, progress)
+		case spec.Seed == 2 && calls.Add(1) == 1:
+			return nil, errors.New("transient failure")
+		}
+		return block(ctx, spec, progress)
+	}
+	// One worker busy with a blocker keeps the next run queued.
+	s, ts := newTestDaemon(t, Config{Workers: 1, Exec: exec})
+	submit := func(spec string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
-		if i == 0 {
-			firstID, firstHash = resp.Header.Get("X-Job-Id"), resp.Header.Get("X-Spec-Hash")
+		return resp
+	}
+	status := func(hash string) specStatus {
+		t.Helper()
+		var st specStatus
+		if code := getJSON(t, ts.URL+"/v1/specs/"+hash, &st); code != http.StatusOK {
+			t.Fatalf("status of %s: %d", hash, code)
+		}
+		return st
+	}
+
+	submit(distinctSpec(9)) // occupies the worker
+	<-started
+	resp := submit(distinctSpec(0))
+	hash := resp.Header.Get("X-Spec-Hash")
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Cache") != "miss" {
+		t.Fatalf("submit: %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	if st := status(hash); st.State != "queued" {
+		t.Errorf("behind a busy worker: state %q, want queued", st.State)
+	}
+	close(unblock)
+	<-started
+	if st := status(hash); st.State != "running" {
+		t.Errorf("started: state %q, want running", st.State)
+	}
+	twin := submit(distinctSpec(0))
+	if twin.StatusCode != http.StatusAccepted || twin.Header.Get("X-Cache") != "coalesced" || twin.Header.Get("X-Spec-Hash") != hash {
+		t.Errorf("identical submit: %d, X-Cache %q, hash %q; want 202, coalesced, %q", twin.StatusCode, twin.Header.Get("X-Cache"), twin.Header.Get("X-Spec-Hash"), hash)
+	}
+	close(release)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := status(hash)
+		if st.State == "done" {
+			if st.ResultURL != "/v1/specs/"+hash+"/result" || st.Submissions != 2 {
+				t.Errorf("done: result_url %q, %d submissions; want the hash's result and 2", st.ResultURL, st.Submissions)
+			}
+			break
+		}
+		if st.State != "running" || time.Now().After(deadline) {
+			t.Fatalf("state %q, want running until done", st.State)
 		}
 	}
-	s.mu.Lock()
-	records := len(s.jobs)
-	s.mu.Unlock()
-	if records > jobRecords {
-		t.Errorf("job records not bounded: %d > %d", records, jobRecords)
+	if st := s.snapshot(); st.Completed != 3 || st.Misses != 2 || st.Coalesced != 1 {
+		t.Errorf("%d completed, %d misses, %d coalesced; want 3 (the blocker, the run and its twin), 2 and 1", st.Completed, st.Misses, st.Coalesced)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + firstID)
-	if err != nil {
-		t.Fatal(err)
+
+	// Seed 2 fails once: the entry reads failed with the error until the
+	// spec is submitted again.
+	code, hdr, _ := submitWait(t, ts.URL, distinctSpec(1))
+	failed := hdr.Get("X-Spec-Hash")
+	if code != http.StatusInternalServerError {
+		t.Fatalf("failing run: %d, want 500", code)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("evicted job status: got %d, want 404", resp.StatusCode)
+	if st := status(failed); st.State != "failed" || st.Error != "transient failure" {
+		t.Errorf("failed run: state %q, error %q", st.State, st.Error)
 	}
-	resp, err = http.Get(ts.URL + "/v1/specs/" + firstHash + "/result")
-	if err != nil {
-		t.Fatal(err)
+	var body struct{ Error string }
+	if code := getJSON(t, ts.URL+"/v1/specs/"+failed+"/result", &body); code != http.StatusInternalServerError || body.Error != "transient failure" {
+		t.Errorf("result of a failed run: %d %q, want 500 and its error", code, body.Error)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("evicted job's cached result: got %d, want 200", resp.StatusCode)
+	if code, hdr, _ := submitWait(t, ts.URL, distinctSpec(1)); code != http.StatusOK || hdr.Get("X-Cache") != "miss" {
+		t.Errorf("resubmitting a failed spec: %d, X-Cache %q; want 200 miss", code, hdr.Get("X-Cache"))
+	}
+	if st := status(failed); st.State != "done" || st.Error != "" {
+		t.Errorf("after the resubmission: state %q, error %q", st.State, st.Error)
+	}
+	if n := openTopics(s); n != 0 {
+		t.Errorf("%d event topics open with nothing in flight", n)
 	}
 }

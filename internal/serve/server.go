@@ -32,69 +32,8 @@ type Config struct {
 	Exec ExecFunc
 }
 
-// jobRecords bounds the finished-job metadata (and SSE replay buffers) a
-// Server retains. A record names its result by spec hash and holds no
-// bytes: the cache's budget alone decides how long a body lives, so a
-// record may outlive its result (410 Gone) or the result its record.
-const jobRecords = 4096
-
-// errShutdown resolves jobs orphaned by a daemon shutdown.
+// errShutdown resolves runs orphaned by a daemon shutdown.
 var errShutdown = errors.New("serve: daemon shutting down")
-
-// job is one submission's lifecycle record. The result itself lives in
-// the cache under hash, and the parsed spec travels to the worker on the
-// queued item, so a finished record holds neither: it carries identity
-// and state.
-type job struct {
-	id   string
-	exp  string
-	hash string
-	// cache is how this submission met the cache: "miss" (this job's
-	// run produced the entry), "coalesced" (attached to an in-flight
-	// twin), or "hit" (served from a completed entry).
-	cache string
-
-	mu        sync.Mutex
-	state     string // queued | running | done | failed | canceled
-	errMsg    string
-	submitted time.Time
-	finished  time.Time
-}
-
-func (j *job) setState(state, errMsg string) {
-	j.mu.Lock()
-	j.state = state
-	if errMsg != "" {
-		j.errMsg = errMsg
-	}
-	if state == "done" || state == "failed" || state == "canceled" {
-		j.finished = time.Now()
-	}
-	j.mu.Unlock()
-}
-
-// view renders the status JSON under the job's lock.
-func (j *job) view() map[string]interface{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := map[string]interface{}{
-		"id":    j.id,
-		"hash":  j.hash,
-		"exp":   j.exp,
-		"state": j.state,
-		"cache": j.cache,
-	}
-	if j.errMsg != "" {
-		v["error"] = j.errMsg
-	}
-	if !j.finished.IsZero() {
-		v["wall_ms"] = float64(j.finished.Sub(j.submitted).Microseconds()) / 1000
-	}
-	if j.state == "done" {
-		v["result_url"] = "/v1/jobs/" + j.id + "/result"
-	}
-	return v
-}
 
 // Server is the simulation-as-a-service daemon core: HTTP handlers in
 // front of a bounded job queue, a worker pool, the spec-hash result
@@ -114,14 +53,10 @@ type Server struct {
 	cache *resultCache
 	mux   *http.ServeMux
 
-	mu        sync.Mutex
-	closed    bool
-	jobs      map[string]*job
-	doneOrder []string // finished job ids, oldest first, for record eviction
-	nextID    uint64
-	// attached maps an in-flight entry to every job waiting on it (the
-	// owning "miss" job first); resolved and published together.
-	attached map[*cacheEntry][]*job
+	// mu serialises submissions, run starts and finishes, and guards
+	// every cache entry's state and subs; it is taken before cache.mu.
+	mu     sync.Mutex
+	closed bool
 
 	histMu  sync.Mutex
 	latency *obs.Hist // completed-run wall time, microseconds
@@ -136,17 +71,16 @@ type Server struct {
 	coalesced uint64
 	misses    uint64
 	inflight  int64
-	// pending counts enqueued-but-unresolved owning jobs. Unlike
+	// pending counts enqueued-but-unresolved runs. Unlike
 	// inflight it is incremented at enqueue time, so the dequeue-to-run
 	// handoff window is covered and Shutdown's drain poll cannot fire
 	// between a worker taking a job and starting it.
 	pending int64
 }
 
-// queued is an owning ("miss") job on its way to a worker, with the spec
-// it runs and the in-flight entry its run resolves.
+// queued is a run on its way to a worker: the spec it runs and the
+// in-flight entry it resolves.
 type queued struct {
-	j     *job
 	spec  *JobSpec
 	entry *cacheEntry
 }
@@ -179,16 +113,13 @@ func New(cfg Config) *Server {
 		queue:       make(chan queued, queueCap),
 		hub:         newHub(),
 		cache:       newResultCache(cacheBytes),
-		jobs:        make(map[string]*job),
-		attached:    make(map[*cacheEntry][]*job),
 		latency:     obs.NewHist(),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/specs/{hash}/result", s.handleSpecResult)
+	s.mux.HandleFunc("GET /v1/specs/{hash}", s.handleStatus)
+	s.mux.HandleFunc("GET /v1/specs/{hash}/result", s.handleResult)
+	s.mux.HandleFunc("GET /v1/specs/{hash}/events", s.handleEvents)
 	s.mux.HandleFunc("GET /v1/exps", s.handleExps)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -231,9 +162,9 @@ wait:
 }
 
 // Close stops the daemon immediately: the run context is canceled (the
-// executor stops at its next run boundary), workers are joined, jobs
-// still in the queue are resolved as canceled so no waiter hangs, and
-// every SSE stream is closed.
+// executor stops at its next run boundary), workers are joined, and runs
+// still in the queue are resolved as canceled, so no waiter hangs and
+// every SSE stream ends on its terminal event.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed && s.ctx.Err() != nil {
@@ -250,9 +181,8 @@ func (s *Server) Close() {
 		select {
 		case q := <-s.queue:
 			atomic.AddInt64(&s.pending, -1)
-			s.finishEntry(q.entry, nil, errShutdown, 0, true)
+			s.finish(q.entry, nil, errShutdown, 0, true)
 		default:
-			s.hub.close()
 			return
 		}
 	}
@@ -265,22 +195,23 @@ func (s *Server) worker() {
 		case <-s.ctx.Done():
 			return
 		case q := <-s.queue:
-			s.runJob(q)
+			s.run(q)
 		}
 	}
 }
 
-// runJob executes one owning ("miss") job and resolves everyone
-// attached to its cache entry.
-func (s *Server) runJob(q queued) {
-	j := q.j
+// run executes one queued spec and resolves its entry.
+func (s *Server) run(q queued) {
+	e := q.entry
 	atomic.AddInt64(&s.inflight, 1)
 	defer atomic.AddInt64(&s.inflight, -1)
 	defer atomic.AddInt64(&s.pending, -1)
-	j.setState("running", "")
-	s.hub.publish(j.id, Event{"running", fmt.Sprintf(`{"id":%q,"hash":%q}`, j.id, j.hash)})
+	s.mu.Lock()
+	e.state = "running"
+	s.hub.publish(e.hash, Event{"running", fmt.Sprintf(`{"hash":%q}`, e.hash)})
+	s.mu.Unlock()
 	start := time.Now()
-	pw := &progressWriter{hub: s.hub, id: j.id}
+	pw := &progressWriter{hub: s.hub, key: e.hash}
 	b, err := s.exec(s.ctx, q.spec, pw)
 	pw.flush()
 	wall := time.Since(start)
@@ -290,61 +221,41 @@ func (s *Server) runJob(q queued) {
 		s.histMu.Unlock()
 	}
 	canceled := err != nil && (errors.Is(err, context.Canceled) || s.ctx.Err() != nil)
-	s.finishEntry(q.entry, b, err, wall, canceled)
+	s.finish(e, b, err, wall, canceled)
 }
 
-// finishEntry resolves entry and every job attached to it (owner
-// included): result bytes into the cache, then states, counters, SSE
-// streams and the finished-job ring. All of it is one s.mu section.
-// Completing the entry wakes its ?wait=1 clients, and whatever such a
-// client does next (submit again, fetch its job) goes through s.mu, so
-// it cannot see a job that has finished but is not yet recorded — the
-// window that let the record ring read one past its cap.
-func (s *Server) finishEntry(entry *cacheEntry, b []byte, err error, wall time.Duration, canceled bool) {
+// finish resolves entry in one s.mu section: its state, the result into
+// the cache, the counters for every submission it answers, and the
+// terminal event that closes its stream. Completing the entry wakes its
+// ?wait=1 clients, and whatever such a client reads next of the entry's
+// state goes through s.mu, so it cannot see a resolved entry that still
+// reads running.
+func (s *Server) finish(e *cacheEntry, b []byte, err error, wall time.Duration, canceled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	jobs := s.attached[entry]
-	delete(s.attached, entry)
-	s.cache.complete(entry, b, err, wall)
-	state := "done"
-	errMsg := ""
+	counter := &s.completed
 	switch {
 	case canceled:
-		state, errMsg = "canceled", errShutdown.Error()
-		if err != nil {
-			errMsg = err.Error()
-		}
+		e.state, counter = "canceled", &s.canceled
 	case err != nil:
-		state, errMsg = "failed", err.Error()
+		e.state, counter = "failed", &s.failed
+	default:
+		e.state = "done"
 	}
-	for _, j := range jobs {
-		j.setState(state, errMsg)
-		switch state {
-		case "done":
-			atomic.AddUint64(&s.completed, 1)
-		case "failed":
-			atomic.AddUint64(&s.failed, 1)
-		default:
-			atomic.AddUint64(&s.canceled, 1)
-		}
-		data := fmt.Sprintf(`{"id":%q,"hash":%q,"state":%q,"wall_ms":%.3f,"bytes":%d,"error":%s}`,
-			j.id, j.hash, state, float64(entry.wall.Microseconds())/1000, len(entry.bytes), mustJSON(errMsg))
-		s.hub.publish(j.id, Event{state, data})
-		s.recordFinishedLocked(j.id)
-	}
+	s.cache.complete(e, b, err, wall)
+	atomic.AddUint64(counter, e.subs)
+	s.hub.publish(e.hash, terminalEvent(e))
 }
 
-// recordFinishedLocked (s.mu held) appends a finished job to the ring
-// and evicts the oldest records (and their SSE replay buffers) past the
-// cap.
-func (s *Server) recordFinishedLocked(id string) {
-	s.doneOrder = append(s.doneOrder, id)
-	for len(s.doneOrder) > 0 && len(s.jobs) > jobRecords {
-		old := s.doneOrder[0]
-		s.doneOrder = s.doneOrder[1:]
-		delete(s.jobs, old)
-		s.hub.drop(old)
+// terminalEvent is a resolved entry's last event: the one a live stream
+// ends on and all a late subscriber gets.
+func terminalEvent(e *cacheEntry) Event {
+	errMsg := ""
+	if e.err != nil {
+		errMsg = e.err.Error()
 	}
+	return Event{e.state, fmt.Sprintf(`{"hash":%q,"state":%q,"wall_ms":%.3f,"bytes":%d,"error":%s}`,
+		e.hash, e.state, float64(e.wall.Microseconds())/1000, len(e.bytes), mustJSON(errMsg))}
 }
 
 // retryAfterSeconds estimates the queue drain time for the Retry-After
@@ -370,7 +281,7 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 // handleSubmit accepts a spec, canonicalizes and hashes it, and either
-// serves it from cache, coalesces it onto an identical in-flight job, or
+// serves it from cache, coalesces it onto an identical in-flight run, or
 // enqueues it. ?wait=1 blocks until the result is ready and returns the
 // result bytes directly (the load harness path).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -393,20 +304,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, errShutdown)
 		return
 	}
-	entry, created := s.cache.reserve(hash)
-	s.nextID++
-	j := &job{
-		id: fmt.Sprintf("j%08d", s.nextID), exp: spec.Exp, hash: hash,
-		submitted: time.Now(), state: "queued",
-	}
-	s.jobs[j.id] = j
+	e, created := s.cache.reserve(hash)
 	atomic.AddUint64(&s.submitted, 1)
+	var cache string
 	switch {
 	case created && len(s.queue) == cap(s.queue):
-		// Backpressure: undo the reservation and the job record, and
-		// tell the client when the queue should have drained.
-		delete(s.jobs, j.id)
-		s.cache.release(entry, errors.New("serve: queue full"))
+		// Backpressure: undo the reservation and tell the client when
+		// the queue should have drained.
+		s.cache.release(e)
 		atomic.AddUint64(&s.rejected, 1)
 		retry := s.retryAfterSeconds()
 		s.mu.Unlock()
@@ -415,162 +320,147 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("serve: job queue full (%d queued); retry after %ds", s.queueCap, retry))
 		return
 	case created:
-		// A worker owns j from the moment it is sent, so everything the
-		// worker reads (j.cache) or follows ("queued" before its
-		// "running") is settled first. s.mu serialises senders and
-		// workers only drain, so the room checked above is still there
-		// and the send cannot block.
-		j.cache = "miss"
+		// The run's stream opens with its "queued" before a worker can
+		// publish "running". s.mu serialises senders and workers only
+		// drain, so the room checked above is still there and the send
+		// cannot block.
+		cache = "miss"
+		e.exp, e.state, e.subs = spec.Exp, "queued", 1
 		atomic.AddInt64(&s.pending, 1)
 		atomic.AddUint64(&s.misses, 1)
-		s.attached[entry] = append(s.attached[entry], j)
-		s.hub.publish(j.id, Event{"queued", fmt.Sprintf(`{"id":%q,"hash":%q,"cache":"miss","queue_depth":%d}`, j.id, j.hash, len(s.queue)+1)})
-		s.queue <- queued{j, spec, entry}
-	case entry.completed():
-		// A failed entry leaves the map in the critical section that
-		// resolves it, so a completed entry reserve returns succeeded.
-		j.cache = "hit"
+		s.hub.open(hash)
+		s.hub.publish(hash, Event{"queued", fmt.Sprintf(`{"hash":%q,"exp":%q,"queue_depth":%d}`, hash, e.exp, len(s.queue)+1)})
+		s.queue <- queued{spec, e}
+	case e.completed():
+		cache = "hit"
+		e.subs++
 		atomic.AddUint64(&s.warmHits, 1)
-		j.state = "done"
-		j.finished = time.Now()
 		atomic.AddUint64(&s.completed, 1)
-		s.hub.publish(j.id, Event{"cached", fmt.Sprintf(`{"id":%q,"hash":%q}`, j.id, j.hash)})
-		s.hub.publish(j.id, Event{"done", fmt.Sprintf(`{"id":%q,"hash":%q,"state":"done","cache":"hit","bytes":%d}`, j.id, j.hash, len(entry.bytes))})
-		s.recordFinishedLocked(j.id)
 	default:
-		j.cache = "coalesced"
+		cache = "coalesced"
+		e.subs++
 		atomic.AddUint64(&s.coalesced, 1)
-		s.attached[entry] = append(s.attached[entry], j)
-		s.hub.publish(j.id, Event{"coalesced", fmt.Sprintf(`{"id":%q,"hash":%q}`, j.id, j.hash)})
 	}
+	state := e.state
 	s.mu.Unlock()
 
 	if r.URL.Query().Get("wait") != "" {
-		s.waitAndServeResult(w, r, j, entry)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Job-Id", j.id)
-	w.Header().Set("X-Spec-Hash", j.hash)
-	w.Header().Set("X-Cache", j.cache)
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(j.view()) //nolint:errcheck
-}
-
-// waitAndServeResult blocks until the job's entry resolves, then serves
-// the result bytes (or the error). The request holds the entry only
-// until it has written it, so an eviction meanwhile costs it nothing.
-func (s *Server) waitAndServeResult(w http.ResponseWriter, r *http.Request, j *job, entry *cacheEntry) {
-	select {
-	case <-entry.done:
-	case <-r.Context().Done():
-		writeErr(w, http.StatusRequestTimeout, r.Context().Err())
-		return
-	}
-	s.serveEntry(w, entry, j)
-}
-
-// serveEntry writes a resolved entry's bytes or error. j, when non-nil,
-// contributes the identity headers.
-func (s *Server) serveEntry(w http.ResponseWriter, entry *cacheEntry, j *job) {
-	if j != nil {
-		w.Header().Set("X-Job-Id", j.id)
-		w.Header().Set("X-Cache", j.cache)
-	}
-	w.Header().Set("X-Spec-Hash", entry.hash)
-	if entry.err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(entry.err, errShutdown) || errors.Is(entry.err, context.Canceled) {
-			code = http.StatusServiceUnavailable
-		}
-		writeErr(w, code, entry.err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(entry.bytes)))
-	w.Write(entry.bytes) //nolint:errcheck
-}
-
-func (s *Server) lookupJob(id string) *job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, errors.New("serve: unknown job"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(j.view()) //nolint:errcheck
-}
-
-// handleResult serves a finished job's body from the cache by its spec
-// hash. The record holds no bytes, so a done job whose body the budget
-// has dropped answers 410 Gone: the hash is in the header and a
-// resubmission recomputes the same bytes.
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, errors.New("serve: unknown job"))
-		return
-	}
-	j.mu.Lock()
-	state, errMsg := j.state, j.errMsg
-	j.mu.Unlock()
-	w.Header().Set("X-Spec-Hash", j.hash)
-	switch state {
-	case "done":
-		entry := s.cache.lookup(j.hash)
-		if entry == nil || !entry.completed() {
-			writeErr(w, http.StatusGone, fmt.Errorf("serve: result of job %s left the cache; resubmit the spec", j.id))
+		select {
+		case <-e.done:
+		case <-r.Context().Done():
+			writeErr(w, http.StatusRequestTimeout, r.Context().Err())
 			return
 		}
-		s.serveEntry(w, entry, j)
+		// The request holds the entry only until it has written it, so an
+		// eviction meanwhile costs it nothing.
+		s.serveEntry(w, e, cache)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Spec-Hash", hash)
+	w.Header().Set("X-Cache", cache)
+	w.WriteHeader(http.StatusAccepted)
+	fmt.Fprintf(w, `{"hash":%q,"exp":%q,"state":%q,"cache":%q}`+"\n", hash, e.exp, state, cache) //nolint:errcheck
+}
+
+// serveEntry writes a resolved entry's bytes or its run's error. cache,
+// when set, is how this submission met the cache.
+func (s *Server) serveEntry(w http.ResponseWriter, e *cacheEntry, cache string) {
+	if cache != "" {
+		w.Header().Set("X-Cache", cache)
+	}
+	w.Header().Set("X-Spec-Hash", e.hash)
+	switch e.state {
 	case "failed":
-		writeErr(w, http.StatusInternalServerError, errors.New(errMsg))
+		writeErr(w, http.StatusInternalServerError, e.err)
 	case "canceled":
-		writeErr(w, http.StatusServiceUnavailable, errors.New(errMsg))
+		writeErr(w, http.StatusServiceUnavailable, e.err)
 	default:
-		writeErr(w, http.StatusConflict, fmt.Errorf("serve: job %s not finished (state %s)", j.id, state))
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(e.bytes)))
+		w.Write(e.bytes) //nolint:errcheck
 	}
 }
 
-func (s *Server) handleSpecResult(w http.ResponseWriter, r *http.Request) {
-	entry := s.cache.lookup(r.PathValue("hash"))
-	if entry == nil || !entry.completed() || entry.err != nil {
-		writeErr(w, http.StatusNotFound, errors.New("serve: no cached result for spec"))
+// handleStatus reports a spec's entry: its state, how many submissions
+// it has answered and, once resolved, the run's wall time and the result
+// or error.
+func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	e := s.cache.lookup(r.PathValue("hash"))
+	var v map[string]interface{}
+	if e != nil {
+		v = map[string]interface{}{"hash": e.hash, "exp": e.exp, "state": e.state, "submissions": e.subs}
+		if e.completed() {
+			v["wall_ms"] = float64(e.wall.Microseconds()) / 1000
+			if e.err != nil {
+				v["error"] = e.err.Error()
+			} else {
+				v["result_url"] = "/v1/specs/" + e.hash + "/result"
+			}
+		}
+	}
+	s.mu.Unlock()
+	if e == nil {
+		writeErr(w, http.StatusNotFound, errors.New("serve: no entry for spec; submit it"))
 		return
 	}
-	s.serveEntry(w, entry, nil)
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v) //nolint:errcheck
 }
 
-// handleEvents streams a job's SSE feed: the replay buffer first, then
-// live events until a terminal event, client disconnect, or shutdown.
+// handleResult serves a resolved spec's body, or its run's error. A spec
+// whose entry the budget has dropped answers 404: a resubmission
+// recomputes the same bytes.
+func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	e := s.cache.lookup(r.PathValue("hash"))
+	switch {
+	case e == nil:
+		writeErr(w, http.StatusNotFound, errors.New("serve: no entry for spec; submit it"))
+	case !e.completed():
+		writeErr(w, http.StatusConflict, errors.New("serve: the spec's run is still in flight"))
+	default:
+		s.serveEntry(w, e, "")
+	}
+}
+
+// handleEvents streams a spec's SSE feed. For a run in flight that is the
+// replay buffer, then live events until the terminal event, client
+// disconnect or shutdown; for a resolved spec, its terminal event alone.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookupJob(r.PathValue("id"))
-	if j == nil {
-		writeErr(w, http.StatusNotFound, errors.New("serve: unknown job"))
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeErr(w, http.StatusInternalServerError, errors.New("serve: streaming unsupported"))
 		return
 	}
+	hash := r.PathValue("hash")
+	s.mu.Lock()
+	e := s.cache.lookup(hash)
+	var (
+		replay []Event
+		sub    *subscriber
+	)
+	if e != nil && !e.completed() {
+		// The topic lives until finish publishes the terminal event,
+		// which takes s.mu: it is open here.
+		replay, sub = s.hub.subscribe(hash)
+	}
+	s.mu.Unlock()
+	if e == nil {
+		writeErr(w, http.StatusNotFound, errors.New("serve: no entry for spec; submit it"))
+		return
+	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
-	replay, sub := s.hub.subscribe(j.id)
-	defer s.hub.unsubscribe(j.id, sub)
+	if sub == nil {
+		io.WriteString(w, terminalEvent(e).sse()) //nolint:errcheck
+		fl.Flush()
+		return
+	}
+	defer s.hub.unsubscribe(hash, sub)
 	for _, ev := range replay {
 		io.WriteString(w, ev.sse()) //nolint:errcheck
-		if ev.terminal() {
-			fl.Flush()
-			return
-		}
 	}
 	fl.Flush()
 	for {
@@ -749,10 +639,10 @@ func mustJSON(s string) string {
 }
 
 // progressWriter splits the simulator's progress stream into lines and
-// publishes each as an SSE progress event on the job's topic.
+// publishes each as an SSE progress event on the run's topic.
 type progressWriter struct {
 	hub *hub
-	id  string
+	key string
 	mu  sync.Mutex
 	buf []byte
 }
@@ -774,7 +664,7 @@ func (p *progressWriter) Write(b []byte) (int, error) {
 		line := string(p.buf[:i])
 		p.buf = p.buf[i+1:]
 		if line != "" {
-			p.hub.publish(p.id, Event{"progress", mustJSON(line)})
+			p.hub.publish(p.key, Event{"progress", mustJSON(line)})
 		}
 	}
 	p.mu.Unlock()
@@ -785,7 +675,7 @@ func (p *progressWriter) Write(b []byte) (int, error) {
 func (p *progressWriter) flush() {
 	p.mu.Lock()
 	if len(p.buf) > 0 {
-		p.hub.publish(p.id, Event{"progress", mustJSON(string(p.buf))})
+		p.hub.publish(p.key, Event{"progress", mustJSON(string(p.buf))})
 		p.buf = nil
 	}
 	p.mu.Unlock()

@@ -139,9 +139,9 @@ func TestEndToEndDeterminism(t *testing.T) {
 	}
 }
 
-// TestAsyncLifecycle exercises the poll path: 202 on submit, status
-// transitions to done, result served, spec-hash endpoint serves the
-// same bytes.
+// TestAsyncLifecycle exercises the poll path: 202 on submit, the spec's
+// status transitions to done, and its result URL serves the bytes a
+// blocking resubmission gets from the cache.
 func TestAsyncLifecycle(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{Workers: 2})
 
@@ -154,53 +154,33 @@ func TestAsyncLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
-	id := resp.Header.Get("X-Job-Id")
 	hash := resp.Header.Get("X-Spec-Hash")
-	if id == "" || hash == "" {
-		t.Fatalf("missing identity headers: id=%q hash=%q", id, hash)
+	if hash == "" {
+		t.Fatal("missing X-Spec-Hash")
 	}
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := http.Get(ts.URL + "/v1/jobs/" + id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(st.Body)
-		st.Body.Close()
-		if strings.Contains(string(b), `"state":"done"`) {
-			break
-		}
-		if strings.Contains(string(b), `"state":"failed"`) {
-			t.Fatalf("job failed: %s", b)
+	var st specStatus
+	for deadline := time.Now().Add(10 * time.Second); st.State != "done"; time.Sleep(10 * time.Millisecond) {
+		if getJSON(t, ts.URL+"/v1/specs/"+hash, &st); st.State == "failed" {
+			t.Fatalf("run failed: %s", st.Error)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: %s", b)
+			t.Fatalf("run never finished: state %q", st.State)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
-	r1, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
+	r1, err := http.Get(ts.URL + st.ResultURL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b1, _ := io.ReadAll(r1.Body)
 	r1.Body.Close()
 	if r1.StatusCode != http.StatusOK || len(b1) == 0 {
-		t.Fatalf("result: %d (%d bytes)", r1.StatusCode, len(b1))
+		t.Fatalf("result at %q: %d (%d bytes)", st.ResultURL, r1.StatusCode, len(b1))
 	}
-
-	r2, err := http.Get(ts.URL + "/v1/specs/" + hash + "/result")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, _ := io.ReadAll(r2.Body)
-	r2.Body.Close()
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("spec result: %d", r2.StatusCode)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("/v1/jobs/{id}/result and /v1/specs/{hash}/result disagree")
+	code, hdr, b2 := submitWait(t, ts.URL, shortSpec)
+	if code != http.StatusOK || hdr.Get("X-Cache") != "hit" || !bytes.Equal(b1, b2) {
+		t.Fatalf("resubmission: %d, X-Cache %q, same bytes as the result URL %v", code, hdr.Get("X-Cache"), bytes.Equal(b1, b2))
 	}
 }
 
@@ -402,5 +382,19 @@ func TestMixedWave(t *testing.T) {
 	}
 	if st.Failed != 0 || st.Misses != n/3+4 {
 		t.Errorf("%d failed, %d misses; want 0 and %d (one per distinct spec)", st.Failed, st.Misses, n/3+4)
+	}
+	assertOnlyTheCacheHolds(t, s, n/3+4)
+}
+
+// assertOnlyTheCacheHolds requires that, with nothing in flight, the
+// daemon keeps per-spec state in the cache alone: no event topic is
+// open and the live entries are at most the distinct specs submitted.
+func assertOnlyTheCacheHolds(t *testing.T, s *Server, distinct int) {
+	t.Helper()
+	if n := openTopics(s); n != 0 {
+		t.Errorf("%d event topics open with nothing in flight", n)
+	}
+	if live := s.snapshot().CacheLive; live > distinct {
+		t.Errorf("%d live cache entries for %d distinct specs", live, distinct)
 	}
 }

@@ -53,10 +53,9 @@ func TestSSELifecycle(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
-	id := resp.Header.Get("X-Job-Id")
 
 	// Subscribe while the job is still parked, then let it run.
-	es, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	es, err := http.Get(ts.URL + "/v1/specs/" + resp.Header.Get("X-Spec-Hash") + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,8 +97,8 @@ func idxOf(ss []string, want string) int {
 	return len(ss)
 }
 
-// TestSSELateSubscriber: a subscriber arriving after the job finished
-// still gets the full replay ending in the terminal event.
+// TestSSELateSubscriber: a subscriber arriving after the run finished
+// gets its terminal event alone, and the finished run keeps no topic.
 func TestSSELateSubscriber(t *testing.T) {
 	exec := func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
 		fmt.Fprintln(progress, "tick")
@@ -114,9 +113,8 @@ func TestSSELateSubscriber(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("submit: %d", code)
 	}
-	id := hdr.Get("X-Job-Id")
 
-	es, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+	es, err := http.Get(ts.URL + "/v1/specs/" + hdr.Get("X-Spec-Hash") + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +123,14 @@ func TestSSELateSubscriber(t *testing.T) {
 	go func() { done <- readSSETypes(t, es.Body) }()
 	select {
 	case types := <-done:
-		joined := strings.Join(types, ",")
-		for _, w := range []string{"queued", "running", "progress", "done"} {
-			if !strings.Contains(joined, w) {
-				t.Errorf("late replay %q missing %q", joined, w)
-			}
+		if joined := strings.Join(types, ","); joined != "done" {
+			t.Errorf("late stream %q, want done alone", joined)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("late subscriber's stream never closed")
+	}
+	if n := openTopics(s); n != 0 {
+		t.Errorf("%d event topics open after the run finished", n)
 	}
 }
 
@@ -140,6 +138,7 @@ func TestSSELateSubscriber(t *testing.T) {
 // and keeps counting.
 func TestHubReplayBound(t *testing.T) {
 	h := newHub()
+	h.open("t")
 	for i := 0; i < replayCap+50; i++ {
 		h.publish("t", Event{"progress", fmt.Sprintf(`{"i":%d}`, i)})
 	}
@@ -163,6 +162,7 @@ func TestHubReplayBound(t *testing.T) {
 // (counted) but never blocks the publisher.
 func TestHubSlowSubscriber(t *testing.T) {
 	h := newHub()
+	h.open("t")
 	_, sub := h.subscribe("t")
 	defer h.unsubscribe("t", sub)
 	donePub := make(chan struct{})
