@@ -208,15 +208,15 @@ func main() {
 	if quiet {
 		out = os.Stderr
 	}
-	var results []*exp.Result
-	if sc.Battery {
-		// The one scenario whose run also yields an oracle report.
-		report, rs := exp.AdversarialReport(p)
-		printOracle(out, report, *oracleOut)
-		results = rs
-	} else {
-		results = sc.Run(p)
-	}
+	results := runOrDie(func() []*exp.Result {
+		if sc.Battery {
+			// The one scenario whose run also yields an oracle report.
+			report, rs := exp.AdversarialReport(p)
+			printOracle(out, report, *oracleOut)
+			return rs
+		}
+		return sc.Run(p)
+	})
 	stopProfile()
 	for _, res := range results {
 		if !quiet {
@@ -275,6 +275,21 @@ func main() {
 	}
 }
 
+// runOrDie runs fn and exits 2 with the message if the run panics with
+// an *exp.InputError (input that parsed but does not fit the run); any
+// other panic goes on with its stack.
+func runOrDie(fn func() []*exp.Result) []*exp.Result {
+	defer func() {
+		if v := recover(); v != nil {
+			if bad, ok := v.(*exp.InputError); ok {
+				die(2, "%v", bad)
+			}
+			panic(v)
+		}
+	}()
+	return fn()
+}
+
 // printOracle prints the per-detector oracle aggregates of an adversarial
 // run to out and, when path is set, writes the full report there.
 func printOracle(out io.Writer, report *oracle.Report, path string) {
@@ -329,6 +344,10 @@ func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jso
 	doc, err := sweep.Job(context.Background(), sc, p, specs, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
+		var bad *exp.InputError
+		if errors.As(err, &bad) {
+			return 2
+		}
 		var panicked interface{ Stack() []byte }
 		if errors.As(err, &panicked) {
 			os.Stderr.Write(panicked.Stack())

@@ -108,6 +108,18 @@ func TestUsageErrorsExit2(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.json")
 	sink := filepath.Join(dir, "sink")
+	// Schedules that parse but do not fit the fig3 topology: the run
+	// itself rejects them.
+	badLink := filepath.Join(dir, "bad-link.json")
+	badPrio := filepath.Join(dir, "bad-prio.json")
+	for path, spec := range map[string]string{
+		badLink: `{"events":[{"kind":"link-down","link":"X-Y","at_us":10}]}`,
+		badPrio: `{"events":[{"kind":"pause-storm","port":"T2->R1","prio":7,"at_us":10,"until_us":100,"period_us":10,"down_us":5}]}`,
+	} {
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, args := range [][]string{
 		{"-exp", "fig99"},
 		{"-exp", "fig3", "-shard", "2/2"},
@@ -116,6 +128,10 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-exp", "fig3", "-arch", "bogus"},
 		{"-exp", "fig16", "-workload", "websaerch"},
 		{"-exp", "fig3", "-faults", missing},
+		{"-exp", "fig3", "-faults", badLink},
+		{"-exp", "fig3", "-faults", badLink, "-runs", "2"},
+		{"-exp", "fig3", "-faults", badPrio},
+		{"-exp", "fig3", "-faults", badPrio, "-runs", "2"},
 		{"-exp", "adversarial", "-adversarial", missing},
 		{"-topo-stats", "-topo", "ring"},
 		{"-exp", "fig16", "-k", "3", "-flows", "10", "-horizon", "1ms"},

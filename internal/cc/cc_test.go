@@ -94,10 +94,9 @@ func TestDCQCNRecoversTowardLineRate(t *testing.T) {
 
 func TestDCQCNFastRecoveryHalvesGap(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultDCQCNConfig(line)
-	d := NewDCQCN(s, cfg)
+	d := NewDCQCN(s, DefaultDCQCNConfig(line))
 	s.At(0, func() { d.OnNotify(0, true, false) }) // rc=30G, rt=40G
-	s.RunUntil(cfg.IncreaseTimer + units.Microsecond)
+	s.RunUntil(dcqcnIncreaseTimer + units.Microsecond)
 	// One timer increase: rc = (30+40)/2 = 35G.
 	want := 35 * units.Gbps
 	if math.Abs(float64(d.CurrentRate()-want))/float64(want) > 0.02 {
@@ -107,13 +106,18 @@ func TestDCQCNFastRecoveryHalvesGap(t *testing.T) {
 
 func TestDCQCNByteCounterStages(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultDCQCNConfig(line)
-	cfg.ByteCounter = 100 * units.KB
-	d := NewDCQCN(s, cfg)
-	d.OnNotify(0, true, false) // rc = 20G
+	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d.OnNotify(0, true, false) // rc = 30G, rt = 40G
 	r0 := d.CurrentRate()
-	for i := 0; i < 50; i++ {
-		d.OnSent(0, 10*units.KB) // 500KB total = 5 byte-stage events
+	for i := 0; i < 49; i++ {
+		d.OnSent(0, dcqcnByteCounter/10) // 4.9 stages: 4 byte-stage events
+	}
+	if d.byteCnt != 4 {
+		t.Fatalf("byteCnt = %d after 4.9 stages, want 4", d.byteCnt)
+	}
+	d.OnSent(0, dcqcnByteCounter/10) // the fifth
+	if d.byteCnt != 5 || d.bytes != 0 {
+		t.Errorf("byteCnt = %d with %v carried after 5 stages, want 5 and none", d.byteCnt, d.bytes)
 	}
 	if d.CurrentRate() <= r0 {
 		t.Errorf("byte-counter events did not increase rate: %v", d.CurrentRate())
@@ -122,30 +126,27 @@ func TestDCQCNByteCounterStages(t *testing.T) {
 
 func TestDCQCNMinRateFloor(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultDCQCNConfig(line)
-	d := NewDCQCN(s, cfg)
+	d := NewDCQCN(s, DefaultDCQCNConfig(line))
 	for i := 0; i < 100; i++ {
 		d.OnNotify(0, true, false)
 	}
-	if d.CurrentRate() < cfg.MinRate {
-		t.Errorf("rate %v fell below floor %v", d.CurrentRate(), cfg.MinRate)
+	if d.CurrentRate() < dcqcnMinRate {
+		t.Errorf("rate %v fell below floor %v", d.CurrentRate(), dcqcnMinRate)
 	}
 }
 
 func TestTIMELYBelowTLowIncreases(t *testing.T) {
-	cfg := DefaultTIMELYConfig(line)
-	cfg.LineRate = 10 * units.Gbps
-	tm := NewTIMELY(cfg)
+	tm := NewTIMELY(10*units.Gbps, false)
 	tm.rate = units.Gbps
 	tm.OnAck(0, 30*units.Microsecond, false, false) // first sample
 	tm.OnAck(0, 30*units.Microsecond, false, false)
-	if tm.CurrentRate() != units.Gbps+cfg.Delta {
+	if tm.CurrentRate() != units.Gbps+timelyDelta {
 		t.Errorf("rate = %v, want +delta", tm.CurrentRate())
 	}
 }
 
 func TestTIMELYAboveTHighDecreases(t *testing.T) {
-	tm := NewTIMELY(DefaultTIMELYConfig(line))
+	tm := NewTIMELY(line, false)
 	tm.OnAck(0, 100*units.Microsecond, false, false)
 	tm.OnAck(0, 1000*units.Microsecond, false, false) // >> THigh
 	// f = 1 - 0.8*(1 - 500/1000) = 0.6.
@@ -156,7 +157,7 @@ func TestTIMELYAboveTHighDecreases(t *testing.T) {
 }
 
 func TestTIMELYNegativeGradientIncreases(t *testing.T) {
-	tm := NewTIMELY(DefaultTIMELYConfig(line))
+	tm := NewTIMELY(line, false)
 	tm.rate = units.Gbps
 	// Falling RTTs inside [TLow, THigh].
 	rtts := []units.Time{400, 380, 360, 340, 320, 300, 280, 260}
@@ -172,8 +173,7 @@ func TestTIMELYNegativeGradientIncreases(t *testing.T) {
 }
 
 func TestTIMELYHAIAfterFiveNegatives(t *testing.T) {
-	cfg := DefaultTIMELYConfig(line)
-	tm := NewTIMELY(cfg)
+	tm := NewTIMELY(line, false)
 	tm.rate = units.Gbps
 	r := tm.rate
 	var steps []units.Rate
@@ -185,16 +185,16 @@ func TestTIMELYHAIAfterFiveNegatives(t *testing.T) {
 		r = tm.CurrentRate()
 	}
 	// Early steps are 1*delta; late steps 5*delta.
-	if steps[1] != cfg.Delta {
+	if steps[1] != timelyDelta {
 		t.Errorf("early step = %v, want delta", steps[1])
 	}
-	if steps[7] != 5*cfg.Delta {
+	if steps[7] != 5*timelyDelta {
 		t.Errorf("late step = %v, want 5*delta", steps[7])
 	}
 }
 
 func TestTIMELYPositiveGradientDecreases(t *testing.T) {
-	tm := NewTIMELY(DefaultTIMELYConfig(line))
+	tm := NewTIMELY(line, false)
 	tm.OnAck(0, 100*units.Microsecond, false, false)
 	for rtt := units.Time(120); rtt <= 300; rtt += 40 {
 		tm.OnAck(0, rtt*units.Microsecond, false, false)
@@ -208,7 +208,7 @@ func TestTIMELYPositiveGradientDecreases(t *testing.T) {
 }
 
 func TestTIMELYTCDHoldsOnUE(t *testing.T) {
-	tm := NewTIMELY(TCDTIMELYConfig(line))
+	tm := NewTIMELY(line, true)
 	tm.OnAck(0, 100*units.Microsecond, false, false)
 	for rtt := units.Time(120); rtt <= 300; rtt += 40 {
 		tm.OnAck(0, rtt*units.Microsecond, false, true) // UE echoed
@@ -229,7 +229,7 @@ func TestTIMELYTCDHoldsOnUE(t *testing.T) {
 func TestTIMELYAboveTHighOverridesUE(t *testing.T) {
 	// Above THigh TIMELY always decreases, UE or not: the band rule only
 	// covers the gradient region.
-	tm := NewTIMELY(TCDTIMELYConfig(line))
+	tm := NewTIMELY(line, true)
 	tm.OnAck(0, 100*units.Microsecond, false, true)
 	tm.OnAck(0, 900*units.Microsecond, false, true)
 	if tm.CurrentRate() >= line {
@@ -238,8 +238,7 @@ func TestTIMELYAboveTHighOverridesUE(t *testing.T) {
 }
 
 func TestTIMELYClamps(t *testing.T) {
-	cfg := DefaultTIMELYConfig(line)
-	tm := NewTIMELY(cfg)
+	tm := NewTIMELY(line, false)
 	tm.OnAck(0, 10*units.Microsecond, false, false)
 	tm.OnAck(0, 10*units.Microsecond, false, false)
 	if tm.CurrentRate() > line {
@@ -248,20 +247,20 @@ func TestTIMELYClamps(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tm.OnAck(0, units.Time(1000+i*100)*units.Microsecond, false, false)
 	}
-	if tm.CurrentRate() < cfg.MinRate {
+	if tm.CurrentRate() < timelyMinRate {
 		t.Error("rate fell below MinRate")
 	}
 }
 
 func TestIBCCRateTable(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, DefaultIBCCConfig(line))
+	c := NewIBCC(s, line, false)
 	if c.CurrentRate() != line {
 		t.Errorf("initial rate = %v", c.CurrentRate())
 	}
 	c.OnNotify(0, true, false)
-	if c.CCTI() != 1 {
-		t.Errorf("CCTI = %d, want 1", c.CCTI())
+	if c.ccti != 1 {
+		t.Errorf("CCTI = %d, want 1", c.ccti)
 	}
 	// rate = line / (1 + 1/8) = 35.55G.
 	want := float64(line) / 1.125
@@ -281,34 +280,33 @@ func TestIBCCRateTable(t *testing.T) {
 
 func TestIBCCTCDStepIsTwo(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, TCDIBCCConfig(line))
+	c := NewIBCC(s, line, true)
 	c.OnNotify(0, true, false)
-	if c.CCTI() != 2 {
-		t.Errorf("TCD CCTI step = %d, want 2", c.CCTI())
+	if c.ccti != 2 {
+		t.Errorf("TCD CCTI step = %d, want 2", c.ccti)
 	}
 }
 
 func TestIBCCUEHolds(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, TCDIBCCConfig(line))
+	c := NewIBCC(s, line, true)
 	c.OnNotify(0, false, true)
-	if c.CCTI() != 0 || c.Holds != 1 {
-		t.Errorf("UE changed CCTI to %d (holds %d)", c.CCTI(), c.Holds)
+	if c.ccti != 0 || c.Holds != 1 {
+		t.Errorf("UE changed CCTI to %d (holds %d)", c.ccti, c.Holds)
 	}
 }
 
 func TestIBCCTimerRecovery(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultIBCCConfig(line)
-	c := NewIBCC(s, cfg)
+	c := NewIBCC(s, line, false)
 	s.At(0, func() {
 		for i := 0; i < 10; i++ {
 			c.OnNotify(0, true, false)
 		}
 	})
-	s.RunUntil(20 * cfg.Timer)
-	if c.CCTI() != 0 {
-		t.Errorf("CCTI = %d after recovery window, want 0", c.CCTI())
+	s.RunUntil(20 * ibccTimer)
+	if c.ccti != 0 {
+		t.Errorf("CCTI = %d after recovery window, want 0", c.ccti)
 	}
 	if s.Pending() != 0 {
 		t.Error("IBCC timer did not quiesce")
@@ -320,12 +318,45 @@ func TestIBCCTimerRecovery(t *testing.T) {
 
 func TestIBCCCCTIMax(t *testing.T) {
 	s := sim.New()
-	cfg := DefaultIBCCConfig(line)
-	c := NewIBCC(s, cfg)
+	c := NewIBCC(s, line, false)
 	for i := 0; i < 500; i++ {
 		c.OnNotify(0, true, false)
 	}
-	if c.CCTI() != cfg.CCTIMax {
-		t.Errorf("CCTI = %d, want capped at %d", c.CCTI(), cfg.CCTIMax)
+	if c.ccti != ibccCCTIMax {
+		t.Errorf("CCTI = %d, want capped at %d", c.ccti, ibccCCTIMax)
+	}
+}
+
+// TestControllerEventAllocs pins the controllers' per-event entry points
+// at zero allocations once warm: DCQCN's CNP and sent-bytes handlers,
+// TIMELY's ACK handler and IB CC's BECN handler run once per packet or
+// notification of every flow. The warm-up call lets the scheduler take
+// the slot the increase or recovery timer then re-arms in place.
+func TestControllerEventAllocs(t *testing.T) {
+	s := sim.New()
+	d := NewDCQCN(s, TCDDCQCNConfig(line))
+	tm := NewTIMELY(line, true)
+	c := NewIBCC(s, line, true)
+	var at units.Time
+	i := 0
+	for _, probe := range []struct {
+		name string
+		fn   func()
+	}{
+		{"DCQCN.OnNotify", func() { d.OnNotify(0, true, false); d.OnNotify(0, false, true) }},
+		{"DCQCN.OnSent", func() { d.OnSent(0, dcqcnByteCounter/2) }},
+		{"TIMELY.OnAck", func() {
+			// RTTs rising and falling inside [TLow, THigh]: increases,
+			// decreases and UE holds.
+			i++
+			at += timelyUpdateEvery
+			tm.OnAck(at, units.Time(100+20*(i%8))*units.Microsecond, i%3 == 0, i%2 == 0)
+		}},
+		{"IBCC.OnNotify", func() { c.OnNotify(0, true, false); c.OnNotify(0, false, true) }},
+	} {
+		probe.fn()
+		if a := testing.AllocsPerRun(1000, probe.fn); a != 0 {
+			t.Errorf("%s allocates %.2f/op, want 0", probe.name, a)
+		}
 	}
 }

@@ -31,37 +31,45 @@ func (t *trace) recordRate(now units.Time, old, new units.Rate) {
 	}
 }
 
-// DCQCNConfig holds the DCQCN reaction-point parameters. Defaults follow
-// the values recommended in the DCQCN paper and its reference simulator.
-type DCQCNConfig struct {
-	// LineRate is the NIC rate (initial sending rate: flows start at
-	// line rate, as in RoCE deployments).
-	LineRate units.Rate
-	// MinRate floors the sending rate.
-	MinRate units.Rate
-	// G is the EWMA gain for alpha (1/256).
-	G float64
-	// AlphaTimer is the alpha-decay interval without CNPs (55 us). The
-	// decay is not a scheduled event: alpha is read only by the next cut
-	// (and Alpha), which first applies every step that has come due. That
+// DCQCN reaction-point constants, the values recommended in the DCQCN
+// paper and its reference simulator. Only the line rate, the alpha
+// ceiling and the UE hold vary between the controllers the experiments
+// run (DCQCNConfig).
+const (
+	// dcqcnMinRate floors the sending rate.
+	dcqcnMinRate = 40 * units.Mbps
+	// dcqcnG is the EWMA gain for alpha.
+	dcqcnG = 1.0 / 256
+	// dcqcnAlphaTimer is the alpha-decay interval without CNPs. The decay
+	// is not a scheduled event: alpha is read only by the next cut (and
+	// Alpha), which first applies every step that has come due. That
 	// equals a per-flow timer bit for bit as long as a step due at the
 	// very instant of a cut is applied before it, which is the order a
 	// timer armed at the previous cut would fire in whenever the CNP that
 	// triggers the cut was sent after that arm — so while link delay <
-	// AlphaTimer (4 us against 55 us on every fabric in this repo).
-	AlphaTimer units.Time
-	// IncreaseTimer is the rate-increase timer period. The reference
+	// dcqcnAlphaTimer (4 us against 55 us on every fabric in this repo).
+	dcqcnAlphaTimer = 55 * units.Microsecond
+	// dcqcnIncreaseTimer is the rate-increase timer period. The reference
 	// RoCEv2 simulator the paper builds on uses 1500 us; this slow
 	// recovery is what makes false congestion marks on victim flows
 	// costly (and accurate detection valuable).
-	IncreaseTimer units.Time
-	// ByteCounter is the bytes-sent stage size (10 MB).
-	ByteCounter units.ByteSize
-	// F is the fast-recovery stage count (5).
-	F int
-	// RateAI and RateHAI are the additive and hyper increase steps
-	// (40 Mbps / 200 Mbps).
-	RateAI, RateHAI units.Rate
+	dcqcnIncreaseTimer = 1500 * units.Microsecond
+	// dcqcnByteCounter is the bytes-sent stage size.
+	dcqcnByteCounter = 10 * units.MB
+	// dcqcnF is the fast-recovery stage count.
+	dcqcnF = 5
+	// dcqcnRateAI and dcqcnRateHAI are the additive and hyper increase
+	// steps.
+	dcqcnRateAI  = 40 * units.Mbps
+	dcqcnRateHAI = 200 * units.Mbps
+)
+
+// DCQCNConfig holds what varies between DCQCN reaction points; every
+// other parameter is a dcqcn* constant.
+type DCQCNConfig struct {
+	// LineRate is the NIC rate (initial sending rate: flows start at
+	// line rate, as in RoCE deployments).
+	LineRate units.Rate
 	// AlphaCeil bounds (and initializes) alpha. The paper's case study
 	// (§5.2.1) states the default reduction factor is 0.5 — a cut to 75%
 	// per CNP — and raises it to 1.2 (a cut to 40%) for TCD-confirmed
@@ -73,27 +81,13 @@ type DCQCNConfig struct {
 
 // DefaultDCQCNConfig returns stock DCQCN at the given line rate.
 func DefaultDCQCNConfig(line units.Rate) DCQCNConfig {
-	return DCQCNConfig{
-		LineRate:      line,
-		MinRate:       40 * units.Mbps,
-		G:             1.0 / 256,
-		AlphaTimer:    55 * units.Microsecond,
-		IncreaseTimer: 1500 * units.Microsecond,
-		ByteCounter:   10 * units.MB,
-		F:             5,
-		RateAI:        40 * units.Mbps,
-		RateHAI:       200 * units.Mbps,
-		AlphaCeil:     0.5,
-	}
+	return DCQCNConfig{LineRate: line, AlphaCeil: 0.5}
 }
 
 // TCDDCQCNConfig returns the paper's DCQCN+TCD variant: reduction factor
 // raised to 1.2 and UE echoes held.
 func TCDDCQCNConfig(line units.Rate) DCQCNConfig {
-	cfg := DefaultDCQCNConfig(line)
-	cfg.AlphaCeil = 1.2
-	cfg.TCD = true
-	return cfg
+	return DCQCNConfig{LineRate: line, AlphaCeil: 1.2, TCD: true}
 }
 
 // DCQCN is one flow's reaction point.
@@ -109,11 +103,12 @@ type DCQCN struct {
 	timerCnt int            // increase events from the timer since last cut
 	byteCnt  int            // increase events from the byte counter
 
-	// alphaDue is when the next alpha-decay step falls due: AlphaTimer
-	// after the last cut, then every AlphaTimer until alpha has decayed
-	// to the floor; Forever before the first cut and once it has.
+	// alphaDue is when the next alpha-decay step falls due:
+	// dcqcnAlphaTimer after the last cut, then every dcqcnAlphaTimer
+	// until alpha has decayed to the floor; Forever before the first cut
+	// and once it has.
 	alphaDue units.Time
-	incTimer *sim.Timer
+	incTimer sim.Timer
 
 	// CutEvents and HoldEvents count CE cuts and UE holds, for tests and
 	// experiment reporting.
@@ -123,7 +118,7 @@ type DCQCN struct {
 // NewDCQCN builds a reaction point starting at line rate.
 func NewDCQCN(s *sim.Scheduler, cfg DCQCNConfig) *DCQCN {
 	d := &DCQCN{cfg: cfg, sched: s, rc: cfg.LineRate, rt: cfg.LineRate, alpha: cfg.AlphaCeil, alphaDue: units.Forever}
-	d.incTimer = sim.NewTimer(s, d.timerIncrease)
+	d.incTimer.Init(s, d.timerIncrease)
 	return d
 }
 
@@ -156,8 +151,8 @@ func (d *DCQCN) OnAck(units.Time, units.Time, bool, bool) {}
 // OnSent implements host.SentObserver: the byte-counter increase stage.
 func (d *DCQCN) OnSent(now units.Time, wire units.ByteSize) {
 	d.bytes += wire
-	for d.bytes >= d.cfg.ByteCounter {
-		d.bytes -= d.cfg.ByteCounter
+	for d.bytes >= dcqcnByteCounter {
+		d.bytes -= dcqcnByteCounter
 		d.byteCnt++
 		d.increase()
 	}
@@ -176,16 +171,16 @@ func (d *DCQCN) cut() {
 	}
 	old := d.rc
 	d.rc = units.Rate(float64(d.rc) * factor)
-	if d.rc < d.cfg.MinRate {
-		d.rc = d.cfg.MinRate
+	if d.rc < dcqcnMinRate {
+		d.rc = dcqcnMinRate
 	}
 	d.recordRate(d.sched.Now(), old, d.rc)
-	d.alpha = (1-d.cfg.G)*d.alpha + d.cfg.G*d.cfg.AlphaCeil
+	d.alpha = (1-dcqcnG)*d.alpha + dcqcnG*d.cfg.AlphaCeil
 	d.bytes = 0
 	d.timerCnt = 0
 	d.byteCnt = 0
-	d.alphaDue = d.sched.Now() + d.cfg.AlphaTimer
-	d.incTimer.Arm(d.cfg.IncreaseTimer)
+	d.alphaDue = d.sched.Now() + dcqcnAlphaTimer
+	d.incTimer.Arm(dcqcnIncreaseTimer)
 }
 
 // freezeIncrease restarts the increase stages without cutting — holding a
@@ -195,17 +190,17 @@ func (d *DCQCN) freezeIncrease() {
 	d.timerCnt = 0
 	d.byteCnt = 0
 	d.bytes = 0
-	d.incTimer.Arm(d.cfg.IncreaseTimer)
+	d.incTimer.Arm(dcqcnIncreaseTimer)
 }
 
 // ageAlpha applies the alpha-decay steps that have come due: one
-// multiplication per AlphaTimer elapsed since the last cut, stopping for
-// good once alpha is at the 1e-4 floor.
+// multiplication per dcqcnAlphaTimer elapsed since the last cut, stopping
+// for good once alpha is at the 1e-4 floor.
 func (d *DCQCN) ageAlpha() {
 	for now := d.sched.Now(); d.alphaDue <= now; {
-		d.alpha *= 1 - d.cfg.G
+		d.alpha *= 1 - dcqcnG
 		if d.alpha > 1e-4 {
-			d.alphaDue += d.cfg.AlphaTimer
+			d.alphaDue += dcqcnAlphaTimer
 		} else {
 			d.alphaDue = units.Forever
 		}
@@ -216,18 +211,19 @@ func (d *DCQCN) timerIncrease() {
 	d.timerCnt++
 	d.increase()
 	if d.rc < d.cfg.LineRate {
-		d.incTimer.Arm(d.cfg.IncreaseTimer)
+		d.incTimer.Arm(dcqcnIncreaseTimer)
 	}
 }
 
 // increase runs one DCQCN increase event: fast recovery while both stage
-// counters are young, additive once either passes F, hyper once both do.
+// counters are young, additive once either passes dcqcnF, hyper once both
+// do.
 func (d *DCQCN) increase() {
 	switch {
-	case d.timerCnt > d.cfg.F && d.byteCnt > d.cfg.F:
-		d.rt += d.cfg.RateHAI
-	case d.timerCnt > d.cfg.F || d.byteCnt > d.cfg.F:
-		d.rt += d.cfg.RateAI
+	case d.timerCnt > dcqcnF && d.byteCnt > dcqcnF:
+		d.rt += dcqcnRateHAI
+	case d.timerCnt > dcqcnF || d.byteCnt > dcqcnF:
+		d.rt += dcqcnRateAI
 	}
 	if d.rt > d.cfg.LineRate {
 		d.rt = d.cfg.LineRate

@@ -11,19 +11,19 @@ import (
 )
 
 // eagerAlpha is the reference for DCQCN's on-demand alpha decay: the
-// per-flow timer the reaction point used to keep — armed AlphaTimer after
-// every cut, one multiplication per fire, re-armed while alpha is above
-// the floor. It drives a real DCQCN whose own ageing is switched off
+// per-flow timer the reaction point used to keep — armed dcqcnAlphaTimer
+// after every cut, one multiplication per fire, re-armed while alpha is
+// above the floor. It drives a real DCQCN whose own ageing is switched off
 // (alphaDue parked at Forever after every notification), so everything
 // but the decay is the production code on both sides.
 type eagerAlpha struct {
 	d     *DCQCN
-	timer *sim.Timer
+	timer sim.Timer
 }
 
 func newEagerAlpha(s *sim.Scheduler, cfg DCQCNConfig) *eagerAlpha {
 	e := &eagerAlpha{d: NewDCQCN(s, cfg)}
-	e.timer = sim.NewTimer(s, e.alphaDecay)
+	e.timer.Init(s, e.alphaDecay)
 	return e
 }
 
@@ -31,20 +31,20 @@ func (e *eagerAlpha) notify(ce, ue bool) {
 	e.d.OnNotify(e.d.sched.Now(), ce, ue)
 	e.d.alphaDue = units.Forever
 	if ce {
-		e.timer.Arm(e.d.cfg.AlphaTimer)
+		e.timer.Arm(dcqcnAlphaTimer)
 	}
 }
 
 func (e *eagerAlpha) alphaDecay() {
-	e.d.alpha *= 1 - e.d.cfg.G
+	e.d.alpha *= 1 - dcqcnG
 	if e.d.alpha > 1e-4 {
-		e.timer.Arm(e.d.cfg.AlphaTimer)
+		e.timer.Arm(dcqcnAlphaTimer)
 	}
 }
 
 // linkDelay is the CNP's time on the wire in these tests: every fabric in
 // the repo uses 4 us links, and the equivalence needs only that it is
-// shorter than AlphaTimer.
+// shorter than dcqcnAlphaTimer.
 const linkDelay = 4 * units.Microsecond
 
 // TestDCQCNLazyAlphaMatchesTimer drives the on-demand decay and the timer
@@ -78,9 +78,9 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 					case i%150 == 100: // idle to the floor (~2400 steps from 1.2)
 						at += 150 * units.Millisecond
 					case k == 0: // a decay step falls due exactly at the cut
-						at += units.Time(1+r.Intn(5)) * cfg.AlphaTimer
+						at += units.Time(1+r.Intn(5)) * dcqcnAlphaTimer
 					case k == 1: // a few timers, off the grid
-						at += units.Time(1 + r.Intn(int(6*cfg.AlphaTimer)))
+						at += units.Time(1 + r.Intn(int(6*dcqcnAlphaTimer)))
 					default: // CNP burst spacing
 						at += units.Time(1 + r.Intn(int(50*units.Microsecond)))
 					}
@@ -99,7 +99,7 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 						})
 					})
 					if r.Intn(3) == 0 {
-						probes = append(probes, at+units.Time(r.Intn(int(3*cfg.AlphaTimer))))
+						probes = append(probes, at+units.Time(r.Intn(int(3*dcqcnAlphaTimer))))
 					}
 				}
 				for _, p := range probes {
@@ -122,7 +122,7 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 					}
 					// A cut right after the floor was reached starts from
 					// alpha <= 1e-4 pulled up by one gain step.
-					if math.Float64frombits(lazyLog[i].alpha) <= 1e-4+cfg.G*cfg.AlphaCeil {
+					if math.Float64frombits(lazyLog[i].alpha) <= 1e-4+dcqcnG*cfg.AlphaCeil {
 						floored = true
 					}
 				}
@@ -151,7 +151,7 @@ func TestDCQCNCutThenIdleKeepsOneEvent(t *testing.T) {
 		t.Fatalf("Pending() = %d after a cut, want 1 (the increase timer)", got)
 	}
 	before := s.Processed()
-	s.RunUntil(20 * DefaultDCQCNConfig(line).AlphaTimer)
+	s.RunUntil(20 * dcqcnAlphaTimer)
 	if got := s.Processed() - before; got != 0 {
 		t.Errorf("%d events fired in 20 alpha intervals after the cut, want 0 (the increase timer is 1500 us out)", got)
 	}

@@ -5,72 +5,55 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// IBCCConfig holds the InfiniBand congestion-control (CA-side injection
-// throttling) parameters. A BECN-echoed notification raises the CCT index
-// (CCTI); a timer lowers it; the CCT maps the index to an injection rate.
+// IB CC (CA-side injection throttling) constants. A BECN-echoed
+// notification raises the CCT index (CCTI); a timer lowers it; the CCT
+// maps the index to an injection rate. Only the line rate and the TCD
+// mode vary between throttles (NewIBCC).
 //
 // The spec's CCT contains inter-packet delay values; this implementation
-// uses the equivalent rate mapping rate = LineRate / (1 + CCTI/8) — a
+// uses the equivalent rate mapping rate = line / (1 + CCTI/8) — a
 // monotone table with the same qualitative throttling (see DESIGN.md).
-type IBCCConfig struct {
-	// LineRate is the link injection rate at CCTI = 0.
-	LineRate units.Rate
-	// Step is the CCTI increase per BECN (1 in the spec's example; the
-	// paper's TCD case study §5.2.2 raises it to 2).
-	Step int
-	// CCTIMax caps the index (127).
-	CCTIMax int
-	// Timer is the CCTI recovery period: CCTI decreases by one per
+const (
+	// ibccStep is the CCTI increase per BECN (1 in the spec's example);
+	// the paper's TCD case study §5.2.2 raises it to ibccStepTCD.
+	ibccStep    = 1
+	ibccStepTCD = 2
+	// ibccCCTIMax caps the index.
+	ibccCCTIMax = 127
+	// ibccTimer is the CCTI recovery period: CCTI decreases by one per
 	// expiry.
-	Timer units.Time
-	// TCD enables ternary handling: UE echoes leave CCTI unchanged.
-	TCD bool
-}
-
-// DefaultIBCCConfig returns stock IB CC.
-func DefaultIBCCConfig(line units.Rate) IBCCConfig {
-	return IBCCConfig{
-		LineRate: line,
-		Step:     1,
-		CCTIMax:  127,
-		Timer:    150 * units.Microsecond,
-	}
-}
-
-// TCDIBCCConfig returns the paper's IB CC + TCD variant: reduction step 2
-// and UE echoes held.
-func TCDIBCCConfig(line units.Rate) IBCCConfig {
-	cfg := DefaultIBCCConfig(line)
-	cfg.Step = 2
-	cfg.TCD = true
-	return cfg
-}
+	ibccTimer = 150 * units.Microsecond
+)
 
 // IBCC is one flow's channel-adapter throttle.
 type IBCC struct {
-	cfg   IBCCConfig
+	line  units.Rate // injection rate at CCTI = 0
+	step  int
+	tcd   bool // UE echoes leave CCTI unchanged
 	sched *sim.Scheduler
 	ccti  int
-	timer *sim.Timer
+	timer sim.Timer
 	trace
 
 	// Increases and Holds count BECN reactions and TCD holds.
 	Increases, Holds uint64
 }
 
-// NewIBCC builds a throttle at full injection rate.
-func NewIBCC(s *sim.Scheduler, cfg IBCCConfig) *IBCC {
-	c := &IBCC{cfg: cfg, sched: s}
-	c.timer = sim.NewTimer(s, c.recover)
+// NewIBCC builds a throttle at full injection rate: stock IB CC, or with
+// tcd the paper's IB CC + TCD variant (reduction step 2 and UE echoes
+// held).
+func NewIBCC(s *sim.Scheduler, line units.Rate, tcd bool) *IBCC {
+	c := &IBCC{line: line, step: ibccStep, tcd: tcd, sched: s}
+	if tcd {
+		c.step = ibccStepTCD
+	}
+	c.timer.Init(s, c.recover)
 	return c
 }
 
-// CCTI reports the current table index (for tests).
-func (c *IBCC) CCTI() int { return c.ccti }
-
 // CurrentRate implements host.RateController.
 func (c *IBCC) CurrentRate() units.Rate {
-	return units.Rate(float64(c.cfg.LineRate) / (1 + float64(c.ccti)/8))
+	return units.Rate(float64(c.line) / (1 + float64(c.ccti)/8))
 }
 
 // OnNotify implements host.RateController: a BECN echo.
@@ -78,15 +61,15 @@ func (c *IBCC) OnNotify(now units.Time, ce, ue bool) {
 	if ce {
 		c.Increases++
 		old := c.CurrentRate()
-		c.ccti += c.cfg.Step
-		if c.ccti > c.cfg.CCTIMax {
-			c.ccti = c.cfg.CCTIMax
+		c.ccti += c.step
+		if c.ccti > ibccCCTIMax {
+			c.ccti = ibccCCTIMax
 		}
 		c.recordRate(now, old, c.CurrentRate())
-		c.timer.Arm(c.cfg.Timer)
+		c.timer.Arm(ibccTimer)
 		return
 	}
-	if ue && c.cfg.TCD {
+	if ue && c.tcd {
 		c.Holds++
 	}
 }
@@ -101,6 +84,6 @@ func (c *IBCC) recover() {
 	}
 	c.recordRate(c.sched.Now(), old, c.CurrentRate())
 	if c.ccti > 0 {
-		c.timer.Arm(c.cfg.Timer)
+		c.timer.Arm(ibccTimer)
 	}
 }

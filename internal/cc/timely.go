@@ -4,67 +4,45 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// TIMELYConfig holds the TIMELY parameters (Mittal et al., and the
-// published reference code snippet the paper's simulator is based on).
-type TIMELYConfig struct {
-	// LineRate caps the sending rate; flows start at line rate.
-	LineRate units.Rate
-	// MinRate floors the sending rate.
-	MinRate units.Rate
-	// Delta is the additive increase step (10 Mbps).
-	Delta units.Rate
-	// TLow and THigh bracket the gradient-controlled region: below TLow
-	// always increase, above THigh always decrease multiplicatively.
-	TLow, THigh units.Time
-	// MinRTT normalizes the RTT gradient.
-	MinRTT units.Time
-	// EwmaAlpha filters the RTT difference (0.875-weight history in the
-	// snippet: alpha = 0.125... the snippet uses ewma_alpha for the diff).
-	EwmaAlpha float64
-	// Beta scales multiplicative decrease (0.8). The paper's TCD case
-	// study (§5.2.3) raises it to 1.6 for congested flows.
-	Beta float64
-	// HAICount is the consecutive-negative-gradient count after which the
-	// additive step is multiplied by N=5 (hyperactive increase).
-	HAICount int
-	// UpdateEvery rate-limits the engine: TIMELY computes a new rate per
-	// completion event of a 16-64 KB segment, not per MTU-sized packet.
-	// Samples arriving within the window are ignored.
-	UpdateEvery units.Time
-	// TCD enables ternary handling: in the gradient region a positive
-	// gradient with a UE-echoed ACK holds the rate (the RTT rise is
-	// attributed to PAUSE, not congestion).
-	TCD bool
-}
-
-// DefaultTIMELYConfig returns stock TIMELY for datacenter RTTs.
-func DefaultTIMELYConfig(line units.Rate) TIMELYConfig {
-	return TIMELYConfig{
-		LineRate:    line,
-		MinRate:     10 * units.Mbps,
-		Delta:       10 * units.Mbps,
-		TLow:        50 * units.Microsecond,
-		THigh:       500 * units.Microsecond,
-		MinRTT:      20 * units.Microsecond,
-		EwmaAlpha:   0.125,
-		Beta:        0.8,
-		HAICount:    5,
-		UpdateEvery: 20 * units.Microsecond,
-	}
-}
-
-// TCDTIMELYConfig returns the paper's TIMELY+TCD variant: beta 1.6 and
-// UE-echoed gradient rises held.
-func TCDTIMELYConfig(line units.Rate) TIMELYConfig {
-	cfg := DefaultTIMELYConfig(line)
-	cfg.Beta = 1.6
-	cfg.TCD = true
-	return cfg
-}
+// TIMELY constants (Mittal et al., and the published reference code
+// snippet the paper's simulator is based on). Only the line rate and the
+// TCD mode vary between engines (NewTIMELY).
+const (
+	// timelyMinRate floors the sending rate.
+	timelyMinRate = 10 * units.Mbps
+	// timelyDelta is the additive increase step.
+	timelyDelta = 10 * units.Mbps
+	// timelyTLow and timelyTHigh bracket the gradient-controlled region:
+	// below TLow always increase, above THigh always decrease
+	// multiplicatively.
+	timelyTLow  = 50 * units.Microsecond
+	timelyTHigh = 500 * units.Microsecond
+	// timelyMinRTT normalizes the RTT gradient.
+	timelyMinRTT = 20 * units.Microsecond
+	// timelyEwmaAlpha filters the RTT difference (0.875-weight history).
+	timelyEwmaAlpha = 0.125
+	// timelyBeta scales multiplicative decrease; the paper's TCD case
+	// study (§5.2.3) raises it to timelyBetaTCD for congested flows.
+	timelyBeta    = 0.8
+	timelyBetaTCD = 1.6
+	// timelyHAICount is the consecutive-negative-gradient count after
+	// which the additive step is multiplied by N=5 (hyperactive
+	// increase).
+	timelyHAICount = 5
+	// timelyUpdateEvery rate-limits the engine: TIMELY computes a new
+	// rate per completion event of a 16-64 KB segment, not per MTU-sized
+	// packet. Samples arriving within the window are ignored.
+	timelyUpdateEvery = 20 * units.Microsecond
+)
 
 // TIMELY is one flow's RTT-gradient engine.
 type TIMELY struct {
-	cfg TIMELYConfig
+	line units.Rate // caps the sending rate; flows start at it
+	// tcd enables ternary handling: in the gradient region a positive
+	// gradient with a UE-echoed ACK holds the rate (the RTT rise is
+	// attributed to PAUSE, not congestion).
+	tcd  bool
+	beta float64
 	trace
 
 	rate       units.Rate
@@ -77,9 +55,15 @@ type TIMELY struct {
 	Decreases, Holds uint64
 }
 
-// NewTIMELY builds an engine starting at line rate.
-func NewTIMELY(cfg TIMELYConfig) *TIMELY {
-	return &TIMELY{cfg: cfg, rate: cfg.LineRate}
+// NewTIMELY builds an engine starting at line rate: stock TIMELY, or with
+// tcd the paper's TIMELY+TCD variant (beta 1.6 and UE-echoed gradient
+// rises held).
+func NewTIMELY(line units.Rate, tcd bool) *TIMELY {
+	beta := timelyBeta
+	if tcd {
+		beta = timelyBetaTCD
+	}
+	return &TIMELY{line: line, tcd: tcd, beta: beta, rate: line}
 }
 
 // CurrentRate implements host.RateController.
@@ -92,7 +76,7 @@ func (t *TIMELY) OnNotify(units.Time, bool, bool) {}
 // OnAck implements host.RateController: one RTT sample per ACK, following
 // the published TIMELY algorithm with the paper's TCD amendment.
 func (t *TIMELY) OnAck(now units.Time, rtt units.Time, ce, ue bool) {
-	if t.lastUpdate != 0 && now-t.lastUpdate < t.cfg.UpdateEvery {
+	if t.lastUpdate != 0 && now-t.lastUpdate < timelyUpdateEvery {
 		return // within the current segment: one decision per completion
 	}
 	t.lastUpdate = now
@@ -102,43 +86,43 @@ func (t *TIMELY) OnAck(now units.Time, rtt units.Time, ce, ue bool) {
 	}
 	newDiff := float64(rtt - t.prevRTT)
 	t.prevRTT = rtt
-	t.rttDiff = (1-t.cfg.EwmaAlpha)*t.rttDiff + t.cfg.EwmaAlpha*newDiff
-	gradient := t.rttDiff / float64(t.cfg.MinRTT)
+	t.rttDiff = (1-timelyEwmaAlpha)*t.rttDiff + timelyEwmaAlpha*newDiff
+	gradient := t.rttDiff / float64(timelyMinRTT)
 
 	old := t.rate
 	defer func() { t.recordRate(now, old, t.rate) }()
 	switch {
-	case rtt < t.cfg.TLow:
+	case rtt < timelyTLow:
 		t.additive(1)
-	case rtt > t.cfg.THigh:
+	case rtt > timelyTHigh:
 		// Multiplicative decrease toward THigh.
 		t.negCount = 0
-		f := 1 - t.cfg.Beta*(1-float64(t.cfg.THigh)/float64(rtt))
+		f := 1 - t.beta*(1-float64(timelyTHigh)/float64(rtt))
 		t.multiplicative(f)
 	case gradient <= 0:
 		n := 1
 		t.negCount++
-		if t.negCount >= t.cfg.HAICount {
+		if t.negCount >= timelyHAICount {
 			n = 5
 		}
 		t.additive(n)
 	default:
 		t.negCount = 0
-		if t.cfg.TCD && ue && !ce {
+		if t.tcd && ue && !ce {
 			// §5.2.3: the gradient rise came from a port in the
 			// undetermined state — hold instead of backing off.
 			t.Holds++
 			return
 		}
-		f := 1 - t.cfg.Beta*gradient
+		f := 1 - t.beta*gradient
 		t.multiplicative(f)
 	}
 }
 
 func (t *TIMELY) additive(n int) {
-	t.rate += units.Rate(n) * t.cfg.Delta
-	if t.rate > t.cfg.LineRate {
-		t.rate = t.cfg.LineRate
+	t.rate += units.Rate(n) * timelyDelta
+	if t.rate > t.line {
+		t.rate = t.line
 	}
 }
 
@@ -151,7 +135,7 @@ func (t *TIMELY) multiplicative(f float64) {
 	}
 	t.Decreases++
 	t.rate = units.Rate(float64(t.rate) * f)
-	if t.rate < t.cfg.MinRate {
-		t.rate = t.cfg.MinRate
+	if t.rate < timelyMinRate {
+		t.rate = timelyMinRate
 	}
 }

@@ -8,14 +8,10 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-func adaptCfg() AdaptiveConfig {
-	return DefaultAdaptiveConfig(testCfg())
-}
-
 func TestAdaptiveStartsAtSeed(t *testing.T) {
-	a := NewAdaptiveTCD(adaptCfg())
-	if a.Threshold() != 30*units.Microsecond {
-		t.Errorf("initial threshold = %v, want seed", a.Threshold())
+	a := NewAdaptiveTCD(testCfg())
+	if a.inner.cfg.MaxTon != 30*units.Microsecond {
+		t.Errorf("initial threshold = %v, want seed", a.inner.cfg.MaxTon)
 	}
 	if a.State() != NonCongestion {
 		t.Errorf("initial state = %v", a.State())
@@ -23,7 +19,7 @@ func TestAdaptiveStartsAtSeed(t *testing.T) {
 }
 
 func TestAdaptiveTracksShortOnPeriods(t *testing.T) {
-	a := NewAdaptiveTCD(adaptCfg())
+	a := NewAdaptiveTCD(testCfg())
 	// Simulate a regime with 4us ON periods (much shorter than the 30us
 	// seed): OFF at t, ON end at t+1us, next OFF at +4us...
 	at := units.Time(0)
@@ -32,12 +28,13 @@ func TestAdaptiveTracksShortOnPeriods(t *testing.T) {
 		a.OnOffEnd(at + units.Microsecond)
 		at += 5 * units.Microsecond
 	}
-	// Threshold converges toward Margin * 4us = 8us, clamped at Floor.
-	th := a.Threshold()
+	// Threshold converges toward adaptiveMargin * 4us = 8us, clamped at
+	// the floor.
+	th := a.inner.cfg.MaxTon
 	if th > 10*units.Microsecond {
 		t.Errorf("threshold %v did not adapt down toward 8us", th)
 	}
-	if th < adaptCfg().Floor {
+	if th < a.floor {
 		t.Errorf("threshold %v fell below the floor", th)
 	}
 	if a.Updates == 0 {
@@ -46,22 +43,21 @@ func TestAdaptiveTracksShortOnPeriods(t *testing.T) {
 }
 
 func TestAdaptiveCeilClamp(t *testing.T) {
-	cfg := adaptCfg()
-	a := NewAdaptiveTCD(cfg)
-	// Enormous ON periods: threshold must stop at Ceil.
+	a := NewAdaptiveTCD(testCfg())
+	// Enormous ON periods: threshold must stop at the ceiling, 4*bound.
 	at := units.Time(0)
 	for i := 0; i < 20; i++ {
 		a.OnOffStart(at)
 		a.OnOffEnd(at + units.Microsecond)
 		at += 10 * units.Millisecond
 	}
-	if a.Threshold() != cfg.Ceil {
-		t.Errorf("threshold = %v, want clamped at ceil %v", a.Threshold(), cfg.Ceil)
+	if want := 4 * testCfg().MaxTon; a.inner.cfg.MaxTon != want {
+		t.Errorf("threshold = %v, want clamped at ceil %v", a.inner.cfg.MaxTon, want)
 	}
 }
 
 func TestAdaptiveDetectsLikeStatic(t *testing.T) {
-	a := NewAdaptiveTCD(adaptCfg())
+	a := NewAdaptiveTCD(testCfg())
 	// Basic ternary behaviour is preserved: OFF then quick dequeue -> UE.
 	a.OnOffStart(time(10))
 	a.OnOffEnd(time(15))
@@ -75,25 +71,49 @@ func TestAdaptiveDetectsLikeStatic(t *testing.T) {
 	}
 }
 
-func TestAdaptiveValidation(t *testing.T) {
-	for _, bad := range []AdaptiveConfig{
-		{TCDConfig: TCDConfig{MaxTon: units.Microsecond, CongThresh: 1}, Gain: 0, Margin: 2},
-		{TCDConfig: TCDConfig{MaxTon: units.Microsecond, CongThresh: 1}, Gain: 0.5, Margin: 0.5},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid adaptive config did not panic")
-				}
-			}()
-			NewAdaptiveTCD(bad)
-		}()
+// The adaptive variant moves the detection threshold, not the queue-trend
+// period: after the threshold has adapted well below the static bound,
+// the post-undetermined trend window still spans the static MaxTon.
+func TestAdaptiveTrendPeriodStaysAtStaticBound(t *testing.T) {
+	static := testCfg()
+	a := NewAdaptiveTCD(static)
+	at := units.Time(0)
+	for i := 0; i < 50; i++ { // 4us ON periods pull the threshold toward 8us
+		a.OnOffStart(at)
+		a.OnOffEnd(at + units.Microsecond)
+		at += 5 * units.Microsecond
+	}
+	th := a.inner.cfg.MaxTon
+	if th >= static.MaxTon/2 {
+		t.Fatalf("threshold %v did not adapt below half the static bound %v", th, static.MaxTon)
+	}
+	lastOffEnd := at - 4*units.Microsecond
+	p := &packet.Packet{Kind: packet.Data, Code: packet.Capable}
+	a.OnDequeue(lastOffEnd+units.Microsecond, p, 100*units.KB)
+	if a.State() != Undetermined {
+		t.Fatalf("state %v after a dequeue inside the ON-OFF pattern, want undetermined", a.State())
+	}
+	// Continuous ON from the adapted threshold on: the first dequeue arms
+	// the trend check at 100 KB.
+	t0 := lastOffEnd + th
+	a.OnDequeue(t0, p, 100*units.KB)
+	// Grown past CongThresh a whole adapted threshold later, but short of
+	// the static bound: still observing.
+	a.OnDequeue(t0+static.MaxTon-units.Microsecond, p, 300*units.KB)
+	if a.State() != Undetermined {
+		t.Fatalf("state %v %v into the trend window, want undetermined until the static bound %v",
+			a.State(), static.MaxTon-units.Microsecond, static.MaxTon)
+	}
+	p = &packet.Packet{Kind: packet.Data, Code: packet.Capable}
+	a.OnDequeue(t0+static.MaxTon, p, 300*units.KB)
+	if a.State() != Congestion || p.Code != packet.CE {
+		t.Errorf("state %v code %v one static bound into the trend window, want congestion/CE", a.State(), p.Code)
 	}
 }
 
 func TestNPECNSuppressesPausedMarks(t *testing.T) {
 	red := NewRED(DefaultREDConfig(), rng.New(1))
-	d := NewNPECN(NPECNConfig{RED: DefaultREDConfig()}, red)
+	d := NewNPECN(red)
 	// Packet enqueued during a pause with a deep queue: RED would mark,
 	// NP-ECN suppresses.
 	d.OnOffStart(0)
@@ -122,7 +142,7 @@ func TestNPECNSuppressesPausedMarks(t *testing.T) {
 // Packets already queued when the pause begins are tainted too, even if
 // nothing arrives during the pause.
 func TestNPECNTaintsStandingQueue(t *testing.T) {
-	d := NewNPECN(NPECNConfig{RED: DefaultREDConfig()}, NewRED(DefaultREDConfig(), rng.New(2)))
+	d := NewNPECN(NewRED(DefaultREDConfig(), rng.New(2)))
 	// Deep standing queue, then a pause with no arrivals.
 	d.OnOffStart(5)
 	d.OnOffEnd(6)

@@ -5,27 +5,18 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// NPECNConfig parameterizes Non-PAUSE ECN, the detection mechanism of
-// PCN (Cheng et al., NSDI'20) that the paper's related-work section
-// contrasts with TCD: switches count packets that experienced a pause
-// and mark ECN only on non-paused packets; receivers then classify a
-// flow as congested when nearly all of its packets in a window are
-// marked.
+// NPECN is Non-PAUSE ECN, the detection mechanism of PCN (Cheng et al.,
+// NSDI'20) that the paper's related-work section contrasts with TCD:
+// switches count packets that experienced a pause and mark ECN only on
+// non-paused packets; receivers then classify a flow as congested when
+// nearly all of its packets in a window are marked.
 //
 // NP-ECN is implemented here as an additional baseline so the two
-// accurate-detection designs can be compared on the same scenarios
-// (see the ablation experiment). Unlike TCD it is not an independent
-// switch mechanism: the receiver-side fraction test is part of the
-// design, so the detector also exposes the 95% rule as a helper.
-type NPECNConfig struct {
-	// Kmin/Kmax/Pmax follow RED.
-	RED REDConfig
-}
-
-// NPECN marks like RED but suppresses marks on packets that were queued
+// accurate-detection designs can be compared on the same scenarios (see
+// the ablation experiment). It has no parameters of its own: it marks
+// like the RED it wraps but suppresses marks on packets that were queued
 // while the port was paused (the "non-PAUSE" rule).
 type NPECN struct {
-	cfg    NPECNConfig
 	red    *RED
 	paused bool
 	// tainted is the number of bytes still queued that experienced a
@@ -41,9 +32,9 @@ type NPECN struct {
 	Suppressed uint64
 }
 
-// NewNPECN builds the detector.
-func NewNPECN(cfg NPECNConfig, red *RED) *NPECN {
-	return &NPECN{cfg: cfg, red: red}
+// NewNPECN builds the detector around red.
+func NewNPECN(red *RED) *NPECN {
+	return &NPECN{red: red}
 }
 
 // OnOffStart implements fabric.Detector: everything currently queued

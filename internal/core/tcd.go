@@ -40,10 +40,6 @@ type TCDConfig struct {
 	// continuous ON. Use MaxTonCEE for PFC fabrics and MaxTonIB (= Tc)
 	// for CBFC fabrics.
 	MaxTon units.Time
-	// Period is T, the queue-trend observation window after a port leaves
-	// the undetermined state. The paper recommends T = MaxTon; zero
-	// defaults to MaxTon.
-	Period units.Time
 	// CongThresh is the queue length above which (together with an
 	// increasing trend) the port is declared congested. The paper reuses
 	// the fabric's marking threshold (200 KB for CEE, 50 KB for IB).
@@ -89,6 +85,10 @@ type Transition struct {
 // hardware cost the paper argues for (§4.5).
 type TCD struct {
 	cfg TCDConfig
+	// period is T, the queue-trend observation window after a port leaves
+	// the undetermined state: the paper's T = MaxTon, fixed at
+	// construction (the adaptive variant moves MaxTon, not T).
+	period units.Time
 
 	state      State
 	lastOffEnd units.Time
@@ -115,16 +115,13 @@ type TCD struct {
 // NewTCD builds a detector. It panics on invalid configuration: detectors
 // are wired at experiment setup where a loud failure is wanted.
 func NewTCD(cfg TCDConfig) *TCD {
-	if cfg.Period == 0 {
-		cfg.Period = cfg.MaxTon
-	}
 	if cfg.TrendSlack == 0 {
 		cfg.TrendSlack = 4 * units.KB
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &TCD{cfg: cfg, state: NonCongestion, lastOffEnd: units.Never}
+	return &TCD{cfg: cfg, period: cfg.MaxTon, state: NonCongestion, lastOffEnd: units.Never}
 }
 
 // Config returns the detector's configuration.
@@ -214,7 +211,7 @@ func (d *TCD) releasedDequeue(now units.Time, pkt *packet.Packet, qlen units.Byt
 		d.trendQ = qlen
 		return
 	}
-	if now-d.trendStart < d.cfg.Period {
+	if now-d.trendStart < d.period {
 		return
 	}
 	if qlen > d.trendQ+d.cfg.TrendSlack && qlen > d.cfg.CongThresh {

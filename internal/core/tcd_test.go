@@ -10,7 +10,6 @@ import (
 func testCfg() TCDConfig {
 	return TCDConfig{
 		MaxTon:     30 * units.Microsecond,
-		Period:     30 * units.Microsecond,
 		CongThresh: 200 * units.KB,
 		LowThresh:  10 * units.KB,
 	}
@@ -211,15 +210,6 @@ func TestTimeInAccounting(t *testing.T) {
 	}
 	if got := d.TimeIn(NonCongestion); got != 10*units.Microsecond {
 		t.Errorf("TimeIn(non-congestion) = %v, want 10us", got)
-	}
-}
-
-func TestPeriodDefaultsToMaxTon(t *testing.T) {
-	cfg := testCfg()
-	cfg.Period = 0
-	d := NewTCD(cfg)
-	if d.Config().Period != cfg.MaxTon {
-		t.Errorf("Period = %v, want MaxTon %v", d.Config().Period, cfg.MaxTon)
 	}
 }
 

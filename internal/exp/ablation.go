@@ -29,8 +29,9 @@ func AblationDetectors(h Run) *Result {
 // AblationNotification decomposes the paper's DCQCN+TCD rate rules into
 // their two ingredients — aggressive CE cuts (alpha 1.2) and UE holds —
 // and measures each in isolation on the victim scenario. This is the
-// design-choice ablation DESIGN.md calls out for §5.2. It runs on CEE
-// whatever h.Kind says.
+// design-choice ablation DESIGN.md calls out for §5.2. The variants
+// without aggressive cuts run an alpha ceiling of 1.0, not stock DCQCN's
+// 0.5. It runs on CEE whatever h.Kind says.
 func AblationNotification(h Run) *Result {
 	res := NewResult("ablation-notification-rules")
 	h.Kind = CEE
@@ -39,7 +40,7 @@ func AblationNotification(h Run) *Result {
 		alphaCeil float64
 		ueHold    bool
 	}{
-		{"detector-only", 1.0, false}, // accurate detection, stock rules
+		{"detector-only", 1.0, false}, // accurate detection, neither rule
 		{"ue-hold-only", 1.0, true},
 		{"aggressive-only", 1.2, false},
 		{"full-tcd-rules", 1.2, true},
@@ -48,10 +49,7 @@ func AblationNotification(h Run) *Result {
 		v := v
 		cfg := victimConfig(h, DetTCD, CCDCQCN)
 		cfg.CustomCC = func(r *Rig, line units.Rate) host.RateController {
-			c := cc.DefaultDCQCNConfig(line)
-			c.AlphaCeil = v.alphaCeil
-			c.TCD = v.ueHold
-			return cc.NewDCQCN(r.Sched, c)
+			return cc.NewDCQCN(r.Sched, cc.DCQCNConfig{LineRate: line, AlphaCeil: v.alphaCeil, TCD: v.ueHold})
 		}
 		out := Victim(cfg)
 		res.Scalars[v.name+"_mean_fct_us"] = out.MeanFCTus

@@ -246,7 +246,17 @@ type RigConfig struct {
 // the whole registry on sim.NewHeapOnly; nothing else assigns it.
 var newScheduler = sim.New
 
-// NewRig wires everything together.
+// InputError is a run input that passed static validation but does not
+// fit the rig it was given to: a fault schedule naming a link the
+// topology lacks, or a priority the fabric does not have. NewRig panics
+// with one; the places that recover runs (tcdsim and sweep) report it as
+// bad input, without a stack.
+type InputError struct{ Err error }
+
+func (e *InputError) Error() string { return "exp: " + e.Err.Error() }
+
+// NewRig wires everything together. It panics with an *InputError if
+// cfg.Faults does not fit the topology.
 func NewRig(cfg RigConfig) *Rig {
 	if cfg.Selector == nil {
 		cfg.Selector = routing.FirstPath()
@@ -304,10 +314,9 @@ func NewRig(cfg RigConfig) *Rig {
 	if cfg.Obs.Live != nil {
 		r.attachLive()
 	}
-	// A bad schedule is a configuration error and should be loud.
 	var err error
 	if r.Inj, err = fault.Inject(r.Net, cfg.Faults); err != nil {
-		panic("exp: " + err.Error())
+		panic(&InputError{err})
 	}
 	return r
 }
@@ -437,12 +446,11 @@ func (r *Rig) newDetector(p *fabric.Port, prio uint8, record bool) fabric.Detect
 		r.traceTCD(d, p)
 		return d
 	case DetTCDAdaptive:
-		a := core.NewAdaptiveTCD(core.DefaultAdaptiveConfig(r.TCDConfigFor(p)))
+		a := core.NewAdaptiveTCD(r.TCDConfigFor(p))
 		r.traceTCD(a.Inner(), p)
 		return a
 	case DetNPECN:
-		red := core.DefaultREDConfig()
-		return core.NewNPECN(core.NPECNConfig{RED: red}, core.NewRED(red, r.Rnd.Split()))
+		return core.NewNPECN(core.NewRED(core.DefaultREDConfig(), r.Rnd.Split()))
 	}
 	return nil
 }
@@ -480,13 +488,13 @@ func (r *Rig) NewCC(kind CCKind, line units.Rate) host.RateController {
 	case CCDCQCNTCD:
 		return cc.NewDCQCN(r.Sched, cc.TCDDCQCNConfig(line))
 	case CCTIMELY:
-		return cc.NewTIMELY(cc.DefaultTIMELYConfig(line))
+		return cc.NewTIMELY(line, false)
 	case CCTIMELYTCD:
-		return cc.NewTIMELY(cc.TCDTIMELYConfig(line))
+		return cc.NewTIMELY(line, true)
 	case CCIBCC:
-		return cc.NewIBCC(r.Sched, cc.DefaultIBCCConfig(line))
+		return cc.NewIBCC(r.Sched, line, false)
 	case CCIBCCTCD:
-		return cc.NewIBCC(r.Sched, cc.TCDIBCCConfig(line))
+		return cc.NewIBCC(r.Sched, line, true)
 	}
 	return host.FixedRate(line)
 }

@@ -169,8 +169,9 @@ type RunResult struct {
 	Spec    Spec
 	Results []*exp.Result
 	// Err carries a captured panic (its message is the panic value; a
-	// Stack method returns the goroutine stack) or the context error for
-	// runs skipped by cancellation.
+	// Stack method returns the goroutine stack), the *exp.InputError a
+	// run panicked with, or the context error for runs skipped by
+	// cancellation.
 	Err error
 	// Wall is the run's wall-clock duration (zero when skipped).
 	Wall time.Duration
@@ -246,7 +247,8 @@ func Run(ctx context.Context, specs []Spec, fn RunFunc, opt Options) []*RunResul
 	return out
 }
 
-// runOne executes a single spec with panic capture.
+// runOne executes a single spec with panic capture. An *exp.InputError
+// is bad input, not a crash: it becomes the run's error as it is.
 func runOne(ctx context.Context, spec Spec, fn RunFunc) (r *RunResult) {
 	r = &RunResult{Spec: spec}
 	if err := ctx.Err(); err != nil {
@@ -257,7 +259,11 @@ func runOne(ctx context.Context, spec Spec, fn RunFunc) (r *RunResult) {
 	defer func() {
 		r.Wall = time.Since(start)
 		if v := recover(); v != nil {
-			r.Err = &panicError{value: v, stack: stack()}
+			if bad, ok := v.(*exp.InputError); ok {
+				r.Err = bad
+			} else {
+				r.Err = &panicError{value: v, stack: stack()}
+			}
 		}
 	}()
 	r.Results = fn(spec)

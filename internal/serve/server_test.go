@@ -326,6 +326,24 @@ func TestFailedJobNotCached(t *testing.T) {
 	}
 }
 
+// TestMisfitFaultsFailAsInput submits a fault schedule that passes the
+// static checks but names a link fig3's topology lacks. The run rejects
+// it when it arms the injector; the entry fails with that message, as
+// bad input rather than as a panic.
+func TestMisfitFaultsFailAsInput(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Workers: 1})
+	code, _, body := submitWait(t, ts.URL,
+		`{"exp":"fig3","horizon_us":100,"faults":{"events":[{"kind":"link-down","link":"X-Y","at_us":10}]}}`)
+	var doc struct{ Error string }
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("status %d, body %q is not an error document: %v", code, body, err)
+	}
+	if code != http.StatusInternalServerError || !strings.HasSuffix(doc.Error, `: exp: fault: event 0: cannot resolve link "X-Y"`) ||
+		strings.Contains(doc.Error, "panicked") {
+		t.Errorf("status %d, error %q; want 500 and the injector's message without a panic prefix", code, doc.Error)
+	}
+}
+
 // mixedWave sends one concurrent wave of n ?wait=1 submissions — warm
 // ones from a pool of four specs, each sent many times, beside a
 // never-seen cold one every third (n/3 + 4 distinct specs) — and requires

@@ -260,7 +260,8 @@ func TestCohortFlushSteadyStateAllocs(t *testing.T) {
 func TestBandRearmLeavesNoTrail(t *testing.T) {
 	s := New()
 	fired := 0
-	tm := NewTimer(s, func() { fired++ })
+	var tm Timer
+	tm.Init(s, func() { fired++ })
 	s.At(bucket5, func() {
 		for i := 0; i < 100000; i++ {
 			tm.Arm(units.Time(1 + i%100))

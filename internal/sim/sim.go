@@ -703,10 +703,6 @@ func (s *Scheduler) Pending() int {
 	return len(s.band) - s.pos - s.dead + s.wheelCount
 }
 
-// Len reports the number of queued events (alias of Pending, matching
-// the container-style accessor sweeps and tests expect).
-func (s *Scheduler) Len() int { return s.Pending() }
-
 // Run executes events until the queue is empty or Stop is called.
 func (s *Scheduler) Run() {
 	s.RunUntil(units.Forever)
@@ -977,16 +973,9 @@ type Timer struct {
 	armedAt units.Time // fire time of the live arm; Never when idle
 }
 
-// NewTimer returns an unarmed timer that runs fn when it fires.
-func NewTimer(s *Scheduler, fn func()) *Timer {
-	t := new(Timer)
-	t.Init(s, fn)
-	return t
-}
-
-// Init makes t an unarmed timer that runs fn when it fires, for a Timer
-// that lives by value in its owner. The owner must not be copied
-// afterwards: the scheduler is handed t as its event argument.
+// Init makes t an unarmed timer that runs fn when it fires. A Timer lives
+// by value in its owner, which must not be copied afterwards: the
+// scheduler is handed t as its event argument.
 func (t *Timer) Init(s *Scheduler, fn func()) {
 	*t = Timer{s: s, fn: fn, armedAt: units.Never}
 }

@@ -118,8 +118,8 @@ func TestStop(t *testing.T) {
 	}
 	// Stop drains the heap: the remaining events are discarded, and a
 	// subsequent Run has nothing to execute.
-	if s.Len() != 0 {
-		t.Errorf("Len() = %d after Stop, want 0 (heap drained)", s.Len())
+	if s.Pending() != 0 {
+		t.Errorf("Pending() = %d after Stop, want 0 (heap drained)", s.Pending())
 	}
 	s.Run()
 	if count != 3 {
@@ -129,22 +129,22 @@ func TestStop(t *testing.T) {
 
 func TestLenTracksQueue(t *testing.T) {
 	s := New()
-	if s.Len() != 0 {
-		t.Fatalf("empty scheduler Len() = %d, want 0", s.Len())
+	if s.Pending() != 0 {
+		t.Fatalf("empty scheduler Pending() = %d, want 0", s.Pending())
 	}
 	for i := 1; i <= 5; i++ {
 		s.At(units.Time(i*10), func() {})
 	}
-	if s.Len() != 5 || s.Pending() != 5 {
-		t.Fatalf("Len() = %d, Pending() = %d, want 5, 5", s.Len(), s.Pending())
+	if s.Pending() != 5 {
+		t.Fatalf("Pending() = %d, want 5", s.Pending())
 	}
 	s.RunUntil(30)
-	if s.Len() != 2 {
-		t.Errorf("Len() = %d after RunUntil(30), want 2", s.Len())
+	if s.Pending() != 2 {
+		t.Errorf("Pending() = %d after RunUntil(30), want 2", s.Pending())
 	}
 	s.Run()
-	if s.Len() != 0 {
-		t.Errorf("Len() = %d after Run, want 0", s.Len())
+	if s.Pending() != 0 {
+		t.Errorf("Pending() = %d after Run, want 0", s.Pending())
 	}
 }
 
@@ -258,13 +258,14 @@ func TestRescheduleResequences(t *testing.T) {
 func TestTimerChurnKeepsPendingBounded(t *testing.T) {
 	s := New()
 	const nTimers = 8
-	timers := make([]*Timer, nTimers)
+	timers := make([]Timer, nTimers)
 	for i := range timers {
-		timers[i] = NewTimer(s, func() {})
+		timers[i].Init(s, func() {})
 	}
 	s.At(0, func() {
 		for round := 1; round <= 1000; round++ {
-			for _, tm := range timers {
+			for i := range timers {
+				tm := &timers[i]
 				tm.Arm(units.Time(round) * 100)
 				tm.Cancel()
 				tm.Arm(units.Time(round) * 200)
@@ -310,7 +311,8 @@ func TestCancelReleasesClosure(t *testing.T) {
 func TestTimerBasic(t *testing.T) {
 	s := New()
 	fired := 0
-	tm := NewTimer(s, func() { fired++ })
+	var tm Timer
+	tm.Init(s, func() { fired++ })
 	if tm.Armed() {
 		t.Error("new timer reports armed")
 	}
@@ -327,7 +329,8 @@ func TestTimerBasic(t *testing.T) {
 func TestTimerCancel(t *testing.T) {
 	s := New()
 	fired := 0
-	tm := NewTimer(s, func() { fired++ })
+	var tm Timer
+	tm.Init(s, func() { fired++ })
 	s.At(0, func() { tm.Arm(100) })
 	s.At(50, func() { tm.Cancel() })
 	s.Run()
@@ -339,7 +342,8 @@ func TestTimerCancel(t *testing.T) {
 func TestTimerRearmReplacesPending(t *testing.T) {
 	s := New()
 	var times []units.Time
-	tm := NewTimer(s, func() { times = append(times, s.Now()) })
+	var tm Timer
+	tm.Init(s, func() { times = append(times, s.Now()) })
 	s.At(0, func() { tm.Arm(100) })
 	s.At(50, func() { tm.Arm(100) }) // replaces: should fire once at 150
 	s.Run()
@@ -351,8 +355,8 @@ func TestTimerRearmReplacesPending(t *testing.T) {
 func TestTimerPeriodic(t *testing.T) {
 	s := New()
 	var times []units.Time
-	var tm *Timer
-	tm = NewTimer(s, func() {
+	var tm Timer
+	tm.Init(s, func() {
 		times = append(times, s.Now())
 		if len(times) < 3 {
 			tm.Arm(10)
@@ -373,7 +377,8 @@ func TestTimerPeriodic(t *testing.T) {
 
 func TestTimerFireAt(t *testing.T) {
 	s := New()
-	tm := NewTimer(s, func() {})
+	var tm Timer
+	tm.Init(s, func() {})
 	s.At(5, func() {
 		tm.Arm(10)
 		if tm.FireAt() != 15 {
@@ -409,7 +414,8 @@ func BenchmarkScheduler(b *testing.B) {
 func TestPostStopArmAndRescheduleAreNoOps(t *testing.T) {
 	s := New()
 	fired := 0
-	tm := NewTimer(s, func() { fired++ })
+	var tm Timer
+	tm.Init(s, func() { fired++ })
 	tm.Arm(5 * units.Microsecond)
 	id := s.At(7*units.Microsecond, func() { fired++ })
 
@@ -500,7 +506,8 @@ func TestParkedEventsStayOutOfTheHeap(t *testing.T) {
 		s.After(100*units.Nanosecond, tick)
 	}
 	s.After(0, tick)
-	tm := NewTimer(s, func() { t.Error("watchdog fired despite re-arms") })
+	var tm Timer
+	tm.Init(s, func() { t.Error("watchdog fired despite re-arms") })
 	var rearm func()
 	rearm = func() {
 		rearms++
