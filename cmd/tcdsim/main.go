@@ -124,9 +124,6 @@ func main() {
 	if p.Fabric, err = exp.ParseFabric(strings.ToLower(*fabric)); err != nil {
 		die(2, "%v", err)
 	}
-	if err := sc.Check(p); err != nil {
-		die(2, "%v", err)
-	}
 	if *faults != "" {
 		if p.Faults, err = fault.LoadSpec(*faults); err != nil {
 			die(2, "%v", err)
@@ -136,6 +133,9 @@ func main() {
 		if p.Battery, err = exp.LoadBattery(*adversarial); err != nil {
 			die(2, "%v", err)
 		}
+	}
+	if err := sc.Check(p); err != nil {
+		die(2, "%v", err)
 	}
 	shardIdx, shardTotal := 0, 1
 	if *shard != "" {

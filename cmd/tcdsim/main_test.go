@@ -112,9 +112,15 @@ func TestUsageErrorsExit2(t *testing.T) {
 	// itself rejects them.
 	badLink := filepath.Join(dir, "bad-link.json")
 	badPrio := filepath.Join(dir, "bad-prio.json")
+	// A valid schedule, for a scenario that takes none.
+	linkDown := filepath.Join(dir, "link-down.json")
+	// A valid schedule that duplicates victim-under-flap's built-in flap.
+	flap := filepath.Join(dir, "flap.json")
 	for path, spec := range map[string]string{
-		badLink: `{"events":[{"kind":"link-down","link":"X-Y","at_us":10}]}`,
-		badPrio: `{"events":[{"kind":"pause-storm","port":"T2->R1","prio":7,"at_us":10,"until_us":100,"period_us":10,"down_us":5}]}`,
+		badLink:  `{"events":[{"kind":"link-down","link":"X-Y","at_us":10}]}`,
+		badPrio:  `{"events":[{"kind":"pause-storm","port":"T2->R1","prio":7,"at_us":10,"until_us":100,"period_us":10,"down_us":5}]}`,
+		linkDown: `{"events":[{"kind":"link-down","link":"R0-T2","at_us":10}]}`,
+		flap:     `{"events":[{"kind":"flap","link":"R0-T2","at_us":500,"period_us":1000,"down_us":400,"until_us":3000}]}`,
 	} {
 		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
 			t.Fatal(err)
@@ -133,6 +139,9 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-exp", "fig3", "-faults", badPrio},
 		{"-exp", "fig3", "-faults", badPrio, "-runs", "2"},
 		{"-exp", "adversarial", "-adversarial", missing},
+		{"-exp", "table3", "-horizon", "1ms", "-faults", linkDown},
+		{"-exp", "victim-under-flap", "-faults", flap},
+		{"-exp", "fig3", "-horizon", "1ms", "-adversarial", "../../internal/exp/testdata/adversarial/battery.json"},
 		{"-topo-stats", "-topo", "ring"},
 		{"-exp", "fig16", "-k", "3", "-flows", "10", "-horizon", "1ms"},
 		{"-exp", "fig16", "-k", "-4"},

@@ -83,6 +83,17 @@ const (
 	flapSample           = 10 * units.Microsecond
 )
 
+// flapFault is victim-under-flap's built-in flap. A -faults schedule is
+// appended behind it, so the scenario's Check validates the two together.
+var flapFault = fault.Event{
+	Kind:     "flap",
+	Link:     "R0-T2",
+	AtUs:     flapFrom.Micros(),
+	PeriodUs: flapPeriod.Micros(),
+	DownUs:   flapDown.Micros(),
+	UntilUs:  flapUntil.Micros(),
+}
+
 // VictimUnderFlap runs the victim-under-flap scenario with one marking
 // scheme; cmd/tcdsim pairs a DetBaseline and a DetTCD run to show the
 // classification difference. h.Faults, if non-empty, is an extra schedule
@@ -91,14 +102,7 @@ const (
 // rewrites and camouflage duty accounting stay coherent.
 func VictimUnderFlap(h Run, det DetectorKind) *Result {
 	h = h.over(Run{Horizon: flapHorizon})
-	spec := &fault.Spec{Events: []fault.Event{{
-		Kind:     "flap",
-		Link:     "R0-T2",
-		AtUs:     flapFrom.Micros(),
-		PeriodUs: flapPeriod.Micros(),
-		DownUs:   flapDown.Micros(),
-		UntilUs:  flapUntil.Micros(),
-	}}}
+	spec := &fault.Spec{Events: []fault.Event{flapFault}}
 	if !h.Faults.Empty() {
 		spec.Events = append(spec.Events, h.Faults.Events...)
 	}

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,7 +17,9 @@ import (
 // fuzz bytes: up to six events, each decoded from a six-byte record.
 // Keeping the construction total (never returning an invalid spec) lets
 // the fuzz target assert that Inject succeeds and the run upholds every
-// invariant, instead of wasting executions on rejected input.
+// invariant, instead of wasting executions on rejected input: a record
+// whose events would duplicate or conflict with one already decoded is
+// skipped.
 func specFromBytes(raw []byte) *fault.Spec {
 	links := []string{"R0-T2", "S1-T0", "T0-L0", "L0-T2"}
 	ports := []string{"T2->L0", "L0->T0", "T0->S1", "L0->T2"}
@@ -26,25 +30,26 @@ func specFromBytes(raw []byte) *fault.Spec {
 		link := links[int(b[1])%len(links)]
 		port := ports[int(b[1])%len(ports)]
 		until := at + 10 + float64(b[5])*4
+		var rec []fault.Event
 		switch b[0] % 9 {
 		case 0:
 			period := 20 + float64(b[3])
 			down := 1 + float64(b[4])*(period-2)/255
-			evs = append(evs, fault.Event{Kind: "flap", Link: link, AtUs: at,
-				PeriodUs: period, DownUs: down, UntilUs: until})
+			rec = []fault.Event{{Kind: "flap", Link: link, AtUs: at,
+				PeriodUs: period, DownUs: down, UntilUs: until}}
 		case 1:
-			evs = append(evs, fault.Event{Kind: "link-down", Link: link, AtUs: at})
-			evs = append(evs, fault.Event{Kind: "link-up", Link: link, AtUs: at + 20 + float64(b[3])})
+			rec = []fault.Event{{Kind: "link-down", Link: link, AtUs: at},
+				{Kind: "link-up", Link: link, AtUs: at + 20 + float64(b[3])}}
 		case 2:
 			prob := (1 + float64(b[3]%100)) / 100
-			evs = append(evs, fault.Event{Kind: "ctrl-loss", Port: port, AtUs: at,
-				Prob: prob, Seed: uint64(b[4]) + 1, UntilUs: until})
+			rec = []fault.Event{{Kind: "ctrl-loss", Port: port, AtUs: at,
+				Prob: prob, Seed: uint64(b[4]) + 1, UntilUs: until}}
 		case 3:
-			evs = append(evs, fault.Event{Kind: "ctrl-delay", Port: port, AtUs: at,
-				DelayUs: 1 + float64(b[3]), UntilUs: until})
+			rec = []fault.Event{{Kind: "ctrl-delay", Port: port, AtUs: at,
+				DelayUs: 1 + float64(b[3]), UntilUs: until}}
 		case 4:
-			evs = append(evs, fault.Event{Kind: "freeze", Port: port, AtUs: at})
-			evs = append(evs, fault.Event{Kind: "thaw", Port: port, AtUs: at + 20 + float64(b[3])})
+			rec = []fault.Event{{Kind: "freeze", Port: port, AtUs: at},
+				{Kind: "thaw", Port: port, AtUs: at + 20 + float64(b[3])}}
 		case 5:
 			// Pause storm, sustained (down 0) or bursty; down stays below
 			// the 20us period floor so every decode is a valid storm.
@@ -53,20 +58,24 @@ func specFromBytes(raw []byte) *fault.Spec {
 			if b[4]%2 == 1 {
 				down = 1 + float64(b[4]%16)
 			}
-			evs = append(evs, fault.Event{Kind: "pause-storm", Port: port, AtUs: at,
-				PeriodUs: period, DownUs: down, UntilUs: until})
+			rec = []fault.Event{{Kind: "pause-storm", Port: port, AtUs: at,
+				PeriodUs: period, DownUs: down, UntilUs: until}}
 		case 6:
 			period := 20 + float64(b[3])
 			down := 1 + float64(b[4]%18)
-			evs = append(evs, fault.Event{Kind: "camouflage", Port: port, AtUs: at,
-				PeriodUs: period, DownUs: down, UntilUs: until})
+			rec = []fault.Event{{Kind: "camouflage", Port: port, AtUs: at,
+				PeriodUs: period, DownUs: down, UntilUs: until}}
 		case 7:
 			prob := (1 + float64(b[3]%100)) / 100
-			evs = append(evs, fault.Event{Kind: "spoof-mark", Port: port, AtUs: at,
-				Prob: prob, Seed: uint64(b[4]) + 1, UntilUs: until})
+			rec = []fault.Event{{Kind: "spoof-mark", Port: port, AtUs: at,
+				Prob: prob, Seed: uint64(b[4]) + 1, UntilUs: until}}
 		case 8:
-			evs = append(evs, fault.Event{Kind: "route-rewrite", Port: port, AtUs: at,
-				UntilUs: until})
+			rec = []fault.Event{{Kind: "route-rewrite", Port: port, AtUs: at,
+				UntilUs: until}}
+		}
+		next := append(slices.Clip(evs), rec...)
+		if (&fault.Spec{Events: next}).Validate() == nil {
+			evs = next
 		}
 	}
 	return &fault.Spec{Events: evs}
@@ -108,8 +117,8 @@ func golden(t *testing.T) []obs.Event {
 // simulator and checks the properties no schedule may break: the run
 // never panics, the scheduler heap stays internally consistent, the
 // network-wide invariants hold at the horizon, and the trace prefix
-// strictly before the first injection matches the fault-free golden run
-// event for event.
+// strictly before the schedule's smallest at_us matches the fault-free
+// golden run event for event.
 func FuzzFaultSchedule(f *testing.F) {
 	f.Add([]byte{})                                                              // empty schedule
 	f.Add([]byte{0, 0, 10, 50, 128, 100})                                        // one flap on R0-T2
@@ -129,7 +138,11 @@ func FuzzFaultSchedule(f *testing.F) {
 			t.Fatalf("%v\nspec: %+v", err, spec)
 		}
 		g := golden(t)
-		first := rig.Inj.FirstInjection()
+		// Every kind fires its first action at its at_us.
+		first := units.Forever
+		for _, ev := range spec.Events {
+			first = min(first, units.Time(math.Round(ev.AtUs*float64(units.Microsecond))))
+		}
 		for i := 0; i < len(g) && i < len(events); i++ {
 			if g[i].At >= first || events[i].At >= first {
 				break

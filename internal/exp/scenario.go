@@ -106,6 +106,9 @@ type Scenario struct {
 	Compare bool
 	// Faults reports whether the scenario arms Params.Faults.
 	Faults bool
+	// builtIn is what the scenario arms ahead of Params.Faults in the same
+	// schedule; Check validates the two together.
+	builtIn []fault.Event
 	// Obs is how much of Params.Obs the scenario's rigs are wired with.
 	Obs obsUse
 	// Archs and Workloads are the menus of Params.Arch and
@@ -141,10 +144,35 @@ func (sc *Scenario) HasDet(d DetectorKind) bool { return slices.Contains(sc.Dets
 // HasCC reports whether c is on the scenario's congestion-control menu.
 func (sc *Scenario) HasCC(c CCKind) bool { return slices.Contains(sc.CCs, c) }
 
-// Check reports the first set parameter that lies outside the menu sc
-// declares for its axis. An axis sc does not consume is not checked (the
-// CLI passes every flag to every scenario).
+// Check reports the first set parameter sc does not take: a fault
+// schedule (an empty one counts as set) or battery it would ignore, a
+// schedule that fails fault.Spec.Validate on its own or merged behind
+// sc's built-in events, or a value outside the menu sc declares for its
+// axis. A menu axis sc does not consume is not checked (the CLI passes
+// every flag to every scenario).
 func (sc *Scenario) Check(p Params) error {
+	if p.Faults != nil && !sc.Faults {
+		return fmt.Errorf("exp: %s does not accept a fault schedule", sc.Name)
+	}
+	if err := p.Faults.Validate(); err != nil {
+		return err
+	}
+	if len(sc.builtIn) > 0 && !p.Faults.Empty() {
+		merged := &fault.Spec{Events: append(slices.Clip(sc.builtIn), p.Faults.Events...)}
+		if err := merged.Validate(); err != nil {
+			b := sc.builtIn[0]
+			return fmt.Errorf("exp: %s arms its own %s on %q at %gus as event 0, ahead of the schedule: %w",
+				sc.Name, b.Kind, b.Link+b.Port, b.AtUs, err)
+		}
+	}
+	if p.Battery != nil && !sc.Battery {
+		return fmt.Errorf("exp: %s does not take an attack battery", sc.Name)
+	}
+	return sc.checkMenus(p)
+}
+
+// checkMenus is Check without the schedule and battery rules.
+func (sc *Scenario) checkMenus(p Params) error {
 	if p.Det != DetNone && !sc.HasDet(p.Det) {
 		return fmt.Errorf("exp: %s does not support det %q (menu: %s)", sc.Name, p.Det, join(sc.Dets))
 	}
@@ -221,9 +249,11 @@ func (sc *Scenario) unset(def string) string {
 // the header is resolved once (see header); an unset Workload selects the
 // menu's first entry; an unset Det/CC selects the default, or every menu
 // entry of a comparison scenario. Front-ends validate with Check first,
-// so a parameter outside its menu here is a front-end bug and panics.
+// so a parameter outside its menu here is a front-end bug and panics. A
+// schedule or battery sc does not take is not checked here: sc never
+// reads it, so one Params can be run across the whole table.
 func (sc *Scenario) Run(p Params) []*Result {
-	if err := sc.Check(p); err != nil {
+	if err := sc.checkMenus(p); err != nil {
 		panic(err)
 	}
 	h := sc.header(p)
@@ -363,7 +393,8 @@ var Scenarios = []*Scenario{
 		}},
 	{Name: "victim-under-flap", Desc: "victim flow during a flapping link: stock detector vs TCD",
 		Dets: []DetectorKind{DetBaseline, DetTCD}, DefaultDet: DetBaseline, Compare: true, Faults: true, Obs: obsProgress,
-		run: func(h Run, p Params) []*Result { return []*Result{VictimUnderFlap(h, p.Det)} }},
+		builtIn: []fault.Event{flapFault},
+		run:     func(h Run, p Params) []*Result { return []*Result{VictimUnderFlap(h, p.Det)} }},
 	{Name: "deadlock-unit", Desc: "3-switch ring PFC/CBFC deadlock with initial-trigger attribution",
 		Obs: obsAll,
 		run: func(h Run, _ Params) []*Result { return []*Result{DeadlockUnit(h)} }},

@@ -84,7 +84,9 @@ func TestParseKinds(t *testing.T) {
 
 // TestCheckRejectsOffMenu: a value outside the menu a scenario declares
 // is an error naming the menu, never a silent fall-through to a default;
-// an axis the scenario does not consume is not its business.
+// a menu axis the scenario does not consume is not its business, but a
+// fault schedule or battery it would ignore, or a schedule Validate
+// rejects alone or behind the scenario's built-in events, is an error.
 func TestCheckRejectsOffMenu(t *testing.T) {
 	cases := []struct {
 		exp     string
@@ -105,6 +107,20 @@ func TestCheckRejectsOffMenu(t *testing.T) {
 		{"fig17", Params{K: -4}, "even k >= 2"},
 		{"fig19", Params{Flows: -5}, "has no flows -5"},
 		{"fig3", Params{K: 3, Flows: -5}, ""},
+		{"fig3", Params{Faults: &fault.Spec{}}, ""},
+		{"table3", Params{Faults: &fault.Spec{}}, "does not accept a fault schedule"},
+		{"fig3", Params{Faults: &fault.Spec{Events: []fault.Event{{Kind: "link-down", AtUs: 10}}}}, "needs a link or port"},
+		// victim-under-flap arms its own flap ahead of the schedule: a copy
+		// of it, or a schedule that fits the action budget only alone, is
+		// rejected as the merged schedule would be at run time.
+		{"victim-under-flap", Params{Faults: &fault.Spec{Events: []fault.Event{
+			{Kind: "flap", Link: "R0-T2", AtUs: 600, PeriodUs: 1000, DownUs: 400, UntilUs: 3000}}}}, ""},
+		{"victim-under-flap", Params{Faults: &fault.Spec{Events: []fault.Event{
+			{Kind: "flap", Link: "R0-T2", AtUs: 500, PeriodUs: 1000, DownUs: 400, UntilUs: 3000}}}}, "events 0 and 1 are duplicates"},
+		{"victim-under-flap", Params{Faults: &fault.Spec{Events: []fault.Event{
+			{Kind: "flap", Link: "T2-L0", AtUs: 0, PeriodUs: 10, DownUs: 5, UntilUs: 499940}}}}, "more than 100000 toggles"},
+		{"adversarial", Params{Battery: DefaultBattery()}, ""},
+		{"fig3", Params{Battery: DefaultBattery()}, "does not take an attack battery"},
 	}
 	for _, tc := range cases {
 		err := Lookup(tc.exp).Check(tc.p)

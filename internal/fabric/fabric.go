@@ -374,11 +374,6 @@ func (p *Port) Recorder() obs.Recorder { return p.net.cfg.Rec }
 // emit events outside a callback carrying the time).
 func (p *Port) Now() units.Time { return p.net.Sched.Now() }
 
-// QueueBytes reports the egress queue length of one priority in bytes.
-func (p *Port) QueueBytes(prio uint8) units.ByteSize {
-	return p.net.qbytes[int(p.pb)+int(prio)]
-}
-
 // TotalQueueBytes reports the egress queue length across priorities.
 func (p *Port) TotalQueueBytes() units.ByteSize {
 	var t units.ByteSize
@@ -968,9 +963,6 @@ func (n *Network) FreePacket(pkt *packet.Packet) { n.arena.Put(pkt) }
 
 // Ports returns all ports (both sides of every link).
 func (n *Network) Ports() []*Port { return n.ports }
-
-// NodePorts returns the ports owned by a node, in link-insertion order.
-func (n *Network) NodePorts(id packet.NodeID) []*Port { return n.nodes[id].ports }
 
 // PortOn returns the port of node `owner` on topology link `link`.
 func (n *Network) PortOn(owner packet.NodeID, link int) *Port {

@@ -189,9 +189,9 @@ func TestRoutingLoopPanics(t *testing.T) {
 	// Deliberately bounce packets between s1 and s2 forever.
 	n.Route = func(at packet.NodeID, pkt *packet.Packet) *Port {
 		if at == s1 {
-			return n.NodePorts(s1)[1]
+			return n.nodes[s1].ports[1]
 		}
-		return n.NodePorts(s2)[0]
+		return n.nodes[s2].ports[0]
 	}
 	n.Sink = func(_ packet.NodeID, _ *packet.Packet) {}
 	src := &listSource{at: []units.Time{0}, pkts: []*packet.Packet{mkPkt(a, b, 100)}}
@@ -211,7 +211,7 @@ func TestPortLookups(t *testing.T) {
 	if n.PortToward(sw, a).Peer != n.HostPort(a) {
 		t.Error("PortToward/HostPort disagree")
 	}
-	if len(n.NodePorts(sw)) != 2 {
+	if len(n.nodes[sw].ports) != 2 {
 		t.Error("switch port count wrong")
 	}
 	if n.PortOn(a, 0) != n.HostPort(a) {

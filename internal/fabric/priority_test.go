@@ -136,8 +136,8 @@ func TestPerPriorityQueueBytes(t *testing.T) {
 		egress.Enqueue(prioPkt(a, b, 1, 1))
 	})
 	s.RunUntil(10 * units.Microsecond)
-	if egress.QueueBytes(0) != 1000 || egress.QueueBytes(1) != 2000 {
-		t.Errorf("queue bytes = %v/%v, want 1000/2000", egress.QueueBytes(0), egress.QueueBytes(1))
+	if q0, q1 := n.qbytes[egress.pb], n.qbytes[egress.pb+1]; q0 != 1000 || q1 != 2000 {
+		t.Errorf("queue bytes = %v/%v, want 1000/2000", q0, q1)
 	}
 	if egress.TotalQueueBytes() != 3000 {
 		t.Errorf("total = %v, want 3000", egress.TotalQueueBytes())

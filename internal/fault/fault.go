@@ -1,6 +1,6 @@
 // Package fault is the deterministic fault injector: it turns a
 // declarative schedule (JSON or programmatic) of link and port failures
-// into cancellable scheduler events against a fabric.Network.
+// into scheduler events against a fabric.Network.
 //
 // Injectable primitives:
 //
@@ -55,7 +55,6 @@ import (
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/rng"
-	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -68,20 +67,21 @@ type Event struct {
 	Kind string `json:"kind"`
 	// AtUs is when the fault takes effect.
 	AtUs float64 `json:"at_us"`
-	// Link selects both sides of an undirected link (link-down, link-up,
-	// flap; also accepted by freeze/thaw to freeze both sides).
+	// Link selects both sides of an undirected link, Port one directed
+	// egress port; an event names exactly one. pause-storm, camouflage,
+	// spoof-mark and route-rewrite attack one egress and take a Port only.
 	Link string `json:"link,omitempty"`
-	// Port selects one directed egress port (ctrl-loss, ctrl-delay,
-	// freeze, thaw; also accepted by link-down/up for a one-sided fault).
 	Port string `json:"port,omitempty"`
-	// PeriodUs is the flap period (down edge to down edge).
+	// PeriodUs is a train's period (flap, pause-storm, camouflage: down
+	// edge to down edge).
 	PeriodUs float64 `json:"period_us,omitempty"`
-	// DownUs is how long each flap iteration stays down.
+	// DownUs is how long each train period stays down (0 makes a
+	// pause-storm sustained).
 	DownUs float64 `json:"down_us,omitempty"`
-	// UntilUs ends a flap window or a ctrl-loss/ctrl-delay rule
-	// (0 = the rule lasts for the rest of the run).
+	// UntilUs ends a train (required) or a ctrl-loss, ctrl-delay,
+	// spoof-mark or route-rewrite rule (0 = the rest of the run).
 	UntilUs float64 `json:"until_us,omitempty"`
-	// Prob is the ctrl-loss drop probability in [0, 1].
+	// Prob is the ctrl-loss drop or spoof-mark probability in (0, 1].
 	Prob float64 `json:"prob,omitempty"`
 	// DelayUs is the extra ctrl-delay delivery latency.
 	DelayUs float64 `json:"delay_us,omitempty"`
@@ -115,80 +115,181 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// knownKinds is every accepted Event.Kind. conflicts maps each kind to
-// the kind it cannot share a target and timestamp with: two such events
-// would race on the same flag with an order-of-spec winner — always a
-// spec bug, never an intent.
-var (
-	knownKinds = map[string]bool{
-		"link-down": true, "link-up": true, "flap": true,
-		"ctrl-loss": true, "ctrl-delay": true, "freeze": true, "thaw": true,
-		"pause-storm": true, "camouflage": true, "spoof-mark": true,
-		"route-rewrite": true,
-	}
-	conflicts = map[string]string{
-		"link-down": "link-up", "link-up": "link-down",
-		"freeze": "thaw", "thaw": "freeze",
-		"ctrl-loss": "ctrl-delay", "ctrl-delay": "ctrl-loss",
-	}
+// conflicts maps each kind to the kind it cannot share a target and
+// timestamp with: two such events would race on the same flag with an
+// order-of-spec winner — always a spec bug, never an intent.
+var conflicts = map[string]string{
+	"link-down": "link-up", "link-up": "link-down",
+	"freeze": "thaw", "thaw": "freeze",
+	"ctrl-loss": "ctrl-delay", "ctrl-delay": "ctrl-loss",
+}
+
+// maxActions bounds the primitive actions one whole schedule may arm, so
+// a malformed or hostile spec (a tiny period over a huge window, or
+// thousands of rules) is rejected when it is read instead of flooding
+// the scheduler.
+const maxActions = 100000
+
+// The optional fields an event kind may read; a set field its kind does
+// not read is rejected, so two events that arm the same actions also
+// serialize (and hash) the same.
+const (
+	readsTrain = 1 << iota // period_us, down_us
+	readsUntil             // until_us
+	readsCoin              // prob, seed
+	readsDelay             // delay_us
+	readsPrio              // prio
 )
 
-// finite reports whether f is a usable spec number: not NaN, not ±Inf.
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+// usToTime converts spec microseconds to simulator time.
+func usToTime(us float64) units.Time {
+	return units.Time(math.Round(us * float64(units.Microsecond)))
+}
 
-// checkNumbers rejects NaN/Inf/negative values in one event's numeric
-// fields — usToTime would otherwise round them into garbage timestamps
-// silently.
-func checkNumbers(ev Event) error {
-	for _, f := range []struct {
-		name string
-		val  float64
-	}{
-		{"at_us", ev.AtUs}, {"period_us", ev.PeriodUs}, {"down_us", ev.DownUs},
-		{"until_us", ev.UntilUs}, {"prob", ev.Prob}, {"delay_us", ev.DelayUs},
-	} {
-		if !finite(f.val) {
-			return fmt.Errorf("%s %s is not a finite number", ev.Kind, f.name)
+// Validate checks everything about the spec that needs no topology: known
+// kinds, finite non-negative numbers that fit the simulator's clock, the
+// fields and target each kind takes, each kind's window and duty cycle,
+// one action budget for the whole schedule, and no conflicting events on
+// the same target at the same timestamp. What depends on the fabric (do
+// the names resolve, does the priority exist) is Inject's.
+func (s *Spec) Validate() error {
+	if s.Empty() {
+		return nil
+	}
+	at := make(map[string]int, len(s.Events))
+	var armed int64
+	for i, ev := range s.Events {
+		n, err := ev.check()
+		if err != nil {
+			return fmt.Errorf("fault: event %d: %w", i, err)
 		}
-		if f.val < 0 {
-			return fmt.Errorf("%s %s must not be negative (got %g)", ev.Kind, f.name, f.val)
+		// Compared before adding: a single train's bound can reach 2^63,
+		// and the sum must not wrap past the budget.
+		if n > maxActions-armed {
+			unit := "actions"
+			switch ev.Kind {
+			case "flap":
+				unit = "toggles"
+			case "pause-storm", "camouflage":
+				unit = "frames"
+			}
+			return fmt.Errorf("fault: event %d: %s expands the schedule to more than %d %s", i, ev.Kind, maxActions, unit)
+		}
+		armed += n
+		key := fmt.Sprintf("%s|%s|%s|%g", ev.Kind, ev.Link, ev.Port, ev.AtUs)
+		if prev, dup := at[key]; dup {
+			return fmt.Errorf("fault: events %d and %d are duplicates: %s on %q at %gus",
+				prev, i, ev.Kind, ev.Link+ev.Port, ev.AtUs)
+		}
+		at[key] = i
+		if opp := conflicts[ev.Kind]; opp != "" {
+			oppKey := fmt.Sprintf("%s|%s|%s|%g", opp, ev.Link, ev.Port, ev.AtUs)
+			if prev, clash := at[oppKey]; clash {
+				return fmt.Errorf("fault: events %d and %d conflict: %s vs %s on %q at %gus",
+					prev, i, opp, ev.Kind, ev.Link+ev.Port, ev.AtUs)
+			}
 		}
 	}
 	return nil
 }
 
-// Validate checks the spec's static well-formedness: known kinds, finite
-// non-negative numbers, and no conflicting events on the same target at
-// the same timestamp. Topology-dependent checks (does the link exist,
-// does the priority fit the fabric) happen at Inject time.
-func (s *Spec) Validate() error {
-	if s.Empty() {
-		return nil
+// check validates one event on its own and returns an upper bound on the
+// actions it arms.
+func (ev Event) check() (int64, error) {
+	var reads int
+	portOnly := false
+	switch ev.Kind {
+	case "link-down", "link-up", "freeze", "thaw":
+	case "flap":
+		reads = readsTrain | readsUntil
+	case "pause-storm", "camouflage":
+		reads, portOnly = readsTrain|readsUntil|readsPrio, true
+	case "ctrl-loss":
+		reads = readsUntil | readsCoin
+	case "spoof-mark":
+		reads, portOnly = readsUntil|readsCoin, true
+	case "ctrl-delay":
+		reads = readsUntil | readsDelay
+	case "route-rewrite":
+		reads, portOnly = readsUntil, true
+	default:
+		return 0, fmt.Errorf("unknown kind %q", ev.Kind)
 	}
-	type slot struct{ index int }
-	at := make(map[string]slot, len(s.Events))
-	for i, ev := range s.Events {
-		if !knownKinds[ev.Kind] {
-			return fmt.Errorf("fault: event %d: unknown kind %q", i, ev.Kind)
-		}
-		if err := checkNumbers(ev); err != nil {
-			return fmt.Errorf("fault: event %d: %w", i, err)
-		}
-		key := fmt.Sprintf("%s|%s|%s|%g", ev.Kind, ev.Link, ev.Port, ev.AtUs)
-		if prev, dup := at[key]; dup {
-			return fmt.Errorf("fault: events %d and %d are duplicates: %s on %q at %gus",
-				prev.index, i, ev.Kind, ev.Link+ev.Port, ev.AtUs)
-		}
-		at[key] = slot{i}
-		if opp := conflicts[ev.Kind]; opp != "" {
-			oppKey := fmt.Sprintf("%s|%s|%s|%g", opp, ev.Link, ev.Port, ev.AtUs)
-			if prev, clash := at[oppKey]; clash {
-				return fmt.Errorf("fault: events %d and %d conflict: %s vs %s on %q at %gus",
-					prev.index, i, opp, ev.Kind, ev.Link+ev.Port, ev.AtUs)
-			}
+	for _, f := range []struct {
+		name string
+		val  float64
+		us   bool
+	}{
+		{"at_us", ev.AtUs, true}, {"period_us", ev.PeriodUs, true}, {"down_us", ev.DownUs, true},
+		{"until_us", ev.UntilUs, true}, {"prob", ev.Prob, false}, {"delay_us", ev.DelayUs, true},
+	} {
+		switch {
+		case math.IsNaN(f.val) || math.IsInf(f.val, 0):
+			return 0, fmt.Errorf("%s %s is not a finite number", ev.Kind, f.name)
+		case f.val < 0:
+			return 0, fmt.Errorf("%s %s must not be negative (got %g)", ev.Kind, f.name, f.val)
+		case f.us && math.Round(f.val*float64(units.Microsecond)) >= float64(units.Forever):
+			// usToTime would overflow into a garbage timestamp.
+			return 0, fmt.Errorf("%s %s %g does not fit the simulator's clock (max %.3g us)",
+				ev.Kind, f.name, f.val, units.Forever.Micros())
 		}
 	}
-	return nil
+	for _, f := range []struct {
+		name string
+		set  bool
+		read int
+	}{
+		{"period_us", ev.PeriodUs != 0, readsTrain}, {"down_us", ev.DownUs != 0, readsTrain},
+		{"until_us", ev.UntilUs != 0, readsUntil}, {"prob", ev.Prob != 0, readsCoin},
+		{"seed", ev.Seed != 0, readsCoin}, {"delay_us", ev.DelayUs != 0, readsDelay},
+		{"prio", ev.Prio != 0, readsPrio},
+	} {
+		if f.set && reads&f.read == 0 {
+			return 0, fmt.Errorf("%s does not read %s", ev.Kind, f.name)
+		}
+	}
+	switch {
+	case portOnly && ev.Link != "":
+		return 0, fmt.Errorf("%s needs a directed port target, not a link", ev.Kind)
+	case portOnly && ev.Port == "":
+		return 0, fmt.Errorf("%s needs a port target", ev.Kind)
+	case ev.Link != "" && ev.Port != "":
+		return 0, fmt.Errorf("give link or port, not both")
+	case ev.Link == "" && ev.Port == "":
+		return 0, fmt.Errorf("needs a link or port target")
+	}
+
+	at, until := usToTime(ev.AtUs), usToTime(ev.UntilUs)
+	period, downFor := usToTime(ev.PeriodUs), usToTime(ev.DownUs)
+	if reads&readsTrain != 0 {
+		switch {
+		case period <= 0:
+			return 0, fmt.Errorf("%s needs period_us > 0", ev.Kind)
+		case ev.Kind == "flap" && (downFor <= 0 || downFor >= period):
+			return 0, fmt.Errorf("flap needs 0 < down_us < period_us")
+		case until <= at:
+			return 0, fmt.Errorf("%s needs until_us past at_us", ev.Kind)
+		case ev.Kind == "camouflage" && (downFor <= 0 || downFor >= period):
+			return 0, fmt.Errorf("camouflage needs 0 < down_us < period_us")
+		case ev.Kind == "pause-storm" && downFor >= period:
+			return 0, fmt.Errorf("pause-storm needs down_us = 0 (sustained) or 0 < down_us < period_us (bursty)")
+		}
+		// Each period arms at most two actions (down and up, or pause and
+		// resume); a sustained storm's single final resume fits the
+		// bound's extra period.
+		return (int64(until-at)/int64(period) + 1) * 2, nil
+	}
+	switch {
+	case reads&readsCoin != 0 && (ev.Prob <= 0 || ev.Prob > 1):
+		return 0, fmt.Errorf("%s needs prob in (0, 1]", ev.Kind)
+	case reads&readsDelay != 0 && ev.DelayUs <= 0:
+		return 0, fmt.Errorf("ctrl-delay needs delay_us > 0")
+	case ev.UntilUs > 0 && until <= at:
+		return 0, fmt.Errorf("%s needs until_us past at_us (or 0 for open-ended)", ev.Kind)
+	case ev.UntilUs > 0:
+		return 2, nil
+	}
+	return 1, nil
 }
 
 // LoadSpec reads and decodes a JSON fault schedule from a file.
@@ -200,20 +301,12 @@ func LoadSpec(path string) (*Spec, error) {
 	return ParseSpec(data)
 }
 
-// maxFlapToggles bounds the events one flap rule may expand into, so a
-// malformed spec (tiny period, huge window) fails loudly instead of
-// flooding the scheduler.
-const maxFlapToggles = 100000
-
 // Injector holds the armed fault events of one run.
 type Injector struct {
 	net *fabric.Network
-	ids []sim.EventID
 
 	// Armed counts the primitive actions scheduled.
 	Armed int
-	// first is the earliest action timestamp (units.Forever when none).
-	first units.Time
 
 	// override is the route-rewrite table, lazily installed as a wrapper
 	// around the network's routing function on the first route-rewrite
@@ -227,82 +320,184 @@ type Injector struct {
 	camoDuty map[*fabric.Port]float64
 }
 
-// usToTime converts spec microseconds to simulator time.
-func usToTime(us float64) units.Time {
-	return units.Time(math.Round(us * float64(units.Microsecond)))
-}
-
-// Inject validates spec against the network's topology and schedules
-// every action on the network's scheduler. It must be called before the
-// run starts (actions in the past are a spec error). The returned
-// Injector can Stop() to cancel everything still pending.
+// Inject validates spec (see Validate), resolves its link and port names
+// and priorities against the network, and schedules every action on the
+// network's scheduler. It must be called before the run starts.
 func Inject(n *fabric.Network, spec *Spec) (*Injector, error) {
-	in := &Injector{net: n, first: units.Forever}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	in := &Injector{net: n}
 	if spec.Empty() {
 		return in, nil
 	}
-	now := n.Sched.Now()
 	for i, ev := range spec.Events {
-		if err := checkNumbers(ev); err != nil {
-			return nil, fmt.Errorf("fault: event %d: %w", i, err)
-		}
-		at := usToTime(ev.AtUs)
-		if at < now {
-			return nil, fmt.Errorf("fault: event %d (%s) at %v is in the past (now %v)", i, ev.Kind, at, now)
-		}
-		var err error
-		switch ev.Kind {
-		case "link-down":
-			err = in.armUpDown(i, ev, at, true)
-		case "link-up":
-			err = in.armUpDown(i, ev, at, false)
-		case "flap":
-			err = in.armFlap(i, ev, at)
-		case "ctrl-loss", "ctrl-delay":
-			err = in.armCtrlFault(i, ev, at)
-		case "freeze":
-			err = in.armFreeze(i, ev, at, true)
-		case "thaw":
-			err = in.armFreeze(i, ev, at, false)
-		case "pause-storm":
-			err = in.armStorm(i, ev, at, false)
-		case "camouflage":
-			err = in.armStorm(i, ev, at, true)
-		case "spoof-mark":
-			err = in.armSpoof(i, ev, at)
-		case "route-rewrite":
-			err = in.armReroute(i, ev, at)
-		default:
-			err = fmt.Errorf("unknown kind %q", ev.Kind)
-		}
-		if err != nil {
+		if err := in.armEvent(i, ev); err != nil {
 			return nil, fmt.Errorf("fault: event %d: %w", i, err)
 		}
 	}
 	return in, nil
 }
 
-// Stop cancels every armed action still pending.
-func (in *Injector) Stop() {
-	for _, id := range in.ids {
-		in.net.Sched.Cancel(id)
-	}
-	in.ids = in.ids[:0]
+// arm schedules one action.
+func (in *Injector) arm(at units.Time, fn func()) {
+	in.net.Sched.At(at, fn)
+	in.Armed++
 }
 
-// FirstInjection reports the earliest armed action's timestamp, or
-// units.Forever for an empty schedule. Trace prefixes strictly before it
-// are guaranteed identical to the fault-free run.
-func (in *Injector) FirstInjection() units.Time { return in.first }
-
-// arm schedules one action and tracks its handle for Stop.
-func (in *Injector) arm(at units.Time, fn func()) {
-	id := in.net.Sched.At(at, fn)
-	in.ids = append(in.ids, id)
-	in.Armed++
-	if at < in.first {
-		in.first = at
+// train arms on at at, at+period, ... before until, each paired with off
+// downFor later (clamped to until) — or, with downFor 0, a single off at
+// until.
+func (in *Injector) train(at, until, period, downFor units.Time, on, off func()) {
+	for t := at; t < until; t += period {
+		in.arm(t, on)
+		if downFor > 0 {
+			in.arm(min(t+downFor, until), off)
+		}
 	}
+	if downFor == 0 {
+		in.arm(until, off)
+	}
+}
+
+// armEvent resolves one validated event's target and arms its actions: a
+// train for flap, pause-storm and camouflage, else a start at at_us and,
+// for a rule with until_us, a stop.
+func (in *Injector) armEvent(i int, ev Event) error {
+	ports, err := in.targets(ev)
+	if err != nil {
+		return err
+	}
+	if prios := in.net.Config().Priorities; int(ev.Prio) >= prios {
+		return fmt.Errorf("%s prio %d out of range (fabric has %d priorities)", ev.Kind, ev.Prio, prios)
+	}
+	each := func(fn func(*fabric.Port)) func() {
+		return func() {
+			for _, p := range ports {
+				fn(p)
+			}
+		}
+	}
+	at, until := usToTime(ev.AtUs), usToTime(ev.UntilUs)
+	period, downFor := usToTime(ev.PeriodUs), usToTime(ev.DownUs)
+	target := ports[0] // the port of a port-only kind
+	var start, stop func()
+	switch ev.Kind {
+	case "link-down", "link-up":
+		down := ev.Kind == "link-down"
+		start = each(func(p *fabric.Port) { p.SetDown(down) })
+	case "freeze", "thaw":
+		frozen := ev.Kind == "freeze"
+		start = each(func(p *fabric.Port) { p.SetFrozen(frozen) })
+	case "flap":
+		in.train(at, until, period, downFor,
+			each(func(p *fabric.Port) { p.SetDown(true) }),
+			each(func(p *fabric.Port) { p.SetDown(false) }))
+		return nil
+	case "pause-storm", "camouflage":
+		// Forged PFC pause frames originated by the target's peer — the
+		// compromised NIC or switch on the far end — against the target's
+		// egress gate. Camouflage is always bursty (a sustained pause
+		// would be a detectable outage) and records its duty cycle for
+		// the oracle.
+		tag := fabric.AttackStorm
+		if ev.Kind == "camouflage" {
+			tag = fabric.AttackCamouflage
+			if in.camoDuty == nil {
+				in.camoDuty = make(map[*fabric.Port]float64)
+			}
+			in.camoDuty[target] += ev.DownUs / ev.PeriodUs
+		}
+		forger, prio := target.Peer, ev.Prio
+		// A sustained storm (down_us 0) ends with one final resume so its
+		// damage has a defined end and recovery is measurable.
+		in.train(at, until, period, downFor, func() {
+			target.TagAttack(tag)
+			forger.ForgeCtrl(fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: prio})
+		}, func() {
+			forger.ForgeCtrl(fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: prio})
+		})
+		return nil
+	case "ctrl-loss":
+		coin := ev.coin(i)
+		hook := func(fabric.CtrlFrame) (bool, units.Time) { return coin(), 0 }
+		start = each(func(p *fabric.Port) { p.SetCtrlFault(hook) })
+		stop = each(func(p *fabric.Port) { p.SetCtrlFault(nil) })
+	case "ctrl-delay":
+		delay := usToTime(ev.DelayUs)
+		hook := func(fabric.CtrlFrame) (bool, units.Time) { return false, delay }
+		start = each(func(p *fabric.Port) { p.SetCtrlFault(hook) })
+		stop = each(func(p *fabric.Port) { p.SetCtrlFault(nil) })
+	case "spoof-mark":
+		// The target forges CE marks on its outgoing data packets.
+		coin := ev.coin(i)
+		hook := func(*packet.Packet) bool { return coin() }
+		start = func() {
+			target.TagAttack(fabric.AttackSpoof)
+			target.SetSpoof(hook)
+		}
+		stop = func() { target.SetSpoof(nil) }
+	case "route-rewrite":
+		// Every transit packet at the target's node is forced out the
+		// target (host-delivery hops excepted).
+		ov, err := in.routeOverride()
+		if err != nil {
+			return err
+		}
+		node, rec := target.Node(), target.Recorder()
+		record := func(val int64) {
+			if rec != nil {
+				rec.Record(obs.Event{
+					At: in.net.Sched.Now(), Kind: obs.KindRouteRewrite,
+					Port: target.Label(), Flow: -1, Val: val,
+				})
+			}
+		}
+		start = func() {
+			target.TagAttack(fabric.AttackReroute)
+			ov[node] = target
+			record(1)
+		}
+		stop = func() {
+			delete(ov, node)
+			record(0)
+		}
+	}
+	in.arm(at, start)
+	if until > 0 {
+		in.arm(until, stop)
+	}
+	return nil
+}
+
+// coin returns the rule's seeded coin, true with probability Prob. An
+// unseeded rule derives its seed from its position i in the spec, so two
+// unseeded rules do not share a stream.
+func (ev Event) coin(i int) func() bool {
+	seed := ev.Seed
+	if seed == 0 {
+		seed = 0x9e3779b97f4a7c15 * uint64(i+1)
+	}
+	src, prob := rng.New(seed), ev.Prob
+	return func() bool { return src.Float64() < prob }
+}
+
+// targets resolves an event's target to the affected ports: both sides of
+// Link, or the single directed Port.
+func (in *Injector) targets(ev Event) ([]*fabric.Port, error) {
+	if ev.Port != "" {
+		p, err := in.resolvePort(ev.Port)
+		if err != nil {
+			return nil, err
+		}
+		return []*fabric.Port{p}, nil
+	}
+	li, err := in.resolveLink(ev.Link)
+	if err != nil {
+		return nil, err
+	}
+	l := in.net.Topo.Links[li]
+	return []*fabric.Port{in.net.PortOn(l.A, li), in.net.PortOn(l.B, li)}, nil
 }
 
 // resolveLink resolves "A-B" to a topology link index. Node names may
@@ -344,249 +539,6 @@ func (in *Injector) resolvePort(s string) (*fabric.Port, error) {
 	return nil, fmt.Errorf("cannot resolve port %q", s)
 }
 
-// sides resolves an event's target to the affected ports: both sides of
-// Link, or the single directed Port.
-func (in *Injector) sides(ev Event) ([]*fabric.Port, error) {
-	switch {
-	case ev.Link != "" && ev.Port != "":
-		return nil, fmt.Errorf("give link or port, not both")
-	case ev.Link != "":
-		li, err := in.resolveLink(ev.Link)
-		if err != nil {
-			return nil, err
-		}
-		return []*fabric.Port{in.net.PortOn(in.net.Topo.Links[li].A, li), in.net.PortOn(in.net.Topo.Links[li].B, li)}, nil
-	case ev.Port != "":
-		p, err := in.resolvePort(ev.Port)
-		if err != nil {
-			return nil, err
-		}
-		return []*fabric.Port{p}, nil
-	default:
-		return nil, fmt.Errorf("needs a link or port target")
-	}
-}
-
-func (in *Injector) armUpDown(_ int, ev Event, at units.Time, down bool) error {
-	ports, err := in.sides(ev)
-	if err != nil {
-		return err
-	}
-	in.arm(at, func() {
-		for _, p := range ports {
-			p.SetDown(down)
-		}
-	})
-	return nil
-}
-
-func (in *Injector) armFreeze(_ int, ev Event, at units.Time, frozen bool) error {
-	ports, err := in.sides(ev)
-	if err != nil {
-		return err
-	}
-	in.arm(at, func() {
-		for _, p := range ports {
-			p.SetFrozen(frozen)
-		}
-	})
-	return nil
-}
-
-func (in *Injector) armFlap(_ int, ev Event, at units.Time) error {
-	ports, err := in.sides(ev)
-	if err != nil {
-		return err
-	}
-	period := usToTime(ev.PeriodUs)
-	downFor := usToTime(ev.DownUs)
-	until := usToTime(ev.UntilUs)
-	switch {
-	case period <= 0:
-		return fmt.Errorf("flap needs period_us > 0")
-	case downFor <= 0 || downFor >= period:
-		return fmt.Errorf("flap needs 0 < down_us < period_us")
-	case until <= at:
-		return fmt.Errorf("flap needs until_us past at_us")
-	case (int64(until-at)/int64(period)+1)*2 > maxFlapToggles:
-		return fmt.Errorf("flap expands to more than %d toggles", maxFlapToggles)
-	}
-	for t := at; t < until; t += period {
-		down, up := t, t+downFor
-		if up > until {
-			up = until
-		}
-		in.arm(down, func() {
-			for _, p := range ports {
-				p.SetDown(true)
-			}
-		})
-		in.arm(up, func() {
-			for _, p := range ports {
-				p.SetDown(false)
-			}
-		})
-	}
-	return nil
-}
-
-func (in *Injector) armCtrlFault(i int, ev Event, at units.Time) error {
-	ports, err := in.sides(ev)
-	if err != nil {
-		return err
-	}
-	var hook func(fabric.CtrlFrame) (bool, units.Time)
-	switch ev.Kind {
-	case "ctrl-loss":
-		if ev.Prob <= 0 || ev.Prob > 1 {
-			return fmt.Errorf("ctrl-loss needs prob in (0, 1]")
-		}
-		seed := ev.Seed
-		if seed == 0 {
-			// Derive a stable per-rule seed so two unseeded rules do not
-			// share a coin stream.
-			seed = 0x9e3779b97f4a7c15 * uint64(i+1)
-		}
-		src := rng.New(seed)
-		prob := ev.Prob
-		hook = func(fabric.CtrlFrame) (bool, units.Time) { return src.Float64() < prob, 0 }
-	case "ctrl-delay":
-		if ev.DelayUs <= 0 {
-			return fmt.Errorf("ctrl-delay needs delay_us > 0")
-		}
-		delay := usToTime(ev.DelayUs)
-		hook = func(fabric.CtrlFrame) (bool, units.Time) { return false, delay }
-	}
-	in.arm(at, func() {
-		for _, p := range ports {
-			p.SetCtrlFault(hook)
-		}
-	})
-	if ev.UntilUs > 0 {
-		until := usToTime(ev.UntilUs)
-		if until <= at {
-			return fmt.Errorf("%s needs until_us past at_us (or 0 for open-ended)", ev.Kind)
-		}
-		in.arm(until, func() {
-			for _, p := range ports {
-				p.SetCtrlFault(nil)
-			}
-		})
-	}
-	return nil
-}
-
-// targetPort resolves the mandatory directed-port target of an
-// adversarial rule (they attack one egress, never a whole link).
-func (in *Injector) targetPort(ev Event) (*fabric.Port, error) {
-	if ev.Link != "" {
-		return nil, fmt.Errorf("%s needs a directed port target, not a link", ev.Kind)
-	}
-	if ev.Port == "" {
-		return nil, fmt.Errorf("%s needs a port target", ev.Kind)
-	}
-	return in.resolvePort(ev.Port)
-}
-
-// armStorm schedules a pause-storm or (camo=true) camouflage rule: forged
-// PFC pause frames originated by the target port's peer — the compromised
-// NIC or switch on the far end — against the target's egress gate. With
-// down_us = 0 the storm is sustained: a pause every period with a single
-// final resume at until_us. With 0 < down_us < period_us it is bursty:
-// pause at each period start, resume down_us later. Camouflage requires
-// the bursty form (a sustained pause would be a detectable outage, not
-// camouflage) and records its duty cycle for the oracle.
-func (in *Injector) armStorm(_ int, ev Event, at units.Time, camo bool) error {
-	target, err := in.targetPort(ev)
-	if err != nil {
-		return err
-	}
-	if int(ev.Prio) >= in.net.Config().Priorities {
-		return fmt.Errorf("%s prio %d out of range (fabric has %d priorities)",
-			ev.Kind, ev.Prio, in.net.Config().Priorities)
-	}
-	period := usToTime(ev.PeriodUs)
-	downFor := usToTime(ev.DownUs)
-	until := usToTime(ev.UntilUs)
-	switch {
-	case period <= 0:
-		return fmt.Errorf("%s needs period_us > 0", ev.Kind)
-	case until <= at:
-		return fmt.Errorf("%s needs until_us past at_us", ev.Kind)
-	case camo && (downFor <= 0 || downFor >= period):
-		return fmt.Errorf("camouflage needs 0 < down_us < period_us")
-	case !camo && downFor != 0 && (downFor <= 0 || downFor >= period):
-		return fmt.Errorf("pause-storm needs down_us = 0 (sustained) or 0 < down_us < period_us (bursty)")
-	case (int64(until-at)/int64(period)+1)*2 > maxFlapToggles:
-		return fmt.Errorf("%s expands to more than %d frames", ev.Kind, maxFlapToggles)
-	}
-	tag := fabric.AttackStorm
-	if camo {
-		tag = fabric.AttackCamouflage
-		if in.camoDuty == nil {
-			in.camoDuty = make(map[*fabric.Port]float64)
-		}
-		in.camoDuty[target] += ev.DownUs / ev.PeriodUs
-	}
-	forger := target.Peer
-	prio := ev.Prio
-	pause := func() {
-		target.TagAttack(tag)
-		forger.ForgeCtrl(fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: prio})
-	}
-	resume := func() {
-		forger.ForgeCtrl(fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: prio})
-	}
-	for t := at; t < until; t += period {
-		in.arm(t, pause)
-		if downFor > 0 {
-			up := t + downFor
-			if up > until {
-				up = until
-			}
-			in.arm(up, resume)
-		}
-	}
-	if downFor == 0 {
-		// Sustained storm: one final resume so the rule's damage has a
-		// defined end and post-attack recovery is measurable.
-		in.arm(until, resume)
-	}
-	return nil
-}
-
-// armSpoof schedules a spoof-mark rule: the target port forges CE marks
-// on its outgoing data packets with probability prob from at_us until
-// until_us (0 = rest of the run).
-func (in *Injector) armSpoof(i int, ev Event, at units.Time) error {
-	target, err := in.targetPort(ev)
-	if err != nil {
-		return err
-	}
-	if ev.Prob <= 0 || ev.Prob > 1 {
-		return fmt.Errorf("spoof-mark needs prob in (0, 1]")
-	}
-	seed := ev.Seed
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15 * uint64(i+1)
-	}
-	src := rng.New(seed)
-	prob := ev.Prob
-	hook := func(*packet.Packet) bool { return src.Float64() < prob }
-	in.arm(at, func() {
-		target.TagAttack(fabric.AttackSpoof)
-		target.SetSpoof(hook)
-	})
-	if ev.UntilUs > 0 {
-		until := usToTime(ev.UntilUs)
-		if until <= at {
-			return fmt.Errorf("spoof-mark needs until_us past at_us (or 0 for open-ended)")
-		}
-		in.arm(until, func() { target.SetSpoof(nil) })
-	}
-	return nil
-}
-
 // routeOverride lazily wraps the network's routing function with the
 // injector's rewrite table. Installed at Inject time but inert while the
 // table is empty, so the trace prefix before the first rewrite fires is
@@ -615,48 +567,6 @@ func (in *Injector) routeOverride() (map[packet.NodeID]*fabric.Port, error) {
 		return orig(at, pkt)
 	}
 	return ov, nil
-}
-
-// armReroute schedules a route-rewrite rule: from at_us, every transit
-// packet at the target port's node is forced out that port (host-delivery
-// hops excepted); until_us removes the rewrite (0 = permanent).
-func (in *Injector) armReroute(_ int, ev Event, at units.Time) error {
-	out, err := in.targetPort(ev)
-	if err != nil {
-		return err
-	}
-	ov, err := in.routeOverride()
-	if err != nil {
-		return err
-	}
-	node := out.Node()
-	rec := out.Recorder()
-	in.arm(at, func() {
-		out.TagAttack(fabric.AttackReroute)
-		ov[node] = out
-		if rec != nil {
-			rec.Record(obs.Event{
-				At: in.net.Sched.Now(), Kind: obs.KindRouteRewrite,
-				Port: out.Label(), Flow: -1, Val: 1,
-			})
-		}
-	})
-	if ev.UntilUs > 0 {
-		until := usToTime(ev.UntilUs)
-		if until <= at {
-			return fmt.Errorf("route-rewrite needs until_us past at_us (or 0 for permanent)")
-		}
-		in.arm(until, func() {
-			delete(ov, node)
-			if rec != nil {
-				rec.Record(obs.Event{
-					At: in.net.Sched.Now(), Kind: obs.KindRouteRewrite,
-					Port: out.Label(), Flow: -1, Val: 0,
-				})
-			}
-		})
-	}
-	return nil
 }
 
 // CamouflageDuty reports the summed camouflage pause duty cycle armed

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -119,18 +120,84 @@ func TestFaultSpecValidate(t *testing.T) {
 			{Kind: "link-down", Link: "a-b", AtUs: 5},
 			{Kind: "link-up", Link: "a-c", AtUs: 5},
 		}, ""},
+
+		// Target shape and each kind's numbers.
+		{"unknown kind with a target", []Event{{Kind: "meteor-strike", AtUs: 1, Link: "h0-s0"}}, "unknown kind"},
+		{"no target", []Event{{Kind: "link-down", AtUs: 1}}, "needs a link or port"},
+		{"both targets", []Event{{Kind: "link-down", AtUs: 1, Link: "h0-s0", Port: "h0->s0"}}, "not both"},
+		{"flap no period", []Event{{Kind: "flap", AtUs: 1, Link: "h0-s0", DownUs: 1, UntilUs: 9}}, "period_us > 0"},
+		{"flap down too long", []Event{{Kind: "flap", AtUs: 1, Link: "h0-s0", PeriodUs: 5, DownUs: 5, UntilUs: 9}}, "down_us < period_us"},
+		{"flap empty window", []Event{{Kind: "flap", AtUs: 9, Link: "h0-s0", PeriodUs: 5, DownUs: 1, UntilUs: 9}}, "until_us past at_us"},
+		{"flap explosion", []Event{{Kind: "flap", AtUs: 0, Link: "h0-s0", PeriodUs: 0.001, DownUs: 0.0005, UntilUs: 1e6}}, "toggles"},
+		{"ctrl-loss bad prob", []Event{{Kind: "ctrl-loss", AtUs: 1, Port: "s0->h1", Prob: 1.5}}, "prob in (0, 1]"},
+		{"ctrl-delay no delay", []Event{{Kind: "ctrl-delay", AtUs: 1, Port: "s0->h1"}}, "delay_us > 0"},
+		{"storm on a link", []Event{{Kind: "pause-storm", AtUs: 1, Link: "h0-s0", PeriodUs: 10, UntilUs: 50}}, "not a link"},
+		{"storm no target", []Event{{Kind: "pause-storm", AtUs: 1, PeriodUs: 10, UntilUs: 50}}, "needs a port target"},
+		{"storm no period", []Event{{Kind: "pause-storm", AtUs: 1, Port: "s0->h1", UntilUs: 50}}, "period_us > 0"},
+		{"storm empty window", []Event{{Kind: "pause-storm", AtUs: 50, Port: "s0->h1", PeriodUs: 10, UntilUs: 50}}, "until_us past at_us"},
+		{"storm bad duty", []Event{{Kind: "pause-storm", AtUs: 1, Port: "s0->h1", PeriodUs: 10, DownUs: 10, UntilUs: 50}}, "bursty"},
+		{"storm explosion", []Event{{Kind: "pause-storm", AtUs: 0, Port: "s0->h1", PeriodUs: 0.001, UntilUs: 1e6}}, "frames"},
+		{"camouflage sustained", []Event{{Kind: "camouflage", AtUs: 1, Port: "s0->h1", PeriodUs: 10, UntilUs: 50}}, "0 < down_us < period_us"},
+		{"spoof bad prob", []Event{{Kind: "spoof-mark", AtUs: 1, Port: "s0->h1", Prob: 2}}, "prob in (0, 1]"},
+		{"spoof empty window", []Event{{Kind: "spoof-mark", AtUs: 9, Port: "s0->h1", Prob: 0.5, UntilUs: 9}}, "until_us past at_us"},
+		{"reroute empty window", []Event{{Kind: "route-rewrite", AtUs: 9, Port: "s0->h1", UntilUs: 9}}, "until_us past at_us"},
+		{"reroute on a link", []Event{{Kind: "route-rewrite", AtUs: 1, Link: "h0-s0"}}, "not a link"},
+
+		// Schedules the daemon admitted before Validate held these rules.
+		{"flap without period_us", []Event{{Kind: "flap", Link: "R0-T2", AtUs: 500, DownUs: 400, UntilUs: 3000}}, "period_us > 0"},
+		{"ctrl-loss prob 5", []Event{{Kind: "ctrl-loss", Port: "T2->L0", AtUs: 800, Prob: 5}}, "prob in (0, 1]"},
+		{"link-down without target", []Event{{Kind: "link-down", AtUs: 10}}, "needs a link or port"},
+		{"pause-storm on a link", []Event{{Kind: "pause-storm", Link: "R0-T2", AtUs: 300, PeriodUs: 40, DownUs: 30, UntilUs: 900}}, "not a link"},
+
+		// Magnitudes past the simulator's clock.
+		{"at_us overflow", []Event{{Kind: "link-down", Link: "R0-T2", AtUs: 1e300}}, "at_us 1e+300 does not fit"},
+		{"period_us overflow", []Event{{Kind: "flap", Link: "R0-T2", AtUs: 5, PeriodUs: 1e300, DownUs: 1, UntilUs: 50}}, "period_us 1e+300 does not fit"},
+		{"delay_us overflow", []Event{{Kind: "ctrl-delay", Port: "T2->L0", AtUs: 5, DelayUs: 1e300}}, "delay_us 1e+300 does not fit"},
+		{"largest time ok", []Event{{Kind: "link-down", Link: "a-b", AtUs: 4.6e12}}, ""},
+
+		// One budget for the whole schedule: 60 000 toggles each.
+		{"one flap of the pair fits", []Event{
+			{Kind: "flap", Link: "a-b", AtUs: 0, PeriodUs: 10, DownUs: 5, UntilUs: 299990},
+		}, ""},
+		{"two flaps past the budget", []Event{
+			{Kind: "flap", Link: "a-b", AtUs: 0, PeriodUs: 10, DownUs: 5, UntilUs: 299990},
+			{Kind: "flap", Link: "a-c", AtUs: 0, PeriodUs: 10, DownUs: 5, UntilUs: 299990},
+		}, "more than 100000 toggles"},
+		// A 1 ps sustained storm to the clock's end bounds ~2^63 frames:
+		// added to the flap's 2 202 toggles, the sum would wrap negative.
+		{"budget sum cannot wrap", []Event{
+			{Kind: "flap", Link: "a-b", AtUs: 0, PeriodUs: 10, DownUs: 5, UntilUs: 11000},
+			{Kind: "pause-storm", Port: "a->b", AtUs: 0, PeriodUs: 1e-6, UntilUs: 4611686018427.387},
+		}, "more than 100000 frames"},
+
+		// A set field the kind never reads.
+		{"link-down with prob", []Event{{Kind: "link-down", Link: "a-b", AtUs: 5, Prob: 0.5}}, "link-down does not read prob"},
+		{"freeze with until", []Event{{Kind: "freeze", Port: "a->b", AtUs: 5, UntilUs: 9}}, "freeze does not read until_us"},
+		{"flap with prio", []Event{{Kind: "flap", Link: "a-b", AtUs: 1, PeriodUs: 5, DownUs: 1, UntilUs: 9, Prio: 1}}, "flap does not read prio"},
+		{"ctrl-loss with delay", []Event{{Kind: "ctrl-loss", Port: "a->b", AtUs: 1, Prob: 0.5, DelayUs: 3}}, "ctrl-loss does not read delay_us"},
+		{"ctrl-delay with seed", []Event{{Kind: "ctrl-delay", Port: "a->b", AtUs: 1, DelayUs: 3, Seed: 7}}, "ctrl-delay does not read seed"},
+		{"route-rewrite with period", []Event{{Kind: "route-rewrite", Port: "a->b", AtUs: 1, PeriodUs: 5}}, "route-rewrite does not read period_us"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := (&Spec{Events: tc.events}).Validate()
-			if tc.want == "" {
-				if err != nil {
-					t.Fatalf("unexpected error: %v", err)
+			check := func(via string, err error) {
+				t.Helper()
+				switch {
+				case tc.want == "" && err != nil:
+					t.Fatalf("%s: unexpected error: %v", via, err)
+				case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+					t.Fatalf("%s: want error containing %q, got %v", via, tc.want, err)
+				case err != nil && strings.Contains(err.Error(), "\n"):
+					t.Fatalf("%s: error spans lines: %q", via, err)
 				}
-				return
 			}
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("want error containing %q, got %v", tc.want, err)
+			spec := &Spec{Events: tc.events}
+			check("Validate", spec.Validate())
+			// Every case JSON can spell (NaN and Inf it cannot) is
+			// rejected the same way when it is read.
+			if data, err := json.Marshal(spec); err == nil {
+				_, err := ParseSpec(data)
+				check("ParseSpec", err)
 			}
 		})
 	}
@@ -144,6 +211,8 @@ func TestFaultSpecValidate(t *testing.T) {
 	}
 }
 
+// TestFaultInjectValidation: what Inject still rejects is what depends on
+// the fabric — names that do not resolve and priorities it lacks.
 func TestFaultInjectValidation(t *testing.T) {
 	l := newLine(t)
 	cases := []struct {
@@ -151,45 +220,20 @@ func TestFaultInjectValidation(t *testing.T) {
 		ev   Event
 		want string
 	}{
-		{"unknown kind", Event{Kind: "meteor-strike", AtUs: 1, Link: "h0-s0"}, "unknown kind"},
-		{"no target", Event{Kind: "link-down", AtUs: 1}, "needs a link or port"},
-		{"both targets", Event{Kind: "link-down", AtUs: 1, Link: "h0-s0", Port: "h0->s0"}, "not both"},
 		{"bad link", Event{Kind: "link-down", AtUs: 1, Link: "h0-h9"}, "cannot resolve link"},
 		{"unconnected", Event{Kind: "link-down", AtUs: 1, Link: "h0-h1"}, "no link between"},
 		{"bad port", Event{Kind: "freeze", AtUs: 1, Port: "h0->h9"}, "cannot resolve port"},
-		{"flap no period", Event{Kind: "flap", AtUs: 1, Link: "h0-s0", DownUs: 1, UntilUs: 9}, "period_us > 0"},
-		{"flap down too long", Event{Kind: "flap", AtUs: 1, Link: "h0-s0", PeriodUs: 5, DownUs: 5, UntilUs: 9}, "down_us < period_us"},
-		{"flap empty window", Event{Kind: "flap", AtUs: 9, Link: "h0-s0", PeriodUs: 5, DownUs: 1, UntilUs: 9}, "until_us past at_us"},
-		{"flap explosion", Event{Kind: "flap", AtUs: 0, Link: "h0-s0", PeriodUs: 0.001, DownUs: 0.0005, UntilUs: 1e6}, "toggles"},
-		{"ctrl-loss bad prob", Event{Kind: "ctrl-loss", AtUs: 1, Port: "s0->h1", Prob: 1.5}, "prob in (0, 1]"},
-		{"ctrl-delay no delay", Event{Kind: "ctrl-delay", AtUs: 1, Port: "s0->h1"}, "delay_us > 0"},
-		{"storm on a link", Event{Kind: "pause-storm", AtUs: 1, Link: "h0-s0", PeriodUs: 10, UntilUs: 50}, "not a link"},
-		{"storm no target", Event{Kind: "pause-storm", AtUs: 1, PeriodUs: 10, UntilUs: 50}, "needs a port target"},
 		{"storm bad prio", Event{Kind: "pause-storm", AtUs: 1, Port: "s0->h1", Prio: 99, PeriodUs: 10, UntilUs: 50}, "out of range"},
-		{"storm no period", Event{Kind: "pause-storm", AtUs: 1, Port: "s0->h1", UntilUs: 50}, "period_us > 0"},
-		{"storm empty window", Event{Kind: "pause-storm", AtUs: 50, Port: "s0->h1", PeriodUs: 10, UntilUs: 50}, "until_us past at_us"},
-		{"storm bad duty", Event{Kind: "pause-storm", AtUs: 1, Port: "s0->h1", PeriodUs: 10, DownUs: 10, UntilUs: 50}, "bursty"},
-		{"storm explosion", Event{Kind: "pause-storm", AtUs: 0, Port: "s0->h1", PeriodUs: 0.001, UntilUs: 1e6}, "frames"},
-		{"camouflage sustained", Event{Kind: "camouflage", AtUs: 1, Port: "s0->h1", PeriodUs: 10, UntilUs: 50}, "0 < down_us < period_us"},
-		{"spoof bad prob", Event{Kind: "spoof-mark", AtUs: 1, Port: "s0->h1", Prob: 2}, "prob in (0, 1]"},
-		{"spoof empty window", Event{Kind: "spoof-mark", AtUs: 9, Port: "s0->h1", Prob: 0.5, UntilUs: 9}, "until_us past at_us"},
-		{"reroute empty window", Event{Kind: "route-rewrite", AtUs: 9, Port: "s0->h1", UntilUs: 9}, "until_us past at_us"},
-		{"reroute on a link", Event{Kind: "route-rewrite", AtUs: 1, Link: "h0-s0"}, "not a link"},
 	}
 	for _, tc := range cases {
-		_, err := Inject(l.net, &Spec{Events: []Event{tc.ev}})
+		spec := &Spec{Events: []Event{tc.ev}}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: rejected before Inject: %v", tc.name, err)
+		}
+		_, err := Inject(l.net, spec)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}
-	}
-}
-
-func TestFaultInjectRejectsPastEvents(t *testing.T) {
-	l := newLine(t)
-	l.sched.RunUntil(10 * units.Microsecond)
-	_, err := Inject(l.net, &Spec{Events: []Event{{Kind: "link-down", Link: "h0-s0", AtUs: 2}}})
-	if err == nil || !strings.Contains(err.Error(), "in the past") {
-		t.Fatalf("want past-event error, got %v", err)
 	}
 }
 
@@ -199,8 +243,8 @@ func TestFaultInjectEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.Armed != 0 || inj.FirstInjection() != units.Forever {
-		t.Fatalf("empty spec armed %d actions, first %v", inj.Armed, inj.FirstInjection())
+	if inj.Armed != 0 {
+		t.Fatalf("empty spec armed %d actions", inj.Armed)
 	}
 }
 
@@ -215,9 +259,6 @@ func TestFaultFlapExpansion(t *testing.T) {
 	// Down edges at 10, 20, 30, 40; each paired with an up edge.
 	if inj.Armed != 8 {
 		t.Fatalf("want 8 toggles, armed %d", inj.Armed)
-	}
-	if inj.FirstInjection() != 10*units.Microsecond {
-		t.Fatalf("first injection %v, want 10us", inj.FirstInjection())
 	}
 }
 
@@ -276,24 +317,6 @@ func TestFaultFreezeStallsWithoutDrops(t *testing.T) {
 	}
 }
 
-func TestFaultStopCancelsPendingActions(t *testing.T) {
-	l := newLine(t)
-	inj, err := Inject(l.net, &Spec{Events: []Event{
-		{Kind: "link-down", Link: "s0-h1", AtUs: 10},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.Stop()
-	l.sched.RunUntil(400 * units.Microsecond)
-	if !l.flow.Done {
-		t.Fatal("canceled fault still broke the run")
-	}
-	if l.net.Faulted() {
-		t.Fatal("network marked faulted though every action was canceled")
-	}
-}
-
 func TestFaultRerouteNeedsRoutingFunc(t *testing.T) {
 	g := topo.New()
 	s0 := g.AddSwitch("s0")
@@ -303,45 +326,6 @@ func TestFaultRerouteNeedsRoutingFunc(t *testing.T) {
 	_, err := Inject(net, &Spec{Events: []Event{{Kind: "route-rewrite", Port: "s0->h0", AtUs: 1}}})
 	if err == nil || !strings.Contains(err.Error(), "routing function") {
 		t.Fatalf("want routing-function error, got %v", err)
-	}
-}
-
-// TestFaultStopMidStorm: Stop racing a bursty pause-storm between a forged
-// pause and its forged resume cancels the resume — the last fired pause
-// keeps the gate down (no honest meter ever paused it, so none will resume
-// it) and the network stays marked faulted, while no further frames are
-// forged.
-func TestFaultStopMidStorm(t *testing.T) {
-	l := newLine(t)
-	pfc.Install(l.net, pfc.DefaultConfig())
-	inj, err := Inject(l.net, &Spec{Events: []Event{{
-		Kind: "pause-storm", Port: "s0->h1", AtUs: 10, PeriodUs: 10, DownUs: 8, UntilUs: 200,
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	forged := func() uint64 {
-		var n uint64
-		for _, p := range l.net.Ports() {
-			n += p.ForgedCtrl
-		}
-		return n
-	}
-	// Pause fires at 10us, its resume at 18us: stop in between.
-	l.sched.RunUntil(15 * units.Microsecond)
-	if got := forged(); got != 1 {
-		t.Fatalf("mid-storm forged %d frames, want exactly the first pause", got)
-	}
-	inj.Stop()
-	l.sched.RunUntil(400 * units.Microsecond)
-	if got := forged(); got != 1 {
-		t.Fatalf("storm kept forging after Stop: %d frames", got)
-	}
-	if l.flow.Done {
-		t.Fatal("flow completed through a gate whose forged resume was cancelled")
-	}
-	if !l.net.Faulted() {
-		t.Fatal("network no longer faulted though a forged pause already fired")
 	}
 }
 
@@ -388,20 +372,17 @@ func TestFaultSustainedStormIsOnePause(t *testing.T) {
 }
 
 // TestFaultGoldenPrefixBoundary: a run with a fault schedule is identical
-// to the unfaulted run strictly before FirstInjection and diverges after.
+// to the unfaulted run strictly before the schedule's smallest at_us (every
+// kind fires its first action at its at_us) and diverges after.
 func TestFaultGoldenPrefixBoundary(t *testing.T) {
 	build := func(storm bool) *line {
 		l := newLine(t)
 		pfc.Install(l.net, pfc.DefaultConfig())
 		if storm {
-			inj, err := Inject(l.net, &Spec{Events: []Event{{
+			if _, err := Inject(l.net, &Spec{Events: []Event{{
 				Kind: "pause-storm", Port: "s0->h1", AtUs: 20, PeriodUs: 10, DownUs: 8, UntilUs: 250,
-			}}})
-			if err != nil {
+			}}}); err != nil {
 				t.Fatal(err)
-			}
-			if inj.FirstInjection() != 20*units.Microsecond {
-				t.Fatalf("first injection %v, want 20us", inj.FirstInjection())
 			}
 		}
 		return l

@@ -31,6 +31,12 @@ func FuzzParseJobSpec(f *testing.F) {
 		`{"exp":"fig3","horizon_us":1e309}`,
 		`{"exp":"fig3","bogus":true}`,
 		`{"exp":"fig11","horizon_us":1e-7}`,
+		// Schedules that can never run, admitted before fault.Spec.Validate
+		// held every rule that needs no topology.
+		`{"exp":"fig3","faults":{"events":[{"kind":"flap","link":"R0-T2","at_us":500,"down_us":400,"until_us":3000}]}}`,
+		`{"exp":"fig3","faults":{"events":[{"kind":"ctrl-loss","port":"T2->L0","at_us":800,"prob":5}]}}`,
+		`{"exp":"fig3","faults":{"events":[{"kind":"link-down","at_us":10}]}}`,
+		`{"exp":"fig3","faults":{"events":[{"kind":"pause-storm","link":"R0-T2","at_us":300,"period_us":40,"down_us":30,"until_us":900}]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

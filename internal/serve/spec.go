@@ -38,8 +38,9 @@ const (
 	// MaxHorizonUs caps the simulated horizon (10 s of simulated time;
 	// the paper's longest figure runs 400 ms).
 	MaxHorizonUs = 10e6
-	// MaxFaultEvents caps the fault schedule length (each flap rule can
-	// expand further, but package fault bounds that expansion itself).
+	// MaxFaultEvents caps the fault schedule length (a rule can expand
+	// into many actions, but fault.Spec.Validate bounds the whole
+	// schedule's expansion itself).
 	MaxFaultEvents = 4096
 	// MaxSpecBytes caps the request body accepted by the submit handler.
 	MaxSpecBytes = 1 << 20
@@ -152,6 +153,12 @@ func (s *JobSpec) normalize() error {
 			return fmt.Errorf("serve: exp %q does not support cc %q", s.Exp, s.CC)
 		}
 	}
+	if s.Faults != nil && len(s.Faults.Events) > MaxFaultEvents {
+		return fmt.Errorf("serve: fault schedule exceeds %d events", MaxFaultEvents)
+	}
+	// Check validates the schedule, merged with any events the scenario
+	// arms ahead of it.
+	s.params.Faults = s.Faults
 	if err := sc.Check(s.params); err != nil {
 		return err
 	}
@@ -175,22 +182,10 @@ func (s *JobSpec) normalize() error {
 		// full default horizon under a hash of its own.
 		return fmt.Errorf("serve: horizon_us %g is below one simulator tick (1e-6 us); 0 keeps the default", s.HorizonUs)
 	}
-	if s.Faults != nil {
-		if !sc.Faults {
-			return fmt.Errorf("serve: exp %q does not accept a fault schedule", s.Exp)
-		}
-		if s.Faults.Empty() {
-			// nil and {} mean the same run; canonicalize to nil so they
-			// hash identically.
-			s.Faults = nil
-		} else {
-			if len(s.Faults.Events) > MaxFaultEvents {
-				return fmt.Errorf("serve: fault schedule exceeds %d events", MaxFaultEvents)
-			}
-			if err := s.Faults.Validate(); err != nil {
-				return err
-			}
-		}
+	if s.Faults.Empty() {
+		// nil and {} mean the same run; canonicalize to nil so they hash
+		// identically.
+		s.Faults = nil
 	}
 	s.params.Seed, s.params.Horizon, s.params.Faults = s.Seed, s.Horizon(), s.Faults
 	return nil

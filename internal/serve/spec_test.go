@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mustParse parses or fails the test.
@@ -113,6 +115,19 @@ func TestCanonicalIdempotent(t *testing.T) {
 // TestParseRejects: malformed or out-of-bounds specs must fail before
 // anything is enqueued.
 func TestParseRejects(t *testing.T) {
+	// 4096 flap rules of 100 000 toggles each: every rule fits the action
+	// budget alone, the schedule (~410 M actions) does not.
+	var flood strings.Builder
+	flood.WriteString(`{"exp":"fig3","faults":{"events":[`)
+	for i := 0; i < MaxFaultEvents; i++ {
+		if i > 0 {
+			flood.WriteByte(',')
+		}
+		fmt.Fprintf(&flood, `{"kind":"flap","link":"R0-T2","at_us":%d,"period_us":100,"down_us":50,"until_us":%d}`,
+			1000+i, 1000+i+4999900)
+	}
+	flood.WriteString(`]}}`)
+	faults := func(events string) string { return `{"exp":"fig3","faults":{"events":[` + events + `]}}` }
 	cases := []struct {
 		name, body, wantErr string
 	}{
@@ -135,16 +150,34 @@ func TestParseRejects(t *testing.T) {
 		{"cli-only battery", `{"exp":"adversarial"}`, "tcdsim CLI"},
 		{"faults on fixed exp", `{"exp":"table3","faults":{"events":[{"kind":"link-down","at_us":1,"link":"x"}]}}`, "does not accept a fault schedule"},
 		{"bad fault kind", `{"exp":"fig3","faults":{"events":[{"kind":"gremlin","at_us":1}]}}`, "unknown kind"},
+		{"flap without period_us", faults(`{"kind":"flap","link":"R0-T2","at_us":500,"down_us":400,"until_us":3000}`), "period_us > 0"},
+		{"ctrl-loss prob 5", faults(`{"kind":"ctrl-loss","port":"T2->L0","at_us":800,"prob":5}`), "prob in (0, 1]"},
+		{"link-down without target", faults(`{"kind":"link-down","at_us":10}`), "needs a link or port"},
+		{"pause-storm on a link", faults(`{"kind":"pause-storm","link":"R0-T2","at_us":300,"period_us":40,"down_us":30,"until_us":900}`), "not a link"},
+		{"at_us overflow", faults(`{"kind":"link-down","link":"R0-T2","at_us":1e300}`), "at_us 1e+300"},
+		{"period_us overflow", faults(`{"kind":"flap","link":"R0-T2","at_us":5,"period_us":1e300,"down_us":1,"until_us":50}`), "period_us 1e+300"},
+		{"delay_us overflow", faults(`{"kind":"ctrl-delay","port":"T2->L0","at_us":5,"delay_us":1e300}`), "delay_us 1e+300"},
+		{"flap flood", flood.String(), "more than 100000 toggles"},
+		{"two rules past the budget", faults(`{"kind":"flap","link":"R0-T2","at_us":0,"period_us":10,"down_us":5,"until_us":299990},
+			{"kind":"flap","link":"T2-L0","at_us":0,"period_us":10,"down_us":5,"until_us":299990}`), "more than 100000 toggles"},
+		{"budget sum cannot wrap", faults(`{"kind":"flap","link":"R0-T2","at_us":0,"period_us":10,"down_us":5,"until_us":11000},
+			{"kind":"pause-storm","port":"T2->L0","at_us":0,"period_us":1e-6,"until_us":4611686018427.387}`), "more than 100000 frames"},
+		{"copy of victim-under-flap's flap", `{"exp":"victim-under-flap","faults":{"events":[{"kind":"flap","link":"R0-T2","at_us":500,"period_us":1000,"down_us":400,"until_us":3000}]}}`, "events 0 and 1 are duplicates"},
+		{"field the kind never reads", faults(`{"kind":"link-down","link":"R0-T2","at_us":5,"prob":0.5}`), "does not read prob"},
 		{"oversized body", `{"exp":"fig3","fabric":"` + strings.Repeat("x", MaxSpecBytes) + `"}`, "exceeds"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
 			_, err := ParseJobSpec([]byte(tc.body))
 			if err == nil {
 				t.Fatalf("ParseJobSpec accepted %q", tc.name)
 			}
-			if !strings.Contains(err.Error(), tc.wantErr) {
-				t.Errorf("error %q does not mention %q", err, tc.wantErr)
+			if !strings.Contains(err.Error(), tc.wantErr) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("error %q does not mention %q on one line", err, tc.wantErr)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("rejecting took %v", d)
 			}
 		})
 	}

@@ -575,12 +575,6 @@ func (s *Scheduler) lookup(id EventID) (uint32, bool) {
 	return slot, true
 }
 
-// Scheduled reports whether the handle still refers to a queued event.
-func (s *Scheduler) Scheduled(id EventID) bool {
-	_, ok := s.lookup(id)
-	return ok
-}
-
 // Cancel removes a pending event from the queue in place — an O(1) list
 // splice for wheel-resident events, a binary search and a tombstone for
 // band residents — dropping its callback and argument references
@@ -1020,6 +1014,3 @@ func (t *Timer) Cancel() {
 
 // Armed reports whether the timer has a pending fire.
 func (t *Timer) Armed() bool { return t.armedAt != units.Never }
-
-// FireAt reports when the timer will fire (Never if unarmed).
-func (t *Timer) FireAt() units.Time { return t.armedAt }

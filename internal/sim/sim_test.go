@@ -203,8 +203,8 @@ func TestEventHandleSemantics(t *testing.T) {
 	fired := 0
 	s.At(0, func() {
 		id := s.After(10, func() { fired++ })
-		if !s.Scheduled(id) {
-			t.Error("fresh handle not Scheduled")
+		if _, ok := s.lookup(id); !ok {
+			t.Error("fresh handle not queued")
 		}
 		if !s.Cancel(id) {
 			t.Error("Cancel of live handle reported false")
@@ -212,8 +212,8 @@ func TestEventHandleSemantics(t *testing.T) {
 		if s.Cancel(id) {
 			t.Error("second Cancel of same handle reported true")
 		}
-		if s.Scheduled(id) {
-			t.Error("cancelled handle still Scheduled")
+		if _, ok := s.lookup(id); ok {
+			t.Error("cancelled handle still queued")
 		}
 		// The freed slot is recycled by the next schedule; the stale
 		// handle must not alias the new event.
@@ -381,13 +381,13 @@ func TestTimerFireAt(t *testing.T) {
 	tm.Init(s, func() {})
 	s.At(5, func() {
 		tm.Arm(10)
-		if tm.FireAt() != 15 {
-			t.Errorf("FireAt = %v, want 15", tm.FireAt())
+		if tm.armedAt != 15 {
+			t.Errorf("armedAt = %v, want 15", tm.armedAt)
 		}
 	})
 	s.Run()
-	if tm.FireAt() != units.Never {
-		t.Errorf("FireAt after fire = %v, want Never", tm.FireAt())
+	if tm.armedAt != units.Never {
+		t.Errorf("armedAt after fire = %v, want Never", tm.armedAt)
 	}
 }
 
