@@ -169,7 +169,7 @@ func BenchmarkFig16DCQCNWorkloads(b *testing.B) {
 				cfg.MaxFlows = 400
 				cfg.Horizon = 20 * units.Millisecond
 				cfg.Seed = benchSeed
-				res, _, _ = exp.FatTreeComparison(cfg, exp.CCDCQCN, exp.CCDCQCNTCD)
+				res = exp.FatTreeComparison(cfg, exp.CCDCQCN, exp.CCDCQCNTCD)
 			}
 			b.ReportMetric(res.Scalars["p50_improvement"], "p50-improvement")
 			b.ReportMetric(res.Scalars["p99_improvement"], "p99-improvement")
@@ -196,7 +196,7 @@ func BenchmarkFig17IBCC(b *testing.B) {
 			cfg.MaxFlows = 400
 			cfg.Horizon = 20 * units.Millisecond
 			cfg.Seed = benchSeed
-			res, _, _ = exp.FatTreeComparison(cfg, exp.CCIBCC, exp.CCIBCCTCD)
+			res = exp.FatTreeComparison(cfg, exp.CCIBCC, exp.CCIBCCTCD)
 		}
 		b.ReportMetric(res.Scalars["mct_improvement"], "MCT-improvement")
 	})
@@ -225,7 +225,7 @@ func BenchmarkFig19TIMELYWorkloads(b *testing.B) {
 				cfg.MaxFlows = 400
 				cfg.Horizon = 20 * units.Millisecond
 				cfg.Seed = benchSeed
-				res, _, _ = exp.FatTreeComparison(cfg, exp.CCTIMELY, exp.CCTIMELYTCD)
+				res = exp.FatTreeComparison(cfg, exp.CCTIMELY, exp.CCTIMELYTCD)
 			}
 			b.ReportMetric(res.Scalars["p50_improvement"], "p50-improvement")
 		})

@@ -76,8 +76,6 @@ func main() {
 		traceChunkMB = flag.Int("trace-chunk-mb", 64, "rotate -trace-out into numbered chunks of this many MB")
 		traceMaxMB   = flag.Int("trace-max-mb", 0, "cap total -trace-out disk usage in MB: recording stops at the cap, keeping the oldest events (0 = unlimited)")
 		telemetry    = flag.Bool("telemetry", false, "fold the event stream into bounded-memory histograms (FCT, queue depth, pause/stall durations, mark gaps)")
-		httpAddr     = flag.String("http", "", "serve live /metrics (Prometheus text), /progress (JSON) and /debug/pprof on this address during the run")
-		httpLinger   = flag.Duration("http-linger", 0, "keep the -http endpoint up this long after the run finishes")
 		metricsOut   = flag.String("metrics-out", "", "write the labeled metrics registry as JSON to this file")
 		progress     = flag.Bool("progress", false, "print sim-vs-wall progress lines to stderr during the run")
 		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -117,8 +115,12 @@ func main() {
 		Workload: strings.ToLower(*workload),
 		Arch:     strings.ToLower(*arch),
 	}
-	if *horizon > 0 {
-		p.Horizon = units.Time(horizon.Nanoseconds()) * units.Nanosecond
+	if *horizon < 0 {
+		die(2, "bad -horizon %v: want a duration >= 0 (0 = the scenario's default)", *horizon)
+	}
+	p.Horizon = units.Time(horizon.Nanoseconds()) * units.Nanosecond
+	if *runs < 0 {
+		die(2, "bad -runs %d: want a count >= 0 (0 and 1 = one run)", *runs)
 	}
 	var err error
 	if p.Fabric, err = exp.ParseFabric(strings.ToLower(*fabric)); err != nil {
@@ -137,6 +139,10 @@ func main() {
 	if err := sc.Check(p); err != nil {
 		die(2, "%v", err)
 	}
+	// Checked before any sink file is opened.
+	if (*traceOut != "" || *metricsOut != "" || *telemetry) && !sc.Records() {
+		die(2, "%s records no trace, metrics or telemetry (see -list); -progress is what reaches it", sc.Name)
+	}
 	shardIdx, shardTotal := 0, 1
 	if *shard != "" {
 		if n, err := fmt.Sscanf(*shard, "%d/%d", &shardIdx, &shardTotal); n != 2 || err != nil ||
@@ -149,7 +155,7 @@ func main() {
 		// Checked before any file or listener is opened.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "trace-out", "metrics-out", "http", "series", "oracle-out":
+			case "trace-out", "metrics-out", "series", "oracle-out":
 				die(2, "-%s is a single-run sink and cannot be combined with -runs or -shard", f.Name)
 			}
 		})
@@ -167,18 +173,8 @@ func main() {
 		}
 		p.Obs.Rec = spill
 	}
-	if *telemetry || *httpAddr != "" {
-		// The live endpoint serves telemetry-derived metrics, so -http
-		// implies -telemetry.
+	if *telemetry {
 		p.Obs.Telemetry = obs.NewTelemetry(nil)
-	}
-	var live *obs.Live
-	if *httpAddr != "" {
-		if live, err = obs.ServeLive(*httpAddr); err != nil {
-			die(1, "http: %v", err)
-		}
-		p.Obs.Live = live
-		fmt.Fprintf(os.Stderr, "live: http://%s (/metrics, /progress, /debug/pprof)\n", live.Addr())
 	}
 	if *metricsOut != "" {
 		p.Obs.Metrics = obs.NewRegistry()
@@ -198,7 +194,9 @@ func main() {
 	if sweeping {
 		code := runSweep(sc, p, *runs, *parallel, *progress, *jsonOut, *csvdir, shardIdx, shardTotal)
 		stopProfile()
-		fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
+		if code == 0 {
+			fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
+		}
 		os.Exit(code)
 	}
 	// Under -json - stdout carries the document alone; what a person reads
@@ -263,16 +261,6 @@ func main() {
 	}
 
 	fmt.Fprintf(out, "(%s, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
-
-	if live != nil {
-		if *httpLinger > 0 {
-			// CI smoke tests (and humans) can scrape the final snapshot
-			// before the process exits.
-			fmt.Fprintf(os.Stderr, "live: lingering %v on http://%s\n", *httpLinger, live.Addr())
-			time.Sleep(*httpLinger)
-		}
-		live.Close()
-	}
 }
 
 // runOrDie runs fn and exits 2 with the message if the run panics with

@@ -1,14 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -16,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/serve"
@@ -152,19 +148,26 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-exp", "fig12", "-runs", "2", "-trace-out", sink},
 		{"-exp", "fig12", "-runs", "2", "-metrics-out", sink},
 		{"-exp", "fig12", "-runs", "2", "-series", "P2_queue"},
-		{"-exp", "fig12", "-shard", "0/2", "-http", "127.0.0.1:0"},
+		{"-exp", "fig3", "-horizon", "-1ms"},
+		{"-exp", "fig3", "-runs", "-5"},
+		{"-exp", "table3", "-trace-out", sink},
+		{"-exp", "table3", "-telemetry"},
+		{"-exp", "fig16", "-metrics-out", sink},
+		{"-exp", "fig16", "-telemetry"},
+		{"-exp", "fig16", "-runs", "2", "-telemetry"},
 	} {
-		// A Go panic exits 2 as well; its goroutine dump tells it apart.
+		// A Go panic exits 2 as well; its multi-line goroutine dump tells
+		// it apart.
 		cmd := exec.Command(tcdsim, args...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		cmd.Run() //nolint:errcheck // the exit code is checked
-		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || strings.Contains(stderr.String(), "goroutine ") {
-			t.Errorf("tcdsim %v: exit %d with %d bytes on stdout, want 2 and none; stderr:\n%s", args, code, stdout.Len(), stderr.String())
+		if code := cmd.ProcessState.ExitCode(); code != 2 || stdout.Len() != 0 || strings.Count(stderr.String(), "\n") != 1 {
+			t.Errorf("tcdsim %v: exit %d with %d bytes on stdout, want 2 and none and a one-line message; stderr:\n%s", args, code, stdout.Len(), stderr.String())
 		}
 	}
 	if _, err := os.Stat(sink); err == nil {
-		t.Error("a rejected single-run sink was still created")
+		t.Error("a rejected sink file was still created")
 	}
 }
 
@@ -254,61 +257,6 @@ func TestMultiRunDocument(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("result %d of the shard union differs from the unsharded document", i)
 		}
-	}
-}
-
-// A run with -http serves what it measured while it lingers: a telemetry
-// gauge on /metrics, the simulated clock on /progress.
-func TestLiveEndpointServesTelemetry(t *testing.T) {
-	cmd := exec.Command(tcdsim, "-exp", "fig3", "-telemetry", "-http", "127.0.0.1:0", "-http-linger", "1m")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill() //nolint:errcheck // it may have exited already
-		cmd.Wait()         //nolint:errcheck // killed, so it reports the signal
-	})
-	var base string
-	lines := bufio.NewScanner(stderr)
-	for lines.Scan() {
-		if rest, ok := strings.CutPrefix(lines.Text(), "live: http://"); ok {
-			base = "http://" + strings.Fields(rest)[0]
-			break
-		}
-	}
-	if base == "" {
-		t.Fatal("tcdsim never printed its live address")
-	}
-	// What the child still writes to stderr (one "lingering" line) fits
-	// the pipe's buffer, so nothing has to drain it.
-
-	client := &http.Client{Timeout: 5 * time.Second}
-	get := func(path string) string {
-		resp, err := client.Get(base + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d, %v", path, resp.StatusCode, err)
-		}
-		return string(body)
-	}
-	// The first snapshot is published at 1 ms of simulated time.
-	deadline := time.Now().Add(10 * time.Second)
-	for !strings.Contains(get("/metrics"), "\nhist_fct_ps_count ") {
-		if time.Now().After(deadline) {
-			t.Fatal("/metrics never carried hist_fct_ps_count")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if body := get("/progress"); !strings.Contains(body, "sim_time_us") {
-		t.Errorf("/progress has no sim_time_us: %q", body)
 	}
 }
 

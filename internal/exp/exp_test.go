@@ -10,7 +10,6 @@ import (
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/stats"
 	"github.com/tcdnet/tcd/internal/units"
-	"github.com/tcdnet/tcd/internal/workload"
 )
 
 // The observation scenarios (Figs 3/4/12/13). Shape criteria from the
@@ -412,39 +411,5 @@ func TestAblationShapes(t *testing.T) {
 	}
 	if slack.Scalars["slack=4KB victim_ce_flows"] != 0 {
 		t.Error("default slack still mismarks")
-	}
-}
-
-// Trace replay: the same flows, loaded from a serialized trace, produce
-// the same results as direct generation.
-func TestFatTreeTraceReplay(t *testing.T) {
-	cfg := DefaultFatTreeConfig(CEE, DetTCD, CCDCQCNTCD, "hadoop")
-	cfg.MaxFlows = 100
-	cfg.Horizon = 10 * units.Millisecond
-	direct := FatTree(cfg)
-
-	// Serialize the workload the generator would produce, then replay.
-	flows := FatTreeWorkload(cfg)
-	var sb strings.Builder
-	if err := workload.WriteTrace(&sb, flows); err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := workload.ReadTrace(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := cfg
-	cfg2.Trace = replayed
-	replay := FatTree(cfg2)
-
-	if direct.Generated != replay.Generated || direct.Completed != replay.Completed {
-		t.Errorf("replay diverged: generated %d/%d completed %d/%d",
-			direct.Generated, replay.Generated, direct.Completed, replay.Completed)
-	}
-	// Start times round to 1 ps through the trace; slowdown medians agree
-	// closely.
-	dp, rp := direct.Overall.P(0.5), replay.Overall.P(0.5)
-	if math.Abs(dp-rp)/dp > 0.02 {
-		t.Errorf("replay median slowdown %v vs direct %v", rp, dp)
 	}
 }

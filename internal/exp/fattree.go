@@ -31,7 +31,7 @@ type FatTreeConfig struct {
 	// MaxFlows caps generation (the paper runs 40k/80k; benches less).
 	MaxFlows int
 	// Trace, if non-empty, replays these flows instead of generating a
-	// workload (see workload.ReadTrace).
+	// workload.
 	Trace []workload.Flow
 	// eagerRoutes routes from BuildShortestPath's BFS columns instead of
 	// the fat-tree's structural rows: the reference side of the
@@ -165,9 +165,9 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 // (0.6 in the paper).
 const fatTreeLoad = 0.6
 
-// FatTreeWorkload returns the flows FatTree generates for cfg when it
+// fatTreeWorkload returns the flows FatTree generates for cfg when it
 // replays no trace.
-func FatTreeWorkload(cfg FatTreeConfig) []workload.Flow {
+func fatTreeWorkload(cfg FatTreeConfig) []workload.Flow {
 	return generateWorkload(cfg, topo.NewFatTree(cfg.K, 40*units.Gbps, 4*units.Microsecond))
 }
 
@@ -219,7 +219,7 @@ func generateWorkload(cfg FatTreeConfig, ft *topo.FatTree) []workload.Flow {
 
 // FatTreeComparison runs stock vs TCD controllers on the same workload
 // and reports the paper's headline ratios (Fig 16/17(b)/19).
-func FatTreeComparison(base FatTreeConfig, stockCC, tcdCC CCKind) (*Result, *FatTreeOutcome, *FatTreeOutcome) {
+func FatTreeComparison(base FatTreeConfig, stockCC, tcdCC CCKind) *Result {
 	sCfg := base
 	sCfg.Det = DetBaseline
 	sCfg.CC = stockCC
@@ -258,5 +258,5 @@ func FatTreeComparison(base FatTreeConfig, stockCC, tcdCC CCKind) (*Result, *Fat
 	res.Tables = append(res.Tables,
 		s.Slowdowns.Table("stock slowdown"),
 		t.Slowdowns.Table("tcd slowdown"))
-	return res, s, t
+	return res
 }

@@ -1,9 +1,7 @@
 package exp
 
 import (
-	"bytes"
 	"fmt"
-	"time"
 
 	"github.com/tcdnet/tcd/internal/cbfc"
 	"github.com/tcdnet/tcd/internal/cc"
@@ -205,9 +203,6 @@ type Rig struct {
 	Inj *fault.Injector
 	// queueWin is the telemetry_queue_win series (nil without telemetry).
 	queueWin *stats.Series
-	// liveWallStart anchors the wall-clock field of live progress
-	// snapshots (set when the live publisher attaches).
-	liveWallStart time.Time
 }
 
 // RigConfig assembles a rig over an arbitrary topology.
@@ -311,9 +306,6 @@ func NewRig(cfg RigConfig) *Rig {
 	if cfg.Obs.Telemetry != nil {
 		r.attachQueueSampler(cfg.Obs.Telemetry, cfg.Horizon)
 	}
-	if cfg.Obs.Live != nil {
-		r.attachLive()
-	}
 	var err error
 	if r.Inj, err = fault.Inject(r.Net, cfg.Faults); err != nil {
 		panic(&InputError{err})
@@ -362,45 +354,6 @@ func (r *Rig) AttachTelemetry(res *Result) {
 	}
 	res.Hists = r.Obs.Telemetry.Hists()
 	res.Series["telemetry_queue_win"] = r.queueWin
-}
-
-// attachLive starts the live-introspection publisher: at every millisecond
-// of simulated time it snapshots the metrics registry (plus telemetry
-// quantiles) into Prometheus text and a JSON progress line, and hands
-// the pre-serialized bytes to the HTTP endpoint. The simulator thread
-// never blocks on HTTP; handlers serve the latest published snapshot.
-func (r *Rig) attachLive() {
-	r.liveWallStart = time.Now()
-	var tick func()
-	tick = func() {
-		r.PublishLive(r.liveWallStart)
-		r.Sched.After(units.Millisecond, tick)
-	}
-	r.Sched.After(units.Millisecond, tick)
-}
-
-// PublishLive pushes one metrics + progress snapshot to the live
-// endpoint (no-op without one). Rig.Run calls it once more after the
-// horizon so the final state is always visible.
-func (r *Rig) PublishLive(wallStart time.Time) {
-	live := r.Obs.Live
-	if live == nil {
-		return
-	}
-	reg := obs.NewRegistry()
-	r.SnapshotMetrics(reg)
-	if r.Obs.Telemetry != nil {
-		r.Obs.Telemetry.FoldInto(reg)
-	}
-	var mb bytes.Buffer
-	if err := reg.WriteProm(&mb); err == nil {
-		live.PublishMetrics(mb.Bytes())
-	}
-	wall := time.Since(wallStart)
-	var pb bytes.Buffer
-	fmt.Fprintf(&pb, `{"sim_time_us":%.3f,"wall_ms":%d,"events":%d,"pending":%d,"flows":%d}`+"\n",
-		r.Sched.Now().Micros(), wall.Milliseconds(), r.Sched.Processed(), r.Sched.Pending(), len(r.Mgr.Flows()))
-	live.PublishProgress(pb.Bytes())
 }
 
 // attachDetectors installs the configured detector on every switch
@@ -519,9 +472,6 @@ func (r *Rig) Run(horizon units.Time) {
 		if r.Obs.Telemetry != nil {
 			r.Obs.Telemetry.FoldInto(r.Obs.Metrics)
 		}
-	}
-	if r.Obs.Live != nil {
-		r.PublishLive(r.liveWallStart)
 	}
 	if StrictInvariants {
 		if err := CheckInvariants(r); err != nil {

@@ -29,7 +29,7 @@ func TestFatTreeStructuralMatchesEager(t *testing.T) {
 			cfg.Seed = 3
 			cfg.MaxFlows = 200
 			cfg.Horizon = 10 * units.Millisecond
-			cfg.Trace = FatTreeWorkload(cfg)
+			cfg.Trace = fatTreeWorkload(cfg)
 
 			run := func(eager bool) (trace, result []byte) {
 				c := cfg

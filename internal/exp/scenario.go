@@ -138,6 +138,13 @@ func (sc *Scenario) ServiceAddressable() bool {
 	return !sc.FatTree && !sc.Battery && len(sc.Workloads) == 0
 }
 
+// Records reports whether sc's rigs are wired with the trace recorder,
+// metrics registry and telemetry of Params.Obs. Every scenario takes the
+// progress ticker (the daemon arms it on every job), so it does not
+// count; a front-end refuses the other sinks for a scenario that would
+// leave them empty.
+func (sc *Scenario) Records() bool { return sc.Obs == obsAll }
+
 // HasDet reports whether d is on the scenario's detector menu.
 func (sc *Scenario) HasDet(d DetectorKind) bool { return slices.Contains(sc.Dets, d) }
 
@@ -217,6 +224,9 @@ func (sc *Scenario) Axes() string {
 	}
 	if sc.Faults {
 		parts = append(parts, "faults")
+	}
+	if sc.Records() {
+		parts = append(parts, "trace, metrics, telemetry")
 	}
 	if len(sc.Archs) > 0 {
 		parts = append(parts, "arch: "+strings.Join(sc.Archs, ", "))
@@ -448,8 +458,7 @@ func fatTreeCompare(h Run, p Params, kind FabricKind, stock, tcd CCKind, wl stri
 	if p.Flows > 0 {
 		cfg.MaxFlows = p.Flows
 	}
-	res, _, _ := FatTreeComparison(cfg, stock, tcd)
-	return res
+	return FatTreeComparison(cfg, stock, tcd)
 }
 
 // AdversarialReport runs the attack battery over seeds Seed and Seed+1

@@ -1000,44 +1000,31 @@ func (n *Network) PortToward(a, b packet.NodeID) *Port {
 // StrandedReport describes traffic stuck in the network after a run: a
 // lossless fabric with cyclic buffer dependencies can deadlock (the
 // credit-loop problem the deadlock literature the paper cites studies),
-// and a deadlocked run otherwise just looks "quiet". Call Stranded after
-// the scheduler drains or a horizon expires to tell the difference.
+// and a deadlocked run otherwise just looks "quiet". Whether the stuck
+// ports wait on each other is the wait-cycle detector's call
+// (AttachWaitDetector); this report says how much is stuck, and where.
 type StrandedReport struct {
 	// Ports lists ports still holding queued bytes.
 	Ports []*Port
 	// Bytes is the total stranded volume.
 	Bytes units.ByteSize
-	// Blocked counts the stranded ports whose gate currently refuses
-	// transmission — all of them blocked is the deadlock signature.
-	Blocked int
-}
-
-// Deadlocked reports whether every stranded port is flow-control
-// blocked: no event can ever drain them.
-func (r *StrandedReport) Deadlocked() bool {
-	return len(r.Ports) > 0 && r.Blocked == len(r.Ports)
 }
 
 // Stranded scans all ports for undelivered queued traffic. The scan is a
-// linear sweep over the flat qbytes/blocked arrays; Port pointers are
-// only touched for ports that actually hold traffic.
+// linear sweep over the flat qbytes array; Port pointers are only
+// touched for ports that actually hold traffic.
 func (n *Network) Stranded() StrandedReport {
 	var rep StrandedReport
 	for base := 0; base < len(n.qbytes); base += n.nPrio {
 		var q units.ByteSize
-		anyBlocked := false
 		for k := 0; k < n.nPrio; k++ {
 			q += n.qbytes[base+k]
-			anyBlocked = anyBlocked || n.blocked[base+k]
 		}
 		if q == 0 {
 			continue
 		}
 		rep.Ports = append(rep.Ports, n.ports[base/n.nPrio])
 		rep.Bytes += q
-		if anyBlocked {
-			rep.Blocked++
-		}
 	}
 	return rep
 }

@@ -78,9 +78,6 @@ type Config struct {
 	// histograms and windowed aggregates; the rig chains it in front of
 	// Rec and attaches the queue-depth sampler.
 	Telemetry *Telemetry
-	// Live, if non-nil, is the introspection endpoint the rig publishes
-	// metric and progress snapshots to, once per simulated millisecond.
-	Live *Live
 	// ProgressEvery enables the progress ticker at this sim interval.
 	ProgressEvery units.Time
 	// ProgressOut receives progress lines (stderr if nil).

@@ -585,8 +585,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics renders the daemon gauges and counters in Prometheus
-// text format through the obs registry, so the daemon's /metrics speaks
-// the same dialect as the simulator's live endpoint.
+// text format through the obs registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.snapshot()
 	reg := obs.NewRegistry()

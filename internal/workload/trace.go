@@ -4,16 +4,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-
-	"github.com/tcdnet/tcd/internal/packet"
-	"github.com/tcdnet/tcd/internal/units"
 )
 
-// Traces let generated workloads be saved and replayed (or hand-written
-// ones injected) without re-running the generators. The format is a
-// CSV with a header:
+// A trace is a generated workload written out, so two runs can be shown
+// to draw the same flows. The format is a CSV with a header:
 //
 //	src,dst,bytes,start_us
 //	0,7,64000,125.500
@@ -33,59 +27,4 @@ func WriteTrace(w io.Writer, flows []Flow) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadTrace parses a trace written by WriteTrace (or by hand). Blank
-// lines and lines starting with '#' are ignored.
-func ReadTrace(r io.Reader) ([]Flow, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var out []Flow
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if lineNo == 1 && strings.HasPrefix(line, "src,") {
-			continue // header
-		}
-		parts := strings.Split(line, ",")
-		if len(parts) != 4 {
-			return nil, fmt.Errorf("workload: trace line %d: want 4 fields, got %d", lineNo, len(parts))
-		}
-		src, err := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d src: %v", lineNo, err)
-		}
-		dst, err := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d dst: %v", lineNo, err)
-		}
-		size, err := strconv.ParseInt(strings.TrimSpace(parts[2]), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d bytes: %v", lineNo, err)
-		}
-		if size <= 0 {
-			return nil, fmt.Errorf("workload: trace line %d: non-positive size %d", lineNo, size)
-		}
-		startUs, err := strconv.ParseFloat(strings.TrimSpace(parts[3]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("workload: trace line %d start: %v", lineNo, err)
-		}
-		if startUs < 0 {
-			return nil, fmt.Errorf("workload: trace line %d: negative start", lineNo)
-		}
-		out = append(out, Flow{
-			Src:   packet.NodeID(src),
-			Dst:   packet.NodeID(dst),
-			Size:  units.ByteSize(size),
-			Start: units.Time(startUs * float64(units.Microsecond)),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
