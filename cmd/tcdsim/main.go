@@ -48,7 +48,7 @@ func main() {
 		list     = flag.Bool("list", false, "list experiments with the axes each accepts")
 		name     = flag.String("exp", "", "experiment to run (see -list)")
 		fabric   = flag.String("fabric", "cee", "fabric kind: cee or ib")
-		seed     = flag.Uint64("seed", 1, "random seed")
+		seed     = flag.Uint64("seed", 1, "random seed (0 = the default, 1)")
 		horizon  = flag.Duration("horizon", 0, "simulation horizon override (e.g. 60ms); wins over -full")
 		full     = flag.Bool("full", false, "paper-scale parameters (slow)")
 		k        = flag.Int("k", 0, "fat-tree arity override")
@@ -108,7 +108,7 @@ func main() {
 		die(2, "unknown experiment %q; try -list", *name)
 	}
 	p := exp.Params{
-		Seed:     *seed,
+		Seed:     exp.SeedOrDefault(*seed),
 		Full:     *full,
 		K:        *k,
 		Flows:    *flows,
@@ -152,7 +152,7 @@ func main() {
 	}
 	sweeping := *runs > 1 || *shard != ""
 	if sweeping {
-		// Checked before any file or listener is opened.
+		// Checked before any file is opened.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "trace-out", "metrics-out", "series", "oracle-out":
@@ -179,7 +179,9 @@ func main() {
 	if *metricsOut != "" {
 		p.Obs.Metrics = obs.NewRegistry()
 	}
-	if *progress {
+	if *progress && !sweeping {
+		// The runs of a sweep may overlap, so they report through the
+		// job's run lines alone, not the simulator's ticker.
 		p.Obs.ProgressEvery = units.Millisecond
 		p.Obs.ProgressOut = os.Stderr
 	}
@@ -190,15 +192,44 @@ func main() {
 		}
 	}
 
-	start := time.Now()
-	if sweeping {
-		code := runSweep(sc, p, *runs, *parallel, *progress, *jsonOut, *csvdir, shardIdx, shardTotal)
-		stopProfile()
-		if code == 0 {
-			fmt.Fprintf(os.Stderr, "(%s sweep, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
-		}
-		os.Exit(code)
+	// Every run is a job, as on the daemon: one run, or -runs N seeds
+	// (a shard of them under -shard) folded into one document.
+	specs := sweep.Seeds(sc, p, max(*runs, 1))
+	if shardTotal > 1 {
+		all := len(specs)
+		specs = sweep.Shard(specs, shardIdx, shardTotal)
+		fmt.Fprintf(os.Stderr, "sweep: shard %d/%d runs %d of %d specs\n", shardIdx, shardTotal, len(specs), all)
 	}
+	fn := sweep.Scenario(sc, p)
+	var report *oracle.Report
+	if sc.Battery && !sweeping {
+		// The one scenario whose run also yields an oracle report.
+		fn = func(sweep.Spec) []*exp.Result {
+			var rs []*exp.Result
+			report, rs = exp.AdversarialReport(p)
+			return rs
+		}
+	}
+	opt := sweep.Options{Parallel: *parallel}
+	if *progress {
+		opt.Progress = os.Stderr
+	}
+	start := time.Now()
+	doc, rs, err := sweep.Job(context.Background(), specs, fn, opt)
+	stopProfile()
+	if err != nil {
+		var bad *exp.InputError
+		if errors.As(err, &bad) {
+			die(2, "%v", err)
+		}
+		fmt.Fprintln(os.Stderr, err)
+		var panicked interface{ Stack() []byte }
+		if errors.As(err, &panicked) {
+			os.Stderr.Write(panicked.Stack())
+		}
+		os.Exit(1)
+	}
+
 	// Under -json - stdout carries the document alone; what a person reads
 	// goes to stderr.
 	quiet := *jsonOut == "-"
@@ -206,24 +237,19 @@ func main() {
 	if quiet {
 		out = os.Stderr
 	}
-	results := runOrDie(func() []*exp.Result {
-		if sc.Battery {
-			// The one scenario whose run also yields an oracle report.
-			report, rs := exp.AdversarialReport(p)
-			printOracle(out, report, *oracleOut)
-			return rs
+	if report != nil {
+		printOracle(out, report, *oracleOut)
+	}
+	// A one-run job prints its results, a longer one its aggregates.
+	shown := doc
+	if len(rs) > 1 {
+		for _, r := range rs {
+			shown = shown[len(r.Results):]
 		}
-		return sc.Run(p)
-	})
-	stopProfile()
-	for _, res := range results {
+	}
+	for _, res := range shown {
 		if !quiet {
 			fmt.Print(res.Render())
-		}
-		if *csvdir != "" {
-			if err := res.WriteSeries(*csvdir); err != nil {
-				die(1, "csv export: %v", err)
-			}
 		}
 		if *series != "" {
 			if s, ok := res.Series[*series]; ok {
@@ -238,7 +264,11 @@ func main() {
 			}
 		}
 	}
-
+	if *csvdir != "" {
+		if err := exportCSV(*csvdir, rs, sweeping); err != nil {
+			die(1, "csv export: %v", err)
+		}
+	}
 	if spill != nil {
 		if err := spill.Close(); err != nil {
 			die(1, "trace export: %v", err)
@@ -255,27 +285,11 @@ func main() {
 		}
 	}
 	if *jsonOut != "" {
-		if err := exportFile(*jsonOut, func(w io.Writer) error { return exp.WriteResultsJSON(w, results) }); err != nil {
+		if err := exportFile(*jsonOut, func(w io.Writer) error { return exp.WriteResultsJSON(w, doc) }); err != nil {
 			die(1, "json export: %v", err)
 		}
 	}
-
-	fmt.Fprintf(out, "(%s, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
-}
-
-// runOrDie runs fn and exits 2 with the message if the run panics with
-// an *exp.InputError (input that parsed but does not fit the run); any
-// other panic goes on with its stack.
-func runOrDie(fn func() []*exp.Result) []*exp.Result {
-	defer func() {
-		if v := recover(); v != nil {
-			if bad, ok := v.(*exp.InputError); ok {
-				die(2, "%v", bad)
-			}
-			panic(v)
-		}
-	}()
-	return fn()
+	fmt.Fprintf(os.Stderr, "(%s, wall %v)\n", sc.Name, time.Since(start).Round(time.Millisecond))
 }
 
 // printOracle prints the per-detector oracle aggregates of an adversarial
@@ -300,74 +314,6 @@ func printOracle(out io.Writer, report *oracle.Report, path string) {
 		}
 		fmt.Fprintf(os.Stderr, "oracle: report -> %s\n", path)
 	}
-}
-
-// runSweep repeats the scenario over n consecutive seeds through
-// sweep.Job, the path a daemon job takes, and renders the folded
-// per-scalar statistics. Each run owns a private scheduler/RNG/recorder,
-// so the job document is byte-identical whatever the worker count, and
-// equals the daemon's body for the same spec. Returns the process exit
-// code.
-func runSweep(sc *exp.Scenario, p exp.Params, n, workers int, progress bool, jsonOut, csvdir string, shardIdx, shardTotal int) int {
-	specs := sweep.Seeds(sc, p, max(n, 1))
-	if shardTotal > 1 {
-		all := len(specs)
-		specs = sweep.Shard(specs, shardIdx, shardTotal)
-		fmt.Fprintf(os.Stderr, "sweep: shard %d/%d runs %d of %d specs\n", shardIdx, shardTotal, len(specs), all)
-	}
-	// A shared progress writer would interleave lines from concurrently
-	// running simulations; sweeps report per run instead, and
-	// sweep.Scenario gives each run a private telemetry fold.
-	p.Obs = obs.Config{Telemetry: p.Obs.Telemetry}
-	rs := make([]*sweep.RunResult, len(specs))
-	done := 0
-	opt := sweep.Options{Parallel: workers, OnDone: func(i int, r *sweep.RunResult) {
-		rs[i] = r
-		done++
-		if progress {
-			fmt.Fprintf(os.Stderr, "sweep: %d/%d %s (%v)\n",
-				done, len(specs), r.Spec, r.Wall.Round(time.Millisecond))
-		}
-	}}
-	doc, err := sweep.Job(context.Background(), sc, p, specs, opt)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		var bad *exp.InputError
-		if errors.As(err, &bad) {
-			return 2
-		}
-		var panicked interface{ Stack() []byte }
-		if errors.As(err, &panicked) {
-			os.Stderr.Write(panicked.Stack())
-		}
-		return 1
-	}
-
-	if jsonOut != "-" {
-		// A one-run job prints as a direct run, a longer one its aggregates.
-		shown := doc
-		if len(rs) > 1 {
-			for _, r := range rs {
-				shown = shown[len(r.Results):]
-			}
-		}
-		for _, res := range shown {
-			fmt.Print(res.Render())
-		}
-	}
-	if jsonOut != "" {
-		if err := exportFile(jsonOut, func(w io.Writer) error { return exp.WriteResultsJSON(w, doc) }); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep json export: %v\n", err)
-			return 1
-		}
-	}
-	if csvdir != "" {
-		if err := exportSweepCSV(csvdir, rs); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep csv export: %v\n", err)
-			return 1
-		}
-	}
-	return 0
 }
 
 // runTopoStats is the hyperscale dry run: build the topology and the
@@ -424,22 +370,24 @@ func runTopoStats(kind string, k, leaves, spines, hostsPer int) {
 	fmt.Printf("peak_rss_mb %.1f\n", peakRSSMB())
 }
 
-// exportSweepCSV writes the long-format scalar table to dir/sweep.csv and
-// each run's time series into a per-seed subdirectory (per-run result
-// names collide across seeds, so they cannot share one directory).
-func exportSweepCSV(dir string, rs []*sweep.RunResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "sweep.csv")
-	if err := exportFile(path, func(w io.Writer) error { return sweep.WriteCSV(w, rs) }); err != nil {
-		return err
+// exportCSV writes every series of a one-run job into dir. A sweep
+// writes the long-format scalar table to dir/sweep.csv and each run's
+// series into a per-seed subdirectory instead (result names collide
+// across seeds, so they cannot share one directory).
+func exportCSV(dir string, rs []*sweep.RunResult, sweeping bool) error {
+	if sweeping {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		if err := exportFile(filepath.Join(dir, "sweep.csv"), func(w io.Writer) error { return sweep.WriteCSV(w, rs) }); err != nil {
+			return err
+		}
 	}
 	for _, r := range rs {
-		if r.Err != nil {
-			continue
+		sub := dir
+		if sweeping {
+			sub = filepath.Join(dir, fmt.Sprintf("seed-%d", r.Spec.Seed))
 		}
-		sub := filepath.Join(dir, fmt.Sprintf("seed-%d", r.Spec.Seed))
 		for _, res := range r.Results {
 			if err := res.WriteSeries(sub); err != nil {
 				return err

@@ -156,8 +156,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"-exp", "fig16", "-telemetry"},
 		{"-exp", "fig16", "-runs", "2", "-telemetry"},
 	} {
-		// A Go panic exits 2 as well; its multi-line goroutine dump tells
-		// it apart.
+		// Bad input is one line; a failed run exits 1 with its stack.
 		cmd := exec.Command(tcdsim, args...)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
@@ -201,10 +200,23 @@ func perRun(t *testing.T, doc []byte) []json.RawMessage {
 	return out
 }
 
-// A multi-run -json is the job document the daemon serves: the same bytes
-// on every run and worker count, equal to CatalogExec of the equivalent
-// JobSpec, and per run equal to the union of its shards.
+// Every -json is the job document the daemon serves. A one-run document,
+// at the default seed and at -seed 0 (which means it), equals CatalogExec
+// of the equivalent JobSpec. A multi-run one gives the same bytes on
+// every run and worker count, equals CatalogExec too, and per run equals
+// the union of its shards.
 func TestMultiRunDocument(t *testing.T) {
+	for _, seed := range []string{"1", "0"} {
+		args := []string{"-exp", "table3", "-seed", seed, "-horizon", "1ms", "-json", "-"}
+		out, code := run(t, args...)
+		if code != 0 {
+			t.Fatalf("tcdsim %v exited %d", args, code)
+		}
+		if body := catalogExec(t, fmt.Sprintf(`{"exp":"table3","seed":%s,"horizon_us":1000}`, seed)); !bytes.Equal(out, body) {
+			t.Errorf("-seed %s: the one-run CLI document differs from CatalogExec's body", seed)
+		}
+	}
+
 	for _, c := range []struct{ exp, fabric string }{{"fig3", "cee"}, {"fig12", "ib"}} {
 		args := []string{"-exp", c.exp, "-fabric", c.fabric, "-seed", "4", "-horizon", "1ms", "-runs", "3", "-json", "-"}
 		var docs [][]byte
@@ -221,15 +233,7 @@ func TestMultiRunDocument(t *testing.T) {
 		if !bytes.Equal(docs[0], docs[2]) {
 			t.Errorf("%s/%s: -parallel 1 and -parallel 2 differ", c.exp, c.fabric)
 		}
-		spec, err := serve.ParseJobSpec([]byte(fmt.Sprintf(
-			`{"exp":%q,"fabric":%q,"seed":4,"runs":3,"horizon_us":1000}`, c.exp, c.fabric)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := serve.CatalogExec(context.Background(), spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		body := catalogExec(t, fmt.Sprintf(`{"exp":%q,"fabric":%q,"seed":4,"runs":3,"horizon_us":1000}`, c.exp, c.fabric))
 		if !bytes.Equal(docs[0], body) {
 			t.Errorf("%s/%s: the CLI document differs from CatalogExec's body", c.exp, c.fabric)
 		}
@@ -257,6 +261,41 @@ func TestMultiRunDocument(t *testing.T) {
 		if !bytes.Equal(got[i], want[i]) {
 			t.Errorf("result %d of the shard union differs from the unsharded document", i)
 		}
+	}
+}
+
+// catalogExec returns the daemon's body for a JobSpec.
+func catalogExec(t *testing.T, spec string) []byte {
+	t.Helper()
+	js, err := serve.ParseJobSpec([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := serve.CatalogExec(context.Background(), js, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// Stdout is the same bytes on every run of a spec; the wall time a run
+// took goes to stderr.
+func TestStdoutIsDeterministic(t *testing.T) {
+	var outs [2][]byte
+	for i := range outs {
+		cmd := exec.Command(tcdsim, "-exp", "fig11", "-horizon", "1ms")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, stderr.Bytes())
+		}
+		if !strings.HasPrefix(stderr.String(), "(fig11, wall ") {
+			t.Errorf("run %d: stderr %q holds no wall line", i, stderr.String())
+		}
+		outs[i] = stdout.Bytes()
+	}
+	if len(outs[0]) == 0 || !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("two runs printed different stdout:\n%s\n---\n%s", outs[0], outs[1])
 	}
 }
 

@@ -70,7 +70,7 @@ type AttackScenario struct {
 
 // Horizon converts the scenario horizon to simulator time.
 func (s AttackScenario) Horizon() units.Time {
-	return units.Time(math.Round(s.HorizonUs * float64(units.Microsecond)))
+	return units.FromMicros(s.HorizonUs)
 }
 
 // Battery is a set of attack scenarios.

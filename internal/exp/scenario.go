@@ -44,6 +44,10 @@ type Params struct {
 	Battery *Battery
 }
 
+// SeedOrDefault is the one seed rule of the front-ends: 0 means the
+// default seed 1, so an omitted seed and the default run, and hash, alike.
+func SeedOrDefault(seed uint64) uint64 { return max(seed, 1) }
+
 // Run is the header every simulation shares: the fabric it runs on, the
 // seed of its private random streams, where it ends, and what is wired
 // into and armed against its rig. Scenario.Run resolves Params into one;
@@ -175,11 +179,6 @@ func (sc *Scenario) Check(p Params) error {
 	if p.Battery != nil && !sc.Battery {
 		return fmt.Errorf("exp: %s does not take an attack battery", sc.Name)
 	}
-	return sc.checkMenus(p)
-}
-
-// checkMenus is Check without the schedule and battery rules.
-func (sc *Scenario) checkMenus(p Params) error {
 	if p.Det != DetNone && !sc.HasDet(p.Det) {
 		return fmt.Errorf("exp: %s does not support det %q (menu: %s)", sc.Name, p.Det, join(sc.Dets))
 	}
@@ -258,12 +257,11 @@ func (sc *Scenario) unset(def string) string {
 // Run executes the scenario. It is the one place the axis rules live:
 // the header is resolved once (see header); an unset Workload selects the
 // menu's first entry; an unset Det/CC selects the default, or every menu
-// entry of a comparison scenario. Front-ends validate with Check first,
-// so a parameter outside its menu here is a front-end bug and panics. A
-// schedule or battery sc does not take is not checked here: sc never
-// reads it, so one Params can be run across the whole table.
+// entry of a comparison scenario. Run panics with the error of Check:
+// front-ends report it as bad input before a run starts, so reaching
+// here with it is a front-end bug.
 func (sc *Scenario) Run(p Params) []*Result {
-	if err := sc.checkMenus(p); err != nil {
+	if err := sc.Check(p); err != nil {
 		panic(err)
 	}
 	h := sc.header(p)

@@ -64,7 +64,10 @@ func TestScenariosIdenticalOnBothSchedulers(t *testing.T) {
 		// Alternate fabrics down the table so PFC and CBFC rigs both run.
 		fab := []FabricKind{CEE, IB}[i%2]
 		t.Run(sc.Name+"/"+fab.String(), func(t *testing.T) {
-			p := Params{Fabric: fab, Seed: 3, Horizon: units.Millisecond, K: 4, Flows: 200, Battery: &battery}
+			p := Params{Fabric: fab, Seed: 3, Horizon: units.Millisecond, K: 4, Flows: 200}
+			if sc.Battery {
+				p.Battery = &battery
+			}
 			hybridRes, hybridTrace := run(t, sc, p, sim.New)
 			fmt.Fprintf(&sums, "%x  %s/%s\n", sha256.Sum256(hybridRes), sc.Name, fab)
 			heapRes, heapTrace := run(t, sc, p, sim.NewHeapOnly)

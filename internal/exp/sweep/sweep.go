@@ -11,7 +11,8 @@
 // the serial path; results are merged in stable spec order regardless of
 // completion order. A run that panics is captured (spec, message, stack)
 // without killing the sweep, and a cancelled context skips runs that have
-// not started.
+// not started. Every front-end's run starts in runOne: the CLI and the
+// daemon both submit a job (see Job), of one run or of many.
 package sweep
 
 import (
@@ -20,7 +21,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/tcdnet/tcd/internal/exp"
@@ -149,10 +149,10 @@ type RunFunc func(Spec) []*exp.Result
 // Scenario is the RunFunc of a registry scenario: each spec cell's
 // fabric, detector, congestion control and seed are overlaid on base, the
 // parameters every run of the sweep shares (the horizon among them). Of
-// base.Obs only what concurrent runs can share survives: the progress
-// ticker is kept, and a telemetry fold — per-run state that Aggregate
-// merges across seeds — is replaced by a private one per run. The caller
-// leaves the single-run trace/metrics/live sinks out of base.
+// base.Obs the progress ticker is kept, and a telemetry fold — per-run
+// state that Aggregate merges across seeds — is replaced by a private one
+// per run. Every run writes into base's trace recorder and metrics
+// registry, so a caller sets them only for a job of one run.
 func Scenario(sc *exp.Scenario, base exp.Params) RunFunc {
 	return func(sp Spec) []*exp.Result {
 		p := base
@@ -181,13 +181,11 @@ type RunResult struct {
 type Options struct {
 	// Parallel is the worker count; <= 0 means GOMAXPROCS.
 	Parallel int
-	// OnStart, if non-nil, is called just before a run begins executing
-	// on a worker (in start order, serialized — safe to print from).
-	// Runs skipped by cancellation never see OnStart.
-	OnStart func(index int, spec Spec)
-	// OnDone, if non-nil, is called after each run completes (in
-	// completion order, serialized — safe to print from).
-	OnDone func(index int, r *RunResult)
+	// Progress, if non-nil, receives a "run i/n start <spec>" line as a
+	// run is handed to a worker and a "run i/n done <spec> (<wall>)" line
+	// as it ends, one write per line, all from Run's own goroutine. A run
+	// skipped by cancellation writes nothing.
+	Progress io.Writer
 }
 
 // panicError is a recovered run panic. Its message is the panic value
@@ -207,54 +205,54 @@ func (e *panicError) Stack() []byte { return e.stack }
 // workers and returns the outcomes in spec order. One diverging run
 // (panic) marks only its own RunResult; cancelling ctx lets in-flight
 // runs finish and marks not-yet-started ones with ctx.Err().
+//
+// Run's goroutine hands out the runs and collects them, so it alone
+// checks ctx and writes Options.Progress.
 func Run(ctx context.Context, specs []Spec, fn RunFunc, opt Options) []*RunResult {
-	workers := opt.Parallel
+	n, workers := len(specs), opt.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
+	workers = min(workers, n)
+	say := func(format string, args ...any) {
+		if opt.Progress != nil {
+			fmt.Fprintf(opt.Progress, format, args...)
+		}
 	}
-	out := make([]*RunResult, len(specs))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	var mu sync.Mutex // serializes OnStart/OnDone
+	out := make([]*RunResult, n)
+	idx, done := make(chan int), make(chan int)
+	defer close(idx)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			for i := range idx {
-				if opt.OnStart != nil && ctx.Err() == nil {
-					mu.Lock()
-					opt.OnStart(i, specs[i])
-					mu.Unlock()
-				}
-				r := runOne(ctx, specs[i], fn)
-				out[i] = r
-				if opt.OnDone != nil {
-					mu.Lock()
-					opt.OnDone(i, r)
-					mu.Unlock()
-				}
+				out[i] = runOne(specs[i], fn)
+				done <- i
 			}
 		}()
 	}
-	for i := range specs {
-		idx <- i
+	for next, busy := 0, 0; next < n || busy > 0; {
+		if next < n && busy < workers {
+			if err := ctx.Err(); err != nil {
+				out[next] = &RunResult{Spec: specs[next], Err: err}
+			} else {
+				say("run %d/%d start %s\n", next+1, n, specs[next])
+				idx <- next
+				busy++
+			}
+			next++
+			continue
+		}
+		i := <-done
+		busy--
+		say("run %d/%d done %s (%v)\n", i+1, n, specs[i], out[i].Wall)
 	}
-	close(idx)
-	wg.Wait()
 	return out
 }
 
 // runOne executes a single spec with panic capture. An *exp.InputError
 // is bad input, not a crash: it becomes the run's error as it is.
-func runOne(ctx context.Context, spec Spec, fn RunFunc) (r *RunResult) {
+func runOne(spec Spec, fn RunFunc) (r *RunResult) {
 	r = &RunResult{Spec: spec}
-	if err := ctx.Err(); err != nil {
-		r.Err = err
-		return r
-	}
 	start := time.Now()
 	defer func() {
 		r.Wall = time.Since(start)
@@ -385,23 +383,24 @@ func Aggregate(rs []*RunResult) []*exp.Result {
 	return out
 }
 
-// Job runs specs of scenario sc over base (see Scenario) and returns the
-// job document every front-end encodes with exp.WriteResultsJSON: each
-// run's results in spec order, then their Aggregate when there is more
-// than one run. The first failed run, in spec order, fails the job.
-func Job(ctx context.Context, sc *exp.Scenario, base exp.Params, specs []Spec, opt Options) ([]*exp.Result, error) {
-	rs := Run(ctx, specs, Scenario(sc, base), opt)
+// Job runs specs through fn (usually Scenario) and returns the job
+// document every front-end encodes with exp.WriteResultsJSON — each run's
+// results in spec order, then their Aggregate when there is more than one
+// run — beside the runs themselves. The first failed run, in spec order,
+// fails the job; its error names the run.
+func Job(ctx context.Context, specs []Spec, fn RunFunc, opt Options) ([]*exp.Result, []*RunResult, error) {
+	rs := Run(ctx, specs, fn, opt)
 	var doc []*exp.Result
 	for _, r := range rs {
 		if r.Err != nil {
-			return nil, fmt.Errorf("run %s: %w", r.Spec, r.Err)
+			return nil, rs, fmt.Errorf("run %s: %w", r.Spec, r.Err)
 		}
 		doc = append(doc, r.Results...)
 	}
 	if len(rs) > 1 {
 		doc = append(doc, Aggregate(rs)...)
 	}
-	return doc, nil
+	return doc, rs, nil
 }
 
 // WriteCSV exports every scalar of every successful run as long-format

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -245,55 +246,58 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
-// TestOnStartHook: OnStart fires once per executed run, serialized, with
-// the matching index/spec pair, and canceled runs never see it.
-func TestOnStartHook(t *testing.T) {
-	grid := Grid{
-		Exps:    []string{"observe"},
-		Fabrics: []exp.FabricKind{exp.CEE},
-		Dets:    []exp.DetectorKind{exp.DetBaseline},
-		Seeds:   Seq(1, 4),
-	}
-	specs := grid.Specs()
-	var startOrder []int
-	rs := Run(context.Background(), specs, observeRun, Options{
-		Parallel: 4,
-		OnStart: func(i int, sp Spec) {
-			// The Options mutex serializes hooks; appending without extra
-			// locking is the guarantee under test (run with -race).
-			startOrder = append(startOrder, i)
-			if sp != specs[i] {
-				t.Errorf("OnStart index %d got spec %s, want %s", i, sp, specs[i])
-			}
-		},
-	})
-	if len(startOrder) != len(specs) {
-		t.Fatalf("OnStart fired %d times for %d runs", len(startOrder), len(specs))
-	}
-	seen := map[int]bool{}
-	for _, i := range startOrder {
-		if seen[i] {
-			t.Errorf("OnStart fired twice for run %d", i)
-		}
-		seen[i] = true
-	}
-	for _, r := range rs {
+// TestProgressLines: Progress gets one start line before and one done
+// line after each run, each in one write and never two writes at once
+// (the writer is unsynchronized: run with -race), and nothing for runs a
+// cancelled context skips.
+func TestProgressLines(t *testing.T) {
+	specs := Grid{Exps: []string{"x"}, Seeds: Seq(1, 6)}.Specs()
+	fn := func(Spec) []*exp.Result { return []*exp.Result{exp.NewResult("ok")} }
+	var w lineWriter
+	for _, r := range Run(context.Background(), specs, fn, Options{Parallel: 3, Progress: &w}) {
 		if r.Err != nil {
 			t.Fatalf("run %s: %v", r.Spec, r.Err)
 		}
 	}
+	if len(w.lines) != 2*len(specs) {
+		t.Fatalf("%d progress lines for %d runs, want two per run:\n%s", len(w.lines), len(specs), strings.Join(w.lines, ""))
+	}
+	started := map[string]bool{}
+	for _, line := range w.lines {
+		var i, n int
+		var what, spec string
+		if _, err := fmt.Sscanf(line, "run %d/%d %s %s", &i, &n, &what, &spec); err != nil || n != len(specs) || spec != specs[i-1].String() {
+			t.Fatalf("progress line %q does not name run i/%d and its spec", line, len(specs))
+		}
+		switch {
+		case what == "start" && !started[spec]:
+			started[spec] = true
+		case what == "done" && started[spec] && strings.HasSuffix(line, ")\n"):
+			delete(started, spec)
+		default:
+			t.Errorf("unexpected progress line %q", line)
+		}
+	}
+	if len(started) != 0 {
+		t.Errorf("runs started and never done: %v", started)
+	}
 
-	// A canceled context skips pending runs without calling OnStart.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	calls := 0
-	Run(ctx, specs, observeRun, Options{
-		Parallel: 2,
-		OnStart:  func(int, Spec) { calls++ },
-	})
-	if calls != 0 {
-		t.Errorf("OnStart fired %d times under a canceled context", calls)
+	w.lines = nil
+	Run(ctx, specs, fn, Options{Parallel: 2, Progress: &w})
+	if len(w.lines) != 0 {
+		t.Errorf("a cancelled sweep wrote %q", w.lines)
 	}
+}
+
+// lineWriter records each write as one line. It has no lock, so the race
+// detector flags two writes at once.
+type lineWriter struct{ lines []string }
+
+func (w *lineWriter) Write(b []byte) (int, error) {
+	w.lines = append(w.lines, string(b))
+	return len(b), nil
 }
 
 // TestJobDocument: a job's document is each run's results in spec order,
@@ -308,9 +312,9 @@ func TestJobDocument(t *testing.T) {
 			t.Fatalf("Seeds[%d] = %s", i, sp)
 		}
 	}
-	doc, err := Job(context.Background(), sc, base, specs, Options{Parallel: 2})
-	if err != nil {
-		t.Fatal(err)
+	doc, rs, err := Job(context.Background(), specs, Scenario(sc, base), Options{Parallel: 2})
+	if err != nil || len(rs) != len(specs) {
+		t.Fatalf("%d runs, error %v", len(rs), err)
 	}
 	var names []string
 	for _, r := range doc {
@@ -320,13 +324,13 @@ func TestJobDocument(t *testing.T) {
 	if want := []string{run, run, run, run + "-agg-3runs"}; strings.Join(names, " ") != strings.Join(want, " ") {
 		t.Errorf("document holds %v, want %v", names, want)
 	}
-	if one, _ := Job(context.Background(), sc, base, specs[:1], Options{}); len(one) != 1 {
+	if one, _, _ := Job(context.Background(), specs[:1], Scenario(sc, base), Options{}); len(one) != 1 {
 		t.Errorf("a one-run document holds %d results, want the run's 1", len(one))
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Job(ctx, sc, base, specs, Options{}); !errors.Is(err, context.Canceled) {
+	if _, _, err := Job(ctx, specs, Scenario(sc, base), Options{}); !errors.Is(err, context.Canceled) {
 		t.Errorf("a cancelled job returned %v, want context.Canceled", err)
 	}
 }
@@ -338,7 +342,7 @@ func TestJobErrorNamesTheRunOnce(t *testing.T) {
 	base := exp.Params{Horizon: units.Millisecond, Seed: 5,
 		Faults: &fault.Spec{Events: []fault.Event{{Kind: "link-down", Link: "X-Y"}}}}
 	specs := Seeds(sc, base, 1)
-	_, err := Job(context.Background(), sc, base, specs, Options{})
+	_, _, err := Job(context.Background(), specs, Scenario(sc, base), Options{})
 	if err == nil {
 		t.Fatal("a run against an unknown link did not fail")
 	}

@@ -141,11 +141,6 @@ const (
 	readsPrio              // prio
 )
 
-// usToTime converts spec microseconds to simulator time.
-func usToTime(us float64) units.Time {
-	return units.Time(math.Round(us * float64(units.Microsecond)))
-}
-
 // Validate checks everything about the spec that needs no topology: known
 // kinds, finite non-negative numbers that fit the simulator's clock, the
 // fields and target each kind takes, each kind's window and duty cycle,
@@ -229,7 +224,7 @@ func (ev Event) check() (int64, error) {
 		case f.val < 0:
 			return 0, fmt.Errorf("%s %s must not be negative (got %g)", ev.Kind, f.name, f.val)
 		case f.us && math.Round(f.val*float64(units.Microsecond)) >= float64(units.Forever):
-			// usToTime would overflow into a garbage timestamp.
+			// units.FromMicros would overflow into a garbage timestamp.
 			return 0, fmt.Errorf("%s %s %g does not fit the simulator's clock (max %.3g us)",
 				ev.Kind, f.name, f.val, units.Forever.Micros())
 		}
@@ -259,8 +254,8 @@ func (ev Event) check() (int64, error) {
 		return 0, fmt.Errorf("needs a link or port target")
 	}
 
-	at, until := usToTime(ev.AtUs), usToTime(ev.UntilUs)
-	period, downFor := usToTime(ev.PeriodUs), usToTime(ev.DownUs)
+	at, until := units.FromMicros(ev.AtUs), units.FromMicros(ev.UntilUs)
+	period, downFor := units.FromMicros(ev.PeriodUs), units.FromMicros(ev.DownUs)
 	if reads&readsTrain != 0 {
 		switch {
 		case period <= 0:
@@ -378,8 +373,8 @@ func (in *Injector) armEvent(i int, ev Event) error {
 			}
 		}
 	}
-	at, until := usToTime(ev.AtUs), usToTime(ev.UntilUs)
-	period, downFor := usToTime(ev.PeriodUs), usToTime(ev.DownUs)
+	at, until := units.FromMicros(ev.AtUs), units.FromMicros(ev.UntilUs)
+	period, downFor := units.FromMicros(ev.PeriodUs), units.FromMicros(ev.DownUs)
 	target := ports[0] // the port of a port-only kind
 	var start, stop func()
 	switch ev.Kind {
@@ -424,7 +419,7 @@ func (in *Injector) armEvent(i int, ev Event) error {
 		start = each(func(p *fabric.Port) { p.SetCtrlFault(hook) })
 		stop = each(func(p *fabric.Port) { p.SetCtrlFault(nil) })
 	case "ctrl-delay":
-		delay := usToTime(ev.DelayUs)
+		delay := units.FromMicros(ev.DelayUs)
 		hook := func(fabric.CtrlFrame) (bool, units.Time) { return false, delay }
 		start = each(func(p *fabric.Port) { p.SetCtrlFault(hook) })
 		stop = each(func(p *fabric.Port) { p.SetCtrlFault(nil) })

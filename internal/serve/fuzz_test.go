@@ -2,16 +2,18 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/exp"
+	"github.com/tcdnet/tcd/internal/units"
 )
 
 // FuzzParseJobSpec hammers the HTTP spec parser with arbitrary bytes.
 // Invariants: never panic; any accepted spec canonicalizes idempotently
-// (reparse of Canonical succeeds, yields the same bytes and hash) and
+// (reparse of Canonical succeeds, yields the same bytes and hash),
 // respects the documented bounds, so nothing absurd survives to the
-// queue.
+// queue, and runs round(horizon_us × 10⁶) ps.
 func FuzzParseJobSpec(f *testing.F) {
 	seeds := []string{
 		`{"exp":"fig3"}`,
@@ -31,6 +33,8 @@ func FuzzParseJobSpec(f *testing.F) {
 		`{"exp":"fig3","horizon_us":1e309}`,
 		`{"exp":"fig3","bogus":true}`,
 		`{"exp":"fig11","horizon_us":1e-7}`,
+		`{"exp":"fig3","horizon_us":1.001}`,
+		`{"exp":"table3","seed":0}`,
 		// Schedules that can never run, admitted before fault.Spec.Validate
 		// held every rule that needs no topology.
 		`{"exp":"fig3","faults":{"events":[{"kind":"flap","link":"R0-T2","at_us":500,"down_us":400,"until_us":3000}]}}`,
@@ -54,7 +58,10 @@ func FuzzParseJobSpec(f *testing.F) {
 			t.Fatalf("accepted horizon %g outside [0,%g]", spec.HorizonUs, float64(MaxHorizonUs))
 		}
 		if spec.HorizonUs > 0 && spec.Horizon() == 0 {
-			t.Fatalf("accepted horizon %g, which truncates to the default horizon", spec.HorizonUs)
+			t.Fatalf("accepted horizon %g, which rounds to the default horizon", spec.HorizonUs)
+		}
+		if want := units.Time(math.Round(spec.HorizonUs * 1e6)); spec.Horizon() != want || spec.params.Horizon != want {
+			t.Fatalf("horizon_us %g runs %d ps (params %d), want %d", spec.HorizonUs, spec.Horizon(), spec.params.Horizon, want)
 		}
 		if spec.Seed == 0 {
 			t.Fatal("accepted spec kept seed 0 (default not applied)")

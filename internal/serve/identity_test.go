@@ -39,7 +39,9 @@ func TestFrontEndIdentity(t *testing.T) {
 			base := exp.Params{
 				Horizon: horizonUs * units.Microsecond,
 				K:       4, Flows: 200,
-				Battery: &battery,
+			}
+			if sc.Battery {
+				base.Battery = &battery
 			}
 			encode := func(results []*exp.Result) []byte {
 				var buf bytes.Buffer

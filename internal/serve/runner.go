@@ -30,24 +30,17 @@ func CatalogExec(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte
 		return nil, fmt.Errorf("serve: unknown exp %q", spec.Exp)
 	}
 	base := spec.params
-	specs := sweep.Seeds(sc, base, spec.Runs)
-
 	// Parallel: 1 — jobs parallelize across the daemon's worker pool,
 	// not inside one job, so a single submission cannot monopolize the
 	// pool's cores.
 	opt := sweep.Options{Parallel: 1}
 	if progress != nil {
-		// Stream the simulator's own progress ticker: one line per
-		// simulated millisecond, cheap at service horizons.
+		// Stream the run lines and the simulator's own progress ticker:
+		// one line per simulated millisecond, cheap at service horizons.
 		base.Obs = obs.Config{ProgressEvery: units.Millisecond, ProgressOut: progress}
-		opt.OnStart = func(i int, sp sweep.Spec) {
-			fmt.Fprintf(progress, "run %d/%d start %s\n", i+1, len(specs), sp)
-		}
-		opt.OnDone = func(i int, r *sweep.RunResult) {
-			fmt.Fprintf(progress, "run %d/%d done %s (%v)\n", i+1, len(specs), r.Spec, r.Wall)
-		}
+		opt.Progress = progress
 	}
-	results, err := sweep.Job(ctx, sc, base, specs, opt)
+	results, _, err := sweep.Job(ctx, sweep.Seeds(sc, base, spec.Runs), sweep.Scenario(sc, base), opt)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}

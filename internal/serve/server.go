@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -211,9 +212,7 @@ func (s *Server) run(q queued) {
 	s.hub.publish(e.hash, Event{"running", fmt.Sprintf(`{"hash":%q}`, e.hash)})
 	s.mu.Unlock()
 	start := time.Now()
-	pw := &progressWriter{hub: s.hub, key: e.hash}
-	b, err := s.exec(s.ctx, q.spec, pw)
-	pw.flush()
+	b, err := s.exec(s.ctx, q.spec, progressWriter{hub: s.hub, key: e.hash})
 	wall := time.Since(start)
 	if err == nil {
 		s.histMu.Lock()
@@ -637,45 +636,20 @@ func mustJSON(s string) string {
 	return string(b)
 }
 
-// progressWriter splits the simulator's progress stream into lines and
-// publishes each as an SSE progress event on the run's topic.
+// progressWriter publishes each line of a progress write as an SSE
+// progress event on the run's topic. Every writer of the stream (the obs
+// ticker, the sweep's run lines, the battery's cell lines) writes whole
+// lines, so a write never leaves a partial line behind.
 type progressWriter struct {
 	hub *hub
 	key string
-	mu  sync.Mutex
-	buf []byte
 }
 
-func (p *progressWriter) Write(b []byte) (int, error) {
-	p.mu.Lock()
-	p.buf = append(p.buf, b...)
-	for {
-		i := -1
-		for k, c := range p.buf {
-			if c == '\n' {
-				i = k
-				break
-			}
-		}
-		if i < 0 {
-			break
-		}
-		line := string(p.buf[:i])
-		p.buf = p.buf[i+1:]
+func (p progressWriter) Write(b []byte) (int, error) {
+	for _, line := range strings.Split(string(b), "\n") {
 		if line != "" {
 			p.hub.publish(p.key, Event{"progress", mustJSON(line)})
 		}
 	}
-	p.mu.Unlock()
 	return len(b), nil
-}
-
-// flush publishes any unterminated trailing line.
-func (p *progressWriter) flush() {
-	p.mu.Lock()
-	if len(p.buf) > 0 {
-		p.hub.publish(p.key, Event{"progress", mustJSON(string(p.buf))})
-		p.buf = nil
-	}
-	p.mu.Unlock()
 }

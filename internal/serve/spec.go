@@ -65,7 +65,7 @@ type JobSpec struct {
 	// (fig20: "dcqcn+tcd" or "timely+tcd"). Same rules as Det.
 	CC string `json:"cc,omitempty"`
 	// Seed feeds the run's private random streams. 0 means the default
-	// seed 1 (so an omitted field and the default hash identically).
+	// seed 1 (exp.SeedOrDefault), as it does for `tcdsim -seed`.
 	Seed uint64 `json:"seed"`
 	// Runs repeats the experiment over this many consecutive seeds
 	// (Seed, Seed+1, ...) and appends the folded cross-seed aggregate to
@@ -162,9 +162,7 @@ func (s *JobSpec) normalize() error {
 	if err := sc.Check(s.params); err != nil {
 		return err
 	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
+	s.Seed = exp.SeedOrDefault(s.Seed)
 	if s.Runs == 0 {
 		s.Runs = 1
 	}
@@ -178,7 +176,7 @@ func (s *JobSpec) normalize() error {
 		return fmt.Errorf("serve: horizon_us must be in [0, %g] (got %g)", float64(MaxHorizonUs), s.HorizonUs)
 	}
 	if s.HorizonUs > 0 && s.Horizon() == 0 {
-		// Truncating to zero ticks would mean "experiment default": the
+		// Rounding to zero ticks would mean "experiment default": the
 		// full default horizon under a hash of its own.
 		return fmt.Errorf("serve: horizon_us %g is below one simulator tick (1e-6 us); 0 keeps the default", s.HorizonUs)
 	}
@@ -191,10 +189,9 @@ func (s *JobSpec) normalize() error {
 	return nil
 }
 
-// Horizon converts the override to simulator time (0 = default).
-func (s *JobSpec) Horizon() units.Time {
-	return units.Time(s.HorizonUs * float64(units.Microsecond))
-}
+// Horizon converts the override to simulator time, rounded to the
+// nearest tick as every other µs field of a spec is (0 = default).
+func (s *JobSpec) Horizon() units.Time { return units.FromMicros(s.HorizonUs) }
 
 // Canonical serializes the normalized spec in the canonical field order
 // with no insignificant whitespace. ParseJobSpec(Canonical()) returns an

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/tcdnet/tcd/internal/units"
 )
 
 // mustParse parses or fails the test.
@@ -108,6 +110,25 @@ func TestCanonicalIdempotent(t *testing.T) {
 		}
 		if s.Hash() != s2.Hash() {
 			t.Errorf("hash changed across reparse for %s", body)
+		}
+	}
+}
+
+// TestHorizonRounds: horizon_us converts to the nearest simulator tick,
+// as every other µs field of a spec does.
+func TestHorizonRounds(t *testing.T) {
+	for _, c := range []struct {
+		us   string
+		want units.Time
+	}{
+		{"1.001", 1_001_000},
+		{"123.5", 123_500_000},
+		{"0.0000006", 1},
+		{"0", 0},
+	} {
+		s := mustParse(t, `{"exp":"fig3","horizon_us":`+c.us+`}`)
+		if got := s.Horizon(); got != c.want || s.params.Horizon != c.want {
+			t.Errorf("horizon_us %s runs %d ps (params %d), want %d", c.us, got, s.params.Horizon, c.want)
 		}
 	}
 }

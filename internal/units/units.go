@@ -9,6 +9,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
 )
 
@@ -63,6 +64,10 @@ func (t Time) String() string {
 
 // FromSeconds converts a floating-point number of seconds to Time.
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
+
+// FromMicros converts a number of microseconds, as specs and batteries
+// write them, to Time rounded to the nearest picosecond.
+func FromMicros(us float64) Time { return Time(math.Round(us * float64(Microsecond))) }
 
 // Rate is a link or flow rate in bits per second.
 type Rate int64
