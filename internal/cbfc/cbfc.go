@@ -138,6 +138,9 @@ func (m *Meter) OnArrive(_ units.Time, pkt *packet.Packet) {
 // OnFree implements fabric.RxMeter.
 func (m *Meter) OnFree(_ units.Time, pkt *packet.Packet) { m.Free(pkt.Priority, pkt.Size) }
 
+// sendUpdateArg is the FCCL timer callback every meter shares.
+func sendUpdateArg(arg any) { arg.(*Meter).sendUpdate() }
+
 func (m *Meter) sendUpdate() {
 	active := false
 	for vl := range m.abr {
@@ -201,7 +204,7 @@ func Install(n *fabric.Network, cfg Config) {
 			abr:      abr[lo:hi],
 			reported: reported[lo:hi],
 		}
-		m.timer.Init(n.Sched, m.sendUpdate)
+		m.timer.Init(n.Sched, sendUpdateArg, m)
 		p.AttachMeter(m)
 		m.timer.Arm(cfg.Tc)
 	}

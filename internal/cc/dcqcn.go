@@ -117,9 +117,17 @@ type DCQCN struct {
 
 // NewDCQCN builds a reaction point starting at line rate.
 func NewDCQCN(s *sim.Scheduler, cfg DCQCNConfig) *DCQCN {
-	d := &DCQCN{cfg: cfg, sched: s, rc: cfg.LineRate, rt: cfg.LineRate, alpha: cfg.AlphaCeil, alphaDue: units.Forever}
-	d.incTimer.Init(s, d.timerIncrease)
+	d := new(DCQCN)
+	d.Init(s, cfg)
 	return d
+}
+
+// Init makes d, wherever it lives (a slab, say), the reaction point
+// NewDCQCN builds. d must not be copied afterwards: its timer points at
+// it.
+func (d *DCQCN) Init(s *sim.Scheduler, cfg DCQCNConfig) {
+	*d = DCQCN{cfg: cfg, sched: s, rc: cfg.LineRate, rt: cfg.LineRate, alpha: cfg.AlphaCeil, alphaDue: units.Forever}
+	d.incTimer.Init(s, timerIncreaseArg, d)
 }
 
 // CurrentRate implements host.RateController.
@@ -206,6 +214,10 @@ func (d *DCQCN) ageAlpha() {
 		}
 	}
 }
+
+// timerIncreaseArg is the increase-timer callback every reaction point
+// shares.
+func timerIncreaseArg(arg any) { arg.(*DCQCN).timerIncrease() }
 
 func (d *DCQCN) timerIncrease() {
 	d.timerCnt++

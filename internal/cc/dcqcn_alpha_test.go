@@ -23,7 +23,7 @@ type eagerAlpha struct {
 
 func newEagerAlpha(s *sim.Scheduler, cfg DCQCNConfig) *eagerAlpha {
 	e := &eagerAlpha{d: NewDCQCN(s, cfg)}
-	e.timer.Init(s, e.alphaDecay)
+	e.timer.Init(s, func(any) { e.alphaDecay() }, nil)
 	return e
 }
 

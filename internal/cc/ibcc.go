@@ -43,12 +43,19 @@ type IBCC struct {
 // tcd the paper's IB CC + TCD variant (reduction step 2 and UE echoes
 // held).
 func NewIBCC(s *sim.Scheduler, line units.Rate, tcd bool) *IBCC {
-	c := &IBCC{line: line, step: ibccStep, tcd: tcd, sched: s}
+	c := new(IBCC)
+	c.Init(s, line, tcd)
+	return c
+}
+
+// Init makes c, wherever it lives (a slab, say), the throttle NewIBCC
+// builds. c must not be copied afterwards: its timer points at it.
+func (c *IBCC) Init(s *sim.Scheduler, line units.Rate, tcd bool) {
+	*c = IBCC{line: line, step: ibccStep, tcd: tcd, sched: s}
 	if tcd {
 		c.step = ibccStepTCD
 	}
-	c.timer.Init(s, c.recover)
-	return c
+	c.timer.Init(s, recoverArg, c)
 }
 
 // CurrentRate implements host.RateController.
@@ -76,6 +83,9 @@ func (c *IBCC) OnNotify(now units.Time, ce, ue bool) {
 
 // OnAck implements host.RateController (IB CC does not use RTT).
 func (c *IBCC) OnAck(units.Time, units.Time, bool, bool) {}
+
+// recoverArg is the CCTI recovery callback every throttle shares.
+func recoverArg(arg any) { arg.(*IBCC).recover() }
 
 func (c *IBCC) recover() {
 	old := c.CurrentRate()

@@ -59,11 +59,19 @@ type TIMELY struct {
 // tcd the paper's TIMELY+TCD variant (beta 1.6 and UE-echoed gradient
 // rises held).
 func NewTIMELY(line units.Rate, tcd bool) *TIMELY {
+	t := new(TIMELY)
+	t.Init(line, tcd)
+	return t
+}
+
+// Init makes t, wherever it lives (a slab, say), the engine NewTIMELY
+// builds.
+func (t *TIMELY) Init(line units.Rate, tcd bool) {
 	beta := timelyBeta
 	if tcd {
 		beta = timelyBetaTCD
 	}
-	return &TIMELY{line: line, tcd: tcd, beta: beta, rate: line}
+	*t = TIMELY{line: line, tcd: tcd, beta: beta, rate: line}
 }
 
 // CurrentRate implements host.RateController.

@@ -27,7 +27,7 @@ const (
 // multiplier per OFF edge and a second timestamp register — the added
 // cost the paper's tradeoff discussion weighs against the marginal gain.
 type AdaptiveTCD struct {
-	inner *TCD
+	inner TCD
 	// floor and ceil clamp the threshold to [bound/8, 4*bound]; floor
 	// guards against an anomalous run of tiny ON periods collapsing it,
 	// ceil against deferring detection for too long (§6 names both
@@ -42,19 +42,26 @@ type AdaptiveTCD struct {
 // seeded at its bound static.MaxTon. The queue-trend period stays at
 // that bound while the threshold adapts.
 func NewAdaptiveTCD(static TCDConfig) *AdaptiveTCD {
-	return &AdaptiveTCD{
-		inner: NewTCD(static),
+	a := new(AdaptiveTCD)
+	a.Init(static)
+	return a
+}
+
+// Init makes a, wherever it lives, the detector NewAdaptiveTCD builds.
+func (a *AdaptiveTCD) Init(static TCDConfig) {
+	*a = AdaptiveTCD{
 		floor: static.MaxTon / 8,
 		ceil:  4 * static.MaxTon,
 		ewma:  float64(static.MaxTon) / adaptiveMargin,
 	}
+	a.inner.Init(static)
 }
 
 // State reports the current ternary state.
 func (a *AdaptiveTCD) State() State { return a.inner.State() }
 
 // Inner exposes the wrapped state machine (stats, transitions).
-func (a *AdaptiveTCD) Inner() *TCD { return a.inner }
+func (a *AdaptiveTCD) Inner() *TCD { return &a.inner }
 
 // OnOffStart implements fabric.Detector: a completed ON period ends here;
 // fold it into the estimate.

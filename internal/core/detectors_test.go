@@ -80,9 +80,14 @@ func fecnDq(d *FECN, q units.ByteSize, size units.ByteSize) *packet.Packet {
 	return p
 }
 
+// fixedCredits is a CreditGate with the same credit on every lane.
+type fixedCredits int64
+
+func (c *fixedCredits) Credits(uint8) int64 { return int64(*c) }
+
 func TestFECNMarksRootOnly(t *testing.T) {
-	credits := int64(1 << 20)
-	d := NewFECN(DefaultFECNConfig(), func() int64 { return credits })
+	credits := fixedCredits(1 << 20)
+	d := NewFECN(DefaultFECNConfig(), &credits, 0)
 	// Queue above threshold, credits rich: root -> mark.
 	if fecnDq(d, 60*units.KB, 1048).Code != packet.CE {
 		t.Error("root not marked")
@@ -103,7 +108,7 @@ func TestFECNMarksRootOnly(t *testing.T) {
 }
 
 func TestFECNNilProbeActsCreditRich(t *testing.T) {
-	d := NewFECN(DefaultFECNConfig(), nil)
+	d := NewFECN(DefaultFECNConfig(), nil, 0)
 	if fecnDq(d, 60*units.KB, 1048).Code != packet.CE {
 		t.Error("nil-probe FECN did not mark above threshold")
 	}

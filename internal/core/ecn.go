@@ -28,14 +28,21 @@ func DefaultREDConfig() REDConfig {
 // queue buildup caused by OFF periods is marked exactly like congestion.
 type RED struct {
 	cfg REDConfig
-	rnd *rng.Source
+	rnd rng.Source
 	// Marked counts CE marks applied.
 	Marked uint64
 }
 
-// NewRED builds the detector with its own random stream.
+// NewRED builds the detector on its own random stream: a copy of rnd.
 func NewRED(cfg REDConfig, rnd *rng.Source) *RED {
-	return &RED{cfg: cfg, rnd: rnd}
+	return &RED{cfg: cfg, rnd: *rnd}
+}
+
+// Init makes d, wherever it lives, the detector NewRED builds from
+// rng.New(seed).
+func (d *RED) Init(cfg REDConfig, seed uint64) {
+	*d = RED{cfg: cfg}
+	d.rnd.Seed(seed)
 }
 
 // OnDequeue implements fabric.Detector.

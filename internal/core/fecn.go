@@ -23,17 +23,32 @@ func DefaultFECNConfig() FECNConfig { return FECNConfig{Thresh: 50 * units.KB} }
 // root.
 type FECN struct {
 	cfg FECNConfig
-	// Credits reports the egress gate's available credit in bytes; wired
-	// to cbfc.Gate.Credits at install time.
-	Credits func() int64
+	// gate and vl name the egress credit counter the root/victim test
+	// reads (a cbfc.Gate at install time).
+	gate CreditGate
+	vl   uint8
 	// Marked counts CE marks applied.
 	Marked uint64
 }
 
-// NewFECN builds the detector. credits may be nil, in which case the port
-// is treated as always credit-rich (pure queue-threshold marking).
-func NewFECN(cfg FECNConfig, credits func() int64) *FECN {
-	return &FECN{cfg: cfg, Credits: credits}
+// CreditGate is the egress gate FECN reads: the available credit, in
+// bytes, of one virtual lane.
+type CreditGate interface {
+	Credits(vl uint8) int64
+}
+
+// NewFECN builds the detector for one virtual lane of a port. gate may be
+// nil, in which case the port is treated as always credit-rich (pure
+// queue-threshold marking).
+func NewFECN(cfg FECNConfig, gate CreditGate, vl uint8) *FECN {
+	d := new(FECN)
+	d.Init(cfg, gate, vl)
+	return d
+}
+
+// Init makes d, wherever it lives, the detector NewFECN builds.
+func (d *FECN) Init(cfg FECNConfig, gate CreditGate, vl uint8) {
+	*d = FECN{cfg: cfg, gate: gate, vl: vl}
 }
 
 // OnEnqueue implements fabric.EnqueueDetector: the root/victim test runs
@@ -48,7 +63,7 @@ func (d *FECN) OnEnqueue(now units.Time, pkt *packet.Packet, qlen units.ByteSize
 	if qlen <= d.cfg.Thresh {
 		return
 	}
-	if d.Credits != nil && d.Credits() < int64(pkt.Size)+int64(pkt.Size) {
+	if d.gate != nil && d.gate.Credits(d.vl) < int64(pkt.Size)+int64(pkt.Size) {
 		return // victim: the packet is about to be delayed by lack of credits
 	}
 	before := pkt.Code

@@ -17,7 +17,7 @@ import (
 // like the RED it wraps but suppresses marks on packets that were queued
 // while the port was paused (the "non-PAUSE" rule).
 type NPECN struct {
-	red    *RED
+	red    RED
 	paused bool
 	// tainted is the number of bytes still queued that experienced a
 	// pause (either already queued when the OFF began — captured at the
@@ -32,9 +32,16 @@ type NPECN struct {
 	Suppressed uint64
 }
 
-// NewNPECN builds the detector around red.
+// NewNPECN builds the detector around a copy of red.
 func NewNPECN(red *RED) *NPECN {
-	return &NPECN{red: red}
+	return &NPECN{red: *red}
+}
+
+// Init makes d, wherever it lives, the detector NewNPECN builds around a
+// RED initialized with cfg and seed.
+func (d *NPECN) Init(cfg REDConfig, seed uint64) {
+	*d = NPECN{}
+	d.red.Init(cfg, seed)
 }
 
 // OnOffStart implements fabric.Detector: everything currently queued

@@ -115,13 +115,21 @@ type TCD struct {
 // NewTCD builds a detector. It panics on invalid configuration: detectors
 // are wired at experiment setup where a loud failure is wanted.
 func NewTCD(cfg TCDConfig) *TCD {
+	d := new(TCD)
+	d.Init(cfg)
+	return d
+}
+
+// Init makes d, wherever it lives (a slab, say), the detector NewTCD
+// builds, and panics where NewTCD does.
+func (d *TCD) Init(cfg TCDConfig) {
 	if cfg.TrendSlack == 0 {
 		cfg.TrendSlack = 4 * units.KB
 	}
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &TCD{cfg: cfg, period: cfg.MaxTon, state: NonCongestion, lastOffEnd: units.Never}
+	*d = TCD{cfg: cfg, period: cfg.MaxTon, state: NonCongestion, lastOffEnd: units.Never}
 }
 
 // Config returns the detector's configuration.

@@ -49,7 +49,9 @@ func AblationNotification(h Run) *Result {
 		v := v
 		cfg := victimConfig(h, DetTCD, CCDCQCN)
 		cfg.CustomCC = func(r *Rig, line units.Rate) host.RateController {
-			return cc.NewDCQCN(r.Sched, cc.DCQCNConfig{LineRate: line, AlphaCeil: v.alphaCeil, TCD: v.ueHold})
+			d := r.slabs.dcqcn.New()
+			d.Init(r.Sched, cc.DCQCNConfig{LineRate: line, AlphaCeil: v.alphaCeil, TCD: v.ueHold})
+			return d
 		}
 		out := Victim(cfg)
 		res.Scalars[v.name+"_mean_fct_us"] = out.MeanFCTus

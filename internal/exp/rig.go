@@ -15,6 +15,7 @@ import (
 	"github.com/tcdnet/tcd/internal/rng"
 	"github.com/tcdnet/tcd/internal/routing"
 	"github.com/tcdnet/tcd/internal/sim"
+	"github.com/tcdnet/tcd/internal/slab"
 	"github.com/tcdnet/tcd/internal/stats"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
@@ -203,6 +204,24 @@ type Rig struct {
 	Inj *fault.Injector
 	// queueWin is the telemetry_queue_win series (nil without telemetry).
 	queueWin *stats.Series
+
+	slabs rigSlabs
+	// fixed holds one shared controller per constant line rate.
+	fixed []host.RateController
+}
+
+// rigSlabs hands out a rig's per-port detectors and per-flow
+// controllers, a chunk at a time, so their number does not set the
+// allocation count.
+type rigSlabs struct {
+	tcd      slab.Of[core.TCD]
+	adaptive slab.Of[core.AdaptiveTCD]
+	red      slab.Of[core.RED]
+	fecn     slab.Of[core.FECN]
+	npecn    slab.Of[core.NPECN]
+	dcqcn    slab.Of[cc.DCQCN]
+	timely   slab.Of[cc.TIMELY]
+	ibcc     slab.Of[cc.IBCC]
 }
 
 // RigConfig assembles a rig over an arbitrary topology.
@@ -386,24 +405,32 @@ func (r *Rig) newDetector(p *fabric.Port, prio uint8, record bool) fabric.Detect
 	switch r.Det {
 	case DetBaseline:
 		if r.Kind == CEE {
-			return core.NewRED(core.DefaultREDConfig(), r.Rnd.Split())
+			d := r.slabs.red.New()
+			d.Init(core.DefaultREDConfig(), r.Rnd.Uint64())
+			return d
 		}
-		var probe func() int64
-		if gate, ok := p.Gate().(*cbfc.Gate); ok {
-			probe = func() int64 { return gate.Credits(prio) }
+		var gate core.CreditGate
+		if g, ok := p.Gate().(*cbfc.Gate); ok {
+			gate = g
 		}
-		return core.NewFECN(core.DefaultFECNConfig(), probe)
+		d := r.slabs.fecn.New()
+		d.Init(core.DefaultFECNConfig(), gate, prio)
+		return d
 	case DetTCD:
-		d := core.NewTCD(r.TCDConfigFor(p))
+		d := r.slabs.tcd.New()
+		d.Init(r.TCDConfigFor(p))
 		d.RecordTransitions = record
 		r.traceTCD(d, p)
 		return d
 	case DetTCDAdaptive:
-		a := core.NewAdaptiveTCD(r.TCDConfigFor(p))
+		a := r.slabs.adaptive.New()
+		a.Init(r.TCDConfigFor(p))
 		r.traceTCD(a.Inner(), p)
 		return a
 	case DetNPECN:
-		return core.NewNPECN(core.NewRED(core.DefaultREDConfig(), r.Rnd.Split()))
+		d := r.slabs.npecn.New()
+		d.Init(core.DefaultREDConfig(), r.Rnd.Uint64())
+		return d
 	}
 	return nil
 }
@@ -436,20 +463,38 @@ func (r *Rig) TCDConfigFor(p *fabric.Port) core.TCDConfig {
 // NewCC builds a per-flow rate controller.
 func (r *Rig) NewCC(kind CCKind, line units.Rate) host.RateController {
 	switch kind {
-	case CCDCQCN:
-		return cc.NewDCQCN(r.Sched, cc.DefaultDCQCNConfig(line))
-	case CCDCQCNTCD:
-		return cc.NewDCQCN(r.Sched, cc.TCDDCQCNConfig(line))
-	case CCTIMELY:
-		return cc.NewTIMELY(line, false)
-	case CCTIMELYTCD:
-		return cc.NewTIMELY(line, true)
-	case CCIBCC:
-		return cc.NewIBCC(r.Sched, line, false)
-	case CCIBCCTCD:
-		return cc.NewIBCC(r.Sched, line, true)
+	case CCDCQCN, CCDCQCNTCD:
+		cfg := cc.DefaultDCQCNConfig(line)
+		if kind == CCDCQCNTCD {
+			cfg = cc.TCDDCQCNConfig(line)
+		}
+		d := r.slabs.dcqcn.New()
+		d.Init(r.Sched, cfg)
+		return d
+	case CCTIMELY, CCTIMELYTCD:
+		t := r.slabs.timely.New()
+		t.Init(line, kind == CCTIMELYTCD)
+		return t
+	case CCIBCC, CCIBCCTCD:
+		c := r.slabs.ibcc.New()
+		c.Init(r.Sched, line, kind == CCIBCCTCD)
+		return c
 	}
-	return host.FixedRate(line)
+	return r.fixedRate(line)
+}
+
+// fixedRate returns the constant-rate controller for line. FixedRate is
+// stateless, so every flow at one rate shares one boxed value instead of
+// boxing its own.
+func (r *Rig) fixedRate(line units.Rate) host.RateController {
+	for _, c := range r.fixed {
+		if c.(host.FixedRate) == host.FixedRate(line) {
+			return c
+		}
+	}
+	c := host.RateController(host.FixedRate(line))
+	r.fixed = append(r.fixed, c)
+	return c
 }
 
 // TCDAt returns the TCD detector of a port (priority 0), panicking if the
@@ -584,7 +629,7 @@ func (fr *Fig2Rig) LaunchBursts(start units.Time, size units.ByteSize, rounds in
 		at := start + units.Time(round)*gap
 		for _, a := range fr.F2.A {
 			line := fr.Net.HostPort(a).Rate
-			flows = append(flows, fr.Mgr.AddFlow(a, fr.F2.R1, size, at, host.FixedRate(line)))
+			flows = append(flows, fr.Mgr.AddFlow(a, fr.F2.R1, size, at, fr.fixedRate(line)))
 		}
 	}
 	return flows

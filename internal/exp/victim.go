@@ -149,7 +149,7 @@ func Victim(cfg VictimConfig) *VictimOutcome {
 			if size == 0 {
 				size = sampleSize()
 			}
-			rig.Mgr.AddFlow(a, rig.F2.R1, size, t, host.FixedRate(line))
+			rig.Mgr.AddFlow(a, rig.F2.R1, size, t, rig.fixedRate(line))
 		}
 		t += units.FromSeconds(r.Exp(cfg.BurstMeanGap.Seconds()))
 	}

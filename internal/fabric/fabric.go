@@ -21,6 +21,7 @@ import (
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/sim"
+	"github.com/tcdnet/tcd/internal/slab"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -237,34 +238,6 @@ func DefaultConfig() Config {
 // aborts the run (or, under an active fault, is TTL-dropped).
 const maxHops = 64
 
-// fifo is an allocation-friendly packet queue.
-type fifo struct {
-	buf  []*packet.Packet
-	head int
-}
-
-func (f *fifo) push(p *packet.Packet) { f.buf = append(f.buf, p) }
-func (f *fifo) empty() bool           { return f.head >= len(f.buf) }
-func (f *fifo) len() int              { return len(f.buf) - f.head }
-func (f *fifo) peek() *packet.Packet  { return f.buf[f.head] }
-func (f *fifo) pop() *packet.Packet {
-	p := f.buf[f.head]
-	f.buf[f.head] = nil
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	} else if f.head > 1024 && f.head*2 > len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		for i := n; i < len(f.buf); i++ {
-			f.buf[i] = nil
-		}
-		f.buf = f.buf[:n]
-		f.head = 0
-	}
-	return p
-}
-
 // Port is one side of a link: it owns the egress machinery toward its
 // peer and the ingress accounting for traffic from its peer.
 type Port struct {
@@ -283,33 +256,30 @@ type Port struct {
 	pb int32
 	// busy says the port is serializing a packet, until busyEnd; wakeAt
 	// is the armed source wake (0 = none). down and frozen are the fault
-	// state described at ctrlFault; they share busy's word, which keeps a
-	// 64-port slab chunk on a 24 KB size class.
-	busy, down, frozen bool
-	busyEnd            units.Time
-	wakeAt             units.Time
+	// state described at ctrlFault. enq says some priority's detector is
+	// an EnqueueDetector, resolved by AttachDetector so that Enqueue does
+	// no interface assertion on the ports of every other detector. The
+	// four share busy's word, so the flag costs Port no space.
+	busy, down, frozen, enq bool
+	busyEnd                 units.Time
+	wakeAt                  units.Time
 
 	// Egress. In OutputQueued mode queues[prio] is the FIFO; in
 	// InputQueuedVoQ mode voqs[prio][inputPort] are the virtual output
 	// queues and rr[prio] the round-robin arbitration pointer.
-	queues []fifo
-	voqs   [][]fifo
+	queues []packet.Queue
+	voqs   [][]packet.Queue
 	rr     []int
 	gate   TxGate
 	dets   []Detector
 	src    Source
 
-	// Per-port scratch, preallocated at creation so the transmit hot path
-	// schedules no fresh closures: txPkt is the packet currently being
-	// serialized (a port serializes one packet at a time); its completion
-	// and the source wake (validated against wakeAt, so stale wakes are
-	// no-ops) are scheduled as the static txDoneArg/wakeArg with the port
-	// as the event argument. receiveFn is the typed-arg event callback
-	// for the per-packet link-propagation delay: several packets can be
-	// in flight at once, so the packet travels as the event argument
-	// rather than in port scratch — and scheduling mints no closure.
-	txPkt     *packet.Packet
-	receiveFn func(any)
+	// txPkt is the packet currently being serialized (a port serializes
+	// one packet at a time); its completion and the source wake
+	// (validated against wakeAt, so stale wakes are no-ops) are scheduled
+	// as the static txDoneArg/wakeArg with the port as the event
+	// argument, so the transmit hot path schedules no closure.
+	txPkt *packet.Packet
 
 	// Ingress.
 	meter RxMeter
@@ -328,6 +298,9 @@ type Port struct {
 	// from organic congestion.
 	spoof  func(pkt *packet.Packet) bool
 	Attack uint8
+	// id is the port's index in Network.ports: what a packet on the wire
+	// toward this port carries in its To field.
+	id int32
 
 	// label caches Name() for event records (hot path; Name sprintfs).
 	label string
@@ -399,7 +372,15 @@ func (p *Port) AttachMeter(m RxMeter) { p.meter = m }
 func (p *Port) Meter() RxMeter { return p.meter }
 
 // AttachDetector installs the marking detector for one priority.
-func (p *Port) AttachDetector(prio uint8, d Detector) { p.dets[prio] = d }
+func (p *Port) AttachDetector(prio uint8, d Detector) {
+	p.dets[prio] = d
+	p.enq = false
+	for _, d := range p.dets {
+		if _, ok := d.(EnqueueDetector); ok {
+			p.enq = true
+		}
+	}
+}
 
 // Detector returns the detector for one priority (nil if none).
 func (p *Port) DetectorAt(prio uint8) Detector { return p.dets[prio] }
@@ -455,15 +436,15 @@ func (p *Port) SendCtrl(f CtrlFrame) {
 		ci = n.ctrlFree[k-1]
 		n.ctrlFree = n.ctrlFree[:k-1]
 	} else {
-		ci = &ctrlInflight{}
+		ci = n.ctrlSlab.New()
 	}
 	ci.to, ci.f = p.Peer, f
 	n.Sched.AfterArg(d, n.ctrlDeliverFn, ci)
 }
 
 // ctrlInflight is a control frame on the wire: the destination port and
-// the frame, parked in an event argument. Records are recycled through
-// Network.ctrlFree once delivered.
+// the frame, parked in an event argument. Records come from a slab and
+// are recycled through Network.ctrlFree once delivered.
 type ctrlInflight struct {
 	to *Port
 	f  CtrlFrame
@@ -508,28 +489,48 @@ func (p *Port) Kick() {
 func (p *Port) Enqueue(pkt *packet.Packet) {
 	prio := pkt.Priority
 	qb := &p.net.qbytes[int(p.pb)+int(prio)]
-	if d, ok := p.dets[prio].(EnqueueDetector); ok {
-		before := pkt.Code
-		d.OnEnqueue(p.net.Sched.Now(), pkt, *qb)
-		if pkt.Code != before {
-			switch pkt.Code {
-			case packet.CE:
-				p.MarkedCE++
-				p.recordMark(obs.KindMarkCE, pkt, *qb)
-			case packet.UE:
-				p.MarkedUE++
-				p.recordMark(obs.KindMarkUE, pkt, *qb)
-			}
-		}
+	if p.enq {
+		p.onEnqueue(p.dets[prio], pkt, *qb)
 	}
+	q := &p.queues[prio]
 	if p.useVoQ() && pkt.InPort >= 0 {
-		p.voq(prio, int(pkt.InPort)).push(pkt)
-	} else {
-		p.queues[prio].push(pkt)
+		q = p.voq(prio, int(pkt.InPort))
 	}
+	if !q.Seeded() {
+		q.Seed(p.net.rings.New())
+	}
+	q.Push(pkt)
 	*qb += pkt.Size
 	if !p.busy {
 		p.tryTransmit()
+	}
+}
+
+// onEnqueue runs an arrival-based detector, if d is one, and accounts
+// for the mark it sets.
+func (p *Port) onEnqueue(d Detector, pkt *packet.Packet, qlen units.ByteSize) {
+	ed, ok := d.(EnqueueDetector)
+	if !ok {
+		return
+	}
+	before := pkt.Code
+	ed.OnEnqueue(p.net.Sched.Now(), pkt, qlen)
+	p.countMark(before, pkt, qlen)
+}
+
+// countMark accounts for the mark a detector set on pkt, if it moved the
+// code point from before.
+func (p *Port) countMark(before packet.CodePoint, pkt *packet.Packet, qlen units.ByteSize) {
+	if pkt.Code == before {
+		return
+	}
+	switch pkt.Code {
+	case packet.CE:
+		p.MarkedCE++
+		p.recordMark(obs.KindMarkCE, pkt, qlen)
+	case packet.UE:
+		p.MarkedUE++
+		p.recordMark(obs.KindMarkUE, pkt, qlen)
 	}
 }
 
@@ -540,15 +541,15 @@ func (p *Port) useVoQ() bool {
 
 // voq returns the virtual output queue of one (priority, input) pair,
 // growing the table lazily to the node's port count.
-func (p *Port) voq(prio uint8, in int) *fifo {
+func (p *Port) voq(prio uint8, in int) *packet.Queue {
 	if p.voqs == nil {
-		p.voqs = make([][]fifo, len(p.queues))
+		p.voqs = make([][]packet.Queue, len(p.queues))
 	}
 	if p.voqs[prio] == nil {
-		p.voqs[prio] = make([]fifo, len(p.node.ports))
+		p.voqs[prio] = make([]packet.Queue, len(p.node.ports))
 	}
 	if in >= len(p.voqs[prio]) {
-		grown := make([]fifo, in+1)
+		grown := make([]packet.Queue, in+1)
 		copy(grown, p.voqs[prio])
 		p.voqs[prio] = grown
 	}
@@ -557,7 +558,7 @@ func (p *Port) voq(prio uint8, in int) *fifo {
 
 // voqHead picks the next input's head packet for one priority using
 // round-robin arbitration, returning nil when all VoQs are empty.
-func (p *Port) voqHead(prio uint8) (*fifo, *packet.Packet) {
+func (p *Port) voqHead(prio uint8) (*packet.Queue, *packet.Packet) {
 	if p.voqs == nil || p.voqs[prio] == nil {
 		return nil, nil
 	}
@@ -565,9 +566,9 @@ func (p *Port) voqHead(prio uint8) (*fifo, *packet.Packet) {
 	for k := 0; k < n; k++ {
 		i := (p.rr[prio] + k) % n
 		q := &p.voqs[prio][i]
-		if !q.empty() {
+		if !q.Empty() {
 			p.rr[prio] = (i + 1) % n
-			return q, q.peek()
+			return q, q.Peek()
 		}
 	}
 	return nil, nil
@@ -620,8 +621,8 @@ func (p *Port) tryTransmit() {
 	for prio := 0; prio < len(p.queues); prio++ {
 		q := &p.queues[prio]
 		var head *packet.Packet
-		if !q.empty() {
-			head = q.peek()
+		if !q.Empty() {
+			head = q.Peek()
 		} else if p.useVoQ() {
 			q, head = p.voqHead(uint8(prio))
 		}
@@ -633,7 +634,7 @@ func (p *Port) tryTransmit() {
 			continue
 		}
 		p.setBlocked(uint8(prio), false)
-		q.pop()
+		q.Pop()
 		p.net.qbytes[int(p.pb)+prio] -= head.Size
 		p.transmit(head, true)
 		return
@@ -693,16 +694,7 @@ func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
 			before := pkt.Code
 			qb := p.net.qbytes[int(p.pb)+int(pkt.Priority)]
 			d.OnDequeue(now, pkt, qb)
-			if pkt.Code != before {
-				switch pkt.Code {
-				case packet.CE:
-					p.MarkedCE++
-					p.recordMark(obs.KindMarkCE, pkt, qb)
-				case packet.UE:
-					p.MarkedUE++
-					p.recordMark(obs.KindMarkUE, pkt, qb)
-				}
-			}
+			p.countMark(before, pkt, qb)
 		}
 	}
 	if p.spoof != nil && pkt.Kind == packet.Data && p.spoof(pkt) {
@@ -765,10 +757,11 @@ func (p *Port) txDone() {
 		return
 	}
 	// Propagate to the peer: the packet rides the event as its argument
-	// (several packets can be in flight on one link at once), through the
-	// peer's preallocated receive callback — no per-packet closure.
+	// (several packets can be in flight on one link at once) and names
+	// the peer in its To field, for the network's one receive callback.
 	p.net.inFlightPayload += pkt.Payload
-	p.net.Sched.AfterArg(p.Delay, p.Peer.receiveFn, pkt)
+	pkt.To = p.Peer.id
+	p.net.Sched.AfterArg(p.Delay, p.net.receiveFn, pkt)
 	p.tryTransmit()
 }
 
@@ -841,7 +834,7 @@ type Network struct {
 	Sched *sim.Scheduler
 	Topo  *topo.Topology
 	cfg   Config
-	nodes []*node
+	nodes []node
 	ports []*Port
 	// portAt[linkIdx] = [2]*Port: side A, side B.
 	portAt [][2]*Port
@@ -857,12 +850,18 @@ type Network struct {
 	// single-threaded run: packets die at host sinks, where receive
 	// returns their slots for reuse by NewPacket.
 	arena packet.Arena
+	// receiveFn is the one link-propagation callback of the network: the
+	// packet is the event argument and names its destination port in To.
+	receiveFn func(any)
 	// Control-frame delivery machinery: in-flight frames ride a recycled
 	// ctrlInflight record through one preallocated AfterArg handler, so
 	// the per-frame closure (hot on credit-based fabrics, which send one
 	// update per data packet) is gone.
 	ctrlDeliverFn func(any)
 	ctrlFree      []*ctrlInflight
+	ctrlSlab      slab.Of[ctrlInflight]
+	// rings holds the first ring of every egress queue that is ever used.
+	rings slab.Of[packet.Ring]
 
 	// Payload conservation ledger (see fault.go): inFlightPayload is the
 	// flow-payload volume currently on a wire or inside a switch
@@ -892,38 +891,39 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 		cfg.Priorities = 1
 	}
 	n := &Network{Sched: s, Topo: t, cfg: cfg}
-	n.ctrlDeliverFn = func(arg any) { n.deliverCtrl(arg.(*ctrlInflight)) }
-	n.nodes = make([]*node, len(t.Nodes))
-	for i, tn := range t.Nodes {
-		n.nodes[i] = &node{id: tn.ID, kind: tn.Kind}
+	n.receiveFn = func(arg any) {
+		pkt := arg.(*packet.Packet)
+		n.ports[pkt.To].receive(pkt)
 	}
+	n.ctrlDeliverFn = func(arg any) { n.deliverCtrl(arg.(*ctrlInflight)) }
 	np := 2 * len(t.Links)
+	// Every node's port list is carved from one array, sized by the
+	// node's degree in the topology.
+	n.nodes = make([]node, len(t.Nodes))
+	nodePorts := make([]*Port, np)
+	for i, tn := range t.Nodes {
+		deg := len(t.Adj(tn.ID))
+		n.nodes[i] = node{id: tn.ID, kind: tn.Kind, ports: nodePorts[:0:deg]}
+		nodePorts = nodePorts[deg:]
+	}
 	n.nPrio = cfg.Priorities
 	n.qbytes = make([]units.ByteSize, np*cfg.Priorities)
 	n.blocked = make([]bool, np*cfg.Priorities)
 	n.portAt = make([][2]*Port, len(t.Links))
 	// One backing array per per-priority field, subsliced per port (pb is
 	// the port's offset), as qbytes and blocked already are.
-	queues := make([]fifo, np*cfg.Priorities)
+	queues := make([]packet.Queue, np*cfg.Priorities)
 	rr := make([]int, np*cfg.Priorities)
 	dets := make([]Detector, np*cfg.Priorities)
-	// The ports themselves come from slabs too, not one allocation per
-	// port (a k=16 fat-tree has 6144), in chunks that stay under the
-	// allocator's 32 KB large-object limit: as one 2.4 MB object per rig
-	// the slab raised ft16-ib-mpiio's peak resident set by 0.7 MB at the
-	// median and 2 MB in a third of the runs; as 24 KB chunks it does not.
-	const portChunk = 64
-	var slab []Port
+	// The ports themselves come from a slab, not one allocation per port
+	// (a k=16 fat-tree has 6144).
+	var ports slab.Of[Port]
 	n.ports = make([]*Port, 0, np)
 	for li, l := range t.Links {
 		mk := func(owner packet.NodeID) *Port {
-			nd := n.nodes[owner]
+			nd := &n.nodes[owner]
 			pb := len(n.ports) * cfg.Priorities
-			if len(slab) == 0 {
-				slab = make([]Port, min(portChunk, np-len(n.ports)))
-			}
-			p := &slab[0]
-			slab = slab[1:]
+			p := ports.New()
 			*p = Port{
 				net:    n,
 				node:   nd,
@@ -932,11 +932,11 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 				Rate:   l.Rate,
 				Delay:  l.Delay,
 				pb:     int32(pb),
+				id:     int32(len(n.ports)),
 				queues: queues[pb : pb+cfg.Priorities],
 				rr:     rr[pb : pb+cfg.Priorities],
 				dets:   dets[pb : pb+cfg.Priorities],
 			}
-			p.receiveFn = func(arg any) { p.receive(arg.(*packet.Packet)) }
 			nd.ports = append(nd.ports, p)
 			n.ports = append(n.ports, p)
 			return p
@@ -978,7 +978,7 @@ func (n *Network) PortOn(owner packet.NodeID, link int) *Port {
 
 // HostPort returns a host's single NIC port.
 func (n *Network) HostPort(host packet.NodeID) *Port {
-	nd := n.nodes[host]
+	nd := &n.nodes[host]
 	if nd.kind != topo.Host {
 		panic("fabric: HostPort of a switch")
 	}

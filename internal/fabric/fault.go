@@ -187,15 +187,15 @@ func (n *Network) InFlightPayload() units.ByteSize { return n.inFlightPayload }
 func (p *Port) ForEachQueued(fn func(*packet.Packet)) {
 	for prio := range p.queues {
 		q := &p.queues[prio]
-		for i := q.head; i < len(q.buf); i++ {
-			fn(q.buf[i])
+		for i := 0; i < q.Len(); i++ {
+			fn(q.At(i))
 		}
 	}
 	for _, per := range p.voqs {
 		for vi := range per {
 			q := &per[vi]
-			for i := q.head; i < len(q.buf); i++ {
-				fn(q.buf[i])
+			for i := 0; i < q.Len(); i++ {
+				fn(q.At(i))
 			}
 		}
 	}
@@ -379,13 +379,15 @@ func (n *Network) AttachWaitDetector(every units.Time, kind obs.Kind) *WaitDetec
 		panic("fabric: wait detector needs a positive scan period")
 	}
 	d := &WaitDetector{net: n, every: every, kind: kind, seen: make(map[string]bool)}
-	d.timer.Init(n.Sched, d.scan)
+	d.timer.Init(n.Sched, scanArg, d)
 	d.timer.Arm(every)
 	return d
 }
 
 // Stop cancels the scan timer.
 func (d *WaitDetector) Stop() { d.timer.Cancel() }
+
+func scanArg(arg any) { arg.(*WaitDetector).scan() }
 
 func (d *WaitDetector) scan() {
 	d.Scans++

@@ -16,6 +16,7 @@ import (
 	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
+	"github.com/tcdnet/tcd/internal/slab"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -74,10 +75,10 @@ type Flow struct {
 	// (and their ACKs/CNPs) travel on.
 	Priority uint8
 
-	Done   bool
-	FCT    units.Time // completion latency (valid when Done)
-	mgr    *Manager
-	sender *senderFlow
+	Done bool
+	FCT  units.Time // completion latency (valid when Done)
+	mgr  *Manager
+	send senderFlow
 }
 
 // The receiver-side per-packet observations live in struct-of-arrays
@@ -103,12 +104,7 @@ func (f *Flow) UEPackets() int { return int(f.mgr.uePkts[f.ID]) }
 // counts is in the network or beyond: delivered, queued, in flight, or
 // destroyed by an injected fault — the injected side of the
 // conservation invariant.
-func (f *Flow) BytesSent() units.ByteSize {
-	if f.sender == nil {
-		return 0
-	}
-	return f.Size - f.sender.remaining
-}
+func (f *Flow) BytesSent() units.ByteSize { return f.Size - f.send.remaining }
 
 // Slowdown reports FCT relative to the given ideal baseline.
 func (f *Flow) Slowdown(baseline units.Time) float64 {
@@ -118,12 +114,14 @@ func (f *Flow) Slowdown(baseline units.Time) float64 {
 	return float64(f.FCT) / float64(baseline)
 }
 
-// senderFlow is the NIC-side view of a flow.
+// senderFlow is the NIC-side state of a flow, embedded in its Flow.
 type senderFlow struct {
-	flow      *Flow
 	remaining units.ByteSize
 	seq       int32
 	nextAt    units.Time
+	// prev and next link the flow into its endpoint's active list while
+	// it has bytes left to send.
+	prev, next *Flow
 }
 
 // Endpoint is one host's NIC: sender flows plus a control-packet queue.
@@ -132,12 +130,17 @@ type Endpoint struct {
 	id   packet.NodeID
 	port *fabric.Port
 
-	active []*senderFlow
-	ctrlQ  []*packet.Packet
+	// active and activeTail are the ends of the list of flows with bytes
+	// left to send, in activation order: linked through the flows
+	// themselves, so activating a flow allocates nothing.
+	active, activeTail *Flow
+	// ctrlQ holds ACKs and CNPs waiting for the wire, on a ring that
+	// reuses its slots.
+	ctrlQ packet.Queue
 
 	// cached head packet so repeated Head calls return one identity.
 	headPkt  *packet.Packet
-	headFlow *senderFlow
+	headFlow *Flow
 }
 
 // Manager owns all endpoints and flows of one simulation.
@@ -151,6 +154,8 @@ type Manager struct {
 	endpoints []*Endpoint
 	flows     []*Flow
 	nextID    packet.FlowID
+	// flowSlab holds the Flow records, a chunk at a time.
+	flowSlab slab.Of[Flow]
 
 	// Struct-of-arrays receiver-side flow state, indexed by FlowID (dense
 	// by construction: AddFlow assigns sequential IDs).
@@ -172,11 +177,13 @@ type Manager struct {
 // Install creates an endpoint on every host and wires the network sink.
 func Install(n *fabric.Network, cfg Config) *Manager {
 	m := &Manager{net: n, cfg: cfg, endpoints: make([]*Endpoint, len(n.Topo.Nodes))}
+	var eps slab.Of[Endpoint]
 	for _, nd := range n.Topo.Nodes {
 		if nd.Kind != topo.Host {
 			continue
 		}
-		ep := &Endpoint{mgr: m, id: nd.ID, port: n.HostPort(nd.ID)}
+		ep := eps.New()
+		*ep = Endpoint{mgr: m, id: nd.ID, port: n.HostPort(nd.ID)}
 		ep.port.AttachSource(ep)
 		m.endpoints[nd.ID] = ep
 	}
@@ -213,7 +220,8 @@ func (m *Manager) AddFlow(src, dst packet.NodeID, size units.ByteSize, start uni
 	if size <= 0 {
 		panic("host: AddFlow with non-positive size")
 	}
-	f := &Flow{ID: m.nextID, Src: src, Dst: dst, Size: size, Start: start, Ctrl: ctrl, mgr: m}
+	f := m.flowSlab.New()
+	*f = Flow{ID: m.nextID, Src: src, Dst: dst, Size: size, Start: start, Ctrl: ctrl, mgr: m, send: senderFlow{remaining: size}}
 	m.nextID++
 	m.flows = append(m.flows, f)
 	m.rxBytes = append(m.rxBytes, 0)
@@ -238,9 +246,14 @@ func activateArg(arg any) {
 }
 
 func (ep *Endpoint) activate(f *Flow) {
-	sf := &senderFlow{flow: f, remaining: f.Size, nextAt: ep.mgr.net.Sched.Now()}
-	f.sender = sf
-	ep.active = append(ep.active, sf)
+	f.send.nextAt = ep.mgr.net.Sched.Now()
+	f.send.prev = ep.activeTail
+	if ep.activeTail != nil {
+		ep.activeTail.send.next = f
+	} else {
+		ep.active = f
+	}
+	ep.activeTail = f
 	ep.port.Kick()
 }
 
@@ -248,30 +261,30 @@ func (ep *Endpoint) activate(f *Flow) {
 func (ep *Endpoint) Head(now units.Time) (*packet.Packet, units.Time) {
 	// Control packets (ACKs, CNPs) go first; they are tiny and latency
 	// sensitive.
-	if len(ep.ctrlQ) > 0 {
-		return ep.ctrlQ[0], now
+	if !ep.ctrlQ.Empty() {
+		return ep.ctrlQ.Peek(), now
 	}
-	var best *senderFlow
-	for _, sf := range ep.active {
-		if best == nil || sf.nextAt < best.nextAt ||
-			(sf.nextAt == best.nextAt && sf.flow.ID < best.flow.ID) {
-			best = sf
+	var best *Flow
+	for f := ep.active; f != nil; f = f.send.next {
+		if best == nil || f.send.nextAt < best.send.nextAt ||
+			(f.send.nextAt == best.send.nextAt && f.ID < best.ID) {
+			best = f
 		}
 	}
 	if best == nil {
 		ep.dropHead()
 		return nil, units.Forever
 	}
-	if best.nextAt > now {
+	if best.send.nextAt > now {
 		ep.dropHead()
-		return nil, best.nextAt
+		return nil, best.send.nextAt
 	}
 	if ep.headFlow != best || ep.headPkt == nil {
 		ep.dropHead()
 		ep.headPkt = ep.buildData(best)
 		ep.headFlow = best
 	}
-	return ep.headPkt, best.nextAt
+	return ep.headPkt, best.send.nextAt
 }
 
 // dropHead discards the cached head packet, recycling it — it was never
@@ -283,21 +296,22 @@ func (ep *Endpoint) dropHead() {
 	ep.headPkt, ep.headFlow = nil, nil
 }
 
-func (ep *Endpoint) buildData(sf *senderFlow) *packet.Packet {
+func (ep *Endpoint) buildData(f *Flow) *packet.Packet {
+	sf := &f.send
 	payload := packet.MTU
 	if sf.remaining < payload {
 		payload = sf.remaining
 	}
 	pkt := ep.mgr.net.NewPacket()
-	pkt.Flow = sf.flow.ID
+	pkt.Flow = f.ID
 	pkt.Src = ep.id
-	pkt.Dst = sf.flow.Dst
+	pkt.Dst = f.Dst
 	pkt.Kind = packet.Data
 	pkt.Size = payload + packet.HeaderBytes
 	pkt.Payload = payload
 	pkt.Seq = sf.seq
 	pkt.Last = payload == sf.remaining
-	pkt.Priority = sf.flow.Priority
+	pkt.Priority = f.Priority
 	pkt.Code = packet.Capable
 	pkt.InPort = -1
 	return pkt
@@ -306,25 +320,26 @@ func (ep *Endpoint) buildData(sf *senderFlow) *packet.Packet {
 // Advance implements fabric.Source.
 func (ep *Endpoint) Advance() {
 	now := ep.mgr.net.Sched.Now()
-	if len(ep.ctrlQ) > 0 {
-		ep.ctrlQ = ep.ctrlQ[1:]
+	if !ep.ctrlQ.Empty() {
+		ep.ctrlQ.Pop()
 		return
 	}
-	sf := ep.headFlow
-	if sf == nil || ep.headPkt == nil {
+	f := ep.headFlow
+	if f == nil || ep.headPkt == nil {
 		panic("host: Advance without Head")
 	}
 	pkt := ep.headPkt
 	pkt.SentAt = now
 	ep.headPkt, ep.headFlow = nil, nil
 
+	sf := &f.send
 	sf.remaining -= pkt.Payload
 	sf.seq++
-	if obs, ok := sf.flow.Ctrl.(SentObserver); ok {
+	if obs, ok := f.Ctrl.(SentObserver); ok {
 		obs.OnSent(now, pkt.Size)
 	}
 	// Token-bucket pacing with bounded debt carry-over.
-	rate := sf.flow.Ctrl.CurrentRate()
+	rate := f.Ctrl.CurrentRate()
 	burst := units.TxTime(paceBurst, ep.port.Rate)
 	floor := now - burst
 	if sf.nextAt < floor {
@@ -332,22 +347,29 @@ func (ep *Endpoint) Advance() {
 	}
 	sf.nextAt += units.TxTime(pkt.Size, rate)
 	if sf.remaining <= 0 {
-		ep.removeActive(sf)
+		ep.removeActive(f)
 	}
 }
 
-func (ep *Endpoint) removeActive(sf *senderFlow) {
-	for i, v := range ep.active {
-		if v == sf {
-			ep.active = append(ep.active[:i], ep.active[i+1:]...)
-			return
-		}
+// removeActive unlinks a flow that has sent its last byte.
+func (ep *Endpoint) removeActive(f *Flow) {
+	sf := &f.send
+	if sf.prev != nil {
+		sf.prev.send.next = sf.next
+	} else {
+		ep.active = sf.next
 	}
+	if sf.next != nil {
+		sf.next.send.prev = sf.prev
+	} else {
+		ep.activeTail = sf.prev
+	}
+	sf.prev, sf.next = nil, nil
 }
 
 // pushCtrl queues a control packet and wakes the NIC.
 func (ep *Endpoint) pushCtrl(p *packet.Packet) {
-	ep.ctrlQ = append(ep.ctrlQ, p)
+	ep.ctrlQ.Push(p)
 	// A newly queued control packet preempts a cached data head.
 	ep.dropHead()
 	ep.port.Kick()

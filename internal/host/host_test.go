@@ -307,3 +307,40 @@ func TestSentObserverSeesWireBytes(t *testing.T) {
 		t.Errorf("observed %v wire bytes, want 10480", ctrl.bytes)
 	}
 }
+
+// countCtrl paces at a fixed rate and counts its feedback without
+// allocating.
+type countCtrl struct {
+	rate       units.Rate
+	acks, cnps int
+}
+
+func (c *countCtrl) CurrentRate() units.Rate                  { return c.rate }
+func (c *countCtrl) OnNotify(units.Time, bool, bool)          { c.cnps++ }
+func (c *countCtrl) OnAck(units.Time, units.Time, bool, bool) { c.acks++ }
+
+// TestEndpointSteadyStateAllocs pins the NIC path through real endpoints
+// at zero allocations once warm: data packets out, an ACK back for every
+// one (AckEveryPacket) and a CNP per notification window for the CE marks
+// the switch sets. A control queue that pops by reslicing its front
+// reallocates on pushes once its array is used up, one allocation per
+// ACK at worst; a ring reuses its slots.
+func TestEndpointSteadyStateAllocs(t *testing.T) {
+	r := newRig(t, host.Config{AckEveryPacket: true}, 2, 40*units.Gbps, units.Microsecond)
+	r.net.PortToward(r.sw, r.id("b")).AttachDetector(0, markAllCE{})
+	c := &countCtrl{rate: 40 * units.Gbps}
+	r.mgr.AddFlow(r.id("a"), r.id("b"), 1000*units.MB, 0, c)
+	// Warm up: fill the packet arena, the queues and the scheduler.
+	r.sched.RunUntil(500 * units.Microsecond)
+	acks, cnps := c.acks, c.cnps
+	// Each op spans two 50 us CNP windows.
+	allocs := testing.AllocsPerRun(20, func() {
+		r.sched.RunUntil(r.sched.Now() + 100*units.Microsecond)
+	})
+	if c.acks == acks || c.cnps == cnps {
+		t.Fatalf("the measured ops carried %d ACKs and %d CNPs; want both", c.acks-acks, c.cnps-cnps)
+	}
+	if allocs > 0 {
+		t.Errorf("steady-state endpoint traffic allocates %.2f allocs/op, want 0", allocs)
+	}
+}

@@ -100,18 +100,36 @@ type NodeID int32
 // input-port bookkeeping), mirroring how a real frame carries its header
 // fields through the network.
 type Packet struct {
-	// Flow is the owning flow; CNPs and ACKs carry the flow they concern.
-	Flow FlowID
-	// Src and Dst are the endpoints.
-	Src, Dst NodeID
-	// Kind is the packet population.
-	Kind Kind
+	// The fields are ordered widest first so that the struct packs into
+	// 64 bytes: one cache line, and 512 of them to a 32 KB arena chunk.
+
 	// Size is the wire size in bytes, headers included.
 	Size units.ByteSize
 	// Payload is the number of flow-payload bytes (Size minus headers).
 	Payload units.ByteSize
+	// SentAt is the timestamp the sender's NIC released the packet; ACKs
+	// echo it back so TIMELY can compute RTTs without a clock exchange.
+	SentAt units.Time
+	// Flow is the owning flow; CNPs and ACKs carry the flow they concern.
+	Flow FlowID
+	// Src and Dst are the endpoints.
+	Src, Dst NodeID
 	// Seq is the zero-based index of this packet within its flow.
 	Seq int32
+	// InPort tracks, inside a switch, which input port the packet arrived
+	// on so ingress accounting can be released on departure. It is
+	// meaningless outside the switch that set it; hosts inject with -1.
+	InPort int32
+	// To is the fabric-wide index of the port the packet is propagating
+	// toward while it is on a wire, so that one receive callback per
+	// network serves every link and the packet stays pointer-free.
+	To int32
+	// h is the packet's arena handle (its slab index), stamped by
+	// Arena.Get and preserved across the zeroing reset so Put can return
+	// the packet to the free list without a pointer-to-index lookup.
+	h Handle
+	// Kind is the packet population.
+	Kind Kind
 	// Last marks the final data packet of the flow's message.
 	Last bool
 	// Priority is the PFC priority / InfiniBand virtual lane.
@@ -121,19 +139,8 @@ type Packet struct {
 	// EchoUE and EchoCE are set on CNP/ACK packets to carry the receiver's
 	// observation back to the sender (the paper's ternary notification).
 	EchoUE, EchoCE bool
-	// SentAt is the timestamp the sender's NIC released the packet; ACKs
-	// echo it back so TIMELY can compute RTTs without a clock exchange.
-	SentAt units.Time
-	// InPort tracks, inside a switch, which input port the packet arrived
-	// on so ingress accounting can be released on departure. It is
-	// meaningless outside the switch that set it; hosts inject with -1.
-	InPort int32
 	// Hops counts switch traversals (routing-loop guard).
 	Hops int8
-	// h is the packet's arena handle (its slab index), stamped by
-	// Arena.Get and preserved across the zeroing reset so Put can return
-	// the packet to the free list without a pointer-to-index lookup.
-	h Handle
 }
 
 // String renders a compact description for traces and test failures.
@@ -159,9 +166,9 @@ const AckBytes units.ByteSize = 64
 type Handle uint32
 
 // Arena geometry: packets are allocated in fixed slabs of 2^ChunkBits.
-// 512 × ~72 B ≈ 37 KB per slab — big enough that a fig3-scale run lives
-// in a handful of slabs, small enough that tiny unit-test networks don't
-// balloon.
+// 512 × 64 B = 32 KB per slab, the largest small-object size class — big
+// enough that a fig3-scale run lives in a handful of slabs, small enough
+// that tiny unit-test networks don't balloon.
 const (
 	ChunkBits = 9
 	chunkSize = 1 << ChunkBits

@@ -26,11 +26,17 @@ func splitmix64(x *uint64) uint64 {
 // New returns a Source seeded from seed.
 func New(seed uint64) *Source {
 	r := &Source{}
+	r.Seed(seed)
+	return r
+}
+
+// Seed puts r in the state New(seed) starts in, for a source that lives
+// by value in its owner.
+func (r *Source) Seed(seed uint64) {
 	x := seed
 	for i := range r.s {
 		r.s[i] = splitmix64(&x)
 	}
-	return r
 }
 
 // Split derives an independent child source; use it to give each component

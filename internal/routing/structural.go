@@ -33,6 +33,16 @@ func linkTableBytes(t [][]int32) int64 {
 	return b
 }
 
+// appendCap is the capacity a row reaches when n links are appended to it
+// one at a time.
+func appendCap(n int) int {
+	var row []int32
+	for range n {
+		row = append(row, 0)
+	}
+	return cap(row)
+}
+
 // fatTreeRows derives fat-tree rows. For a destination host on edge E in
 // pod P the shortest-path DAG is: the destination's own edge forwards on
 // the access link; any other edge fans out over all its k/2 aggs; an agg
@@ -64,9 +74,20 @@ func FatTreeColumns(ft *topo.FatTree) RowSource {
 		down:    make([][]int32, n),
 	}
 	half := ft.K / 2
+	// Every row is carved from one array. An up row gets the capacity
+	// that appending its links one at a time gives: Bytes counts
+	// capacity, and route_table_bytes is part of every fat-tree result.
+	upCap := appendCap(half)
+	nPod := ft.K * half
+	buf := make([]int32, 0, len(ft.Cores)*ft.K+nPod*half+2*nPod*upCap)
+	carve := func(length, capacity int) []int32 {
+		n := len(buf)
+		buf = buf[:n+capacity]
+		return buf[n : n+length : n+capacity]
+	}
 	for _, c := range ft.Cores {
 		s.role[c] = roleCore
-		s.down[c] = make([]int32, ft.K)
+		s.down[c] = carve(ft.K, ft.K)
 	}
 	for p := range ft.Edges {
 		for i, e := range ft.Edges[p] {
@@ -77,7 +98,8 @@ func FatTreeColumns(ft *topo.FatTree) RowSource {
 		for _, a := range ft.Aggs[p] {
 			s.role[a] = roleAgg
 			s.pod[a] = int32(p)
-			s.down[a] = make([]int32, half)
+			s.down[a] = carve(half, half)
+			s.up[a] = carve(0, upCap)
 		}
 	}
 	for _, h := range ft.HostList {
@@ -89,6 +111,7 @@ func FatTreeColumns(ft *topo.FatTree) RowSource {
 	}
 	for _, row := range ft.Edges {
 		for _, e := range row {
+			s.up[e] = carve(0, upCap)
 			for _, ad := range ft.Adj(e) {
 				if s.role[ad.Peer] == roleAgg {
 					s.up[e] = append(s.up[e], int32(ad.Link))

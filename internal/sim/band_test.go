@@ -261,7 +261,7 @@ func TestBandRearmLeavesNoTrail(t *testing.T) {
 	s := New()
 	fired := 0
 	var tm Timer
-	tm.Init(s, func() { fired++ })
+	tm.Init(s, func(any) { fired++ }, nil)
 	s.At(bucket5, func() {
 		for i := 0; i < 100000; i++ {
 			tm.Arm(units.Time(1 + i%100))

@@ -959,19 +959,22 @@ func (s *Scheduler) checkBand() (int, error) {
 //
 // Arm of an already-armed timer is one in-place Reschedule — the queue
 // never grows, and no closure is created: the scheduler is handed the
-// static timerFire with the timer as its argument.
+// static timerFire with the timer as its argument, and the timer calls
+// its owner's static callback with the owner as the argument, so a
+// timer costs its owner no method value either.
 type Timer struct {
 	s       *Scheduler
-	fn      func()
+	fn      func(any)
+	arg     any
 	id      EventID
 	armedAt units.Time // fire time of the live arm; Never when idle
 }
 
-// Init makes t an unarmed timer that runs fn when it fires. A Timer lives
-// by value in its owner, which must not be copied afterwards: the
+// Init makes t an unarmed timer that runs fn(arg) when it fires. A Timer
+// lives by value in its owner, which must not be copied afterwards: the
 // scheduler is handed t as its event argument.
-func (t *Timer) Init(s *Scheduler, fn func()) {
-	*t = Timer{s: s, fn: fn, armedAt: units.Never}
+func (t *Timer) Init(s *Scheduler, fn func(any), arg any) {
+	*t = Timer{s: s, fn: fn, arg: arg, armedAt: units.Never}
 }
 
 // Arm (re)schedules the timer to fire d from now, replacing any pending
@@ -1000,7 +1003,7 @@ func timerFire(arg any) { arg.(*Timer).fire() }
 func (t *Timer) fire() {
 	t.id = NoEvent
 	t.armedAt = units.Never
-	t.fn()
+	t.fn(t.arg)
 }
 
 // Cancel disarms the timer if armed, removing its queued event in place.

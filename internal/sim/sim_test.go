@@ -260,7 +260,7 @@ func TestTimerChurnKeepsPendingBounded(t *testing.T) {
 	const nTimers = 8
 	timers := make([]Timer, nTimers)
 	for i := range timers {
-		timers[i].Init(s, func() {})
+		timers[i].Init(s, func(any) {}, nil)
 	}
 	s.At(0, func() {
 		for round := 1; round <= 1000; round++ {
@@ -312,7 +312,7 @@ func TestTimerBasic(t *testing.T) {
 	s := New()
 	fired := 0
 	var tm Timer
-	tm.Init(s, func() { fired++ })
+	tm.Init(s, func(any) { fired++ }, nil)
 	if tm.Armed() {
 		t.Error("new timer reports armed")
 	}
@@ -330,7 +330,7 @@ func TestTimerCancel(t *testing.T) {
 	s := New()
 	fired := 0
 	var tm Timer
-	tm.Init(s, func() { fired++ })
+	tm.Init(s, func(any) { fired++ }, nil)
 	s.At(0, func() { tm.Arm(100) })
 	s.At(50, func() { tm.Cancel() })
 	s.Run()
@@ -343,7 +343,7 @@ func TestTimerRearmReplacesPending(t *testing.T) {
 	s := New()
 	var times []units.Time
 	var tm Timer
-	tm.Init(s, func() { times = append(times, s.Now()) })
+	tm.Init(s, func(any) { times = append(times, s.Now()) }, nil)
 	s.At(0, func() { tm.Arm(100) })
 	s.At(50, func() { tm.Arm(100) }) // replaces: should fire once at 150
 	s.Run()
@@ -356,12 +356,12 @@ func TestTimerPeriodic(t *testing.T) {
 	s := New()
 	var times []units.Time
 	var tm Timer
-	tm.Init(s, func() {
+	tm.Init(s, func(any) {
 		times = append(times, s.Now())
 		if len(times) < 3 {
 			tm.Arm(10)
 		}
-	})
+	}, nil)
 	s.At(0, func() { tm.Arm(10) })
 	s.Run()
 	want := []units.Time{10, 20, 30}
@@ -378,7 +378,7 @@ func TestTimerPeriodic(t *testing.T) {
 func TestTimerFireAt(t *testing.T) {
 	s := New()
 	var tm Timer
-	tm.Init(s, func() {})
+	tm.Init(s, func(any) {}, nil)
 	s.At(5, func() {
 		tm.Arm(10)
 		if tm.armedAt != 15 {
@@ -415,7 +415,7 @@ func TestPostStopArmAndRescheduleAreNoOps(t *testing.T) {
 	s := New()
 	fired := 0
 	var tm Timer
-	tm.Init(s, func() { fired++ })
+	tm.Init(s, func(any) { fired++ }, nil)
 	tm.Arm(5 * units.Microsecond)
 	id := s.At(7*units.Microsecond, func() { fired++ })
 
@@ -507,7 +507,7 @@ func TestParkedEventsStayOutOfTheHeap(t *testing.T) {
 	}
 	s.After(0, tick)
 	var tm Timer
-	tm.Init(s, func() { t.Error("watchdog fired despite re-arms") })
+	tm.Init(s, func(any) { t.Error("watchdog fired despite re-arms") }, nil)
 	var rearm func()
 	rearm = func() {
 		rearms++

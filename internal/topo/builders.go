@@ -185,19 +185,29 @@ func NewFatTree(k int, rate units.Rate, delay units.Time) *FatTree {
 		panic(fmt.Sprintf("topo: fat-tree requires even k >= 2, got %d", k))
 	}
 	t := New()
-	ft := &FatTree{Topology: t, K: k, hostPos: make(map[packet.NodeID][3]int)}
 	half := k / 2
-	for i := 0; i < half*half; i++ {
-		ft.Cores = append(ft.Cores, t.AddSwitch(fmt.Sprintf("core%d", i)))
+	hosts := k * half * half
+	// (k/2)^2 cores and k^2 pod switches, all of degree k, and k^3/4
+	// hosts; as many edge–agg and as many agg–core links as host links.
+	t.reserve(half*half+k*k+hosts, 3*hosts)
+	ft := &FatTree{
+		Topology: t, K: k, hostPos: make(map[packet.NodeID][3]int, hosts),
+		Aggs: make([][]packet.NodeID, 0, k), Edges: make([][]packet.NodeID, 0, k),
+		HostList: make([]packet.NodeID, 0, hosts),
 	}
+	// The cores and every pod's aggregation and edge rows share one array.
+	rows := make([]packet.NodeID, 0, half*half+k*k)
+	row := func(n int, name func(i int) string) []packet.NodeID {
+		start := len(rows)
+		for i := 0; i < n; i++ {
+			rows = append(rows, t.addSized(name(i), Switch, k))
+		}
+		return rows[start:len(rows):len(rows)]
+	}
+	ft.Cores = row(half*half, func(i int) string { return fmt.Sprintf("core%d", i) })
 	for p := 0; p < k; p++ {
-		var aggs, edges []packet.NodeID
-		for i := 0; i < half; i++ {
-			aggs = append(aggs, t.AddSwitch(fmt.Sprintf("agg%d_%d", p, i)))
-		}
-		for i := 0; i < half; i++ {
-			edges = append(edges, t.AddSwitch(fmt.Sprintf("edge%d_%d", p, i)))
-		}
+		aggs := row(half, func(i int) string { return fmt.Sprintf("agg%d_%d", p, i) })
+		edges := row(half, func(i int) string { return fmt.Sprintf("edge%d_%d", p, i) })
 		ft.Aggs = append(ft.Aggs, aggs)
 		ft.Edges = append(ft.Edges, edges)
 		// Edge <-> agg full mesh within the pod.
@@ -215,7 +225,7 @@ func NewFatTree(k int, rate units.Rate, delay units.Time) *FatTree {
 		// Hosts.
 		for i, e := range edges {
 			for h := 0; h < half; h++ {
-				host := t.AddHost(fmt.Sprintf("h%d_%d_%d", p, i, h))
+				host := t.addSized(fmt.Sprintf("h%d_%d_%d", p, i, h), Host, 1)
 				t.Connect(host, e, rate, delay)
 				ft.hostPos[host] = [3]int{p, i, h}
 				ft.HostList = append(ft.HostList, host)

@@ -51,6 +51,9 @@ type Topology struct {
 	byName map[string]packet.NodeID
 	// adj[node] lists (link index, peer) pairs.
 	adj [][]Adjacency
+	// adjBuf is the unused rest of the array reserve sized for the
+	// adjacency lists of nodes added with a known degree.
+	adjBuf []Adjacency
 }
 
 // Adjacency is one incident link of a node.
@@ -72,6 +75,29 @@ func (t *Topology) add(name string, kind NodeKind) packet.NodeID {
 	t.Nodes = append(t.Nodes, Node{ID: id, Name: name, Kind: kind})
 	t.byName[name] = id
 	t.adj = append(t.adj, nil)
+	return id
+}
+
+// reserve sizes the node, link and adjacency tables for a builder that
+// knows its totals, so that building a large topology allocates each of
+// them once instead of growing them node by node and link by link.
+func (t *Topology) reserve(nodes, links int) {
+	t.Nodes = make([]Node, 0, nodes)
+	t.Links = make([]Link, 0, links)
+	t.adj = make([][]Adjacency, 0, nodes)
+	t.adjBuf = make([]Adjacency, 0, 2*links)
+	t.byName = make(map[string]packet.NodeID, nodes)
+}
+
+// addSized adds a node whose degree the builder knows, carving its
+// adjacency list from the reserved array (it grows on its own if the
+// reserve is used up or the degree was too small).
+func (t *Topology) addSized(name string, kind NodeKind, degree int) packet.NodeID {
+	id := t.add(name, kind)
+	if n := len(t.adjBuf); n+degree <= cap(t.adjBuf) {
+		t.adj[id] = t.adjBuf[n : n : n+degree]
+		t.adjBuf = t.adjBuf[:n+degree]
+	}
 	return id
 }
 
