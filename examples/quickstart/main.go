@@ -63,7 +63,7 @@ func run(w io.Writer) outcome {
 		CongThresh: 30 * units.KB,
 		LowThresh:  5 * units.KB,
 	})
-	det.RecordTransitions = true
+	det.RecordTransitions()
 	bottleneck.AttachDetector(0, det)
 	fmt.Fprintf(w, "max(Ton) from the ON-OFF model: %v\n\n", det.Config().MaxTon)
 
@@ -82,7 +82,7 @@ func run(w io.Writer) outcome {
 	sched.Run()
 
 	fmt.Fprintln(w, "\ntransitions:")
-	for _, tr := range det.Transitions {
+	for _, tr := range det.Transitions() {
 		fmt.Fprintf(w, "  %-10v %v -> %v\n", tr.At, tr.From, tr.To)
 	}
 	fmt.Fprintln(w)

@@ -23,7 +23,7 @@ func TestQuickstart(t *testing.T) {
 	}
 	want := []tcd.State{tcd.NonCongestion, tcd.Congestion, tcd.NonCongestion}
 	var got []tcd.State
-	for i, tr := range o.det.Transitions {
+	for i, tr := range o.det.Transitions() {
 		if i == 0 {
 			got = append(got, tr.From)
 		}

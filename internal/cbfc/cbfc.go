@@ -45,29 +45,49 @@ func DefaultConfig() Config {
 
 // Gate is the upstream egress side: FCTBS plus the latest FCCL per VL.
 type Gate struct {
-	port  *fabric.Port
+	s *state
+	// id is the port's index in Network.Ports(), pb its base in the
+	// per-VL arrays.
+	id, pb int32
+	// Updates counts FCCL messages received.
+	Updates uint64
+}
+
+// state is what every gate and meter of one Install shares: the
+// configuration, and the per-VL registers of the whole fabric in one
+// array per register, indexed by port id × VLs + VL. The wait detector's
+// attribution pass and the invariant sweeps walk these arrays, not a heap
+// object per port.
+type state struct {
+	ports []*fabric.Port
+	sched *sim.Scheduler
+	cfg   Config
+	nVL   int
+	occ   []units.ByteSize // ingress occupancy
 	fctbs []int64
 	fccl  []int64
 	// since records, per VL, when the current starvation began — the
 	// first refused CanSend after credits last sufficed — and holds
 	// units.Forever while they do, so exhaustion/grant events record the
 	// edges and not every CanSend.
-	since []units.Time
-	// Updates counts FCCL messages received.
-	Updates uint64
+	since    []units.Time
+	abr      []int64
+	reported []int64
 }
 
 // CanSend implements fabric.TxGate.
 func (g *Gate) CanSend(vl uint8, size units.ByteSize) bool {
-	if g.fctbs[vl]+int64(size) <= g.fccl[vl] {
+	s, i := g.s, int(g.pb)+int(vl)
+	if s.fctbs[i]+int64(size) <= s.fccl[i] {
 		return true
 	}
-	if g.since[vl] == units.Forever {
-		g.since[vl] = g.port.Now()
-		if rec := g.port.Recorder(); rec != nil {
+	if s.since[i] == units.Forever {
+		p := s.ports[g.id]
+		s.since[i] = p.Now()
+		if rec := p.Recorder(); rec != nil {
 			rec.Record(obs.Event{
-				At: g.port.Now(), Kind: obs.KindCreditExhausted,
-				Port: g.port.Label(), Prio: vl, Flow: -1, Val: g.Credits(vl),
+				At: p.Now(), Kind: obs.KindCreditExhausted,
+				Port: p.Label(), Prio: vl, Flow: -1, Val: g.Credits(vl),
 			})
 		}
 	}
@@ -76,7 +96,7 @@ func (g *Gate) CanSend(vl uint8, size units.ByteSize) bool {
 
 // OnSend implements fabric.TxGate.
 func (g *Gate) OnSend(vl uint8, size units.ByteSize) {
-	g.fctbs[vl] += int64(size)
+	g.s.fctbs[int(g.pb)+int(vl)] += int64(size)
 }
 
 // HandleCtrl implements fabric.TxGate.
@@ -84,28 +104,33 @@ func (g *Gate) HandleCtrl(now units.Time, f fabric.CtrlFrame) {
 	if f.Kind != fabric.CtrlCredit {
 		return
 	}
-	if f.FCCL > g.fccl[f.Prio] {
-		g.fccl[f.Prio] = f.FCCL
-		if g.since[f.Prio] != units.Forever {
-			g.since[f.Prio] = units.Forever
-			if rec := g.port.Recorder(); rec != nil {
+	s, i := g.s, int(g.pb)+int(f.Prio)
+	if f.FCCL > s.fccl[i] {
+		s.fccl[i] = f.FCCL
+		p := s.ports[g.id]
+		if s.since[i] != units.Forever {
+			s.since[i] = units.Forever
+			if rec := p.Recorder(); rec != nil {
 				rec.Record(obs.Event{
 					At: now, Kind: obs.KindCreditGrant,
-					Port: g.port.Label(), Prio: f.Prio, Flow: -1, Val: g.Credits(f.Prio),
+					Port: p.Label(), Prio: f.Prio, Flow: -1, Val: g.Credits(f.Prio),
 				})
 			}
 		}
-		g.port.GateChanged()
+		p.GateChanged()
 	}
 	g.Updates++
 }
 
 // Credits reports the currently available credit in bytes for one VL.
-func (g *Gate) Credits(vl uint8) int64 { return g.fccl[vl] - g.fctbs[vl] }
+func (g *Gate) Credits(vl uint8) int64 {
+	i := int(g.pb) + int(vl)
+	return g.s.fccl[i] - g.s.fctbs[i]
+}
 
 // BlockedSince implements fabric.TxGate: when the current starvation of
 // one VL began (as of the last refused CanSend).
-func (g *Gate) BlockedSince(vl uint8) units.Time { return g.since[vl] }
+func (g *Gate) BlockedSince(vl uint8) units.Time { return g.s.since[int(g.pb)+int(vl)] }
 
 // Meter is the downstream ingress side: ABR, occupancy, and the periodic
 // FCCL timer. The timer quiesces while the link is idle (no occupancy and
@@ -115,11 +140,12 @@ func (g *Gate) BlockedSince(vl uint8) units.Time { return g.since[vl] }
 // without changing behaviour under load.
 type Meter struct {
 	fabric.Ingress
-	port     *fabric.Port
-	cfg      Config
-	abr      []int64
-	reported []int64
-	timer    sim.Timer // by value; Install builds the Meter in place and never copies it
+	s      *state
+	id, pb int32 // as in Gate
+	// update is the pending FCCL event, sim.NoEvent while the timer is
+	// quiet. The meter arms it only when it is quiet and never moves it,
+	// so an event handle is all the timer needs.
+	update sim.EventID
 
 	// UpdatesSent counts FCCL messages originated.
 	UpdatesSent uint64
@@ -128,40 +154,54 @@ type Meter struct {
 // OnArrive implements fabric.RxMeter. A violation is an arrival that
 // overflows the buffer, which CBFC is supposed to make impossible.
 func (m *Meter) OnArrive(_ units.Time, pkt *packet.Packet) {
-	m.abr[pkt.Priority] += int64(pkt.Size)
-	m.Arrive(pkt.Priority, pkt.Size, m.cfg.Buffer)
-	if !m.timer.Armed() {
-		m.timer.Arm(m.cfg.Tc)
+	s, i := m.s, int(m.pb)+int(pkt.Priority)
+	s.abr[i] += int64(pkt.Size)
+	m.Arrive(&s.occ[i], pkt.Size, s.cfg.Buffer)
+	if m.update == sim.NoEvent {
+		m.arm()
 	}
 }
 
 // OnFree implements fabric.RxMeter.
-func (m *Meter) OnFree(_ units.Time, pkt *packet.Packet) { m.Free(pkt.Priority, pkt.Size) }
+func (m *Meter) OnFree(_ units.Time, pkt *packet.Packet) {
+	m.Free(&m.s.occ[int(m.pb)+int(pkt.Priority)], pkt.Size)
+}
+
+// Occupancy implements fabric.RxMeter.
+func (m *Meter) Occupancy(vl uint8) units.ByteSize { return m.s.occ[int(m.pb)+int(vl)] }
+
+// arm schedules the next FCCL update one period from now.
+func (m *Meter) arm() {
+	m.update = m.s.sched.AtArg(m.s.sched.Now()+m.s.cfg.Tc, sendUpdateArg, m)
+}
 
 // sendUpdateArg is the FCCL timer callback every meter shares.
 func sendUpdateArg(arg any) { arg.(*Meter).sendUpdate() }
 
 func (m *Meter) sendUpdate() {
+	m.update = sim.NoEvent
+	s, p := m.s, m.s.ports[m.id]
 	active := false
-	for vl := range m.abr {
-		occ := m.Occupancy(uint8(vl))
-		if occ > 0 || m.abr[vl] != m.reported[vl] {
+	for vl := 0; vl < s.nVL; vl++ {
+		i := int(m.pb) + vl
+		occ := s.occ[i]
+		if occ > 0 || s.abr[i] != s.reported[i] {
 			active = true
 		}
-		free := m.cfg.Buffer - occ
+		free := s.cfg.Buffer - occ
 		if free < 0 {
 			free = 0
 		}
-		m.port.SendCtrl(fabric.CtrlFrame{
+		p.SendCtrl(fabric.CtrlFrame{
 			Kind: fabric.CtrlCredit,
 			Prio: uint8(vl),
-			FCCL: m.abr[vl] + int64(free),
+			FCCL: s.abr[i] + int64(free),
 		})
-		m.reported[vl] = m.abr[vl]
+		s.reported[i] = s.abr[i]
 	}
 	m.UpdatesSent++
 	if active {
-		m.timer.Arm(m.cfg.Tc)
+		m.arm()
 	}
 }
 
@@ -174,38 +214,31 @@ func (m *Meter) sendUpdate() {
 // Every gate starts with one buffer's worth of credit, as negotiated at
 // link initialization in the spec.
 func Install(n *fabric.Network, cfg Config) {
-	nPrio := n.Config().Priorities
+	cfg.Tc = max(cfg.Tc, 0)
 	ports := n.Ports()
-	// One backing array per field, subsliced per gate/meter, so the whole
-	// fabric's credit state is contiguous — the wait detector's
-	// attribution pass and invariant sweeps walk arrays, not a heap
-	// object per port.
-	np := len(ports) * nPrio
-	fctbs, fccl := make([]int64, np), make([]int64, np)
-	since := make([]units.Time, np)
-	abr, reported := make([]int64, np), make([]int64, np)
-	occ := make([]units.ByteSize, np)
-	for i := range fccl {
-		fccl[i] = int64(cfg.Buffer)
-		since[i] = units.Forever
+	nVL := n.Config().Priorities
+	np := len(ports) * nVL
+	s := &state{
+		ports: ports, sched: n.Sched, cfg: cfg, nVL: nVL,
+		occ:   make([]units.ByteSize, np),
+		fctbs: make([]int64, np), fccl: make([]int64, np),
+		since: make([]units.Time, np),
+		abr:   make([]int64, np), reported: make([]int64, np),
 	}
-	// Gates and meters come from one slice each for the same reason.
+	for i := range s.fccl {
+		s.fccl[i] = int64(cfg.Buffer)
+		s.since[i] = units.Forever
+	}
+	// Gates and meters come from one slice each, not a heap object per
+	// port.
 	gates, meters := make([]Gate, len(ports)), make([]Meter, len(ports))
 	for i, p := range ports {
-		lo, hi := i*nPrio, (i+1)*nPrio
-		g := &gates[i]
-		*g = Gate{port: p, fctbs: fctbs[lo:hi], fccl: fccl[lo:hi], since: since[lo:hi]}
-		p.AttachGate(g)
+		id, pb := int32(i), int32(i*nVL)
+		gates[i] = Gate{s: s, id: id, pb: pb}
+		p.AttachGate(&gates[i])
 		m := &meters[i]
-		*m = Meter{
-			Ingress:  fabric.NewIngress(occ[lo:hi]),
-			port:     p,
-			cfg:      cfg,
-			abr:      abr[lo:hi],
-			reported: reported[lo:hi],
-		}
-		m.timer.Init(n.Sched, sendUpdateArg, m)
+		*m = Meter{s: s, id: id, pb: pb}
 		p.AttachMeter(m)
-		m.timer.Arm(cfg.Tc)
+		m.arm()
 	}
 }

@@ -42,13 +42,15 @@ type AdaptiveTCD struct {
 // seeded at its bound static.MaxTon. The queue-trend period stays at
 // that bound while the threshold adapts.
 func NewAdaptiveTCD(static TCDConfig) *AdaptiveTCD {
+	var own TCDConfigs
 	a := new(AdaptiveTCD)
-	a.Init(static)
+	a.Init(own.Intern(static))
 	return a
 }
 
-// Init makes a, wherever it lives, the detector NewAdaptiveTCD builds.
-func (a *AdaptiveTCD) Init(static TCDConfig) {
+// Init makes a, wherever it lives, the adaptive variant of a detector of
+// the interned configuration static.
+func (a *AdaptiveTCD) Init(static *TCDConfig) {
 	*a = AdaptiveTCD{
 		floor: static.MaxTon / 8,
 		ceil:  4 * static.MaxTon,
@@ -76,8 +78,8 @@ func (a *AdaptiveTCD) OnOffStart(now units.Time) {
 		if th > a.ceil {
 			th = a.ceil
 		}
-		if th != a.inner.cfg.MaxTon {
-			a.inner.cfg.MaxTon = th
+		if th != a.inner.maxTon {
+			a.inner.maxTon = th
 			a.Updates++
 		}
 	}

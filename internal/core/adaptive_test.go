@@ -10,8 +10,8 @@ import (
 
 func TestAdaptiveStartsAtSeed(t *testing.T) {
 	a := NewAdaptiveTCD(testCfg())
-	if a.inner.cfg.MaxTon != 30*units.Microsecond {
-		t.Errorf("initial threshold = %v, want seed", a.inner.cfg.MaxTon)
+	if a.inner.maxTon != 30*units.Microsecond {
+		t.Errorf("initial threshold = %v, want seed", a.inner.maxTon)
 	}
 	if a.State() != NonCongestion {
 		t.Errorf("initial state = %v", a.State())
@@ -30,7 +30,7 @@ func TestAdaptiveTracksShortOnPeriods(t *testing.T) {
 	}
 	// Threshold converges toward adaptiveMargin * 4us = 8us, clamped at
 	// the floor.
-	th := a.inner.cfg.MaxTon
+	th := a.inner.maxTon
 	if th > 10*units.Microsecond {
 		t.Errorf("threshold %v did not adapt down toward 8us", th)
 	}
@@ -51,8 +51,8 @@ func TestAdaptiveCeilClamp(t *testing.T) {
 		a.OnOffEnd(at + units.Microsecond)
 		at += 10 * units.Millisecond
 	}
-	if want := 4 * testCfg().MaxTon; a.inner.cfg.MaxTon != want {
-		t.Errorf("threshold = %v, want clamped at ceil %v", a.inner.cfg.MaxTon, want)
+	if want := 4 * testCfg().MaxTon; a.inner.maxTon != want {
+		t.Errorf("threshold = %v, want clamped at ceil %v", a.inner.maxTon, want)
 	}
 }
 
@@ -83,7 +83,7 @@ func TestAdaptiveTrendPeriodStaysAtStaticBound(t *testing.T) {
 		a.OnOffEnd(at + units.Microsecond)
 		at += 5 * units.Microsecond
 	}
-	th := a.inner.cfg.MaxTon
+	th := a.inner.maxTon
 	if th >= static.MaxTon/2 {
 		t.Fatalf("threshold %v did not adapt below half the static bound %v", th, static.MaxTon)
 	}

@@ -77,6 +77,35 @@ type Transition struct {
 	From, To State
 }
 
+// TCDConfigs interns detector configurations: every detector built from
+// equal configurations shares one record, so a fabric of thousands of
+// detectors holds a handful of configurations. The zero value is empty
+// and ready to use.
+type TCDConfigs struct {
+	list []*TCDConfig
+}
+
+// Intern returns the shared record of cfg with its defaults applied. It
+// panics on invalid configuration: detectors are wired at experiment
+// setup where a loud failure is wanted.
+func (t *TCDConfigs) Intern(cfg TCDConfig) *TCDConfig {
+	if cfg.TrendSlack == 0 {
+		cfg.TrendSlack = 4 * units.KB
+	}
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
+	for _, c := range t.list {
+		if *c == cfg {
+			return c
+		}
+	}
+	c := new(TCDConfig)
+	*c = cfg
+	t.list = append(t.list, c)
+	return c
+}
+
 // TCD is the Ternary Congestion Detection state machine of one
 // (port, priority) pair — the paper's Fig 9 flowchart.
 //
@@ -84,56 +113,95 @@ type Transition struct {
 // latest OFF period, LAST_STATE, and two queue-trend samples; exactly the
 // hardware cost the paper argues for (§4.5).
 type TCD struct {
-	cfg TCDConfig
-	// period is T, the queue-trend observation window after a port leaves
-	// the undetermined state: the paper's T = MaxTon, fixed at
-	// construction (the adaptive variant moves MaxTon, not T).
-	period units.Time
+	// cfg is shared with every detector built from an equal
+	// configuration and never written. Its MaxTon is T, the queue-trend
+	// observation window after a port leaves the undetermined state (the
+	// paper's T = MaxTon, fixed at construction); maxTon is the detector's
+	// own ON-period bound, which the adaptive variant moves.
+	cfg    *TCDConfig
+	maxTon units.Time
 
 	state      State
-	lastOffEnd units.Time
 	off        bool
+	trendArmed bool
+	// keep enables the transitions log (RecordTransitions).
+	keep       bool
+	lastOffEnd units.Time
 
 	// Queue-trend check after leaving the undetermined state.
-	trendArmed bool
 	trendStart units.Time
 	trendQ     units.ByteSize
 
 	// Stats.
-	Transitions []Transition
-	stateSince  units.Time
-	timeIn      [3]units.Time
-	// RecordTransitions enables the Transitions trace (experiments only;
-	// long fat-tree runs leave it off).
-	RecordTransitions bool
-	// Rec, if non-nil, receives a KindTCDState event per transition;
-	// Label names the detector's port in those events.
-	Rec   obs.Recorder
-	Label string
+	stateSince units.Time
+	timeIn     [3]units.Time
+	// trace is nil until a recording detector first transitions or is
+	// given a recorder.
+	trace *tcdTrace
+}
+
+// tcdTrace is a detector's recording state.
+type tcdTrace struct {
+	transitions []Transition
+	// rec, if non-nil, receives a KindTCDState event per transition;
+	// label names the detector's port in those events.
+	rec   obs.Recorder
+	label string
+	// first backs the first transitions, so the record and the log
+	// start in one allocation.
+	first [2]Transition
 }
 
 // NewTCD builds a detector. It panics on invalid configuration: detectors
 // are wired at experiment setup where a loud failure is wanted.
 func NewTCD(cfg TCDConfig) *TCD {
+	var own TCDConfigs
 	d := new(TCD)
-	d.Init(cfg)
+	d.Init(own.Intern(cfg))
 	return d
 }
 
-// Init makes d, wherever it lives (a slab, say), the detector NewTCD
-// builds, and panics where NewTCD does.
-func (d *TCD) Init(cfg TCDConfig) {
-	if cfg.TrendSlack == 0 {
-		cfg.TrendSlack = 4 * units.KB
-	}
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	*d = TCD{cfg: cfg, period: cfg.MaxTon, state: NonCongestion, lastOffEnd: units.Never}
+// Init makes d, wherever it lives (a slab, say), a detector of the
+// interned configuration cfg.
+func (d *TCD) Init(cfg *TCDConfig) {
+	*d = TCD{cfg: cfg, maxTon: cfg.MaxTon, state: NonCongestion, lastOffEnd: units.Never}
 }
 
-// Config returns the detector's configuration.
-func (d *TCD) Config() TCDConfig { return d.cfg }
+// Config returns the detector's configuration, with its current ON-period
+// bound as MaxTon.
+func (d *TCD) Config() TCDConfig {
+	c := *d.cfg
+	c.MaxTon = d.maxTon
+	return c
+}
+
+// RecordTransitions turns on the Transitions log (experiments only; long
+// fat-tree runs leave it off).
+func (d *TCD) RecordTransitions() { d.keep = true }
+
+// Transitions returns the logged state changes (nil unless
+// RecordTransitions was called).
+func (d *TCD) Transitions() []Transition {
+	if d.trace == nil {
+		return nil
+	}
+	return d.trace.transitions
+}
+
+// Trace sends a KindTCDState event per transition to rec, naming the
+// detector's port label.
+func (d *TCD) Trace(rec obs.Recorder, label string) {
+	t := d.tracing()
+	t.rec, t.label = rec, label
+}
+
+func (d *TCD) tracing() *tcdTrace {
+	if d.trace == nil {
+		d.trace = new(tcdTrace)
+		d.trace.transitions = d.trace.first[:0]
+	}
+	return d.trace
+}
 
 // State reports LAST_STATE.
 func (d *TCD) State() State { return d.state }
@@ -147,11 +215,14 @@ func (d *TCD) setState(now units.Time, s State) {
 		return
 	}
 	d.timeIn[d.state] += now - d.stateSince
-	if d.RecordTransitions {
-		d.Transitions = append(d.Transitions, Transition{At: now, From: d.state, To: s})
-	}
-	if d.Rec != nil {
-		d.Rec.Record(obs.Event{At: now, Kind: obs.KindTCDState, Port: d.Label, Flow: -1, Val: int64(s), Aux: int64(d.state)})
+	if d.keep || d.trace != nil {
+		t := d.tracing()
+		if d.keep {
+			t.transitions = append(t.transitions, Transition{At: now, From: d.state, To: s})
+		}
+		if t.rec != nil {
+			t.rec.Record(obs.Event{At: now, Kind: obs.KindTCDState, Port: t.label, Flow: -1, Val: int64(s), Aux: int64(d.state)})
+		}
 	}
 	d.state = s
 	d.stateSince = now
@@ -176,7 +247,7 @@ func (d *TCD) OnDequeue(now units.Time, pkt *packet.Packet, qlen units.ByteSize)
 	if d.lastOffEnd != units.Never {
 		ton = now - d.lastOffEnd
 	}
-	if ton < d.cfg.MaxTon {
+	if ton < d.maxTon {
 		// ON-OFF sending pattern: transitions (3) and (6).
 		d.setState(now, Undetermined)
 		d.trendArmed = false
@@ -219,7 +290,7 @@ func (d *TCD) releasedDequeue(now units.Time, pkt *packet.Packet, qlen units.Byt
 		d.trendQ = qlen
 		return
 	}
-	if now-d.trendStart < d.period {
+	if now-d.trendStart < d.cfg.MaxTon {
 		return
 	}
 	if qlen > d.trendQ+d.cfg.TrendSlack && qlen > d.cfg.CongThresh {

@@ -118,7 +118,7 @@ func TestUndeterminedToNonCongestionDrain(t *testing.T) {
 // Fig 13).
 func TestUndeterminedToCongestionGrowth(t *testing.T) {
 	d := NewTCD(testCfg())
-	d.RecordTransitions = true
+	d.RecordTransitions()
 	d.OnOffStart(time(0))
 	d.OnOffEnd(time(5))
 	dq(d, time(6), 150*units.KB) // undetermined
@@ -133,13 +133,13 @@ func TestUndeterminedToCongestionGrowth(t *testing.T) {
 	}
 	// Transition log captured und->cong.
 	found := false
-	for _, tr := range d.Transitions {
+	for _, tr := range d.Transitions() {
 		if tr.From == Undetermined && tr.To == Congestion {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("transitions %v missing undetermined->congestion", d.Transitions)
+		t.Errorf("transitions %v missing undetermined->congestion", d.Transitions())
 	}
 }
 

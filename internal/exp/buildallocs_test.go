@@ -9,8 +9,8 @@ import (
 )
 
 // buildAllocs counts the allocations of building a rig on a fat-tree and
-// adding flows to it. The topology is built beforehand: its builder
-// formats one name per node, which is not what this guard is about.
+// adding flows to it. The topology is built beforehand; its builder has
+// its own guard (topo.TestNewFatTreeAllocsFlat).
 func buildAllocs(kind FabricKind, det DetectorKind, ccKind CCKind, ft *topo.FatTree, flows int) float64 {
 	return testing.AllocsPerRun(2, func() {
 		rig := NewRig(RigConfig{Run: Run{Kind: kind}, Topo: ft.Topology, Det: det, RouteRows: routing.FatTreeColumns(ft)})

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/rng"
@@ -128,15 +127,14 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 	// run actually exercised, and the losslessness assertion (buffer
 	// violations must be zero).
 	var pauseTime units.Time
-	var ce, ue uint64
+	var ce, ue, violations uint64
 	for _, p := range rig.Net.Ports() {
 		pauseTime += p.PauseTime
 		ce += p.MarkedCE
 		ue += p.MarkedUE
-	}
-	var violations uint64
-	for _, m := range fabric.Meters[fabric.RxMeter](rig.Net) {
-		violations += m.Violations()
+		if m := p.Meter(); m != nil {
+			violations += m.Violations()
+		}
 	}
 	res.Scalars["total_pause_ms"] = pauseTime.Millis()
 	res.Scalars["marked_ce"] = float64(ce)

@@ -52,8 +52,8 @@ func (r *Rig) faultScalars(res *Result) {
 // attackTotals sums the forged CE marks and control frames over the ports.
 func (r *Rig) attackTotals() (spoofed, forged uint64) {
 	for _, p := range r.Net.Ports() {
-		spoofed += p.SpoofedCE
-		forged += p.ForgedCtrl
+		spoofed += p.SpoofedCE()
+		forged += p.ForgedCtrl()
 	}
 	return spoofed, forged
 }

@@ -72,7 +72,7 @@ func MultiPrio(h Run) *Result {
 		CongThresh: 200 * units.KB,
 		LowThresh:  10 * units.KB,
 	})
-	det.RecordTransitions = true
+	det.RecordTransitions()
 	sharedPort.AttachDetector(1, det)
 
 	mgr := host.Install(n, host.Config{})
@@ -108,7 +108,7 @@ func MultiPrio(h Run) *Result {
 	res.Scalars["time_undetermined_us"] = det.TimeIn(core.Undetermined).Micros()
 	res.Scalars["time_congestion_us"] = det.TimeIn(core.Congestion).Micros()
 	res.Scalars["hi_pkts"] = float64(hiFlow.PktsRxed())
-	for _, tr := range det.Transitions {
+	for _, tr := range det.Transitions() {
 		res.AddNote("shared port prio1 %v: %v -> %v", tr.At, tr.From, tr.To)
 	}
 	return res

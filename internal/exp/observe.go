@@ -154,7 +154,7 @@ func Observe(cfg ObserveConfig) *Result {
 		res.Scalars["p2_final_state"] = float64(d.State())
 		res.Scalars["p2_time_undetermined_us"] = d.TimeIn(core.Undetermined).Micros()
 		res.Scalars["p2_time_congestion_us"] = d.TimeIn(core.Congestion).Micros()
-		for _, t := range d.Transitions {
+		for _, t := range d.Transitions() {
 			res.AddNote("P2 %v: %v -> %v", t.At, t.From, t.To)
 		}
 		d1 := rig.TCDAt(rig.P1)

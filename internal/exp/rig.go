@@ -206,6 +206,9 @@ type Rig struct {
 	queueWin *stats.Series
 
 	slabs rigSlabs
+	// tcdCfgs holds the one configuration record every TCD detector of
+	// equal parameters shares.
+	tcdCfgs core.TCDConfigs
 	// fixed holds one shared controller per constant line rate.
 	fixed []host.RateController
 }
@@ -397,7 +400,7 @@ func (r *Rig) attachDetectors(record bool) {
 // Sprintf per port, 6144 ports at k=16).
 func (r *Rig) traceTCD(d *core.TCD, p *fabric.Port) {
 	if r.Obs.Rec != nil {
-		d.Rec, d.Label = r.Obs.Rec, p.Label()
+		d.Trace(r.Obs.Rec, p.Label())
 	}
 }
 
@@ -418,13 +421,15 @@ func (r *Rig) newDetector(p *fabric.Port, prio uint8, record bool) fabric.Detect
 		return d
 	case DetTCD:
 		d := r.slabs.tcd.New()
-		d.Init(r.TCDConfigFor(p))
-		d.RecordTransitions = record
+		d.Init(r.tcdCfgs.Intern(r.TCDConfigFor(p)))
+		if record {
+			d.RecordTransitions()
+		}
 		r.traceTCD(d, p)
 		return d
 	case DetTCDAdaptive:
 		a := r.slabs.adaptive.New()
-		a.Init(r.TCDConfigFor(p))
+		a.Init(r.tcdCfgs.Intern(r.TCDConfigFor(p)))
 		r.traceTCD(a.Inner(), p)
 		return a
 	case DetNPECN:
@@ -545,7 +550,7 @@ func (r *Rig) SnapshotMetrics(reg *obs.Registry) {
 		violations, maxOcc = "cbfc_violations", "cbfc_max_occupancy_bytes"
 	}
 	for _, p := range r.Net.Ports() {
-		lbl := p.Label()
+		lbl := p.Name()
 		reg.Counter("port_tx_bytes", "port", lbl).Add(int64(p.TxBytes))
 		reg.Counter("port_tx_packets", "port", lbl).Add(int64(p.TxPackets))
 		reg.Counter("port_tx_data_bytes", "port", lbl).Add(int64(p.TxDataBytes))

@@ -93,56 +93,50 @@ type RxMeter interface {
 	OnArrive(now units.Time, pkt *packet.Packet)
 	// OnFree accounts for that packet finally leaving the node.
 	OnFree(now units.Time, pkt *packet.Packet)
-	// Occupancy, MaxOccupancy and Violations read the ingress ledger;
-	// embedding Ingress supplies all three.
+	// Occupancy reports the bytes buffered on one priority; MaxOccupancy
+	// and Violations read the Ingress ledger, and embedding it supplies
+	// both.
 	Occupancy(prio uint8) units.ByteSize
 	MaxOccupancy() units.ByteSize
 	Violations() uint64
 }
 
-// Ingress is the buffer ledger every RxMeter embeds: the occupancy
-// attributable to one input port per priority, its high-water mark, and
-// the arrivals that found it beyond the control law's bound. The law
-// decides what to signal upstream from the occupancy Arrive and Free
-// return.
+// Ingress is the buffer ledger every RxMeter embeds: the high-water mark
+// of the occupancy attributable to one input port, and the arrivals that
+// found it beyond the control law's bound. The occupancy itself is the
+// law's to keep, one slot per (port, priority) in an array of its
+// install, so a ledger holds no per-priority slice; Arrive and Free
+// update the slot they are handed, and the law decides what to signal
+// upstream from the occupancy they return.
 type Ingress struct {
-	occ        []units.ByteSize
 	maxOcc     units.ByteSize
 	violations uint64
 }
 
-// NewIngress returns a ledger that keeps its occupancy in occ, one slot
-// per priority (Install passes a subslice of one fabric-wide array).
-func NewIngress(occ []units.ByteSize) Ingress { return Ingress{occ: occ} }
-
-// Arrive adds size to the priority's occupancy and returns the result;
-// a result beyond bound is a violation (a would-be drop in a real
-// switch — must stay zero for losslessness).
-func (a *Ingress) Arrive(prio uint8, size, bound units.ByteSize) units.ByteSize {
-	occ := a.occ[prio] + size
-	a.occ[prio] = occ
-	if occ > a.maxOcc {
-		a.maxOcc = occ
+// Arrive adds size to the occupancy *occ and returns the result; a
+// result beyond bound is a violation (a would-be drop in a real switch —
+// must stay zero for losslessness).
+func (a *Ingress) Arrive(occ *units.ByteSize, size, bound units.ByteSize) units.ByteSize {
+	o := *occ + size
+	*occ = o
+	if o > a.maxOcc {
+		a.maxOcc = o
 	}
-	if occ > bound {
+	if o > bound {
 		a.violations++
 	}
-	return occ
+	return o
 }
 
-// Free subtracts size from the priority's occupancy and returns the
-// result.
-func (a *Ingress) Free(prio uint8, size units.ByteSize) units.ByteSize {
-	occ := a.occ[prio] - size
-	if occ < 0 {
+// Free subtracts size from the occupancy *occ and returns the result.
+func (a *Ingress) Free(occ *units.ByteSize, size units.ByteSize) units.ByteSize {
+	o := *occ - size
+	if o < 0 {
 		panic("fabric: negative ingress occupancy")
 	}
-	a.occ[prio] = occ
-	return occ
+	*occ = o
+	return o
 }
-
-// Occupancy reports the bytes currently buffered on one priority.
-func (a *Ingress) Occupancy(prio uint8) units.ByteSize { return a.occ[prio] }
 
 // MaxOccupancy reports the highest occupancy seen on any priority.
 func (a *Ingress) MaxOccupancy() units.ByteSize { return a.maxOcc }
@@ -153,7 +147,7 @@ func (a *Ingress) Violations() uint64 { return a.violations }
 // Meters returns the installed ingress meters of type M in port order:
 // Meters[RxMeter] for every meter, Meters[*pfc.Meter] for one law's.
 func Meters[M RxMeter](n *Network) []M {
-	var out []M
+	out := make([]M, 0, len(n.ports))
 	for _, p := range n.ports {
 		if m, ok := p.meter.(M); ok {
 			out = append(out, m)
@@ -240,39 +234,37 @@ const maxHops = 64
 
 // Port is one side of a link: it owns the egress machinery toward its
 // peer and the ingress accounting for traffic from its peer.
+//
+// Per-priority state (queues, detectors, queue bytes, OFF flags) lives in
+// Network-owned arrays indexed by the port's base,
+// id×Priorities, and the rarely used fault, adversarial and label state
+// behind ext; what is left here is what every packet through the port
+// touches.
 type Port struct {
 	net   *Network
 	node  *node
 	Index int // index within the owning node
-	Link  int // topology link index
-	Peer  *Port
 	Rate  units.Rate
 	Delay units.Time
 
-	// pb is this port's base into the per-(port,priority) flat arrays the
-	// Network owns (qbytes, blocked), which fabric-wide scans (Stranded,
-	// WaitCycles, invariants) sweep linearly. State only this port's own
-	// methods touch is a field here.
-	pb int32
+	// id is the port's index in Network.ports: what a packet on the wire
+	// toward this port carries in its To field. Ports are laid out link
+	// by link, A side first, so the peer is ports[id^1] and the topology
+	// link is id>>1.
+	id int32
 	// busy says the port is serializing a packet, until busyEnd; wakeAt
 	// is the armed source wake (0 = none). down and frozen are the fault
-	// state described at ctrlFault. enq says some priority's detector is
-	// an EnqueueDetector, resolved by AttachDetector so that Enqueue does
-	// no interface assertion on the ports of every other detector. The
-	// four share busy's word, so the flag costs Port no space.
+	// state (see fault.go). enq says some priority's detector is an
+	// EnqueueDetector, resolved by AttachDetector so that Enqueue does no
+	// interface assertion on the ports of every other detector. The four
+	// share id's word, so they cost Port no space.
 	busy, down, frozen, enq bool
 	busyEnd                 units.Time
 	wakeAt                  units.Time
 
-	// Egress. In OutputQueued mode queues[prio] is the FIFO; in
-	// InputQueuedVoQ mode voqs[prio][inputPort] are the virtual output
-	// queues and rr[prio] the round-robin arbitration pointer.
-	queues []packet.Queue
-	voqs   [][]packet.Queue
-	rr     []int
-	gate   TxGate
-	dets   []Detector
-	src    Source
+	gate  TxGate
+	src   Source
+	meter RxMeter
 
 	// txPkt is the packet currently being serialized (a port serializes
 	// one packet at a time); its completion and the source wake
@@ -281,29 +273,8 @@ type Port struct {
 	// argument, so the transmit hot path schedules no closure.
 	txPkt *packet.Packet
 
-	// Ingress.
-	meter RxMeter
-
-	// Fault state (driven by the fault injector; see fault.go). A down
-	// port neither transmits nor delivers; a frozen port stops serving
-	// its egress queues while its ingress keeps forwarding (a hung egress
-	// pipeline). ctrlFault, if non-nil, intercepts outgoing control
-	// frames. Every hot-path test of these is a plain flag check, so a
-	// run with no faults executes exactly as it did before they existed.
-	ctrlFault func(f CtrlFrame) (drop bool, delay units.Time)
-	// spoof, if non-nil, decides per outgoing data packet whether a
-	// compromised sender forges a CE mark on it (see SetSpoof). Attack is
-	// a bitmask of AttackTag provenance bits the adversarial injector set
-	// on this port; the oracle reads it to separate manufactured symptoms
-	// from organic congestion.
-	spoof  func(pkt *packet.Packet) bool
-	Attack uint8
-	// id is the port's index in Network.ports: what a packet on the wire
-	// toward this port carries in its To field.
-	id int32
-
-	// label caches Name() for event records (hot path; Name sprintfs).
-	label string
+	// ext is nil until a fault or a recorder first touches the port.
+	ext *portExt
 
 	// Counters (cumulative; sampled by tracers).
 	TxBytes     units.ByteSize
@@ -311,29 +282,97 @@ type Port struct {
 	TxDataBytes units.ByteSize
 	MarkedCE    uint64
 	MarkedUE    uint64
-	SpoofedCE   uint64 // CE marks forged by a spoof hook, not a detector
-	ForgedCtrl  uint64 // control frames forged by the adversarial injector
 	CtrlSent    uint64
 	PauseTime   units.Time // total time spent blocked (all priorities)
 	blockStart  units.Time
-	// FaultDrops counts frames this port destroyed because of a fault
-	// (data packets at egress or ingress of a down link, lost control
-	// frames).
-	FaultDrops uint64
 }
+
+// portExt is the state of a port that a fault, an attack or a recorder
+// has touched. Every hot-path test of it is a nil check first, so a run
+// with no faults and no recorder executes as if it did not exist.
+type portExt struct {
+	// ctrlFault, if non-nil, intercepts outgoing control frames (see
+	// SetCtrlFault).
+	ctrlFault func(f CtrlFrame) (drop bool, delay units.Time)
+	// spoof, if non-nil, decides per outgoing data packet whether a
+	// compromised sender forges a CE mark on it (see SetSpoof).
+	spoof func(pkt *packet.Packet) bool
+	// label caches Name() for event records (hot path; Name sprintfs).
+	label string
+	// spoofedCE counts CE marks forged by the spoof hook, forgedCtrl the
+	// control frames forged by the adversarial injector, faultDrops the
+	// frames this port destroyed because of a fault (data packets at
+	// egress or ingress of a down link, lost control frames).
+	spoofedCE, forgedCtrl, faultDrops uint64
+	// attack is the bitmask of AttackTag provenance bits the adversarial
+	// injector set on this port.
+	attack uint8
+}
+
+// extend returns the port's fault and recording state, creating it on
+// first use.
+func (p *Port) extend() *portExt {
+	if p.ext == nil {
+		p.ext = new(portExt)
+	}
+	return p.ext
+}
+
+// Peer returns the port on the other end of the link.
+func (p *Port) Peer() *Port { return p.net.ports[p.id^1] }
+
+// base is the port's offset into the per-(port, priority) arrays.
+func (p *Port) base() int { return int(p.id) * p.net.nPrio }
 
 // Name renders "node[idx]→peer" for traces and errors.
 func (p *Port) Name() string {
-	return fmt.Sprintf("%s[%d]->%s", p.net.Topo.Name(p.node.id), p.Index, p.net.Topo.Name(p.Peer.node.id))
+	return fmt.Sprintf("%s[%d]->%s", p.net.Topo.Name(p.node.id), p.Index, p.net.Topo.Name(p.Peer().node.id))
 }
 
 // Label returns Name() cached for reuse in event records, so recording
-// an event never allocates.
+// an event never allocates after the port's first.
 func (p *Port) Label() string {
-	if p.label == "" {
-		p.label = p.Name()
+	x := p.extend()
+	if x.label == "" {
+		x.label = p.Name()
 	}
-	return p.label
+	return x.label
+}
+
+// SpoofedCE counts CE marks forged on this port by a spoof hook, not set
+// by a detector.
+func (p *Port) SpoofedCE() uint64 {
+	if p.ext == nil {
+		return 0
+	}
+	return p.ext.spoofedCE
+}
+
+// ForgedCtrl counts control frames the adversarial injector forged at
+// this port.
+func (p *Port) ForgedCtrl() uint64 {
+	if p.ext == nil {
+		return 0
+	}
+	return p.ext.forgedCtrl
+}
+
+// FaultDrops counts frames this port destroyed because of a fault.
+func (p *Port) FaultDrops() uint64 {
+	if p.ext == nil {
+		return 0
+	}
+	return p.ext.faultDrops
+}
+
+// Attack returns the attack-provenance bits stamped on the port (see
+// TagAttack); the oracle reads them to separate manufactured symptoms
+// from organic congestion.
+func (p *Port) Attack() uint8 {
+	if p.ext == nil {
+		return 0
+	}
+	return p.ext.attack
 }
 
 // Node returns the owning node's ID.
@@ -350,14 +389,15 @@ func (p *Port) Now() units.Time { return p.net.Sched.Now() }
 // TotalQueueBytes reports the egress queue length across priorities.
 func (p *Port) TotalQueueBytes() units.ByteSize {
 	var t units.ByteSize
-	for _, b := range p.net.qbytes[p.pb : int(p.pb)+p.net.nPrio] {
-		t += b
+	i := p.base()
+	for _, q := range p.net.qbytes[i : i+p.net.nPrio] {
+		t += q
 	}
 	return t
 }
 
 // Blocked reports whether the priority is currently OFF (gate-refused).
-func (p *Port) Blocked(prio uint8) bool { return p.net.blocked[int(p.pb)+int(prio)] }
+func (p *Port) Blocked(prio uint8) bool { return p.net.blocked[p.base()+int(prio)] }
 
 // AttachGate installs the egress flow-control gate.
 func (p *Port) AttachGate(g TxGate) { p.gate = g }
@@ -373,17 +413,24 @@ func (p *Port) Meter() RxMeter { return p.meter }
 
 // AttachDetector installs the marking detector for one priority.
 func (p *Port) AttachDetector(prio uint8, d Detector) {
-	p.dets[prio] = d
+	dets := p.dets()
+	dets[prio] = d
 	p.enq = false
-	for _, d := range p.dets {
+	for _, d := range dets {
 		if _, ok := d.(EnqueueDetector); ok {
 			p.enq = true
 		}
 	}
 }
 
-// Detector returns the detector for one priority (nil if none).
-func (p *Port) DetectorAt(prio uint8) Detector { return p.dets[prio] }
+// DetectorAt returns the detector for one priority (nil if none).
+func (p *Port) DetectorAt(prio uint8) Detector { return p.net.dets[p.base()+int(prio)] }
+
+// dets returns the port's run of the network's detector array.
+func (p *Port) dets() []Detector {
+	b := p.base()
+	return p.net.dets[b : b+p.net.nPrio]
+}
 
 // AttachSource installs the NIC pull source (host ports only).
 func (p *Port) AttachSource(s Source) { p.src = s }
@@ -399,10 +446,10 @@ func (p *Port) SendCtrl(f CtrlFrame) {
 		return
 	}
 	var faultDelay units.Time
-	if p.ctrlFault != nil {
-		drop, delay := p.ctrlFault(f)
+	if x := p.ext; x != nil && x.ctrlFault != nil {
+		drop, delay := x.ctrlFault(f)
 		if drop {
-			p.FaultDrops++
+			x.faultDrops++
 			p.net.FaultDrops++
 			if rec := p.net.cfg.Rec; rec != nil {
 				rec.Record(obs.Event{At: now, Kind: obs.KindFaultDrop, Port: p.Label(), Prio: f.Prio, Flow: -1, Val: int64(f.Kind)})
@@ -438,7 +485,7 @@ func (p *Port) SendCtrl(f CtrlFrame) {
 	} else {
 		ci = n.ctrlSlab.New()
 	}
-	ci.to, ci.f = p.Peer, f
+	ci.to, ci.f = p.Peer(), f
 	n.Sched.AfterArg(d, n.ctrlDeliverFn, ci)
 }
 
@@ -457,7 +504,7 @@ func (n *Network) deliverCtrl(ci *ctrlInflight) {
 	ci.to = nil
 	n.ctrlFree = append(n.ctrlFree, ci)
 	if peer.down {
-		peer.FaultDrops++
+		peer.extend().faultDrops++
 		n.FaultDrops++
 		if rec := n.cfg.Rec; rec != nil {
 			rec.Record(obs.Event{At: n.Sched.Now(), Kind: obs.KindFaultDrop, Port: peer.Label(), Prio: f.Prio, Flow: -1, Val: int64(f.Kind)})
@@ -487,17 +534,18 @@ func (p *Port) Kick() {
 
 // Enqueue places a packet on the egress queue (switch forwarding path).
 func (p *Port) Enqueue(pkt *packet.Packet) {
-	prio := pkt.Priority
-	qb := &p.net.qbytes[int(p.pb)+int(prio)]
+	n := p.net
+	i := p.base() + int(pkt.Priority)
+	qb := &n.qbytes[i]
 	if p.enq {
-		p.onEnqueue(p.dets[prio], pkt, *qb)
+		p.onEnqueue(n.dets[i], pkt, *qb)
 	}
-	q := &p.queues[prio]
+	q := &n.queues[i]
 	if p.useVoQ() && pkt.InPort >= 0 {
-		q = p.voq(prio, int(pkt.InPort))
+		q = p.voq(i, int(pkt.InPort))
 	}
 	if !q.Seeded() {
-		q.Seed(p.net.rings.New())
+		q.Seed(n.rings.New())
 	}
 	q.Push(pkt)
 	*qb += pkt.Size
@@ -536,38 +584,35 @@ func (p *Port) countMark(before packet.CodePoint, pkt *packet.Packet, qlen units
 
 // useVoQ reports whether this port buffers in virtual output queues.
 func (p *Port) useVoQ() bool {
-	return p.net.cfg.Arch == InputQueuedVoQ && p.node.kind == topo.Switch
+	return p.net.voqs != nil && p.node.kind == topo.Switch
 }
 
-// voq returns the virtual output queue of one (priority, input) pair,
-// growing the table lazily to the node's port count.
-func (p *Port) voq(prio uint8, in int) *packet.Queue {
-	if p.voqs == nil {
-		p.voqs = make([][]packet.Queue, len(p.queues))
+// voq returns the virtual output queue of one input at the (port,
+// priority) slot i, growing the table lazily to the node's port count.
+func (p *Port) voq(i int, in int) *packet.Queue {
+	t := &p.net.voqs[i]
+	if *t == nil {
+		*t = make([]packet.Queue, len(p.node.ports))
 	}
-	if p.voqs[prio] == nil {
-		p.voqs[prio] = make([]packet.Queue, len(p.node.ports))
-	}
-	if in >= len(p.voqs[prio]) {
+	if in >= len(*t) {
 		grown := make([]packet.Queue, in+1)
-		copy(grown, p.voqs[prio])
-		p.voqs[prio] = grown
+		copy(grown, *t)
+		*t = grown
 	}
-	return &p.voqs[prio][in]
+	return &(*t)[in]
 }
 
-// voqHead picks the next input's head packet for one priority using
-// round-robin arbitration, returning nil when all VoQs are empty.
-func (p *Port) voqHead(prio uint8) (*packet.Queue, *packet.Packet) {
-	if p.voqs == nil || p.voqs[prio] == nil {
-		return nil, nil
-	}
-	n := len(p.voqs[prio])
+// voqHead picks the next input's head packet at the (port, priority)
+// slot i using round-robin arbitration, returning nil when all VoQs are
+// empty.
+func (p *Port) voqHead(i int) (*packet.Queue, *packet.Packet) {
+	voqs, rr := p.net.voqs[i], &p.net.rr[i]
+	n := len(voqs)
 	for k := 0; k < n; k++ {
-		i := (p.rr[prio] + k) % n
-		q := &p.voqs[prio][i]
+		j := (*rr + k) % n
+		q := &voqs[j]
 		if !q.Empty() {
-			p.rr[prio] = (i + 1) % n
+			*rr = (j + 1) % n
 			return q, q.Peek()
 		}
 	}
@@ -585,11 +630,12 @@ func (p *Port) recordMark(kind obs.Kind, pkt *packet.Packet, qlen units.ByteSize
 }
 
 func (p *Port) setBlocked(prio uint8, b bool) {
-	if p.net.blocked[int(p.pb)+int(prio)] == b {
+	i := p.base() + int(prio)
+	if p.net.blocked[i] == b {
 		return
 	}
 	now := p.net.Sched.Now()
-	p.net.blocked[int(p.pb)+int(prio)] = b
+	p.net.blocked[i] = b
 	if b {
 		p.blockStart = now
 	} else {
@@ -600,9 +646,9 @@ func (p *Port) setBlocked(prio uint8, b bool) {
 		if b {
 			kind = obs.KindOffStart
 		}
-		rec.Record(obs.Event{At: now, Kind: kind, Port: p.Label(), Prio: prio, Flow: -1, Val: int64(p.net.qbytes[int(p.pb)+int(prio)])})
+		rec.Record(obs.Event{At: now, Kind: kind, Port: p.Label(), Prio: prio, Flow: -1, Val: int64(p.net.qbytes[i])})
 	}
-	if d := p.dets[prio]; d != nil {
+	if d := p.net.dets[i]; d != nil {
 		if b {
 			d.OnOffStart(now)
 		} else {
@@ -617,14 +663,16 @@ func (p *Port) tryTransmit() {
 	if p.busy || p.down || p.frozen {
 		return
 	}
-	now := p.net.Sched.Now()
-	for prio := 0; prio < len(p.queues); prio++ {
-		q := &p.queues[prio]
+	n := p.net
+	now := n.Sched.Now()
+	b := p.base()
+	for prio := 0; prio < n.nPrio; prio++ {
+		q := &n.queues[b+prio]
 		var head *packet.Packet
 		if !q.Empty() {
 			head = q.Peek()
 		} else if p.useVoQ() {
-			q, head = p.voqHead(uint8(prio))
+			q, head = p.voqHead(b + prio)
 		}
 		if head == nil {
 			continue
@@ -635,7 +683,7 @@ func (p *Port) tryTransmit() {
 		}
 		p.setBlocked(uint8(prio), false)
 		q.Pop()
-		p.net.qbytes[int(p.pb)+prio] -= head.Size
+		n.qbytes[b+prio] -= head.Size
 		p.transmit(head, true)
 		return
 	}
@@ -690,14 +738,15 @@ func (p *Port) wake() {
 func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
 	now := p.net.Sched.Now()
 	if fromQueue && p.node.kind == topo.Switch {
-		if d := p.dets[pkt.Priority]; d != nil {
+		i := p.base() + int(pkt.Priority)
+		if d := p.net.dets[i]; d != nil {
 			before := pkt.Code
-			qb := p.net.qbytes[int(p.pb)+int(pkt.Priority)]
+			qb := p.net.qbytes[i]
 			d.OnDequeue(now, pkt, qb)
 			p.countMark(before, pkt, qb)
 		}
 	}
-	if p.spoof != nil && pkt.Kind == packet.Data && p.spoof(pkt) {
+	if x := p.ext; x != nil && x.spoof != nil && pkt.Kind == packet.Data && x.spoof(pkt) {
 		// A compromised sender forges a CE mark with no detector verdict
 		// behind it. The mark is indistinguishable on the wire but is
 		// accounted separately (SpoofedCE, not MarkedCE) so per-port
@@ -705,9 +754,9 @@ func (p *Port) transmit(pkt *packet.Packet, fromQueue bool) {
 		before := pkt.Code
 		pkt.Code = pkt.Code.MarkCE()
 		if pkt.Code != before {
-			p.SpoofedCE++
+			x.spoofedCE++
 			if r := p.net.cfg.Rec; r != nil {
-				qb := p.net.qbytes[int(p.pb)+int(pkt.Priority)]
+				qb := p.net.qbytes[p.base()+int(pkt.Priority)]
 				r.Record(obs.Event{At: now, Kind: obs.KindSpoofMark, Prio: pkt.Priority,
 					Port: p.Label(), Flow: int64(pkt.Flow), Val: int64(qb)})
 			}
@@ -760,7 +809,7 @@ func (p *Port) txDone() {
 	// (several packets can be in flight on one link at once) and names
 	// the peer in its To field, for the network's one receive callback.
 	p.net.inFlightPayload += pkt.Payload
-	pkt.To = p.Peer.id
+	pkt.To = p.id ^ 1
 	p.net.Sched.AfterArg(p.Delay, p.net.receiveFn, pkt)
 	p.tryTransmit()
 }
@@ -835,17 +884,26 @@ type Network struct {
 	Topo  *topo.Topology
 	cfg   Config
 	nodes []node
+	// ports lists every port link by link: link l's A-side port at 2l,
+	// its B-side port at 2l+1.
 	ports []*Port
-	// portAt[linkIdx] = [2]*Port: side A, side B.
-	portAt [][2]*Port
 
-	// Struct-of-arrays port state, indexed by Port.pb+prio. Keeping these
-	// in flat arrays owned by the Network — rather than as fields on Port
-	// — turns the fabric-wide scans (Stranded, the WaitCycles node pass,
-	// the invariant sweeps) into linear walks over contiguous memory.
+	// Struct-of-arrays port state, indexed by the port's base
+	// (id×Priorities) plus the priority. Keeping these in flat arrays
+	// owned by the Network — rather than as fields on Port — keeps Port
+	// small and turns the fabric-wide scans (Stranded, the WaitCycles
+	// node pass, the invariant sweeps) into linear walks over contiguous
+	// memory.
 	nPrio   int
-	qbytes  []units.ByteSize // [pb+prio] egress queue bytes
-	blocked []bool           // [pb+prio] gate currently refuses (OFF)
+	qbytes  []units.ByteSize // egress queue bytes
+	blocked []bool           // gate currently refuses (OFF)
+	queues  []packet.Queue   // output-queued FIFOs
+	dets    []Detector       // marking detectors
+	// voqs[i][input] are the virtual output queues and rr[i] the
+	// round-robin arbitration pointer of a switch port's priority; both
+	// are nil unless the fabric is InputQueuedVoQ.
+	voqs [][]packet.Queue
+	rr   []int
 	// arena slab-allocates and recycles packets within this
 	// single-threaded run: packets die at host sinks, where receive
 	// returns their slots for reuse by NewPacket.
@@ -907,43 +965,34 @@ func New(s *sim.Scheduler, t *topo.Topology, cfg Config) *Network {
 		nodePorts = nodePorts[deg:]
 	}
 	n.nPrio = cfg.Priorities
-	n.qbytes = make([]units.ByteSize, np*cfg.Priorities)
-	n.blocked = make([]bool, np*cfg.Priorities)
-	n.portAt = make([][2]*Port, len(t.Links))
-	// One backing array per per-priority field, subsliced per port (pb is
-	// the port's offset), as qbytes and blocked already are.
-	queues := make([]packet.Queue, np*cfg.Priorities)
-	rr := make([]int, np*cfg.Priorities)
-	dets := make([]Detector, np*cfg.Priorities)
+	ns := np * cfg.Priorities
+	n.qbytes = make([]units.ByteSize, ns)
+	n.blocked = make([]bool, ns)
+	n.queues = make([]packet.Queue, ns)
+	n.dets = make([]Detector, ns)
+	if cfg.Arch == InputQueuedVoQ {
+		n.voqs = make([][]packet.Queue, ns)
+		n.rr = make([]int, ns)
+	}
 	// The ports themselves come from a slab, not one allocation per port
 	// (a k=16 fat-tree has 6144).
 	var ports slab.Of[Port]
 	n.ports = make([]*Port, 0, np)
-	for li, l := range t.Links {
-		mk := func(owner packet.NodeID) *Port {
+	for _, l := range t.Links {
+		for _, owner := range [2]packet.NodeID{l.A, l.B} {
 			nd := &n.nodes[owner]
-			pb := len(n.ports) * cfg.Priorities
 			p := ports.New()
 			*p = Port{
-				net:    n,
-				node:   nd,
-				Index:  len(nd.ports),
-				Link:   li,
-				Rate:   l.Rate,
-				Delay:  l.Delay,
-				pb:     int32(pb),
-				id:     int32(len(n.ports)),
-				queues: queues[pb : pb+cfg.Priorities],
-				rr:     rr[pb : pb+cfg.Priorities],
-				dets:   dets[pb : pb+cfg.Priorities],
+				net:   n,
+				node:  nd,
+				Index: len(nd.ports),
+				Rate:  l.Rate,
+				Delay: l.Delay,
+				id:    int32(len(n.ports)),
 			}
 			nd.ports = append(nd.ports, p)
 			n.ports = append(n.ports, p)
-			return p
 		}
-		pa, pb := mk(l.A), mk(l.B)
-		pa.Peer, pb.Peer = pb, pa
-		n.portAt[li] = [2]*Port{pa, pb}
 	}
 	return n
 }
@@ -961,17 +1010,17 @@ func (n *Network) NewPacket() *packet.Packet { return n.arena.Get() }
 // must drop every reference.
 func (n *Network) FreePacket(pkt *packet.Packet) { n.arena.Put(pkt) }
 
-// Ports returns all ports (both sides of every link).
+// Ports returns all ports (both sides of every link), link by link:
+// topology link l's A-side port at 2l and its B-side port at 2l+1.
 func (n *Network) Ports() []*Port { return n.ports }
 
 // PortOn returns the port of node `owner` on topology link `link`.
 func (n *Network) PortOn(owner packet.NodeID, link int) *Port {
-	pair := n.portAt[link]
-	if pair[0].node.id == owner {
-		return pair[0]
+	if p := n.ports[2*link]; p.node.id == owner {
+		return p
 	}
-	if pair[1].node.id == owner {
-		return pair[1]
+	if p := n.ports[2*link+1]; p.node.id == owner {
+		return p
 	}
 	panic(fmt.Sprintf("fabric: node %s is not an endpoint of link %d", n.Topo.Name(owner), link))
 }

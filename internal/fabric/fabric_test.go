@@ -208,7 +208,7 @@ func TestRoutingLoopPanics(t *testing.T) {
 func TestPortLookups(t *testing.T) {
 	_, n, a, b := star(t, units.Gbps, 0)
 	sw := n.Topo.ID("sw")
-	if n.PortToward(sw, a).Peer != n.HostPort(a) {
+	if n.PortToward(sw, a).Peer() != n.HostPort(a) {
 		t.Error("PortToward/HostPort disagree")
 	}
 	if len(n.nodes[sw].ports) != 2 {

@@ -72,7 +72,7 @@ func (p *Port) SetFrozen(frozen bool) {
 // non-zero delay stretches its delivery. The interceptor must be
 // deterministic given the run's seed.
 func (p *Port) SetCtrlFault(f func(CtrlFrame) (drop bool, delay units.Time)) {
-	p.ctrlFault = f
+	p.extend().ctrlFault = f
 	if f != nil {
 		p.net.faulted = true
 	}
@@ -103,14 +103,14 @@ const (
 // TagAttack stamps an attack-provenance bit on the port and latches the
 // network's fault flag.
 func (p *Port) TagAttack(bit uint8) {
-	p.Attack |= bit
+	p.extend().attack |= bit
 	p.net.faulted = true
 }
 
 // PeerIsHost reports whether the port's far end is a host NIC — the
 // route-rewrite fault uses it to preserve host-delivery hops, and the
 // oracle to scope its scan to switch egresses.
-func (p *Port) PeerIsHost() bool { return p.Peer.node.kind == topo.Host }
+func (p *Port) PeerIsHost() bool { return p.Peer().node.kind == topo.Host }
 
 // ForgeCtrl originates a control frame this port's flow-control stack
 // never asked for — the compromised-NIC primitive behind pause storms.
@@ -120,7 +120,7 @@ func (p *Port) PeerIsHost() bool { return p.Peer.node.kind == topo.Host }
 // record tell them apart.
 func (p *Port) ForgeCtrl(f CtrlFrame) {
 	p.net.faulted = true
-	p.ForgedCtrl++
+	p.extend().forgedCtrl++
 	if rec := p.net.cfg.Rec; rec != nil {
 		rec.Record(obs.Event{
 			At: p.net.Sched.Now(), Kind: obs.KindForgedCtrl, Port: p.Label(),
@@ -135,7 +135,7 @@ func (p *Port) ForgeCtrl(f CtrlFrame) {
 // whether a forged CE mark is stamped on it regardless of queue state.
 // The hook must be deterministic given the run's seed.
 func (p *Port) SetSpoof(fn func(pkt *packet.Packet) bool) {
-	p.spoof = fn
+	p.extend().spoof = fn
 	if fn != nil {
 		p.net.faulted = true
 	}
@@ -147,7 +147,7 @@ func (p *Port) SetSpoof(fn func(pkt *packet.Packet) bool) {
 // per-window victim rule differences this.
 func (p *Port) OffTime(now units.Time) units.Time {
 	t := p.PauseTime
-	base := int(p.pb)
+	base := p.base()
 	for k := 0; k < p.net.nPrio; k++ {
 		if p.net.blocked[base+k] {
 			t += now - p.blockStart
@@ -161,7 +161,7 @@ func (p *Port) OffTime(now units.Time) units.Time {
 // records it, and recycles the packet. Ingress/in-flight ledgers must be
 // settled by the caller before the packet dies.
 func (p *Port) dropFaulted(pkt *packet.Packet) {
-	p.FaultDrops++
+	p.extend().faultDrops++
 	p.net.FaultDrops++
 	p.net.faultDropPayload += pkt.Payload
 	if rec := p.net.cfg.Rec; rec != nil {
@@ -185,17 +185,19 @@ func (n *Network) InFlightPayload() units.ByteSize { return n.inFlightPayload }
 // FIFOs, virtual output queues, and the frame mid-serialization — in a
 // deterministic order.
 func (p *Port) ForEachQueued(fn func(*packet.Packet)) {
-	for prio := range p.queues {
-		q := &p.queues[prio]
+	n, b := p.net, p.base()
+	for _, q := range n.queues[b : b+n.nPrio] {
 		for i := 0; i < q.Len(); i++ {
 			fn(q.At(i))
 		}
 	}
-	for _, per := range p.voqs {
-		for vi := range per {
-			q := &per[vi]
-			for i := 0; i < q.Len(); i++ {
-				fn(q.At(i))
+	if n.voqs != nil {
+		for _, per := range n.voqs[b : b+n.nPrio] {
+			for vi := range per {
+				q := &per[vi]
+				for i := 0; i < q.Len(); i++ {
+					fn(q.At(i))
+				}
 			}
 		}
 	}
@@ -253,7 +255,7 @@ func (n *Network) WaitCycles() [][]*Port {
 	}
 	adj := make([][]int, len(blocked))
 	for i, p := range blocked {
-		peer := p.Peer.node
+		peer := p.Peer().node
 		if peer.kind != topo.Switch {
 			continue // hosts consume at line rate: the chain ends there
 		}

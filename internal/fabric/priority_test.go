@@ -136,7 +136,7 @@ func TestPerPriorityQueueBytes(t *testing.T) {
 		egress.Enqueue(prioPkt(a, b, 1, 1))
 	})
 	s.RunUntil(10 * units.Microsecond)
-	if q0, q1 := n.qbytes[egress.pb], n.qbytes[egress.pb+1]; q0 != 1000 || q1 != 2000 {
+	if q0, q1 := n.qbytes[egress.base()], n.qbytes[egress.base()+1]; q0 != 1000 || q1 != 2000 {
 		t.Errorf("queue bytes = %v/%v, want 1000/2000", q0, q1)
 	}
 	if egress.TotalQueueBytes() != 3000 {

@@ -31,15 +31,18 @@ func (g *swGate) HandleCtrl(_ units.Time, f fabric.CtrlFrame) {
 type swMeter struct {
 	fabric.Ingress
 	port *fabric.Port
+	occ  []units.ByteSize
 	acks uint64
 }
 
+func (m *swMeter) Occupancy(prio uint8) units.ByteSize { return m.occ[prio] }
+
 func (m *swMeter) OnArrive(_ units.Time, pkt *packet.Packet) {
-	m.Arrive(pkt.Priority, pkt.Size, pkt.Size)
+	m.Arrive(&m.occ[pkt.Priority], pkt.Size, pkt.Size)
 }
 
 func (m *swMeter) OnFree(_ units.Time, pkt *packet.Packet) {
-	m.Free(pkt.Priority, pkt.Size)
+	m.Free(&m.occ[pkt.Priority], pkt.Size)
 	m.acks++
 	m.port.SendCtrl(fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: pkt.Priority})
 }
@@ -54,6 +57,6 @@ func installStopWait(n *fabric.Network) {
 			since[i] = units.Forever
 		}
 		p.AttachGate(&swGate{port: p, since: since})
-		p.AttachMeter(&swMeter{Ingress: fabric.NewIngress(make([]units.ByteSize, nPrio)), port: p})
+		p.AttachMeter(&swMeter{port: p, occ: make([]units.ByteSize, nPrio)})
 	}
 }

@@ -403,7 +403,7 @@ func (in *Injector) armEvent(i int, ev Event) error {
 			}
 			in.camoDuty[target] += ev.DownUs / ev.PeriodUs
 		}
-		forger, prio := target.Peer, ev.Prio
+		forger, prio := target.Peer(), ev.Prio
 		// A sustained storm (down_us 0) ends with one final resume so its
 		// damage has a defined end and recovery is measurable.
 		in.train(at, until, period, downFor, func() {

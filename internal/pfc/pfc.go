@@ -43,15 +43,34 @@ func DefaultConfig() Config {
 // Gate is the upstream egress side: per priority, when the current pause
 // began.
 type Gate struct {
-	port *fabric.Port
-	// since holds units.Forever while the priority is not paused.
-	since []units.Time
+	s *state
+	// id is the port's index in Network.Ports(), pb its base in the
+	// per-priority arrays.
+	id, pb int32
 	// Pauses counts PAUSE frames received.
 	Pauses uint64
 }
 
+// state is what every gate and meter of one Install shares: the
+// configuration, and the per-priority state of the whole fabric in one
+// array per field, indexed by port id × priorities + priority. The wait
+// detector's attribution pass and the invariant sweeps walk these arrays
+// instead of one small heap object per port.
+type state struct {
+	ports []*fabric.Port
+	cfg   Config
+	// since holds units.Forever while the priority is not paused.
+	since []units.Time
+	// occ is the ingress occupancy a meter accounts, sent says it holds
+	// PAUSE outstanding.
+	occ  []units.ByteSize
+	sent []bool
+}
+
 // CanSend implements fabric.TxGate.
-func (g *Gate) CanSend(prio uint8, _ units.ByteSize) bool { return g.since[prio] == units.Forever }
+func (g *Gate) CanSend(prio uint8, _ units.ByteSize) bool {
+	return g.s.since[int(g.pb)+int(prio)] == units.Forever
+}
 
 // OnSend implements fabric.TxGate.
 func (g *Gate) OnSend(uint8, units.ByteSize) {}
@@ -59,38 +78,40 @@ func (g *Gate) OnSend(uint8, units.ByteSize) {}
 // HandleCtrl implements fabric.TxGate. Events record the edges of the
 // paused state, not every frame: a repeated PAUSE only counts.
 func (g *Gate) HandleCtrl(now units.Time, f fabric.CtrlFrame) {
+	since := &g.s.since[int(g.pb)+int(f.Prio)]
 	switch f.Kind {
 	case fabric.CtrlPause:
 		g.Pauses++
-		if g.since[f.Prio] == units.Forever {
-			g.since[f.Prio] = now
-			if rec := g.port.Recorder(); rec != nil {
-				rec.Record(obs.Event{At: now, Kind: obs.KindPauseOn, Port: g.port.Label(), Prio: f.Prio, Flow: -1})
+		if *since == units.Forever {
+			*since = now
+			p := g.s.ports[g.id]
+			if rec := p.Recorder(); rec != nil {
+				rec.Record(obs.Event{At: now, Kind: obs.KindPauseOn, Port: p.Label(), Prio: f.Prio, Flow: -1})
 			}
 		}
 	case fabric.CtrlResume:
-		if g.since[f.Prio] != units.Forever {
-			g.since[f.Prio] = units.Forever
-			if rec := g.port.Recorder(); rec != nil {
-				rec.Record(obs.Event{At: now, Kind: obs.KindPauseOff, Port: g.port.Label(), Prio: f.Prio, Flow: -1})
+		if *since != units.Forever {
+			*since = units.Forever
+			p := g.s.ports[g.id]
+			if rec := p.Recorder(); rec != nil {
+				rec.Record(obs.Event{At: now, Kind: obs.KindPauseOff, Port: p.Label(), Prio: f.Prio, Flow: -1})
 			}
-			g.port.GateChanged()
+			p.GateChanged()
 		}
 	}
 }
 
 // BlockedSince implements fabric.TxGate: when the current pause of one
 // priority began.
-func (g *Gate) BlockedSince(prio uint8) units.Time { return g.since[prio] }
+func (g *Gate) BlockedSince(prio uint8) units.Time { return g.s.since[int(g.pb)+int(prio)] }
 
 // Meter is the downstream ingress side: PAUSE/RESUME origination over
 // the fabric.Ingress ledger. A violation is an arrival beyond
 // Xoff+Headroom.
 type Meter struct {
 	fabric.Ingress
-	port *fabric.Port
-	cfg  Config
-	sent []bool // PAUSE outstanding per priority
+	s      *state
+	id, pb int32 // as in Gate
 
 	// PausesSent and ResumesSent count originated control frames.
 	PausesSent, ResumesSent uint64
@@ -99,31 +120,36 @@ type Meter struct {
 // OnArrive implements fabric.RxMeter.
 func (m *Meter) OnArrive(now units.Time, pkt *packet.Packet) {
 	prio := pkt.Priority
-	occ := m.Arrive(prio, pkt.Size, m.cfg.Xoff+m.cfg.Headroom)
-	if occ > m.cfg.Xoff && !m.sent[prio] {
-		m.sent[prio] = true
+	s, i := m.s, int(m.pb)+int(prio)
+	occ := m.Arrive(&s.occ[i], pkt.Size, s.cfg.Xoff+s.cfg.Headroom)
+	if occ > s.cfg.Xoff && !s.sent[i] {
+		s.sent[i] = true
 		m.PausesSent++
-		m.port.SendCtrl(fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: prio})
+		s.ports[m.id].SendCtrl(fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: prio})
 	}
 }
 
 // OnFree implements fabric.RxMeter.
 func (m *Meter) OnFree(now units.Time, pkt *packet.Packet) {
 	prio := pkt.Priority
-	occ := m.Free(prio, pkt.Size)
-	if m.sent[prio] && occ <= m.cfg.Xon {
-		m.sent[prio] = false
+	s, i := m.s, int(m.pb)+int(prio)
+	occ := m.Free(&s.occ[i], pkt.Size)
+	if s.sent[i] && occ <= s.cfg.Xon {
+		s.sent[i] = false
 		m.ResumesSent++
-		m.port.SendCtrl(fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: prio})
+		s.ports[m.id].SendCtrl(fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: prio})
 	}
 }
+
+// Occupancy implements fabric.RxMeter.
+func (m *Meter) Occupancy(prio uint8) units.ByteSize { return m.s.occ[int(m.pb)+int(prio)] }
 
 // PauseOutstanding reports whether this meter holds an un-resumed PAUSE
 // for one priority. The meter keeps PAUSE outstanding exactly while
 // occupancy sits above Xon — OnFree resumes the moment it drains — so
 // (outstanding && occupancy <= Xon) is the Xoff-without-eventual-Xon
 // violation the invariant checker looks for.
-func (m *Meter) PauseOutstanding(prio uint8) bool { return m.sent[prio] }
+func (m *Meter) PauseOutstanding(prio uint8) bool { return m.s.sent[int(m.pb)+int(prio)] }
 
 // Install attaches PFC to every link: a Gate on every egress port and a
 // Meter on every switch ingress port. Hosts receive no meter (receivers
@@ -131,15 +157,17 @@ func (m *Meter) PauseOutstanding(prio uint8) bool { return m.sent[prio] }
 // are pausable — congestion spreading reaches the NICs, as at port P0 in
 // the paper.
 func Install(n *fabric.Network, cfg Config) {
-	nPrio := n.Config().Priorities
 	ports := n.Ports()
-	// One backing array per field, subsliced per gate/meter: the pause
-	// and occupancy state of the whole fabric stays contiguous, so the
-	// wait detector's attribution pass and the invariant sweeps walk
-	// cache lines instead of one small heap object per port.
-	since := make([]units.Time, len(ports)*nPrio)
-	for i := range since {
-		since[i] = units.Forever
+	nPrio := n.Config().Priorities
+	np := len(ports) * nPrio
+	s := &state{
+		ports: ports, cfg: cfg,
+		since: make([]units.Time, np),
+		occ:   make([]units.ByteSize, np),
+		sent:  make([]bool, np),
+	}
+	for i := range s.since {
+		s.since[i] = units.Forever
 	}
 	nSw := 0
 	for _, p := range ports {
@@ -147,25 +175,18 @@ func Install(n *fabric.Network, cfg Config) {
 			nSw++
 		}
 	}
-	occ := make([]units.ByteSize, nSw*nPrio)
-	sent := make([]bool, nSw*nPrio)
-	// Gates and meters come from one slice each for the same reason.
+	// Gates and meters come from one slice each, not a heap object per
+	// port.
 	gates, meters := make([]Gate, len(ports)), make([]Meter, nSw)
 	mi := 0
 	for i, p := range ports {
-		g := &gates[i]
-		*g = Gate{port: p, since: since[i*nPrio : (i+1)*nPrio]}
-		p.AttachGate(g)
+		id, pb := int32(i), int32(i*nPrio)
+		gates[i] = Gate{s: s, id: id, pb: pb}
+		p.AttachGate(&gates[i])
 		if n.Topo.Nodes[p.Node()].Kind == topo.Switch {
-			m := &meters[mi]
-			*m = Meter{
-				Ingress: fabric.NewIngress(occ[mi*nPrio : (mi+1)*nPrio]),
-				port:    p,
-				cfg:     cfg,
-				sent:    sent[mi*nPrio : (mi+1)*nPrio],
-			}
+			meters[mi] = Meter{s: s, id: id, pb: pb}
+			p.AttachMeter(&meters[mi])
 			mi++
-			p.AttachMeter(m)
 		}
 	}
 }

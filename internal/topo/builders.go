@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/units"
@@ -167,15 +168,19 @@ func (r *Ring) SwitchOf(id packet.NodeID) int {
 // FatTree is a k-ary fat-tree: (k/2)^2 cores, k pods of k/2 aggregation
 // and k/2 edge switches, and k^3/4 hosts. The structural metadata is kept
 // so D-mod-k routing can pick deterministic up-paths.
+//
+// Node IDs follow the build order: the cores, then pod by pod its
+// aggregation row, its edge row and its hosts, edge by edge. A node's
+// name ("core3", "agg1_0", "edge1_1", "h1_1_0") and a host's position are
+// derived from its ID when asked for.
 type FatTree struct {
 	*Topology
 	K     int
 	Cores []packet.NodeID
 	// Aggs[pod][i] and Edges[pod][i], i in [0, k/2).
 	Aggs, Edges [][]packet.NodeID
-	// HostList[h] is the h-th host; HostPos[h] = (pod, edge, idx).
+	// HostList[h] is the h-th host.
 	HostList []packet.NodeID
-	hostPos  map[packet.NodeID][3]int
 }
 
 // NewFatTree builds a k-ary fat-tree with uniform link rate and delay.
@@ -191,23 +196,24 @@ func NewFatTree(k int, rate units.Rate, delay units.Time) *FatTree {
 	// hosts; as many edge–agg and as many agg–core links as host links.
 	t.reserve(half*half+k*k+hosts, 3*hosts)
 	ft := &FatTree{
-		Topology: t, K: k, hostPos: make(map[packet.NodeID][3]int, hosts),
+		Topology: t, K: k,
 		Aggs: make([][]packet.NodeID, 0, k), Edges: make([][]packet.NodeID, 0, k),
 		HostList: make([]packet.NodeID, 0, hosts),
 	}
+	t.namer = ft.name
 	// The cores and every pod's aggregation and edge rows share one array.
 	rows := make([]packet.NodeID, 0, half*half+k*k)
-	row := func(n int, name func(i int) string) []packet.NodeID {
+	row := func(n int) []packet.NodeID {
 		start := len(rows)
 		for i := 0; i < n; i++ {
-			rows = append(rows, t.addSized(name(i), Switch, k))
+			rows = append(rows, t.addSized("", Switch, k))
 		}
 		return rows[start:len(rows):len(rows)]
 	}
-	ft.Cores = row(half*half, func(i int) string { return fmt.Sprintf("core%d", i) })
+	ft.Cores = row(half * half)
 	for p := 0; p < k; p++ {
-		aggs := row(half, func(i int) string { return fmt.Sprintf("agg%d_%d", p, i) })
-		edges := row(half, func(i int) string { return fmt.Sprintf("edge%d_%d", p, i) })
+		aggs := row(half)
+		edges := row(half)
 		ft.Aggs = append(ft.Aggs, aggs)
 		ft.Edges = append(ft.Edges, edges)
 		// Edge <-> agg full mesh within the pod.
@@ -223,11 +229,10 @@ func NewFatTree(k int, rate units.Rate, delay units.Time) *FatTree {
 			}
 		}
 		// Hosts.
-		for i, e := range edges {
+		for _, e := range edges {
 			for h := 0; h < half; h++ {
-				host := t.addSized(fmt.Sprintf("h%d_%d_%d", p, i, h), Host, 1)
+				host := t.addSized("", Host, 1)
 				t.Connect(host, e, rate, delay)
-				ft.hostPos[host] = [3]int{p, i, h}
 				ft.HostList = append(ft.HostList, host)
 			}
 		}
@@ -235,43 +240,97 @@ func NewFatTree(k int, rate units.Rate, delay units.Time) *FatTree {
 	return ft
 }
 
-// HostPos returns the (pod, edge, index) position of a host.
-func (ft *FatTree) HostPos(h packet.NodeID) (pod, edge, idx int) {
-	p, ok := ft.hostPos[h]
-	if !ok {
-		panic("topo: not a fat-tree host")
+// locate decodes a node ID of the tree: for a core, pod is -1 and i the
+// core index; in a pod, i is the node's offset within it (aggregation
+// switches first, then edge switches, then hosts). ok is false for an ID
+// the builder did not lay out.
+func (ft *FatTree) locate(id packet.NodeID) (pod, i int, ok bool) {
+	half := ft.K / 2
+	cores, perPod := half*half, ft.K+half*half
+	n := int(id)
+	switch {
+	case n < 0 || n >= cores+ft.K*perPod:
+		return 0, 0, false
+	case n < cores:
+		return -1, n, true
 	}
-	return p[0], p[1], p[2]
+	return (n - cores) / perPod, (n - cores) % perPod, true
 }
 
-// LeafSpine is a two-tier leaf–spine fabric.
+// name renders the name of a node the builder laid out.
+func (ft *FatTree) name(id packet.NodeID) string {
+	pod, i, _ := ft.locate(id)
+	half := ft.K / 2
+	itoa := strconv.Itoa
+	switch {
+	case pod < 0:
+		return "core" + itoa(i)
+	case i < half:
+		return "agg" + itoa(pod) + "_" + itoa(i)
+	case i < ft.K:
+		return "edge" + itoa(pod) + "_" + itoa(i-half)
+	}
+	i -= ft.K
+	return "h" + itoa(pod) + "_" + itoa(i/half) + "_" + itoa(i%half)
+}
+
+// HostPos returns the (pod, edge, index) position of a host.
+func (ft *FatTree) HostPos(h packet.NodeID) (pod, edge, idx int) {
+	pod, i, ok := ft.locate(h)
+	if !ok || pod < 0 || i < ft.K {
+		panic("topo: not a fat-tree host")
+	}
+	half := ft.K / 2
+	i -= ft.K
+	return pod, i / half, i % half
+}
+
+// LeafSpine is a two-tier leaf–spine fabric. Node IDs follow the build
+// order: the spines, then each leaf followed by its hosts; names
+// ("spine2", "leaf0", "h0_3") are derived from the ID when asked for.
 type LeafSpine struct {
 	*Topology
 	Leaves, Spines []packet.NodeID
 	HostList       []packet.NodeID
+	hostsPerLeaf   int
 }
 
 // NewLeafSpine builds a leaf–spine topology with hostsPerLeaf hosts on
 // each of nLeaf leaves, each leaf connected to every one of nSpine spines.
 func NewLeafSpine(nLeaf, nSpine, hostsPerLeaf int, rate units.Rate, delay units.Time) *LeafSpine {
 	t := New()
-	ls := &LeafSpine{Topology: t}
+	ls := &LeafSpine{Topology: t, hostsPerLeaf: hostsPerLeaf}
+	t.namer = ls.name
 	for i := 0; i < nSpine; i++ {
-		ls.Spines = append(ls.Spines, t.AddSwitch(fmt.Sprintf("spine%d", i)))
+		ls.Spines = append(ls.Spines, t.add("", Switch))
 	}
 	for i := 0; i < nLeaf; i++ {
-		leaf := t.AddSwitch(fmt.Sprintf("leaf%d", i))
+		leaf := t.add("", Switch)
 		ls.Leaves = append(ls.Leaves, leaf)
 		for _, sp := range ls.Spines {
 			t.Connect(leaf, sp, rate, delay)
 		}
 		for h := 0; h < hostsPerLeaf; h++ {
-			host := t.AddHost(fmt.Sprintf("h%d_%d", i, h))
+			host := t.add("", Host)
 			t.Connect(host, leaf, rate, delay)
 			ls.HostList = append(ls.HostList, host)
 		}
 	}
 	return ls
+}
+
+// name renders the name of a node the builder laid out.
+func (ls *LeafSpine) name(id packet.NodeID) string {
+	n := int(id)
+	if n < len(ls.Spines) {
+		return "spine" + strconv.Itoa(n)
+	}
+	n -= len(ls.Spines)
+	leaf, i := n/(1+ls.hostsPerLeaf), n%(1+ls.hostsPerLeaf)
+	if i == 0 {
+		return "leaf" + strconv.Itoa(leaf)
+	}
+	return "h" + strconv.Itoa(leaf) + "_" + strconv.Itoa(i-1)
 }
 
 // Dumbbell is the classic n-senders/n-receivers two-switch topology.

@@ -31,8 +31,10 @@ func (k NodeKind) String() string {
 // Node is a vertex in the topology.
 type Node struct {
 	ID   packet.NodeID
-	Name string
 	Kind NodeKind
+	// name is the name the node was added with; "" for a node whose
+	// builder renders its name on demand (see Topology.Name).
+	name string
 }
 
 // Link is a full-duplex edge between two nodes. Rate and Delay apply to
@@ -46,8 +48,15 @@ type Link struct {
 // Topology is an undirected multigraph of nodes and links. The zero value
 // is empty and ready to use via the Add methods.
 type Topology struct {
-	Nodes  []Node
-	Links  []Link
+	Nodes []Node
+	Links []Link
+	// namer renders the name of a node added without one, from its
+	// position in the builder's layout, so a large builder formats no
+	// string per node.
+	namer func(packet.NodeID) string
+	// byName indexes every node by name. It is built by the first lookup
+	// by name (or the first node added with a name) and kept up to date
+	// from then on.
 	byName map[string]packet.NodeID
 	// adj[node] lists (link index, peer) pairs.
 	adj [][]Adjacency
@@ -63,19 +72,33 @@ type Adjacency struct {
 }
 
 // New returns an empty topology.
-func New() *Topology {
-	return &Topology{byName: make(map[string]packet.NodeID)}
+func New() *Topology { return &Topology{} }
+
+// add adds a node; with name "" the node is named by t.namer.
+func (t *Topology) add(name string, kind NodeKind) packet.NodeID {
+	id := packet.NodeID(len(t.Nodes))
+	if name != "" {
+		if _, dup := t.index()[name]; dup {
+			panic(fmt.Sprintf("topo: duplicate node name %q", name))
+		}
+	}
+	t.Nodes = append(t.Nodes, Node{ID: id, Kind: kind, name: name})
+	t.adj = append(t.adj, nil)
+	if t.byName != nil {
+		t.byName[t.Name(id)] = id
+	}
+	return id
 }
 
-func (t *Topology) add(name string, kind NodeKind) packet.NodeID {
-	if _, dup := t.byName[name]; dup {
-		panic(fmt.Sprintf("topo: duplicate node name %q", name))
+// index returns the name index, building it on first use.
+func (t *Topology) index() map[string]packet.NodeID {
+	if t.byName == nil {
+		t.byName = make(map[string]packet.NodeID, len(t.Nodes))
+		for _, n := range t.Nodes {
+			t.byName[t.Name(n.ID)] = n.ID
+		}
 	}
-	id := packet.NodeID(len(t.Nodes))
-	t.Nodes = append(t.Nodes, Node{ID: id, Name: name, Kind: kind})
-	t.byName[name] = id
-	t.adj = append(t.adj, nil)
-	return id
+	return t.byName
 }
 
 // reserve sizes the node, link and adjacency tables for a builder that
@@ -86,7 +109,6 @@ func (t *Topology) reserve(nodes, links int) {
 	t.Links = make([]Link, 0, links)
 	t.adj = make([][]Adjacency, 0, nodes)
 	t.adjBuf = make([]Adjacency, 0, 2*links)
-	t.byName = make(map[string]packet.NodeID, nodes)
 }
 
 // addSized adds a node whose degree the builder knows, carving its
@@ -128,7 +150,7 @@ func (t *Topology) Connect(a, b packet.NodeID, rate units.Rate, delay units.Time
 // ID returns the node ID for a name, panicking if absent (topology wiring
 // errors are programming errors).
 func (t *Topology) ID(name string) packet.NodeID {
-	id, ok := t.byName[name]
+	id, ok := t.index()[name]
 	if !ok {
 		panic(fmt.Sprintf("topo: unknown node %q", name))
 	}
@@ -137,12 +159,17 @@ func (t *Topology) ID(name string) packet.NodeID {
 
 // Lookup returns the node ID for a name and whether it exists.
 func (t *Topology) Lookup(name string) (packet.NodeID, bool) {
-	id, ok := t.byName[name]
+	id, ok := t.index()[name]
 	return id, ok
 }
 
 // Name returns the name of a node.
-func (t *Topology) Name(id packet.NodeID) string { return t.Nodes[id].Name }
+func (t *Topology) Name(id packet.NodeID) string {
+	if n := t.Nodes[id].name; n != "" || t.namer == nil {
+		return n
+	}
+	return t.namer(id)
+}
 
 // Adj returns the adjacency list of a node.
 func (t *Topology) Adj(id packet.NodeID) []Adjacency { return t.adj[id] }
@@ -188,7 +215,7 @@ func (t *Topology) Validate() error {
 	}
 	for _, n := range t.Nodes {
 		if n.Kind == Host && len(t.adj[n.ID]) != 1 {
-			return fmt.Errorf("host %s has %d links, want 1", n.Name, len(t.adj[n.ID]))
+			return fmt.Errorf("host %s has %d links, want 1", t.Name(n.ID), len(t.adj[n.ID]))
 		}
 	}
 	// Connectivity via BFS.
