@@ -6,6 +6,7 @@ import (
 	"github.com/tcdnet/tcd/internal/cbfc"
 	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/host"
+	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/routing"
 	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/topo"
@@ -35,7 +36,7 @@ func chain(extraSenders int, rate units.Rate, delay units.Time) (*sim.Scheduler,
 func TestUncongestedFlowRunsAtLineRateUnderCBFC(t *testing.T) {
 	s, n, m, g := chain(0, 40*units.Gbps, units.Microsecond)
 	cbfc.Install(n, cbfc.DefaultConfig())
-	f := m.AddFlow(g.ID("h0"), g.ID("r"), units.MB, 0, host.FixedRate(40*units.Gbps))
+	f := m.AddFlow(node(g, "h0"), node(g, "r"), units.MB, 0, host.FixedRate(40*units.Gbps))
 	s.Run()
 	if !f.Done {
 		t.Fatal("flow did not complete")
@@ -46,7 +47,7 @@ func TestUncongestedFlowRunsAtLineRateUnderCBFC(t *testing.T) {
 	if f.FCT > wire+wire/10 {
 		t.Errorf("CBFC throttled an idle path: FCT %v, wire %v", f.FCT, wire)
 	}
-	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.Violations() != 0 {
 			t.Errorf("buffer violations: %d", mt.Violations())
 		}
@@ -58,9 +59,9 @@ func TestIncastIsLosslessUnderCBFC(t *testing.T) {
 	cfg := cbfc.Config{Buffer: 60 * units.KB, Tc: 20 * units.Microsecond}
 	cbfc.Install(n, cfg)
 	var flows []*host.Flow
-	flows = append(flows, m.AddFlow(g.ID("h0"), g.ID("r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
+	flows = append(flows, m.AddFlow(node(g, "h0"), node(g, "r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
 	for i := 0; i < 4; i++ {
-		flows = append(flows, m.AddFlow(g.ID("e"+string(rune('0'+i))), g.ID("r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
+		flows = append(flows, m.AddFlow(node(g, "e"+string(rune('0'+i))), node(g, "r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
 	}
 	s.Run()
 	for _, f := range flows {
@@ -68,7 +69,7 @@ func TestIncastIsLosslessUnderCBFC(t *testing.T) {
 			t.Fatalf("flow %d incomplete: done=%v bytes=%v", f.ID, f.Done, f.BytesRxed())
 		}
 	}
-	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.Violations() != 0 {
 			t.Errorf("CBFC let the buffer overflow %d times (max occ %v)", mt.Violations(), mt.MaxOccupancy())
 		}
@@ -79,20 +80,20 @@ func TestCreditStarvationCausesOnOff(t *testing.T) {
 	s, n, m, g := chain(4, 40*units.Gbps, units.Microsecond)
 	cfg := cbfc.Config{Buffer: 60 * units.KB, Tc: 20 * units.Microsecond}
 	cbfc.Install(n, cfg)
-	m.AddFlow(g.ID("h0"), g.ID("r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
+	m.AddFlow(node(g, "h0"), node(g, "r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
 	for i := 0; i < 4; i++ {
-		m.AddFlow(g.ID("e"+string(rune('0'+i))), g.ID("r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
+		m.AddFlow(node(g, "e"+string(rune('0'+i))), node(g, "r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
 	}
 	s.Run()
 	// The sw0->sw1 egress must have starved for credit (spreading), and
 	// so must h0's NIC.
-	if n.PortToward(g.ID("sw0"), g.ID("sw1")).PauseTime == 0 {
+	if n.PortToward(node(g, "sw0"), node(g, "sw1")).PauseTime == 0 {
 		t.Error("credit starvation did not spread to sw0")
 	}
-	if n.HostPort(g.ID("h0")).PauseTime == 0 {
+	if n.HostPort(node(g, "h0")).PauseTime == 0 {
 		t.Error("credit starvation did not spread to the host NIC")
 	}
-	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.Occupancy(0) != 0 {
 			t.Errorf("residual occupancy %v after drain", mt.Occupancy(0))
 		}
@@ -103,9 +104,9 @@ func TestCreditsNeverGoNegative(t *testing.T) {
 	s, n, m, g := chain(2, 40*units.Gbps, units.Microsecond)
 	cfg := cbfc.Config{Buffer: 40 * units.KB, Tc: 10 * units.Microsecond}
 	cbfc.Install(n, cfg)
-	m.AddFlow(g.ID("h0"), g.ID("r"), 300*units.KB, 0, host.FixedRate(40*units.Gbps))
-	m.AddFlow(g.ID("e0"), g.ID("r"), 300*units.KB, 0, host.FixedRate(40*units.Gbps))
-	m.AddFlow(g.ID("e1"), g.ID("r"), 300*units.KB, 0, host.FixedRate(40*units.Gbps))
+	m.AddFlow(node(g, "h0"), node(g, "r"), 300*units.KB, 0, host.FixedRate(40*units.Gbps))
+	m.AddFlow(node(g, "e0"), node(g, "r"), 300*units.KB, 0, host.FixedRate(40*units.Gbps))
+	m.AddFlow(node(g, "e1"), node(g, "r"), 300*units.KB, 0, host.FixedRate(40*units.Gbps))
 	// Sample gates during the run.
 	bad := false
 	var probe func()
@@ -134,12 +135,12 @@ func TestFCCLPeriodicityUnderTraffic(t *testing.T) {
 	cbfc.Install(n, cfg)
 	// ~1.05 ms of line-rate traffic: the receiving meter must send one
 	// FCCL per Tc while active, then quiesce.
-	f := m.AddFlow(g.ID("h0"), g.ID("r"), 5*units.MB, 0, host.FixedRate(40*units.Gbps))
+	f := m.AddFlow(node(g, "h0"), node(g, "r"), 5*units.MB, 0, host.FixedRate(40*units.Gbps))
 	s.Run() // terminates: idle meters stop their timers
 	if !f.Done {
 		t.Fatal("flow did not complete")
 	}
-	rMeter := n.HostPort(g.ID("r")).Meter().(*cbfc.Meter)
+	rMeter := n.HostPort(node(g, "r")).Meter().(*cbfc.Meter)
 	// ≈ 1.05ms / 50us ≈ 21 updates (±2 for edge periods).
 	if rMeter.UpdatesSent < 19 || rMeter.UpdatesSent > 24 {
 		t.Errorf("receiver FCCL updates = %d over ~1.05ms, want ~21", rMeter.UpdatesSent)
@@ -152,7 +153,7 @@ func TestIdleMetersQuiesce(t *testing.T) {
 	// With no traffic at all, the initial per-meter update fires once and
 	// the event queue drains — Run terminates.
 	s.Run()
-	for _, mt := range fabric.Meters[*cbfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.UpdatesSent != 1 {
 			t.Errorf("idle meter sent %d updates, want exactly 1", mt.UpdatesSent)
 		}
@@ -194,4 +195,24 @@ func TestPerVLCreditIsolation(t *testing.T) {
 	if gate.Credits(0) != 10000 {
 		t.Errorf("fresh FCCL not applied: %d", gate.Credits(0))
 	}
+}
+
+// meters returns the cbfc meters Install put on n, in port order.
+func meters(n *fabric.Network) []*cbfc.Meter {
+	var out []*cbfc.Meter
+	for _, p := range n.Ports() {
+		if m, ok := p.Meter().(*cbfc.Meter); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// node is the ID of the node called name in g.
+func node(g *topo.Topology, name string) packet.NodeID {
+	id, ok := g.Lookup(name)
+	if !ok {
+		panic("no node " + name)
+	}
+	return id
 }

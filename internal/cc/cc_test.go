@@ -12,7 +12,8 @@ const line = 40 * units.Gbps
 
 func TestDCQCNStartsAtLineRate(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	if d.CurrentRate() != line {
 		t.Errorf("initial rate = %v, want %v", d.CurrentRate(), line)
 	}
@@ -22,7 +23,8 @@ func TestDCQCNStockCutIsGentle(t *testing.T) {
 	// §5.2.1: the default reduction factor is 0.5, i.e. a cut to
 	// rate*(1 - 0.5/2) = 75%.
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	d.OnNotify(0, true, false)
 	want := float64(line) * 0.75
 	if math.Abs(float64(d.CurrentRate())-want)/want > 0.01 {
@@ -35,7 +37,8 @@ func TestDCQCNStockCutIsGentle(t *testing.T) {
 
 func TestDCQCNTCDCutIsMoreAggressive(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, TCDDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, TCDDCQCNConfig(line))
 	d.OnNotify(0, true, false)
 	// alpha = 1.2 -> rate * (1 - 0.6) = 16G.
 	want := float64(line) * 0.4
@@ -46,7 +49,8 @@ func TestDCQCNTCDCutIsMoreAggressive(t *testing.T) {
 
 func TestDCQCNUEHoldsRateInTCDMode(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, TCDDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, TCDDCQCNConfig(line))
 	d.OnNotify(0, false, true)
 	if d.CurrentRate() != line {
 		t.Errorf("UE changed rate to %v", d.CurrentRate())
@@ -58,7 +62,8 @@ func TestDCQCNUEHoldsRateInTCDMode(t *testing.T) {
 
 func TestDCQCNStockIgnoresUE(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	d.OnNotify(0, false, true)
 	if d.CurrentRate() != line || d.HoldEvents != 0 {
 		t.Error("stock DCQCN reacted to UE")
@@ -67,19 +72,21 @@ func TestDCQCNStockIgnoresUE(t *testing.T) {
 
 func TestDCQCNAlphaDecaysWithoutCNPs(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	s.At(0, func() { d.OnNotify(0, true, false) })
 	alphaAfterCut := 0.0
-	s.At(units.Microsecond, func() { alphaAfterCut = d.Alpha() })
+	s.At(units.Microsecond, func() { alphaAfterCut = alphaOf(d) })
 	s.RunUntil(10 * units.Millisecond)
-	if d.Alpha() >= alphaAfterCut/2 {
-		t.Errorf("alpha did not decay: %v -> %v", alphaAfterCut, d.Alpha())
+	if alphaOf(d) >= alphaAfterCut/2 {
+		t.Errorf("alpha did not decay: %v -> %v", alphaAfterCut, alphaOf(d))
 	}
 }
 
 func TestDCQCNRecoversTowardLineRate(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	s.At(0, func() { d.OnNotify(0, true, false) })
 	s.RunUntil(200 * units.Millisecond)
 	// Fast recovery alone brings Rc back to Rt=line within ~5 timer
@@ -94,7 +101,8 @@ func TestDCQCNRecoversTowardLineRate(t *testing.T) {
 
 func TestDCQCNFastRecoveryHalvesGap(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	s.At(0, func() { d.OnNotify(0, true, false) }) // rc=30G, rt=40G
 	s.RunUntil(dcqcnIncreaseTimer + units.Microsecond)
 	// One timer increase: rc = (30+40)/2 = 35G.
@@ -106,7 +114,8 @@ func TestDCQCNFastRecoveryHalvesGap(t *testing.T) {
 
 func TestDCQCNByteCounterStages(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	d.OnNotify(0, true, false) // rc = 30G, rt = 40G
 	r0 := d.CurrentRate()
 	for i := 0; i < 49; i++ {
@@ -126,7 +135,8 @@ func TestDCQCNByteCounterStages(t *testing.T) {
 
 func TestDCQCNMinRateFloor(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	for i := 0; i < 100; i++ {
 		d.OnNotify(0, true, false)
 	}
@@ -136,7 +146,8 @@ func TestDCQCNMinRateFloor(t *testing.T) {
 }
 
 func TestTIMELYBelowTLowIncreases(t *testing.T) {
-	tm := NewTIMELY(10*units.Gbps, false)
+	tm := new(TIMELY)
+	tm.Init(10*units.Gbps, false)
 	tm.rate = units.Gbps
 	tm.OnAck(0, 30*units.Microsecond, false, false) // first sample
 	tm.OnAck(0, 30*units.Microsecond, false, false)
@@ -146,7 +157,8 @@ func TestTIMELYBelowTLowIncreases(t *testing.T) {
 }
 
 func TestTIMELYAboveTHighDecreases(t *testing.T) {
-	tm := NewTIMELY(line, false)
+	tm := new(TIMELY)
+	tm.Init(line, false)
 	tm.OnAck(0, 100*units.Microsecond, false, false)
 	tm.OnAck(0, 1000*units.Microsecond, false, false) // >> THigh
 	// f = 1 - 0.8*(1 - 500/1000) = 0.6.
@@ -157,7 +169,8 @@ func TestTIMELYAboveTHighDecreases(t *testing.T) {
 }
 
 func TestTIMELYNegativeGradientIncreases(t *testing.T) {
-	tm := NewTIMELY(line, false)
+	tm := new(TIMELY)
+	tm.Init(line, false)
 	tm.rate = units.Gbps
 	// Falling RTTs inside [TLow, THigh].
 	rtts := []units.Time{400, 380, 360, 340, 320, 300, 280, 260}
@@ -173,7 +186,8 @@ func TestTIMELYNegativeGradientIncreases(t *testing.T) {
 }
 
 func TestTIMELYHAIAfterFiveNegatives(t *testing.T) {
-	tm := NewTIMELY(line, false)
+	tm := new(TIMELY)
+	tm.Init(line, false)
 	tm.rate = units.Gbps
 	r := tm.rate
 	var steps []units.Rate
@@ -194,7 +208,8 @@ func TestTIMELYHAIAfterFiveNegatives(t *testing.T) {
 }
 
 func TestTIMELYPositiveGradientDecreases(t *testing.T) {
-	tm := NewTIMELY(line, false)
+	tm := new(TIMELY)
+	tm.Init(line, false)
 	tm.OnAck(0, 100*units.Microsecond, false, false)
 	for rtt := units.Time(120); rtt <= 300; rtt += 40 {
 		tm.OnAck(0, rtt*units.Microsecond, false, false)
@@ -208,7 +223,8 @@ func TestTIMELYPositiveGradientDecreases(t *testing.T) {
 }
 
 func TestTIMELYTCDHoldsOnUE(t *testing.T) {
-	tm := NewTIMELY(line, true)
+	tm := new(TIMELY)
+	tm.Init(line, true)
 	tm.OnAck(0, 100*units.Microsecond, false, false)
 	for rtt := units.Time(120); rtt <= 300; rtt += 40 {
 		tm.OnAck(0, rtt*units.Microsecond, false, true) // UE echoed
@@ -229,7 +245,8 @@ func TestTIMELYTCDHoldsOnUE(t *testing.T) {
 func TestTIMELYAboveTHighOverridesUE(t *testing.T) {
 	// Above THigh TIMELY always decreases, UE or not: the band rule only
 	// covers the gradient region.
-	tm := NewTIMELY(line, true)
+	tm := new(TIMELY)
+	tm.Init(line, true)
 	tm.OnAck(0, 100*units.Microsecond, false, true)
 	tm.OnAck(0, 900*units.Microsecond, false, true)
 	if tm.CurrentRate() >= line {
@@ -238,7 +255,8 @@ func TestTIMELYAboveTHighOverridesUE(t *testing.T) {
 }
 
 func TestTIMELYClamps(t *testing.T) {
-	tm := NewTIMELY(line, false)
+	tm := new(TIMELY)
+	tm.Init(line, false)
 	tm.OnAck(0, 10*units.Microsecond, false, false)
 	tm.OnAck(0, 10*units.Microsecond, false, false)
 	if tm.CurrentRate() > line {
@@ -254,7 +272,8 @@ func TestTIMELYClamps(t *testing.T) {
 
 func TestIBCCRateTable(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, line, false)
+	c := new(IBCC)
+	c.Init(s, line, false)
 	if c.CurrentRate() != line {
 		t.Errorf("initial rate = %v", c.CurrentRate())
 	}
@@ -280,7 +299,8 @@ func TestIBCCRateTable(t *testing.T) {
 
 func TestIBCCTCDStepIsTwo(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, line, true)
+	c := new(IBCC)
+	c.Init(s, line, true)
 	c.OnNotify(0, true, false)
 	if c.ccti != 2 {
 		t.Errorf("TCD CCTI step = %d, want 2", c.ccti)
@@ -289,7 +309,8 @@ func TestIBCCTCDStepIsTwo(t *testing.T) {
 
 func TestIBCCUEHolds(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, line, true)
+	c := new(IBCC)
+	c.Init(s, line, true)
 	c.OnNotify(0, false, true)
 	if c.ccti != 0 || c.Holds != 1 {
 		t.Errorf("UE changed CCTI to %d (holds %d)", c.ccti, c.Holds)
@@ -298,7 +319,8 @@ func TestIBCCUEHolds(t *testing.T) {
 
 func TestIBCCTimerRecovery(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, line, false)
+	c := new(IBCC)
+	c.Init(s, line, false)
 	s.At(0, func() {
 		for i := 0; i < 10; i++ {
 			c.OnNotify(0, true, false)
@@ -318,7 +340,8 @@ func TestIBCCTimerRecovery(t *testing.T) {
 
 func TestIBCCCCTIMax(t *testing.T) {
 	s := sim.New()
-	c := NewIBCC(s, line, false)
+	c := new(IBCC)
+	c.Init(s, line, false)
 	for i := 0; i < 500; i++ {
 		c.OnNotify(0, true, false)
 	}
@@ -334,9 +357,12 @@ func TestIBCCCCTIMax(t *testing.T) {
 // the slot the increase or recovery timer then re-arms in place.
 func TestControllerEventAllocs(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, TCDDCQCNConfig(line))
-	tm := NewTIMELY(line, true)
-	c := NewIBCC(s, line, true)
+	d := new(DCQCN)
+	d.Init(s, TCDDCQCNConfig(line))
+	tm := new(TIMELY)
+	tm.Init(line, true)
+	c := new(IBCC)
+	c.Init(s, line, true)
 	var at units.Time
 	i := 0
 	for _, probe := range []struct {

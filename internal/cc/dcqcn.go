@@ -115,16 +115,9 @@ type DCQCN struct {
 	CutEvents, HoldEvents uint64
 }
 
-// NewDCQCN builds a reaction point starting at line rate.
-func NewDCQCN(s *sim.Scheduler, cfg DCQCNConfig) *DCQCN {
-	d := new(DCQCN)
-	d.Init(s, cfg)
-	return d
-}
-
-// Init makes d, wherever it lives (a slab, say), the reaction point
-// NewDCQCN builds. d must not be copied afterwards: its timer points at
-// it.
+// Init makes d, wherever it lives (a slab, say), a reaction point
+// starting at line rate. d must not be copied afterwards: its timer
+// points at it.
 func (d *DCQCN) Init(s *sim.Scheduler, cfg DCQCNConfig) {
 	*d = DCQCN{cfg: cfg, sched: s, rc: cfg.LineRate, rt: cfg.LineRate, alpha: cfg.AlphaCeil, alphaDue: units.Forever}
 	d.incTimer.Init(s, timerIncreaseArg, d)
@@ -132,12 +125,6 @@ func (d *DCQCN) Init(s *sim.Scheduler, cfg DCQCNConfig) {
 
 // CurrentRate implements host.RateController.
 func (d *DCQCN) CurrentRate() units.Rate { return d.rc }
-
-// Alpha reports the current reduction factor (for tests).
-func (d *DCQCN) Alpha() float64 {
-	d.ageAlpha()
-	return d.alpha
-}
 
 // OnNotify implements host.RateController: CNP handling.
 func (d *DCQCN) OnNotify(now units.Time, ce, ue bool) {

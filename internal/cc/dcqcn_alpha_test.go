@@ -22,9 +22,17 @@ type eagerAlpha struct {
 }
 
 func newEagerAlpha(s *sim.Scheduler, cfg DCQCNConfig) *eagerAlpha {
-	e := &eagerAlpha{d: NewDCQCN(s, cfg)}
+	e := &eagerAlpha{d: new(DCQCN)}
+	e.d.Init(s, cfg)
 	e.timer.Init(s, func(any) { e.alphaDecay() }, nil)
 	return e
+}
+
+// alphaOf is d's reduction factor at the scheduler's clock: the decay
+// steps due by now applied, as the next cut would apply them.
+func alphaOf(d *DCQCN) float64 {
+	d.ageAlpha()
+	return d.alpha
 }
 
 func (e *eagerAlpha) notify(ce, ue bool) {
@@ -52,7 +60,7 @@ const linkDelay = 4 * units.Microsecond
 // gaps of exactly k AlphaTimers (a decay step due at the very instant of
 // the cut), UE holds, a gap long enough to reach the 1e-4 floor — and
 // requires bit-equal alpha and equal rate after every cut and at every
-// probe of Alpha() between cuts. A CNP is delivered the way the fabric
+// probe of alpha between cuts. A CNP is delivered the way the fabric
 // delivers one: by an event scheduled a link delay earlier, so at a
 // shared instant the reference's timer (armed a whole AlphaTimer earlier)
 // fires first.
@@ -63,7 +71,8 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 			t.Run(fmt.Sprintf("ceil%.1f/seed%d", cfg.AlphaCeil, seed), func(t *testing.T) {
 				r := rng.New(seed)
 				ls, es := sim.New(), sim.New()
-				lazy, eager := NewDCQCN(ls, cfg), newEagerAlpha(es, cfg)
+				lazy, eager := new(DCQCN), newEagerAlpha(es, cfg)
+				lazy.Init(ls, cfg)
 
 				type sample struct {
 					at    units.Time
@@ -89,7 +98,7 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 					ls.At(deliverAt-linkDelay, func() {
 						ls.After(linkDelay, func() {
 							lazy.OnNotify(ls.Now(), ce, !ce)
-							lazyLog = append(lazyLog, sample{ls.Now(), math.Float64bits(lazy.Alpha()), lazy.rc})
+							lazyLog = append(lazyLog, sample{ls.Now(), math.Float64bits(alphaOf(lazy)), lazy.rc})
 						})
 					})
 					es.At(deliverAt-linkDelay, func() {
@@ -105,8 +114,8 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 				for _, p := range probes {
 					ls.RunUntil(p)
 					es.RunUntil(p)
-					if got, want := math.Float64bits(lazy.Alpha()), math.Float64bits(eager.d.alpha); got != want {
-						t.Fatalf("Alpha() at %v: lazy %x, timer %x", p, got, want)
+					if got, want := math.Float64bits(alphaOf(lazy)), math.Float64bits(eager.d.alpha); got != want {
+						t.Fatalf("alpha at %v: lazy %x, timer %x", p, got, want)
 					}
 				}
 				ls.Run()
@@ -129,8 +138,8 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 				if !floored {
 					t.Error("no schedule idled long enough to reach the alpha floor")
 				}
-				if got, want := math.Float64bits(lazy.Alpha()), math.Float64bits(eager.d.alpha); got != want {
-					t.Errorf("final Alpha(): lazy %x, timer %x", got, want)
+				if got, want := math.Float64bits(alphaOf(lazy)), math.Float64bits(eager.d.alpha); got != want {
+					t.Errorf("final alpha: lazy %x, timer %x", got, want)
 				}
 				if lazy.CurrentRate() != eager.d.CurrentRate() {
 					t.Errorf("final rate: lazy %v, timer %v", lazy.CurrentRate(), eager.d.CurrentRate())
@@ -144,7 +153,8 @@ func TestDCQCNLazyAlphaMatchesTimer(t *testing.T) {
 // queued — the increase timer — not an alpha timer beside it.
 func TestDCQCNCutThenIdleKeepsOneEvent(t *testing.T) {
 	s := sim.New()
-	d := NewDCQCN(s, DefaultDCQCNConfig(line))
+	d := new(DCQCN)
+	d.Init(s, DefaultDCQCNConfig(line))
 	s.At(0, func() { d.OnNotify(0, true, false) })
 	s.RunUntil(10 * units.Microsecond)
 	if got := s.Pending(); got != 1 {
@@ -155,7 +165,7 @@ func TestDCQCNCutThenIdleKeepsOneEvent(t *testing.T) {
 	if got := s.Processed() - before; got != 0 {
 		t.Errorf("%d events fired in 20 alpha intervals after the cut, want 0 (the increase timer is 1500 us out)", got)
 	}
-	if d.Alpha() >= DefaultDCQCNConfig(line).AlphaCeil*0.95 {
-		t.Errorf("Alpha() = %v after 20 idle intervals, want it decayed", d.Alpha())
+	if alphaOf(d) >= DefaultDCQCNConfig(line).AlphaCeil*0.95 {
+		t.Errorf("alpha = %v after 20 idle intervals, want it decayed", alphaOf(d))
 	}
 }

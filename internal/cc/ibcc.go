@@ -8,7 +8,7 @@ import (
 // IB CC (CA-side injection throttling) constants. A BECN-echoed
 // notification raises the CCT index (CCTI); a timer lowers it; the CCT
 // maps the index to an injection rate. Only the line rate and the TCD
-// mode vary between throttles (NewIBCC).
+// mode vary between throttles (Init's arguments).
 //
 // The spec's CCT contains inter-packet delay values; this implementation
 // uses the equivalent rate mapping rate = line / (1 + CCTI/8) — a
@@ -39,17 +39,10 @@ type IBCC struct {
 	Increases, Holds uint64
 }
 
-// NewIBCC builds a throttle at full injection rate: stock IB CC, or with
-// tcd the paper's IB CC + TCD variant (reduction step 2 and UE echoes
-// held).
-func NewIBCC(s *sim.Scheduler, line units.Rate, tcd bool) *IBCC {
-	c := new(IBCC)
-	c.Init(s, line, tcd)
-	return c
-}
-
-// Init makes c, wherever it lives (a slab, say), the throttle NewIBCC
-// builds. c must not be copied afterwards: its timer points at it.
+// Init makes c, wherever it lives (a slab, say), a throttle at full
+// injection rate: stock IB CC, or with tcd the paper's IB CC + TCD
+// variant (reduction step 2 and UE echoes held). c must not be copied
+// afterwards: its timer points at it.
 func (c *IBCC) Init(s *sim.Scheduler, line units.Rate, tcd bool) {
 	*c = IBCC{line: line, step: ibccStep, tcd: tcd, sched: s}
 	if tcd {

@@ -6,7 +6,7 @@ import (
 
 // TIMELY constants (Mittal et al., and the published reference code
 // snippet the paper's simulator is based on). Only the line rate and the
-// TCD mode vary between engines (NewTIMELY).
+// TCD mode vary between engines (Init's arguments).
 const (
 	// timelyMinRate floors the sending rate.
 	timelyMinRate = 10 * units.Mbps
@@ -55,17 +55,9 @@ type TIMELY struct {
 	Decreases, Holds uint64
 }
 
-// NewTIMELY builds an engine starting at line rate: stock TIMELY, or with
-// tcd the paper's TIMELY+TCD variant (beta 1.6 and UE-echoed gradient
-// rises held).
-func NewTIMELY(line units.Rate, tcd bool) *TIMELY {
-	t := new(TIMELY)
-	t.Init(line, tcd)
-	return t
-}
-
-// Init makes t, wherever it lives (a slab, say), the engine NewTIMELY
-// builds.
+// Init makes t, wherever it lives (a slab, say), an engine starting at
+// line rate: stock TIMELY, or with tcd the paper's TIMELY+TCD variant
+// (beta 1.6 and UE-echoed gradient rises held).
 func (t *TIMELY) Init(line units.Rate, tcd bool) {
 	beta := timelyBeta
 	if tcd {

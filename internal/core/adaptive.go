@@ -38,18 +38,9 @@ type AdaptiveTCD struct {
 	Updates uint64
 }
 
-// NewAdaptiveTCD builds the adaptive variant of a static detector,
-// seeded at its bound static.MaxTon. The queue-trend period stays at
-// that bound while the threshold adapts.
-func NewAdaptiveTCD(static TCDConfig) *AdaptiveTCD {
-	var own TCDConfigs
-	a := new(AdaptiveTCD)
-	a.Init(own.Intern(static))
-	return a
-}
-
 // Init makes a, wherever it lives, the adaptive variant of a detector of
-// the interned configuration static.
+// the interned configuration static, seeded at its bound static.MaxTon.
+// The queue-trend period stays at that bound while the threshold adapts.
 func (a *AdaptiveTCD) Init(static *TCDConfig) {
 	*a = AdaptiveTCD{
 		floor: static.MaxTon / 8,
@@ -58,9 +49,6 @@ func (a *AdaptiveTCD) Init(static *TCDConfig) {
 	}
 	a.inner.Init(static)
 }
-
-// State reports the current ternary state.
-func (a *AdaptiveTCD) State() State { return a.inner.State() }
 
 // Inner exposes the wrapped state machine (stats, transitions).
 func (a *AdaptiveTCD) Inner() *TCD { return &a.inner }

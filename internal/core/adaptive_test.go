@@ -4,22 +4,25 @@ import (
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/packet"
-	"github.com/tcdnet/tcd/internal/rng"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
 func TestAdaptiveStartsAtSeed(t *testing.T) {
-	a := NewAdaptiveTCD(testCfg())
+	var cfgs TCDConfigs
+	a := new(AdaptiveTCD)
+	a.Init(cfgs.Intern(testCfg()))
 	if a.inner.maxTon != 30*units.Microsecond {
 		t.Errorf("initial threshold = %v, want seed", a.inner.maxTon)
 	}
-	if a.State() != NonCongestion {
-		t.Errorf("initial state = %v", a.State())
+	if a.inner.State() != NonCongestion {
+		t.Errorf("initial state = %v", a.inner.State())
 	}
 }
 
 func TestAdaptiveTracksShortOnPeriods(t *testing.T) {
-	a := NewAdaptiveTCD(testCfg())
+	var cfgs TCDConfigs
+	a := new(AdaptiveTCD)
+	a.Init(cfgs.Intern(testCfg()))
 	// Simulate a regime with 4us ON periods (much shorter than the 30us
 	// seed): OFF at t, ON end at t+1us, next OFF at +4us...
 	at := units.Time(0)
@@ -43,7 +46,9 @@ func TestAdaptiveTracksShortOnPeriods(t *testing.T) {
 }
 
 func TestAdaptiveCeilClamp(t *testing.T) {
-	a := NewAdaptiveTCD(testCfg())
+	var cfgs TCDConfigs
+	a := new(AdaptiveTCD)
+	a.Init(cfgs.Intern(testCfg()))
 	// Enormous ON periods: threshold must stop at the ceiling, 4*bound.
 	at := units.Time(0)
 	for i := 0; i < 20; i++ {
@@ -57,14 +62,16 @@ func TestAdaptiveCeilClamp(t *testing.T) {
 }
 
 func TestAdaptiveDetectsLikeStatic(t *testing.T) {
-	a := NewAdaptiveTCD(testCfg())
+	var cfgs TCDConfigs
+	a := new(AdaptiveTCD)
+	a.Init(cfgs.Intern(testCfg()))
 	// Basic ternary behaviour is preserved: OFF then quick dequeue -> UE.
 	a.OnOffStart(time(10))
 	a.OnOffEnd(time(15))
 	p := &packet.Packet{Kind: packet.Data, Code: packet.Capable}
 	a.OnDequeue(time(16), p, 50*units.KB)
-	if a.State() != Undetermined || p.Code != packet.UE {
-		t.Errorf("state %v code %v, want undetermined/UE", a.State(), p.Code)
+	if a.inner.State() != Undetermined || p.Code != packet.UE {
+		t.Errorf("state %v code %v, want undetermined/UE", a.inner.State(), p.Code)
 	}
 	if a.Inner() == nil {
 		t.Error("inner accessor nil")
@@ -76,7 +83,9 @@ func TestAdaptiveDetectsLikeStatic(t *testing.T) {
 // the post-undetermined trend window still spans the static MaxTon.
 func TestAdaptiveTrendPeriodStaysAtStaticBound(t *testing.T) {
 	static := testCfg()
-	a := NewAdaptiveTCD(static)
+	var cfgs TCDConfigs
+	a := new(AdaptiveTCD)
+	a.Init(cfgs.Intern(static))
 	at := units.Time(0)
 	for i := 0; i < 50; i++ { // 4us ON periods pull the threshold toward 8us
 		a.OnOffStart(at)
@@ -90,8 +99,8 @@ func TestAdaptiveTrendPeriodStaysAtStaticBound(t *testing.T) {
 	lastOffEnd := at - 4*units.Microsecond
 	p := &packet.Packet{Kind: packet.Data, Code: packet.Capable}
 	a.OnDequeue(lastOffEnd+units.Microsecond, p, 100*units.KB)
-	if a.State() != Undetermined {
-		t.Fatalf("state %v after a dequeue inside the ON-OFF pattern, want undetermined", a.State())
+	if a.inner.State() != Undetermined {
+		t.Fatalf("state %v after a dequeue inside the ON-OFF pattern, want undetermined", a.inner.State())
 	}
 	// Continuous ON from the adapted threshold on: the first dequeue arms
 	// the trend check at 100 KB.
@@ -100,20 +109,20 @@ func TestAdaptiveTrendPeriodStaysAtStaticBound(t *testing.T) {
 	// Grown past CongThresh a whole adapted threshold later, but short of
 	// the static bound: still observing.
 	a.OnDequeue(t0+static.MaxTon-units.Microsecond, p, 300*units.KB)
-	if a.State() != Undetermined {
+	if a.inner.State() != Undetermined {
 		t.Fatalf("state %v %v into the trend window, want undetermined until the static bound %v",
-			a.State(), static.MaxTon-units.Microsecond, static.MaxTon)
+			a.inner.State(), static.MaxTon-units.Microsecond, static.MaxTon)
 	}
 	p = &packet.Packet{Kind: packet.Data, Code: packet.Capable}
 	a.OnDequeue(t0+static.MaxTon, p, 300*units.KB)
-	if a.State() != Congestion || p.Code != packet.CE {
-		t.Errorf("state %v code %v one static bound into the trend window, want congestion/CE", a.State(), p.Code)
+	if a.inner.State() != Congestion || p.Code != packet.CE {
+		t.Errorf("state %v code %v one static bound into the trend window, want congestion/CE", a.inner.State(), p.Code)
 	}
 }
 
 func TestNPECNSuppressesPausedMarks(t *testing.T) {
-	red := NewRED(DefaultREDConfig(), rng.New(1))
-	d := NewNPECN(red)
+	d := new(NPECN)
+	d.Init(DefaultREDConfig(), 1)
 	// Packet enqueued during a pause with a deep queue: RED would mark,
 	// NP-ECN suppresses.
 	d.OnOffStart(0)
@@ -142,7 +151,8 @@ func TestNPECNSuppressesPausedMarks(t *testing.T) {
 // Packets already queued when the pause begins are tainted too, even if
 // nothing arrives during the pause.
 func TestNPECNTaintsStandingQueue(t *testing.T) {
-	d := NewNPECN(NewRED(DefaultREDConfig(), rng.New(2)))
+	d := new(NPECN)
+	d.Init(DefaultREDConfig(), 2)
 	// Deep standing queue, then a pause with no arrivals.
 	d.OnOffStart(5)
 	d.OnOffEnd(6)

@@ -87,7 +87,8 @@ func (c *fixedCredits) Credits(uint8) int64 { return int64(*c) }
 
 func TestFECNMarksRootOnly(t *testing.T) {
 	credits := fixedCredits(1 << 20)
-	d := NewFECN(DefaultFECNConfig(), &credits, 0)
+	d := new(FECN)
+	d.Init(DefaultFECNConfig(), &credits, 0)
 	// Queue above threshold, credits rich: root -> mark.
 	if fecnDq(d, 60*units.KB, 1048).Code != packet.CE {
 		t.Error("root not marked")
@@ -108,7 +109,8 @@ func TestFECNMarksRootOnly(t *testing.T) {
 }
 
 func TestFECNNilProbeActsCreditRich(t *testing.T) {
-	d := NewFECN(DefaultFECNConfig(), nil, 0)
+	d := new(FECN)
+	d.Init(DefaultFECNConfig(), nil, 0)
 	if fecnDq(d, 60*units.KB, 1048).Code != packet.CE {
 		t.Error("nil-probe FECN did not mark above threshold")
 	}

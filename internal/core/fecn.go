@@ -37,16 +37,9 @@ type CreditGate interface {
 	Credits(vl uint8) int64
 }
 
-// NewFECN builds the detector for one virtual lane of a port. gate may be
-// nil, in which case the port is treated as always credit-rich (pure
-// queue-threshold marking).
-func NewFECN(cfg FECNConfig, gate CreditGate, vl uint8) *FECN {
-	d := new(FECN)
-	d.Init(cfg, gate, vl)
-	return d
-}
-
-// Init makes d, wherever it lives, the detector NewFECN builds.
+// Init makes d, wherever it lives, the detector for one virtual lane of a
+// port. gate may be nil, in which case the port is treated as always
+// credit-rich (pure queue-threshold marking).
 func (d *FECN) Init(cfg FECNConfig, gate CreditGate, vl uint8) {
 	*d = FECN{cfg: cfg, gate: gate, vl: vl}
 }

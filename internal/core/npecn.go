@@ -32,13 +32,8 @@ type NPECN struct {
 	Suppressed uint64
 }
 
-// NewNPECN builds the detector around a copy of red.
-func NewNPECN(red *RED) *NPECN {
-	return &NPECN{red: *red}
-}
-
-// Init makes d, wherever it lives, the detector NewNPECN builds around a
-// RED initialized with cfg and seed.
+// Init makes d, wherever it lives, the detector around a RED initialized
+// with cfg and seed.
 func (d *NPECN) Init(cfg REDConfig, seed uint64) {
 	*d = NPECN{}
 	d.red.Init(cfg, seed)

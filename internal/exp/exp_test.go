@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -200,6 +202,15 @@ func TestObserveFoldKeepsMarkSums(t *testing.T) {
 			t.Errorf("%s: %d samples ending at %v, want 5001 (one fold) ending at %v", name, n, s.T[n-1], cfg.Horizon)
 		}
 	}
+	// The counters as -metrics-out exports them.
+	var buf bytes.Buffer
+	if err := cfg.Obs.Metrics.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var metrics struct{ Counters map[string]int64 }
+	if err := json.Unmarshal(buf.Bytes(), &metrics); err != nil {
+		t.Fatal(err)
+	}
 	marks := 0.0
 	for port, label := range map[string]string{"P2": "L0[2]->T2", "P3": "T2[2]->R1"} {
 		for _, mk := range []string{"ce", "ue"} {
@@ -207,7 +218,7 @@ func TestObserveFoldKeepsMarkSums(t *testing.T) {
 			for _, v := range res.Series[port+"_"+mk].V {
 				sum += v
 			}
-			if want := cfg.Obs.Metrics.Counter("port_marked_"+mk, "port", label).Value(); sum != float64(want) {
+			if want := metrics.Counters["port_marked_"+mk+"{port="+label+"}"]; sum != float64(want) {
 				t.Errorf("%s_%s sums to %v, port_marked_%s{port=%s} reads %d", port, mk, sum, mk, label, want)
 			}
 			marks += sum

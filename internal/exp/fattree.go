@@ -163,12 +163,6 @@ func FatTree(cfg FatTreeConfig) *FatTreeOutcome {
 // (0.6 in the paper).
 const fatTreeLoad = 0.6
 
-// fatTreeWorkload returns the flows FatTree generates for cfg when it
-// replays no trace.
-func fatTreeWorkload(cfg FatTreeConfig) []workload.Flow {
-	return generateWorkload(cfg, topo.NewFatTree(cfg.K, 40*units.Gbps, 4*units.Microsecond))
-}
-
 // generateWorkload produces the configured traffic for a fat-tree run.
 func generateWorkload(cfg FatTreeConfig, ft *topo.FatTree) []workload.Flow {
 	r := rng.New(cfg.Seed + 31)

@@ -40,14 +40,33 @@ func goldenObserve(t *testing.T, det DetectorKind) (result, trace []byte) {
 // goldenBytes encodes a run's Result JSON and its recorded JSONL trace.
 func goldenBytes(t *testing.T, res *Result, ring *obs.Ring) (result, trace []byte) {
 	t.Helper()
-	var rb, tb bytes.Buffer
+	var rb bytes.Buffer
 	if err := res.WriteJSON(&rb); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	if err := ring.WriteJSONL(&tb); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
+	return rb.Bytes(), jsonl(t, ring.Events())
+}
+
+// jsonl encodes events as tcdsim -trace-out writes them: through a Spill,
+// whose one-chunk file is the whole trace.
+func jsonl(t *testing.T, events []obs.Event) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	s, err := obs.NewSpill(path, obs.SpillOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return rb.Bytes(), tb.Bytes()
+	for _, e := range events {
+		s.Record(e)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // goldenDeadlockUnit runs deadlock-unit for 1 ms on one fabric: the only

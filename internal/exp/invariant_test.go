@@ -43,9 +43,9 @@ func TestInvariantsAcrossScenarios(t *testing.T) {
 	}
 }
 
-// TestInvariantCheckerCatchesLeaks corrupts the fault-drop ledger and
-// expects the conservation check to fire — a checker that cannot fail
-// proves nothing.
+// TestInvariantCheckerCatchesLeaks forges the receive ledger and expects
+// the conservation check to fire — a checker that cannot fail proves
+// nothing.
 func TestInvariantCheckerCatchesLeaks(t *testing.T) {
 	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: Run{Kind: CEE, Seed: 1}, Det: DetBaseline})
 	f := rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, units.MB, 0, host.FixedRate(40*units.Gbps))

@@ -19,14 +19,11 @@ func traceObserve(t *testing.T, seed uint64) (trace, metrics []byte) {
 	ring := obs.NewRing(0)
 	cfg.Obs = obs.Config{Rec: ring, Metrics: obs.NewRegistry()}
 	Observe(cfg)
-	var tb, mb bytes.Buffer
-	if err := ring.WriteJSONL(&tb); err != nil {
-		t.Fatalf("WriteJSONL: %v", err)
-	}
+	var mb bytes.Buffer
 	if err := cfg.Obs.Metrics.WriteJSON(&mb); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	return tb.Bytes(), mb.Bytes()
+	return jsonl(t, ring.Events()), mb.Bytes()
 }
 
 // TestTraceDeterministic asserts the headline reproducibility property:

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/obs"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
+	"github.com/tcdnet/tcd/internal/workload"
 )
 
 // TestFatTreeStructuralMatchesEager is the routing axis of the
@@ -45,14 +47,11 @@ func TestFatTreeStructuralMatchesEager(t *testing.T) {
 						delete(res.Scalars, key)
 					}
 				}
-				var tb, rb bytes.Buffer
-				if err := ring.WriteJSONL(&tb); err != nil {
-					t.Fatalf("WriteJSONL: %v", err)
-				}
+				var rb bytes.Buffer
 				if err := res.WriteJSON(&rb); err != nil {
 					t.Fatalf("WriteJSON: %v", err)
 				}
-				return tb.Bytes(), rb.Bytes()
+				return jsonl(t, ring.Events()), rb.Bytes()
 			}
 			rowsTrace, rowsRes := run(false)
 			eagerTrace, eagerRes := run(true)
@@ -67,4 +66,10 @@ func TestFatTreeStructuralMatchesEager(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fatTreeWorkload returns the flows FatTree generates for cfg when it
+// replays no trace.
+func fatTreeWorkload(cfg FatTreeConfig) []workload.Flow {
+	return generateWorkload(cfg, topo.NewFatTree(cfg.K, 40*units.Gbps, 4*units.Microsecond))
 }

@@ -69,7 +69,7 @@ func TestSweepHistogramFoldSerialParallelIdentical(t *testing.T) {
 		want.Merge(ph)
 		total += ph.Count()
 	}
-	if !h.Equal(want) {
+	if *h != *want {
 		t.Fatal("merged histogram differs from the serial bucket-wise fold")
 	}
 	if h.Count() != total || total == 0 {

@@ -150,7 +150,7 @@ func TestHistJSONRoundTripThroughResult(t *testing.T) {
 	if err := back.UnmarshalJSON(b); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Equal(h) {
+	if *back != *h {
 		t.Fatal("histogram did not survive the JSON round trip")
 	}
 }

@@ -144,18 +144,6 @@ func (a *Ingress) MaxOccupancy() units.ByteSize { return a.maxOcc }
 // Violations counts arrivals beyond the bound passed to Arrive.
 func (a *Ingress) Violations() uint64 { return a.violations }
 
-// Meters returns the installed ingress meters of type M in port order:
-// Meters[RxMeter] for every meter, Meters[*pfc.Meter] for one law's.
-func Meters[M RxMeter](n *Network) []M {
-	out := make([]M, 0, len(n.ports))
-	for _, p := range n.ports {
-		if m, ok := p.meter.(M); ok {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // Detector observes an egress port and marks packets (ECN/FECN/TCD).
 // One detector instance serves one (port, priority) pair.
 type Detector interface {
@@ -300,13 +288,8 @@ type portExt struct {
 	// label caches Name() for event records (hot path; Name sprintfs).
 	label string
 	// spoofedCE counts CE marks forged by the spoof hook, forgedCtrl the
-	// control frames forged by the adversarial injector, faultDrops the
-	// frames this port destroyed because of a fault (data packets at
-	// egress or ingress of a down link, lost control frames).
-	spoofedCE, forgedCtrl, faultDrops uint64
-	// attack is the bitmask of AttackTag provenance bits the adversarial
-	// injector set on this port.
-	attack uint8
+	// control frames forged by the adversarial injector.
+	spoofedCE, forgedCtrl uint64
 }
 
 // extend returns the port's fault and recording state, creating it on
@@ -357,24 +340,6 @@ func (p *Port) ForgedCtrl() uint64 {
 	return p.ext.forgedCtrl
 }
 
-// FaultDrops counts frames this port destroyed because of a fault.
-func (p *Port) FaultDrops() uint64 {
-	if p.ext == nil {
-		return 0
-	}
-	return p.ext.faultDrops
-}
-
-// Attack returns the attack-provenance bits stamped on the port (see
-// TagAttack); the oracle reads them to separate manufactured symptoms
-// from organic congestion.
-func (p *Port) Attack() uint8 {
-	if p.ext == nil {
-		return 0
-	}
-	return p.ext.attack
-}
-
 // Node returns the owning node's ID.
 func (p *Port) Node() packet.NodeID { return p.node.id }
 
@@ -395,9 +360,6 @@ func (p *Port) TotalQueueBytes() units.ByteSize {
 	}
 	return t
 }
-
-// Blocked reports whether the priority is currently OFF (gate-refused).
-func (p *Port) Blocked(prio uint8) bool { return p.net.blocked[p.base()+int(prio)] }
 
 // AttachGate installs the egress flow-control gate.
 func (p *Port) AttachGate(g TxGate) { p.gate = g }
@@ -449,7 +411,6 @@ func (p *Port) SendCtrl(f CtrlFrame) {
 	if x := p.ext; x != nil && x.ctrlFault != nil {
 		drop, delay := x.ctrlFault(f)
 		if drop {
-			x.faultDrops++
 			p.net.FaultDrops++
 			if rec := p.net.cfg.Rec; rec != nil {
 				rec.Record(obs.Event{At: now, Kind: obs.KindFaultDrop, Port: p.Label(), Prio: f.Prio, Flow: -1, Val: int64(f.Kind)})
@@ -504,7 +465,6 @@ func (n *Network) deliverCtrl(ci *ctrlInflight) {
 	ci.to = nil
 	n.ctrlFree = append(n.ctrlFree, ci)
 	if peer.down {
-		peer.extend().faultDrops++
 		n.FaultDrops++
 		if rec := n.cfg.Rec; rec != nil {
 			rec.Record(obs.Event{At: n.Sched.Now(), Kind: obs.KindFaultDrop, Port: peer.Label(), Prio: f.Prio, Flow: -1, Val: int64(f.Kind)})

@@ -117,7 +117,8 @@ func TestCountersAndQueues(t *testing.T) {
 	if hp.TxPackets != 2 || hp.TxBytes != 1500 {
 		t.Errorf("host port counters: %d pkts %v bytes", hp.TxPackets, hp.TxBytes)
 	}
-	swPort := n.PortToward(n.Topo.ID("sw"), b)
+	sw, _ := n.Topo.Lookup("sw")
+	swPort := n.PortToward(sw, b)
 	if swPort.TxPackets != 2 {
 		t.Errorf("switch egress sent %d packets, want 2", swPort.TxPackets)
 	}
@@ -207,7 +208,7 @@ func TestRoutingLoopPanics(t *testing.T) {
 
 func TestPortLookups(t *testing.T) {
 	_, n, a, b := star(t, units.Gbps, 0)
-	sw := n.Topo.ID("sw")
+	sw, _ := n.Topo.Lookup("sw")
 	if n.PortToward(sw, a).Peer() != n.HostPort(a) {
 		t.Error("PortToward/HostPort disagree")
 	}

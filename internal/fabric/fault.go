@@ -83,33 +83,13 @@ func (p *Port) SetCtrlFault(f func(CtrlFrame) (drop bool, delay units.Time)) {
 // clear, the fabric's lossless guarantees are in force.
 func (n *Network) Faulted() bool { return n.faulted }
 
-// Attack provenance bits the adversarial injector stamps on the ports it
-// targets. The oracle reads them to tell a manufactured symptom (a port
-// paused by forged frames, a queue held just under threshold by
-// camouflage traffic) from organic congestion.
-const (
-	// AttackStorm: the port's peer forges PFC pause floods at it.
-	AttackStorm uint8 = 1 << iota
-	// AttackCamouflage: micro pause trains keep this port's queue
-	// hovering just below its marking threshold.
-	AttackCamouflage
-	// AttackSpoof: the port forges CE marks on packets it sends.
-	AttackSpoof
-	// AttackReroute: a hostile route rewrite steers transit traffic
-	// through this port.
-	AttackReroute
-)
-
-// TagAttack stamps an attack-provenance bit on the port and latches the
-// network's fault flag.
-func (p *Port) TagAttack(bit uint8) {
-	p.extend().attack |= bit
-	p.net.faulted = true
-}
+// MarkFaulted latches Faulted for a fault that acts outside the fabric's
+// own primitives: a route rewrite, which can loop transit traffic until
+// its TTL runs out.
+func (n *Network) MarkFaulted() { n.faulted = true }
 
 // PeerIsHost reports whether the port's far end is a host NIC — the
-// route-rewrite fault uses it to preserve host-delivery hops, and the
-// oracle to scope its scan to switch egresses.
+// route-rewrite fault uses it to preserve host-delivery hops.
 func (p *Port) PeerIsHost() bool { return p.Peer().node.kind == topo.Host }
 
 // ForgeCtrl originates a control frame this port's flow-control stack
@@ -161,7 +141,6 @@ func (p *Port) OffTime(now units.Time) units.Time {
 // records it, and recycles the packet. Ingress/in-flight ledgers must be
 // settled by the caller before the packet dies.
 func (p *Port) dropFaulted(pkt *packet.Packet) {
-	p.extend().faultDrops++
 	p.net.FaultDrops++
 	p.net.faultDropPayload += pkt.Payload
 	if rec := p.net.cfg.Rec; rec != nil {
@@ -385,9 +364,6 @@ func (n *Network) AttachWaitDetector(every units.Time, kind obs.Kind) *WaitDetec
 	d.timer.Arm(every)
 	return d
 }
-
-// Stop cancels the scan timer.
-func (d *WaitDetector) Stop() { d.timer.Cancel() }
 
 func scanArg(arg any) { arg.(*WaitDetector).scan() }
 

@@ -40,7 +40,7 @@ func TestStrictPriorityScheduling(t *testing.T) {
 	var order []uint8
 	n.Sink = func(_ packet.NodeID, p *packet.Packet) { order = append(order, p.Priority) }
 
-	sw := n.Topo.ID("sw")
+	sw, _ := n.Topo.Lookup("sw")
 	egress := n.PortToward(sw, b)
 	// Fill the egress queue directly while it is idle at t=0; first
 	// enqueue starts transmitting immediately, the rest queue up.
@@ -89,7 +89,7 @@ func TestPerPriorityBlocking(t *testing.T) {
 	s, n, a, b := twoPrioRig(t)
 	var order []uint8
 	n.Sink = func(_ packet.NodeID, p *packet.Packet) { order = append(order, p.Priority) }
-	sw := n.Topo.ID("sw")
+	sw, _ := n.Topo.Lookup("sw")
 	egress := n.PortToward(sw, b)
 	gate := &prioGate{port: egress}
 	egress.AttachGate(gate)
@@ -116,7 +116,7 @@ func TestPerPriorityBlocking(t *testing.T) {
 		}
 	}
 	// Blocked bookkeeping was per priority.
-	if egress.Blocked(1) {
+	if n.blocked[egress.base()+1] {
 		t.Error("priority 1 reported blocked")
 	}
 }
@@ -125,7 +125,7 @@ func TestPerPriorityBlocking(t *testing.T) {
 func TestPerPriorityQueueBytes(t *testing.T) {
 	s, n, a, b := twoPrioRig(t)
 	n.Sink = func(packet.NodeID, *packet.Packet) {}
-	sw := n.Topo.ID("sw")
+	sw, _ := n.Topo.Lookup("sw")
 	egress := n.PortToward(sw, b)
 	gate := &prioGate{port: egress}
 	gate.blocked = [2]bool{true, true}

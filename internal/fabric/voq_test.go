@@ -40,7 +40,7 @@ func TestVoQRoundRobinInterleavesInputs(t *testing.T) {
 
 	// Two line-rate sources into one output: enqueue bursts directly at
 	// the egress with distinct input ports.
-	sw := n.Topo.ID("sw")
+	sw, _ := n.Topo.Lookup("sw")
 	egress := n.PortToward(sw, r)
 	inA := n.PortToward(sw, a).Index
 	inB := n.PortToward(sw, b).Index
@@ -81,7 +81,7 @@ func TestVoQPreservesPerInputOrder(t *testing.T) {
 			seqs = append(seqs, p.Seq)
 		}
 	}
-	sw := n.Topo.ID("sw")
+	sw, _ := n.Topo.Lookup("sw")
 	egress := n.PortToward(sw, r)
 	inA := n.PortToward(sw, a).Index
 	s.At(0, func() {
@@ -102,7 +102,7 @@ func TestVoQAggregateQueueBytes(t *testing.T) {
 	s, n, hosts := voqRig(t)
 	a, b, r := hosts[0], hosts[1], hosts[2]
 	n.Sink = func(packet.NodeID, *packet.Packet) {}
-	sw := n.Topo.ID("sw")
+	sw, _ := n.Topo.Lookup("sw")
 	egress := n.PortToward(sw, r)
 	gate := &testGate{open: false, port: egress}
 	egress.AttachGate(gate)

@@ -217,38 +217,18 @@ func TestDeadlockIgnoresFrozenCycle(t *testing.T) {
 	})
 }
 
-// TestDeadlockScanStop: Stop removes the one pending scan and nothing
-// scans afterwards.
-func TestDeadlockScanStop(t *testing.T) {
-	r := newDeadlockRing(laws[0], [3]units.Time{})
-	det := r.net.AttachWaitDetector(scanEvery, obs.KindDeadlock)
-	r.sched.RunUntil(2*scanEvery + scanEvery/2)
-	scans, pending := det.Scans, r.sched.Pending()
-	if scans != 2 {
-		t.Fatalf("%d scans by 2.5 periods, want 2", scans)
-	}
-	det.Stop()
-	if got := r.sched.Pending(); got != pending-1 {
-		t.Errorf("Pending %d after Stop, want %d", got, pending-1)
-	}
-	r.sched.RunUntil(10 * scanEvery)
-	if det.Scans != scans {
-		t.Errorf("%d scans fired after Stop", det.Scans-scans)
-	}
-}
-
 // TestDeadlockSkeletonAdmitsNewLaw: the stop-and-wait law gets the shared
 // meter accessor and the ingress ledger through the interfaces, with no
 // flow-control package involved.
 func TestDeadlockSkeletonAdmitsNewLaw(t *testing.T) {
 	r := newDeadlockRing(stopWait, [3]units.Time{})
 	r.sched.RunUntil(3 * scanEvery)
-	meters := fabric.Meters[fabric.RxMeter](r.net)
-	if len(meters) != len(r.net.Ports()) || len(fabric.Meters[*swMeter](r.net)) != len(meters) {
-		t.Fatalf("Meters found %d of %d installed meters", len(meters), len(r.net.Ports()))
-	}
 	var held units.ByteSize
-	for _, m := range meters {
+	for _, p := range r.net.Ports() {
+		m, ok := p.Meter().(*swMeter)
+		if !ok {
+			t.Fatalf("%s meters with %T, want the stop-and-wait meter", p.Label(), p.Meter())
+		}
 		held += m.Occupancy(0)
 		// One packet per gate in flight means no ingress ever holds two.
 		if m.Violations() != 0 || m.MaxOccupancy() > packet.MTU+packet.HeaderBytes {

@@ -26,8 +26,8 @@
 //     cumulative), which is itself a measured cross-fabric contrast.
 //   - camouflage: micro pause trains that keep a root port's queue
 //     hovering just below its marking threshold — the victim-camouflage
-//     attack. Mechanically a bursty storm, but tagged separately and with
-//     its duty cycle exposed so the oracle can strip it from ground truth.
+//     attack. Mechanically a bursty storm, but with its duty cycle
+//     exposed so the oracle can strip it from ground truth.
 //   - spoof-mark: a compromised sender forges CE marks on its outgoing
 //     data packets with a seeded probability — congestion signaling with
 //     no queue buildup behind it.
@@ -395,9 +395,7 @@ func (in *Injector) armEvent(i int, ev Event) error {
 		// egress gate. Camouflage is always bursty (a sustained pause
 		// would be a detectable outage) and records its duty cycle for
 		// the oracle.
-		tag := fabric.AttackStorm
 		if ev.Kind == "camouflage" {
-			tag = fabric.AttackCamouflage
 			if in.camoDuty == nil {
 				in.camoDuty = make(map[*fabric.Port]float64)
 			}
@@ -407,7 +405,6 @@ func (in *Injector) armEvent(i int, ev Event) error {
 		// A sustained storm (down_us 0) ends with one final resume so its
 		// damage has a defined end and recovery is measurable.
 		in.train(at, until, period, downFor, func() {
-			target.TagAttack(tag)
 			forger.ForgeCtrl(fabric.CtrlFrame{Kind: fabric.CtrlPause, Prio: prio})
 		}, func() {
 			forger.ForgeCtrl(fabric.CtrlFrame{Kind: fabric.CtrlResume, Prio: prio})
@@ -427,10 +424,7 @@ func (in *Injector) armEvent(i int, ev Event) error {
 		// The target forges CE marks on its outgoing data packets.
 		coin := ev.coin(i)
 		hook := func(*packet.Packet) bool { return coin() }
-		start = func() {
-			target.TagAttack(fabric.AttackSpoof)
-			target.SetSpoof(hook)
-		}
+		start = func() { target.SetSpoof(hook) }
 		stop = func() { target.SetSpoof(nil) }
 	case "route-rewrite":
 		// Every transit packet at the target's node is forced out the
@@ -449,7 +443,7 @@ func (in *Injector) armEvent(i int, ev Event) error {
 			}
 		}
 		start = func() {
-			target.TagAttack(fabric.AttackReroute)
+			in.net.MarkFaulted()
 			ov[node] = target
 			record(1)
 		}

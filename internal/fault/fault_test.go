@@ -329,6 +329,24 @@ func TestFaultRerouteNeedsRoutingFunc(t *testing.T) {
 	}
 }
 
+// TestFaultRerouteLatchesWhenItFires: a route rewrite latches Faulted at
+// the instant it fires, not at Inject, so a run is lossless up to at_us and
+// a rewrite-made loop TTL-drops instead of panicking after it.
+func TestFaultRerouteLatchesWhenItFires(t *testing.T) {
+	l := newLine(t)
+	if _, err := Inject(l.net, &Spec{Events: []Event{{Kind: "route-rewrite", Port: "s0->h1", AtUs: 20}}}); err != nil {
+		t.Fatal(err)
+	}
+	l.sched.RunUntil(20*units.Microsecond - 1)
+	if l.net.Faulted() {
+		t.Fatal("Faulted before the rewrite fired")
+	}
+	l.sched.RunUntil(20 * units.Microsecond)
+	if !l.net.Faulted() {
+		t.Fatal("Faulted still clear once the rewrite fired")
+	}
+}
+
 // TestFaultSustainedStormIsOnePause: a sustained pause-storm (down_us 0)
 // repeats PAUSE every period against a gate that is already down, with one
 // RESUME at until_us. The gate enters the paused state once, so the trace

@@ -37,7 +37,13 @@ func newRig(t *testing.T, cfg host.Config, hosts int, rate units.Rate, delay uni
 	return &rig{sched: s, net: n, mgr: m, g: g, sw: sw}
 }
 
-func (r *rig) id(name string) packet.NodeID { return r.g.ID(name) }
+func (r *rig) id(name string) packet.NodeID {
+	id, ok := r.g.Lookup(name)
+	if !ok {
+		panic("no node " + name)
+	}
+	return id
+}
 
 func TestSingleFlowCompletesAtLineRate(t *testing.T) {
 	r := newRig(t, host.Config{}, 2, 40*units.Gbps, units.Microsecond)

@@ -89,9 +89,6 @@ func (h *Hist) Observe(v int64) {
 // Count reports the number of observations.
 func (h *Hist) Count() int64 { return h.n }
 
-// Sum reports the total of all observations.
-func (h *Hist) Sum() int64 { return h.sum }
-
 // Min reports the smallest observation (0 when empty).
 func (h *Hist) Min() int64 {
 	if h.n == 0 {
@@ -165,17 +162,6 @@ func (h *Hist) Merge(o *Hist) {
 	if o.max > h.max {
 		h.max = o.max
 	}
-}
-
-// Clone returns an independent copy.
-func (h *Hist) Clone() *Hist {
-	c := *h
-	return &c
-}
-
-// Equal reports whether two histograms hold identical state.
-func (h *Hist) Equal(o *Hist) bool {
-	return h.n == o.n && h.sum == o.sum && h.min == o.min && h.max == o.max && h.counts == o.counts
 }
 
 // MarshalJSON encodes the histogram sparsely and deterministically:

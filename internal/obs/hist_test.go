@@ -87,7 +87,7 @@ func TestHistMergeAssociativeCommutative(t *testing.T) {
 	for i := len(parts) - 1; i >= 0; i-- {
 		right.Merge(parts[i])
 	}
-	if !left.Equal(right) {
+	if *left != *right {
 		t.Fatal("merge is not order-independent")
 	}
 	// (d+b)+(c+a): arbitrary shuffle + tree shape
@@ -97,7 +97,7 @@ func TestHistMergeAssociativeCommutative(t *testing.T) {
 	y.Merge(parts[2])
 	y.Merge(parts[0])
 	x.Merge(y)
-	if !left.Equal(x) {
+	if *left != *x {
 		t.Fatal("merge is not associative across tree shapes")
 	}
 	// Merging all parts must equal observing the union serially.
@@ -108,7 +108,7 @@ func TestHistMergeAssociativeCommutative(t *testing.T) {
 			serial.Observe(r2.Int63n(1 << uint(10+3*i)))
 		}
 	}
-	if !left.Equal(serial) {
+	if *left != *serial {
 		t.Fatal("merged parts differ from the serial fold")
 	}
 }
@@ -123,13 +123,13 @@ func TestHistMergeEmptyAndNil(t *testing.T) {
 	}
 	e := NewHist()
 	e.Merge(h)
-	if !e.Equal(h) {
+	if *e != *h {
 		t.Fatal("empty.Merge(h) != h")
 	}
 }
 
 // TestHistJSONDeterministicRoundTrip: identical histograms marshal to
-// identical bytes, and unmarshalling restores an Equal histogram.
+// identical bytes, and unmarshalling restores an equal histogram.
 func TestHistJSONDeterministicRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	h := NewHist()
@@ -140,7 +140,8 @@ func TestHistJSONDeterministicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, _ := h.Clone().MarshalJSON()
+	clone := *h
+	b2, _ := clone.MarshalJSON()
 	if !bytes.Equal(b1, b2) {
 		t.Fatal("identical histograms marshalled to different bytes")
 	}
@@ -148,7 +149,7 @@ func TestHistJSONDeterministicRoundTrip(t *testing.T) {
 	if err := back.UnmarshalJSON(b1); err != nil {
 		t.Fatal(err)
 	}
-	if !back.Equal(h) {
+	if back != *h {
 		t.Fatal("unmarshalled histogram differs from the original")
 	}
 	// Empty histogram round-trips too (min/max sentinels restored).
@@ -157,7 +158,7 @@ func TestHistJSONDeterministicRoundTrip(t *testing.T) {
 	if err := emptyBack.UnmarshalJSON(eb); err != nil {
 		t.Fatal(err)
 	}
-	if !emptyBack.Equal(NewHist()) {
+	if emptyBack != *NewHist() {
 		t.Fatal("empty histogram did not round-trip")
 	}
 }

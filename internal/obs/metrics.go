@@ -42,17 +42,11 @@ type Counter struct{ v int64 }
 // Add increments the counter.
 func (c *Counter) Add(d int64) { c.v += d }
 
-// Value reports the current count.
-func (c *Counter) Value() int64 { return c.v }
-
 // Gauge is a point-in-time float64 metric.
 type Gauge struct{ v float64 }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.v = v }
-
-// Value reports the current value.
-func (g *Gauge) Value() float64 { return g.v }
 
 // metricKey renders the canonical "name{k=v,k2=v2}" key and the
 // Prometheus series identity name{k="v",k2="v2"}, label pairs sorted by
@@ -139,9 +133,6 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	}
 	return g
 }
-
-// Len reports the number of registered metrics.
-func (r *Registry) Len() int { return len(r.counters) + len(r.gauges) }
 
 // WriteJSON exports the registry as a two-section JSON object. Map keys
 // are sorted by encoding/json, making the output deterministic.

@@ -173,9 +173,3 @@ type Recorder interface {
 type FlowTracer interface {
 	SetTrace(rec Recorder, flow int64)
 }
-
-// Func adapts a function to the Recorder interface (tests, filters).
-type Func func(e Event)
-
-// Record implements Recorder.
-func (f Func) Record(e Event) { f(e) }

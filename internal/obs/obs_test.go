@@ -14,8 +14,8 @@ func TestRingFillsInOrder(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		r.Record(Event{At: units.Time(i), Kind: KindMarkCE, Flow: -1})
 	}
-	if r.Len() != 3 || r.Dropped() != 0 {
-		t.Fatalf("len=%d dropped=%d, want 3/0", r.Len(), r.Dropped())
+	if len(r.buf) != 3 || r.dropped != 0 {
+		t.Fatalf("len=%d dropped=%d, want 3/0", len(r.buf), r.dropped)
 	}
 	for i, e := range r.Events() {
 		if e.At != units.Time(i) {
@@ -29,11 +29,11 @@ func TestRingOverflowDropsOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(Event{At: units.Time(i), Kind: KindMarkUE, Flow: -1})
 	}
-	if r.Len() != 4 {
-		t.Fatalf("len=%d, want 4", r.Len())
+	if len(r.buf) != 4 {
+		t.Fatalf("len=%d, want 4", len(r.buf))
 	}
-	if r.Dropped() != 6 {
-		t.Fatalf("dropped=%d, want 6", r.Dropped())
+	if r.dropped != 6 {
+		t.Fatalf("dropped=%d, want 6", r.dropped)
 	}
 	evs := r.Events()
 	for i, want := range []units.Time{6, 7, 8, 9} {
@@ -95,11 +95,11 @@ func TestRegistryCanonicalKeysAndJSON(t *testing.T) {
 	reg.Counter("tx_bytes", "port", "P2", "prio", "0").Add(10)
 	reg.Counter("tx_bytes", "prio", "0", "port", "P2").Add(5)
 	reg.Gauge("queue_bytes", "port", "P3").Set(1.5)
-	if got := reg.Counter("tx_bytes", "port", "P2", "prio", "0").Value(); got != 15 {
+	if got := reg.Counter("tx_bytes", "port", "P2", "prio", "0").v; got != 15 {
 		t.Fatalf("counter=%d, want 15 (label order must canonicalize)", got)
 	}
-	if reg.Len() != 2 {
-		t.Fatalf("len=%d, want 2", reg.Len())
+	if n := len(reg.counters) + len(reg.gauges); n != 2 {
+		t.Fatalf("len=%d, want 2", n)
 	}
 	var a, b bytes.Buffer
 	if err := reg.WriteJSON(&a); err != nil {
@@ -131,14 +131,5 @@ func TestProgressTicksOnSimClock(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "pending=") {
 		t.Fatal("progress line must report heap depth")
-	}
-}
-
-func TestFuncRecorder(t *testing.T) {
-	var got []Event
-	var rec Recorder = Func(func(e Event) { got = append(got, e) })
-	rec.Record(Event{At: 1, Kind: KindCNP, Flow: 2, Val: 1})
-	if len(got) != 1 || got[0].Kind != KindCNP {
-		t.Fatalf("func recorder got %v", got)
 	}
 }

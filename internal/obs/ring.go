@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"bufio"
-	"io"
-	"strconv"
-)
+import "strconv"
 
 // Ring is a bounded event buffer: recording past capacity overwrites the
 // oldest event. The bound keeps long runs from accumulating unbounded
@@ -43,39 +39,12 @@ func (r *Ring) Record(e Event) {
 	r.dropped++
 }
 
-// Len reports the number of buffered events.
-func (r *Ring) Len() int { return len(r.buf) }
-
-// Dropped reports how many events were overwritten by newer ones.
-func (r *Ring) Dropped() uint64 { return r.dropped }
-
 // Events returns the buffered events in recording order (oldest first).
 func (r *Ring) Events() []Event {
 	out := make([]Event, 0, len(r.buf))
 	out = append(out, r.buf[r.head:]...)
 	out = append(out, r.buf[:r.head]...)
 	return out
-}
-
-// WriteJSONL writes the buffered events to w, one JSON object per line,
-// oldest first.
-func (r *Ring) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, r.Events())
-}
-
-// WriteJSONL encodes events as JSON lines. The encoding is hand-rolled
-// with a fixed field order so that identical event sequences produce
-// byte-identical output (the determinism the trace tests assert).
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	for _, e := range events {
-		line = e.appendJSONL(line[:0])
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // appendJSONL renders one event as a JSON line. Port labels are

@@ -140,19 +140,18 @@ func (s *Spill) capped() bool {
 	return s.opt.MaxBytes > 0 && s.totalBytes >= s.opt.MaxBytes
 }
 
+// flush writes the buffered batch. Every event of it ends up counted in
+// written or dropped, also when an error or the cap cuts the batch short.
 func (s *Spill) flush() {
-	if s.err != nil {
-		s.buf = s.buf[:0]
-		return
-	}
 	for i := range s.buf {
-		if s.capped() {
+		if s.err != nil || s.capped() {
 			s.dropped += uint64(len(s.buf) - i)
 			break
 		}
 		s.line = s.buf[i].appendJSONL(s.line[:0])
 		if _, err := s.bw.Write(s.line); err != nil {
 			s.err = err
+			s.dropped += uint64(len(s.buf) - i)
 			break
 		}
 		n := int64(len(s.line))
@@ -160,13 +159,11 @@ func (s *Spill) flush() {
 		s.totalBytes += n
 		s.written++
 		if s.chunkBytes >= s.opt.ChunkBytes {
-			if err := s.closeChunk(); err != nil && s.err == nil {
-				s.err = err
-				break
-			}
-			s.chunk++
-			if err := s.openChunk(); err != nil {
-				break
+			// A failed rotation leaves its error in s.err, and the next
+			// pass drops the rest of the batch.
+			if s.err = s.closeChunk(); s.err == nil {
+				s.chunk++
+				s.err = s.openChunk()
 			}
 		}
 	}
@@ -198,6 +195,3 @@ func (s *Spill) Chunks() int { return s.chunk + 1 }
 
 // Bytes reports total encoded (pre-compression) bytes spilled.
 func (s *Spill) Bytes() int64 { return s.totalBytes }
-
-// Err reports the first write error (nil when healthy).
-func (s *Spill) Err() error { return s.err }

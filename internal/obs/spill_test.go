@@ -1,15 +1,34 @@
 package obs
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/units"
 )
+
+// WriteJSONL encodes events as JSON lines. The encoding is hand-rolled
+// with a fixed field order so that identical event sequences produce
+// byte-identical output (the determinism the trace tests assert).
+func WriteJSONL(w io.Writer, events []Event) error {
+	bw := bufio.NewWriter(w)
+	var line []byte
+	for _, e := range events {
+		line = e.appendJSONL(line[:0])
+		if _, err := bw.Write(line); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
 
 func spillEvents(n int) []Event {
 	evs := make([]Event, n)
@@ -178,6 +197,34 @@ func TestSpillGzipRoundTrip(t *testing.T) {
 	}
 	if s.Bytes() != int64(want.Len()) {
 		t.Fatalf("Bytes() = %d (pre-compression), want %d", s.Bytes(), want.Len())
+	}
+}
+
+// TestSpillCountsEveryEventOnRotationError: a chunk rotation that fails
+// mid-batch (the output directory is gone) leaves every recorded event
+// counted as written or dropped, and Close reports the open error.
+func TestSpillCountsEveryEventOnRotationError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSpill(filepath.Join(dir, "trace.jsonl"), SpillOptions{ChunkBytes: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	evs := spillEvents(3 * spillBufEvents)
+	for _, e := range evs {
+		s.Record(e)
+	}
+	err = s.Close()
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("Close = %v, want the chunk open error", err)
+	}
+	if s.Written() == 0 || s.Written()+s.Dropped() != uint64(len(evs)) {
+		t.Errorf("written %d + dropped %d, want %d recorded", s.Written(), s.Dropped(), len(evs))
 	}
 }
 

@@ -51,8 +51,8 @@ func TestTelemetryForwardsToInnerRecorder(t *testing.T) {
 	rec := tel.Chain(ring)
 	rec.Record(Event{At: 1, Kind: KindMarkCE, Flow: -1})
 	rec.Record(Event{At: 2, Kind: KindFlowDone, Flow: 1, Val: 100})
-	if ring.Len() != 2 {
-		t.Fatalf("inner recorder saw %d events, want 2", ring.Len())
+	if len(ring.buf) != 2 {
+		t.Fatalf("inner recorder saw %d events, want 2", len(ring.buf))
 	}
 	if tel.FCT.Count() != 1 {
 		t.Fatalf("telemetry folded %d FCTs, want 1", tel.FCT.Count())
@@ -89,10 +89,10 @@ func TestTelemetryFoldInto(t *testing.T) {
 	tel.Record(Event{At: 1, Kind: KindFlowDone, Flow: 1, Val: 500})
 	reg := NewRegistry()
 	tel.FoldInto(reg)
-	if got := reg.Gauge("hist_fct_ps_count").Value(); got != 1 {
+	if got := reg.Gauge("hist_fct_ps_count").v; got != 1 {
 		t.Fatalf("hist_fct_ps_count = %v, want 1", got)
 	}
-	if got := reg.Gauge("hist_fct_ps_max").Value(); got != 500 {
+	if got := reg.Gauge("hist_fct_ps_max").v; got != 500 {
 		t.Fatalf("hist_fct_ps_max = %v, want 500", got)
 	}
 }

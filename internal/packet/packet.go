@@ -228,19 +228,5 @@ func (a *Arena) Put(pkt *Packet) {
 	a.Recycled++
 }
 
-// At resolves a handle back to its packet slot.
-func (a *Arena) At(h Handle) *Packet {
-	return &a.chunks[h>>ChunkBits][h&chunkMask]
-}
-
-// Handle reports a packet's arena handle.
-func (a *Arena) Handle(pkt *Packet) Handle { return pkt.h }
-
-// Len reports the number of packet slots currently parked on the free list.
-func (a *Arena) Len() int { return len(a.free) }
-
-// Chunks reports how many slabs the arena has allocated.
-func (a *Arena) Chunks() int { return len(a.chunks) }
-
 // CNPBytes is the wire size of a congestion notification packet.
 const CNPBytes units.ByteSize = 64

@@ -100,8 +100,8 @@ func TestArenaRecyclesAndZeroes(t *testing.T) {
 	a := arena.Get()
 	a.Flow, a.Seq, a.Code, a.EchoCE, a.Hops = 7, 42, CE, true, 3
 	arena.Put(a)
-	if arena.Len() != 1 {
-		t.Fatalf("Len() = %d after Put, want 1", arena.Len())
+	if len(arena.free) != 1 {
+		t.Fatalf("free list holds %d after Put, want 1", len(arena.free))
 	}
 	b := arena.Get()
 	if b != a {
@@ -110,8 +110,8 @@ func TestArenaRecyclesAndZeroes(t *testing.T) {
 	if b.Flow != 0 || b.Seq != 0 || b.Code != NotCapable || b.EchoCE || b.Hops != 0 {
 		t.Errorf("recycled packet not zeroed: %+v", *b)
 	}
-	if arena.Len() != 0 {
-		t.Errorf("Len() = %d after Get, want 0", arena.Len())
+	if len(arena.free) != 0 {
+		t.Errorf("free list holds %d after Get, want 0", len(arena.free))
 	}
 	if arena.Recycled != 1 {
 		t.Errorf("Recycled = %d, want 1", arena.Recycled)
@@ -125,8 +125,8 @@ func TestArenaGetAllocatesWhenEmpty(t *testing.T) {
 		t.Fatalf("empty arena must hand out distinct packets")
 	}
 	arena.Put(nil) // nil is a no-op, not a panic
-	if arena.Len() != 0 {
-		t.Errorf("Len() = %d after Put(nil), want 0", arena.Len())
+	if len(arena.free) != 0 {
+		t.Errorf("free list holds %d after Put(nil), want 0", len(arena.free))
 	}
 }
 
@@ -141,27 +141,27 @@ func TestArenaHandlesAndChunks(t *testing.T) {
 		pkts[i] = arena.Get()
 		pkts[i].Seq = int32(i)
 	}
-	if want := n>>ChunkBits + 1; arena.Chunks() != want {
-		t.Errorf("Chunks() = %d after %d gets, want %d", arena.Chunks(), n, want)
+	if want := n>>ChunkBits + 1; len(arena.chunks) != want {
+		t.Errorf("%d chunks after %d gets, want %d", len(arena.chunks), n, want)
 	}
 	for i, p := range pkts {
 		if p.Seq != int32(i) {
 			t.Fatalf("packet %d overwritten (Seq=%d): chunk growth moved live packets", i, p.Seq)
 		}
-		if got := arena.At(arena.Handle(p)); got != p {
-			t.Fatalf("At(Handle(pkts[%d])) = %p, want %p", i, got, p)
+		if got := &arena.chunks[p.h>>ChunkBits][p.h&chunkMask]; got != p {
+			t.Fatalf("handle of pkts[%d] resolves to %p, want %p", i, got, p)
 		}
 	}
 	// Recycling reuses slots LIFO without growing the arena.
-	chunks := arena.Chunks()
+	chunks := len(arena.chunks)
 	for _, p := range pkts {
 		arena.Put(p)
 	}
 	for range pkts {
 		arena.Get()
 	}
-	if arena.Chunks() != chunks {
-		t.Errorf("Chunks() grew %d -> %d across a full recycle", chunks, arena.Chunks())
+	if len(arena.chunks) != chunks {
+		t.Errorf("chunks grew %d -> %d across a full recycle", chunks, len(arena.chunks))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/host"
+	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/routing"
 	"github.com/tcdnet/tcd/internal/sim"
@@ -40,9 +41,9 @@ func TestIncastIsLosslessUnderPFC(t *testing.T) {
 	pfc.Install(n, cfg)
 	// Five senders blast 200 KB each at line rate into one 40G port.
 	var flows []*host.Flow
-	flows = append(flows, m.AddFlow(g.ID("h0"), g.ID("r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
+	flows = append(flows, m.AddFlow(node(g, "h0"), node(g, "r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
 	for i := 0; i < 4; i++ {
-		flows = append(flows, m.AddFlow(g.ID("e"+string(rune('0'+i))), g.ID("r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
+		flows = append(flows, m.AddFlow(node(g, "e"+string(rune('0'+i))), node(g, "r"), 200*units.KB, 0, host.FixedRate(40*units.Gbps)))
 	}
 	s.Run()
 	for _, f := range flows {
@@ -53,14 +54,14 @@ func TestIncastIsLosslessUnderPFC(t *testing.T) {
 			t.Errorf("flow %d lost bytes: %v", f.ID, f.BytesRxed())
 		}
 	}
-	for _, mt := range fabric.Meters[*pfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.Violations() != 0 {
 			t.Errorf("buffer violations: %d (headroom too small or PAUSE broken)", mt.Violations())
 		}
 	}
 	// With 5:1 oversubscription PAUSE must actually have fired.
 	var pauses uint64
-	for _, mt := range fabric.Meters[*pfc.Meter](n) {
+	for _, mt := range meters(n) {
 		pauses += mt.PausesSent
 	}
 	if pauses == 0 {
@@ -72,23 +73,23 @@ func TestPauseResumeCycleAndSpreading(t *testing.T) {
 	s, n, m, g := chain(4, 40*units.Gbps, units.Microsecond)
 	cfg := pfc.Config{Xoff: 50 * units.KB, Xon: 48 * units.KB, Headroom: 30 * units.KB}
 	pfc.Install(n, cfg)
-	m.AddFlow(g.ID("h0"), g.ID("r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
+	m.AddFlow(node(g, "h0"), node(g, "r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
 	for i := 0; i < 4; i++ {
-		m.AddFlow(g.ID("e"+string(rune('0'+i))), g.ID("r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
+		m.AddFlow(node(g, "e"+string(rune('0'+i))), node(g, "r"), 500*units.KB, 0, host.FixedRate(40*units.Gbps))
 	}
 	s.Run()
 	// Congestion must spread: sw0's egress to sw1 was paused, and the
 	// pause propagated to h0's NIC.
-	sw0Egress := n.PortToward(g.ID("sw0"), g.ID("sw1"))
+	sw0Egress := n.PortToward(node(g, "sw0"), node(g, "sw1"))
 	if sw0Egress.PauseTime == 0 {
 		t.Error("congestion did not spread to sw0 (no pause time)")
 	}
-	h0Port := n.HostPort(g.ID("h0"))
+	h0Port := n.HostPort(node(g, "h0"))
 	if h0Port.PauseTime == 0 {
 		t.Error("congestion did not spread to the host NIC")
 	}
 	// Pauses were matched by resumes (traffic ended, queues drained).
-	for _, mt := range fabric.Meters[*pfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.PausesSent != mt.ResumesSent {
 			t.Errorf("pauses %d != resumes %d after drain", mt.PausesSent, mt.ResumesSent)
 		}
@@ -101,17 +102,17 @@ func TestPauseResumeCycleAndSpreading(t *testing.T) {
 func TestNoPauseWithoutCongestion(t *testing.T) {
 	s, n, m, g := chain(0, 40*units.Gbps, units.Microsecond)
 	pfc.Install(n, pfc.DefaultConfig())
-	f := m.AddFlow(g.ID("h0"), g.ID("r"), units.MB, 0, host.FixedRate(40*units.Gbps))
+	f := m.AddFlow(node(g, "h0"), node(g, "r"), units.MB, 0, host.FixedRate(40*units.Gbps))
 	s.Run()
 	if !f.Done {
 		t.Fatal("flow did not complete")
 	}
-	for _, mt := range fabric.Meters[*pfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.PausesSent != 0 {
 			t.Error("PAUSE sent on an uncongested path")
 		}
 	}
-	if n.HostPort(g.ID("h0")).PauseTime != 0 {
+	if n.HostPort(node(g, "h0")).PauseTime != 0 {
 		t.Error("host paused without congestion")
 	}
 }
@@ -124,15 +125,15 @@ func TestOccupancyBoundedByHeadroomMath(t *testing.T) {
 	cfg := pfc.Config{Xoff: xoff, Xon: xoff - 2*units.KB, Headroom: 100 * units.KB}
 	pfc.Install(n, cfg)
 	for i := 0; i < 4; i++ {
-		m.AddFlow(g.ID("e"+string(rune('0'+i))), g.ID("r"), units.MB, 0, host.FixedRate(40*units.Gbps))
+		m.AddFlow(node(g, "e"+string(rune('0'+i))), node(g, "r"), units.MB, 0, host.FixedRate(40*units.Gbps))
 	}
-	m.AddFlow(g.ID("h0"), g.ID("r"), units.MB, 0, host.FixedRate(40*units.Gbps))
+	m.AddFlow(node(g, "h0"), node(g, "r"), units.MB, 0, host.FixedRate(40*units.Gbps))
 	s.Run()
 	// tau = 2*MTU/C + 2*tp = 2*209.6ns + 2us ≈ 2.42us → ≤ ~12.1KB in
 	// flight at 40G, plus one MTU of slop.
 	tau := 2*units.TxTime(1048, 40*units.Gbps) + 2*units.Microsecond
 	bound := xoff + units.BytesIn(tau, 40*units.Gbps) + 2*1048
-	for _, mt := range fabric.Meters[*pfc.Meter](n) {
+	for _, mt := range meters(n) {
 		if mt.MaxOccupancy() > bound {
 			t.Errorf("max occupancy %v exceeds Xoff+headroom bound %v", mt.MaxOccupancy(), bound)
 		}
@@ -164,4 +165,24 @@ func TestGatePausedAccessor(t *testing.T) {
 	if gate.Pauses != 2 {
 		t.Errorf("Pauses = %d, want 2", gate.Pauses)
 	}
+}
+
+// meters returns the pfc meters Install put on n, in port order.
+func meters(n *fabric.Network) []*pfc.Meter {
+	var out []*pfc.Meter
+	for _, p := range n.Ports() {
+		if m, ok := p.Meter().(*pfc.Meter); ok {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// node is the ID of the node called name in g.
+func node(g *topo.Topology, name string) packet.NodeID {
+	id, ok := g.Lookup(name)
+	if !ok {
+		panic("no node " + name)
+	}
+	return id
 }

@@ -39,12 +39,6 @@ func (r *Source) Seed(seed uint64) {
 	}
 }
 
-// Split derives an independent child source; use it to give each component
-// its own stream so adding draws in one place does not perturb another.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits (xoshiro256**).

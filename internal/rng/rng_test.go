@@ -28,15 +28,6 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	c1 := parent.Split()
-	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() {
-		t.Error("split children produced identical first draw")
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := New(seed)

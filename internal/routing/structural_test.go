@@ -265,7 +265,11 @@ func TestStructuralRouteMatchesEager(t *testing.T) {
 			pkt := &packet.Packet{Flow: packet.FlowID(fi)}
 			for _, dst := range ft.HostList {
 				pkt.Dst = dst
-				for _, sw := range ft.Switches() {
+				for _, n := range ft.Nodes {
+					if n.Kind != topo.Switch {
+						continue
+					}
+					sw := n.ID
 					if g, w := net.Route(sw, pkt), eager(sw, pkt); g != w {
 						t.Fatalf("%s: Route(%s→%s) flow %d: got %s, want %s",
 							name, ft.Name(sw), ft.Name(dst), fi, g.Label(), w.Label())

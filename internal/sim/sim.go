@@ -1014,6 +1014,3 @@ func (t *Timer) Cancel() {
 	}
 	t.armedAt = units.Never
 }
-
-// Armed reports whether the timer has a pending fire.
-func (t *Timer) Armed() bool { return t.armedAt != units.Never }

@@ -313,7 +313,7 @@ func TestTimerBasic(t *testing.T) {
 	fired := 0
 	var tm Timer
 	tm.Init(s, func(any) { fired++ }, nil)
-	if tm.Armed() {
+	if tm.armedAt != units.Never {
 		t.Error("new timer reports armed")
 	}
 	s.At(0, func() { tm.Arm(100) })
@@ -321,7 +321,7 @@ func TestTimerBasic(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1", fired)
 	}
-	if tm.Armed() {
+	if tm.armedAt != units.Never {
 		t.Error("timer reports armed after firing")
 	}
 }
@@ -438,8 +438,8 @@ func TestPostStopArmAndRescheduleAreNoOps(t *testing.T) {
 	}
 	// Timer re-arm with its stale EventID is swallowed too.
 	tm.Arm(3 * units.Microsecond)
-	if tm.Armed() {
-		t.Error("Timer.Armed() true after arming a stopped scheduler")
+	if tm.armedAt != units.Never {
+		t.Error("timer armed after arming a stopped scheduler")
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after post-Stop arms, want 0", got)
@@ -453,7 +453,7 @@ func TestPostStopArmAndRescheduleAreNoOps(t *testing.T) {
 	// the revived timer works normally.
 	s.RunUntil(s.Now())
 	tm.Arm(2 * units.Microsecond)
-	if !tm.Armed() {
+	if tm.armedAt == units.Never {
 		t.Fatal("Timer did not arm after the scheduler restarted")
 	}
 	s.Run()

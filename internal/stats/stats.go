@@ -145,19 +145,6 @@ type Series struct {
 	V    []float64
 }
 
-// At returns the value at the sample nearest to t (linear scan from the
-// end is avoided with binary search).
-func (s *Series) At(t units.Time) float64 {
-	if len(s.T) == 0 {
-		return 0
-	}
-	i := sort.Search(len(s.T), func(i int) bool { return s.T[i] >= t })
-	if i == len(s.T) {
-		return s.V[len(s.V)-1]
-	}
-	return s.V[i]
-}
-
 // Max returns the maximum value (0 for empty).
 func (s *Series) Max() float64 {
 	m := 0.0

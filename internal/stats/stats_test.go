@@ -110,16 +110,10 @@ func TestSeriesQueries(t *testing.T) {
 	if s.Max() != 10 {
 		t.Error("Max wrong")
 	}
-	if got := s.At(20); got != 10 {
-		t.Errorf("At(20) = %v", got)
-	}
-	if got := s.At(100); got != 2 {
-		t.Errorf("At past end = %v, want last value", got)
-	}
 	if got := s.MeanOver(10, 30); got != (5+10+2)/3.0 {
 		t.Errorf("MeanOver = %v", got)
 	}
-	if (&Series{}).Max() != 0 || (&Series{}).At(5) != 0 {
+	if (&Series{}).Max() != 0 {
 		t.Error("empty series queries should be 0")
 	}
 	if !strings.Contains(s.Render(), "# q") {
@@ -156,8 +150,8 @@ func TestTracerStartIdempotent(t *testing.T) {
 	if len(s.T) != 6 {
 		t.Errorf("double Start duplicated sampling: %d samples", len(s.T))
 	}
-	if len(tr.Series()) != 1 {
-		t.Error("Series() accessor wrong")
+	if len(tr.series) != 1 {
+		t.Errorf("%d series registered, want 1", len(tr.series))
 	}
 }
 

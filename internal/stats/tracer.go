@@ -147,6 +147,3 @@ func (t *Tracer) Start() {
 	}
 	t.sched.At(t.sched.Now(), tick)
 }
-
-// Series returns all collected series in registration order.
-func (t *Tracer) Series() []*Series { return t.series }

@@ -147,16 +147,6 @@ func (t *Topology) Connect(a, b packet.NodeID, rate units.Rate, delay units.Time
 	return idx
 }
 
-// ID returns the node ID for a name, panicking if absent (topology wiring
-// errors are programming errors).
-func (t *Topology) ID(name string) packet.NodeID {
-	id, ok := t.index()[name]
-	if !ok {
-		panic(fmt.Sprintf("topo: unknown node %q", name))
-	}
-	return id
-}
-
 // Lookup returns the node ID for a name and whether it exists.
 func (t *Topology) Lookup(name string) (packet.NodeID, bool) {
 	id, ok := t.index()[name]
@@ -185,17 +175,6 @@ func (t *Topology) Hosts() []packet.NodeID {
 	return out
 }
 
-// Switches returns the IDs of all switch nodes in insertion order.
-func (t *Topology) Switches() []packet.NodeID {
-	var out []packet.NodeID
-	for _, n := range t.Nodes {
-		if n.Kind == Switch {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // LinkBetween returns the index of a link between a and b, or -1.
 func (t *Topology) LinkBetween(a, b packet.NodeID) int {
 	for _, ad := range t.adj[a] {
@@ -204,38 +183,4 @@ func (t *Topology) LinkBetween(a, b packet.NodeID) int {
 		}
 	}
 	return -1
-}
-
-// Validate checks structural invariants: hosts have exactly one link and
-// the graph is connected. It returns an error describing the first
-// violation found.
-func (t *Topology) Validate() error {
-	if len(t.Nodes) == 0 {
-		return fmt.Errorf("topology has no nodes")
-	}
-	for _, n := range t.Nodes {
-		if n.Kind == Host && len(t.adj[n.ID]) != 1 {
-			return fmt.Errorf("host %s has %d links, want 1", t.Name(n.ID), len(t.adj[n.ID]))
-		}
-	}
-	// Connectivity via BFS.
-	seen := make([]bool, len(t.Nodes))
-	queue := []packet.NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, ad := range t.adj[cur] {
-			if !seen[ad.Peer] {
-				seen[ad.Peer] = true
-				count++
-				queue = append(queue, ad.Peer)
-			}
-		}
-	}
-	if count != len(t.Nodes) {
-		return fmt.Errorf("topology is disconnected: reached %d of %d nodes", count, len(t.Nodes))
-	}
-	return nil
 }

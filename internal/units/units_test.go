@@ -15,7 +15,7 @@ func TestTxTimeExactAtPaperRates(t *testing.T) {
 		{1000, 100 * Gbps, 80 * Nanosecond},
 		{1000, 200 * Gbps, 40 * Nanosecond},
 		{64 * KB, 40 * Gbps, 12800 * Nanosecond},
-		{1, 8 * BitPerSecond, Second},
+		{1, 8, Second},
 		{0, 40 * Gbps, 0},
 	}
 	for _, c := range cases {

@@ -90,15 +90,6 @@ func (c *CDF) Mean() units.ByteSize {
 	return units.ByteSize(total)
 }
 
-// Quantile returns the size at cumulative probability p.
-func (c *CDF) Quantile(p float64) units.ByteSize {
-	i := sort.SearchFloat64s(c.Cum, p)
-	if i >= len(c.Size) {
-		return c.Size[len(c.Size)-1]
-	}
-	return c.Size[i]
-}
-
 // Hadoop returns the heavy-tailed Facebook Hadoop flow-size distribution
 // (Roy et al., SIGCOMM'15), reconstructed from the published distribution
 // with the paper's stated anchor: 90% of flows below 120 KB.
