@@ -2,7 +2,6 @@ package serve
 
 import (
 	"container/list"
-	"sync"
 	"time"
 )
 
@@ -11,15 +10,19 @@ import (
 // in-flight when the first submission reserves the hash; concurrent
 // identical submissions coalesce onto it instead of enqueueing duplicate
 // work, and later submissions after completion are warm hits served
-// straight from bytes.
+// straight from bytes. Every field that changes after creation is
+// guarded by Server.mu.
 type cacheEntry struct {
 	hash string
 	exp  string
-	// state (queued | running | done | failed | canceled) and subs, the
-	// number of submissions the entry has answered, are guarded by
-	// Server.mu; state is final once done closes.
+	// state (queued | running | done | failed | canceled) is final once
+	// done closes; subs is the number of submissions the entry has
+	// answered.
 	state string
 	subs  uint64
+	// stream is the run's event feed while it is in flight, nil once
+	// its terminal event is published.
+	stream *stream
 	// done closes when the run completes (successfully or not); bytes
 	// and err are immutable afterwards. Waiters select on done, so a
 	// coalesced or waiting client never polls.
@@ -58,9 +61,9 @@ func (e *cacheEntry) cost() int64 { return int64(len(e.bytes)) + entryOverhead }
 // In-flight entries are pinned and weigh nothing: evicting one would
 // orphan its waiters, and it has no body yet. The cache is the only
 // long-lived holder of a body, so an eviction frees the bytes once the
-// last in-progress response has written them.
+// last in-progress response has written them. Its callers hold
+// Server.mu.
 type resultCache struct {
-	mu      sync.Mutex
 	budget  int64
 	used    int64 // sum of cost() over order
 	entries map[string]*cacheEntry
@@ -79,8 +82,6 @@ func newResultCache(budget int64) *resultCache {
 
 // lookup returns the entry for hash, refreshing its LRU position, or nil.
 func (c *resultCache) lookup(hash string) *cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := c.entries[hash]
 	if e != nil && e.lru != nil {
 		c.order.MoveToFront(e.lru)
@@ -93,8 +94,6 @@ func (c *resultCache) lookup(hash string) *cacheEntry {
 // via complete or abandon via release. A failed entry is replaced, so
 // the completed entry reserve returns has succeeded.
 func (c *resultCache) reserve(hash string) (e *cacheEntry, created bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e := c.entries[hash]; e != nil && e.err == nil {
 		if e.lru != nil {
 			c.order.MoveToFront(e.lru)
@@ -116,8 +115,6 @@ func (c *resultCache) reserve(hash string) (e *cacheEntry, created bool) {
 // budget is not kept: its waiters are served and it counts as evicted,
 // without flushing the rest.
 func (c *resultCache) complete(e *cacheEntry, bytes []byte, err error, wall time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	e.bytes, e.err, e.wall = bytes, err, wall
 	close(e.done)
 	if e.cost() > c.budget {
@@ -139,16 +136,5 @@ func (c *resultCache) complete(e *cacheEntry, bytes []byte, err error, wall time
 // full), in the Server.mu section that made it, so nobody waits on it;
 // a later submission can retry.
 func (c *resultCache) release(e *cacheEntry) {
-	c.mu.Lock()
 	delete(c.entries, e.hash)
-	c.mu.Unlock()
-}
-
-// stats reports the live entry count (in-flight + completed), the
-// completed count, the bytes charged to the budget and the eviction
-// total.
-func (c *resultCache) stats() (live, completed int, used int64, evicted uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries), c.order.Len(), c.used, c.evicted
 }

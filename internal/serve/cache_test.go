@@ -155,13 +155,12 @@ func TestResultCacheBudget(t *testing.T) {
 			if !slices.Equal(got, tc.want) || !slices.Equal(pinned, tc.pinned) {
 				t.Errorf("kept %v pinning %v, want %v pinning %v", got, pinned, tc.want, tc.pinned)
 			}
-			live, done, used, evicted := c.stats()
-			if live != len(tc.want)+len(tc.pinned) || done != len(tc.want) || evicted != tc.evicted {
+			if live, done := len(c.entries), c.order.Len(); live != len(tc.want)+len(tc.pinned) || done != len(tc.want) || c.evicted != tc.evicted {
 				t.Errorf("stats: %d live, %d done, %d evicted; want %d, %d, %d",
-					live, done, evicted, len(tc.want)+len(tc.pinned), len(tc.want), tc.evicted)
+					live, done, c.evicted, len(tc.want)+len(tc.pinned), len(tc.want), tc.evicted)
 			}
-			if len(tc.want) == 0 && used != 0 {
-				t.Errorf("nothing kept, %d bytes charged", used)
+			if len(tc.want) == 0 && c.used != 0 {
+				t.Errorf("nothing kept, %d bytes charged", c.used)
 			}
 		})
 	}
@@ -212,11 +211,11 @@ func TestEvictionReleasesBytes(t *testing.T) {
 		t.Errorf("cache holds %d of %d bytes after %d evictions", st.CacheBytes, st.CacheBudget, st.CacheEvicted)
 	}
 	var held int64
-	s.cache.mu.Lock()
+	s.mu.Lock()
 	for _, e := range s.cache.entries {
 		held += int64(len(e.bytes))
 	}
-	s.cache.mu.Unlock()
+	s.mu.Unlock()
 	if held > budget {
 		t.Errorf("cache entries hold %d body bytes, budget %d", held, budget)
 	}

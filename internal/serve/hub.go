@@ -2,8 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 )
 
 // Event is one SSE frame: a typed, JSON-bodied message on a run's
@@ -30,105 +30,83 @@ func (e Event) sse() string {
 	return fmt.Sprintf("event: %s\ndata: %s\n\n", e.Type, strings.ReplaceAll(e.Data, "\n", " "))
 }
 
-// replayCap bounds the per-topic replay buffer: a late subscriber
-// catches up on at most this many events (older ones are dropped
-// oldest-first, counted per topic).
+// replayCap bounds a run's replay ring: a late subscriber catches up on
+// at most this many events, the newest.
 const replayCap = 256
 
-// subscriber receives live events on ch; the hub never blocks on a slow
-// subscriber — events past the channel buffer are dropped and counted.
-type subscriber struct {
-	ch chan Event
+// subscriberCap is a live subscriber's channel buffer. The publisher
+// never blocks on a slow subscriber: a progress event past the buffer is
+// dropped and counted, and a terminal event replaces the oldest one.
+const subscriberCap = 64
+
+// stream is the event feed of a run in flight, carried by its cache
+// entry from the "queued" event to the terminal one. Publishers append
+// to a bounded replay ring and fan out to live subscribers; subscribers
+// get the replay first, then their channel. All of it is guarded by
+// Server.mu — event rates here are run-lifecycle scale (a handful per run
+// plus progress ticks), not packet scale.
+type stream struct {
+	replay []Event
+	head   int // oldest event once the ring is full
+	subs   []chan Event
 }
 
-type topic struct {
-	buf     []Event
-	dropped uint64
-	subs    map[*subscriber]struct{}
-}
-
-// hub routes the event stream of every run in flight, keyed by spec
-// hash: a topic opens when its run is queued and goes with its terminal
-// event, so the hub holds nothing for a resolved spec. Publishers append
-// to a bounded replay buffer and fan out to live subscribers;
-// subscribers get the replay first, then the live channel. All
-// operations share one mutex — event rates here are run-lifecycle scale
-// (a handful per run plus progress ticks), not packet scale.
-type hub struct {
-	mu      sync.Mutex
-	topics  map[string]*topic
-	dropped uint64
-}
-
-func newHub() *hub {
-	return &hub{topics: make(map[string]*topic)}
-}
-
-// open starts the topic of a run that has just been queued.
-func (h *hub) open(key string) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.topics[key] = &topic{subs: make(map[*subscriber]struct{})}
-}
-
-// publish appends ev to the topic's replay buffer and offers it to every
-// live subscriber. A terminal event closes the subscriber channels after
-// delivery and removes the topic. A publish to no open topic, such as a
-// progress line an executor writes after its run returned, is dropped.
-func (h *hub) publish(key string, ev Event) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topics[key]
-	if t == nil {
+// publish appends ev to e's replay ring and offers it to every live
+// subscriber. A terminal event is always delivered, closes the
+// subscriber channels and drops the stream, so a resolved entry carries
+// none. A publish to an entry with no stream, such as a progress line an
+// executor writes after its run returned, is dropped. Callers hold s.mu,
+// which makes the publisher the channels' only sender.
+func (s *Server) publish(e *cacheEntry, ev Event) {
+	st := e.stream
+	if st == nil {
 		return
 	}
-	if len(t.buf) >= replayCap {
-		copy(t.buf, t.buf[1:])
-		t.buf = t.buf[:len(t.buf)-1]
-		t.dropped++
+	if len(st.replay) < replayCap {
+		st.replay = append(st.replay, ev)
+	} else {
+		st.replay[st.head] = ev
+		st.head = (st.head + 1) % replayCap
 	}
-	t.buf = append(t.buf, ev)
-	for s := range t.subs {
+	last := ev.terminal()
+	for _, ch := range st.subs {
+		if last && len(ch) == cap(ch) {
+			// The stream must end on its terminal event: make room by
+			// taking out the oldest undelivered event.
+			select {
+			case <-ch:
+				s.sseDropped++
+			default:
+			}
+		}
 		select {
-		case s.ch <- ev:
+		case ch <- ev:
 		default:
-			h.dropped++
+			s.sseDropped++
 		}
 	}
-	if ev.terminal() {
-		for s := range t.subs {
-			close(s.ch)
+	if last {
+		for _, ch := range st.subs {
+			close(ch)
 		}
-		delete(h.topics, key)
-	}
-}
-
-// subscribe returns the replay so far and a live subscription to key's
-// topic, which must be open.
-func (h *hub) subscribe(key string) (replay []Event, s *subscriber) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t := h.topics[key]
-	s = &subscriber{ch: make(chan Event, 64)}
-	t.subs[s] = struct{}{}
-	return append([]Event(nil), t.buf...), s
-}
-
-// unsubscribe detaches s (no-op if the topic already closed it).
-func (h *hub) unsubscribe(key string, s *subscriber) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if t := h.topics[key]; t != nil {
-		if _, ok := t.subs[s]; ok {
-			delete(t.subs, s)
-			close(s.ch)
-		}
+		e.stream = nil
 	}
 }
 
-// droppedCount reports fan-out drops (slow subscribers).
-func (h *hub) droppedCount() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
+// subscribe returns the replay so far and a live channel on e's stream,
+// which must be open. Callers hold Server.mu.
+func (e *cacheEntry) subscribe() (replay []Event, ch chan Event) {
+	st := e.stream
+	ch = make(chan Event, subscriberCap)
+	st.subs = append(st.subs, ch)
+	replay = append(replay, st.replay[st.head:]...)
+	return append(replay, st.replay[:st.head]...), ch
+}
+
+// unsubscribe detaches ch (no-op once the stream has ended). Callers
+// hold Server.mu.
+func (e *cacheEntry) unsubscribe(ch chan Event) {
+	if st := e.stream; st != nil {
+		st.subs = slices.DeleteFunc(st.subs, func(c chan Event) bool { return c == ch })
+	}
 }

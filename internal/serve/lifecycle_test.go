@@ -33,11 +33,18 @@ func blockingExec(started chan<- string, release <-chan struct{}) ExecFunc {
 	}
 }
 
-// openTopics counts the hub's topics: one per run in flight.
-func openTopics(s *Server) int {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	return len(s.hub.topics)
+// openStreams counts the cache entries that still carry an event stream:
+// one per run in flight.
+func openStreams(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, e := range s.cache.entries {
+		if e.stream != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // getJSON GETs url and decodes its JSON body into v, returning the
@@ -170,8 +177,8 @@ func TestShutdownCancelsInFlight(t *testing.T) {
 			t.Errorf("waiter %d: got %d, want 503", i, code)
 		}
 	}
-	if n := openTopics(s); n != 0 {
-		t.Errorf("%d event topics open after Close, want 0", n)
+	if n := openStreams(s); n != 0 {
+		t.Errorf("%d event streams open after Close, want 0", n)
 	}
 
 	// All workers and handlers drained: goroutine count returns to
@@ -355,7 +362,7 @@ func TestSpecStatusFollowsTheEntry(t *testing.T) {
 	if st := status(failed); st.State != "done" || st.Error != "" {
 		t.Errorf("after the resubmission: state %q, error %q", st.State, st.Error)
 	}
-	if n := openTopics(s); n != 0 {
-		t.Errorf("%d event topics open with nothing in flight", n)
+	if n := openStreams(s); n != 0 {
+		t.Errorf("%d event streams open with nothing in flight", n)
 	}
 }

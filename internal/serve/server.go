@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/tcdnet/tcd/internal/exp"
@@ -37,9 +36,10 @@ type Config struct {
 var errShutdown = errors.New("serve: daemon shutting down")
 
 // Server is the simulation-as-a-service daemon core: HTTP handlers in
-// front of a bounded job queue, a worker pool, the spec-hash result
-// cache and the SSE hub. It carries no listener of its own — callers
-// mount Handler() on an http.Server (cmd/tcdsimd) or httptest (tests).
+// front of a bounded job queue, a worker pool and the spec-hash result
+// cache, whose entries carry their runs' SSE streams. It carries no
+// listener of its own — callers mount Handler() on an http.Server
+// (cmd/tcdsimd) or httptest (tests).
 type Server struct {
 	exec        ExecFunc
 	queueCap    int
@@ -49,34 +49,22 @@ type Server struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	queue  chan queued
+	mux    *http.ServeMux
 
-	hub   *hub
-	cache *resultCache
-	mux   *http.ServeMux
-
-	// mu serialises submissions, run starts and finishes, and guards
-	// every cache entry's state and subs; it is taken before cache.mu.
-	mu     sync.Mutex
-	closed bool
-
-	histMu  sync.Mutex
+	// mu guards everything below and every cache entry's mutable
+	// fields, so each /v1/stats snapshot reads one instant.
+	mu      sync.Mutex
+	cache   *resultCache
 	latency *obs.Hist // completed-run wall time, microseconds
+	closed  bool
+	// pending counts enqueued runs that finish has not resolved;
+	// drained closes once the server is closed and pending is zero.
+	pending  int
+	drained  chan struct{}
+	inflight int
 
-	// lock-free counters for /metrics and /v1/stats
-	submitted uint64
-	completed uint64
-	failed    uint64
-	canceled  uint64
-	rejected  uint64
-	warmHits  uint64
-	coalesced uint64
-	misses    uint64
-	inflight  int64
-	// pending counts enqueued-but-unresolved runs. Unlike
-	// inflight it is incremented at enqueue time, so the dequeue-to-run
-	// handoff window is covered and Shutdown's drain poll cannot fire
-	// between a worker taking a job and starting it.
-	pending int64
+	submitted, completed, failed, canceled, rejected uint64
+	warmHits, coalesced, misses, sseDropped          uint64
 }
 
 // queued is a run on its way to a worker: the spec it runs and the
@@ -112,9 +100,9 @@ func New(cfg Config) *Server {
 		ctx:         ctx,
 		cancel:      cancel,
 		queue:       make(chan queued, queueCap),
-		hub:         newHub(),
 		cache:       newResultCache(cacheBytes),
 		latency:     obs.NewHist(),
+		drained:     make(chan struct{}),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -142,24 +130,28 @@ func (s *Server) Workers() int { return s.workerCount }
 // queued and in-flight jobs are given until ctx expires to finish, then
 // Close tears the rest down. Always returns after Close.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.closeDoor()
 	var err error
-wait:
-	for {
-		if atomic.LoadInt64(&s.pending) == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break wait
-		case <-time.After(5 * time.Millisecond):
-		}
+	select {
+	case <-s.drained:
+	case <-ctx.Done():
+		err = ctx.Err()
 	}
 	s.Close()
 	return err
+}
+
+// closeDoor rejects further submissions; drained closes now if nothing
+// is pending, or when finish resolves the last pending run.
+func (s *Server) closeDoor() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.closed = true
+		if s.pending == 0 {
+			close(s.drained)
+		}
+	}
 }
 
 // Close stops the daemon immediately: the run context is canceled (the
@@ -167,21 +159,13 @@ wait:
 // still in the queue are resolved as canceled, so no waiter hangs and
 // every SSE stream ends on its terminal event.
 func (s *Server) Close() {
-	s.mu.Lock()
-	if s.closed && s.ctx.Err() != nil {
-		s.mu.Unlock()
-		s.wg.Wait()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
+	s.closeDoor()
 	s.cancel()
 	s.wg.Wait()
 	// Workers are gone; anything left in the queue never started.
 	for {
 		select {
 		case q := <-s.queue:
-			atomic.AddInt64(&s.pending, -1)
 			s.finish(q.entry, nil, errShutdown, 0, true)
 		default:
 			return
@@ -204,34 +188,30 @@ func (s *Server) worker() {
 // run executes one queued spec and resolves its entry.
 func (s *Server) run(q queued) {
 	e := q.entry
-	atomic.AddInt64(&s.inflight, 1)
-	defer atomic.AddInt64(&s.inflight, -1)
-	defer atomic.AddInt64(&s.pending, -1)
 	s.mu.Lock()
 	e.state = "running"
-	s.hub.publish(e.hash, Event{"running", fmt.Sprintf(`{"hash":%q}`, e.hash)})
+	s.inflight++
+	s.publish(e, Event{"running", fmt.Sprintf(`{"hash":%q}`, e.hash)})
 	s.mu.Unlock()
 	start := time.Now()
-	b, err := s.exec(s.ctx, q.spec, progressWriter{hub: s.hub, key: e.hash})
+	b, err := s.exec(s.ctx, q.spec, progressWriter{s, e})
 	wall := time.Since(start)
-	if err == nil {
-		s.histMu.Lock()
-		s.latency.Observe(wall.Microseconds())
-		s.histMu.Unlock()
-	}
 	canceled := err != nil && (errors.Is(err, context.Canceled) || s.ctx.Err() != nil)
 	s.finish(e, b, err, wall, canceled)
 }
 
-// finish resolves entry in one s.mu section: its state, the result into
-// the cache, the counters for every submission it answers, and the
-// terminal event that closes its stream. Completing the entry wakes its
-// ?wait=1 clients, and whatever such a client reads next of the entry's
-// state goes through s.mu, so it cannot see a resolved entry that still
-// reads running.
+// finish resolves an enqueued entry in one s.mu section: its state, the
+// result into the cache, the counters for every submission it answers,
+// the terminal event that closes its stream, and the pending count a
+// drain waits on. Completing the entry wakes its ?wait=1 clients, and
+// whatever such a client reads next of the entry's state goes through
+// s.mu, so it cannot see a resolved entry that still reads running.
 func (s *Server) finish(e *cacheEntry, b []byte, err error, wall time.Duration, canceled bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if e.state == "running" {
+		s.inflight--
+	}
 	counter := &s.completed
 	switch {
 	case canceled:
@@ -240,10 +220,14 @@ func (s *Server) finish(e *cacheEntry, b []byte, err error, wall time.Duration, 
 		e.state, counter = "failed", &s.failed
 	default:
 		e.state = "done"
+		s.latency.Observe(wall.Microseconds())
 	}
 	s.cache.complete(e, b, err, wall)
-	atomic.AddUint64(counter, e.subs)
-	s.hub.publish(e.hash, terminalEvent(e))
+	*counter += e.subs
+	s.publish(e, terminalEvent(e))
+	if s.pending--; s.closed && s.pending == 0 {
+		close(s.drained)
+	}
 }
 
 // terminalEvent is a resolved entry's last event: the one a live stream
@@ -260,16 +244,12 @@ func terminalEvent(e *cacheEntry) Event {
 // retryAfterSeconds estimates the queue drain time for the Retry-After
 // header: mean job wall time x queue depth / workers, clamped to
 // [1, 60] s. With no completed job yet there is nothing to extrapolate
-// from, so it answers 1.
+// from, so it answers 1. Callers hold s.mu.
 func (s *Server) retryAfterSeconds() int {
-	s.histMu.Lock()
-	mean := s.latency.Mean() // microseconds
-	n := s.latency.Count()
-	s.histMu.Unlock()
-	if n == 0 {
+	if s.latency.Count() == 0 {
 		return 1
 	}
-	sec := mean / 1e6 * float64(len(s.queue)) / float64(s.workerCount)
+	sec := s.latency.Mean() / 1e6 * float64(len(s.queue)) / float64(s.workerCount)
 	if sec < 1 {
 		return 1
 	}
@@ -304,14 +284,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e, created := s.cache.reserve(hash)
-	atomic.AddUint64(&s.submitted, 1)
+	s.submitted++
 	var cache string
 	switch {
 	case created && len(s.queue) == cap(s.queue):
 		// Backpressure: undo the reservation and tell the client when
 		// the queue should have drained.
 		s.cache.release(e)
-		atomic.AddUint64(&s.rejected, 1)
+		s.rejected++
 		retry := s.retryAfterSeconds()
 		s.mu.Unlock()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
@@ -324,21 +304,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// drain, so the room checked above is still there and the send
 		// cannot block.
 		cache = "miss"
-		e.exp, e.state, e.subs = spec.Exp, "queued", 1
-		atomic.AddInt64(&s.pending, 1)
-		atomic.AddUint64(&s.misses, 1)
-		s.hub.open(hash)
-		s.hub.publish(hash, Event{"queued", fmt.Sprintf(`{"hash":%q,"exp":%q,"queue_depth":%d}`, hash, e.exp, len(s.queue)+1)})
+		e.exp, e.state, e.subs, e.stream = spec.Exp, "queued", 1, &stream{}
+		s.pending++
+		s.misses++
+		s.publish(e, Event{"queued", fmt.Sprintf(`{"hash":%q,"exp":%q,"queue_depth":%d}`, hash, e.exp, len(s.queue)+1)})
 		s.queue <- queued{spec, e}
 	case e.completed():
 		cache = "hit"
 		e.subs++
-		atomic.AddUint64(&s.warmHits, 1)
-		atomic.AddUint64(&s.completed, 1)
+		s.warmHits++
+		s.completed++
 	default:
 		cache = "coalesced"
 		e.subs++
-		atomic.AddUint64(&s.coalesced, 1)
+		s.coalesced++
 	}
 	state := e.state
 	s.mu.Unlock()
@@ -412,7 +391,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // whose entry the budget has dropped answers 404: a resubmission
 // recomputes the same bytes.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
 	e := s.cache.lookup(r.PathValue("hash"))
+	s.mu.Unlock()
 	switch {
 	case e == nil:
 		writeErr(w, http.StatusNotFound, errors.New("serve: no entry for spec; submit it"))
@@ -432,17 +413,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, errors.New("serve: streaming unsupported"))
 		return
 	}
-	hash := r.PathValue("hash")
 	s.mu.Lock()
-	e := s.cache.lookup(hash)
+	e := s.cache.lookup(r.PathValue("hash"))
 	var (
 		replay []Event
-		sub    *subscriber
+		ch     chan Event
 	)
-	if e != nil && !e.completed() {
-		// The topic lives until finish publishes the terminal event,
-		// which takes s.mu: it is open here.
-		replay, sub = s.hub.subscribe(hash)
+	if e != nil && e.stream != nil {
+		replay, ch = e.subscribe()
 	}
 	s.mu.Unlock()
 	if e == nil {
@@ -452,19 +430,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
-	if sub == nil {
+	if ch == nil {
 		io.WriteString(w, terminalEvent(e).sse()) //nolint:errcheck
 		fl.Flush()
 		return
 	}
-	defer s.hub.unsubscribe(hash, sub)
+	defer func() {
+		s.mu.Lock()
+		e.unsubscribe(ch)
+		s.mu.Unlock()
+	}()
 	for _, ev := range replay {
 		io.WriteString(w, ev.sse()) //nolint:errcheck
 	}
 	fl.Flush()
 	for {
 		select {
-		case ev, ok := <-sub.ch:
+		case ev, ok := <-ch:
 			if !ok {
 				return
 			}
@@ -544,35 +526,35 @@ type Stats struct {
 }
 
 func (s *Server) snapshot() Stats {
-	live, done, used, evicted := s.cache.stats()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.cache
 	st := Stats{
-		Submitted:    atomic.LoadUint64(&s.submitted),
-		Completed:    atomic.LoadUint64(&s.completed),
-		Failed:       atomic.LoadUint64(&s.failed),
-		Canceled:     atomic.LoadUint64(&s.canceled),
-		Rejected:     atomic.LoadUint64(&s.rejected),
-		WarmHits:     atomic.LoadUint64(&s.warmHits),
-		Coalesced:    atomic.LoadUint64(&s.coalesced),
-		Misses:       atomic.LoadUint64(&s.misses),
-		CacheLive:    live,
-		CacheDone:    done,
-		CacheEvicted: evicted,
-		CacheBytes:   used,
-		CacheBudget:  s.cache.budget,
+		Submitted:    s.submitted,
+		Completed:    s.completed,
+		Failed:       s.failed,
+		Canceled:     s.canceled,
+		Rejected:     s.rejected,
+		WarmHits:     s.warmHits,
+		Coalesced:    s.coalesced,
+		Misses:       s.misses,
+		CacheLive:    len(c.entries),
+		CacheDone:    c.order.Len(),
+		CacheEvicted: c.evicted,
+		CacheBytes:   c.used,
+		CacheBudget:  c.budget,
 		QueueDepth:   len(s.queue),
 		QueueCap:     s.queueCap,
-		InFlight:     atomic.LoadInt64(&s.inflight),
-		SSEDropped:   s.hub.droppedCount(),
+		InFlight:     int64(s.inflight),
+		SSEDropped:   s.sseDropped,
+		LatencyCount: s.latency.Count(),
 	}
-	s.histMu.Lock()
-	st.LatencyCount = s.latency.Count()
 	if st.LatencyCount > 0 {
 		st.LatencyP50Us = s.latency.Quantile(0.5)
 		st.LatencyP95Us = s.latency.Quantile(0.95)
 		st.LatencyP99Us = s.latency.Quantile(0.99)
 		st.LatencyMeanUs = s.latency.Mean()
 	}
-	s.histMu.Unlock()
 	return st
 }
 
@@ -637,18 +619,20 @@ func mustJSON(s string) string {
 }
 
 // progressWriter publishes each line of a progress write as an SSE
-// progress event on the run's topic. Every writer of the stream (the obs
-// ticker, the sweep's run lines, the battery's cell lines) writes whole
-// lines, so a write never leaves a partial line behind.
+// progress event on the run's stream. Every writer of the stream (the
+// obs ticker, the sweep's run lines, the battery's cell lines) writes
+// whole lines, so a write never leaves a partial line behind.
 type progressWriter struct {
-	hub *hub
-	key string
+	s *Server
+	e *cacheEntry
 }
 
 func (p progressWriter) Write(b []byte) (int, error) {
+	p.s.mu.Lock()
+	defer p.s.mu.Unlock()
 	for _, line := range strings.Split(string(b), "\n") {
 		if line != "" {
-			p.hub.publish(p.key, Event{"progress", mustJSON(line)})
+			p.s.publish(p.e, Event{"progress", mustJSON(line)})
 		}
 	}
 	return len(b), nil

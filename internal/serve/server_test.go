@@ -295,6 +295,57 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsSnapshotIsOneInstant polls the stats snapshot while four
+// clients submit against a small queue. Every submission is counted
+// once, as a warm hit, a miss, a coalesced twin or a rejection, and no
+// more submissions can have resolved than were made: a snapshot that
+// reads its counters at different instants breaks one or the other.
+func TestStatsSnapshotIsOneInstant(t *testing.T) {
+	s, ts := newTestDaemon(t, Config{Workers: 2, QueueCap: 4, Exec: func(context.Context, *JobSpec, io.Writer) ([]byte, error) {
+		return []byte(`{}`), nil
+	}})
+	const clients, perClient = 4, 300
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(distinctSpec((c*perClient+i)%97)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body) //nolint:errcheck
+				resp.Body.Close()
+			}
+		}()
+	}
+	submitted := make(chan struct{})
+	go func() { wg.Wait(); close(submitted) }()
+
+	polls, torn := 0, 0
+	for done := false; !done; polls++ {
+		select {
+		case <-submitted:
+			done = true
+		default:
+		}
+		st := s.snapshot()
+		if st.Submitted != st.WarmHits+st.Misses+st.Coalesced+st.Rejected || st.Completed+st.Failed+st.Canceled > st.Submitted {
+			if torn++; torn == 1 {
+				t.Errorf("torn snapshot: %+v", st)
+			}
+		}
+	}
+	if torn > 0 {
+		t.Errorf("%d torn snapshots in %d polls", torn, polls)
+	}
+	if st := s.snapshot(); st.Submitted != clients*perClient {
+		t.Errorf("%d submissions counted, want %d", st.Submitted, clients*perClient)
+	}
+}
+
 // TestFailedJobNotCached: a failing exec resolves waiters with the
 // error, and the next identical submission retries instead of serving
 // the failure from cache.
@@ -381,7 +432,8 @@ func mixedWave(t *testing.T, base string, n int, want func(*JobSpec) []byte) {
 
 // TestMixedWave sends one concurrent wave of warm submissions beside
 // never-seen cold ones to a four-worker daemon: hits, coalesced twins
-// and misses interleave on the cache, the queue and the hub at once.
+// and misses interleave on the cache, the queue and the event streams at
+// once.
 // Every body must be the stub's output for the spec that was sent.
 func TestMixedWave(t *testing.T) {
 	echo := func(spec *JobSpec) []byte {
@@ -405,12 +457,13 @@ func TestMixedWave(t *testing.T) {
 }
 
 // assertOnlyTheCacheHolds requires that, with nothing in flight, the
-// daemon keeps per-spec state in the cache alone: no event topic is
-// open and the live entries are at most the distinct specs submitted.
+// daemon keeps per-spec state in the cache alone: no entry carries an
+// event stream and the live entries are at most the distinct specs
+// submitted.
 func assertOnlyTheCacheHolds(t *testing.T, s *Server, distinct int) {
 	t.Helper()
-	if n := openTopics(s); n != 0 {
-		t.Errorf("%d event topics open with nothing in flight", n)
+	if n := openStreams(s); n != 0 {
+		t.Errorf("%d event streams open with nothing in flight", n)
 	}
 	if live := s.snapshot().CacheLive; live > distinct {
 		t.Errorf("%d live cache entries for %d distinct specs", live, distinct)

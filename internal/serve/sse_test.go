@@ -98,7 +98,7 @@ func idxOf(ss []string, want string) int {
 }
 
 // TestSSELateSubscriber: a subscriber arriving after the run finished
-// gets its terminal event alone, and the finished run keeps no topic.
+// gets its terminal event alone, and the finished run keeps no stream.
 func TestSSELateSubscriber(t *testing.T) {
 	exec := func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
 		fmt.Fprintln(progress, "tick")
@@ -129,46 +129,43 @@ func TestSSELateSubscriber(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("late subscriber's stream never closed")
 	}
-	if n := openTopics(s); n != 0 {
-		t.Errorf("%d event topics open after the run finished", n)
+	if n := openStreams(s); n != 0 {
+		t.Errorf("%d event streams open after the run finished", n)
 	}
 }
 
-// TestHubReplayBound: the replay buffer drops oldest events past the cap
-// and keeps counting.
+// TestHubReplayBound: a run's replay ring keeps the newest replayCap
+// events, oldest first.
 func TestHubReplayBound(t *testing.T) {
-	h := newHub()
-	h.open("t")
+	s := &Server{}
+	e := &cacheEntry{stream: &stream{}}
 	for i := 0; i < replayCap+50; i++ {
-		h.publish("t", Event{"progress", fmt.Sprintf(`{"i":%d}`, i)})
+		s.publish(e, Event{"progress", fmt.Sprintf(`{"i":%d}`, i)})
 	}
-	replay, sub := h.subscribe("t")
-	h.unsubscribe("t", sub)
+	replay, ch := e.subscribe()
+	e.unsubscribe(ch)
 	if len(replay) != replayCap {
 		t.Fatalf("replay length %d, want %d", len(replay), replayCap)
 	}
-	if want := fmt.Sprintf(`{"i":%d}`, 50); replay[0].Data != want {
-		t.Errorf("oldest retained event %s, want %s", replay[0].Data, want)
-	}
-	h.mu.Lock()
-	droppedReplay := h.topics["t"].dropped
-	h.mu.Unlock()
-	if droppedReplay != 50 {
-		t.Errorf("topic drop count %d, want 50", droppedReplay)
+	for i, ev := range replay {
+		if want := fmt.Sprintf(`{"i":%d}`, 50+i); ev.Data != want {
+			t.Fatalf("replay[%d] = %s, want %s", i, ev.Data, want)
+		}
 	}
 }
 
 // TestHubSlowSubscriber: a subscriber that never drains loses events
 // (counted) but never blocks the publisher.
 func TestHubSlowSubscriber(t *testing.T) {
-	h := newHub()
-	h.open("t")
-	_, sub := h.subscribe("t")
-	defer h.unsubscribe("t", sub)
+	s := &Server{}
+	e := &cacheEntry{stream: &stream{}}
+	_, ch := e.subscribe()
 	donePub := make(chan struct{})
 	go func() {
 		for i := 0; i < 500; i++ {
-			h.publish("t", Event{"progress", "{}"})
+			s.mu.Lock()
+			s.publish(e, Event{"progress", "{}"})
+			s.mu.Unlock()
 		}
 		close(donePub)
 	}()
@@ -177,7 +174,80 @@ func TestHubSlowSubscriber(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("publisher blocked on a slow subscriber")
 	}
-	if h.droppedCount() == 0 {
+	s.mu.Lock()
+	e.unsubscribe(ch)
+	dropped := s.sseDropped
+	s.mu.Unlock()
+	if dropped == 0 {
 		t.Error("expected fan-out drops for a subscriber that never drains")
+	}
+}
+
+// stalledWriter is an SSE client that has stopped reading: every write
+// blocks until unblock closes. The first write signals written.
+type stalledWriter struct {
+	hdr     http.Header
+	buf     strings.Builder
+	written chan struct{}
+	unblock chan struct{}
+}
+
+func (w *stalledWriter) Header() http.Header { return w.hdr }
+func (w *stalledWriter) WriteHeader(int)     {}
+func (w *stalledWriter) Flush()              {}
+
+func (w *stalledWriter) Write(b []byte) (int, error) {
+	select {
+	case w.written <- struct{}{}:
+	default:
+	}
+	<-w.unblock
+	return w.buf.Write(b)
+}
+
+// TestSlowSubscriberGetsTerminal: a subscriber that falls behind a run
+// loses progress events, but its stream still ends on the terminal one.
+func TestSlowSubscriberGetsTerminal(t *testing.T) {
+	start := make(chan struct{})
+	exec := func(ctx context.Context, spec *JobSpec, progress io.Writer) ([]byte, error) {
+		<-start
+		for i := 0; i < 100; i++ {
+			fmt.Fprintf(progress, "tick %d\n", i)
+		}
+		return []byte(`{"ok":true}`), nil
+	}
+	s, ts := newTestDaemon(t, Config{Workers: 1, Exec: exec})
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(shortSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	// The client subscribes, then stalls on its first write: the replay.
+	w := &stalledWriter{hdr: http.Header{}, written: make(chan struct{}, 1), unblock: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		req := httptest.NewRequest("GET", "/v1/specs/"+resp.Header.Get("X-Spec-Hash")+"/events", nil)
+		s.Handler().ServeHTTP(w, req)
+	}()
+	<-w.written
+	close(start)
+	if code, _, _ := submitWait(t, ts.URL, shortSpec); code != http.StatusOK {
+		t.Fatalf("waiting on the run: %d", code)
+	}
+	close(w.unblock)
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stalled subscriber's stream never closed")
+	}
+
+	types := readSSETypes(t, strings.NewReader(w.buf.String()))
+	if joined := strings.Join(types, ","); len(types) == 0 || types[len(types)-1] != "done" {
+		t.Errorf("stream did not end on its terminal event: %q", joined)
+	}
+	if st := s.snapshot(); st.SSEDropped == 0 {
+		t.Error("no drops counted for a subscriber 100 events behind")
 	}
 }

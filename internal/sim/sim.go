@@ -953,7 +953,7 @@ func (s *Scheduler) checkBand() (int, error) {
 	return live, nil
 }
 
-// Timer is a cancellable, re-armable timer built on the scheduler. It is
+// Timer is a re-armable timer built on the scheduler. It is
 // used for periodic credit updates, CNP generation windows, rate-increase
 // timers and similar protocol machinery.
 //
@@ -963,18 +963,17 @@ func (s *Scheduler) checkBand() (int, error) {
 // its owner's static callback with the owner as the argument, so a
 // timer costs its owner no method value either.
 type Timer struct {
-	s       *Scheduler
-	fn      func(any)
-	arg     any
-	id      EventID
-	armedAt units.Time // fire time of the live arm; Never when idle
+	s   *Scheduler
+	fn  func(any)
+	arg any
+	id  EventID // the live arm's handle; NoEvent when idle
 }
 
 // Init makes t an unarmed timer that runs fn(arg) when it fires. A Timer
 // lives by value in its owner, which must not be copied afterwards: the
 // scheduler is handed t as its event argument.
 func (t *Timer) Init(s *Scheduler, fn func(any), arg any) {
-	*t = Timer{s: s, fn: fn, arg: arg, armedAt: units.Never}
+	*t = Timer{s: s, fn: fn, arg: arg}
 }
 
 // Arm (re)schedules the timer to fire d from now, replacing any pending
@@ -987,30 +986,14 @@ func (t *Timer) Arm(d units.Time) {
 	}
 	at := t.s.Now() + d
 	if t.id != NoEvent && t.s.Reschedule(t.id, at) {
-		t.armedAt = at
 		return
 	}
 	t.id = t.s.AtArg(at, timerFire, t)
-	if t.id == NoEvent {
-		t.armedAt = units.Never
-		return
-	}
-	t.armedAt = at
 }
 
 func timerFire(arg any) { arg.(*Timer).fire() }
 
 func (t *Timer) fire() {
 	t.id = NoEvent
-	t.armedAt = units.Never
 	t.fn(t.arg)
-}
-
-// Cancel disarms the timer if armed, removing its queued event in place.
-func (t *Timer) Cancel() {
-	if t.id != NoEvent {
-		t.s.Cancel(t.id)
-		t.id = NoEvent
-	}
-	t.armedAt = units.Never
 }

@@ -267,7 +267,7 @@ func TestTimerChurnKeepsPendingBounded(t *testing.T) {
 			for i := range timers {
 				tm := &timers[i]
 				tm.Arm(units.Time(round) * 100)
-				tm.Cancel()
+				s.Cancel(tm.id)
 				tm.Arm(units.Time(round) * 200)
 				tm.Arm(units.Time(round) * 300) // re-arm of armed timer
 			}
@@ -313,7 +313,7 @@ func TestTimerBasic(t *testing.T) {
 	fired := 0
 	var tm Timer
 	tm.Init(s, func(any) { fired++ }, nil)
-	if tm.armedAt != units.Never {
+	if tm.id != NoEvent {
 		t.Error("new timer reports armed")
 	}
 	s.At(0, func() { tm.Arm(100) })
@@ -321,7 +321,7 @@ func TestTimerBasic(t *testing.T) {
 	if fired != 1 {
 		t.Errorf("fired = %d, want 1", fired)
 	}
-	if tm.armedAt != units.Never {
+	if tm.id != NoEvent {
 		t.Error("timer reports armed after firing")
 	}
 }
@@ -332,7 +332,7 @@ func TestTimerCancel(t *testing.T) {
 	var tm Timer
 	tm.Init(s, func(any) { fired++ }, nil)
 	s.At(0, func() { tm.Arm(100) })
-	s.At(50, func() { tm.Cancel() })
+	s.At(50, func() { s.Cancel(tm.id) })
 	s.Run()
 	if fired != 0 {
 		t.Errorf("cancelled timer fired %d times", fired)
@@ -381,13 +381,13 @@ func TestTimerFireAt(t *testing.T) {
 	tm.Init(s, func(any) {}, nil)
 	s.At(5, func() {
 		tm.Arm(10)
-		if tm.armedAt != 15 {
-			t.Errorf("armedAt = %v, want 15", tm.armedAt)
+		if slot, ok := s.lookup(tm.id); !ok || s.locs[slot].at != 15 {
+			t.Errorf("armed event live %v at %v, want live at 15", ok, s.locs[slot].at)
 		}
 	})
 	s.Run()
-	if tm.armedAt != units.Never {
-		t.Errorf("armedAt after fire = %v, want Never", tm.armedAt)
+	if tm.id != NoEvent {
+		t.Errorf("timer handle after fire = %v, want NoEvent", tm.id)
 	}
 }
 
@@ -438,7 +438,7 @@ func TestPostStopArmAndRescheduleAreNoOps(t *testing.T) {
 	}
 	// Timer re-arm with its stale EventID is swallowed too.
 	tm.Arm(3 * units.Microsecond)
-	if tm.armedAt != units.Never {
+	if tm.id != NoEvent {
 		t.Error("timer armed after arming a stopped scheduler")
 	}
 	if got := s.Pending(); got != 0 {
@@ -453,7 +453,7 @@ func TestPostStopArmAndRescheduleAreNoOps(t *testing.T) {
 	// the revived timer works normally.
 	s.RunUntil(s.Now())
 	tm.Arm(2 * units.Microsecond)
-	if tm.armedAt == units.Never {
+	if tm.id == NoEvent {
 		t.Fatal("Timer did not arm after the scheduler restarted")
 	}
 	s.Run()
@@ -527,7 +527,7 @@ func TestParkedEventsStayOutOfTheHeap(t *testing.T) {
 	if ticks < 9000 || rearms < 100 || len(got) != 0 {
 		t.Fatalf("after 1 ms: ticks=%d rearms=%d parked fired=%d", ticks, rearms, len(got))
 	}
-	tm.Cancel()
+	s.Cancel(tm.id)
 	s.RunUntil(far + 10)
 	if len(got) != 1000 {
 		t.Fatalf("parked events fired %d, want 1000", len(got))
