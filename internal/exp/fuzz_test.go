@@ -84,9 +84,10 @@ func specFromBytes(raw []byte) *fault.Spec {
 const fuzzHorizon = 1500 * units.Microsecond
 
 // fuzzRun drives a small Figure-2 workload with the given schedule and
-// returns the trace and the rig (NewRig panics on a schedule that does
-// not inject cleanly, which fails the fuzz target like any other panic).
-func fuzzRun(spec *fault.Spec) ([]obs.Event, *Fig2Rig) {
+// returns the trace. NewRig panics on a schedule that does not inject
+// cleanly and Rig.Run on a violated invariant, either of which fails the
+// fuzz target like any other panic.
+func fuzzRun(spec *fault.Spec) []obs.Event {
 	ring := obs.NewRing(1 << 17)
 	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{
 		Run: Run{Kind: CEE, Seed: 9, Obs: obs.Config{Rec: ring}, Faults: spec}, Det: DetTCD,
@@ -95,8 +96,8 @@ func fuzzRun(spec *fault.Spec) ([]obs.Event, *Fig2Rig) {
 	rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, 10*units.MB, 0, rig.NewCC(CCDCQCN, line))
 	rig.LaunchBursts(100*units.Microsecond, 32*units.KB, 2, 50*units.Microsecond)
 	rig.Mgr.AddFlow(rig.F2.S0, rig.F2.R0, 10*units.MB, 200*units.Microsecond, host.FixedRate(10*units.Gbps))
-	rig.Sched.RunUntil(fuzzHorizon)
-	return ring.Events(), rig
+	rig.Run(fuzzHorizon)
+	return ring.Events()
 }
 
 var (
@@ -108,7 +109,7 @@ var (
 // process (fuzz workers each pay it once).
 func golden(t *testing.T) []obs.Event {
 	goldenOnce.Do(func() {
-		goldenEvents, _ = fuzzRun(nil)
+		goldenEvents = fuzzRun(nil)
 	})
 	return goldenEvents
 }
@@ -130,13 +131,7 @@ func FuzzFaultSchedule(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		spec := specFromBytes(raw)
-		events, rig := fuzzRun(spec)
-		if err := rig.Sched.DebugCheck(); err != nil {
-			t.Fatalf("scheduler heap corrupted: %v", err)
-		}
-		if err := CheckInvariants(rig.Rig); err != nil {
-			t.Fatalf("%v\nspec: %+v", err, spec)
-		}
+		events := fuzzRun(spec)
 		g := golden(t)
 		// Every kind fires its first action at its at_us.
 		first := units.Forever

@@ -1,7 +1,7 @@
 // Network-wide invariant checking: structural properties every run must
-// satisfy regardless of workload, detector, or injected faults. The exp
-// test binary flips StrictInvariants on in TestMain, so every experiment
-// exercised by the test suite doubles as an invariant test.
+// satisfy regardless of workload, detector, or injected faults. Rig.Run
+// audits them at the horizon of every simulation, so every tcdsim run,
+// sweep and daemon job doubles as an invariant test.
 
 package exp
 
@@ -14,12 +14,7 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// StrictInvariants makes every Rig.Run audit CheckInvariants after the
-// horizon and panic on the first violation. Off by default (production
-// runs pay nothing); the exp tests enable it globally.
-var StrictInvariants bool
-
-// CheckInvariants audits the rig after (or during) a run:
+// checkInvariants audits the rig after (or during) a run:
 //
 //   - Payload conservation: every payload byte a NIC serialized is
 //     delivered, destroyed by an injected fault, queued in a switch, or
@@ -37,7 +32,7 @@ var StrictInvariants bool
 //   - Scheduler heap consistency (sim.DebugCheck).
 //
 // It returns nil when all hold, or one error describing every violation.
-func CheckInvariants(r *Rig) error {
+func checkInvariants(r *Rig) error {
 	var errs []string
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
 

@@ -1,7 +1,12 @@
 package exp
 
 import (
-	"os"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/tcdnet/tcd/internal/host"
@@ -9,16 +14,7 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// TestMain flips the strict invariant audit on for the whole test
-// binary: every experiment any exp test runs is re-checked for payload
-// conservation, credit sanity, buffer bounds, pause liveness and
-// scheduler-heap consistency after its horizon.
-func TestMain(m *testing.M) {
-	StrictInvariants = true
-	os.Exit(m.Run())
-}
-
-// TestInvariantsAcrossScenarios drives the checker explicitly over the
+// TestInvariantsAcrossScenarios drives the audit of Rig.Run over the
 // four corners of the rig space (CEE/IB x baseline/TCD) rather than
 // relying on whichever experiments other tests happen to run.
 func TestInvariantsAcrossScenarios(t *testing.T) {
@@ -34,10 +30,7 @@ func TestInvariantsAcrossScenarios(t *testing.T) {
 				rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, 10*units.MB, 0, rig.NewCC(kind.StockCC(), 40*units.Gbps))
 				rig.LaunchBursts(200*units.Microsecond, observeBurstBytes, cfg.BurstRounds, observeBurstGap)
 				rig.Mgr.AddFlow(rig.F2.S0, rig.F2.R0, units.MB, 400*units.Microsecond, host.FixedRate(5*units.Gbps))
-				rig.Sched.RunUntil(cfg.Horizon)
-				if err := CheckInvariants(rig.Rig); err != nil {
-					t.Fatal(err)
-				}
+				rig.Run(cfg.Horizon)
 			})
 		}
 	}
@@ -49,17 +42,48 @@ func TestInvariantsAcrossScenarios(t *testing.T) {
 func TestInvariantCheckerCatchesLeaks(t *testing.T) {
 	rig := NewFig2Rig(topo.Fig2Config{}, RigConfig{Run: Run{Kind: CEE, Seed: 1}, Det: DetBaseline})
 	f := rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, units.MB, 0, host.FixedRate(40*units.Gbps))
-	rig.Sched.RunUntil(units.Millisecond)
-	if err := CheckInvariants(rig.Rig); err != nil {
+	rig.Run(units.Millisecond)
+	if err := checkInvariants(rig.Rig); err != nil {
 		t.Fatalf("clean run should satisfy invariants: %v", err)
 	}
 	// Forge a receiver-side leak: a kilobyte delivered out of thin air.
 	rig.Mgr.AdjustRx(f, units.KB)
-	if err := CheckInvariants(rig.Rig); err == nil {
+	if err := checkInvariants(rig.Rig); err == nil {
 		t.Fatal("conservation check did not notice a forged 1 KB surplus")
 	}
 	rig.Mgr.AdjustRx(f, -units.KB)
-	if err := CheckInvariants(rig.Rig); err != nil {
+	if err := checkInvariants(rig.Rig); err != nil {
 		t.Fatalf("invariants should hold again after undoing the forgery: %v", err)
+	}
+}
+
+// TestRigRunEndsEverySimulation keeps Rig.Run the only place a
+// simulation in this package ends, so none skips the audit: it parses
+// the package's non-test files and fails on any RunUntil call outside
+// Rig.Run.
+func TestRigRunEndsEverySimulation(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if fn, ok := n.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "Run" && types.ExprString(fn.Recv.List[0].Type) == "*Rig" {
+				return false
+			}
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "RunUntil" {
+				t.Errorf("%s: RunUntil outside Rig.Run; end the simulation with Rig.Run, which audits it",
+					fset.Position(sel.Sel.Pos()))
+			}
+			return true
+		})
 	}
 }

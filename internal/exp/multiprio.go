@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"github.com/tcdnet/tcd/internal/core"
-	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/host"
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/pfc"
-	"github.com/tcdnet/tcd/internal/routing"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -28,8 +26,9 @@ const multiPrioHighLoad = 0.3
 // while low-priority bursts congest the last hop. The low-priority
 // detector on the shared port must classify undetermined during the
 // burst era and recover to non-congestion — never congestion — despite
-// preemption jitter. The scenario builds its two-priority PFC fabric by
-// hand and draws no random numbers: of h only Horizon is read.
+// preemption jitter. The rig is a two-priority PFC fabric with no
+// switch-wide detector, always CEE whatever h.Kind says; the one TCD is
+// attached by hand, and no random number is drawn.
 func MultiPrio(h Run) *Result {
 	h = h.over(Run{Horizon: 8 * units.Millisecond})
 	res := NewResult("multiprio-sec4.5")
@@ -57,15 +56,17 @@ func MultiPrio(h Run) *Result {
 		bursters = append(bursters, b)
 	}
 
-	s := newScheduler()
-	fc := fabric.DefaultConfig()
-	fc.Priorities = 2
-	n := fabric.New(s, g, fc)
-	routing.BuildShortestPath(g).Attach(n, routing.FirstPath())
-	pfc.Install(n, pfc.Config{Xoff: 100 * units.KB, Xon: 98 * units.KB, Headroom: 100 * units.KB})
+	h.Kind = CEE
+	rig := NewRig(RigConfig{
+		Run:        h,
+		Topo:       g,
+		Det:        DetNone,
+		Priorities: 2,
+		PFC:        pfc.Config{Xoff: 100 * units.KB, Xon: 98 * units.KB, Headroom: 100 * units.KB},
+	})
 
 	// TCD on the shared port, low priority (priority 1; 0 is high).
-	sharedPort := n.PortOn(sw0, shared)
+	sharedPort := rig.Net.PortOn(sw0, shared)
 	params := core.CEEParams(1000, rate, delay)
 	det := core.NewTCD(core.TCDConfig{
 		MaxTon:     core.MaxTonCEE(params, core.RecommendedEps),
@@ -75,7 +76,7 @@ func MultiPrio(h Run) *Result {
 	det.RecordTransitions()
 	sharedPort.AttachDetector(1, det)
 
-	mgr := host.Install(n, host.Config{})
+	mgr := rig.Mgr
 	big := 1000 * units.MB
 
 	lowVictim := mgr.AddFlow(h0, r2, big, 0, host.FixedRate(10*units.Gbps))
@@ -99,7 +100,7 @@ func MultiPrio(h Run) *Result {
 		}
 	}
 
-	s.RunUntil(h.Horizon)
+	rig.Run(h.Horizon)
 
 	res.Scalars["victim_ue"] = float64(lowVictim.UEPackets())
 	res.Scalars["victim_ce"] = float64(lowVictim.CEPackets())

@@ -243,6 +243,8 @@ type RigConfig struct {
 	// Arch selects the switch architecture (output-queued by default;
 	// InputQueuedVoQ reproduces the paper's IB switch organization).
 	Arch fabric.Arch
+	// Priorities is the number of traffic classes per port (0 means 1).
+	Priorities int
 	// PFC / CBFC override the flow-control defaults when non-zero.
 	PFC  pfc.Config
 	CBFC cbfc.Config
@@ -298,6 +300,7 @@ func NewRig(cfg RigConfig) *Rig {
 	fc.CtrlJitter = cfg.CtrlJitter
 	fc.Arch = cfg.Arch
 	fc.Rec = cfg.Obs.Rec
+	fc.Priorities = max(cfg.Priorities, 1)
 	r.Net = fabric.New(r.Sched, cfg.Topo, fc)
 	if cfg.RouteRows != nil {
 		r.Routes = routing.NewStructural(cfg.Topo, cfg.RouteRows)
@@ -512,9 +515,11 @@ func (r *Rig) TCDAt(p *fabric.Port) *core.TCD {
 	return d
 }
 
-// Run drives the simulation to the horizon, then populates the metrics
-// registry (if one was configured) from the run's counters. Under
-// StrictInvariants it also audits the network-wide invariants.
+// Run drives the simulation to the horizon, populates the metrics
+// registry (if one was configured) from the run's counters, then audits
+// the network-wide invariants (checkInvariants). It is the one place a
+// simulation ends: a violation panics, and the front-ends that recover
+// runs (tcdsim and sweep) fail that run with the message.
 func (r *Rig) Run(horizon units.Time) {
 	r.Sched.RunUntil(horizon)
 	if r.Obs.Metrics != nil {
@@ -523,10 +528,8 @@ func (r *Rig) Run(horizon units.Time) {
 			r.Obs.Telemetry.FoldInto(r.Obs.Metrics)
 		}
 	}
-	if StrictInvariants {
-		if err := CheckInvariants(r); err != nil {
-			panic("exp: " + err.Error())
-		}
+	if err := checkInvariants(r); err != nil {
+		panic("exp: " + err.Error())
 	}
 }
 

@@ -143,10 +143,10 @@ func (sc *Scenario) ServiceAddressable() bool {
 }
 
 // Records reports whether sc's rigs are wired with the trace recorder,
-// metrics registry and telemetry of Params.Obs. Every scenario takes the
-// progress ticker (the daemon arms it on every job), so it does not
-// count; a front-end refuses the other sinks for a scenario that would
-// leave them empty.
+// metrics registry and telemetry of Params.Obs; a front-end refuses those
+// sinks for a scenario that would leave them empty. The progress ticker
+// does not count: no front-end refuses it, but header keeps it only past
+// obsNone, so a scenario like table3 runs with no tick.
 func (sc *Scenario) Records() bool { return sc.Obs == obsAll }
 
 // HasDet reports whether d is on the scenario's detector menu.

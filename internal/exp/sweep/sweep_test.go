@@ -11,6 +11,8 @@ import (
 
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/fault"
+	"github.com/tcdnet/tcd/internal/host"
+	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
 
@@ -349,6 +351,32 @@ func TestJobErrorNamesTheRunOnce(t *testing.T) {
 	msg := err.Error()
 	if n := strings.Count(msg, specs[0].String()); n != 1 || strings.Contains(msg, "goroutine") || !strings.Contains(msg, "X-Y") {
 		t.Errorf("job error names the run %d times or carries a stack: %q", n, msg)
+	}
+}
+
+// TestFailedAuditFailsItsRun: Rig.Run audits every simulation, and a
+// violation fails that run alone. One run forges a 1 KB receive surplus,
+// which the conservation check must catch; the other runs clean.
+func TestFailedAuditFailsItsRun(t *testing.T) {
+	specs := Grid{Exps: []string{"audit"}, Seeds: Seq(0, 2)}.Specs()
+	fn := func(s Spec) []*exp.Result {
+		rig := exp.NewFig2Rig(topo.Fig2Config{}, exp.RigConfig{Run: exp.Run{Kind: exp.CEE, Seed: 1}, Det: exp.DetBaseline})
+		f := rig.Mgr.AddFlow(rig.F2.S1, rig.F2.R1, units.MB, 0, host.FixedRate(40*units.Gbps))
+		if s.Seed == 0 {
+			rig.Mgr.AdjustRx(f, units.KB)
+		}
+		rig.Run(units.Millisecond)
+		return []*exp.Result{exp.NewResult("audit")}
+	}
+	_, rs, err := Job(context.Background(), specs, fn, Options{Parallel: 1})
+	if err == nil {
+		t.Fatal("a job with a forged run succeeded")
+	}
+	if e := rs[0].Err; e == nil || !strings.Contains(e.Error(), "conservation") {
+		t.Errorf("forged run: error %v, want the conservation violation", e)
+	}
+	if rs[1].Err != nil || len(rs[1].Results) != 1 {
+		t.Errorf("clean run was disturbed by the forged one: %+v", rs[1])
 	}
 }
 

@@ -7,9 +7,8 @@ import "strconv"
 // trace memory while preserving the most recent window, which is where a
 // deadlock or pause storm under investigation usually is.
 type Ring struct {
-	buf     []Event
-	head    int // index of the oldest event once the buffer wrapped
-	dropped uint64
+	buf  []Event
+	head int // index of the oldest event once the buffer wrapped
 }
 
 // DefaultRingCap is the Ring capacity used when none is given (~64 MB of
@@ -36,7 +35,6 @@ func (r *Ring) Record(e Event) {
 	if r.head == len(r.buf) {
 		r.head = 0
 	}
-	r.dropped++
 }
 
 // Events returns the buffered events in recording order (oldest first).
