@@ -7,9 +7,11 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"github.com/tcdnet/tcd/internal/cbfc"
+	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/pfc"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -31,7 +33,9 @@ import (
 //     occupancy above Xoff must have a PAUSE outstanding.
 //   - Scheduler heap consistency (sim.DebugCheck).
 //
-// It returns nil when all hold, or one error describing every violation.
+// It walks the ports once, summing their queued payload for the ledger
+// as it checks their gates and meters. It returns nil when all hold, or
+// one error describing every violation, conservation first.
 func checkInvariants(r *Rig) error {
 	var errs []string
 	fail := func(format string, args ...any) { errs = append(errs, fmt.Sprintf(format, args...)) }
@@ -40,18 +44,11 @@ func checkInvariants(r *Rig) error {
 	for _, f := range r.Mgr.Flows() {
 		injected += f.BytesSent()
 	}
-	delivered := r.Mgr.TotalRxed()
-	dropped := r.Net.FaultDropPayload()
-	inFlight := r.Net.InFlightPayload()
-	queued := r.Net.QueuedPayload()
-	if accounted := delivered + dropped + inFlight + queued; injected != accounted {
-		fail("conservation: injected %d B != delivered %d + fault-dropped %d + in-flight %d + queued %d = %d B (leak %d B)",
-			injected, delivered, dropped, inFlight, queued, accounted, injected-accounted)
-	}
-
+	var queued units.ByteSize // held in port queues and serializers
 	nPrio := r.Net.Config().Priorities
 	healthy := !r.Net.Faulted()
 	for _, p := range r.Net.Ports() {
+		p.ForEachQueued(func(pkt *packet.Packet) { queued += pkt.Payload })
 		if g, ok := p.Gate().(*cbfc.Gate); ok {
 			for vl := 0; vl < nPrio; vl++ {
 				if c := g.Credits(uint8(vl)); c < 0 {
@@ -80,6 +77,14 @@ func checkInvariants(r *Rig) error {
 				}
 			}
 		}
+	}
+
+	delivered := r.Mgr.TotalRxed()
+	dropped := r.Net.FaultDropPayload()
+	inFlight := r.Net.InFlightPayload()
+	if accounted := delivered + dropped + inFlight + queued; injected != accounted {
+		errs = slices.Insert(errs, 0, fmt.Sprintf("conservation: injected %d B != delivered %d + fault-dropped %d + in-flight %d + queued %d = %d B (leak %d B)",
+			injected, delivered, dropped, inFlight, queued, accounted, injected-accounted))
 	}
 
 	if err := r.Sched.DebugCheck(); err != nil {

@@ -11,8 +11,6 @@
 package fabric
 
 import (
-	"strings"
-
 	"github.com/tcdnet/tcd/internal/obs"
 	"github.com/tcdnet/tcd/internal/packet"
 	"github.com/tcdnet/tcd/internal/sim"
@@ -185,17 +183,6 @@ func (p *Port) ForEachQueued(fn func(*packet.Packet)) {
 	}
 }
 
-// QueuedPayload sums the flow-payload bytes held in every port's queues
-// and serializers. Together with InFlightPayload it is the "still in the
-// network" term of the conservation invariant.
-func (n *Network) QueuedPayload() units.ByteSize {
-	var total units.ByteSize
-	for _, p := range n.ports {
-		p.ForEachQueued(func(pkt *packet.Packet) { total += pkt.Payload })
-	}
-	return total
-}
-
 // WaitCycles finds the cycles of the pause-wait graph: nodes are ports
 // blocked with queued traffic, and there is an edge p→q when a packet
 // queued at p will, after crossing p's link, occupy egress port q of the
@@ -205,117 +192,149 @@ func (n *Network) QueuedPayload() units.ByteSize {
 // deadlock. Cycles are returned as strongly connected components in a
 // deterministic order; attribution (which gate blocked first) is
 // WaitDetector's.
-func (n *Network) WaitCycles() [][]*Port {
+func (n *Network) WaitCycles() [][]*Port { return new(waitScan).scan(n) }
+
+// waitScan is the scratch of a wait-graph scan. WaitDetector keeps one
+// across its scans, so once a scan has sized it, a repeat scan of the
+// same blocked ports allocates nothing.
+type waitScan struct {
+	// at[port id] is the port's index in blocked, -1 if it is not there.
+	at      []int32
+	blocked []*Port
+	// The edges of blocked[i] are edges[start[i]:start[i+1]], in the
+	// order its queued packets first name them; mark[j] == i+1 once
+	// blocked[i] has its edge to j.
+	start, edges, mark []int32
+	// Tarjan's state: DFS index (-1 unvisited), low-link, the stack.
+	index, low, stack []int32
+	onStack           []bool
+	next              int32
+	// members lists every cycle's ports, cycle after cycle; cycle k ends
+	// at ends[k]. cycles slices it.
+	members []*Port
+	ends    []int
+	cycles  [][]*Port
+}
+
+// scan runs one scan of n's wait graph; the result aliases w.
+func (w *waitScan) scan(n *Network) [][]*Port {
 	if n.Route == nil {
 		return nil
 	}
+	if len(w.at) != len(n.ports) {
+		w.at = make([]int32, len(n.ports))
+		for i := range w.at {
+			w.at[i] = -1
+		}
+	}
+	for _, p := range w.blocked {
+		w.at[p.id] = -1
+	}
+	w.blocked = w.blocked[:0]
 	// Node pass: a linear sweep over the flat blocked/qbytes arrays; the
 	// per-Port graph work below only runs for ports that qualify. A port
 	// paused with nothing queued cannot sustain a cycle, and one with
 	// traffic behind an open gate will drain.
-	idx := make(map[*Port]int, len(n.ports))
-	var blocked []*Port
 	for base := 0; base < len(n.blocked); base += n.nPrio {
-		waits := false
 		for k := 0; k < n.nPrio; k++ {
 			if n.blocked[base+k] && n.qbytes[base+k] > 0 {
-				waits = true
+				p := n.ports[base/n.nPrio]
+				w.at[p.id] = int32(len(w.blocked))
+				w.blocked = append(w.blocked, p)
 				break
 			}
 		}
-		if waits {
-			p := n.ports[base/n.nPrio]
-			idx[p] = len(blocked)
-			blocked = append(blocked, p)
-		}
 	}
-	if len(blocked) < 2 {
+	nb := len(w.blocked)
+	if nb < 2 {
 		return nil
 	}
-	adj := make([][]int, len(blocked))
-	for i, p := range blocked {
-		peer := p.Peer().node
-		if peer.kind != topo.Switch {
-			continue // hosts consume at line rate: the chain ends there
+	w.start, w.edges = append(w.start[:0], 0), w.edges[:0]
+	w.mark = fill(w.mark, nb, 0)
+	for i, p := range w.blocked {
+		// A host consumes at line rate: a chain ending there has no edge.
+		if peer := p.Peer().node; peer.kind == topo.Switch {
+			p.ForEachQueued(func(pkt *packet.Packet) {
+				out := n.Route(peer.id, pkt)
+				if out == nil {
+					return
+				}
+				if j := w.at[out.id]; j >= 0 && w.mark[j] != int32(i+1) {
+					w.mark[j] = int32(i + 1)
+					w.edges = append(w.edges, j)
+				}
+			})
 		}
-		seen := make(map[int]bool)
-		p.ForEachQueued(func(pkt *packet.Packet) {
-			out := n.Route(peer.id, pkt)
-			if out == nil {
-				return
-			}
-			if j, ok := idx[out]; ok && !seen[j] {
-				seen[j] = true
-				adj[i] = append(adj[i], j)
-			}
-		})
+		w.start = append(w.start, int32(len(w.edges)))
 	}
-	return tarjanCycles(blocked, adj)
+
+	w.index, w.low = fill(w.index, nb, -1), fill(w.low, nb, 0)
+	w.onStack = fill(w.onStack, nb, false)
+	w.stack, w.next = w.stack[:0], 0
+	w.members, w.ends = w.members[:0], w.ends[:0]
+	for v := range int32(nb) {
+		if w.index[v] < 0 {
+			w.connect(v)
+		}
+	}
+	w.cycles = w.cycles[:0]
+	from := 0
+	for _, end := range w.ends {
+		w.cycles = append(w.cycles, w.members[from:end:end])
+		from = end
+	}
+	return w.cycles
 }
 
-// tarjanCycles runs Tarjan's SCC algorithm over the blocked-port graph
-// and returns the components of size at least two — the actual wait
-// cycles. Recursion depth is bounded by the number of simultaneously
-// blocked ports, which even a deadlocked datacenter fabric keeps far
-// below stack limits.
-func tarjanCycles(ports []*Port, adj [][]int) [][]*Port {
-	n := len(ports)
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		cycles  [][]*Port
-		stack   []int
-		next    = 0
-		callDfs func(v int)
-	)
-	callDfs = func(v int) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if index[w] == unvisited {
-				callDfs(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []int
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			if len(comp) > 1 {
-				cyc := make([]*Port, 0, len(comp))
-				// Reverse to report in DFS (deterministic port-table) order.
-				for k := len(comp) - 1; k >= 0; k-- {
-					cyc = append(cyc, ports[comp[k]])
-				}
-				cycles = append(cycles, cyc)
-			}
+// connect is Tarjan's strongly-connected-components step from v; each
+// component of at least two ports — an actual wait cycle — goes to
+// members in DFS (deterministic port-table) order. Recursion depth is
+// bounded by the number of simultaneously blocked ports, which even a
+// deadlocked datacenter fabric keeps far below stack limits.
+func (w *waitScan) connect(v int32) {
+	w.index[v], w.low[v] = w.next, w.next
+	w.next++
+	w.stack = append(w.stack, v)
+	w.onStack[v] = true
+	for _, x := range w.edges[w.start[v]:w.start[v+1]] {
+		if w.index[x] < 0 {
+			w.connect(x)
+			w.low[v] = min(w.low[v], w.low[x])
+		} else if w.onStack[x] {
+			w.low[v] = min(w.low[v], w.index[x])
 		}
 	}
-	for v := 0; v < n; v++ {
-		if index[v] == unvisited {
-			callDfs(v)
-		}
+	if w.low[v] != w.index[v] {
+		return
 	}
-	return cycles
+	root := len(w.stack) - 1
+	for w.stack[root] != v {
+		root--
+	}
+	comp := w.stack[root:]
+	w.stack = w.stack[:root]
+	for _, x := range comp {
+		w.onStack[x] = false
+	}
+	if len(comp) > 1 {
+		for _, x := range comp {
+			w.members = append(w.members, w.blocked[x])
+		}
+		w.ends = append(w.ends, len(w.members))
+	}
+}
+
+// fill returns s resized to n elements, all v, reusing its array when it
+// is large enough.
+func fill[T any](s []T, n int, v T) []T {
+	if cap(s) < n {
+		s = make([]T, n)
+	}
+	s = s[:n]
+	for i := range s {
+		s[i] = v
+	}
+	return s
 }
 
 // WaitReport describes one flow-control deadlock: a wait cycle held shut
@@ -343,7 +362,7 @@ type WaitDetector struct {
 	timer sim.Timer
 	every units.Time
 	kind  obs.Kind
-	seen  map[string]bool
+	wait  waitScan
 
 	// Reports lists each distinct cycle once, in detection order.
 	Reports []WaitReport
@@ -359,7 +378,7 @@ func (n *Network) AttachWaitDetector(every units.Time, kind obs.Kind) *WaitDetec
 	if every <= 0 {
 		panic("fabric: wait detector needs a positive scan period")
 	}
-	d := &WaitDetector{net: n, every: every, kind: kind, seen: make(map[string]bool)}
+	d := &WaitDetector{net: n, every: every, kind: kind}
 	d.timer.Init(n.Sched, scanArg, d)
 	d.timer.Arm(every)
 	return d
@@ -369,7 +388,7 @@ func scanArg(arg any) { arg.(*WaitDetector).scan() }
 
 func (d *WaitDetector) scan() {
 	d.Scans++
-	for _, cyc := range d.net.WaitCycles() {
+	for _, cyc := range d.wait.scan(d.net) {
 		d.report(cyc)
 	}
 	d.timer.Arm(d.every)
@@ -378,12 +397,13 @@ func (d *WaitDetector) scan() {
 // report attributes one wait cycle to the member blocked earliest and
 // records it if unseen.
 func (d *WaitDetector) report(cyc []*Port) {
+	if d.reported(cyc) {
+		return
+	}
 	now := d.net.Sched.Now()
 	var trigger *Port
 	since := units.Forever
-	labels := make([]string, 0, len(cyc))
 	for _, p := range cyc {
-		labels = append(labels, p.Label())
 		if p.gate == nil {
 			continue
 		}
@@ -398,11 +418,10 @@ func (d *WaitDetector) report(cyc []*Port) {
 		// cycle, but not one flow control closed.
 		return
 	}
-	sig := strings.Join(labels, "|")
-	if d.seen[sig] {
-		return
+	labels := make([]string, len(cyc))
+	for i, p := range cyc {
+		labels[i] = p.Label()
 	}
-	d.seen[sig] = true
 	d.Reports = append(d.Reports, WaitReport{At: now, Ports: labels, Trigger: trigger.Label(), Since: now - since})
 	if rec := d.net.cfg.Rec; rec != nil {
 		rec.Record(obs.Event{
@@ -410,4 +429,25 @@ func (d *WaitDetector) report(cyc []*Port) {
 			Flow: -1, Val: int64(len(labels)), Aux: int64(now - since),
 		})
 	}
+}
+
+// reported reports whether a cycle of the same members, in the same
+// order, is already in Reports.
+func (d *WaitDetector) reported(cyc []*Port) bool {
+	for _, r := range d.Reports {
+		if len(r.Ports) != len(cyc) {
+			continue
+		}
+		same := true
+		for i, p := range cyc {
+			if r.Ports[i] != p.Label() {
+				same = false
+				break
+			}
+		}
+		if same {
+			return true
+		}
+	}
+	return false
 }

@@ -187,6 +187,32 @@ func TestDeadlockReportedOnce(t *testing.T) {
 	})
 }
 
+// TestDeadlockRescanAllocs: once a cycle is reported, each further scan
+// period of the deadlocked ring (the scan that finds the known cycle
+// again, and the flow-control timers beside it) allocates nothing.
+func TestDeadlockRescanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	forEachLaw(t, func(t *testing.T, l law) {
+		r := newDeadlockRing(l, [3]units.Time{})
+		det := r.net.AttachWaitDetector(scanEvery, obs.KindDeadlock)
+		for at := scanEvery; len(det.Reports) == 0 && at <= units.Millisecond; at += scanEvery {
+			r.sched.RunUntil(at)
+		}
+		if len(det.Reports) != 1 {
+			t.Fatalf("%d reports, want 1", len(det.Reports))
+		}
+		scans := det.Scans
+		if a := testing.AllocsPerRun(20, func() { r.sched.RunUntil(r.sched.Now() + scanEvery) }); a != 0 {
+			t.Errorf("a scan period of the deadlocked ring takes %.0f allocations, want 0", a)
+		}
+		if det.Scans-scans != 21 || len(det.Reports) != 1 {
+			t.Errorf("%d scans, %d reports; want 21 scans and the one report", det.Scans-scans, len(det.Reports))
+		}
+	})
+}
+
 // TestDeadlockIgnoresFrozenCycle: freeze the members of a formed cycle and
 // open their gates. The ports still sit in the wait graph (a frozen port
 // never re-evaluates its blocked flag) and WaitCycles still returns the

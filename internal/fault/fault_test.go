@@ -289,7 +289,11 @@ func TestFaultLinkDownStallsAndRecovers(t *testing.T) {
 	// Conservation across the fault: everything sent is delivered or
 	// destroyed (nothing queued or in flight after completion).
 	sent := l.flow.BytesSent()
-	accounted := l.flow.BytesRxed() + l.net.FaultDropPayload() + l.net.InFlightPayload() + l.net.QueuedPayload()
+	var queued units.ByteSize
+	for _, p := range l.net.Ports() {
+		p.ForEachQueued(func(pkt *packet.Packet) { queued += pkt.Payload })
+	}
+	accounted := l.flow.BytesRxed() + l.net.FaultDropPayload() + l.net.InFlightPayload() + queued
 	if sent != accounted {
 		t.Fatalf("conservation: sent %d != accounted %d", sent, accounted)
 	}

@@ -2,8 +2,11 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/units"
@@ -128,5 +131,68 @@ func TestProgressTicksOnSimClock(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "pending=") {
 		t.Fatal("progress line must report heap depth")
+	}
+}
+
+// sprintfTime is units.Time.String as it was written with fmt.
+func sprintfTime(t units.Time) string {
+	neg := ""
+	if t < 0 {
+		neg, t = "-", -t
+	}
+	switch {
+	case t >= units.Second:
+		return fmt.Sprintf("%s%.6gs", neg, float64(t)/float64(units.Second))
+	case t >= units.Millisecond:
+		return fmt.Sprintf("%s%.6gms", neg, float64(t)/float64(units.Millisecond))
+	case t >= units.Microsecond:
+		return fmt.Sprintf("%s%.6gus", neg, float64(t)/float64(units.Microsecond))
+	case t >= units.Nanosecond:
+		return fmt.Sprintf("%s%.6gns", neg, float64(t)/float64(units.Nanosecond))
+	}
+	return fmt.Sprintf("%s%dps", neg, int64(t))
+}
+
+// TestProgressLineMatchesFprintf holds the appended progress line to the
+// fmt.Fprintf form it replaced, byte for byte, over simulated times from
+// picoseconds to past 10^6 s (where %.6g turns to exponent form) and
+// wall times, counts and rates of every magnitude.
+func TestProgressLineMatchesFprintf(t *testing.T) {
+	var times []units.Time
+	for t := units.Time(1); t < 1<<62; t = t*7 + t/3 + 1 {
+		times = append(times, t, t-1, -t, t/1000*1000)
+	}
+	times = append(times, 0, 999_999_500*units.Millisecond, 1_000_000*units.Second, 1_234_567_891*units.Millisecond)
+	walls := []time.Duration{0, time.Millisecond, 999 * time.Millisecond, 61234 * time.Millisecond, 3*time.Hour + 5*time.Millisecond}
+	rates := []float64{0, 1, 12345, 999.5e3, 1.2345e6, 98765432.1, 3e12}
+	var b []byte
+	for i, st := range times {
+		wall, rate := walls[i%len(walls)], rates[i%len(rates)]
+		done, pending := uint64(i)*uint64(i)*1234567, i*37
+		want := fmt.Sprintf("progress: sim=%s wall=%v events=%d rate=%.3gM ev/s pending=%d\n",
+			sprintfTime(st), wall, done, rate/1e6, pending)
+		b = appendProgress(b[:0], st, wall, done, rate, pending)
+		if string(b) != want {
+			t.Fatalf("sim=%d ps: got %q, want %q", int64(st), b, want)
+		}
+		if got := st.String(); got != sprintfTime(st) {
+			t.Fatalf("units.Time(%d).String() = %q, want %q", int64(st), got, sprintfTime(st))
+		}
+	}
+}
+
+// TestProgressTickAllocs holds a progress tick to at most one allocation
+// (the wall time's Duration.String): the callback is static and the line
+// is appended into the ticker's own buffer.
+func TestProgressTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	s := sim.New()
+	const every = 10 * units.Microsecond
+	AttachProgress(s, every, io.Discard)
+	s.RunUntil(10 * every)
+	if a := testing.AllocsPerRun(100, func() { s.RunUntil(s.Now() + every) }); a > 1 {
+		t.Errorf("a progress tick takes %.0f allocations, want at most 1", a)
 	}
 }

@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"runtime/pprof"
+	"strconv"
 	"time"
 
 	"github.com/tcdnet/tcd/internal/sim"
@@ -23,6 +23,8 @@ type Progress struct {
 	sched *sim.Scheduler
 	every units.Time
 	w     io.Writer
+	// line is the buffer every report appends its line into.
+	line []byte
 
 	wallStart time.Time
 	lastWall  time.Time
@@ -41,13 +43,16 @@ func AttachProgress(s *sim.Scheduler, simEvery units.Time, w io.Writer) *Progres
 	}
 	now := time.Now()
 	p := &Progress{sched: s, every: simEvery, w: w, wallStart: now, lastWall: now}
-	s.After(simEvery, p.tick)
+	s.AfterArg(simEvery, progressTick, p)
 	return p
 }
 
-func (p *Progress) tick() {
+// progressTick reports and re-arms; a static callback, so a tick
+// allocates no method value.
+func progressTick(arg any) {
+	p := arg.(*Progress)
 	p.report()
-	p.sched.After(p.every, p.tick)
+	p.sched.AfterArg(p.every, progressTick, p)
 }
 
 // report prints one progress line immediately (the ticker calls it; a
@@ -60,11 +65,21 @@ func (p *Progress) report() {
 	if interval > 0 {
 		rate = float64(done-p.lastDone) / interval
 	}
-	fmt.Fprintf(p.w, "progress: sim=%v wall=%v events=%d rate=%.3gM ev/s pending=%d\n",
-		p.sched.Now(), now.Sub(p.wallStart).Round(time.Millisecond),
-		done, rate/1e6, p.sched.Pending())
+	p.line = appendProgress(p.line[:0], p.sched.Now(), now.Sub(p.wallStart).Round(time.Millisecond), done, rate, p.sched.Pending())
+	p.w.Write(p.line) //nolint:errcheck
 	p.lastWall = now
 	p.lastDone = done
+}
+
+// appendProgress appends one progress line, the text of
+// "progress: sim=%v wall=%v events=%d rate=%.3gM ev/s pending=%d\n".
+func appendProgress(b []byte, simNow units.Time, wall time.Duration, done uint64, rate float64, pending int) []byte {
+	b = simNow.AppendTo(append(b, "progress: sim="...))
+	b = append(append(b, " wall="...), wall.String()...)
+	b = strconv.AppendUint(append(b, " events="...), done, 10)
+	b = strconv.AppendFloat(append(b, " rate="...), rate/1e6, 'g', 3, 64)
+	b = strconv.AppendInt(append(b, "M ev/s pending="...), int64(pending), 10)
+	return append(b, '\n')
 }
 
 // Config bundles the observability hooks one run threads through the

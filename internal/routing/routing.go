@@ -5,7 +5,8 @@
 // A table answers "which equal-cost links lead from node toward dst" in
 // one of two ways. An unstructured topology gets the eager table
 // (BuildShortestPath): one compressed-sparse-row column per destination
-// host, filled by a reverse BFS at build time. A fat-tree or leaf–spine
+// host, filled by a reverse BFS at build time, every column in the same
+// two blocks. A fat-tree or leaf–spine
 // gets a structural table (NewStructural): the next hop is a function of
 // (role, pod, index), so a row is a subslice of the per-node link tables
 // the RowSource holds and no per-destination state exists at all. The two
@@ -33,16 +34,6 @@ type RowSource interface {
 	Bytes() int64
 }
 
-// column is one destination's CSR next-hop table: row n of the table is
-// choices[start[n]:start[n+1]], ascending link indices. ports caches the
-// resolved egress port for single-choice rows once the table is attached
-// to a fabric (nil until first routed through).
-type column struct {
-	start   []int32
-	choices []int32
-	ports   []*fabric.Port
-}
-
 // Table holds, for every (node, destination host) pair, the sorted set of
 // equal-cost next-hop links: eager CSR columns, or rows derived on demand
 // from a RowSource.
@@ -53,9 +44,13 @@ type Table struct {
 	hostOf []int32
 	hosts  []packet.NodeID
 
-	// Eager tables: cols[hi] is host hi's column. Nil on a structural
-	// table.
-	cols []column
+	// Eager tables: the row of (node n, host hi) is cell i = hi*nodes+n,
+	// its ascending link indices choices[start[i]:start[i+1]] — every
+	// column in one CSR block, column after column. Once attached,
+	// ports[i] is the egress port of a single-choice row (nil for a
+	// multi-choice or empty one). All nil on a structural table.
+	start, choices []int32
+	ports          []*fabric.Port
 	// Structural tables: rows answers every lookup. Once attached,
 	// linkPorts[2*l] and [2*l+1] are the ports on link l owned by its A
 	// and B endpoints.
@@ -80,11 +75,16 @@ func newTable(t *topo.Topology) *Table {
 
 // BuildShortestPath computes equal-cost shortest-path sets with a reverse
 // BFS from every host. This is the table of every unstructured rig and
-// the reference structural rows must reproduce exactly.
+// the reference structural rows must reproduce exactly. The columns fill
+// one start and one choices block, so the build allocates the same few
+// objects whatever the number of nodes and hosts.
 func BuildShortestPath(t *topo.Topology) *Table {
 	tb := newTable(t)
-	tb.cols = make([]column, len(tb.hosts))
 	nNodes := len(t.Nodes)
+	tb.start = make([]int32, len(tb.hosts)*nNodes+1)
+	// On a connected topology every node but the destination has at least
+	// one next hop, so only equal-cost fan-out grows the block.
+	tb.choices = make([]int32, 0, len(tb.hosts)*max(nNodes-1, 0))
 	dist := make([]int32, nNodes)
 	queue := make([]packet.NodeID, 0, nNodes)
 	for hi, h := range tb.hosts {
@@ -102,20 +102,19 @@ func BuildShortestPath(t *topo.Topology) *Table {
 				}
 			}
 		}
-		c := &tb.cols[hi]
-		c.start = make([]int32, nNodes+1)
+		end := tb.start[hi*nNodes+1:]
 		for ni := 0; ni < nNodes; ni++ {
 			id := packet.NodeID(ni)
 			if id != h && dist[ni] != -1 {
-				row := len(c.choices)
+				row := len(tb.choices)
 				for _, ad := range t.Adj(id) {
 					if dist[ad.Peer] == dist[ni]-1 {
-						c.choices = append(c.choices, int32(ad.Link))
+						tb.choices = append(tb.choices, int32(ad.Link))
 					}
 				}
-				slices.Sort(c.choices[row:])
+				slices.Sort(tb.choices[row:])
 			}
-			c.start[ni+1] = int32(len(c.choices))
+			end[ni] = int32(len(tb.choices))
 		}
 	}
 	return tb
@@ -143,7 +142,7 @@ func NewLazy(t *topo.Topology, src RowSource, _ int) *Table {
 func (tb *Table) NumHosts() int { return len(tb.hosts) }
 
 // LiveBytes returns the table's heap footprint: the fixed per-node
-// overhead plus the eager columns or the structural source, and the port
+// overhead plus the eager blocks or the structural source, and the port
 // caches once attached.
 func (tb *Table) LiveBytes() int64 {
 	b := int64(4*len(tb.hostOf) + 8*len(tb.hosts))
@@ -151,10 +150,7 @@ func (tb *Table) LiveBytes() int64 {
 	if tb.rows != nil {
 		b += tb.rows.Bytes()
 	}
-	for i := range tb.cols {
-		c := &tb.cols[i]
-		b += int64(4*(len(c.start)+cap(c.choices)) + 8*len(c.ports))
-	}
+	b += int64(4*(len(tb.start)+cap(tb.choices)) + 8*len(tb.ports))
 	return b
 }
 
@@ -195,8 +191,8 @@ func (tb *Table) Choices(node, dst packet.NodeID) []int32 {
 	if tb.rows != nil {
 		return tb.rows.Row(node, dst)
 	}
-	c := &tb.cols[hi]
-	return c.choices[c.start[node]:c.start[node+1]]
+	i := int(hi)*len(tb.hostOf) + int(node)
+	return tb.choices[tb.start[i]:tb.start[i+1]]
 }
 
 // PathLen returns the hop count (number of links) from src host to dst
@@ -256,51 +252,42 @@ func DModK() Selector {
 	}
 }
 
-// resolvePorts caches the egress port for every single-choice row of an
-// eager column. Multi-choice rows stay nil and go through the selector.
-// Built per column on first routed use — O(nodes), amortized across every
-// packet that ever routes to this destination.
-func (tb *Table) resolvePorts(c *column) {
-	ports := make([]*fabric.Port, len(tb.hostOf))
-	for ni := range ports {
-		row := c.choices[c.start[ni]:c.start[ni+1]]
-		if len(row) == 1 {
-			ports[ni] = tb.net.PortOn(packet.NodeID(ni), int(row[0]))
-		}
-	}
-	c.ports = ports
-}
-
 // Attach installs the table on a fabric network with the given selector.
 // Each kind of table installs its own Route closure, so neither lookup
-// branches on the other's existence. An eager table resolves single-choice
-// next hops (the overwhelmingly common case outside ECMP fan-out stages)
-// to port pointers once per column; a structural table resolves both ends
-// of every link once, O(links), and maps a row's link to its port with two
-// dense loads.
+// branches on the other's existence. An eager table resolves every
+// single-choice next hop (the overwhelmingly common case outside ECMP
+// fan-out stages) to its port pointer here, in one block as large as the
+// start block, so a hop costs the host index and the port load; a
+// structural table resolves both ends of every link once, O(links), and
+// maps a row's link to its port with two dense loads.
 func (tb *Table) Attach(n *fabric.Network, sel Selector) {
 	tb.net = n
 	if tb.rows != nil {
 		tb.attachRows(n, sel)
 		return
 	}
+	nNodes := len(tb.hostOf)
+	tb.ports = make([]*fabric.Port, len(tb.start)-1)
+	for i := range tb.ports {
+		if tb.start[i+1]-tb.start[i] == 1 {
+			tb.ports[i] = n.PortOn(packet.NodeID(i%nNodes), int(tb.choices[tb.start[i]]))
+		}
+	}
+	hostOf, start, choices, ports := tb.hostOf, tb.start, tb.choices, tb.ports
 	n.Route = func(sw packet.NodeID, pkt *packet.Packet) *fabric.Port {
-		hi := tb.hostOf[pkt.Dst]
+		hi := hostOf[pkt.Dst]
 		if hi < 0 {
 			panic(fmt.Sprintf("routing: destination %s is not a host", tb.topo.Name(pkt.Dst)))
 		}
-		c := &tb.cols[hi]
-		if c.ports == nil {
-			tb.resolvePorts(c)
-		}
-		if p := c.ports[sw]; p != nil {
+		i := int(hi)*nNodes + int(sw)
+		if p := ports[i]; p != nil {
 			return p
 		}
-		choices := c.choices[c.start[sw]:c.start[sw+1]]
-		if len(choices) == 0 {
+		row := choices[start[i]:start[i+1]]
+		if len(row) == 0 {
 			return nil
 		}
-		return n.PortOn(sw, int(sel(pkt, choices)))
+		return n.PortOn(sw, int(sel(pkt, row)))
 	}
 }
 

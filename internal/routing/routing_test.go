@@ -1,9 +1,12 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
+	"github.com/tcdnet/tcd/internal/fabric"
 	"github.com/tcdnet/tcd/internal/packet"
+	"github.com/tcdnet/tcd/internal/sim"
 	"github.com/tcdnet/tcd/internal/topo"
 	"github.com/tcdnet/tcd/internal/units"
 )
@@ -126,4 +129,135 @@ func TestChoicesPanicsForSwitchDst(t *testing.T) {
 		}
 	}()
 	tb.Choices(a, s1)
+}
+
+// refColumn is one destination's column as BuildShortestPath built it
+// before the columns shared a block: its own start and choices slices,
+// filled by a reverse BFS from dst. dist[n] is n's hop count to dst (-1
+// if unreachable).
+type refColumn struct {
+	start, choices, dist []int32
+}
+
+func refColumnBFS(t *topo.Topology, dst packet.NodeID) refColumn {
+	nNodes := len(t.Nodes)
+	c := refColumn{start: make([]int32, nNodes+1), dist: make([]int32, nNodes)}
+	for i := range c.dist {
+		c.dist[i] = -1
+	}
+	c.dist[dst] = 0
+	queue := []packet.NodeID{dst}
+	for qi := 0; qi < len(queue); qi++ {
+		cur := queue[qi]
+		for _, ad := range t.Adj(cur) {
+			if c.dist[ad.Peer] == -1 {
+				c.dist[ad.Peer] = c.dist[cur] + 1
+				queue = append(queue, ad.Peer)
+			}
+		}
+	}
+	for ni := 0; ni < nNodes; ni++ {
+		id := packet.NodeID(ni)
+		if id != dst && c.dist[ni] != -1 {
+			row := len(c.choices)
+			for _, ad := range t.Adj(id) {
+				if c.dist[ad.Peer] == c.dist[ni]-1 {
+					c.choices = append(c.choices, int32(ad.Link))
+				}
+			}
+			slices.Sort(c.choices[row:])
+		}
+		c.start[ni+1] = int32(len(c.choices))
+	}
+	return c
+}
+
+// multiPrioTopology is a frozen copy of the two-switch chain exp.MultiPrio
+// builds, with the same node ids and link order (routing cannot import
+// exp). A change to MultiPrio's topology does not reach it.
+func multiPrioTopology() *topo.Topology {
+	rate, delay := 40*units.Gbps, units.Microsecond
+	g := topo.New()
+	sw0 := g.AddSwitch("sw0")
+	sw1 := g.AddSwitch("sw1")
+	for _, h := range []string{"h0", "hc", "hp"} {
+		g.Connect(g.AddHost(h), sw0, rate, delay)
+	}
+	g.Connect(sw0, sw1, rate, delay)
+	for _, h := range []string{"r", "r2", "b0", "b1", "b2", "b3", "b4", "b5", "b6", "b7"} {
+		g.Connect(g.AddHost(h), sw1, rate, delay)
+	}
+	return g
+}
+
+// TestEagerTableMatchesColumnBFS holds the one-block eager table to the
+// per-destination reverse BFS it replaced: the same rows and path lengths
+// for every (node, host) pair, and, once attached, a Route hook that
+// hands every single-choice row its link's port.
+func TestEagerTableMatchesColumnBFS(t *testing.T) {
+	rate, delay := 40*units.Gbps, units.Microsecond
+	for _, tc := range []struct {
+		name string
+		topo *topo.Topology
+	}{
+		{"fig2", topo.NewFig2(topo.Fig2Config{}).Topology},
+		{"fig2-withB", topo.NewFig2(topo.Fig2Config{WithB: true}).Topology},
+		{"fig2-edge20G", topo.NewFig2(topo.Fig2Config{EdgeRate: 20 * units.Gbps}).Topology},
+		{"ring3", topo.NewRing(3, rate, delay).Topology},
+		{"ring6", topo.NewRing(6, rate, delay).Topology},
+		{"testbed", topo.NewTestbed(10*units.Gbps, delay).Topology},
+		{"dumbbell4", topo.NewDumbbell(4, rate, delay).Topology},
+		{"multiprio", multiPrioTopology()},
+		{"fattree-k4", topo.NewFatTree(4, rate, delay).Topology},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.topo
+			tb := BuildShortestPath(g)
+			net := fabric.New(sim.New(), g, fabric.DefaultConfig())
+			tb.Attach(net, FirstPath())
+			pkt := &packet.Packet{}
+			for _, dst := range g.Hosts() {
+				ref := refColumnBFS(g, dst)
+				pkt.Dst = dst
+				for ni := range g.Nodes {
+					node := packet.NodeID(ni)
+					want := ref.choices[ref.start[ni]:ref.start[ni+1]]
+					got := tb.Choices(node, dst)
+					if !slices.Equal(got, want) {
+						t.Fatalf("Choices(%s, %s) = %v, want %v", g.Name(node), g.Name(dst), got, want)
+					}
+					if g.Nodes[ni].Kind == topo.Host {
+						if got, want := tb.PathLen(node, dst), int(ref.dist[ni]); got != want {
+							t.Fatalf("PathLen(%s, %s) = %d, want %d", g.Name(node), g.Name(dst), got, want)
+						}
+					}
+					if len(want) > 0 && node != dst {
+						if got, want := net.Route(node, pkt), net.PortOn(node, int(want[0])); got != want {
+							t.Fatalf("Route(%s→%s) = %s, want %s", g.Name(node), g.Name(dst), got.Label(), want.Label())
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBuildShortestPathAllocs holds the eager table of the Figure-2
+// network to a few blocks whatever its number of hosts: the fairness
+// hosts of WithB add rows, not allocations.
+func TestBuildShortestPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	plain := topo.NewFig2(topo.Fig2Config{}).Topology
+	withB := topo.NewFig2(topo.Fig2Config{WithB: true}).Topology
+	a := testing.AllocsPerRun(20, func() { BuildShortestPath(plain) })
+	b := testing.AllocsPerRun(20, func() { BuildShortestPath(withB) })
+	t.Logf("Fig 2 %.0f, with B %.0f allocations", a, b)
+	if a > 8 {
+		t.Errorf("BuildShortestPath(Fig 2) takes %.0f allocations, want at most 8", a)
+	}
+	if b > a {
+		t.Errorf("WithB adds %.0f allocations, want none", b-a)
+	}
 }

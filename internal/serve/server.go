@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,9 +10,9 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"github.com/tcdnet/tcd/internal/exp"
 	"github.com/tcdnet/tcd/internal/obs"
@@ -65,6 +66,8 @@ type Server struct {
 
 	submitted, completed, failed, canceled, rejected uint64
 	warmHits, coalesced, misses, sseDropped          uint64
+	// lineBuf is progressWriter's scratch for quoting a line.
+	lineBuf []byte
 }
 
 // queued is a run on its way to a worker: the spec it runs and the
@@ -614,8 +617,7 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 
 // mustJSON quotes a string as a JSON literal.
 func mustJSON(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
+	return string(appendQuoted(nil, []byte(s)))
 }
 
 // progressWriter publishes each line of a progress write as an SSE
@@ -627,13 +629,67 @@ type progressWriter struct {
 	e *cacheEntry
 }
 
+// Write publishes each non-empty line of b. A line costs one allocation,
+// its event's data string: it is quoted into the server's scratch buffer.
 func (p progressWriter) Write(b []byte) (int, error) {
 	p.s.mu.Lock()
 	defer p.s.mu.Unlock()
-	for _, line := range strings.Split(string(b), "\n") {
-		if line != "" {
-			p.s.publish(p.e, Event{"progress", mustJSON(line)})
+	for rest := b; len(rest) > 0; {
+		var line []byte
+		line, rest, _ = bytes.Cut(rest, []byte("\n"))
+		if len(line) > 0 {
+			p.s.lineBuf = appendQuoted(p.s.lineBuf[:0], line)
+			p.s.publish(p.e, Event{"progress", string(p.s.lineBuf)})
 		}
 	}
 	return len(b), nil
+}
+
+// appendQuoted appends src as a JSON string, the bytes json.Marshal
+// writes for string(src): '"', '\\', control bytes, '<', '>' and '&'
+// escaped, each invalid UTF-8 byte as \ufffd, and U+2028 and U+2029
+// escaped.
+func appendQuoted(dst, src []byte) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		if c := src[i]; c < utf8.RuneSelf {
+			if c >= ' ' && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, src[start:i]...)
+			switch c {
+			case '"', '\\':
+				dst = append(dst, '\\', c)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRune(src[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(append(dst, src[start:i]...), `\ufffd`...)
+			start = i + size
+		case r == '\u2028' || r == '\u2029':
+			dst = append(append(dst, src[start:i]...), '\\', 'u', '2', '0', '2', hex[r&0xF])
+			start = i + size
+		}
+		i += size
+	}
+	return append(append(dst, src[start:]...), '"')
 }

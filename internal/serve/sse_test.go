@@ -3,8 +3,10 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -249,5 +251,71 @@ func TestSlowSubscriberGetsTerminal(t *testing.T) {
 	}
 	if st := s.snapshot(); st.SSEDropped == 0 {
 		t.Error("no drops counted for a subscriber 100 events behind")
+	}
+}
+
+// TestProgressEventBytes holds the SSE frames of progress lines, and the
+// package's one JSON string quoter, to the bytes json.Marshal gave them:
+// HTML-escaped, control bytes and invalid UTF-8 escaped, one event per
+// non-empty line.
+func TestProgressEventBytes(t *testing.T) {
+	lines := []string{
+		"progress: sim=1.5ms wall=3ms events=12345 rate=4.12M ev/s pending=31",
+		`run 2/4 done <exp="fig3" & seed=2>`,
+		"tab\tquote\" back\\slash del\x7f ctl\x01\x1f\b\f\r",
+		"é U+2028:\u2028 U+2029:\u2029 bad:\xff\xc3 end",
+	}
+	s := &Server{}
+	e := &cacheEntry{stream: &stream{}}
+	w := progressWriter{s, e}
+	_, _ = w.Write([]byte(lines[0] + "\n"))
+	_, _ = w.Write([]byte(lines[1] + "\n\n" + lines[2] + "\n"))
+	_, _ = w.Write([]byte(lines[3]))
+	if len(e.stream.replay) != len(lines) {
+		t.Fatalf("%d events, want %d", len(e.stream.replay), len(lines))
+	}
+	for i, line := range lines {
+		b, err := json.Marshal(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := e.stream.replay[i].sse(), (Event{"progress", string(b)}).sse(); got != want {
+			t.Errorf("line %d: got %q, want %q", i, got, want)
+		}
+	}
+
+	rnd := rand.New(rand.NewSource(1))
+	alphabet := []byte("a <>&\"\\\x00\x1f\x7f\n\t\xe2\x80\xa8\xa9\xc3\xa9\xff")
+	for n := 0; n < 5000; n++ {
+		src := make([]byte, rnd.Intn(24))
+		for i := range src {
+			src[i] = alphabet[rnd.Intn(len(alphabet))]
+		}
+		want, _ := json.Marshal(string(src))
+		if got := mustJSON(string(src)); got != string(want) {
+			t.Fatalf("mustJSON(%q) = %s, want %s", src, got, want)
+		}
+	}
+}
+
+// TestProgressWriteAllocs holds a progress write to one allocation per
+// line, the event's data string, once the replay ring is full.
+func TestProgressWriteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	s := &Server{}
+	e := &cacheEntry{stream: &stream{}}
+	w := progressWriter{s, e}
+	one := []byte("progress: sim=1.5ms wall=3ms events=12345 rate=4.12M ev/s pending=31\n")
+	two := []byte("run 1/2 done <a & \"b\">\nrun 2/2 start\n")
+	for i := 0; i < replayCap; i++ {
+		_, _ = w.Write(one)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = w.Write(one) }); a != 1 {
+		t.Errorf("a one-line write takes %.0f allocations, want 1", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { _, _ = w.Write(two) }); a != 2 {
+		t.Errorf("a two-line write takes %.0f allocations, want 2", a)
 	}
 }

@@ -33,7 +33,24 @@ const (
 	fig2Rate     = 40 * units.Gbps
 	fig2Delay    = 4 * units.Microsecond
 	fig2Bursters = 15
+	fig2Fairness = 4
 )
+
+// fig2Names are the Figure-2 node names in build order, B0..B3 last. The
+// builder adds its nodes unnamed and names them from this table, so a
+// build formats no string.
+var fig2Names = func() []string {
+	names := []string{"T0", "L0", "T2", "S0", "S1", "S2", "R0", "R1"}
+	for i := 0; i < fig2Bursters; i++ {
+		names = append(names, "A"+strconv.Itoa(i))
+	}
+	for i := 0; i < fig2Fairness; i++ {
+		names = append(names, "B"+strconv.Itoa(i))
+	}
+	return names
+}()
+
+func fig2Name(id packet.NodeID) string { return fig2Names[id] }
 
 // Fig2Config selects the variants of the Figure-2 builder; the zero value
 // is the §3.1 network.
@@ -51,16 +68,24 @@ func NewFig2(cfg Fig2Config) *Fig2 {
 	if edge == 0 {
 		edge = fig2Rate
 	}
+	nB := 0
+	if cfg.WithB {
+		nB = fig2Fairness
+	}
 	t := New()
+	// Three switches and one link per host, plus T0–L0 and L0–T2.
+	hosts := 5 + fig2Bursters + nB
+	t.reserve(3+hosts, hosts+2)
+	t.namer = fig2Name
 	f := &Fig2{Topology: t}
-	f.T0 = t.AddSwitch("T0")
-	f.L0 = t.AddSwitch("L0")
-	f.T2 = t.AddSwitch("T2")
-	f.S0 = t.AddHost("S0")
-	f.S1 = t.AddHost("S1")
-	f.S2 = t.AddHost("S2")
-	f.R0 = t.AddHost("R0")
-	f.R1 = t.AddHost("R1")
+	f.T0 = t.addSized("", Switch, 3)
+	f.L0 = t.addSized("", Switch, 3+nB)
+	f.T2 = t.addSized("", Switch, 3+fig2Bursters)
+	f.S0 = t.addSized("", Host, 1)
+	f.S1 = t.addSized("", Host, 1)
+	f.S2 = t.addSized("", Host, 1)
+	f.R0 = t.addSized("", Host, 1)
+	f.R1 = t.addSized("", Host, 1)
 	t.Connect(f.S0, f.T0, edge, fig2Delay)
 	f.LinkS1T0 = t.Connect(f.S1, f.T0, edge, fig2Delay)
 	t.Connect(f.S2, f.L0, fig2Rate, fig2Delay)
@@ -68,16 +93,18 @@ func NewFig2(cfg Fig2Config) *Fig2 {
 	f.LinkL0T2 = t.Connect(f.L0, f.T2, fig2Rate, fig2Delay)
 	t.Connect(f.R0, f.T2, fig2Rate, fig2Delay)
 	f.LinkT2R1 = t.Connect(f.R1, f.T2, fig2Rate, fig2Delay)
-	for i := 0; i < fig2Bursters; i++ {
-		a := t.AddHost(fmt.Sprintf("A%d", i))
-		t.Connect(a, f.T2, fig2Rate, fig2Delay)
-		f.A = append(f.A, a)
+	// A and B share one array.
+	senders := make([]packet.NodeID, fig2Bursters+nB)
+	f.A = senders[:fig2Bursters:fig2Bursters]
+	for i := range f.A {
+		f.A[i] = t.addSized("", Host, 1)
+		t.Connect(f.A[i], f.T2, fig2Rate, fig2Delay)
 	}
 	if cfg.WithB {
-		for i := 0; i < 4; i++ {
-			b := t.AddHost(fmt.Sprintf("B%d", i))
-			t.Connect(b, f.L0, fig2Rate, fig2Delay)
-			f.B = append(f.B, b)
+		f.B = senders[fig2Bursters:]
+		for i := range f.B {
+			f.B[i] = t.addSized("", Host, 1)
+			t.Connect(f.B[i], f.L0, fig2Rate, fig2Delay)
 		}
 	}
 	return f
@@ -93,18 +120,25 @@ type Testbed struct {
 	LinkT0T2, LinkT2R1 int
 }
 
+// testbedNames are the testbed's node names in build order.
+var testbedNames = [...]string{"T0", "T2", "S0", "S1", "A0", "R0", "R1"}
+
+func testbedName(id packet.NodeID) string { return testbedNames[id] }
+
 // NewTestbed builds the compact testbed at the given link speed and delay
 // (the paper's DPDK testbed ran at 10 Gbps).
 func NewTestbed(rate units.Rate, delay units.Time) *Testbed {
 	t := New()
+	t.reserve(len(testbedNames), 6)
+	t.namer = testbedName
 	tb := &Testbed{Topology: t}
-	tb.T0 = t.AddSwitch("T0")
-	tb.T2 = t.AddSwitch("T2")
-	tb.S0 = t.AddHost("S0")
-	tb.S1 = t.AddHost("S1")
-	tb.A0 = t.AddHost("A0")
-	tb.R0 = t.AddHost("R0")
-	tb.R1 = t.AddHost("R1")
+	tb.T0 = t.addSized("", Switch, 3)
+	tb.T2 = t.addSized("", Switch, 4)
+	tb.S0 = t.addSized("", Host, 1)
+	tb.S1 = t.addSized("", Host, 1)
+	tb.A0 = t.addSized("", Host, 1)
+	tb.R0 = t.addSized("", Host, 1)
+	tb.R1 = t.addSized("", Host, 1)
 	t.Connect(tb.S0, tb.T0, rate, delay)
 	t.Connect(tb.S1, tb.T0, rate, delay)
 	tb.LinkT0T2 = t.Connect(tb.T0, tb.T2, rate, delay)
@@ -139,19 +173,30 @@ func NewRing(n int, rate units.Rate, delay units.Time) *Ring {
 		panic(fmt.Sprintf("topo: ring requires n >= 3 switches, got %d", n))
 	}
 	t := New()
-	r := &Ring{Topology: t, N: n}
-	for i := 0; i < n; i++ {
-		r.Sw = append(r.Sw, t.AddSwitch(fmt.Sprintf("s%d", i)))
+	t.reserve(2*n, 2*n)
+	nodes, links := make([]packet.NodeID, 2*n), make([]int, 2*n)
+	r := &Ring{Topology: t, N: n, Sw: nodes[:n:n], Hosts: nodes[n:], HostLinks: links[:n:n], RingLinks: links[n:]}
+	t.namer = r.name
+	for i := range r.Sw {
+		r.Sw[i] = t.addSized("", Switch, 3)
 	}
-	for i := 0; i < n; i++ {
-		h := t.AddHost(fmt.Sprintf("h%d", i))
-		r.Hosts = append(r.Hosts, h)
-		r.HostLinks = append(r.HostLinks, t.Connect(h, r.Sw[i], rate, delay))
+	for i := range r.Hosts {
+		r.Hosts[i] = t.addSized("", Host, 1)
+		r.HostLinks[i] = t.Connect(r.Hosts[i], r.Sw[i], rate, delay)
 	}
-	for i := 0; i < n; i++ {
-		r.RingLinks = append(r.RingLinks, t.Connect(r.Sw[i], r.Sw[(i+1)%n], rate, delay))
+	for i := range r.RingLinks {
+		r.RingLinks[i] = t.Connect(r.Sw[i], r.Sw[(i+1)%n], rate, delay)
 	}
 	return r
+}
+
+// name renders the name of a node the builder laid out: the switches
+// s0..s{n-1}, then the hosts h0..h{n-1}.
+func (r *Ring) name(id packet.NodeID) string {
+	if i := int(id); i < r.N {
+		return "s" + strconv.Itoa(i)
+	}
+	return "h" + strconv.Itoa(int(id)-r.N)
 }
 
 // SwitchOf returns the index of the switch a node sits on (its own index
@@ -344,17 +389,35 @@ type Dumbbell struct {
 // NewDumbbell builds a dumbbell with n senders and n receivers.
 func NewDumbbell(n int, rate units.Rate, delay units.Time) *Dumbbell {
 	t := New()
-	d := &Dumbbell{Topology: t}
-	d.Left = t.AddSwitch("left")
-	d.Right = t.AddSwitch("right")
+	t.reserve(2+2*n, 1+2*n)
+	t.namer = dumbbellName
+	hosts := make([]packet.NodeID, 2*n)
+	d := &Dumbbell{Topology: t, Senders: hosts[:n:n], Receivers: hosts[n:]}
+	d.Left = t.addSized("", Switch, 1+n)
+	d.Right = t.addSized("", Switch, 1+n)
 	d.Bottleneck = t.Connect(d.Left, d.Right, rate, delay)
 	for i := 0; i < n; i++ {
-		s := t.AddHost(fmt.Sprintf("snd%d", i))
-		r := t.AddHost(fmt.Sprintf("rcv%d", i))
+		s := t.addSized("", Host, 1)
+		r := t.addSized("", Host, 1)
 		t.Connect(s, d.Left, rate, delay)
 		t.Connect(r, d.Right, rate, delay)
-		d.Senders = append(d.Senders, s)
-		d.Receivers = append(d.Receivers, r)
+		d.Senders[i], d.Receivers[i] = s, r
 	}
 	return d
+}
+
+// dumbbellName renders the name of a node NewDumbbell laid out: left,
+// right, then snd<i> and rcv<i> pair by pair.
+func dumbbellName(id packet.NodeID) string {
+	switch id {
+	case 0:
+		return "left"
+	case 1:
+		return "right"
+	}
+	i := int(id) - 2
+	if i%2 == 0 {
+		return "snd" + strconv.Itoa(i/2)
+	}
+	return "rcv" + strconv.Itoa(i/2)
 }

@@ -8,10 +8,37 @@ import (
 	"github.com/tcdnet/tcd/internal/units"
 )
 
-// TestGeneratedNames holds every name the fat-tree and leaf–spine
-// builders render on demand to the strings they formatted per node when
-// they added it, in build order, and every name back to its node.
+// TestGeneratedNames holds every name the builders render on demand to
+// the strings they formatted per node when they added it, in build order,
+// and every name back to its node.
 func TestGeneratedNames(t *testing.T) {
+	fig2 := func(withB bool) []string {
+		names := []string{"T0", "L0", "T2", "S0", "S1", "S2", "R0", "R1"}
+		for i := 0; i < 15; i++ {
+			names = append(names, fmt.Sprintf("A%d", i))
+		}
+		for i := 0; withB && i < 4; i++ {
+			names = append(names, fmt.Sprintf("B%d", i))
+		}
+		return names
+	}
+	ring := func(n int) []string {
+		var names []string
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("s%d", i))
+		}
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("h%d", i))
+		}
+		return names
+	}
+	dumbbell := func(n int) []string {
+		names := []string{"left", "right"}
+		for i := 0; i < n; i++ {
+			names = append(names, fmt.Sprintf("snd%d", i), fmt.Sprintf("rcv%d", i))
+		}
+		return names
+	}
 	fatTree := func(k int) []string {
 		half := k / 2
 		var names []string
@@ -54,6 +81,12 @@ func TestGeneratedNames(t *testing.T) {
 		{"fat-tree k=4", NewFatTree(4, 40*units.Gbps, units.Microsecond).Topology, fatTree(4)},
 		{"fat-tree k=8", NewFatTree(8, 40*units.Gbps, units.Microsecond).Topology, fatTree(8)},
 		{"leaf-spine 4x4x8", NewLeafSpine(4, 4, 8, 40*units.Gbps, units.Microsecond).Topology, leafSpine(4, 4, 8)},
+		{"fig2", NewFig2(Fig2Config{}).Topology, fig2(false)},
+		{"fig2 with B", NewFig2(Fig2Config{WithB: true}).Topology, fig2(true)},
+		{"testbed", NewTestbed(10*units.Gbps, units.Microsecond).Topology, []string{"T0", "T2", "S0", "S1", "A0", "R0", "R1"}},
+		{"ring 3", NewRing(3, 40*units.Gbps, units.Microsecond).Topology, ring(3)},
+		{"ring 12", NewRing(12, 40*units.Gbps, units.Microsecond).Topology, ring(12)},
+		{"dumbbell 12", NewDumbbell(12, 40*units.Gbps, units.Microsecond).Topology, dumbbell(12)},
 	} {
 		if len(tc.topo.Nodes) != len(tc.want) {
 			t.Fatalf("%s: %d nodes, want %d", tc.name, len(tc.topo.Nodes), len(tc.want))
@@ -102,5 +135,19 @@ func TestNewFatTreeAllocsFlat(t *testing.T) {
 	t.Logf("k=4 %.0f, k=16 %.0f allocations", k4, k16)
 	if k16 > 2*k4 {
 		t.Errorf("k=16 (1 344 nodes) takes %.0f allocations, k=4 (36 nodes) %.0f", k16, k4)
+	}
+}
+
+// TestNewFig2Allocs holds the Figure-2 builder to its tables, sized once:
+// no node is grown into place or named by formatting, so the fairness
+// hosts of WithB cost no allocation.
+func TestNewFig2Allocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race changes allocation counts")
+	}
+	for _, cfg := range []Fig2Config{{}, {WithB: true}, {EdgeRate: 20 * units.Gbps}} {
+		if a := testing.AllocsPerRun(20, func() { NewFig2(cfg) }); a > 10 {
+			t.Errorf("NewFig2(%+v) takes %.0f allocations, want at most 10", cfg, a)
+		}
 	}
 }

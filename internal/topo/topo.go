@@ -51,8 +51,8 @@ type Topology struct {
 	Nodes []Node
 	Links []Link
 	// namer renders the name of a node added without one, from its
-	// position in the builder's layout, so a large builder formats no
-	// string per node.
+	// position in the builder's layout, so a builder formats no string
+	// per node.
 	namer func(packet.NodeID) string
 	// byName indexes every node by name. It is built by the first lookup
 	// by name (or the first node added with a name) and kept up to date
@@ -164,12 +164,19 @@ func (t *Topology) Name(id packet.NodeID) string {
 // Adj returns the adjacency list of a node.
 func (t *Topology) Adj(id packet.NodeID) []Adjacency { return t.adj[id] }
 
-// Hosts returns the IDs of all host nodes in insertion order.
+// Hosts returns the IDs of all host nodes in insertion order, in one
+// allocation.
 func (t *Topology) Hosts() []packet.NodeID {
-	var out []packet.NodeID
-	for _, n := range t.Nodes {
-		if n.Kind == Host {
-			out = append(out, n.ID)
+	n := 0
+	for i := range t.Nodes {
+		if t.Nodes[i].Kind == Host {
+			n++
+		}
+	}
+	out := make([]packet.NodeID, 0, n)
+	for i := range t.Nodes {
+		if t.Nodes[i].Kind == Host {
+			out = append(out, t.Nodes[i].ID)
 		}
 	}
 	return out

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	mathbits "math/bits"
+	"strconv"
 )
 
 // Time is a simulated timestamp or duration in picoseconds.
@@ -43,23 +44,29 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
 
 // String renders the time with an adaptive unit, e.g. "34.4us" or "1.6ms".
-func (t Time) String() string {
-	neg := ""
+func (t Time) String() string { return string(t.AppendTo(nil)) }
+
+// AppendTo appends String's text to b: the value in the largest unit it
+// reaches to six significant digits (fmt's %.6g), or whole picoseconds.
+func (t Time) AppendTo(b []byte) []byte {
 	if t < 0 {
-		neg, t = "-", -t
+		b, t = append(b, '-'), -t
 	}
 	switch {
 	case t >= Second:
-		return fmt.Sprintf("%s%.6gs", neg, float64(t)/float64(Second))
+		return appendIn(b, t, Second, "s")
 	case t >= Millisecond:
-		return fmt.Sprintf("%s%.6gms", neg, float64(t)/float64(Millisecond))
+		return appendIn(b, t, Millisecond, "ms")
 	case t >= Microsecond:
-		return fmt.Sprintf("%s%.6gus", neg, float64(t)/float64(Microsecond))
+		return appendIn(b, t, Microsecond, "us")
 	case t >= Nanosecond:
-		return fmt.Sprintf("%s%.6gns", neg, float64(t)/float64(Nanosecond))
-	default:
-		return fmt.Sprintf("%s%dps", neg, int64(t))
+		return appendIn(b, t, Nanosecond, "ns")
 	}
+	return append(strconv.AppendInt(b, int64(t), 10), "ps"...)
+}
+
+func appendIn(b []byte, t, unit Time, suffix string) []byte {
+	return append(strconv.AppendFloat(b, float64(t)/float64(unit), 'g', 6, 64), suffix...)
 }
 
 // FromSeconds converts a floating-point number of seconds to Time.

@@ -102,6 +102,8 @@ func TestStrings(t *testing.T) {
 		{(2 * Second).String(), "2s"},
 		{(500 * Picosecond).String(), "500ps"},
 		{(-200 * Nanosecond).String(), "-200ns"},
+		{(1234567 * Second).String(), "1.23457e+06s"},
+		{(-1000000 * Second).String(), "-1e+06s"},
 		{(40 * Gbps).String(), "40Gbps"},
 		{(5 * Mbps).String(), "5Mbps"},
 		{(320 * KB).String(), "320KB"},
